@@ -51,8 +51,7 @@ constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_SERVE_MAX_PINNED_EPOCHS", "GPIVOT_SERVE_MIX",
     "GPIVOT_SERVE_EPOCHS",  "GPIVOT_SERVE_OPS",
     "GPIVOT_ADMIN_PORT",    "GPIVOT_ADMIN_STUCK_EPOCH_MS",
-    "GPIVOT_ADMIN_SAMPLE_MS", "GPIVOT_SHARDS",
-    "GPIVOT_HEAVY_KEY_THRESHOLD", "GPIVOT_BENCH_ZIPF_THETA",
+    "GPIVOT_ADMIN_SAMPLE_MS",
 };
 
 using BenchRecord = FigureRecord;
@@ -94,20 +93,13 @@ void ValidateBenchEnv() {
   // Force the strict GPIVOT_VECTOR_CHUNK_SIZE parse now (exit 2 on garbage)
   // rather than on first operator call mid-run.
   (void)exec::VectorChunkSizeFromEnv();
-  // Sharding knobs fail fast too: GPIVOT_SHARDS and
-  // GPIVOT_HEAVY_KEY_THRESHOLD are strict-parsed by the libraries, but a
-  // bench run should reject them before generating data, not mid-sweep.
-  Result<ivm::ShardingOptions> sharding = ivm::ShardingOptions::FromEnv();
-  if (!sharding.ok()) {
-    std::fprintf(stderr, "bench: %s\n", sharding.status().ToString().c_str());
-    std::exit(2);
-  }
+  // Batcher knobs are strict-parsed by the library, but a bench run should
+  // reject them before generating data, not mid-sweep.
   Result<ivm::BatcherOptions> batcher = ivm::BatcherOptions::FromEnv();
   if (!batcher.ok()) {
     std::fprintf(stderr, "bench: %s\n", batcher.status().ToString().c_str());
     std::exit(2);
   }
-  (void)BenchEnvDouble("GPIVOT_BENCH_ZIPF_THETA", 0.0);
   // Durability knobs fail fast the same way: a garbled cadence or an
   // unwritable WAL dir must not silently run the benchmark undurably.
   Result<storage::StorageOptions> storage = storage::StorageOptions::FromEnv();
@@ -223,9 +215,6 @@ class BenchJsonRegistry {
           << ",\n";
       out << "  \"vector_chunk_size\": " << exec::EffectiveVectorChunkSize(exec)
           << ",\n";
-      Result<ivm::ShardingOptions> sharding = ivm::ShardingOptions::FromEnv();
-      out << "  \"num_shards\": "
-          << (sharding.ok() ? sharding->num_shards : size_t{1}) << ",\n";
       out << "  \"results\": [\n";
       for (size_t i = 0; i < records.size(); ++i) {
         const BenchRecord& r = records[i];
@@ -415,24 +404,6 @@ uint64_t BenchEnvUint64(const char* name, uint64_t fallback) {
     std::exit(2);
   }
   return static_cast<uint64_t>(parsed);
-}
-
-// Double env vars (the Zipf theta) get the same strictness: a partially
-// consumed or negative value is a typo, and a typo'd skew parameter
-// publishes a mislabeled run.
-double BenchEnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(parsed >= 0.0) ||
-      parsed > 1e9) {
-    std::fprintf(stderr,
-                 "bench: %s='%s' is not a finite non-negative number\n", name,
-                 value);
-    std::exit(2);
-  }
-  return parsed;
 }
 
 // GPIVOT_BENCH_REPS: identical-epoch repetitions per (strategy, fraction);

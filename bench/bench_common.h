@@ -35,7 +35,8 @@ struct BenchContext {
 const BenchContext& SharedContext();
 
 // Maintenance-executor concurrency for every timed epoch, from
-// GPIVOT_BENCH_THREADS (default 1 = the sequential baseline).
+// GPIVOT_BENCH_THREADS: the number of views staged concurrently (default 1
+// = the sequential baseline).
 ExecContext BenchExecContext();
 
 // Registers one google-benchmark per (strategy, fraction): each run builds
@@ -80,12 +81,6 @@ const std::vector<double>& Fractions();
 // unwritable trace dir, because a silently mis-parsed knob publishes wrong
 // numbers.
 uint64_t BenchEnvUint64(const char* name, uint64_t fallback);
-
-// Strict double env parsing (GPIVOT_BENCH_ZIPF_THETA): unset/empty yields
-// `fallback`; anything that does not consume the whole value as a finite
-// non-negative decimal number prints the offending variable and exits 2,
-// for the same reason as BenchEnvUint64.
-double BenchEnvDouble(const char* name, double fallback);
 
 // Identical-epoch repetitions per measured point (GPIVOT_BENCH_REPS,
 // default 3; 0 is clamped to 1).

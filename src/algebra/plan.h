@@ -318,8 +318,7 @@ struct PlanNodeIds {
 PlanNodeIds AssignNodeIds(const PlanPtr& plan);
 
 // Evaluates `plan` against current catalog contents (full computation).
-// ctx parallelizes the join and group-by operators; output is byte-identical
-// for every thread count.
+// Output is byte-identical for every ctx.
 Result<Table> Evaluate(const PlanPtr& plan, const Catalog& catalog,
                        const ExecContext& ctx = {});
 

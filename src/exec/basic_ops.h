@@ -15,8 +15,7 @@ namespace gpivot::exec {
 
 // The trailing ExecContext parameter (defaulted, so existing call sites are
 // unaffected) only feeds observability: when ctx.metrics is enabled, each
-// op records exec.<op>.{calls,rows_in,rows_out} counters. These ops stay
-// sequential regardless of ctx.num_threads.
+// op records exec.<op>.{calls,rows_in,rows_out} counters.
 
 // σ: rows of `input` for which `predicate` evaluates to TRUE (SQL
 // three-valued semantics: NULL filters out).

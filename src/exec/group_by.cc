@@ -1,9 +1,9 @@
 #include "exec/group_by.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
-#include "exec/partition.h"
 #include "exec/vector_ops.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
@@ -11,7 +11,6 @@
 #include "util/check.h"
 #include "util/small_vector.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::exec {
 
@@ -46,42 +45,12 @@ Result<Table> GroupByImpl(const Table& input,
     }
   }
 
-  struct GroupState {
-    std::vector<Accumulator> accumulators;
-    size_t first_row = 0;  // global index of the group's first input row
-  };
-  struct Partition {
-    std::unordered_map<Row, GroupState, RowHash, RowEq> groups;
-    // Group keys in this partition's first-appearance order (map nodes are
-    // stable, so the pointers survive rehashing).
-    std::vector<const Row*> order;
-  };
-
   const size_t num_rows = input.num_rows();
-  const size_t num_parts = ctx.ShouldParallelize(num_rows)
-                               ? std::min(ctx.num_threads, num_rows)
-                               : 1;
-
-  // Skew-aware partition ownership: rows map to kPartitionFanout fixed hash
-  // buckets and buckets map to partitions by observed row weight, so a hot
-  // group key (one bucket) lands alone on a partition instead of dragging
-  // every hash % num_parts sibling with it. Group membership still follows
-  // the hash, groups stay whole within one partition, and the first_row
-  // merge below emits in global order — output bytes are unchanged from the
-  // blind modulo assignment at every partition count.
-  auto assign_partitions = [&](const std::vector<size_t>& row_hashes) {
-    std::vector<uint64_t> weights(kPartitionFanout, 0);
-    for (size_t r = 0; r < num_rows; ++r) {
-      ++weights[row_hashes[r] % kPartitionFanout];
-    }
-    return AssignBucketsByWeight(weights, num_parts);
-  };
 
   // Vectorized fast path: typed group-key columns, batch hashing, and
-  // hash -> group-id buckets instead of Row-keyed map nodes. Partition
-  // ownership (hash % num_parts), per-partition accumulation in global row
-  // order, and the first_row merge are identical to the row path below, so
-  // group contents, accumulator addition order (hence float sums), and
+  // hash -> group-id buckets instead of Row-keyed map nodes. Groups are
+  // created and accumulated in row order exactly as in the row path below,
+  // so group contents, accumulator addition order (hence float sums), and
   // output row order are byte-identical. Mixed-type key columns or a zero
   // chunk knob fall through to the row shim.
   const size_t chunk_size = EffectiveVectorChunkSize(ctx);
@@ -91,82 +60,53 @@ Result<Table> GroupByImpl(const Table& input,
   }
   if (key_cols.has_value()) {
     std::vector<size_t> row_hashes(num_rows);
-    ParallelForChunks(ctx, num_rows,
-                      [&](size_t /*chunk*/, size_t begin, size_t end) {
-                        for (size_t cb = begin; cb < end; cb += chunk_size) {
-                          key_cols->BatchHash(cb, std::min(end, cb + chunk_size),
-                                              row_hashes.data() + cb);
-                        }
-                      });
+    for (size_t cb = 0; cb < num_rows; cb += chunk_size) {
+      key_cols->BatchHash(cb, std::min(num_rows, cb + chunk_size),
+                          row_hashes.data() + cb);
+    }
 
     struct VGroup {
       uint32_t first_row = 0;
       std::vector<Accumulator> accumulators;
     };
-    struct VPartition {
-      // hash -> ids of groups with that key hash, in creation order.
-      std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
-      std::vector<VGroup> groups;  // creation order == first_row ascending
-    };
-    const std::vector<uint32_t> part_of =
-        num_parts > 1 ? assign_partitions(row_hashes) : std::vector<uint32_t>();
-    std::vector<VPartition> partitions(num_parts);
-    ParallelFor(ExecContext{num_parts, 0}, num_parts, [&](size_t p) {
-      VPartition& part = partitions[p];
-      part.buckets.reserve(num_rows / num_parts + 1);
-      for (size_t r = 0; r < num_rows; ++r) {
-        if (num_parts > 1 &&
-            part_of[row_hashes[r] % kPartitionFanout] != p) {
-          continue;
-        }
-        SmallVector<uint32_t, 2>& ids = part.buckets[row_hashes[r]];
-        VGroup* group = nullptr;
-        for (uint32_t gid : ids) {
-          if (key_cols->RowsEqual(r, *key_cols, part.groups[gid].first_row)) {
-            group = &part.groups[gid];
-            break;
-          }
-        }
-        if (group == nullptr) {
-          ids.push_back(static_cast<uint32_t>(part.groups.size()));
-          VGroup fresh;
-          fresh.first_row = static_cast<uint32_t>(r);
-          fresh.accumulators.reserve(aggregates.size());
-          for (const AggSpec& spec : aggregates) {
-            fresh.accumulators.emplace_back(spec.func);
-          }
-          part.groups.push_back(std::move(fresh));
-          group = &part.groups.back();
-        }
-        for (size_t a = 0; a < aggregates.size(); ++a) {
-          const auto& input_idx = agg_input_idx[a];
-          group->accumulators[a].Add(input_idx.has_value()
-                                         ? input.rows()[r][*input_idx]
-                                         : Value::Int(1));
+    // hash -> ids of groups with that key hash, in creation order.
+    std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
+    buckets.reserve(num_rows + 1);
+    std::vector<VGroup> groups;  // creation order == first appearance
+    for (size_t r = 0; r < num_rows; ++r) {
+      SmallVector<uint32_t, 2>& ids = buckets[row_hashes[r]];
+      VGroup* group = nullptr;
+      for (uint32_t gid : ids) {
+        if (key_cols->RowsEqual(r, *key_cols, groups[gid].first_row)) {
+          group = &groups[gid];
+          break;
         }
       }
-    });
-
-    std::vector<std::pair<size_t, const VGroup*>> merged;
-    size_t total_groups = 0;
-    for (const VPartition& part : partitions) total_groups += part.groups.size();
-    merged.reserve(total_groups);
-    for (const VPartition& part : partitions) {
-      for (const VGroup& group : part.groups) {
-        merged.emplace_back(group.first_row, &group);
+      if (group == nullptr) {
+        ids.push_back(static_cast<uint32_t>(groups.size()));
+        VGroup fresh;
+        fresh.first_row = static_cast<uint32_t>(r);
+        fresh.accumulators.reserve(aggregates.size());
+        for (const AggSpec& spec : aggregates) {
+          fresh.accumulators.emplace_back(spec.func);
+        }
+        groups.push_back(std::move(fresh));
+        group = &groups.back();
       }
-    }
-    if (num_parts > 1) {
-      std::sort(merged.begin(), merged.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (size_t a = 0; a < aggregates.size(); ++a) {
+        const auto& input_idx = agg_input_idx[a];
+        group->accumulators[a].Add(input_idx.has_value()
+                                       ? input.rows()[r][*input_idx]
+                                       : Value::Int(1));
+      }
     }
 
     Table result{Schema(std::move(out_columns))};
-    result.mutable_rows().reserve(total_groups);
-    for (const auto& [first_row, group] : merged) {
-      Row out = ProjectRow(input.rows()[first_row], group_idx);
+    result.mutable_rows().reserve(groups.size());
+    for (const VGroup& group : groups) {
+      Row out = ProjectRow(input.rows()[group.first_row], group_idx);
       out.reserve(group_idx.size() + aggregates.size());
-      for (const Accumulator& acc : group->accumulators) {
+      for (const Accumulator& acc : group.accumulators) {
         out.push_back(acc.Finish());
       }
       result.AddRow(std::move(out));
@@ -175,83 +115,35 @@ Result<Table> GroupByImpl(const Table& input,
     return result;
   }
 
-  // With several partitions, precompute each row's group key and its hash
-  // once (in row chunks) so the per-partition scans below only pay the
-  // ownership test for rows they don't own.
-  std::vector<Row> keys;
-  std::vector<size_t> hashes;
-  if (num_parts > 1) {
-    keys.resize(num_rows);
-    hashes.resize(num_rows);
-    ParallelForChunks(ctx, num_rows,
-                      [&](size_t /*chunk*/, size_t begin, size_t end) {
-                        RowHash hasher;
-                        for (size_t r = begin; r < end; ++r) {
-                          keys[r] = ProjectRow(input.rows()[r], group_idx);
-                          hashes[r] = hasher(keys[r]);
-                        }
-                      });
-  }
-
-  const std::vector<uint32_t> part_of =
-      num_parts > 1 ? assign_partitions(hashes) : std::vector<uint32_t>();
-  std::vector<Partition> partitions(num_parts);
-  ParallelFor(ExecContext{num_parts, 0}, num_parts, [&](size_t p) {
-    Partition& part = partitions[p];
-    part.groups.reserve(num_rows / num_parts + 1);
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (num_parts > 1 && part_of[hashes[r] % kPartitionFanout] != p) {
-        continue;
+  std::unordered_map<Row, std::vector<Accumulator>, RowHash, RowEq> groups;
+  groups.reserve(num_rows + 1);
+  // Group keys in first-appearance order (map nodes are stable, so the
+  // pointers survive rehashing).
+  std::vector<const Row*> order;
+  for (size_t r = 0; r < num_rows; ++r) {
+    Row key = ProjectRow(input.rows()[r], group_idx);
+    auto it = groups.find(key);
+    if (it == groups.end()) {
+      std::vector<Accumulator> accumulators;
+      accumulators.reserve(aggregates.size());
+      for (const AggSpec& spec : aggregates) {
+        accumulators.emplace_back(spec.func);
       }
-      Row key = num_parts > 1 ? std::move(keys[r])
-                              : ProjectRow(input.rows()[r], group_idx);
-      auto it = part.groups.find(key);
-      if (it == part.groups.end()) {
-        GroupState state;
-        state.first_row = r;
-        state.accumulators.reserve(aggregates.size());
-        for (const AggSpec& spec : aggregates) {
-          state.accumulators.emplace_back(spec.func);
-        }
-        it = part.groups.emplace(std::move(key), std::move(state)).first;
-        part.order.push_back(&it->first);
-      }
-      for (size_t a = 0; a < aggregates.size(); ++a) {
-        const auto& input_idx = agg_input_idx[a];
-        it->second.accumulators[a].Add(input_idx.has_value()
-                                           ? input.rows()[r][*input_idx]
-                                           : Value::Int(1));
-      }
+      it = groups.emplace(std::move(key), std::move(accumulators)).first;
+      order.push_back(&it->first);
     }
-  });
-
-  // Emit groups in global first-appearance order. Each partition's order
-  // vector is already sorted by first_row, so a merge by first_row across
-  // partitions reproduces the sequential output exactly.
-  std::vector<std::pair<size_t, const Row*>> merged;
-  size_t total_groups = 0;
-  for (const Partition& part : partitions) total_groups += part.order.size();
-  merged.reserve(total_groups);
-  for (const Partition& part : partitions) {
-    for (const Row* key : part.order) {
-      merged.emplace_back(part.groups.at(*key).first_row, key);
+    for (size_t a = 0; a < aggregates.size(); ++a) {
+      const auto& input_idx = agg_input_idx[a];
+      it->second[a].Add(input_idx.has_value() ? input.rows()[r][*input_idx]
+                                              : Value::Int(1));
     }
-  }
-  if (num_parts > 1) {
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
   Table result{Schema(std::move(out_columns))};
-  result.mutable_rows().reserve(total_groups);
-  for (const auto& [first_row, key] : merged) {
-    const GroupState& state =
-        partitions[num_parts > 1
-                       ? part_of[hashes[first_row] % kPartitionFanout]
-                       : 0]
-            .groups.at(*key);
+  result.mutable_rows().reserve(order.size());
+  for (const Row* key : order) {
     Row out = *key;
-    for (const Accumulator& acc : state.accumulators) {
+    for (const Accumulator& acc : groups.at(*key)) {
       out.push_back(acc.Finish());
     }
     result.AddRow(std::move(out));

@@ -15,14 +15,7 @@ namespace gpivot::exec {
 // `aggregates`. Output schema: group columns (original types) followed by
 // one column per aggregate. Aggregates disregard ⊥ inputs and yield ⊥ when
 // a group has no non-⊥ input (paper's convention, Eq. 8). NULL group values
-// group together.
-//
-// With ctx.num_threads > 1 the groups are hash-partitioned BY KEY across
-// the threads: every thread scans all rows but accumulates only its own
-// groups, so each accumulator still sees its group's inputs in global row
-// order — floating-point sums stay bit-identical to the sequential run —
-// and the output (groups in first-appearance order) is byte-identical for
-// every thread count.
+// group together. Groups are emitted in first-appearance order.
 Result<Table> GroupBy(const Table& input,
                       const std::vector<std::string>& group_columns,
                       const std::vector<AggSpec>& aggregates,

@@ -1,10 +1,8 @@
 #include "exec/join.h"
 
-#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/partition.h"
 #include "exec/vector_ops.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
@@ -12,7 +10,6 @@
 #include "util/check.h"
 #include "util/small_vector.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::exec {
 
@@ -41,19 +38,6 @@ bool KeyHasNull(const Row& key) {
     if (v.is_null()) return true;
   }
   return false;
-}
-
-// Moves per-chunk probe outputs into `result` in chunk order; since chunks
-// cover the probe rows contiguously, this reproduces sequential row order.
-Table ConcatChunks(Schema schema, std::vector<std::vector<Row>> chunk_rows) {
-  size_t total = 0;
-  for (const std::vector<Row>& rows : chunk_rows) total += rows.size();
-  Table result(std::move(schema));
-  result.mutable_rows().reserve(total);
-  for (std::vector<Row>& rows : chunk_rows) {
-    for (Row& row : rows) result.AddRow(std::move(row));
-  }
-  return result;
 }
 
 // The actual join; the public HashJoin wraps it with instrumentation.
@@ -144,63 +128,31 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
         buckets[build_keys->Hash(i)].push_back(static_cast<uint32_t>(i));
       }
       const size_t num_probe = probe_table.num_rows();
-      // Hash and null-test the whole probe side up front (in row chunks):
-      // the hashes drive both the bucket lookups and the skew-aware chunk
-      // boundaries below.
+      // Hash and null-test the probe side one column-major batch at a time.
       std::vector<size_t> probe_hashes(num_probe);
       std::vector<uint8_t> probe_nulls(num_probe);
-      ParallelForChunks(ctx, num_probe,
-                        [&](size_t /*chunk*/, size_t begin, size_t end) {
-                          for (size_t cb = begin; cb < end; cb += chunk_size) {
-                            const size_t ce = std::min(end, cb + chunk_size);
-                            probe_keys->BatchHash(cb, ce,
-                                                  probe_hashes.data() + cb);
-                            probe_keys->BatchHasNull(cb, ce,
-                                                     probe_nulls.data() + cb);
-                          }
-                        });
-      // Skew-aware probe split: chunk boundaries equalize estimated probe
-      // cost (1 + candidate build matches per row) instead of raw row
-      // counts, so a hot key whose bucket holds most of the build side no
-      // longer serializes one chunk. Chunks stay contiguous and ascending,
-      // so ConcatChunks still reproduces sequential row order exactly —
-      // output bytes are invariant to where the boundaries land.
-      const size_t chunks = NumChunks(ctx, num_probe);
-      std::vector<size_t> bounds;
-      if (chunks > 1) {
-        std::vector<uint64_t> cumulative(num_probe + 1, 0);
-        for (size_t r = 0; r < num_probe; ++r) {
-          uint64_t cost = 1;
-          if (!probe_nulls[r]) {
-            auto it = buckets.find(probe_hashes[r]);
-            if (it != buckets.end()) cost += it->second.size();
-          }
-          cumulative[r + 1] = cumulative[r] + cost;
-        }
-        bounds = WeightedChunkBoundaries(cumulative, chunks);
-      } else {
-        bounds = {0, num_probe};
+      for (size_t cb = 0; cb < num_probe; cb += chunk_size) {
+        const size_t ce = std::min(num_probe, cb + chunk_size);
+        probe_keys->BatchHash(cb, ce, probe_hashes.data() + cb);
+        probe_keys->BatchHasNull(cb, ce, probe_nulls.data() + cb);
       }
-      std::vector<std::vector<Row>> chunk_rows(chunks);
-      ParallelFor(ExecContext{chunks, 0}, chunks, [&](size_t chunk) {
-        std::vector<Row>& out_rows = chunk_rows[chunk];
-        for (size_t r = bounds[chunk]; r < bounds[chunk + 1]; ++r) {
-          if (probe_nulls[r]) continue;
-          auto it = buckets.find(probe_hashes[r]);
-          if (it == buckets.end()) continue;
-          for (uint32_t bi : it->second) {
-            if (!probe_keys->RowsEqual(r, *build_keys, bi)) continue;
-            const Row& lrow = build_left ? build_table.RowAt(bi)
-                                         : probe_table.RowAt(r);
-            const Row& rrow = build_left ? probe_table.RowAt(r)
-                                         : build_table.RowAt(bi);
-            Row out = combined_row_of(lrow, rrow);
-            if (residual && !ValueIsTrue(residual(out))) continue;
-            out_rows.push_back(std::move(out));
-          }
+      Table result(output_schema);
+      for (size_t r = 0; r < num_probe; ++r) {
+        if (probe_nulls[r]) continue;
+        auto it = buckets.find(probe_hashes[r]);
+        if (it == buckets.end()) continue;
+        for (uint32_t bi : it->second) {
+          if (!probe_keys->RowsEqual(r, *build_keys, bi)) continue;
+          const Row& lrow =
+              build_left ? build_table.RowAt(bi) : probe_table.RowAt(r);
+          const Row& rrow =
+              build_left ? probe_table.RowAt(r) : build_table.RowAt(bi);
+          Row out = combined_row_of(lrow, rrow);
+          if (residual && !ValueIsTrue(residual(out))) continue;
+          result.AddRow(std::move(out));
         }
-      });
-      return ConcatChunks(output_schema, std::move(chunk_rows));
+      }
+      return result;
     }
   }
 
@@ -214,28 +166,23 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
       if (KeyHasNull(key)) continue;
       build[std::move(key)].push_back(i);
     }
-    std::vector<std::vector<Row>> chunk_rows(NumChunks(ctx, right.num_rows()));
-    ParallelForChunks(
-        ctx, right.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
-          std::vector<Row>& out_rows = chunk_rows[chunk];
-          // Reuse one scratch key row across probes to avoid per-row allocs.
-          Row key(right_key_idx.size());
-          for (size_t r = begin; r < end; ++r) {
-            const Row& rrow = right.rows()[r];
-            for (size_t i = 0; i < right_key_idx.size(); ++i) {
-              key[i] = rrow[right_key_idx[i]];
-            }
-            if (KeyHasNull(key)) continue;
-            auto it = build.find(key);
-            if (it == build.end()) continue;
-            for (size_t li : it->second) {
-              Row out = combined_row_of(left.rows()[li], rrow);
-              if (residual && !ValueIsTrue(residual(out))) continue;
-              out_rows.push_back(std::move(out));
-            }
-          }
-        });
-    return ConcatChunks(output_schema, std::move(chunk_rows));
+    Table result(output_schema);
+    // Reuse one scratch key row across probes to avoid per-row allocs.
+    Row key(right_key_idx.size());
+    for (const Row& rrow : right.rows()) {
+      for (size_t i = 0; i < right_key_idx.size(); ++i) {
+        key[i] = rrow[right_key_idx[i]];
+      }
+      if (KeyHasNull(key)) continue;
+      auto it = build.find(key);
+      if (it == build.end()) continue;
+      for (size_t li : it->second) {
+        Row out = combined_row_of(left.rows()[li], rrow);
+        if (residual && !ValueIsTrue(residual(out))) continue;
+        result.AddRow(std::move(out));
+      }
+    }
+    return result;
   }
 
   // Build side: right.
@@ -247,71 +194,61 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
     build[std::move(key)].push_back(i);
   }
 
-  // Matched-flag per right row; written concurrently by probe chunks
-  // (monotonic set-to-1, so relaxed ordering suffices — ParallelFor's join
-  // orders the flags before the right-remainder scan below).
-  std::vector<std::atomic<uint8_t>> right_matched(right.num_rows());
-
-  std::vector<std::vector<Row>> chunk_rows(NumChunks(ctx, left.num_rows()));
-  ParallelForChunks(
-      ctx, left.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
-        std::vector<Row>& out_rows = chunk_rows[chunk];
-        // Reuse one scratch key row across probes to avoid per-row allocs.
-        Row key(left_key_idx.size());
-        for (size_t r = begin; r < end; ++r) {
-          const Row& lrow = left.rows()[r];
-          for (size_t i = 0; i < left_key_idx.size(); ++i) {
-            key[i] = lrow[left_key_idx[i]];
-          }
-          bool matched = false;
-          if (!KeyHasNull(key)) {
-            auto it = build.find(key);
-            if (it != build.end()) {
-              for (size_t ri : it->second) {
-                Row out = combined_row_of(lrow, right.rows()[ri]);
-                if (residual && !ValueIsTrue(residual(out))) continue;
-                matched = true;
-                right_matched[ri].store(1, std::memory_order_relaxed);
-                switch (spec.type) {
-                  case JoinType::kInner:
-                  case JoinType::kLeftOuter:
-                  case JoinType::kFullOuter:
-                    out_rows.push_back(std::move(out));
-                    break;
-                  case JoinType::kLeftSemi:
-                  case JoinType::kLeftAnti:
-                    break;  // handled below
-                }
-                if (semi_or_anti) break;  // one match decides
-              }
-            }
-          }
+  std::vector<uint8_t> right_matched(right.num_rows(), 0);
+  Table result(output_schema);
+  // Reuse one scratch key row across probes to avoid per-row allocs.
+  Row key(left_key_idx.size());
+  for (const Row& lrow : left.rows()) {
+    for (size_t i = 0; i < left_key_idx.size(); ++i) {
+      key[i] = lrow[left_key_idx[i]];
+    }
+    bool matched = false;
+    if (!KeyHasNull(key)) {
+      auto it = build.find(key);
+      if (it != build.end()) {
+        for (size_t ri : it->second) {
+          Row out = combined_row_of(lrow, right.rows()[ri]);
+          if (residual && !ValueIsTrue(residual(out))) continue;
+          matched = true;
+          right_matched[ri] = 1;
           switch (spec.type) {
-            case JoinType::kLeftSemi:
-              if (matched) out_rows.push_back(lrow);
-              break;
-            case JoinType::kLeftAnti:
-              if (!matched) out_rows.push_back(lrow);
-              break;
+            case JoinType::kInner:
             case JoinType::kLeftOuter:
             case JoinType::kFullOuter:
-              if (!matched) {
-                Row out = lrow;
-                out.resize(output_schema.num_columns(), Value::Null());
-                out_rows.push_back(std::move(out));
-              }
+              result.AddRow(std::move(out));
               break;
-            case JoinType::kInner:
-              break;
+            case JoinType::kLeftSemi:
+            case JoinType::kLeftAnti:
+              break;  // handled below
           }
+          if (semi_or_anti) break;  // one match decides
         }
-      });
-  Table result = ConcatChunks(output_schema, std::move(chunk_rows));
+      }
+    }
+    switch (spec.type) {
+      case JoinType::kLeftSemi:
+        if (matched) result.AddRow(lrow);
+        break;
+      case JoinType::kLeftAnti:
+        if (!matched) result.AddRow(lrow);
+        break;
+      case JoinType::kLeftOuter:
+      case JoinType::kFullOuter:
+        if (!matched) {
+          Row out = lrow;
+          out.resize(output_schema.num_columns(), Value::Null());
+          result.AddRow(std::move(out));
+        }
+        break;
+      case JoinType::kInner:
+        break;
+    }
+  }
 
   if (spec.type == JoinType::kFullOuter) {
     // Right-only rows: left key columns coalesce to the right key values.
     for (size_t ri = 0; ri < right.num_rows(); ++ri) {
-      if (right_matched[ri].load(std::memory_order_relaxed) != 0) continue;
+      if (right_matched[ri] != 0) continue;
       Row out(output_schema.num_columns(), Value::Null());
       const Row& rrow = right.rows()[ri];
       for (size_t k = 0; k < left_key_idx.size(); ++k) {

@@ -39,11 +39,6 @@ struct JoinSpec {
 //
 // Non-key right columns whose names collide with left columns are an error:
 // rename before joining.
-//
-// With ctx.num_threads > 1 the probe phase runs on contiguous probe-row
-// chunks whose per-chunk outputs are concatenated in chunk order, so the
-// result is byte-identical to the sequential join (the build phase and the
-// full-outer right-remainder scan stay sequential).
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec, const ExecContext& ctx = {});
 

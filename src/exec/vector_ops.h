@@ -16,10 +16,10 @@ namespace gpivot::exec {
 // Shared kernels of the vectorized batch executor. Every fast path built on
 // these is an *alternative inner loop*, not an alternative semantics: given
 // the same inputs it produces byte-identical tables, counters, and plan
-// stats as the row-at-a-time shim it replaces, for every chunk size and
-// thread count. Operators fall back to the row shim whenever a kernel
-// reports the input shape unsupported (mixed-type columns, unsupported
-// predicate forms), so coverage gaps cost performance, never correctness.
+// stats as the row-at-a-time shim it replaces, for every chunk size.
+// Operators fall back to the row shim whenever a kernel reports the input
+// shape unsupported (mixed-type columns, unsupported predicate forms), so
+// coverage gaps cost performance, never correctness.
 
 // Strict parse of a chunk-size string: a fully-consumed non-negative
 // decimal integer, else nullopt. Exposed for tests.

@@ -4,11 +4,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "exec/partition.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/shard_executor.h"
 #include "util/string_util.h"
 
 namespace gpivot::ivm {
@@ -322,129 +320,6 @@ Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
       ++deletes;
     }
   }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("ivm.merge.inserts", inserts);
-    ctx.metrics->AddCounter("ivm.merge.updates", updates);
-    ctx.metrics->AddCounter("ivm.merge.deletes", deletes);
-  }
-  return Status::OK();
-}
-
-Status ExecuteMergePlanSharded(MaterializedView* view, const MergePlan& plan,
-                               const std::vector<UndoLog*>& undos,
-                               const ExecContext& ctx) {
-  GPIVOT_CHECK(undos.size() >= 2)
-      << "sharded merge needs a shard log plus the structural log";
-  const size_t num_shards = undos.size() - 1;
-  const std::vector<MergeRecord>& records = plan.records;
-
-  // Classify records once. Only in-place updates parallelize; each touches
-  // exactly one existing row (keys are unique across records) and never
-  // moves rows or mutates the index.
-  enum Kind : uint8_t { kSkip, kUpdate, kStructural };
-  std::vector<uint8_t> kind(records.size(), kSkip);
-  std::vector<uint32_t> bucket(records.size(), 0);
-  std::vector<uint64_t> bucket_weights(exec::kPartitionFanout, 0);
-  RowHash hasher;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const MergeRecord& record = records[i];
-    if (!record.before.has_value() && !record.after.has_value()) continue;
-    if (record.before.has_value() && record.after.has_value()) {
-      kind[i] = kUpdate;
-      bucket[i] =
-          static_cast<uint32_t>(hasher(record.key) % exec::kPartitionFanout);
-      ++bucket_weights[bucket[i]];
-    } else {
-      kind[i] = kStructural;
-    }
-  }
-  // Heavy/light-aware shard ownership: buckets go to shards by observed
-  // update weight, so a hot key's bucket lands alone on a shard instead of
-  // dragging its hash % num_shards siblings with it. A pure function of
-  // (plan, num_shards) — never of thread scheduling.
-  const std::vector<uint32_t> shard_of_bucket =
-      exec::AssignBucketsByWeight(bucket_weights, num_shards);
-  std::vector<size_t> shard_updates(num_shards, 0);
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (kind[i] == kUpdate) ++shard_updates[shard_of_bucket[bucket[i]]];
-  }
-
-  // Phase a: concurrent per-shard updates. The COW clone and column-cache
-  // invalidation happen once, serially, before any pool thread writes;
-  // after that every Update writes a distinct row of a stable vector and
-  // the key index is read-only.
-  view->PrepareForConcurrentUpdates();
-  std::vector<Status> shard_status(num_shards);
-  std::vector<uint64_t> shard_update_count(num_shards, 0);
-  RunSharded(ctx, num_shards, [&](size_t s) {
-    UndoLog* undo = undos[s];
-    const size_t mid = (shard_updates[s] + 1) / 2;
-    size_t seen = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (kind[i] != kUpdate || shard_of_bucket[bucket[i]] != s) continue;
-      if (seen == mid) {
-        // Parallel analogue of mid-commit: fires mid-way through this
-        // shard's updates, from whatever pool thread runs the shard.
-        Status poke =
-            FaultInjector::Global().Poke("ExecuteMergePlan::shard-commit");
-        if (!poke.ok()) {
-          shard_status[s] = std::move(poke);
-          return;
-        }
-      }
-      ++seen;
-      const MergeRecord& record = records[i];
-      std::optional<size_t> position = view->LookupKey(record.key);
-      if (!position.has_value()) {
-        shard_status[s] = Status::Internal(
-            StrCat("merge plan out of sync with view at key ",
-                   RowToString(record.key)));
-        return;
-      }
-      undo->RecordUpdate(*position, view->RowAt(*position));
-      view->Update(*position, *record.after);
-      ++shard_update_count[s];
-    }
-  });
-  uint64_t updates = 0;
-  for (size_t s = 0; s < num_shards; ++s) updates += shard_update_count[s];
-  for (size_t s = 0; s < num_shards; ++s) {
-    // First failing shard in shard order; the caller rolls back every log.
-    if (!shard_status[s].ok()) return std::move(shard_status[s]);
-  }
-
-  // Phase b: serial structural pass in original record order, with fresh
-  // position lookups (updates above never moved rows, so the plan's
-  // before-snapshots still decide presence exactly as in the serial path).
-  UndoLog* structural = undos.back();
-  uint64_t inserts = 0, deletes = 0;
-  size_t num_structural = 0;
-  for (uint8_t k : kind) num_structural += k == kStructural ? 1 : 0;
-  const size_t mid = (num_structural + 1) / 2;
-  size_t seen = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (kind[i] != kStructural) continue;
-    if (seen == mid) GPIVOT_FAULT_POINT("ExecuteMergePlan::structural-commit");
-    ++seen;
-    const MergeRecord& record = records[i];
-    std::optional<size_t> position = view->LookupKey(record.key);
-    if (record.before.has_value() != position.has_value()) {
-      return Status::Internal(
-          StrCat("merge plan out of sync with view at key ",
-                 RowToString(record.key)));
-    }
-    if (!record.before.has_value()) {
-      GPIVOT_RETURN_NOT_OK(view->Insert(*record.after));
-      structural->RecordInsert();
-      ++inserts;
-    } else {
-      structural->RecordDelete(*position, view->RowAt(*position));
-      view->Delete(*position);
-      ++deletes;
-    }
-  }
-  // Same counters as the serial path, with identical values for every
-  // shard count — counter dumps stay byte-comparable across shard sweeps.
   if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
     ctx.metrics->AddCounter("ivm.merge.inserts", inserts);
     ctx.metrics->AddCounter("ivm.merge.updates", updates);

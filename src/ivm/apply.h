@@ -66,16 +66,6 @@ class MaterializedView {
   // Deletes the row at `position` (swap-with-last).
   void Delete(size_t position);
 
-  // Serially forces the copy-on-write clone and the column-cache
-  // invalidation that the first mutation of an epoch would otherwise
-  // trigger lazily, so a following batch of Update() calls on *distinct*
-  // positions may run concurrently from pool threads (the sharded commit
-  // path). Update() never resizes the row vector or touches the key index,
-  // so once the clone exists and the cache flag is down, concurrent
-  // updates write disjoint rows of a stable vector. All other mutators
-  // remain maintenance-thread-only.
-  void PrepareForConcurrentUpdates() { MutableTable().mutable_rows(); }
-
   // Epoch-rollback primitives (see UndoLog). Each exactly inverts the
   // corresponding mutator, restoring row order byte-identically; they assume
   // the view is in the state the mutator left it in.
@@ -194,30 +184,6 @@ class UndoLog {
 // ctx.metrics (when enabled) receives ivm.merge.{inserts,updates,deletes}.
 Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
                         UndoLog* undo, const ExecContext& ctx = {});
-
-// Sharded execution of a staged plan. In-place updates — the only record
-// kind that neither moves rows nor touches the key index — are partitioned
-// by key hash into `undos.size() - 1` shards and applied concurrently, each
-// shard appending to its own undo log in its own record order; inserts and
-// deletes then run in a serial structural pass (original record order,
-// fresh position lookups) appending to the *last* undo log.
-//
-// Byte-identity with the serial ExecuteMergePlan: every key appears in at
-// most one record (MergeStager dedupes), so an update's row content is
-// independent of the structural ops, and the structural pass performs the
-// exact same sequence of whole-row moves — the final table, row order
-// included, is identical for every shard count.
-//
-// Rollback contract: callers append the shard logs then the structural log
-// to the epoch undo in that order, so reverse-order rollback undoes the
-// structural moves first (restoring the positions the shard logs recorded)
-// and then the updates — the reverse-commit-order invariant holds within
-// each log and across them. On error (injected fault, plan out of sync)
-// the logs hold exactly what was applied; the caller rolls back all of
-// them. `undos` needs at least two logs (one shard + structural).
-Status ExecuteMergePlanSharded(MaterializedView* view, const MergePlan& plan,
-                               const std::vector<UndoLog*>& undos,
-                               const ExecContext& ctx = {});
 
 // Staging halves of the §6/§7 apply rules. Each reads `view` without
 // mutating it and returns the epoch's MergePlan, or a descriptive error when

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -30,90 +29,18 @@ void PublishQueueGauges(size_t pending_net_rows, size_t pending_batches) {
 // multiplicity returns to zero stays in the vector (dead weight until the
 // next flush) but is skipped on emission, so emitted deltas never depend on
 // hash-map iteration.
-//
-// With heavy_threshold > 0 and a keyed table, the bag additionally tracks
-// per-key touch frequencies: a key that reaches the threshold is promoted
-// to a dedicated HeavyAcc holding at most one pending delete and one
-// pending insert — hot-key churn (delete current version, insert next)
-// then folds in place instead of appending a dead entry pair per batch.
-// A key whose pending shape stops fitting the acc spills back permanently.
 struct NetTableBag {
   Schema schema;
   std::vector<std::pair<Row, int64_t>> entries;
   std::unordered_map<Row, size_t, RowHash, RowEq> index;
   size_t net_rows = 0;  // Δ + ∇ rows this bag would emit right now
-
-  // Heavy/light classifier state; inert unless heavy_threshold > 0 and the
-  // table carries a key. Keyed by the *projected* key row, with the whole
-  // per-key lifecycle — touch counting, the dedicated accumulator, the
-  // permanent spill — in ONE map entry, so the per-row cost is a single
-  // hash probe instead of one per lifecycle structure.
-  struct HeavyAcc {
-    std::optional<Row> neg;  // pending delete of the key's current version
-    std::optional<Row> pos;  // pending insert of the key's next version
-  };
-  enum class KeyMode : uint8_t {
-    kTracking,  // counting touches toward the threshold
-    kHeavy,     // promoted: pending rows live in `acc`
-    kSpilled,   // permanently back on the general path
-  };
-  struct KeyState {
-    KeyMode mode = KeyMode::kTracking;
-    size_t freq = 0;                // touches while tracking
-    std::vector<size_t> entry_ids;  // this key's general entries (tracking)
-    HeavyAcc acc;                   // pending rows (heavy)
-  };
-  // Transparent hash/eq let the hot path probe with the unprojected row —
-  // HashRowAt(row, idx) == HashRow(ProjectRow(row, idx)) by construction —
-  // so a repeat touch of a known key allocates nothing.
-  struct KeyRef {
-    const Row* row;
-    const std::vector<size_t>* indices;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const Row& key) const { return HashRow(key); }
-    size_t operator()(const KeyRef& ref) const {
-      return HashRowAt(*ref.row, *ref.indices);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    static bool Matches(const Row& key, const KeyRef& ref) {
-      if (key.size() != ref.indices->size()) return false;
-      for (size_t i = 0; i < key.size(); ++i) {
-        if (key[i] != (*ref.row)[(*ref.indices)[i]]) return false;
-      }
-      return true;
-    }
-    bool operator()(const Row& a, const Row& b) const { return a == b; }
-    bool operator()(const Row& a, const KeyRef& b) const {
-      return Matches(a, b);
-    }
-    bool operator()(const KeyRef& a, const Row& b) const {
-      return Matches(b, a);
-    }
-  };
-  using KeysMap = std::unordered_map<Row, KeyState, KeyHash, KeyEq>;
-  size_t heavy_threshold = 0;       // 0 = classifier off for this bag
-  std::vector<size_t> key_indices;  // the table's key columns
-  KeysMap keys;
-  // Heavy keys in classification order: emission appends their acc rows
-  // after the general entries in this order, so the emitted delta is a
-  // pure function of the ingest sequence (plus the threshold).
-  std::vector<Row> heavy_order;
-  size_t keys_classified = 0;
-  size_t spills = 0;
 };
 
-// Folds one signed occurrence of `row` into the general bag. Returns the
-// number of rows the fold annihilated: 2 when the occurrence cancelled
-// against a pending row of the opposite sign (both vanish from the net),
-// else 0. `*created` reports whether a fresh entry was appended.
-size_t FoldRowGeneral(NetTableBag* bag, const Row& row, int64_t sign,
-                      bool* created = nullptr) {
+// Folds one signed occurrence of `row` into the bag. Returns the number of
+// rows the fold annihilated: 2 when the occurrence cancelled against a
+// pending row of the opposite sign (both vanish from the net), else 0.
+size_t FoldRow(NetTableBag* bag, const Row& row, int64_t sign) {
   auto [it, inserted] = bag->index.emplace(row, bag->entries.size());
-  if (created != nullptr) *created = inserted;
   if (inserted) {
     bag->entries.emplace_back(row, sign);
     ++bag->net_rows;
@@ -128,122 +55,6 @@ size_t FoldRowGeneral(NetTableBag* bag, const Row& row, int64_t sign,
   }
   ++bag->net_rows;
   return 0;
-}
-
-// Demotes a heavy key: its pending acc rows re-fold into the general bag
-// (their zeroed pre-promotion entries revive, preserving cancellation) and
-// the key turns permanently spilled, so every later fold stays general.
-void SpillHeavy(NetTableBag* bag, NetTableBag::KeyState* state) {
-  NetTableBag::HeavyAcc acc = std::move(state->acc);
-  state->acc = NetTableBag::HeavyAcc{};
-  // The key stays in heavy_order; emission skips non-kHeavy keys.
-  state->mode = NetTableBag::KeyMode::kSpilled;
-  ++bag->spills;
-  // net_rows stays consistent: each pending acc row leaves the acc (-1)
-  // and FoldRowGeneral counts it back in (+1; a zeroed entry never
-  // cancels).
-  if (acc.neg.has_value()) {
-    --bag->net_rows;
-    FoldRowGeneral(bag, *acc.neg, -1);
-  }
-  if (acc.pos.has_value()) {
-    --bag->net_rows;
-    FoldRowGeneral(bag, *acc.pos, +1);
-  }
-}
-
-// Folds one occurrence of a heavy key's row into its acc. Falls back to a
-// spill + general fold when the acc's one-delete-one-insert shape cannot
-// absorb the occurrence.
-size_t FoldRowHeavy(NetTableBag* bag, NetTableBag::KeyState* state,
-                    const Row& row, int64_t sign) {
-  NetTableBag::HeavyAcc& acc = state->acc;
-  RowEq eq;
-  if (sign < 0) {
-    if (acc.pos.has_value() && eq(*acc.pos, row)) {
-      // Deleting the row this window pended for insert: both vanish.
-      acc.pos.reset();
-      --bag->net_rows;
-      return 2;
-    }
-    if (!acc.neg.has_value()) {
-      acc.neg = row;
-      ++bag->net_rows;
-      return 0;
-    }
-  } else {
-    if (acc.neg.has_value() && eq(*acc.neg, row)) {
-      // Re-inserting the row this window pended for delete: both vanish.
-      acc.neg.reset();
-      --bag->net_rows;
-      return 2;
-    }
-    if (!acc.pos.has_value()) {
-      acc.pos = row;
-      ++bag->net_rows;
-      return 0;
-    }
-  }
-  // Slot conflict: the side is occupied by a different row, so the key's
-  // pending multiplicity no longer fits the acc.
-  SpillHeavy(bag, state);
-  return FoldRowGeneral(bag, row, sign);
-}
-
-// Promotes a tracked key to a dedicated acc if its live general entries fit
-// the one-pending-delete + one-pending-insert shape; otherwise marks it
-// permanently spilled. Migrated entries are zeroed in place (their rows now
-// live in the acc), which leaves net_rows unchanged.
-void TryClassifyHeavy(NetTableBag* bag, NetTableBag::KeysMap::iterator kit) {
-  NetTableBag::KeyState& state = kit->second;
-  NetTableBag::HeavyAcc acc;
-  std::vector<size_t> migrated;
-  for (size_t e : state.entry_ids) {
-    const int64_t count = bag->entries[e].second;
-    if (count == 0) continue;
-    if (count == -1 && !acc.neg.has_value()) {
-      acc.neg = bag->entries[e].first;
-    } else if (count == 1 && !acc.pos.has_value()) {
-      acc.pos = bag->entries[e].first;
-    } else {
-      state.mode = NetTableBag::KeyMode::kSpilled;
-      state.entry_ids = {};
-      ++bag->spills;
-      return;
-    }
-    migrated.push_back(e);
-  }
-  for (size_t e : migrated) bag->entries[e].second = 0;
-  state.mode = NetTableBag::KeyMode::kHeavy;
-  state.acc = std::move(acc);
-  state.entry_ids = {};
-  bag->heavy_order.push_back(kit->first);
-  ++bag->keys_classified;
-}
-
-// Entry point for one signed occurrence: dispatches between the general
-// bag and the heavy/light classifier.
-size_t FoldRow(NetTableBag* bag, const Row& row, int64_t sign) {
-  if (bag->heavy_threshold == 0) return FoldRowGeneral(bag, row, sign);
-  auto kit = bag->keys.find(NetTableBag::KeyRef{&row, &bag->key_indices});
-  if (kit == bag->keys.end()) {
-    kit = bag->keys
-              .emplace(ProjectRow(row, bag->key_indices),
-                       NetTableBag::KeyState{})
-              .first;
-  }
-  NetTableBag::KeyState& state = kit->second;
-  if (state.mode == NetTableBag::KeyMode::kHeavy) {
-    return FoldRowHeavy(bag, &state, row, sign);
-  }
-  if (state.mode == NetTableBag::KeyMode::kSpilled) {
-    return FoldRowGeneral(bag, row, sign);
-  }
-  bool created = false;
-  size_t cancelled = FoldRowGeneral(bag, row, sign, &created);
-  if (created) state.entry_ids.push_back(bag->entries.size() - 1);
-  if (++state.freq >= bag->heavy_threshold) TryClassifyHeavy(bag, kit);
-  return cancelled;
 }
 
 // The schema checks Ingest needs before folding: unknown tables are
@@ -283,24 +94,11 @@ struct DeltaBatcher::NetState {
   std::unordered_map<std::string, NetTableBag> bags;
   std::vector<std::string> table_order;
   size_t net_rows = 0;
-  // Heavy/light classifier threshold new bags inherit (0 = off; the
-  // queue-less CompactDeltas always runs with 0).
-  size_t heavy_threshold = 0;
 
   NetTableBag* BagFor(const std::string& table, const Table& base) {
     auto [it, inserted] = bags.try_emplace(table);
     if (inserted) {
       it->second.schema = base.schema();
-      if (heavy_threshold > 0 && base.has_key()) {
-        // Key columns resolve against a schema the batch already
-        // validated, so this cannot fail; an unkeyed table simply keeps
-        // the classifier off (no key to accumulate by).
-        Result<std::vector<size_t>> key_indices = base.KeyIndices();
-        if (key_indices.ok()) {
-          it->second.key_indices = std::move(*key_indices);
-          it->second.heavy_threshold = heavy_threshold;
-        }
-      }
       table_order.push_back(table);
     }
     return &it->second;
@@ -325,21 +123,9 @@ struct DeltaBatcher::NetState {
     return cancelled;
   }
 
-  // Lifetime classifier totals across all bags (monotone within one
-  // pending window; Ingest diffs them around a fold).
-  std::pair<size_t, size_t> HeavyTotals() const {
-    std::pair<size_t, size_t> totals{0, 0};
-    for (const auto& [name, bag] : bags) {
-      totals.first += bag.keys_classified;
-      totals.second += bag.spills;
-    }
-    return totals;
-  }
-
   // The compacted net delta: positive multiplicities become Δ rows,
   // negative ones ∇ rows; fully cancelled rows — and fully cancelled
-  // tables — are dropped. Heavy-key acc rows emit after the general
-  // entries, in classification order.
+  // tables — are dropped.
   SourceDeltas Emit() const {
     SourceDeltas net;
     for (const std::string& table : table_order) {
@@ -349,16 +135,6 @@ struct DeltaBatcher::NetState {
       for (const auto& [row, count] : bag.entries) {
         for (int64_t i = 0; i < count; ++i) delta.inserts.AddRow(row);
         for (int64_t i = 0; i < -count; ++i) delta.deletes.AddRow(row);
-      }
-      for (const Row& key : bag.heavy_order) {
-        auto it = bag.keys.find(key);
-        if (it == bag.keys.end() ||
-            it->second.mode != NetTableBag::KeyMode::kHeavy) {
-          continue;  // spilled back to the bag
-        }
-        const NetTableBag::HeavyAcc& acc = it->second.acc;
-        if (acc.neg.has_value()) delta.deletes.AddRow(*acc.neg);
-        if (acc.pos.has_value()) delta.inserts.AddRow(*acc.pos);
       }
       net.emplace(table, std::move(delta));
     }
@@ -384,8 +160,6 @@ Result<BatcherOptions> BatcherOptions::FromEnv() {
                              &options.max_batches));
   GPIVOT_RETURN_NOT_OK(parse("GPIVOT_BATCH_MAX_NET_ROWS",
                              &options.max_net_rows));
-  GPIVOT_RETURN_NOT_OK(parse("GPIVOT_HEAVY_KEY_THRESHOLD",
-                             &options.heavy_key_threshold));
   return options;
 }
 
@@ -393,7 +167,6 @@ DeltaBatcher::DeltaBatcher(ViewManager* manager, BatcherOptions options)
     : manager_(manager),
       options_(options),
       net_(std::make_unique<NetState>()) {
-  net_->heavy_threshold = options_.heavy_key_threshold;
   obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
   if (runtime.enabled()) {
     runtime.metrics().SetGauge("ivm.batcher.max_net_rows",
@@ -411,33 +184,16 @@ Status DeltaBatcher::Ingest(const SourceDeltas& deltas) {
   for (const auto& [table_name, delta] : deltas) {
     ingested += delta.inserts.num_rows() + delta.deletes.num_rows();
   }
-  const bool track_heavy = options_.heavy_key_threshold > 0;
-  const std::pair<size_t, size_t> heavy_before =
-      track_heavy ? net_->HeavyTotals() : std::pair<size_t, size_t>{0, 0};
   size_t cancelled = net_->Fold(manager_->catalog(), deltas);
-  size_t classified = 0, spills = 0;
-  if (track_heavy) {
-    const std::pair<size_t, size_t> heavy_after = net_->HeavyTotals();
-    classified = heavy_after.first - heavy_before.first;
-    spills = heavy_after.second - heavy_before.second;
-  }
   ++pending_batches_;
   ++stats_.batches_absorbed;
   stats_.rows_ingested += ingested;
   stats_.rows_cancelled += cancelled;
-  stats_.heavy_keys_classified += classified;
-  stats_.heavy_spills += spills;
   obs::MetricsRegistry* metrics = manager_->exec_context().metrics;
   if (metrics != nullptr && metrics->enabled()) {
     metrics->AddCounter("ivm.batcher.batches_absorbed");
     metrics->AddCounter("ivm.batcher.rows_ingested", ingested);
     metrics->AddCounter("ivm.batcher.rows_cancelled", cancelled);
-    // Only materialized while the classifier runs, so counter dumps of
-    // threshold-0 runs are byte-identical to pre-classifier builds.
-    if (classified > 0) {
-      metrics->AddCounter("ivm.batcher.heavy_keys_classified", classified);
-    }
-    if (spills > 0) metrics->AddCounter("ivm.batcher.heavy_spills", spills);
   }
   PublishQueueGauges(net_->net_rows, pending_batches_);
   bool batch_limit =
@@ -466,7 +222,6 @@ Status DeltaBatcher::Flush() {
     metrics->AddCounter("ivm.batcher.net_rows_flushed", net_rows);
   }
   *net_ = NetState();
-  net_->heavy_threshold = options_.heavy_key_threshold;
   pending_batches_ = 0;
   PublishQueueGauges(0, 0);
   return Status::OK();

@@ -22,22 +22,10 @@ struct BatcherOptions {
   // Auto-flush when the pending *net* delta (post-compaction Δ + ∇ rows
   // across all tables) reaches this many rows.
   size_t max_net_rows = 0;
-  // Frequency-based heavy/light key classifier (0 = disabled, the
-  // default). A key of a *keyed* table touched this many times within one
-  // pending window is classified heavy and gets a dedicated per-key
-  // accumulator holding at most one pending delete and one pending insert;
-  // the churn a hot key generates then folds in place instead of growing
-  // the general bag by a dead entry pair per batch. A heavy key whose
-  // pending shape stops fitting the accumulator (|multiplicity| > 1 on
-  // either side) spills back to the general path permanently. The emitted
-  // net delta stays equivalent — same rows, same multiplicities — but
-  // heavy-key rows emit after the general entries, so emission *order*
-  // differs from threshold 0. Light keys are untouched.
-  size_t heavy_key_threshold = 0;
 
-  // Reads GPIVOT_BATCH_MAX_BATCHES / GPIVOT_BATCH_MAX_NET_ROWS /
-  // GPIVOT_HEAVY_KEY_THRESHOLD (unset or empty = 0 = disabled; malformed
-  // values are InvalidArgument, not silently ignored).
+  // Reads GPIVOT_BATCH_MAX_BATCHES / GPIVOT_BATCH_MAX_NET_ROWS (unset or
+  // empty = 0 = disabled; malformed values are InvalidArgument, not
+  // silently ignored).
   static Result<BatcherOptions> FromEnv();
 };
 
@@ -51,9 +39,6 @@ struct BatcherStats {
   uint64_t net_rows_flushed = 0;  // Δ + ∇ rows handed to the manager
   uint64_t flushes = 0;           // flushes that ran an epoch
   uint64_t noop_flushes = 0;      // flushes with nothing pending
-  // Heavy/light classifier totals (always 0 with heavy_key_threshold = 0).
-  uint64_t heavy_keys_classified = 0;  // keys promoted to a dedicated acc
-  uint64_t heavy_spills = 0;           // keys demoted back to the general bag
 };
 
 // An ingest queue in front of ViewManager: many small SourceDeltas batches

@@ -79,9 +79,8 @@ class MaintenancePlan {
   // Propagates `deltas` (relative to `pre_catalog`) and computes this
   // view's final refresh without mutating `view` or the base tables.
   // Inconsistent deltas (absent delete keys, duplicate inserts, negative
-  // counts) are detected here, before anything changes. `ctx` parallelizes
-  // the operators inside propagation; staging itself reads shared state
-  // only, so independent views can stage concurrently.
+  // counts) are detected here, before anything changes. Staging reads
+  // shared state only, so independent views can stage concurrently.
   Result<StagedRefresh> Stage(const Catalog& pre_catalog,
                               const SourceDeltas& deltas,
                               const MaterializedView& view,

@@ -22,8 +22,8 @@ namespace gpivot::ivm {
 class DeltaPropagator {
  public:
   // Both referents must outlive the propagator. `pre_catalog` is copied to
-  // build the post-state catalog. `ctx` parallelizes the join/group-by
-  // operators inside every subtree evaluation and propagation rule.
+  // build the post-state catalog. `ctx` carries the observability sinks
+  // and batch width into every subtree evaluation and propagation rule.
   DeltaPropagator(const Catalog* pre_catalog, const SourceDeltas* deltas,
                   const ExecContext& ctx = {});
 

@@ -1,7 +1,6 @@
 #include "ivm/view_manager.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_set>
 
 #include "obs/json_util.h"
@@ -10,8 +9,8 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/shard_executor.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace gpivot::ivm {
 
@@ -25,20 +24,6 @@ bool AllDeltasEmpty(const SourceDeltas& deltas) {
 }
 
 }  // namespace
-
-Result<ShardingOptions> ShardingOptions::FromEnv() {
-  ShardingOptions options;
-  const char* value = std::getenv("GPIVOT_SHARDS");
-  if (value == nullptr || value[0] == '\0') return options;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (value[0] == '-' || end == value || *end != '\0' || parsed == 0) {
-    return Status::InvalidArgument(
-        StrCat("GPIVOT_SHARDS is not a positive integer: '", value, "'"));
-  }
-  options.num_shards = static_cast<size_t>(parsed);
-  return options;
-}
 
 std::string EpochRecord::ToText() const {
   std::string out = StrCat("epoch ", seq, " ", entry, ": ", outcome);
@@ -313,9 +298,8 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   // Stage phase: every view's refresh is computed against the pre-epoch
   // catalog and validated; nothing mutates until all views staged cleanly.
   // Views are independent (each Stage only reads the shared catalog and its
-  // own view), so they stage concurrently — one task per view on the
-  // work-stealing shard executor, so a worker done with a cheap view
-  // immediately claims the next instead of idling behind a static stripe.
+  // own view), so they stage concurrently — one task per view, each
+  // thread claiming the next unstaged view as soon as it is free.
   // Each slot is written by exactly one task; the first failure in
   // view-list order wins, so the reported error doesn't depend on
   // scheduling.
@@ -330,7 +314,7 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
         obs::TraceEnabled(exec_context_.tracer)
             ? obs::ScopedSpan(exec_context_.tracer, "stage")
             : obs::ScopedSpan();
-    RunSharded(exec_context_, states.size(), [&](size_t i) {
+    ParallelFor(exec_context_, states.size(), [&](size_t i) {
       // Worker threads carry no thread-local span context, so the per-view
       // span names its parent and position explicitly — the exported tree is
       // identical for every thread count.
@@ -365,36 +349,10 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
         obs::TraceEnabled(exec_context_.tracer)
             ? obs::ScopedSpan(exec_context_.tracer, StrCat("commit:", *name))
             : obs::ScopedSpan();
-    if (sharding_.num_shards > 1 && exec_context_.num_threads > 1 &&
-        refresh.merge.has_value()) {
-      // Sharded commit: in-place updates split across num_shards key-hash
-      // shards, each with its own undo log, plus the serial structural log
-      // last. Gated on a concurrent executor — with one thread RunSharded
-      // runs inline, so the partition pass and per-shard logs would be pure
-      // overhead for the byte-identical serial result.
-      // The logs append to undo->views in that order, so
-      // RollbackEpoch's reverse iteration undoes structural moves first
-      // and then the shard updates — the reverse-commit-order invariant
-      // holds within each shard and across them. Log pointers are taken
-      // only after every emplace (the vector may reallocate).
-      const size_t num_logs = sharding_.num_shards + 1;
-      const size_t first = undo->views.size();
-      for (size_t s = 0; s < num_logs; ++s) {
-        undo->views.emplace_back(state, UndoLog());
-      }
-      std::vector<UndoLog*> logs;
-      logs.reserve(num_logs);
-      for (size_t s = 0; s < num_logs; ++s) {
-        logs.push_back(&undo->views[first + s].second);
-      }
-      GPIVOT_RETURN_NOT_OK(ExecuteMergePlanSharded(
-          &state->view, *refresh.merge, logs, exec_context_));
-    } else {
-      undo->views.emplace_back(state, UndoLog());
-      GPIVOT_RETURN_NOT_OK(MaintenancePlan::CommitStaged(
-          std::move(refresh), &state->view, &undo->views.back().second,
-          exec_context_));
-    }
+    undo->views.emplace_back(state, UndoLog());
+    GPIVOT_RETURN_NOT_OK(MaintenancePlan::CommitStaged(
+        std::move(refresh), &state->view, &undo->views.back().second,
+        exec_context_));
   }
   return Status::OK();
 }

@@ -98,22 +98,6 @@ class EpochCommitHook {
   virtual void OnEpochCommitted(const EpochRecord& record) = 0;
 };
 
-// Maintenance sharding configuration: how many key-range shards the epoch
-// machinery splits per-view work into. With num_shards > 1 the stage phase
-// runs its per-view tasks on the work-stealing shard executor and the
-// commit phase applies each view's in-place updates concurrently, one
-// key-hash shard per undo log (see ExecuteMergePlanSharded). All epoch
-// artifacts — view bytes, epoch records, counters — are byte-identical for
-// every shard count; sharding only changes wall-clock time.
-struct ShardingOptions {
-  // 1 = the serial commit path, bit-identical to the pre-sharding code.
-  size_t num_shards = 1;
-
-  // Reads GPIVOT_SHARDS (unset or empty = 1; zero or malformed values are
-  // InvalidArgument, not silently ignored).
-  static Result<ShardingOptions> FromEnv();
-};
-
 // Owns the base tables and a set of materialized views, keeping the views
 // consistent with the base as delta batches arrive. This is the end-to-end
 // entry point benchmarks and examples use.
@@ -135,19 +119,12 @@ class ViewManager {
 
   // Maintenance-executor concurrency. Staging (the propagate phase, which
   // only reads the pre-epoch catalog) runs one task per view on up to
-  // num_threads pool workers, and the operators inside each propagation
-  // parallelize row work with the same context. The commit phase — view
-  // merges, base advance, undo logging — stays serial, preserving the
-  // epoch's atomic rollback semantics. Results are byte-identical for every
-  // thread count. Default: sequential.
+  // num_threads threads; the operators inside each propagation run
+  // serially. The commit phase — view merges, base advance, undo logging —
+  // stays serial, preserving the epoch's atomic rollback semantics. Results
+  // are byte-identical for every thread count. Default: sequential.
   void set_exec_context(const ExecContext& ctx) { exec_context_ = ctx; }
   const ExecContext& exec_context() const { return exec_context_; }
-
-  // Commit-phase sharding (see ShardingOptions). Takes effect on the next
-  // epoch; changing it mid-stream is safe because every epoch's undo spans
-  // carry their own log layout. Default: one shard (serial commit).
-  void set_sharding(const ShardingOptions& sharding) { sharding_ = sharding; }
-  const ShardingOptions& sharding() const { return sharding_; }
 
   // Compiles a maintenance plan for `query` under `strategy`, materializes
   // the (possibly rewritten) view, and registers it under `name`.
@@ -293,7 +270,6 @@ class ViewManager {
   // iteration.
   std::vector<std::string> view_order_;
   ExecContext exec_context_;
-  ShardingOptions sharding_;
   uint64_t epoch_seq_ = 0;
   std::optional<EpochRecord> last_epoch_;
   obs::EventLog* event_log_ = nullptr;

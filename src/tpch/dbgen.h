@@ -79,11 +79,11 @@ Result<ivm::SourceDeltas> MakeLineitemInsertsMixed(const Catalog& catalog,
 // 1 / (r+1)^theta; theta = 0 degenerates to uniform). Each touch deletes
 // the row's *current* version and inserts a mutated one (fresh quantity
 // and extendedprice, same key), so under skew a few hot keys churn over
-// and over — the workload the heavy/light batcher classifier and sharded
-// commit target. Batches are sequentially consistent: batch N's deletes
-// match the row state after batches 0..N-1 applied, and each batch's
-// sampled keys are distinct (ValidateDeltas-clean). Deterministic in
-// (catalog contents, num_batches, rows_per_batch, theta, seed).
+// and over — the churn DeltaBatcher compaction folds away. Batches are
+// sequentially consistent: batch N's deletes match the row state after
+// batches 0..N-1 applied, and each batch's sampled keys are distinct
+// (ValidateDeltas-clean). Deterministic in (catalog contents, num_batches,
+// rows_per_batch, theta, seed).
 Result<std::vector<ivm::SourceDeltas>> MakeLineitemZipfChurn(
     const Catalog& catalog, size_t num_batches, size_t rows_per_batch,
     double theta, uint64_t seed);

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -86,12 +87,12 @@ bool ThreadPool::OnWorkerThread() { return t_on_pool_worker; }
 
 void ParallelFor(const ExecContext& ctx, size_t n,
                  const std::function<void(size_t)>& fn) {
-  size_t stripes = std::min(ctx.num_threads, n);
+  size_t workers = std::min(ctx.num_threads, n);
   obs::MetricsRegistry& pool_metrics = obs::MetricsRegistry::Global();
   if (pool_metrics.enabled()) {
     pool_metrics.AddCounter("thread_pool.parallel_for.calls");
   }
-  if (stripes <= 1 || ThreadPool::OnWorkerThread()) {
+  if (workers <= 1 || ThreadPool::OnWorkerThread()) {
     if (pool_metrics.enabled()) {
       pool_metrics.AddCounter("thread_pool.parallel_for.inline_calls");
     }
@@ -99,22 +100,26 @@ void ParallelFor(const ExecContext& ctx, size_t n,
     return;
   }
   if (pool_metrics.enabled()) {
-    pool_metrics.AddCounter("thread_pool.parallel_for.stripes", stripes);
+    pool_metrics.AddCounter("thread_pool.parallel_for.workers", workers);
   }
-  // Static contiguous stripes: stripe t covers [t*n/stripes,
-  // (t+1)*n/stripes). The caller runs stripe 0; workers run the rest.
-  auto run_stripe = [&](size_t t) {
-    size_t begin = t * n / stripes;
-    size_t end = (t + 1) * n / stripes;
-    for (size_t i = begin; i < end; ++i) fn(i);
+  // Every participant (pool workers plus the caller) loops fetch_add-ing
+  // the next unclaimed index. relaxed suffices for the claim itself — each
+  // index is claimed exactly once, and the completion handshake below
+  // publishes all of fn's writes to the caller.
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
   };
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t remaining = stripes - 1;
+  size_t remaining = workers - 1;
   ThreadPool& pool = ThreadPool::Global();
-  for (size_t t = 1; t < stripes; ++t) {
-    pool.Submit([&, t] {
-      run_stripe(t);
+  for (size_t t = 1; t < workers; ++t) {
+    pool.Submit([&] {
+      drain();
       // Notify while holding done_mu: the waiting caller can't observe
       // remaining == 0 (and destroy done_cv on return) until this worker
       // releases the lock, which is after notify_one completes.
@@ -123,27 +128,9 @@ void ParallelFor(const ExecContext& ctx, size_t n,
       done_cv.notify_one();
     });
   }
-  run_stripe(0);
+  drain();
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return remaining == 0; });
-}
-
-size_t NumChunks(const ExecContext& ctx, size_t n) {
-  if (!ctx.ShouldParallelize(n)) return 1;
-  return std::min(ctx.num_threads, n);
-}
-
-void ParallelForChunks(
-    const ExecContext& ctx, size_t n,
-    const std::function<void(size_t chunk, size_t begin, size_t end)>& fn) {
-  size_t chunks = NumChunks(ctx, n);
-  if (chunks <= 1) {
-    fn(0, 0, n);
-    return;
-  }
-  ParallelFor(ExecContext{chunks, 0}, chunks, [&](size_t c) {
-    fn(c, c * n / chunks, (c + 1) * n / chunks);
-  });
 }
 
 }  // namespace gpivot

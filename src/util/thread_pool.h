@@ -24,25 +24,20 @@ struct PlanNodeIds;
 // use — see exec::EffectiveVectorChunkSize.
 inline constexpr size_t kVectorChunkAuto = static_cast<size_t>(-1);
 
-// Concurrency knob threaded through the operator APIs (HashJoin, GroupBy,
-// GPivotParallel, Evaluate, the maintenance planner, ViewManager). The
-// default — one thread — is exactly the pre-existing sequential behavior,
-// so every caller that doesn't opt in is unaffected.
+// Execution settings threaded through the operator APIs (HashJoin, GroupBy,
+// GPivotParallel, Evaluate, the maintenance planner, ViewManager). Set
+// fields by name: positional initialisation would silently shift when a
+// field is added or removed.
 //
-// Parallel operators are *deterministic*: their output is byte-identical
-// for every num_threads value, because work is split into statically
-// assigned stripes whose results are combined in stripe order (no work
-// stealing, no contended output buffers). The §4.3 analogy: stripes play
-// the role of GPIVOT partitions, the stripe-order combine plays the
-// group-wise merge.
+// num_threads is the only concurrency knob, and it drives exactly two
+// things: how many views ViewManager stages at once, and how many GPIVOT
+// partitions GPivotParallel pivots at once (§4.3). Every other operator is
+// one serial loop. Output is byte-identical for every num_threads value,
+// because each parallel task writes only its own result slot and the
+// caller combines slots in index order. The default — one thread — runs
+// everything inline.
 struct ExecContext {
   size_t num_threads = 1;
-
-  // Inputs with fewer rows than this stay sequential even when
-  // num_threads > 1: dispatch overhead would dominate, and delta
-  // propagation runs many tiny operator calls. Tests lower it to force the
-  // parallel code paths onto small tables.
-  size_t min_parallel_rows = 1024;
 
   // Observability sinks (src/obs/). Null — the default — disables
   // instrumentation at the cost of a pointer check per operator call.
@@ -63,25 +58,18 @@ struct ExecContext {
   const PlanNodeIds* plan_ids = nullptr;
   int cost_node = -1;
 
-  bool ShouldParallelize(size_t rows) const {
-    return num_threads > 1 && rows >= min_parallel_rows && rows >= 2;
-  }
-
   // Vectorized-executor batch width: the number of rows each columnar fast
   // path (Select / Project / HashJoin / GroupBy / GPivot) processes per
   // typed inner loop. 0 forces the row-at-a-time shim everywhere;
   // kVectorChunkAuto (the default) resolves GPIVOT_VECTOR_CHUNK_SIZE.
   // Results are byte-identical for every setting — the knob changes only
   // which inner loop produces them — so it shares the determinism guarantee
-  // num_threads has. Appended last to keep aggregate initialization of the
-  // earlier fields source-compatible.
+  // num_threads has.
   size_t vector_chunk_size = kVectorChunkAuto;
 };
 
-// A fixed set of worker threads draining a FIFO task queue. Deliberately
-// work-stealing-free: ParallelFor assigns stripes statically, so a run's
-// write pattern (which thread writes which output slot) is a pure function
-// of (n, num_threads) — the foundation of the determinism guarantee.
+// A fixed set of worker threads draining a FIFO task queue. ParallelFor is
+// its only client.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -90,22 +78,20 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return workers_.size(); }
-
   // Enqueues one task. Tasks must not block waiting for other pool tasks
   // (ParallelFor guarantees this by running inline on worker threads).
   void Submit(std::function<void()> task);
 
   // Process-wide pool, created on first use with
   // max(hardware_concurrency, 4) - 1 workers (the ParallelFor caller
-  // contributes the remaining stripe), so requested parallelism is
-  // available even on small machines.
+  // is the remaining participant), so requested parallelism is available
+  // even on small machines.
   static ThreadPool& Global();
 
   // True when called from inside a Global()-pool worker. ParallelFor uses
   // this to run nested invocations inline, which both prevents deadlock
   // (workers never wait on the queue) and avoids thread oversubscription
-  // when an already-parallel phase calls parallel operators.
+  // when a parallel view stage reaches GPivotParallel.
   static bool OnWorkerThread();
 
  private:
@@ -118,27 +104,21 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Runs fn(i) for every i in [0, n), splitting the index range into at most
-// ctx.num_threads contiguous stripes on the global pool. Runs inline (plain
-// loop) when ctx.num_threads <= 1, n <= 1, or when already on a pool
-// worker. Returns after every index completed. fn must confine its writes
-// to per-index state; it must not throw (this codebase reports errors via
-// Status slots the caller indexes by i).
+// Runs fn(i) for every i in [0, n) on up to ctx.num_threads threads: the
+// caller plus pool workers, each claiming the next unclaimed index off a
+// shared counter until the range is exhausted, so a thread done with a
+// cheap index immediately takes another. Runs inline (plain loop, no pool
+// traffic) when ctx.num_threads <= 1, n <= 1, or when already on a pool
+// worker; workers therefore never block on the queue (no deadlock) and
+// nested calls never oversubscribe. Returns after every index completed.
+//
+// Which thread runs which index depends on scheduling, so fn must confine
+// its writes to per-index state (slot i of a pre-sized result vector); the
+// caller then combines the slots in index order, which makes the result
+// independent of the thread count. fn must not throw (this codebase
+// reports errors via Status slots the caller indexes by i).
 void ParallelFor(const ExecContext& ctx, size_t n,
                  const std::function<void(size_t)>& fn);
-
-// The chunk count ParallelForChunks will use for n items: 1 when the input
-// stays sequential (per ctx.ShouldParallelize), else min(num_threads, n).
-// Callers pre-size per-chunk result buffers with this.
-size_t NumChunks(const ExecContext& ctx, size_t n);
-
-// Range-parallel variant for row loops: runs fn(chunk, begin, end) for each
-// of NumChunks(ctx, n) contiguous chunks covering [0, n). Chunk boundaries
-// are a pure function of (n, chunk count), so per-chunk outputs
-// concatenated in chunk order reproduce the sequential row order exactly.
-void ParallelForChunks(
-    const ExecContext& ctx, size_t n,
-    const std::function<void(size_t chunk, size_t begin, size_t end)>& fn);
 
 }  // namespace gpivot
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -253,6 +254,42 @@ TEST(DeltaBatcherTest, FlushAppliesNetAsSingleTaggedEpoch) {
   EXPECT_EQ(batcher.stats().flushes, 1u);
 }
 
+TEST(DeltaBatcherTest, HotKeyChurnNetsToFirstDeleteAndLastInsert) {
+  // Key (1, Manu) holds Sony in the base table; three batches update it
+  // Sony -> v1 -> v2 -> v3. The intermediate versions cancel, leaving
+  // exactly ∇(Sony) + Δ(v3) for the one flushed epoch.
+  ViewManager manager = MakePivotManager();
+  DeltaBatcher batcher(&manager);
+  const char* versions[] = {"Sony", "v1", "v2", "v3"};
+  for (size_t i = 0; i + 1 < std::size(versions); ++i) {
+    Delta batch = ItemsDelta(manager);
+    batch.deletes.AddRow({I(1), S("Manu"), S(versions[i])});
+    batch.inserts.AddRow({I(1), S("Manu"), S(versions[i + 1])});
+    ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(batch))));
+  }
+  SourceDeltas net = batcher.PendingNet();
+  ASSERT_EQ(net.count("Items"), 1u);
+  ASSERT_EQ(net.at("Items").deletes.num_rows(), 1u);
+  EXPECT_EQ(net.at("Items").deletes.rows()[0],
+            (Row{I(1), S("Manu"), S("Sony")}));
+  ASSERT_EQ(net.at("Items").inserts.num_rows(), 1u);
+  EXPECT_EQ(net.at("Items").inserts.rows()[0],
+            (Row{I(1), S("Manu"), S("v3")}));
+  EXPECT_EQ(batcher.pending_net_rows(), 2u);
+
+  ASSERT_OK(batcher.Flush());
+  ASSERT_OK(manager.Audit());
+  EXPECT_EQ(batcher.stats().rows_ingested, 6u);
+  EXPECT_EQ(batcher.stats().rows_cancelled, 4u);
+  const Table& view = manager.GetView("v").value()->table();
+  const Schema& schema = view.schema();
+  size_t id = schema.ColumnIndexOrDie("ID");
+  size_t manu = schema.ColumnIndexOrDie("Manu**Value");
+  for (const Row& row : view.rows()) {
+    if (row[id] == I(1)) EXPECT_EQ(row[manu], S("v3"));
+  }
+}
+
 TEST(DeltaBatcherTest, EmptyFlushIsCheapNoOpEpoch) {
   ViewManager manager = MakePivotManager();
   DeltaBatcher batcher(&manager);
@@ -385,11 +422,10 @@ TEST(DeltaBatcherTest, OptionsFromEnvStrictParse) {
 }
 
 TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountTowardMaxNetRows) {
-  // Pin the net-row accounting audited for the sharding work: the
-  // max_net_rows auto-flush trigger compares against the *net* pending
-  // delta, so rows that fully cancel inside the queue must not count — a
-  // hot key churning under the threshold never forces a flush, which is
-  // exactly the window the heavy/light classifier batches over.
+  // Pin the net-row accounting: the max_net_rows auto-flush trigger
+  // compares against the *net* pending delta, so rows that fully cancel
+  // inside the queue must not count — a hot key churning under the
+  // threshold never forces a flush.
   ViewManager manager = MakePivotManager();
   BatcherOptions options;
   options.max_net_rows = 3;
@@ -413,153 +449,6 @@ TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountTowardMaxNetRows) {
   // healthz-facing stats agree: flushed net = ingested - cancelled.
   EXPECT_EQ(batcher.stats().net_rows_flushed,
             batcher.stats().rows_ingested - batcher.stats().rows_cancelled);
-}
-
-// ---- Heavy/light key classifier (GPIVOT_HEAVY_KEY_THRESHOLD) --------------
-
-TEST(DeltaBatcherTest, HotKeyChurnPromotesToHeavyAccumulator) {
-  ViewManager manager = MakePivotManager();
-  BatcherOptions options;
-  options.heavy_key_threshold = 2;
-  DeltaBatcher batcher(&manager, options);
-  // Key (1, Manu) currently holds Sony; churn it through v1 to v2 across
-  // two batches — the second touch promotes it.
-  Delta b1 = ItemsDelta(manager);
-  b1.deletes.AddRow({I(1), S("Manu"), S("Sony")});
-  b1.inserts.AddRow({I(1), S("Manu"), S("v1")});
-  Delta b2 = ItemsDelta(manager);
-  b2.deletes.AddRow({I(1), S("Manu"), S("v1")});
-  b2.inserts.AddRow({I(1), S("Manu"), S("v2")});
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b1))));
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b2))));
-  EXPECT_EQ(batcher.stats().heavy_keys_classified, 1u);
-  EXPECT_EQ(batcher.stats().heavy_spills, 0u);
-  // The accumulator folded the churn in place: net = ∇(Sony) + Δ(v2),
-  // exactly what the threshold-0 path nets to.
-  SourceDeltas net = batcher.PendingNet();
-  ASSERT_EQ(net.count("Items"), 1u);
-  ASSERT_EQ(net.at("Items").deletes.num_rows(), 1u);
-  EXPECT_EQ(net.at("Items").deletes.rows()[0],
-            (Row{I(1), S("Manu"), S("Sony")}));
-  ASSERT_EQ(net.at("Items").inserts.num_rows(), 1u);
-  EXPECT_EQ(net.at("Items").inserts.rows()[0],
-            (Row{I(1), S("Manu"), S("v2")}));
-  EXPECT_EQ(batcher.pending_net_rows(), 2u);
-
-  ASSERT_OK(batcher.Flush());
-  ASSERT_OK(manager.Audit());
-  const Table& view = manager.GetView("v").value()->table();
-  const Schema& schema = view.schema();
-  size_t id = schema.ColumnIndexOrDie("ID");
-  size_t manu = schema.ColumnIndexOrDie("Manu**Value");
-  for (const Row& row : view.rows()) {
-    if (row[id] == I(1)) EXPECT_EQ(row[manu], S("v2"));
-  }
-}
-
-TEST(DeltaBatcherTest, HeavyAccumulatorSpillsOnShapeConflict) {
-  // Two pending inserts under one key do not fit the one-delete/one-insert
-  // accumulator shape: the key must spill back to the general bag and the
-  // net must still be exact (bag semantics preserved through the demotion).
-  ViewManager manager = MakePivotManager();
-  BatcherOptions options;
-  options.heavy_key_threshold = 2;
-  DeltaBatcher batcher(&manager, options);
-  Delta b1 = ItemsDelta(manager);
-  b1.inserts.AddRow({I(9), S("Manu"), S("x1")});
-  Delta b2 = ItemsDelta(manager);
-  b2.inserts.AddRow({I(9), S("Manu"), S("x2")});
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b1))));
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b2))));
-  EXPECT_GE(batcher.stats().heavy_spills, 1u);
-  SourceDeltas net = batcher.PendingNet();
-  ASSERT_EQ(net.count("Items"), 1u);
-  EXPECT_EQ(net.at("Items").inserts.num_rows(), 2u);
-  EXPECT_EQ(net.at("Items").deletes.num_rows(), 0u);
-
-  // Retract both: the spilled key's rows cancel like any light key's.
-  Delta b3 = ItemsDelta(manager);
-  b3.deletes.AddRow({I(9), S("Manu"), S("x1")});
-  b3.deletes.AddRow({I(9), S("Manu"), S("x2")});
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b3))));
-  EXPECT_EQ(batcher.pending_net_rows(), 0u);
-  ASSERT_OK(batcher.Flush());
-  EXPECT_EQ(manager.LastEpochReport()->outcome, "no_op");
-  ASSERT_OK(manager.Audit());
-}
-
-TEST(DeltaBatcherTest, ClassifierNetEquivalentToThresholdZero) {
-  // Same churn stream through threshold 0 and threshold 2: the pending
-  // nets must be bag-equal per side (emission order may differ — heavy
-  // rows emit after the general bag) and the flushed views identical.
-  auto churn = [](ViewManager& manager) {
-    std::vector<SourceDeltas> batches;
-    Delta b1 = ItemsDelta(manager);
-    b1.deletes.AddRow({I(1), S("Manu"), S("Sony")});
-    b1.inserts.AddRow({I(1), S("Manu"), S("s1")});
-    b1.inserts.AddRow({I(3), S("Manu"), S("JVC")});
-    batches.push_back(ItemsBatch(std::move(b1)));
-    Delta b2 = ItemsDelta(manager);
-    b2.deletes.AddRow({I(1), S("Manu"), S("s1")});
-    b2.inserts.AddRow({I(1), S("Manu"), S("s2")});
-    b2.deletes.AddRow({I(2), S("Manu"), S("Panasonic")});
-    b2.inserts.AddRow({I(2), S("Manu"), S("p1")});
-    batches.push_back(ItemsBatch(std::move(b2)));
-    Delta b3 = ItemsDelta(manager);
-    b3.deletes.AddRow({I(1), S("Manu"), S("s2")});
-    b3.inserts.AddRow({I(1), S("Manu"), S("s3")});
-    batches.push_back(ItemsBatch(std::move(b3)));
-    return batches;
-  };
-  ViewManager plain = MakePivotManager();
-  DeltaBatcher plain_batcher(&plain);  // threshold 0
-  for (SourceDeltas& batch : churn(plain)) {
-    ASSERT_OK(plain_batcher.Ingest(batch));
-  }
-  ViewManager heavy = MakePivotManager();
-  BatcherOptions options;
-  options.heavy_key_threshold = 2;
-  DeltaBatcher heavy_batcher(&heavy, options);
-  for (SourceDeltas& batch : churn(heavy)) {
-    ASSERT_OK(heavy_batcher.Ingest(batch));
-  }
-  // Keys (1, Manu) and (2, Manu) both hit two touches; (3, Manu) stays
-  // light.
-  EXPECT_EQ(heavy_batcher.stats().heavy_keys_classified, 2u);
-  EXPECT_EQ(plain_batcher.stats().heavy_keys_classified, 0u);
-  EXPECT_EQ(plain_batcher.pending_net_rows(),
-            heavy_batcher.pending_net_rows());
-  SourceDeltas plain_net = plain_batcher.PendingNet();
-  SourceDeltas heavy_net = heavy_batcher.PendingNet();
-  ASSERT_EQ(plain_net.count("Items"), 1u);
-  ASSERT_EQ(heavy_net.count("Items"), 1u);
-  EXPECT_TRUE(BagEqual(plain_net.at("Items").inserts,
-                       heavy_net.at("Items").inserts));
-  EXPECT_TRUE(BagEqual(plain_net.at("Items").deletes,
-                       heavy_net.at("Items").deletes));
-
-  ASSERT_OK(plain_batcher.Flush());
-  ASSERT_OK(heavy_batcher.Flush());
-  ASSERT_OK(plain.Audit());
-  ASSERT_OK(heavy.Audit());
-  EXPECT_TRUE(BagEqual(plain.GetView("v").value()->table(),
-                       heavy.GetView("v").value()->table()));
-}
-
-TEST(DeltaBatcherTest, HeavyThresholdFromEnvStrictParse) {
-  ::setenv("GPIVOT_HEAVY_KEY_THRESHOLD", "4", 1);
-  auto options = BatcherOptions::FromEnv();
-  ASSERT_OK(options.status());
-  EXPECT_EQ(options->heavy_key_threshold, 4u);
-  for (const char* bad : {"4x", "-1", "3.5"}) {
-    ::setenv("GPIVOT_HEAVY_KEY_THRESHOLD", bad, 1);
-    EXPECT_TRUE(BatcherOptions::FromEnv().status().IsInvalidArgument())
-        << "'" << bad << "' must be rejected, not silently defaulted";
-  }
-  ::unsetenv("GPIVOT_HEAVY_KEY_THRESHOLD");
-  auto defaults = BatcherOptions::FromEnv();
-  ASSERT_OK(defaults.status());
-  EXPECT_EQ(defaults->heavy_key_threshold, 0u);
 }
 
 // ---- The micro-batch acceptance shape over the TPC-H views ----------------

@@ -32,7 +32,6 @@ class BenchDiffTest : public ::testing::Test {
 
   struct FileSpec {
     int num_threads = 1;
-    int num_shards = -1;  // < 0: omit the field (file predating sharding)
     double wall_ms = 10.0;
     int view_rows = 500;
     std::string extra_row_fields;  // appended inside the result object
@@ -40,24 +39,29 @@ class BenchDiffTest : public ::testing::Test {
 
   // One-figure BENCH document with a single FullRecompute@1% row.
   static std::string Doc(const FileSpec& spec) {
-    char shards[64] = "";
-    if (spec.num_shards >= 0) {
-      std::snprintf(shards, sizeof(shards), " \"num_shards\": %d,\n",
-                    spec.num_shards);
-    }
     char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "{\"figure\": \"Fig/Test\", \"scale_factor\": 0.0100, \"seed\": 7,\n"
         " \"num_threads\": %d, \"hardware_threads\": 8,\n"
-        "%s"
         " \"results\": [{\"strategy\": \"FullRecompute\", "
         "\"delta_fraction\": 0.0100, \"wall_ms\": %.4f, "
         "\"wall_ms_median\": %.4f, \"reps\": 3, \"view_rows\": %d, "
         "\"delta_rows\": 50%s}]}\n",
-        spec.num_threads, shards, spec.wall_ms, spec.wall_ms, spec.view_rows,
+        spec.num_threads, spec.wall_ms, spec.wall_ms, spec.view_rows,
         spec.extra_row_fields.c_str());
     return buf;
+  }
+
+  // `doc` with one more top-level `"name": value` field, placed after
+  // hardware_threads.
+  static std::string WithTopLevelField(std::string doc,
+                                       const std::string& field) {
+    const std::string after = "\"hardware_threads\": 8,\n";
+    size_t at = doc.find(after);
+    EXPECT_NE(at, std::string::npos);
+    doc.insert(at + after.size(), " " + field + ",\n");
+    return doc;
   }
 
   void WriteSide(const char* side, const std::string& content,
@@ -120,40 +124,37 @@ TEST_F(BenchDiffTest, ThreadCountMismatchSkipsWallGate) {
   EXPECT_NE(report.notes[0].find("num_threads differ"), std::string::npos);
 }
 
-TEST_F(BenchDiffTest, ShardCountMismatchSkipsWallGate) {
-  // Shard count is a timing-only knob like thread count: rows and counters
-  // still gate, but wall time across different GPIVOT_SHARDS would flag
-  // the speedup sharding exists to produce.
-  WriteSide("base", Doc({.num_shards = 1, .wall_ms = 10.0}));
-  WriteSide("cand", Doc({.num_shards = 4, .wall_ms = 100.0}));
+TEST_F(BenchDiffTest, VectorChunkSizeMismatchSkipsWallGate) {
+  // Batch width is a timing-only knob: wall time is not compared across
+  // it, but deterministic facts still gate.
+  WriteSide("base", WithTopLevelField(Doc({.wall_ms = 10.0}),
+                                      "\"vector_chunk_size\": 1024"));
+  WriteSide("cand", WithTopLevelField(Doc({.wall_ms = 100.0}),
+                                      "\"vector_chunk_size\": 64"));
   BenchDiffReport report;
   EXPECT_EQ(Diff({}, &report), kDiffOk) << report.ToString();
   ASSERT_FALSE(report.notes.empty());
-  EXPECT_NE(report.notes[0].find("num_shards differ"), std::string::npos);
+  EXPECT_NE(report.notes[0].find("vector_chunk_size differ"),
+            std::string::npos);
 
-  // Deterministic facts still gate under the shard mismatch.
-  WriteSide("cand", Doc({.num_shards = 4, .view_rows = 501}));
+  WriteSide("cand", WithTopLevelField(Doc({.view_rows = 501}),
+                                      "\"vector_chunk_size\": 64"));
   BenchDiffReport rows_report;
   EXPECT_EQ(Diff({}, &rows_report), kDiffFailed);
   EXPECT_NE(rows_report.ToString().find("view_rows"), std::string::npos);
 }
 
-TEST_F(BenchDiffTest, FilesWithoutShardFieldStayWallComparable) {
-  // Legacy documents (no num_shards on either side) read as -1 vs -1:
-  // equal, so the wall gate still applies and a real regression fails.
-  WriteSide("base", Doc({.wall_ms = 10.0}));
-  WriteSide("cand", Doc({.wall_ms = 100.0}));
+TEST_F(BenchDiffTest, LegacyNumShardsFieldDoesNotSkipWallGate) {
+  // Files written before commit shards were retired still carry
+  // num_shards. It is no longer a timing knob, so a differing value must
+  // not hide a real wall-time regression.
+  WriteSide("base",
+            WithTopLevelField(Doc({.wall_ms = 10.0}), "\"num_shards\": 1"));
+  WriteSide("cand",
+            WithTopLevelField(Doc({.wall_ms = 100.0}), "\"num_shards\": 4"));
   BenchDiffReport report;
   EXPECT_EQ(Diff({}, &report), kDiffFailed);
   EXPECT_NE(report.ToString().find("wall time regressed"), std::string::npos);
-
-  // One side gaining the field (candidate built after the sharding change,
-  // baseline from before) counts as a mismatch: skip, don't fail.
-  WriteSide("cand", Doc({.num_shards = 1, .wall_ms = 100.0}));
-  BenchDiffReport mixed;
-  EXPECT_EQ(Diff({}, &mixed), kDiffOk) << mixed.ToString();
-  ASSERT_FALSE(mixed.notes.empty());
-  EXPECT_NE(mixed.notes[0].find("num_shards differ"), std::string::npos);
 }
 
 TEST_F(BenchDiffTest, CounterChangeFailsButIgnoredPrefixPasses) {

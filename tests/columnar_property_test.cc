@@ -56,7 +56,6 @@ PipelineArtifacts RunPipeline(size_t threads, size_t chunk,
 
   ExecContext ctx;
   ctx.num_threads = threads;
-  ctx.min_parallel_rows = 1;  // force parallel paths on the tiny tables
   ctx.vector_chunk_size = chunk;
   ctx.metrics = &registry;
 

@@ -1,6 +1,11 @@
 // Unit tests for the physical relational operators.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
@@ -251,6 +256,121 @@ TEST(NestedLoopJoinTest, ThetaJoin) {
   EXPECT_EQ(outer.num_rows(), 2u);  // x=1 padded, x=5 matches y=3
 }
 
+// Join inputs that exercise every branch: duplicate keys on both sides (one
+// probe row fans out), NULL keys on both sides (never match), and unmatched
+// rows on both sides (the outer/semi/anti paths).
+Table OracleLeft(size_t rows) {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"tag", DataType::kString},
+                  {"lv", DataType::kInt64}}));
+  for (size_t i = 0; i < rows; ++i) {
+    Value key = i % 11 == 0 ? N() : I(static_cast<int64_t>(i % 17));
+    t.AddRow({key, S(i % 2 == 0 ? "even" : "odd"),
+              I(static_cast<int64_t>(i))});
+  }
+  return t;
+}
+
+Table OracleRight(size_t rows) {
+  Table t(Schema({{"k", DataType::kInt64}, {"rv", DataType::kInt64}}));
+  for (size_t i = 0; i < rows; ++i) {
+    Value key = i % 13 == 0 ? N() : I(static_cast<int64_t>(i % 23));
+    t.AddRow({key, I(static_cast<int64_t>(1000 + i))});
+  }
+  return t;
+}
+
+// Nested-loop reference for HashJoin on OracleLeft/OracleRight (key column
+// 0 on both sides), written out per join type from the operator contract.
+Table NestedLoopOracle(const Table& left, const Table& right,
+                       exec::JoinType type) {
+  const bool keeps_right_columns = type == exec::JoinType::kInner ||
+                                   type == exec::JoinType::kLeftOuter ||
+                                   type == exec::JoinType::kFullOuter;
+  std::vector<Column> columns = left.schema().columns();
+  if (keeps_right_columns) columns.push_back(right.schema().columns()[1]);
+  Table out{Schema(columns)};
+  auto matches = [](const Row& l, const Row& r) {
+    return !l[0].is_null() && !r[0].is_null() && l[0] == r[0];
+  };
+  std::vector<bool> right_matched(right.num_rows(), false);
+  for (const Row& l : left.rows()) {
+    bool matched = false;
+    for (size_t j = 0; j < right.num_rows(); ++j) {
+      const Row& r = right.rows()[j];
+      if (!matches(l, r)) continue;
+      matched = true;
+      right_matched[j] = true;
+      if (keeps_right_columns) out.AddRow({l[0], l[1], l[2], r[1]});
+    }
+    if (type == exec::JoinType::kLeftSemi && matched) out.AddRow(l);
+    if (type == exec::JoinType::kLeftAnti && !matched) out.AddRow(l);
+    if (!matched && (type == exec::JoinType::kLeftOuter ||
+                     type == exec::JoinType::kFullOuter)) {
+      out.AddRow({l[0], l[1], l[2], N()});
+    }
+  }
+  if (type == exec::JoinType::kFullOuter) {
+    for (size_t j = 0; j < right.num_rows(); ++j) {
+      const Row& r = right.rows()[j];
+      if (!right_matched[j]) out.AddRow({r[0], N(), N(), r[1]});
+    }
+  }
+  return out;
+}
+
+ExecContext ChunkContext(size_t chunk) {
+  ExecContext ctx;
+  ctx.vector_chunk_size = chunk;
+  return ctx;
+}
+
+class HashJoinOracleTest : public ::testing::TestWithParam<exec::JoinType> {};
+
+TEST_P(HashJoinOracleTest, MatchesNestedLoopOracleOnRowAndVectorPaths) {
+  exec::JoinSpec spec;
+  spec.left_keys = {"k"};
+  spec.right_keys = {"k"};
+  spec.type = GetParam();
+  // Both build sides: left smaller (inner's build-left branch) and left
+  // larger (the general build-right branch).
+  for (auto [left_rows, right_rows] : {std::pair<size_t, size_t>{80, 200},
+                                       std::pair<size_t, size_t>{200, 80}}) {
+    SCOPED_TRACE(std::to_string(left_rows) + "x" + std::to_string(right_rows));
+    Table left = OracleLeft(left_rows);
+    Table right = OracleRight(right_rows);
+    Table expected = NestedLoopOracle(left, right, GetParam());
+    ASSERT_OK_AND_ASSIGN(Table row_path,
+                         exec::HashJoin(left, right, spec, ChunkContext(0)));
+    EXPECT_TRUE(BagEqual(expected, row_path));
+    // The vectorized path must reproduce the row path exactly, order
+    // included, at every batch width.
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{1024}}) {
+      ASSERT_OK_AND_ASSIGN(
+          Table vector_path,
+          exec::HashJoin(left, right, spec, ChunkContext(chunk)));
+      EXPECT_EQ(row_path.schema(), vector_path.schema());
+      EXPECT_EQ(row_path.rows(), vector_path.rows()) << "chunk " << chunk;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, HashJoinOracleTest,
+    ::testing::Values(exec::JoinType::kInner, exec::JoinType::kLeftOuter,
+                      exec::JoinType::kFullOuter, exec::JoinType::kLeftSemi,
+                      exec::JoinType::kLeftAnti),
+    [](const ::testing::TestParamInfo<exec::JoinType>& info) {
+      switch (info.param) {
+        case exec::JoinType::kInner: return "Inner";
+        case exec::JoinType::kLeftOuter: return "LeftOuter";
+        case exec::JoinType::kFullOuter: return "FullOuter";
+        case exec::JoinType::kLeftSemi: return "LeftSemi";
+        case exec::JoinType::kLeftAnti: return "LeftAnti";
+      }
+      return "?";
+    });
+
 // ---- GroupBy -------------------------------------------------------------------
 
 TEST(GroupByTest, BasicAggregates) {
@@ -281,6 +401,54 @@ TEST(GroupByTest, NullGroupValuesGroupTogether) {
   ASSERT_OK_AND_ASSIGN(Table result,
                        exec::GroupBy(t, {"g"}, {AggSpec::Sum("v", "s")}));
   EXPECT_EQ(result.num_rows(), 2u);
+}
+
+TEST(GroupByTest, FloatSumsFoldInInputOrderBitExactly) {
+  // Doubles whose sum depends on addition order, and NULL group keys that
+  // form a group of their own. Groups come out in first-appearance order
+  // and each SUM is the left fold over the group's rows in input order,
+  // bit for bit, on the row path and at every vector batch width.
+  Table input(Schema({{"g", DataType::kInt64},
+                      {"x", DataType::kDouble},
+                      {"n", DataType::kInt64}}));
+  for (size_t i = 0; i < 500; ++i) {
+    input.AddRow({i % 31 == 0 ? N() : I(static_cast<int64_t>(i % 29)),
+                  D(0.1 * static_cast<double>(i) + 1e-9 * (i % 7)),
+                  i % 19 == 0 ? N() : I(static_cast<int64_t>(i))});
+  }
+  std::vector<Value> order;  // group keys in first-appearance order
+  std::map<std::string, size_t> slot;
+  std::vector<double> sum;
+  std::vector<int64_t> count;
+  std::vector<int64_t> count_star;
+  for (const Row& row : input.rows()) {
+    auto [it, inserted] = slot.emplace(row[0].ToString(), order.size());
+    if (inserted) {
+      order.push_back(row[0]);
+      sum.push_back(0.0);
+      count.push_back(0);
+      count_star.push_back(0);
+    }
+    sum[it->second] += row[1].AsDouble();
+    count[it->second] += row[2].is_null() ? 0 : 1;
+    count_star[it->second] += 1;
+  }
+  Table expected(Schema({{"g", DataType::kInt64},
+                         {"sx", DataType::kDouble},
+                         {"cn", DataType::kInt64},
+                         {"all", DataType::kInt64}}));
+  for (size_t i = 0; i < order.size(); ++i) {
+    expected.AddRow({order[i], D(sum[i]), I(count[i]), I(count_star[i])});
+  }
+
+  std::vector<AggSpec> aggs = {AggSpec::Sum("x", "sx"),
+                               AggSpec::Count("n", "cn"),
+                               AggSpec::CountStar("all")};
+  for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+    ASSERT_OK_AND_ASSIGN(Table result,
+                         exec::GroupBy(input, {"g"}, aggs, ChunkContext(chunk)));
+    EXPECT_EQ(expected.rows(), result.rows()) << "chunk " << chunk;
+  }
 }
 
 TEST(GroupByTest, EmptyInputYieldsNoGroups) {

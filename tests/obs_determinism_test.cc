@@ -72,7 +72,6 @@ ObservedEpoch RunObservedEpoch(size_t threads,
   tracer.set_enabled(true);
   ExecContext ctx;
   ctx.num_threads = threads;
-  ctx.min_parallel_rows = 1;  // force parallel paths on the tiny tables
   ctx.vector_chunk_size = vector_chunk;
   ctx.metrics = &registry;
   ctx.tracer = &tracer;
@@ -156,7 +155,6 @@ CostArtifacts RunCostEpoch(size_t threads) {
   EXPECT_TRUE(log.ok()) << log.error();
   ExecContext ctx;
   ctx.num_threads = threads;
-  ctx.min_parallel_rows = 1;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, ctx);
   manager.set_event_log(&log);
@@ -194,11 +192,12 @@ TEST(ObsDeterminismTest, CostReportsAndEpochLogIdenticalAcrossThreadCounts) {
   EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes);
 }
 
-// A batched-ingest epoch's artifacts at `threads`: the flushed views' rows,
-// the counter snapshot (ivm.batcher.* included), every view's EXPLAIN
-// ANALYZE rendering, and the raw epoch event-log bytes.
+// A batched-ingest epoch's artifacts at `threads`: the flushed views' and
+// base tables' rows, the counter snapshot (ivm.batcher.* included), every
+// view's EXPLAIN ANALYZE rendering, and the raw epoch event-log bytes.
 struct BatcherArtifacts {
   std::map<std::string, std::vector<Row>> view_rows;
+  std::map<std::string, std::vector<Row>> base_rows;
   std::map<std::string, uint64_t> counters;
   std::string explain_text;
   std::string explain_json;
@@ -237,9 +236,14 @@ std::vector<SourceDeltas> ChurnBatches(const ViewManager& manager,
   return batches;
 }
 
-BatcherArtifacts RunBatchedEpoch(size_t threads) {
+// The two batched workloads: new-key insert/retract churn, and Zipf-skewed
+// keyed updates where a few hot lineitem rows churn in most batches.
+enum class BatchWorkload { kNewKeyChurn, kZipfChurn };
+
+BatcherArtifacts RunBatchedEpoch(size_t threads, BatchWorkload workload) {
   std::string log_path = ::testing::TempDir() + "/gpivot_batch_det_" +
-                         std::to_string(threads) + ".jsonl";
+                         std::to_string(threads) + "_" +
+                         std::to_string(static_cast<int>(workload)) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
   EXPECT_TRUE(log.ok()) << log.error();
@@ -247,12 +251,17 @@ BatcherArtifacts RunBatchedEpoch(size_t threads) {
   registry.set_enabled(true);
   ExecContext ctx;
   ctx.num_threads = threads;
-  ctx.min_parallel_rows = 1;
   ctx.metrics = &registry;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, ctx);
   manager.set_event_log(&log);
-  std::vector<SourceDeltas> batches = ChurnBatches(manager, config, 4);
+  std::vector<SourceDeltas> batches =
+      workload == BatchWorkload::kNewKeyChurn
+          ? ChurnBatches(manager, config, 4)
+          : tpch::MakeLineitemZipfChurn(manager.catalog(), /*num_batches=*/6,
+                                        /*rows_per_batch=*/40, /*theta=*/1.1,
+                                        /*seed=*/42)
+                .value();
   registry.Reset();
   ivm::DeltaBatcher batcher(&manager);
   for (const SourceDeltas& batch : batches) {
@@ -261,6 +270,10 @@ BatcherArtifacts RunBatchedEpoch(size_t threads) {
   EXPECT_TRUE(batcher.Flush().ok());
   BatcherArtifacts artifacts;
   artifacts.counters = registry.Snapshot().counters;
+  for (const std::string& name : manager.catalog().TableNames()) {
+    artifacts.base_rows[name] =
+        manager.catalog().GetTable(name).value()->rows();
+  }
   for (const char* name : {"v1", "v2", "v3"}) {
     artifacts.view_rows[name] = manager.GetView(name).value()->table().rows();
     CostReport report = manager.ExplainAnalyze(name).value();
@@ -275,8 +288,10 @@ BatcherArtifacts RunBatchedEpoch(size_t threads) {
   return artifacts;
 }
 
-TEST(ObsDeterminismTest, BatcherFlushArtifactsIdenticalAcrossThreadCounts) {
-  BatcherArtifacts sequential = RunBatchedEpoch(1);
+// Flushes `workload` through DeltaBatcher at one and at four threads and
+// checks every artifact of the flushed epoch is byte-identical.
+void ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload workload) {
+  BatcherArtifacts sequential = RunBatchedEpoch(1, workload);
   // The flush really went through the batcher and landed one epoch.
   ASSERT_GT(sequential.counters["ivm.batcher.rows_cancelled"], 0u);
   ASSERT_EQ(sequential.counters["ivm.batcher.flushes"], 1u);
@@ -284,14 +299,24 @@ TEST(ObsDeterminismTest, BatcherFlushArtifactsIdenticalAcrossThreadCounts) {
   ASSERT_NE(sequential.event_log_bytes.find("\"entry\": \"batched_apply_update\""),
             std::string::npos)
       << sequential.event_log_bytes;
-  BatcherArtifacts parallel = RunBatchedEpoch(4);
+  BatcherArtifacts parallel = RunBatchedEpoch(4, workload);
   EXPECT_EQ(sequential.view_rows, parallel.view_rows)
       << "flushed view rows depend on the schedule";
+  EXPECT_EQ(sequential.base_rows, parallel.base_rows)
+      << "base tables depend on the schedule";
   EXPECT_EQ(sequential.counters, parallel.counters)
       << "batcher/epoch counters leaked scheduling dependence";
   EXPECT_EQ(sequential.explain_text, parallel.explain_text);
   EXPECT_EQ(sequential.explain_json, parallel.explain_json);
   EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes);
+}
+
+TEST(ObsDeterminismTest, BatcherFlushArtifactsIdenticalAcrossThreadCounts) {
+  ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload::kNewKeyChurn);
+}
+
+TEST(ObsDeterminismTest, ZipfChurnFlushArtifactsIdenticalAcrossThreadCounts) {
+  ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload::kZipfChurn);
 }
 
 // A serving scenario's observable artifacts at (threads, vector_chunk):
@@ -317,7 +342,6 @@ ServingArtifacts RunServingScenario(size_t threads,
   EXPECT_TRUE(log.ok()) << log.error();
   ExecContext maintain_ctx;
   maintain_ctx.num_threads = threads;
-  maintain_ctx.min_parallel_rows = 1;
   maintain_ctx.vector_chunk_size = vector_chunk;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, maintain_ctx);
@@ -422,7 +446,9 @@ TEST(ObsDeterminismTest, UnobservedEpochMatchesObservedResults) {
   // Observability must be read-only: the refreshed views are identical
   // whether or not metrics/tracing are attached.
   tpch::Config config = SmallConfig();
-  ViewManager plain = MakeThreeViewManager(config, ExecContext{4, 1});
+  ExecContext plain_ctx;
+  plain_ctx.num_threads = 4;
+  ViewManager plain = MakeThreeViewManager(config, plain_ctx);
   SourceDeltas deltas =
       tpch::MakeLineitemInsertsMixed(plain.catalog(), config, 0.05, 42)
           .value();
@@ -432,7 +458,7 @@ TEST(ObsDeterminismTest, UnobservedEpochMatchesObservedResults) {
   registry.set_enabled(true);
   obs::Tracer tracer;
   tracer.set_enabled(true);
-  ExecContext ctx{4, 1};
+  ExecContext ctx = plain_ctx;
   ctx.metrics = &registry;
   ctx.tracer = &tracer;
   ViewManager observed = MakeThreeViewManager(config, ctx);

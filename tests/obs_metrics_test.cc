@@ -36,7 +36,9 @@ TEST(MetricsRegistryTest, ConcurrentCountersSumExactly) {
   MetricsRegistry registry;
   registry.set_enabled(true);
   const size_t n = 10000;
-  ParallelFor(ExecContext{7, 1}, n, [&](size_t i) {
+  ExecContext ctx;
+  ctx.num_threads = 7;
+  ParallelFor(ctx, n, [&](size_t i) {
     registry.AddCounter("hits");
     registry.AddCounter("sum", i);
   });
@@ -60,7 +62,9 @@ TEST(MetricsRegistryTest, DisabledRegistryRecordsNothing) {
 TEST(MetricsRegistryTest, ResetClearsEveryShard) {
   MetricsRegistry registry;
   registry.set_enabled(true);
-  ParallelFor(ExecContext{4, 1}, 100, [&](size_t) {
+  ExecContext ctx;
+  ctx.num_threads = 4;
+  ParallelFor(ctx, 100, [&](size_t) {
     registry.AddCounter("a");
   });
   EXPECT_EQ(registry.Snapshot().counters.at("a"), 100u);

@@ -1,7 +1,6 @@
 // Determinism tests for the parallel maintenance executor. The contract
-// under test: every parallel code path — GPivotParallel partitions,
-// HashJoin's chunked probe, GroupBy's key-partitioned accumulation, and
-// ViewManager's concurrent staging — produces output byte-identical
+// under test: both parallel code paths — GPivotParallel partitions and
+// ViewManager's concurrent staging — produce output byte-identical
 // (position-sensitive row equality, not just bag equality) to the
 // sequential run, for every thread count. Plus: a mid-epoch fault under a
 // parallel context must roll the manager back byte-identically, exactly as
@@ -9,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/gpivot.h"
 #include "core/parallel.h"
-#include "exec/group_by.h"
-#include "exec/join.h"
+#include "ivm/batcher.h"
 #include "ivm/view_manager.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
@@ -29,17 +30,15 @@ using ivm::RefreshStrategy;
 using ivm::SourceDeltas;
 using ivm::ViewManager;
 using testing::BagEqual;
-using testing::D;
-using testing::I;
-using testing::MakeTable;
-using testing::N;
 using testing::RandomVerticalSpec;
 using testing::RandomVerticalTable;
 using testing::S;
 
-// min_parallel_rows = 1 forces the parallel paths onto the small tables
-// tests use; production defaults would keep them sequential.
-ExecContext Par(size_t threads) { return ExecContext{threads, 1}; }
+ExecContext Par(size_t threads) {
+  ExecContext ctx;
+  ctx.num_threads = threads;
+  return ctx;
+}
 
 const size_t kThreadCounts[] = {2, 4, 7};
 
@@ -50,6 +49,38 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// Range sizes around the thread count: fewer indices than threads (the
+// worker count clamps to n), exactly as many, and more (threads claim
+// several indices each). Each index must run exactly once either way.
+struct ParallelForRange {
+  size_t threads;
+  size_t n;
+};
+
+class ParallelForRangeTest
+    : public ::testing::TestWithParam<ParallelForRange> {};
+
+TEST_P(ParallelForRangeTest, EveryIndexRunsExactlyOnce) {
+  const ParallelForRange range = GetParam();
+  std::vector<std::atomic<int>> hits(range.n);
+  ParallelFor(Par(range.threads), range.n, [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (size_t i = 0; i < range.n; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << range.n
+                                 << " at " << range.threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranges, ParallelForRangeTest,
+    ::testing::Values(ParallelForRange{4, 2}, ParallelForRange{4, 4},
+                      ParallelForRange{4, 5}, ParallelForRange{7, 3}),
+    [](const ::testing::TestParamInfo<ParallelForRange>& info) {
+      return "Threads" + std::to_string(info.param.threads) + "N" +
+             std::to_string(info.param.n);
+    });
+
 TEST(ParallelForTest, NestedInvocationRunsInline) {
   // A parallel loop whose body starts another parallel loop must not
   // deadlock (inner loops run inline on pool workers).
@@ -59,128 +90,6 @@ TEST(ParallelForTest, NestedInvocationRunsInline) {
                 [&](size_t) { total.fetch_add(1, std::memory_order_relaxed); });
   });
   EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ParallelForChunksTest, ChunksPartitionTheRange) {
-  const size_t n = 103;
-  ExecContext ctx = Par(4);
-  std::vector<int> covered(n, 0);
-  std::atomic<size_t> chunks_seen{0};
-  ParallelForChunks(ctx, n, [&](size_t chunk, size_t begin, size_t end) {
-    (void)chunk;
-    for (size_t i = begin; i < end; ++i) covered[i]++;
-    chunks_seen.fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(covered[i], 1) << "index " << i;
-  EXPECT_EQ(NumChunks(ctx, n), 4u);
-}
-
-// Join inputs engineered to exercise the interesting cases: duplicate build
-// keys (one probe row fans out), NULL keys on both sides (never match), and
-// unmatched rows on both sides (outer/semi/anti paths).
-Table JoinLeft(size_t rows) {
-  Table t(Schema({{"k", DataType::kInt64},
-                  {"tag", DataType::kString},
-                  {"lv", DataType::kInt64}}));
-  for (size_t i = 0; i < rows; ++i) {
-    Value key = i % 11 == 0 ? N() : I(static_cast<int64_t>(i % 17));
-    t.AddRow({key, S(i % 2 == 0 ? "even" : "odd"),
-              I(static_cast<int64_t>(i))});
-  }
-  return t;
-}
-
-Table JoinRight(size_t rows) {
-  Table t(Schema({{"k", DataType::kInt64}, {"rv", DataType::kInt64}}));
-  for (size_t i = 0; i < rows; ++i) {
-    Value key = i % 13 == 0 ? N() : I(static_cast<int64_t>(i % 23));
-    t.AddRow({key, I(static_cast<int64_t>(1000 + i))});
-  }
-  return t;
-}
-
-class HashJoinDeterminismTest
-    : public ::testing::TestWithParam<exec::JoinType> {};
-
-TEST_P(HashJoinDeterminismTest, ByteIdenticalAcrossThreadCounts) {
-  exec::JoinSpec spec;
-  spec.left_keys = {"k"};
-  spec.right_keys = {"k"};
-  spec.type = GetParam();
-  // Both probe directions: left smaller (inner's build-left branch) and
-  // left larger (the general build-right branch).
-  for (auto [left_rows, right_rows] : {std::pair<size_t, size_t>{80, 200},
-                                       std::pair<size_t, size_t>{200, 80}}) {
-    Table left = JoinLeft(left_rows);
-    Table right = JoinRight(right_rows);
-    ASSERT_OK_AND_ASSIGN(Table sequential, exec::HashJoin(left, right, spec));
-    for (size_t threads : kThreadCounts) {
-      ASSERT_OK_AND_ASSIGN(Table parallel,
-                           exec::HashJoin(left, right, spec, Par(threads)));
-      EXPECT_EQ(sequential.schema(), parallel.schema());
-      EXPECT_EQ(sequential.rows(), parallel.rows())
-          << exec::JoinTypeToString(GetParam()) << " with " << threads
-          << " threads, " << left_rows << "x" << right_rows
-          << ": rows differ from sequential";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllTypes, HashJoinDeterminismTest,
-    ::testing::Values(exec::JoinType::kInner, exec::JoinType::kLeftOuter,
-                      exec::JoinType::kFullOuter, exec::JoinType::kLeftSemi,
-                      exec::JoinType::kLeftAnti),
-    [](const ::testing::TestParamInfo<exec::JoinType>& info) {
-      switch (info.param) {
-        case exec::JoinType::kInner: return "Inner";
-        case exec::JoinType::kLeftOuter: return "LeftOuter";
-        case exec::JoinType::kFullOuter: return "FullOuter";
-        case exec::JoinType::kLeftSemi: return "LeftSemi";
-        case exec::JoinType::kLeftAnti: return "LeftAnti";
-      }
-      return "?";
-    });
-
-TEST(GroupByDeterminismTest, FloatSumsBitIdenticalAcrossThreadCounts) {
-  // Doubles whose sum depends on addition order: if the parallel path
-  // chunked rows instead of partitioning groups by key, these sums would
-  // differ in the low bits across thread counts.
-  Table input(Schema({{"g", DataType::kInt64},
-                      {"x", DataType::kDouble},
-                      {"n", DataType::kInt64}}));
-  for (size_t i = 0; i < 500; ++i) {
-    input.AddRow({I(static_cast<int64_t>(i % 29)),
-                  D(0.1 * static_cast<double>(i) + 1e-9 * (i % 7)),
-                  i % 19 == 0 ? N() : I(static_cast<int64_t>(i))});
-  }
-  std::vector<AggSpec> aggs = {{AggFunc::kSum, "x", "sx"},
-                               {AggFunc::kCount, "n", "cn"},
-                               {AggFunc::kMin, "x", "mx"},
-                               {AggFunc::kCountStar, "", "all"}};
-  ASSERT_OK_AND_ASSIGN(Table sequential, exec::GroupBy(input, {"g"}, aggs));
-  for (size_t threads : kThreadCounts) {
-    ASSERT_OK_AND_ASSIGN(Table parallel,
-                         exec::GroupBy(input, {"g"}, aggs, Par(threads)));
-    EXPECT_EQ(sequential.schema(), parallel.schema());
-    EXPECT_EQ(sequential.rows(), parallel.rows())
-        << threads << " threads: group rows differ from sequential "
-        << "(first-appearance order or float sums broke)";
-  }
-}
-
-TEST(GroupByDeterminismTest, NullGroupKeysAndThreadsExceedingGroups) {
-  Table input(Schema({{"g", DataType::kInt64}, {"x", DataType::kInt64}}));
-  for (size_t i = 0; i < 40; ++i) {
-    input.AddRow({i % 5 == 0 ? N() : I(static_cast<int64_t>(i % 3)),
-                  I(static_cast<int64_t>(i))});
-  }
-  std::vector<AggSpec> aggs = {{AggFunc::kSum, "x", "sx"}};
-  ASSERT_OK_AND_ASSIGN(Table sequential, exec::GroupBy(input, {"g"}, aggs));
-  // 7 threads, only 4 distinct groups: some partitions own nothing.
-  ASSERT_OK_AND_ASSIGN(Table parallel,
-                       exec::GroupBy(input, {"g"}, aggs, Par(7)));
-  EXPECT_EQ(sequential.rows(), parallel.rows());
 }
 
 TEST(GPivotParallelDeterminismTest, ByteIdenticalAcrossThreadCounts) {
@@ -208,6 +117,27 @@ TEST(GPivotParallelDeterminismTest, ByteIdenticalAcrossThreadCounts) {
           << "trial " << trial << ", " << threads << " threads";
     }
   }
+}
+
+TEST(GPivotParallelDeterminismTest, ThreadsExceedingPartitionsStayIdentical) {
+  // Two partitions under seven threads: ParallelFor clamps to two workers,
+  // and the merge must still match the one-thread run row for row.
+  Rng rng(91);
+  RandomVerticalSpec vspec;
+  vspec.num_rows = 70;
+  vspec.num_dims = 1;
+  vspec.num_measures = 2;
+  Table input = RandomVerticalTable(vspec, &rng);
+  PivotSpec spec;
+  spec.pivot_by = {"a1"};
+  spec.pivot_on = {"b1", "b2"};
+  spec.combos = {{S("v0")}, {S("v1")}, {S("v2")}};
+  ASSERT_OK_AND_ASSIGN(Table sequential, GPivotParallel(input, spec, 2));
+  ASSERT_OK_AND_ASSIGN(Table plain, GPivot(input, spec));
+  EXPECT_TRUE(BagEqual(plain, sequential));
+  ASSERT_OK_AND_ASSIGN(Table parallel,
+                       GPivotParallel(input, spec, 2, Par(7)));
+  EXPECT_EQ(sequential.rows(), parallel.rows());
 }
 
 // ---------------------------------------------------------------------------
@@ -255,16 +185,37 @@ void ExpectManagersIdentical(const ViewManager& expected,
   }
 }
 
-enum class EpochWorkload { kDelete, kInsertMixed };
+// The paper's delete and insert workloads (Figs. 33-35, 38), each one
+// epoch, plus Zipf-skewed keyed churn: several epochs in which a few hot
+// lineitem rows are deleted and re-inserted over and over.
+enum class EpochWorkload {
+  kDelete,
+  kInsertUpdatesOnly,
+  kInsertNewKeys,
+  kInsertMixed,
+  kZipfChurn,
+};
 
-SourceDeltas MakeEpochDeltas(const ViewManager& manager,
-                             const tpch::Config& config, EpochWorkload kind) {
+std::vector<SourceDeltas> MakeEpochBatches(const ViewManager& manager,
+                                           const tpch::Config& config,
+                                           EpochWorkload kind) {
+  const Catalog& catalog = manager.catalog();
   switch (kind) {
     case EpochWorkload::kDelete:
-      return tpch::MakeLineitemDeletes(manager.catalog(), 0.05, 42).value();
+      return {tpch::MakeLineitemDeletes(catalog, 0.05, 42).value()};
+    case EpochWorkload::kInsertUpdatesOnly:
+      return {tpch::MakeLineitemInsertsUpdatesOnly(catalog, config, 0.05, 42)
+                  .value()};
+    case EpochWorkload::kInsertNewKeys:
+      return {tpch::MakeLineitemInsertsNewKeys(catalog, config, 0.05, 42)
+                  .value()};
     case EpochWorkload::kInsertMixed:
-      return tpch::MakeLineitemInsertsMixed(manager.catalog(), config, 0.05,
-                                            42)
+      return {tpch::MakeLineitemInsertsMixed(catalog, config, 0.05, 42)
+                  .value()};
+    case EpochWorkload::kZipfChurn:
+      return tpch::MakeLineitemZipfChurn(catalog, /*num_batches=*/4,
+                                         /*rows_per_batch=*/30,
+                                         /*theta=*/1.1, /*seed=*/42)
           .value();
   }
   return {};
@@ -275,27 +226,52 @@ class EpochDeterminismTest : public ::testing::TestWithParam<EpochWorkload> {};
 TEST_P(EpochDeterminismTest, ThreeViewsByteIdenticalAcrossThreadCounts) {
   tpch::Config config = SmallConfig();
   ViewManager reference = MakeThreeViewManager(config, ExecContext{});
-  SourceDeltas deltas = MakeEpochDeltas(reference, config, GetParam());
-  ASSERT_OK(reference.ApplyUpdate(deltas));
+  std::vector<SourceDeltas> batches =
+      MakeEpochBatches(reference, config, GetParam());
+  for (const SourceDeltas& deltas : batches) {
+    ASSERT_OK(reference.ApplyUpdate(deltas));
+  }
   ASSERT_OK(reference.Audit());
   for (size_t threads : kThreadCounts) {
     // Fresh manager from the same generator seed: identical initial state,
     // so the deltas (computed against the reference) apply verbatim.
     ViewManager manager = MakeThreeViewManager(config, Par(threads));
-    ASSERT_OK(manager.ApplyUpdate(deltas));
+    for (const SourceDeltas& deltas : batches) {
+      ASSERT_OK(manager.ApplyUpdate(deltas));
+    }
     ExpectManagersIdentical(reference, manager, threads);
     ASSERT_OK(manager.Audit());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, EpochDeterminismTest,
-                         ::testing::Values(EpochWorkload::kDelete,
-                                           EpochWorkload::kInsertMixed),
-                         [](const ::testing::TestParamInfo<EpochWorkload>& i) {
-                           return i.param == EpochWorkload::kDelete
-                                      ? "Delete"
-                                      : "InsertMixed";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, EpochDeterminismTest,
+    ::testing::Values(EpochWorkload::kDelete, EpochWorkload::kInsertUpdatesOnly,
+                      EpochWorkload::kInsertNewKeys,
+                      EpochWorkload::kInsertMixed, EpochWorkload::kZipfChurn),
+    [](const ::testing::TestParamInfo<EpochWorkload>& info) {
+      switch (info.param) {
+        case EpochWorkload::kDelete: return "Delete";
+        case EpochWorkload::kInsertUpdatesOnly: return "InsertUpdatesOnly";
+        case EpochWorkload::kInsertNewKeys: return "InsertNewKeys";
+        case EpochWorkload::kInsertMixed: return "InsertMixed";
+        case EpochWorkload::kZipfChurn: return "ZipfChurn";
+      }
+      return "?";
+    });
+
+// Every base table's and view's rows, by name.
+std::map<std::string, std::vector<Row>> SnapshotRows(
+    const ViewManager& manager) {
+  std::map<std::string, std::vector<Row>> rows;
+  for (const std::string& name : manager.catalog().TableNames()) {
+    rows[name] = manager.catalog().GetTable(name).value()->rows();
+  }
+  for (const char* name : {"v1", "v2", "v3"}) {
+    rows[name] = manager.GetView(name).value()->table().rows();
+  }
+  return rows;
+}
 
 // Fault sweep under a 4-thread executor: whichever staging task or commit
 // step the armed fault lands in (the n-th poke may fall in a different
@@ -305,30 +281,10 @@ INSTANTIATE_TEST_SUITE_P(Workloads, EpochDeterminismTest,
 TEST(ParallelEpochFaultTest, MidEpochFaultAtFourThreadsRollsBackExactly) {
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, Par(4));
-  SourceDeltas deltas = MakeEpochDeltas(manager, config, EpochWorkload::kDelete);
-
-  std::vector<std::pair<std::string, std::vector<Row>>> before;
-  for (const std::string& name : manager.catalog().TableNames()) {
-    before.emplace_back(name,
-                        manager.catalog().GetTable(name).value()->rows());
-  }
-  for (const char* name : {"v1", "v2", "v3"}) {
-    before.emplace_back(name, manager.GetView(name).value()->table().rows());
-  }
-  auto expect_rolled_back = [&](size_t n) {
-    for (const auto& [name, rows] : before) {
-      auto table = manager.catalog().GetTable(name);
-      const std::vector<Row>& now = table.ok()
-                                        ? (*table)->rows()
-                                        : manager.GetView(name)
-                                              .value()
-                                              ->table()
-                                              .rows();
-      EXPECT_EQ(rows, now) << "'" << name
-                           << "' not byte-identical after rollback at point #"
-                           << n;
-    }
-  };
+  SourceDeltas deltas =
+      MakeEpochBatches(manager, config, EpochWorkload::kDelete).front();
+  const std::map<std::string, std::vector<Row>> before =
+      SnapshotRows(manager);
 
   FaultInjector& injector = FaultInjector::Global();
   size_t points_hit = 0;
@@ -346,11 +302,70 @@ TEST(ParallelEpochFaultTest, MidEpochFaultAtFourThreadsRollsBackExactly) {
     EXPECT_NE(st.message().find("injected fault"), std::string::npos)
         << st.ToString();
     points_hit = n;
-    expect_rolled_back(n);
+    EXPECT_EQ(before, SnapshotRows(manager))
+        << "not byte-identical after rollback at point #" << n;
     ASSERT_OK(manager.Audit());
   }
   EXPECT_GE(points_hit, 6u) << "fault sweep covered suspiciously few points";
   ASSERT_OK(manager.Audit());
+}
+
+// The same sweep over a DeltaBatcher flush of Zipf-skewed churn at four
+// threads: each injected failure rolls the manager back byte-identically
+// and keeps the queue, and the clean retry lands on the state that
+// applying the batches one by one on one thread reaches.
+TEST(ParallelEpochFaultTest, MidFlushFaultAtFourThreadsRollsBackExactly) {
+  tpch::Config config = SmallConfig();
+  ViewManager sequential = MakeThreeViewManager(config, ExecContext{});
+  std::vector<SourceDeltas> batches =
+      MakeEpochBatches(sequential, config, EpochWorkload::kZipfChurn);
+  for (const SourceDeltas& batch : batches) {
+    ASSERT_OK(sequential.ApplyUpdate(batch));
+  }
+
+  ViewManager manager = MakeThreeViewManager(config, Par(4));
+  ivm::DeltaBatcher batcher(&manager);
+  for (const SourceDeltas& batch : batches) ASSERT_OK(batcher.Ingest(batch));
+  const size_t pending_batches = batcher.pending_batches();
+  const size_t pending_rows = batcher.pending_net_rows();
+  ASSERT_GT(pending_rows, 0u);
+  const std::map<std::string, std::vector<Row>> before =
+      SnapshotRows(manager);
+
+  FaultInjector& injector = FaultInjector::Global();
+  size_t points_hit = 0;
+  for (size_t n = 1;; ++n) {
+    injector.Arm(n);
+    Status st = batcher.Flush();
+    bool fired = injector.fired();
+    injector.Disarm();
+    if (st.ok()) {
+      EXPECT_FALSE(fired);
+      break;
+    }
+    ASSERT_TRUE(fired) << "non-injected failure at n=" << n << ": "
+                       << st.ToString();
+    points_hit = n;
+    EXPECT_EQ(before, SnapshotRows(manager))
+        << "not byte-identical after rollback at point #" << n;
+    EXPECT_EQ(batcher.pending_batches(), pending_batches);
+    EXPECT_EQ(batcher.pending_net_rows(), pending_rows);
+    ASSERT_OK(manager.Audit());
+  }
+  EXPECT_GE(points_hit, 6u) << "fault sweep covered suspiciously few points";
+  EXPECT_EQ(batcher.pending_batches(), 0u);
+  ASSERT_OK(manager.Audit());
+  // Compaction may reorder rows, so the end states compare as bags.
+  for (const std::string& name : sequential.catalog().TableNames()) {
+    EXPECT_TRUE(BagEqual(*sequential.catalog().GetTable(name).value(),
+                         *manager.catalog().GetTable(name).value()))
+        << "base table '" << name << "'";
+  }
+  for (const char* name : {"v1", "v2", "v3"}) {
+    EXPECT_TRUE(BagEqual(sequential.GetView(name).value()->table(),
+                         manager.GetView(name).value()->table()))
+        << "view '" << name << "'";
+  }
 }
 
 }  // namespace

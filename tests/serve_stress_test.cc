@@ -307,7 +307,7 @@ TEST(ServeStressTest, HandleLessReadersShareLockedPathWithWriter) {
 }
 
 TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
-  // Sharded commit pipelines can deliver OnEpochCommitted from pool
+  // The hook contract allows OnEpochCommitted to arrive from several
   // threads in any order. Hammer the hook concurrently with interleaved
   // seqs while readers acquire: heads must only ever move forward (each
   // reader's observed seq sequence is non-decreasing), and the store must
@@ -322,8 +322,8 @@ TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
   ASSERT_OK(store.Attach());
 
   // Advance the manager once so installed snapshots carry real state; the
-  // fabricated seqs below stand in for per-shard commit notifications that
-  // all describe this same view state.
+  // fabricated seqs below stand in for commit notifications that all
+  // describe this same view state.
   ASSERT_OK(manager.ApplyUpdate(ChurnDelta(manager, 0)));
   constexpr uint64_t kMaxSeq = 64;
   constexpr size_t kHookThreads = 3;

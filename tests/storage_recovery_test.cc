@@ -444,30 +444,25 @@ TEST(RecoveryTest, CrashLoopSweepRecoversIdenticalState) {
   }
 }
 
-// The headline invariant under sharded maintenance: the same crash-loop
-// sweep with stage and commit split across 4 shards on a 4-thread
-// executor. The armed fault now lands inside per-shard commit sites
-// ("ExecuteMergePlan::shard-commit") running on pool threads; whichever
-// shard it hits, the per-shard undo logs must roll the epoch back to a
-// state whose WAL/checkpoint bytes recover — under ANY shard count —
-// to the exact undurable reference. Recovery runs serially (fresh Open),
-// so this also proves sharded commits leave nothing shard-shaped on disk.
-TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
+// The same crash-loop sweep with view staging on a 4-thread executor: the
+// armed fault may land in a stage task running on a pool thread, and the
+// epoch must still roll back to a state whose WAL/checkpoint bytes recover
+// to the exact undurable reference. Recovery resumes at a rotating thread
+// count, so this also proves concurrent staging leaves nothing
+// schedule-shaped on disk.
+TEST(RecoveryTest, ParallelCrashLoopSweepRecoversIdenticalState) {
   std::vector<SourceDeltas> batches =
       WorkloadBatches(PivotCatalog(), 1234, 5);
   std::string expected = UndurableFingerprint(batches);
   FaultInjector& injector = FaultInjector::Global();
   ExecContext ctx;
   ctx.num_threads = 4;
-  ctx.min_parallel_rows = 1;
-  ivm::ShardingOptions sharding;
-  sharding.num_shards = 4;
 
   bool exhausted = false;
   for (size_t n = 1; !exhausted; ++n) {
     ASSERT_LT(n, 400u) << "sweep did not terminate";
     SCOPED_TRACE("fault point n=" + std::to_string(n));
-    std::string dir = FreshDir("shard_crash_" + std::to_string(n));
+    std::string dir = FreshDir("parallel_crash_" + std::to_string(n));
 
     injector.Arm(n);
     Status st = [&]() -> Status {
@@ -477,7 +472,6 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
                                    Definitions(PivotCatalog()),
                                    Options(dir, 2)));
       dvm->manager()->set_exec_context(ctx);
-      dvm->manager()->set_sharding(sharding);
       for (const SourceDeltas& batch : batches) {
         GPIVOT_RETURN_NOT_OK(dvm->ApplyUpdate(batch));
       }
@@ -493,17 +487,15 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
       ASSERT_TRUE(fired) << "non-injected failure: " << st.ToString();
     }
 
-    // Recover and resume at a rotating shard count: the bytes on disk
-    // must be shard-agnostic, so any recovery configuration converges.
-    size_t recover_shards = 1 + n % 4;  // 1, 2, 3, 4, 1, ...
+    // Recover and resume at a rotating thread count: the bytes on disk
+    // must be schedule-agnostic, so any recovery configuration converges.
+    ExecContext resume;
+    resume.num_threads = 1 + n % 4;  // 2, 3, 4, 1, 2, ...
     auto recovered = DurableViewManager::Open(PivotCatalog(),
                                               Definitions(PivotCatalog()),
                                               Options(dir, 2));
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ivm::ShardingOptions resume;
-    resume.num_shards = recover_shards;
-    (*recovered)->manager()->set_exec_context(ctx);
-    (*recovered)->manager()->set_sharding(resume);
+    (*recovered)->manager()->set_exec_context(resume);
     uint64_t seq = (*recovered)->manager()->epoch_seq();
     ASSERT_LE(seq, batches.size());
     for (size_t i = static_cast<size_t>(seq); i < batches.size(); ++i) {
@@ -511,7 +503,7 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
     }
     ASSERT_OK((*recovered)->manager()->Audit());
     EXPECT_EQ(Fingerprint(*(*recovered)->manager()), expected)
-        << "recovered at " << recover_shards << " shards";
+        << "recovered at " << resume.num_threads << " threads";
   }
 }
 

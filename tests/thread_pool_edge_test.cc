@@ -13,11 +13,17 @@
 namespace gpivot {
 namespace {
 
+ExecContext Threads(size_t n) {
+  ExecContext ctx;
+  ctx.num_threads = n;
+  return ctx;
+}
+
 TEST(ThreadPoolEdgeTest, ZeroAndOneThreadRunInlineInOrder) {
   for (size_t threads : {size_t{0}, size_t{1}}) {
     std::thread::id caller = std::this_thread::get_id();
     std::vector<size_t> visited;
-    ParallelFor(ExecContext{threads, 1}, 50, [&](size_t i) {
+    ParallelFor(Threads(threads), 50, [&](size_t i) {
       EXPECT_EQ(std::this_thread::get_id(), caller)
           << "num_threads=" << threads << " left the calling thread";
       visited.push_back(i);  // safe: inline execution is sequential
@@ -29,7 +35,7 @@ TEST(ThreadPoolEdgeTest, ZeroAndOneThreadRunInlineInOrder) {
 
 TEST(ThreadPoolEdgeTest, EmptyRangeCallsNothing) {
   std::atomic<size_t> calls{0};
-  ParallelFor(ExecContext{4, 1}, 0,
+  ParallelFor(Threads(4), 0,
               [&](size_t) { calls.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(calls.load(), 0u);
 }
@@ -40,10 +46,10 @@ TEST(ThreadPoolEdgeTest, NestedParallelForOnWorkerRunsInline) {
   // nested calls fall back to inline.
   std::atomic<size_t> total{0};
   std::atomic<size_t> escaped{0};
-  ParallelFor(ExecContext{4, 1}, 8, [&](size_t) {
+  ParallelFor(Threads(4), 8, [&](size_t) {
     std::thread::id outer_thread = std::this_thread::get_id();
     bool on_worker = ThreadPool::OnWorkerThread();
-    ParallelFor(ExecContext{4, 1}, 8, [&](size_t) {
+    ParallelFor(Threads(4), 8, [&](size_t) {
       total.fetch_add(1, std::memory_order_relaxed);
       if (on_worker && std::this_thread::get_id() != outer_thread) {
         escaped.fetch_add(1, std::memory_order_relaxed);
@@ -61,7 +67,7 @@ TEST(ThreadPoolEdgeTest, ConcurrentRegistryWritesFromPoolSumExactly) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   const size_t n = 20000;
-  ParallelFor(ExecContext{7, 1}, n, [&](size_t i) {
+  ParallelFor(Threads(7), n, [&](size_t i) {
     registry.AddCounter("c");
     if (i % 2 == 0) registry.RecordLatency("h", 0.001);
   });
@@ -70,29 +76,29 @@ TEST(ThreadPoolEdgeTest, ConcurrentRegistryWritesFromPoolSumExactly) {
   EXPECT_EQ(snapshot.histograms.at("h").count, n / 2);
 }
 
-TEST(ThreadPoolEdgeTest, PoolMetricsCountTasksAndStripes) {
+TEST(ThreadPoolEdgeTest, PoolMetricsCountTasksAndWorkers) {
   // Pool-level accounting lands in the global registry (it is scheduling-
   // dependent, so it must stay out of deterministic ExecContext registries).
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
   global.Reset();
   global.set_enabled(true);
-  ParallelFor(ExecContext{4, 1}, 1000, [](size_t) {});
-  ParallelFor(ExecContext{1, 1}, 10, [](size_t) {});  // inline path
+  ParallelFor(Threads(4), 1000, [](size_t) {});
+  ParallelFor(Threads(1), 10, [](size_t) {});  // inline path
   global.set_enabled(false);
   obs::MetricsSnapshot snapshot = global.Snapshot();
   global.Reset();
   EXPECT_EQ(snapshot.counters.at("thread_pool.parallel_for.calls"), 2u);
   EXPECT_EQ(snapshot.counters.at("thread_pool.parallel_for.inline_calls"), 1u);
-  // 4 stripes; the caller runs stripe 0, so 3 tasks hit the pool queue.
-  EXPECT_EQ(snapshot.counters.at("thread_pool.parallel_for.stripes"), 4u);
+  // 4 participants; the caller is one, so 3 tasks hit the pool queue.
+  EXPECT_EQ(snapshot.counters.at("thread_pool.parallel_for.workers"), 4u);
   EXPECT_EQ(snapshot.counters.at("thread_pool.tasks_submitted"), 3u);
   EXPECT_EQ(snapshot.histograms.at("thread_pool.queue_wait_ms").count, 3u);
 }
 
-TEST(ThreadPoolEdgeTest, StripesClampToRangeSize) {
+TEST(ThreadPoolEdgeTest, WorkersClampToRangeSize) {
   // More threads than indices: every index still runs exactly once.
   std::vector<std::atomic<int>> hits(3);
-  ParallelFor(ExecContext{16, 1}, hits.size(), [&](size_t i) {
+  ParallelFor(Threads(16), hits.size(), [&](size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);

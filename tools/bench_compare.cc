@@ -240,19 +240,6 @@ int DiffBenchFiles(const std::string& baseline_path,
         "%s: vector_chunk_size differ (%.0f vs %.0f); wall-time gate skipped",
         figure.c_str(), base_chunk, cand_chunk));
   }
-  // Shard count is the third timing-only knob: artifacts are byte-identical
-  // across shard counts by design, so rows and counters still gate, but
-  // comparing wall time across different GPIVOT_SHARDS would flag the
-  // speedup sharding exists to produce. Files predating the field read as
-  // -1 on both sides and stay comparable.
-  double base_shards = NumberOr(base->Find("num_shards"), -1.0);
-  double cand_shards = NumberOr(cand->Find("num_shards"), -1.0);
-  if (gate_wall_time && base_shards != cand_shards) {
-    gate_wall_time = false;
-    report->notes.push_back(
-        Fmt("%s: num_shards differ (%.0f vs %.0f); wall-time gate skipped",
-            figure.c_str(), base_shards, cand_shards));
-  }
 
   const JsonValue* base_rows = base->Find("results");
   const JsonValue* cand_rows = cand->Find("results");

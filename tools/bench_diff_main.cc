@@ -3,7 +3,7 @@
 //   bench_diff [options] <baseline> <candidate>
 //
 // Each operand is a BENCH_<figure>.json file or a directory of them; a bare
-// name that exists under bench/results/ (e.g. "baseline", "parallel") is
+// name that exists under bench/results/ (e.g. "smoke-baseline") is
 // resolved there for convenience. Exit code 0 = within tolerance, 1 =
 // regression or shape mismatch, 2 = unusable input.
 //
@@ -34,8 +34,8 @@ void Usage() {
       "  are also resolved under bench/results/\n");
 }
 
-// A bare operand like "baseline" means bench/results/baseline when that
-// exists and the operand itself does not.
+// A bare operand like "smoke-baseline" means bench/results/smoke-baseline
+// when that exists and the operand itself does not.
 std::string Resolve(const std::string& operand) {
   namespace fs = std::filesystem;
   if (fs::exists(operand)) return operand;
