@@ -1,6 +1,7 @@
 #include "algebra/plan.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -8,8 +9,8 @@
 namespace gpivot {
 
 Status Catalog::AddTable(std::string name, Table table) {
-  auto [it, inserted] = tables_.emplace(
-      std::move(name), std::make_shared<Table>(std::move(table)));
+  auto [it, inserted] =
+      tables_.try_emplace(std::move(name), KeyedTable(std::move(table)));
   if (!inserted) {
     return Status::InvalidArgument(
         StrCat("table '", it->first, "' already exists"));
@@ -18,30 +19,35 @@ Status Catalog::AddTable(std::string name, Table table) {
 }
 
 Result<const Table*> Catalog::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("table '", name, "' not in catalog"));
-  }
-  return it->second.get();
+  GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store, GetKeyedTable(name));
+  return &store->table();
 }
 
 Result<std::shared_ptr<const Table>> Catalog::GetSharedTable(
     const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("table '", name, "' not in catalog"));
-  }
-  return std::shared_ptr<const Table>(it->second);
+  GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store, GetKeyedTable(name));
+  return store->shared_table();
 }
 
 Table* Catalog::GetMutableTable(const std::string& name) {
   auto it = tables_.find(name);
   GPIVOT_CHECK(it != tables_.end()) << "table '" << name << "' not in catalog";
-  if (it->second.use_count() > 1) {
-    // Copy-on-write: another snapshot still references this table.
-    it->second = std::make_shared<Table>(*it->second);
+  return &it->second.EditUnindexed();
+}
+
+Result<KeyedTable*> Catalog::GetKeyedTable(const std::string& name) {
+  GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store,
+                          std::as_const(*this).GetKeyedTable(name));
+  return const_cast<KeyedTable*>(store);
+}
+
+Result<const KeyedTable*> Catalog::GetKeyedTable(
+    const std::string& name) const {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound(StrCat("table '", name, "' not in catalog"));
   }
-  return it->second.get();
+  return &it->second;
 }
 
 std::vector<std::string> Catalog::TableNames() const {

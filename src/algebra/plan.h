@@ -10,6 +10,7 @@
 #include "exec/join.h"
 #include "expr/aggregate.h"
 #include "expr/expr.h"
+#include "relation/keyed_table.h"
 #include "relation/schema.h"
 #include "relation/table.h"
 #include "util/result.h"
@@ -20,9 +21,11 @@ namespace gpivot {
 // between refreshes; plans reference tables by name so re-evaluating a plan
 // always sees current contents.
 //
-// Tables are stored behind shared_ptr with copy-on-write: copying a Catalog
-// is cheap (the delta propagator snapshots the pre-state this way), and
-// GetMutableTable clones a table only when another snapshot still shares it.
+// Each table is a KeyedTable store, copy-on-write behind shared_ptr:
+// copying a Catalog is cheap (the delta propagator snapshots the pre-state
+// this way), and a mutation clones a table only when another snapshot still
+// shares it. A keyed table's key index is built lazily, the first time the
+// IVM layer advances the table in place (GetKeyedTable + EnsureIndex).
 class Catalog {
  public:
   Status AddTable(std::string name, Table table);
@@ -30,14 +33,19 @@ class Catalog {
   // Shared handle to a table (no copy); used by evaluation fast paths.
   Result<std::shared_ptr<const Table>> GetSharedTable(
       const std::string& name) const;
+  // The table for arbitrary edits. Drops its key index, which such edits
+  // would leave stale; the next in-place advance rebuilds it.
   Table* GetMutableTable(const std::string& name);
+  // The table's store, for in-place advance through its key index.
+  Result<KeyedTable*> GetKeyedTable(const std::string& name);
+  Result<const KeyedTable*> GetKeyedTable(const std::string& name) const;
   bool HasTable(const std::string& name) const {
     return tables_.count(name) > 0;
   }
   std::vector<std::string> TableNames() const;
 
  private:
-  std::unordered_map<std::string, std::shared_ptr<Table>> tables_;
+  std::unordered_map<std::string, KeyedTable> tables_;
 };
 
 enum class PlanKind {

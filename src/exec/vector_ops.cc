@@ -118,6 +118,9 @@ void KeyColumns::BatchHash(size_t begin, size_t end, size_t* hashes) const {
 
 void KeyColumns::BatchHasNull(size_t begin, size_t end,
                               uint8_t* has_null) const {
+  // An empty range may come with a null `has_null` (the data() of an empty
+  // vector), which memset must never see.
+  if (begin == end) return;
   const size_t n = end - begin;
   std::memset(has_null, 0, n);
   for (const auto& col : cols_) {

@@ -97,6 +97,32 @@ class MergeStager {
   std::unordered_map<Row, size_t, RowHash, RowEq> overlay_;
 };
 
+// Charges the copy-on-write clones one merge made to the process-wide
+// ivm.view.cow_{table,index}_clones counters: a changed version pointer
+// means the store had to clone because a handle was still outstanding.
+class CowCloneCounter {
+ public:
+  explicit CowCloneCounter(const MaterializedView& view)
+      : view_(view),
+        table_(&view.table()),
+        index_(view.shared_index().get()) {}
+  ~CowCloneCounter() {
+    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+    if (!global.enabled()) return;
+    if (&view_.table() != table_) {
+      global.AddCounter("ivm.view.cow_table_clones");
+    }
+    if (view_.shared_index().get() != index_) {
+      global.AddCounter("ivm.view.cow_index_clones");
+    }
+  }
+
+ private:
+  const MaterializedView& view_;
+  const Table* table_;
+  const KeyIndex* index_;
+};
+
 // Stage-and-commit for the single-view Apply* entry points. Execution after
 // a successful staging can only fail via fault injection; roll back so even
 // that path leaves no trace.
@@ -109,122 +135,6 @@ Status CommitPlan(MaterializedView* view, Result<MergePlan> plan) {
 }
 
 }  // namespace
-
-Result<MaterializedView> MaterializedView::Create(Table initial) {
-  if (!initial.has_key()) {
-    return Status::InvalidArgument(
-        "materialized views must carry a key (§6.1)");
-  }
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> key_indices,
-                          initial.KeyIndices());
-  // Build detects duplicate keys, so no separate ValidateKey pass.
-  GPIVOT_ASSIGN_OR_RETURN(KeyIndex index,
-                          KeyIndex::Build(initial, std::move(key_indices)));
-  return MaterializedView(std::make_shared<Table>(std::move(initial)),
-                          std::make_shared<KeyIndex>(std::move(index)));
-}
-
-Table& MaterializedView::MutableTable() {
-  if (table_.use_count() > 1) {
-    // An immutable handle is outstanding: mutate a private clone so the
-    // handle keeps its version. The clone shares the warm column cache
-    // (Table's copy ctor) until mutable_rows() invalidates the clone's —
-    // the handle holder's cache stays intact either way. One clone per
-    // epoch per mutated view at most: the clone's count is 1 until the
-    // next shared_table() call.
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    if (global.enabled()) global.AddCounter("ivm.view.cow_table_clones");
-    table_ = std::make_shared<Table>(*table_);
-  }
-  return *table_;
-}
-
-KeyIndex& MaterializedView::MutableIndex() {
-  if (index_.use_count() > 1) {
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    if (global.enabled()) global.AddCounter("ivm.view.cow_index_clones");
-    index_ = std::make_shared<KeyIndex>(*index_);
-  }
-  return *index_;
-}
-
-Status MaterializedView::Insert(Row row) {
-  if (index_->Lookup(row, index_->key_indices()).has_value()) {
-    return Status::ConstraintViolation(
-        StrCat("insert of duplicate view key ",
-               RowToString(ProjectRow(row, index_->key_indices()))));
-  }
-  Table& table = MutableTable();
-  MutableIndex().Insert(row, table.num_rows());
-  table.AddRow(std::move(row));
-  return Status::OK();
-}
-
-void MaterializedView::Update(size_t position, Row row) {
-  GPIVOT_CHECK(position < table_->num_rows()) << "Update out of range";
-  GPIVOT_CHECK(RowsEqualAt(table_->rows()[position], index_->key_indices(),
-                           row, index_->key_indices()))
-      << "Update must not change the key";
-  MutableTable().mutable_rows()[position] = std::move(row);
-}
-
-void MaterializedView::Delete(size_t position) {
-  GPIVOT_CHECK(position < table_->num_rows()) << "Delete out of range";
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  index.EraseKey(ProjectRow(rows[position], index.key_indices()));
-  size_t last = rows.size() - 1;
-  if (position != last) {
-    rows[position] = std::move(rows[last]);
-    index.Reposition(rows[position], position);
-  }
-  rows.pop_back();
-}
-
-void MaterializedView::UndoInsert() {
-  GPIVOT_CHECK(!table_->empty()) << "UndoInsert on empty view";
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  index.EraseKey(ProjectRow(rows.back(), index.key_indices()));
-  rows.pop_back();
-}
-
-void MaterializedView::UndoDelete(size_t position, Row row) {
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  GPIVOT_CHECK(position <= rows.size()) << "UndoDelete out of range";
-  if (position == rows.size()) {
-    // The deleted row was the last one; no swap happened.
-    index.Insert(row, position);
-    rows.push_back(std::move(row));
-    return;
-  }
-  // Delete moved the then-last row into `position`; move it back to the end
-  // and re-seat the deleted row where it was.
-  rows.push_back(std::move(rows[position]));
-  index.Reposition(rows.back(), rows.size() - 1);
-  index.Insert(row, position);
-  rows[position] = std::move(row);
-}
-
-Status MaterializedView::ValidateIntegrity() const {
-  if (index_->size() != table_->num_rows()) {
-    return Status::Internal(StrCat("key index holds ", index_->size(),
-                                   " entries for ", table_->num_rows(),
-                                   " view rows"));
-  }
-  for (size_t i = 0; i < table_->num_rows(); ++i) {
-    Row key = ProjectRow(table_->rows()[i], index_->key_indices());
-    std::optional<size_t> position = index_->LookupKey(key);
-    if (!position.has_value() || *position != i) {
-      return Status::Internal(
-          StrCat("key index maps key ", RowToString(key), " of row ", i,
-                 position.has_value() ? StrCat(" to position ", *position)
-                                      : " to nothing"));
-    }
-  }
-  return Status::OK();
-}
 
 bool PivotLayout::GroupPresent(const Row& row, size_t combo) const {
   for (size_t b = 0; b < spec.num_measures(); ++b) {
@@ -271,29 +181,9 @@ Result<PivotLayout> PivotLayout::FromSchema(const Schema& view_schema,
   return layout;
 }
 
-void UndoLog::Rollback(MaterializedView* view) {
-  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-    switch (it->kind) {
-      case Op::kInsert:
-        view->UndoInsert();
-        break;
-      case Op::kUpdate:
-        view->Update(it->position, std::move(it->old_row));
-        break;
-      case Op::kDelete:
-        view->UndoDelete(it->position, std::move(it->old_row));
-        break;
-    }
-  }
-  ops_.clear();
-  if (rebuilt_from_.has_value()) {
-    *view = std::move(*rebuilt_from_);
-    rebuilt_from_.reset();
-  }
-}
-
 Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
                         UndoLog* undo, const ExecContext& ctx) {
+  CowCloneCounter clones(*view);
   uint64_t inserts = 0, updates = 0, deletes = 0;
   const size_t mid = (plan.records.size() + 1) / 2;
   for (size_t i = 0; i < plan.records.size(); ++i) {
@@ -315,8 +205,7 @@ Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
       view->Update(*position, *record.after);
       ++updates;
     } else {
-      undo->RecordDelete(*position, view->RowAt(*position));
-      view->Delete(*position);
+      undo->RecordDelete(*position, view->Delete(*position));
       ++deletes;
     }
   }

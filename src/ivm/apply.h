@@ -9,92 +9,18 @@
 #include "expr/aggregate.h"
 #include "expr/expr.h"
 #include "ivm/delta.h"
-#include "relation/key_index.h"
+#include "relation/keyed_table.h"
 #include "relation/table.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace gpivot::ivm {
 
-// A materialized view: a keyed table plus a hash index on its key, so the
-// apply phase can MERGE deltas (insert / in-place update / delete in one
-// pass) — the in-memory analogue of the SQL MERGE the paper uses (§7.1).
-//
-// The table and index live behind shared_ptrs with copy-on-write mutation:
-// shared_table()/shared_index() hand out O(1) immutable version handles (the
-// serving layer's snapshots, the checkpoint writer), and the first mutator
-// call of an epoch clones the table/index only when such a handle is still
-// outstanding (use_count > 1). With no handles outstanding every mutation is
-// in-place, exactly as before — the common single-consumer path pays one
-// pointer indirection and nothing else. Mutators must only run on the
-// maintenance thread; handle holders on other threads read the *old* version
-// objects, which the clone step never touches, so no mutation is ever
-// visible through a previously returned handle.
-class MaterializedView {
- public:
-  // `initial` must carry a declared key; keys must be unique.
-  static Result<MaterializedView> Create(Table initial);
-
-  const Table& table() const { return *table_; }
-  // The current table/index version as immutable shared handles. O(1): no
-  // rows are copied, and the PR 7 column cache stays warm and shared. The
-  // pair returned by consecutive calls with no mutation in between is the
-  // same version; after a mutation the handles keep their pre-mutation
-  // contents (copy-on-write).
-  std::shared_ptr<const Table> shared_table() const { return table_; }
-  std::shared_ptr<const KeyIndex> shared_index() const { return index_; }
-  size_t num_rows() const { return table_->num_rows(); }
-  const std::vector<size_t>& key_indices() const {
-    return index_->key_indices();
-  }
-
-  // Position of the row whose key matches `row` at `probe_indices`.
-  std::optional<size_t> Lookup(const Row& row,
-                               const std::vector<size_t>& probe_indices) const {
-    return index_->Lookup(row, probe_indices);
-  }
-  // Position of the row whose key equals `key` (already projected).
-  std::optional<size_t> LookupKey(const Row& key) const {
-    return index_->LookupKey(key);
-  }
-
-  // Inserts a full row; returns ConstraintViolation when its key is already
-  // present (delta contents come from callers, so this must not abort).
-  Status Insert(Row row);
-  // Replaces the row at `position` (key must not change).
-  void Update(size_t position, Row row);
-  // Deletes the row at `position` (swap-with-last).
-  void Delete(size_t position);
-
-  // Epoch-rollback primitives (see UndoLog). Each exactly inverts the
-  // corresponding mutator, restoring row order byte-identically; they assume
-  // the view is in the state the mutator left it in.
-  void UndoInsert();                          // removes the appended last row
-  void UndoDelete(size_t position, Row row);  // re-seats a swap-deleted row
-
-  // Verifies the key index exactly mirrors the table: one entry per row,
-  // each mapping the row's key to its position. Internal error on drift.
-  Status ValidateIntegrity() const;
-
-  const Row& RowAt(size_t position) const { return table_->rows()[position]; }
-
- private:
-  MaterializedView(std::shared_ptr<Table> table,
-                   std::shared_ptr<KeyIndex> index)
-      : table_(std::move(table)), index_(std::move(index)) {}
-
-  // The copy-on-write gates every mutator funnels through: clone the
-  // current version iff an immutable handle still references it. The
-  // use_count probe is safe even while handle holders copy/drop their own
-  // shared_ptrs concurrently — an overshoot only clones unnecessarily, and
-  // an observed count of 1 proves this view holds the sole reference (no
-  // other strong ref exists to be copied from).
-  Table& MutableTable();
-  KeyIndex& MutableIndex();
-
-  std::shared_ptr<Table> table_;
-  std::shared_ptr<KeyIndex> index_;
-};
+// A materialized view: a keyed table plus its key index, so the apply phase
+// can MERGE deltas (insert / in-place update / delete in one pass) — the
+// in-memory analogue of the SQL MERGE the paper uses (§7.1). Base tables
+// advance through the same store (relation/keyed_table.h).
+using MaterializedView = KeyedTable;
 
 // Describes where the pivoted cells live in a view's schema: cell (c, b)
 // of `spec` sits at column `first_cell_index + c * num_measures + b`, and
@@ -143,39 +69,6 @@ struct MergePlan {
   std::vector<MergeRecord> records;
 
   bool empty() const { return records.empty(); }
-};
-
-// Records the exact mutations ExecuteMergePlan performs so a failed epoch
-// can restore the view byte-identically, row order included. Operations are
-// undone in reverse order.
-class UndoLog {
- public:
-  void RecordInsert() { ops_.push_back({Op::kInsert, 0, {}}); }
-  void RecordUpdate(size_t position, Row old_row) {
-    ops_.push_back({Op::kUpdate, position, std::move(old_row)});
-  }
-  void RecordDelete(size_t position, Row old_row) {
-    ops_.push_back({Op::kDelete, position, std::move(old_row)});
-  }
-  // For wholesale rebuilds (full recompute): stashes the pre-epoch view.
-  void RecordRebuild(MaterializedView old_view) {
-    rebuilt_from_ = std::move(old_view);
-  }
-
-  bool empty() const { return ops_.empty() && !rebuilt_from_.has_value(); }
-
-  // Reverts every recorded operation, leaving `view` in the exact state it
-  // had before the first one. The log is consumed.
-  void Rollback(MaterializedView* view);
-
- private:
-  struct Op {
-    enum Kind { kInsert, kUpdate, kDelete } kind;
-    size_t position;
-    Row old_row;
-  };
-  std::vector<Op> ops_;
-  std::optional<MaterializedView> rebuilt_from_;
 };
 
 // Applies a staged plan, appending each performed mutation to `undo`. Fails

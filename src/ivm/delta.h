@@ -1,10 +1,12 @@
 #ifndef GPIVOT_IVM_DELTA_H_
 #define GPIVOT_IVM_DELTA_H_
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "relation/keyed_table.h"
 #include "relation/table.h"
 #include "util/result.h"
 
@@ -29,29 +31,31 @@ struct Delta {
 // Changes per base table, keyed by catalog table name.
 using SourceDeltas = std::unordered_map<std::string, Delta>;
 
-// Applies `delta` to `table` in place: bag-deletes `delta.deletes` (each
-// delete row must match an existing row), then appends `delta.inserts`.
-// All-or-nothing per table: any failure leaves `table` untouched.
+// Where `delta` lands in `store`: the positions of the stored rows its ∇
+// rows remove, in descending order, so swap-with-last deletes taken in that
+// order never move a row still to be deleted. Validates the whole delta
+// before anything mutates: sides must match the table's schema
+// (InvalidArgument), every ∇ row must match a distinct stored row, and — when
+// the store has a key index — no Δ key may repeat or collide with a stored
+// key that survives the ∇ rows (ConstraintViolation). An indexed store is
+// located by key lookups (then full-row equality), O(delta); an unindexed
+// one by one scan against the ∇ multiset, whose length `base_rows_read`
+// (optional) accumulates.
+Result<std::vector<size_t>> LocateDelta(const KeyedTable& store,
+                                        const Delta& delta,
+                                        uint64_t* base_rows_read = nullptr);
+
+// Advances `store` by `delta` in place: builds the key index if the table
+// is keyed and has none, swap-with-last deletes the ∇ rows, then appends the
+// Δ rows, logging each mutation to `undo`. All-or-nothing: LocateDelta
+// validates before the first mutation, so a failure leaves `store` as it
+// was.
+Status AdvanceInPlace(KeyedTable* store, const Delta& delta, UndoLog* undo,
+                      uint64_t* base_rows_read = nullptr);
+
+// AdvanceInPlace on a bare table (the index, when keyed, is built for the
+// call and dropped). On failure `table` is untouched.
 Status ApplyDeltaToTable(Table* table, const Delta& delta);
-
-// What an epoch needs to restore a base table byte-identically after
-// ApplyDeltaToTableWithUndo. Exactly one restoration applies: a delta with
-// deletes rebuilds the table, so the whole pre-state is moved (not copied)
-// into `replaced`; an append-only delta just records the truncation point.
-// Neither set means the apply failed before mutating.
-struct TableUndo {
-  std::optional<Table> replaced;
-  std::optional<size_t> truncate_to;
-};
-
-// Same as ApplyDeltaToTable, but fills `undo` so the caller can restore the
-// exact pre-state with RollbackTable when a later step of the epoch fails.
-Status ApplyDeltaToTableWithUndo(Table* table, const Delta& delta,
-                                 TableUndo* undo);
-
-// Reverts a table mutated by ApplyDeltaToTableWithUndo; consumes `undo`.
-// No-op when the apply never mutated.
-void RollbackTable(Table* table, TableUndo* undo);
 
 }  // namespace gpivot::ivm
 

@@ -28,12 +28,10 @@ Result<const Catalog*> DeltaPropagator::PostCatalog() {
     // state (copy-on-write); only delta'd tables are cloned and patched.
     for (const auto& [name, delta] : *deltas_) {
       if (delta.empty()) continue;
-      if (!post_.HasTable(name)) {
-        return Status::NotFound(
-            StrCat("delta for unknown table '", name, "'"));
-      }
-      Table* table = post_.GetMutableTable(name);
-      GPIVOT_RETURN_NOT_OK(ApplyDeltaToTable(table, delta));
+      GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post_.GetKeyedTable(name));
+      // The post state is scratch: its undo log is never replayed.
+      UndoLog undo;
+      GPIVOT_RETURN_NOT_OK(AdvanceInPlace(table, delta, &undo));
     }
     post_built_ = true;
   }

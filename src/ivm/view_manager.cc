@@ -174,6 +174,32 @@ Status ViewManager::ValidateDeltas(const SourceDeltas& deltas) const {
   return Status::OK();
 }
 
+Status ViewManager::ValidateEpoch(const SourceDeltas& deltas) {
+  GPIVOT_RETURN_NOT_OK(ValidateDeltas(deltas));
+  for (const auto& [table_name, delta] : deltas) {
+    if (delta.empty()) continue;
+    GPIVOT_ASSIGN_OR_RETURN(KeyedTable* store, BaseStore(table_name));
+    if (!store->has_index()) continue;
+    Status st = LocateDelta(*store, delta).status();
+    if (!st.ok()) {
+      return Status(st.code(),
+                    StrCat("delta for table '", table_name, "': ",
+                           st.message()));
+    }
+  }
+  return Status::OK();
+}
+
+Result<KeyedTable*> ViewManager::BaseStore(const std::string& name) {
+  GPIVOT_ASSIGN_OR_RETURN(KeyedTable* store, catalog_.GetKeyedTable(name));
+  GPIVOT_ASSIGN_OR_RETURN(bool built, store->EnsureIndex());
+  if (built && exec_context_.metrics != nullptr &&
+      exec_context_.metrics->enabled()) {
+    exec_context_.metrics->AddCounter("ivm.advance.index_builds");
+  }
+  return store;
+}
+
 Status ViewManager::ApplyUpdate(const SourceDeltas& deltas) {
   return ApplyUpdateInternal("apply_update", deltas);
 }
@@ -184,7 +210,7 @@ Status ViewManager::BatchedApplyUpdate(const SourceDeltas& deltas) {
 
 Status ViewManager::ApplyUpdateInternal(const char* entry,
                                         const SourceDeltas& deltas) {
-  if (Status st = ValidateDeltas(deltas); !st.ok()) {
+  if (Status st = ValidateEpoch(deltas); !st.ok()) {
     RecordEpoch(entry, deltas, /*staged=*/false, st, /*rejected=*/true);
     return st;
   }
@@ -265,7 +291,7 @@ Status ViewManager::RefreshViews(const SourceDeltas& deltas) {
 }
 
 Status ViewManager::AdvanceBase(const SourceDeltas& deltas) {
-  if (Status st = ValidateDeltas(deltas); !st.ok()) {
+  if (Status st = ValidateEpoch(deltas); !st.ok()) {
     RecordEpoch("advance_base", deltas, /*staged=*/false, st,
                 /*rejected=*/true);
     return st;
@@ -363,20 +389,23 @@ Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
       obs::TraceEnabled(exec_context_.tracer)
           ? obs::ScopedSpan(exec_context_.tracer, "advance")
           : obs::ScopedSpan();
-  size_t tables = 0, insert_rows = 0, delete_rows = 0;
+  size_t tables = 0, insert_rows = 0, delete_rows = 0, table_clones = 0;
+  uint64_t base_rows_read = 0;
   for (const auto& [table_name, delta] : deltas) {
     GPIVOT_FAULT_POINT("ViewManager::AdvanceTable");
-    if (!catalog_.HasTable(table_name)) {
-      return Status::NotFound(
-          StrCat("delta for unknown table '", table_name, "'"));
-    }
-    Table* table = catalog_.GetMutableTable(table_name);
-    undo->tables.emplace_back(table_name, TableUndo{});
-    GPIVOT_RETURN_NOT_OK(
-        ApplyDeltaToTableWithUndo(table, delta, &undo->tables.back().second));
+    GPIVOT_ASSIGN_OR_RETURN(KeyedTable* store, BaseStore(table_name));
     ++tables;
     insert_rows += delta.inserts.num_rows();
     delete_rows += delta.deletes.num_rows();
+    if (delta.empty()) continue;
+    // In place, O(delta) for keyed tables. A changed table pointer means the
+    // store had to clone the table because a catalog copy still shared it.
+    const Table* before = &store->table();
+    undo->tables.emplace_back(store, UndoLog());
+    GPIVOT_RETURN_NOT_OK(AdvanceInPlace(store, delta,
+                                        &undo->tables.back().second,
+                                        &base_rows_read));
+    if (&store->table() != before) ++table_clones;
   }
   GPIVOT_FAULT_POINT("ViewManager::EpochEnd");
   // Counted only once everything advanced: a rolled-back epoch contributes
@@ -385,6 +414,10 @@ Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
     exec_context_.metrics->AddCounter("ivm.advance.tables", tables);
     exec_context_.metrics->AddCounter("ivm.advance.insert_rows", insert_rows);
     exec_context_.metrics->AddCounter("ivm.advance.delete_rows", delete_rows);
+    exec_context_.metrics->AddCounter("ivm.advance.base_rows_read",
+                                      base_rows_read);
+    exec_context_.metrics->AddCounter("ivm.advance.table_clones",
+                                      table_clones);
   }
   return Status::OK();
 }
@@ -399,7 +432,7 @@ void ViewManager::RollbackEpoch(EpochUndo* undo) {
   }
   // Undo in reverse commit order: base tables first, then views.
   for (auto it = undo->tables.rbegin(); it != undo->tables.rend(); ++it) {
-    RollbackTable(catalog_.GetMutableTable(it->first), &it->second);
+    it->second.Rollback(it->first);
   }
   undo->tables.clear();
   for (auto it = undo->views.rbegin(); it != undo->views.rend(); ++it) {
@@ -409,6 +442,14 @@ void ViewManager::RollbackEpoch(EpochUndo* undo) {
 }
 
 Status ViewManager::Audit() const {
+  for (const std::string& name : catalog_.TableNames()) {
+    GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store,
+                            catalog_.GetKeyedTable(name));
+    if (Status st = store->ValidateIntegrity(); !st.ok()) {
+      return Status::Internal(
+          StrCat("audit: base table '", name, "': ", st.message()));
+    }
+  }
   for (const std::string& name : view_order_) {
     const ViewState& state = views_.at(name);
     GPIVOT_RETURN_NOT_OK(state.view.ValidateIntegrity());

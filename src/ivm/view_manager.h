@@ -170,22 +170,28 @@ class ViewManager {
   // excludes the base-table update itself, which every strategy pays
   // identically). RefreshViews must run before AdvanceBase. Each half is
   // atomic on its own: a failure rolls back whatever that half applied.
+  // Only AdvanceBase checks the batch against the stored keys, so a batch
+  // it rejects may already have refreshed the views.
   Status RefreshViews(const SourceDeltas& deltas);
   Status AdvanceBase(const SourceDeltas& deltas);
 
   // Validates a delta batch against the catalog without mutating anything:
   // unknown tables (NotFound), schema/arity mismatches (InvalidArgument),
   // and duplicate keys within a keyed table's insert delta
-  // (ConstraintViolation). Every epoch entry point calls this first.
+  // (ConstraintViolation). Every epoch entry point calls this first, and
+  // all but RefreshViews then check the batch against the stored keys (see
+  // ValidateEpoch). This half reads no base rows, so DeltaBatcher::Ingest
+  // can run it on each micro-batch before the base reflects the batches
+  // queued ahead of it.
   // Schema equality is required even for an *empty* delta side: the
   // DeltaBatcher merges sides across batches, so a wrong schema riding on
   // an empty side could later surface on a non-empty merged side.
   Status ValidateDeltas(const SourceDeltas& deltas) const;
 
   // Consistency auditor: verifies every materialized view equals its
-  // from-scratch recomputation (bag semantics) and that each view's key
-  // index exactly mirrors its table. Run after any epoch in tests; behind
-  // GPIVOT_BENCH_AUDIT=1 in benchmarks.
+  // from-scratch recomputation (bag semantics) and that each view's and
+  // each built base-table key index exactly mirrors its table. Run after
+  // any epoch in tests; behind GPIVOT_BENCH_AUDIT=1 in benchmarks.
   Status Audit() const;
 
   // Convenience for tests: evaluates `name`'s effective query from scratch
@@ -242,10 +248,26 @@ class ViewManager {
 
   // Everything one epoch has mutated, in commit order, so a failure can
   // restore the exact pre-epoch state (RollbackEpoch undoes in reverse).
+  // Views and base tables log into the same UndoLog format.
   struct EpochUndo {
     std::vector<std::pair<ViewState*, UndoLog>> views;
-    std::vector<std::pair<std::string, TableUndo>> tables;
+    std::vector<std::pair<KeyedTable*, UndoLog>> tables;
   };
+
+  // ValidateDeltas plus the base-state half that ApplyUpdate,
+  // BatchedApplyUpdate and AdvanceBase run before their write-ahead point:
+  // each keyed table's non-empty delta is located through the table's key
+  // index (LocateDelta), so a ∇ row that matches no stored row, or a Δ key
+  // that collides with a stored key the batch does not delete, rejects the
+  // epoch (ConstraintViolation) before anything is logged or staged.
+  // O(delta): unkeyed tables are left to the advance, whose scan is
+  // O(base). RefreshViews leaves this to AdvanceBase: the paper's refresh
+  // cost excludes base-side work, and this builds the key index on first
+  // use.
+  Status ValidateEpoch(const SourceDeltas& deltas);
+  // The catalog store of base table `name` with its key index built (when
+  // keyed); counts ivm.advance.index_builds.
+  Result<KeyedTable*> BaseStore(const std::string& name);
 
   // Shared body of ApplyUpdate / BatchedApplyUpdate; `entry` tags the
   // epoch record.

@@ -2,8 +2,8 @@
 #define GPIVOT_RELATION_KEY_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "relation/row.h"
@@ -12,12 +12,16 @@
 
 namespace gpivot {
 
-// Hash index from a key sub-row to a row position in a table. This is the
-// in-memory analogue of the unique index commercial engines keep on a
-// materialized view's key; the MERGE apply phase relies on it.
+// Hash index from a table's key to row positions. This is the in-memory
+// analogue of the unique index commercial engines keep on a materialized
+// view's key; the MERGE apply phase and the in-place base advance rely on it.
 //
-// The index stores row positions, so it must be rebuilt (or patched via
-// Insert/Erase/MoveLast) when the underlying table mutates.
+// The index is position-only: an open-addressing (linear probing) array of
+// (hash tag, row position) slots, 8 bytes each, with key equality checked
+// against the table's own rows. So every call that compares keys takes the
+// table the index was built over, and copying an index is one flat copy.
+// The positions must be patched (Insert / Erase / Move) whenever the table
+// mutates.
 class KeyIndex {
  public:
   // Builds an index over `table` using `key_indices` (positions into the
@@ -28,32 +32,56 @@ class KeyIndex {
 
   const std::vector<size_t>& key_indices() const { return key_indices_; }
 
-  // Position of the row whose key equals the key of `probe` projected at
-  // `probe_indices`, if any.
-  std::optional<size_t> Lookup(const Row& probe,
+  // Position of the row of `table` whose key equals the key of `probe`
+  // projected at `probe_indices`, if any.
+  std::optional<size_t> Lookup(const Table& table, const Row& probe,
                                const std::vector<size_t>& probe_indices) const;
 
-  // Position of the row whose key equals `key` (already projected).
-  std::optional<size_t> LookupKey(const Row& key) const;
+  // Position of the row of `table` whose key equals `key` (already
+  // projected).
+  std::optional<size_t> LookupKey(const Table& table, const Row& key) const;
 
-  // Registers the row at `position` (its key must be absent).
-  void Insert(const Row& row, size_t position);
+  // Registers the row at `position` of `table` (its key must be absent).
+  void Insert(const Table& table, size_t position);
 
-  // Removes the entry for `key`. No-op when absent.
-  void EraseKey(const Row& key);
+  // Removes the entry of the row at `position` of `table`. Call it while
+  // the row still sits there.
+  void Erase(const Table& table, size_t position);
 
-  // Informs the index that the row previously at `from` now lives at `to`
-  // (swap-with-last deletion in the table).
-  void Reposition(const Row& row, size_t to);
+  // The row now at `to` in `table` used to live at `from` (swap-with-last
+  // deletion): re-points its entry.
+  void Move(const Table& table, size_t from, size_t to);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
 
  private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint32_t tag = 0;  // folded key hash; also fixes the home slot
+    uint32_t position = kEmpty;
+  };
+
   explicit KeyIndex(std::vector<size_t> key_indices)
       : key_indices_(std::move(key_indices)) {}
 
+  size_t Home(uint32_t tag) const;
+  uint32_t TagOf(const Table& table, size_t position) const;
+  // First slot from `tag`'s home whose row satisfies `matches`, or the
+  // empty slot ending the probe run.
+  template <typename Matches>
+  size_t Probe(uint32_t tag, Matches matches) const;
+  // The slot holding `position` for a row whose key hashes to `tag`.
+  size_t SlotOf(uint32_t tag, size_t position) const;
+  // Resizes to hold `entries` at under 3/4 load; entries rehash by tag.
+  void Reserve(size_t entries);
+  // Inserts the row at `position` unless its key is present; returns the
+  // present row's position, or nullopt when inserted.
+  std::optional<size_t> InsertUnique(const Table& table, size_t position);
+
   std::vector<size_t> key_indices_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> map_;
+  std::vector<Slot> slots_;  // power-of-two size
+  size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 }  // namespace gpivot

@@ -43,7 +43,7 @@ Result<std::optional<Row>> QueryService::PointLookup(
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
-  std::optional<size_t> position = snapshot->index().LookupKey(key);
+  std::optional<size_t> position = snapshot->index().LookupKey(snapshot->table(), key);
   if (!position.has_value()) return std::optional<Row>();
   return std::optional<Row>(snapshot->table().rows()[*position]);
 }

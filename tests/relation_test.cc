@@ -154,16 +154,57 @@ TEST(KeyIndexTest, LookupInsertEraseReposition) {
   Table t = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kInt64}},
                       {{I(1), I(10)}, {I(2), I(20)}});
   ASSERT_OK_AND_ASSIGN(KeyIndex index, KeyIndex::Build(t, {0}));
-  EXPECT_EQ(index.LookupKey({I(1)}), 0u);
-  EXPECT_EQ(index.LookupKey({I(2)}), 1u);
-  EXPECT_FALSE(index.LookupKey({I(3)}).has_value());
+  EXPECT_EQ(index.LookupKey(t, {I(1)}), 0u);
+  EXPECT_EQ(index.LookupKey(t, {I(2)}), 1u);
+  EXPECT_FALSE(index.LookupKey(t, {I(3)}).has_value());
+  EXPECT_EQ(index.Lookup(t, {I(9), I(2)}, {1}), 1u);
 
-  index.Insert({I(3), I(30)}, 2);
-  EXPECT_EQ(index.LookupKey({I(3)}), 2u);
-  index.EraseKey({I(1)});
-  EXPECT_FALSE(index.LookupKey({I(1)}).has_value());
-  index.Reposition({I(3), I(30)}, 0);
-  EXPECT_EQ(index.LookupKey({I(3)}), 0u);
+  t.AddRow({I(3), I(30)});
+  index.Insert(t, 2);
+  EXPECT_EQ(index.LookupKey(t, {I(3)}), 2u);
+  EXPECT_EQ(index.Lookup(t, {I(0), I(3)}, {1}), 2u);
+  // Swap-with-last delete of row 0: erase its entry, move the last row in.
+  index.Erase(t, 0);
+  std::vector<Row>& rows = t.mutable_rows();
+  rows[0] = rows[2];
+  rows.pop_back();
+  index.Move(t, 2, 0);
+  EXPECT_FALSE(index.LookupKey(t, {I(1)}).has_value());
+  EXPECT_EQ(index.LookupKey(t, {I(3)}), 0u);
+  EXPECT_EQ(index.LookupKey(t, {I(2)}), 1u);
+  EXPECT_EQ(index.size(), 2u);
+}
+
+// The open-addressing index under churn: thousands of inserts (forcing
+// regrowth) and swap-with-last erases must keep every key at its position,
+// and copies must be independent flat snapshots.
+TEST(KeyIndexTest, ChurnKeepsEveryKeyAtItsPosition) {
+  Table t = MakeTable({{"k", DataType::kInt64}, {"s", DataType::kString}}, {});
+  ASSERT_OK_AND_ASSIGN(KeyIndex index, KeyIndex::Build(t, {0, 1}));
+  for (int64_t k = 0; k < 3000; ++k) {
+    t.AddRow({I(k), S(k % 2 == 0 ? "a" : "b")});
+    index.Insert(t, t.num_rows() - 1);
+  }
+  KeyIndex copy = index;
+  for (int64_t k = 0; k < 3000; k += 3) {
+    size_t at = index.LookupKey(t, {I(k), S(k % 2 == 0 ? "a" : "b")}).value();
+    index.Erase(t, at);
+    std::vector<Row>& rows = t.mutable_rows();
+    size_t last = rows.size() - 1;
+    if (at != last) {
+      rows[at] = rows[last];
+      rows.pop_back();
+      index.Move(t, last, at);
+    } else {
+      rows.pop_back();
+    }
+  }
+  EXPECT_EQ(index.size(), 2000u);
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    EXPECT_EQ(index.Lookup(t, t.rows()[i], {0, 1}), i);
+  }
+  EXPECT_FALSE(index.LookupKey(t, {I(0), S("a")}).has_value());
+  EXPECT_EQ(copy.size(), 3000u);
 }
 
 TEST(KeyIndexTest, DuplicateKeysRejected) {
