@@ -24,8 +24,9 @@ namespace gpivot {
 // Each table is a KeyedTable store, copy-on-write behind shared_ptr:
 // copying a Catalog is cheap (the delta propagator snapshots the pre-state
 // this way), and a mutation clones a table only when another snapshot still
-// shares it. A keyed table's key index is built lazily, the first time the
-// IVM layer advances the table in place (GetKeyedTable + EnsureIndex).
+// shares it. A keyed table's key index is built by the IVM layer
+// (GetKeyedTable + EnsureIndex): when a view that scans the table is
+// defined or restored, or else when a delta first advances it.
 class Catalog {
  public:
   Status AddTable(std::string name, Table table);
@@ -34,7 +35,8 @@ class Catalog {
   Result<std::shared_ptr<const Table>> GetSharedTable(
       const std::string& name) const;
   // The table for arbitrary edits. Drops its key index, which such edits
-  // would leave stale; the next in-place advance rebuilds it.
+  // would leave stale; the next epoch that stages a view scanning the
+  // table, or advances it, rebuilds it.
   Table* GetMutableTable(const std::string& name);
   // The table's store, for in-place advance through its key index.
   Result<KeyedTable*> GetKeyedTable(const std::string& name);

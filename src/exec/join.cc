@@ -1,5 +1,6 @@
 #include "exec/join.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -40,57 +41,112 @@ bool KeyHasNull(const Row& key) {
   return false;
 }
 
+// Column bookkeeping shared by HashJoin and IndexJoin: the key positions on
+// each side, the right payload (right columns minus its join keys), the
+// output schema, and the compiled residual.
+struct JoinLayout {
+  std::vector<size_t> left_key_idx;
+  std::vector<size_t> right_key_idx;
+  std::vector<size_t> right_payload_idx;
+  Schema output_schema;
+  CompiledExpr residual;
+};
+
+Result<JoinLayout> MakeJoinLayout(const Schema& left, const Schema& right,
+                                  const JoinSpec& spec) {
+  if (spec.left_keys.size() != spec.right_keys.size()) {
+    return Status::InvalidArgument("join: key lists differ in length");
+  }
+  JoinLayout layout;
+  GPIVOT_ASSIGN_OR_RETURN(layout.left_key_idx,
+                          left.ColumnIndices(spec.left_keys));
+  GPIVOT_ASSIGN_OR_RETURN(layout.right_key_idx,
+                          right.ColumnIndices(spec.right_keys));
+  std::unordered_set<size_t> right_key_set(layout.right_key_idx.begin(),
+                                           layout.right_key_idx.end());
+  for (size_t i = 0; i < right.num_columns(); ++i) {
+    if (right_key_set.count(i) == 0) layout.right_payload_idx.push_back(i);
+  }
+  bool semi_or_anti =
+      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
+  // Semi/anti joins output the left schema; their residual still sees the
+  // combined one, built for evaluation only.
+  layout.output_schema = left;
+  if (!semi_or_anti || spec.residual != nullptr) {
+    GPIVOT_ASSIGN_OR_RETURN(
+        Schema combined, left.Concat(right.Select(layout.right_payload_idx)));
+    if (spec.residual != nullptr) {
+      GPIVOT_ASSIGN_OR_RETURN(layout.residual,
+                              CompileExpr(spec.residual, combined));
+    }
+    if (!semi_or_anti) layout.output_schema = std::move(combined);
+  }
+  return layout;
+}
+
+// Instrumentation shared by both joins: per-node cost stats, the
+// exec.join.* counters and the span attributes.
+void RecordJoin(const ExecContext& ctx, obs::ScopedSpan* span, JoinType type,
+                size_t rows_in, size_t build_rows, size_t probe_rows,
+                const Table& result) {
+  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
+    obs::NodeStats stats;
+    stats.invocations = 1;
+    stats.rows_in = rows_in;
+    stats.rows_out = result.num_rows();
+    stats.build_rows = build_rows;
+    stats.probe_rows = probe_rows;
+    ctx.cost->Record(ctx.cost_node, stats);
+  }
+  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
+    ctx.metrics->AddCounter("exec.join.calls");
+    ctx.metrics->AddCounter("exec.join.build_rows", build_rows);
+    ctx.metrics->AddCounter("exec.join.probe_rows", probe_rows);
+    ctx.metrics->AddCounter("exec.join.rows_out", result.num_rows());
+    // Logical output footprint (rows x columns x cell size). A data-derived
+    // quantity rather than an allocator probe, so it is byte-identical
+    // across thread counts, chunk sizes, and row/vectorized paths; scratch
+    // buffers are deliberately excluded.
+    ctx.metrics->AddCounter(
+        "exec.join.bytes_allocated",
+        result.num_rows() * result.schema().num_columns() * sizeof(Value));
+  }
+  if (span->active()) {
+    span->AddAttr("type", JoinTypeToString(type));
+    span->AddAttr("build_rows", static_cast<uint64_t>(build_rows));
+    span->AddAttr("probe_rows", static_cast<uint64_t>(probe_rows));
+    span->AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
+  }
+}
+
+// One exact-capacity allocation per output row. (Copy-then-reserve
+// allocated at the left arity and regrew for the payload columns on every
+// combined row of the probe hot loop.)
+Row CombinedRow(const Row& l, const Row& r,
+                const std::vector<size_t>& right_payload_idx) {
+  Row out;
+  out.reserve(l.size() + right_payload_idx.size());
+  out.insert(out.end(), l.begin(), l.end());
+  for (size_t i : right_payload_idx) out.push_back(r[i]);
+  return out;
+}
+
 // The actual join; the public HashJoin wraps it with instrumentation.
 Result<Table> HashJoinImpl(const Table& left, const Table& right,
                            const JoinSpec& spec, const ExecContext& ctx) {
-  if (spec.left_keys.size() != spec.right_keys.size()) {
-    return Status::InvalidArgument("HashJoin: key lists differ in length");
-  }
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> left_key_idx,
-                          left.schema().ColumnIndices(spec.left_keys));
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> right_key_idx,
-                          right.schema().ColumnIndices(spec.right_keys));
-
-  // Right payload = right columns minus its join keys.
-  std::unordered_set<size_t> right_key_set(right_key_idx.begin(),
-                                           right_key_idx.end());
-  std::vector<size_t> right_payload_idx;
-  for (size_t i = 0; i < right.schema().num_columns(); ++i) {
-    if (right_key_set.count(i) == 0) right_payload_idx.push_back(i);
-  }
-
-  Schema output_schema = left.schema();
+  GPIVOT_ASSIGN_OR_RETURN(
+      JoinLayout layout,
+      MakeJoinLayout(left.schema(), right.schema(), spec));
+  const std::vector<size_t>& left_key_idx = layout.left_key_idx;
+  const std::vector<size_t>& right_key_idx = layout.right_key_idx;
+  const std::vector<size_t>& right_payload_idx = layout.right_payload_idx;
+  const Schema& output_schema = layout.output_schema;
+  const CompiledExpr& residual = layout.residual;
   bool semi_or_anti =
       spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
-  if (!semi_or_anti) {
-    Schema right_payload_schema = right.schema().Select(right_payload_idx);
-    GPIVOT_ASSIGN_OR_RETURN(output_schema,
-                            left.schema().Concat(right_payload_schema));
-  }
-
-  CompiledExpr residual;
-  if (spec.residual != nullptr) {
-    if (semi_or_anti) {
-      // Residual needs the combined schema; build it for evaluation only.
-      Schema right_payload_schema = right.schema().Select(right_payload_idx);
-      GPIVOT_ASSIGN_OR_RETURN(Schema combined,
-                              left.schema().Concat(right_payload_schema));
-      GPIVOT_ASSIGN_OR_RETURN(residual, CompileExpr(spec.residual, combined));
-    } else {
-      GPIVOT_ASSIGN_OR_RETURN(residual,
-                              CompileExpr(spec.residual, output_schema));
-    }
-  }
 
   auto combined_row_of = [&](const Row& l, const Row& r) {
-    // One exact-capacity allocation per output row. (Copy-then-reserve
-    // allocated at the left arity and regrew for the payload columns on
-    // every combined row of the probe hot loop.)
-    Row out;
-    out.reserve(l.size() + right_payload_idx.size());
-    out.insert(out.end(), l.begin(), l.end());
-    for (size_t i : right_payload_idx) out.push_back(r[i]);
-    return out;
+    return CombinedRow(l, r, right_payload_idx);
   };
 
   if (spec.type == JoinType::kInner &&
@@ -279,34 +335,140 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                           left.num_rows() < right.num_rows();
   size_t build_rows = inner_build_left ? left.num_rows() : right.num_rows();
   size_t probe_rows = inner_build_left ? right.num_rows() : left.num_rows();
-  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.invocations = 1;
-    stats.rows_in = left.num_rows() + right.num_rows();
-    stats.rows_out = result.num_rows();
-    stats.build_rows = build_rows;
-    stats.probe_rows = probe_rows;
-    ctx.cost->Record(ctx.cost_node, stats);
+  RecordJoin(ctx, &span, spec.type, left.num_rows() + right.num_rows(),
+             build_rows, probe_rows, result);
+  return result;
+}
+
+namespace {
+
+// The probe side of a key-index lookup into `table`: for each column of the
+// table's key, the position in the probe row holding its value, found among
+// the paired (table column, probe column) positions. The pairs not used for
+// the lookup are returned in `extra_*` and must be compared after it.
+Result<std::vector<size_t>> AlignToKey(const KeyedTable& table,
+                                       const std::vector<size_t>& table_cols,
+                                       const std::vector<size_t>& probe_cols,
+                                       std::vector<size_t>* extra_table,
+                                       std::vector<size_t>* extra_probe) {
+  if (!table.has_index()) {
+    return Status::InvalidArgument("index probe: table has no key index");
   }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("exec.join.calls");
-    ctx.metrics->AddCounter("exec.join.build_rows", build_rows);
-    ctx.metrics->AddCounter("exec.join.probe_rows", probe_rows);
-    ctx.metrics->AddCounter("exec.join.rows_out", result.num_rows());
-    // Logical output footprint (rows x columns x cell size). A data-derived
-    // quantity rather than an allocator probe, so it is byte-identical
-    // across thread counts, chunk sizes, and row/vectorized paths; scratch
-    // buffers are deliberately excluded.
-    ctx.metrics->AddCounter(
-        "exec.join.bytes_allocated",
-        result.num_rows() * result.schema().num_columns() * sizeof(Value));
+  std::vector<size_t> lookup;
+  std::vector<bool> used(table_cols.size(), false);
+  for (size_t key_col : table.key_indices()) {
+    size_t i = 0;
+    while (i < table_cols.size() && table_cols[i] != key_col) ++i;
+    if (i == table_cols.size()) {
+      return Status::InvalidArgument(StrCat(
+          "index probe: key column '",
+          table.table().schema().column(key_col).name,
+          "' is not among the probed columns"));
+    }
+    used[i] = true;
+    lookup.push_back(probe_cols[i]);
   }
-  if (span.active()) {
-    span.AddAttr("type", JoinTypeToString(spec.type));
-    span.AddAttr("build_rows", static_cast<uint64_t>(build_rows));
-    span.AddAttr("probe_rows", static_cast<uint64_t>(probe_rows));
-    span.AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
+  for (size_t i = 0; i < table_cols.size(); ++i) {
+    if (used[i]) continue;
+    extra_table->push_back(table_cols[i]);
+    extra_probe->push_back(probe_cols[i]);
   }
+  return lookup;
+}
+
+}  // namespace
+
+bool KeyIndexCovers(const KeyedTable& table,
+                    const std::vector<std::string>& columns) {
+  if (!table.has_index()) return false;
+  for (size_t key_col : table.key_indices()) {
+    const std::string& name = table.table().schema().column(key_col).name;
+    if (std::find(columns.begin(), columns.end(), name) == columns.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<Table> IndexJoin(const Table& probe, const KeyedTable& table,
+                        JoinSide table_side, const JoinSpec& spec,
+                        const ExecContext& ctx, uint64_t* rows_fetched) {
+  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
+                             ? obs::ScopedSpan(ctx.tracer, "IndexJoin")
+                             : obs::ScopedSpan();
+  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
+  if (spec.type != JoinType::kInner) {
+    return Status::InvalidArgument("IndexJoin supports only INNER");
+  }
+  const Table& base = table.table();
+  const bool base_left = table_side == JoinSide::kLeft;
+  const Table& left = base_left ? base : probe;
+  const Table& right = base_left ? probe : base;
+  GPIVOT_ASSIGN_OR_RETURN(
+      JoinLayout layout, MakeJoinLayout(left.schema(), right.schema(), spec));
+  const std::vector<size_t>& base_key_idx =
+      base_left ? layout.left_key_idx : layout.right_key_idx;
+  const std::vector<size_t>& probe_key_idx =
+      base_left ? layout.right_key_idx : layout.left_key_idx;
+  std::vector<size_t> extra_base, extra_probe;
+  GPIVOT_ASSIGN_OR_RETURN(
+      std::vector<size_t> lookup_idx,
+      AlignToKey(table, base_key_idx, probe_key_idx, &extra_base,
+                 &extra_probe));
+
+  Table result(layout.output_schema);
+  uint64_t fetched = 0;
+  for (const Row& prow : probe.rows()) {
+    // SQL equi-joins never match NULL keys, whichever key column holds it.
+    bool has_null = false;
+    for (size_t i : probe_key_idx) has_null = has_null || prow[i].is_null();
+    if (has_null) continue;
+    std::optional<size_t> at = table.Lookup(prow, lookup_idx);
+    if (!at.has_value()) continue;
+    ++fetched;
+    const Row& brow = base.rows()[*at];
+    if (!RowsEqualAt(brow, extra_base, prow, extra_probe)) continue;
+    Row out = base_left ? CombinedRow(brow, prow, layout.right_payload_idx)
+                        : CombinedRow(prow, brow, layout.right_payload_idx);
+    if (layout.residual && !ValueIsTrue(layout.residual(out))) continue;
+    result.AddRow(std::move(out));
+  }
+  if (rows_fetched != nullptr) *rows_fetched += fetched;
+  // The probe builds nothing; its input is the probe side plus the rows
+  // the lookups fetched, never the whole table.
+  RecordJoin(ctx, &span, spec.type, probe.num_rows() + fetched,
+             /*build_rows=*/0, probe.num_rows(), result);
+  return result;
+}
+
+Result<Table> IndexSemiJoinKeySet(
+    const KeyedTable& table, const std::vector<std::string>& key_columns,
+    const std::unordered_set<Row, RowHash, RowEq>& keys,
+    uint64_t* rows_fetched) {
+  const Table& base = table.table();
+  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> base_cols,
+                          base.schema().ColumnIndices(key_columns));
+  std::vector<size_t> key_positions(key_columns.size());
+  for (size_t i = 0; i < key_positions.size(); ++i) key_positions[i] = i;
+  std::vector<size_t> extra_base, extra_key;
+  GPIVOT_ASSIGN_OR_RETURN(
+      std::vector<size_t> lookup_idx,
+      AlignToKey(table, base_cols, key_positions, &extra_base, &extra_key));
+  // Key-set semantics, as SemiJoinKeySet: NULL equals NULL. The table key
+  // is unique, so each key row selects at most one row and no row twice.
+  std::vector<size_t> positions;
+  for (const Row& key : keys) {
+    std::optional<size_t> at = table.Lookup(key, lookup_idx);
+    if (!at.has_value()) continue;
+    if (rows_fetched != nullptr) ++*rows_fetched;
+    if (RowsEqualAt(base.rows()[*at], extra_base, key, extra_key)) {
+      positions.push_back(*at);
+    }
+  }
+  // Table order, so the output equals SemiJoinKeySet's row for row.
+  std::sort(positions.begin(), positions.end());
+  Table result(base.schema());
+  for (size_t at : positions) result.AddRow(base.rows()[at]);
   return result;
 }
 

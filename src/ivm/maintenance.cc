@@ -119,10 +119,11 @@ Result<Table> EvaluatePostRestricted(
       // Post-state restriction computed from the pre state plus the delta
       // directly, so the full post table is never materialized:
       //   σ_keys(post) = σ_keys(pre) ∸ σ_keys(∇) ⊎ σ_keys(Δ).
+      // σ_keys(pre) probes the table's key index when the restriction
+      // columns cover its key.
       const auto* scan = static_cast<const ScanNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(auto pre, propagator->EvaluatePreRef(plan));
       GPIVOT_ASSIGN_OR_RETURN(Table restricted,
-                              exec::SemiJoinKeySet(*pre, key_names, keys));
+                              propagator->RestrictPre(plan, key_names, keys));
       GPIVOT_RETURN_NOT_OK(restricted.SetKey({}));
       auto it = propagator->deltas().find(scan->table_name());
       if (it == propagator->deltas().end()) return restricted;
@@ -588,14 +589,33 @@ Result<MergePlan> MaintenancePlan::StageCombinedSelectRefresh(
     if (!relevant.empty()) {
       GPIVOT_ASSIGN_OR_RETURN(auto keys,
                               exec::CollectKeySet(relevant, key_names));
+      // GPIVOT reads only rows whose pivot_by value is a listed combo (the
+      // update-rule strategies refuse keep_all_null_rows at compile time,
+      // DESIGN.md decision 7), so restrict on key ++ pivot_by over
+      // keys × combos. On lineitem that is exactly its primary key
+      // (orderkey, linenumber), which the scan restriction then probes.
+      std::vector<std::string> restrict_names = key_names;
+      restrict_names.insert(restrict_names.end(), spec.pivot_by.begin(),
+                            spec.pivot_by.end());
+      std::unordered_set<Row, RowHash, RowEq> restrict_keys;
+      restrict_keys.reserve(keys.size() * spec.num_combos());
+      for (const Row& key : keys) {
+        for (const Row& combo : spec.combos) {
+          Row row = key;
+          row.insert(row.end(), combo.begin(), combo.end());
+          restrict_keys.insert(std::move(row));
+        }
+      }
       GPIVOT_ASSIGN_OR_RETURN(
           Table affected,
-          EvaluatePostRestricted(propagator, pivot_child_, key_names, keys));
+          EvaluatePostRestricted(propagator, pivot_child_, restrict_names,
+                                 restrict_keys));
       // The pushed-down restriction may be on a key subset; apply the exact
       // key filter before pivoting.
       GPIVOT_ASSIGN_OR_RETURN(
-          affected, exec::SemiJoinKeySet(affected, key_names, keys,
-                                         propagator->exec_context()));
+          affected,
+          exec::SemiJoinKeySet(affected, restrict_names, restrict_keys,
+                               propagator->exec_context()));
       GPIVOT_RETURN_NOT_OK(affected.SetKey({}));
       GPIVOT_ASSIGN_OR_RETURN(recompute_candidates,
                               GPivot(affected, spec, pivot_ctx));

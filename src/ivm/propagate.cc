@@ -26,12 +26,21 @@ Result<const Catalog*> DeltaPropagator::PostCatalog() {
     GPIVOT_FAULT_POINT("DeltaPropagator::PostCatalog");
     // The post-state catalog shares every unchanged table with the pre
     // state (copy-on-write); only delta'd tables are cloned and patched.
+    // The clone copies the whole pre-state table: counted, since it is the
+    // one base read here that is O(base), not O(delta).
+    uint64_t rows_copied = 0;
     for (const auto& [name, delta] : *deltas_) {
       if (delta.empty()) continue;
       GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post_.GetKeyedTable(name));
+      const Table* shared = &table->table();
+      const size_t shared_rows = table->num_rows();
       // The post state is scratch: its undo log is never replayed.
       UndoLog undo;
       GPIVOT_RETURN_NOT_OK(AdvanceInPlace(table, delta, &undo));
+      if (&table->table() != shared) rows_copied += shared_rows;
+    }
+    if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
+      ctx_.metrics->AddCounter("ivm.post_state.rows_copied", rows_copied);
     }
     post_built_ = true;
   }
@@ -87,6 +96,64 @@ Result<std::shared_ptr<const Table>> DeltaPropagator::EvaluatePostRef(
     const PlanPtr& plan) {
   GPIVOT_ASSIGN_OR_RETURN(const Catalog* post, PostCatalog());
   return EvaluateRef(plan, *post, &post_memo_);
+}
+
+Result<const KeyedTable*> DeltaPropagator::ProbeTarget(
+    const PlanPtr& plan, const std::vector<std::string>& columns) const {
+  if (plan->kind() != PlanKind::kScan) return nullptr;
+  const auto* scan = static_cast<const ScanNode*>(plan.get());
+  GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store,
+                          pre_->GetKeyedTable(scan->table_name()));
+  return exec::KeyIndexCovers(*store, columns) ? store : nullptr;
+}
+
+void DeltaPropagator::RecordProbe(const PlanPtr& plan, uint64_t rows_fetched) {
+  if (ctx_.cost == nullptr || ctx_.plan_ids == nullptr) return;
+  int id = ctx_.plan_ids->IdOf(plan.get());
+  if (id < 0) return;
+  obs::NodeStats stats;
+  stats.invocations = 1;
+  stats.rows_out = rows_fetched;
+  stats.base_accesses = 1;
+  stats.base_rows_read = rows_fetched;
+  ctx_.cost->Record(id, stats);
+}
+
+Result<Table> DeltaPropagator::RestrictPre(
+    const PlanPtr& plan, const std::vector<std::string>& columns,
+    const std::unordered_set<Row, RowHash, RowEq>& keys) {
+  GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* keyed, ProbeTarget(plan, columns));
+  if (keyed != nullptr) {
+    uint64_t fetched = 0;
+    GPIVOT_ASSIGN_OR_RETURN(
+        Table restricted,
+        exec::IndexSemiJoinKeySet(*keyed, columns, keys, &fetched));
+    RecordProbe(plan, fetched);
+    return restricted;
+  }
+  GPIVOT_ASSIGN_OR_RETURN(auto pre, EvaluatePreRef(plan));
+  return exec::SemiJoinKeySet(*pre, columns, keys);
+}
+
+Result<Table> DeltaPropagator::JoinUnchanged(const Table& delta,
+                                             const PlanPtr& unchanged,
+                                             exec::JoinSide side,
+                                             const exec::JoinSpec& spec) {
+  const bool left = side == exec::JoinSide::kLeft;
+  GPIVOT_ASSIGN_OR_RETURN(
+      const KeyedTable* keyed,
+      ProbeTarget(unchanged, left ? spec.left_keys : spec.right_keys));
+  if (keyed != nullptr) {
+    uint64_t fetched = 0;
+    GPIVOT_ASSIGN_OR_RETURN(
+        Table joined,
+        exec::IndexJoin(delta, *keyed, side, spec, ctx_, &fetched));
+    RecordProbe(unchanged, fetched);
+    return joined;
+  }
+  GPIVOT_ASSIGN_OR_RETURN(auto table, EvaluatePreRef(unchanged));
+  return left ? exec::HashJoin(*table, delta, spec, ctx_)
+              : exec::HashJoin(delta, *table, spec, ctx_);
 }
 
 Result<bool> DeltaPropagator::Unchanged(const PlanPtr& plan) {
@@ -207,22 +274,19 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
                               Unchanged(node->right()));
       GPIVOT_ASSIGN_OR_RETURN(bool left_unchanged, Unchanged(node->left()));
 
-      if (right_unchanged) {
-        GPIVOT_ASSIGN_OR_RETURN(Delta left, Propagate(node->left()));
-        GPIVOT_ASSIGN_OR_RETURN(auto right, EvaluatePreRef(node->right()));
-        GPIVOT_ASSIGN_OR_RETURN(Table ins,
-                                exec::HashJoin(left.inserts, *right, spec, ctx_));
-        GPIVOT_ASSIGN_OR_RETURN(Table del,
-                                exec::HashJoin(left.deletes, *right, spec, ctx_));
-        return Delta{std::move(ins), std::move(del)};
-      }
-      if (left_unchanged) {
-        GPIVOT_ASSIGN_OR_RETURN(Delta right, Propagate(node->right()));
-        GPIVOT_ASSIGN_OR_RETURN(auto left, EvaluatePreRef(node->left()));
-        GPIVOT_ASSIGN_OR_RETURN(Table ins,
-                                exec::HashJoin(*left, right.inserts, spec, ctx_));
-        GPIVOT_ASSIGN_OR_RETURN(Table del,
-                                exec::HashJoin(*left, right.deletes, spec, ctx_));
+      // One side unchanged: its delta is empty and pre == post, so each
+      // rule collapses to one delta ⋈ unchanged term.
+      if (right_unchanged || left_unchanged) {
+        const PlanPtr& changed = right_unchanged ? node->left() : node->right();
+        const PlanPtr& unchanged =
+            right_unchanged ? node->right() : node->left();
+        const exec::JoinSide side =
+            right_unchanged ? exec::JoinSide::kRight : exec::JoinSide::kLeft;
+        GPIVOT_ASSIGN_OR_RETURN(Delta delta, Propagate(changed));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table ins, JoinUnchanged(delta.inserts, unchanged, side, spec));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table del, JoinUnchanged(delta.deletes, unchanged, side, spec));
         return Delta{std::move(ins), std::move(del)};
       }
 

@@ -2,9 +2,11 @@
 #define GPIVOT_IVM_PROPAGATE_H_
 
 #include <set>
+#include <unordered_set>
 #include <utility>
 
 #include "algebra/plan.h"
+#include "exec/join.h"
 #include "ivm/delta.h"
 #include "util/result.h"
 
@@ -46,10 +48,30 @@ class DeltaPropagator {
   // unchanged, so its delta is empty and pre == post).
   Result<bool> Unchanged(const PlanPtr& plan);
 
+  // The rows of `plan` in the pre state whose `columns` projection is in
+  // `keys` (key-set semantics: NULL equals NULL). A scan whose key index
+  // `columns` cover is answered by one index lookup per key; anything else
+  // is evaluated whole and filtered.
+  Result<Table> RestrictPre(
+      const PlanPtr& plan, const std::vector<std::string>& columns,
+      const std::unordered_set<Row, RowHash, RowEq>& keys);
+
   const SourceDeltas& deltas() const { return *deltas_; }
 
  private:
   Result<Delta> PropagateImpl(const PlanPtr& plan);
+  // `delta` joined to the unchanged subtree `unchanged` (pre == post), which
+  // is the `side` operand of `spec`: probes the subtree's key index when it
+  // is a scan the join keys cover, else hash-joins its evaluation.
+  Result<Table> JoinUnchanged(const Table& delta, const PlanPtr& unchanged,
+                              exec::JoinSide side, const exec::JoinSpec& spec);
+  // The pre-state store behind `plan` when `plan` is a scan whose built key
+  // index `columns` cover (exec::KeyIndexCovers); nullptr otherwise.
+  Result<const KeyedTable*> ProbeTarget(
+      const PlanPtr& plan, const std::vector<std::string>& columns) const;
+  // Charges one index probe of scan `plan` that fetched `rows_fetched` rows
+  // to its cost node.
+  void RecordProbe(const PlanPtr& plan, uint64_t rows_fetched);
   Result<std::shared_ptr<const Table>> EvaluateRef(
       const PlanPtr& plan, const Catalog& catalog,
       std::unordered_map<const PlanNode*, std::shared_ptr<const Table>>* memo);

@@ -83,6 +83,7 @@ Status ViewManager::DefineView(const std::string& name, PlanPtr query,
   }
   GPIVOT_ASSIGN_OR_RETURN(MaintenancePlan plan,
                           MaintenancePlan::Compile(query, strategy));
+  GPIVOT_RETURN_NOT_OK(EnsureScanIndexes(plan.effective_query()));
   GPIVOT_ASSIGN_OR_RETURN(Table initial,
                           Evaluate(plan.effective_query(), catalog_,
                                    exec_context_));
@@ -107,6 +108,7 @@ Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
         StrCat("restored contents for view '", name,
                "' do not match the effective query's output schema"));
   }
+  GPIVOT_RETURN_NOT_OK(EnsureScanIndexes(plan.effective_query()));
   GPIVOT_ASSIGN_OR_RETURN(MaterializedView view,
                           MaterializedView::Create(std::move(contents)));
   views_.emplace(name, ViewState{std::move(plan), std::move(view)});
@@ -192,12 +194,28 @@ Status ViewManager::ValidateEpoch(const SourceDeltas& deltas) {
 
 Result<KeyedTable*> ViewManager::BaseStore(const std::string& name) {
   GPIVOT_ASSIGN_OR_RETURN(KeyedTable* store, catalog_.GetKeyedTable(name));
-  GPIVOT_ASSIGN_OR_RETURN(bool built, store->EnsureIndex());
-  if (built && exec_context_.metrics != nullptr &&
+  Result<bool> built = store->EnsureIndex();
+  if (!built.ok()) {
+    return Status(built.status().code(),
+                  StrCat("base table '", name, "': ",
+                         built.status().message()));
+  }
+  if (*built && exec_context_.metrics != nullptr &&
       exec_context_.metrics->enabled()) {
-    exec_context_.metrics->AddCounter("ivm.advance.index_builds");
+    exec_context_.metrics->AddCounter("ivm.base.index_builds");
   }
   return store;
+}
+
+Status ViewManager::EnsureScanIndexes(const PlanPtr& plan) {
+  if (plan->kind() == PlanKind::kScan) {
+    return BaseStore(static_cast<const ScanNode*>(plan.get())->table_name())
+        .status();
+  }
+  for (const PlanPtr& child : plan->children()) {
+    GPIVOT_RETURN_NOT_OK(EnsureScanIndexes(child));
+  }
+  return Status::OK();
 }
 
 Status ViewManager::ApplyUpdate(const SourceDeltas& deltas) {
@@ -333,6 +351,11 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   states.reserve(view_order_.size());
   for (const std::string& name : view_order_) {
     states.emplace_back(&name, &views_.at(name));
+    // Serially, before the parallel stage reads the indexes: rebuilds any
+    // that an edit through mutable_catalog() dropped (a no-op otherwise),
+    // so no stage probes a stale index.
+    GPIVOT_RETURN_NOT_OK(
+        EnsureScanIndexes(states.back().second->plan.effective_query()));
   }
   std::vector<std::optional<Result<StagedRefresh>>> slots(states.size());
   {

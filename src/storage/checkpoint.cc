@@ -1,6 +1,7 @@
 #include "storage/checkpoint.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "storage/serialize.h"
@@ -16,15 +17,6 @@ constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".gpck";
 constexpr size_t kSeqDigits = 20;  // enough for any u64
 
-void EncodeTableMap(const std::map<std::string, Table>& tables,
-                    BinaryWriter* out) {
-  out->PutU32(static_cast<uint32_t>(tables.size()));
-  for (const auto& [name, table] : tables) {
-    out->PutString(name);
-    EncodeTable(table, out);
-  }
-}
-
 void EncodeTableMap(
     const std::map<std::string, std::shared_ptr<const Table>>& tables,
     BinaryWriter* out) {
@@ -35,14 +27,17 @@ void EncodeTableMap(
   }
 }
 
-Result<std::map<std::string, Table>> DecodeTableMap(BinaryReader* in,
-                                                    const char* what) {
+Result<std::map<std::string, std::shared_ptr<const Table>>> DecodeTableMap(
+    BinaryReader* in, const char* what) {
   GPIVOT_ASSIGN_OR_RETURN(uint32_t ntables, in->GetU32());
-  std::map<std::string, Table> tables;
+  std::map<std::string, std::shared_ptr<const Table>> tables;
   for (uint32_t i = 0; i < ntables; ++i) {
     GPIVOT_ASSIGN_OR_RETURN(std::string name, in->GetString());
     GPIVOT_ASSIGN_OR_RETURN(Table table, DecodeTable(in));
-    if (!tables.emplace(std::move(name), std::move(table)).second) {
+    if (!tables
+             .emplace(std::move(name),
+                      std::make_shared<const Table>(std::move(table)))
+             .second) {
       return Status::InvalidArgument(
           StrCat("checkpoint: duplicate ", what, " table name"));
     }
@@ -55,21 +50,22 @@ Result<std::map<std::string, Table>> DecodeTableMap(BinaryReader* in,
 Status WriteCheckpoint(const std::string& path,
                        const CheckpointContents& contents,
                        obs::MetricsRegistry* metrics) {
-  BinaryWriter payload;
-  payload.PutU64(contents.epoch_seq);
-  EncodeTableMap(contents.base_tables, &payload);
-  EncodeTableMap(contents.view_tables, &payload);
-
+  // The payload is encoded in place after the header; its length is
+  // patched in once known.
   BinaryWriter file;
   file.PutU32(kCheckpointMagic);
   file.PutU32(kCheckpointVersion);
-  file.PutU64(payload.buffer().size());
-  uint32_t crc = Crc32c(payload.buffer());
-  std::string bytes = file.Take();
-  bytes += payload.buffer();
-  BinaryWriter trailer;
-  trailer.PutU32(crc);
-  bytes += trailer.buffer();
+  const size_t length_at = file.size();
+  file.PutU64(0);
+  const size_t payload_at = file.size();
+  file.PutU64(contents.epoch_seq);
+  EncodeTableMap(contents.base_tables, &file);
+  EncodeTableMap(contents.view_tables, &file);
+  const std::string_view payload =
+      std::string_view(file.buffer()).substr(payload_at);
+  file.PatchU64(length_at, payload.size());
+  file.PutU32(Crc32c(payload));
+  const std::string& bytes = file.buffer();
 
   GPIVOT_RETURN_NOT_OK(AtomicWriteFile(path, bytes));
   if (metrics != nullptr && metrics->enabled()) {
@@ -110,13 +106,7 @@ Result<CheckpointContents> ReadCheckpoint(const std::string& path) {
   CheckpointContents contents;
   GPIVOT_ASSIGN_OR_RETURN(contents.epoch_seq, body.GetU64());
   GPIVOT_ASSIGN_OR_RETURN(contents.base_tables, DecodeTableMap(&body, "base"));
-  Result<std::map<std::string, Table>> view_tables =
-      DecodeTableMap(&body, "view");
-  GPIVOT_RETURN_NOT_OK(view_tables.status());
-  for (auto& [name, table] : *view_tables) {
-    contents.view_tables.emplace(
-        name, std::make_shared<const Table>(std::move(table)));
-  }
+  GPIVOT_ASSIGN_OR_RETURN(contents.view_tables, DecodeTableMap(&body, "view"));
   if (!body.exhausted()) return bad("trailing bytes inside payload");
   return contents;
 }

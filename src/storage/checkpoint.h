@@ -37,17 +37,19 @@ namespace gpivot::storage {
 inline constexpr uint32_t kCheckpointMagic = 0x4B435047;  // "GPCK" LE
 inline constexpr uint32_t kCheckpointVersion = 1;
 
+// Tables ride as shared immutable handles: the checkpoint writer only
+// *reads* them, so it borrows each base table's and each view's current
+// version (shared_table()) instead of deep-copying them — O(1) per table,
+// and safe against later epochs because both stores mutate copy-on-write.
+// ReadCheckpoint returns uniquely owned handles.
 struct CheckpointContents {
   uint64_t epoch_seq = 0;
-  std::map<std::string, Table> base_tables;
-  // View tables ride as shared immutable handles: the checkpoint writer
-  // only *reads* them, so it borrows the MaterializedView's current version
-  // (shared_table()) instead of deep-copying every view — O(1) per view,
-  // and safe against later epochs because view mutation is copy-on-write.
+  std::map<std::string, std::shared_ptr<const Table>> base_tables;
   std::map<std::string, std::shared_ptr<const Table>> view_tables;
 };
 
-// Serializes `contents` and writes it atomically to `path`.
+// Serializes `contents` and writes it atomically to `path`. The file is
+// encoded into a single buffer, its only copy of the table contents.
 Status WriteCheckpoint(const std::string& path,
                        const CheckpointContents& contents,
                        obs::MetricsRegistry* metrics = nullptr);

@@ -99,11 +99,11 @@ void InspectCheckpointFile(const std::string& path, InspectReport* report,
   std::string tables_json;
   for (const auto& [name, table] : contents->base_tables) {
     report->text +=
-        StrCat("  base ", name, ": ", table.num_rows(), " rows\n");
+        StrCat("  base ", name, ": ", table->num_rows(), " rows\n");
     tables_json += StrCat(tables_json.empty() ? "" : ", ",
                           "{\"table\": ", obs::JsonQuote(name),
                           ", \"kind\": \"base\", \"rows\": ",
-                          table.num_rows(), "}");
+                          table->num_rows(), "}");
   }
   for (const auto& [name, table] : contents->view_tables) {
     report->text +=

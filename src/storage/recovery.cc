@@ -101,9 +101,13 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
   if (snapshot.has_value()) {
     report.used_checkpoint = true;
     report.checkpoint_seq = snapshot->epoch_seq;
+    // ReadCheckpoint created these tables, so each handle is uniquely
+    // owned here: one copy re-materializes a table, and dropping the
+    // handle right after frees the decoded one.
     Catalog catalog;
     for (auto& [name, table] : snapshot->base_tables) {
-      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, std::move(table)));
+      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, Table(*table)));
+      table.reset();
     }
     for (const std::string& name : bootstrap.TableNames()) {
       if (!catalog.HasTable(name)) {
@@ -128,10 +132,10 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
     if (snapshot.has_value()) {
       auto it = snapshot->view_tables.find(def.name);
       if (it != snapshot->view_tables.end()) {
-        // ReadCheckpoint created this table, so the handle is uniquely
-        // owned here; one copy re-materializes it (startup only).
+        // As for the base tables above: one copy, then the handle goes.
         GPIVOT_RETURN_NOT_OK(manager->RestoreView(
             def.name, def.query, def.strategy, Table(*it->second)));
+        it->second.reset();
         restored = true;
       }
     }
@@ -252,17 +256,17 @@ DurableViewManager::~DurableViewManager() {
 Status DurableViewManager::WriteSnapshot() {
   CheckpointContents contents;
   contents.epoch_seq = manager_->epoch_seq();
+  // Borrow, don't copy: the writer only reads the tables, and copy-on-write
+  // mutation protects a borrowed version from any epoch that commits while
+  // the checkpoint encodes. The handles drop on return, so the next epoch
+  // mutates in place again.
   for (const std::string& name : manager_->catalog().TableNames()) {
-    GPIVOT_ASSIGN_OR_RETURN(const Table* table,
-                            manager_->catalog().GetTable(name));
-    contents.base_tables.emplace(name, *table);
+    GPIVOT_ASSIGN_OR_RETURN(contents.base_tables[name],
+                            manager_->catalog().GetSharedTable(name));
   }
   for (const std::string& name : manager_->ViewNames()) {
     GPIVOT_ASSIGN_OR_RETURN(const ivm::MaterializedView* view,
                             manager_->GetView(name));
-    // Borrow, don't copy: the writer only reads the view table, and the
-    // view's copy-on-write mutation protects the borrowed version from
-    // any epoch that commits while the checkpoint encodes.
     contents.view_tables.emplace(name, view->shared_table());
   }
   const std::string path =

@@ -150,9 +150,9 @@ class DurableViewManager : public ivm::EpochDurabilityHook {
  private:
   DurableViewManager() = default;
 
-  // Builds CheckpointContents from the manager's current state, writes it
-  // atomically, and prunes old snapshots (keeps the newest two). Does not
-  // touch the WAL.
+  // Builds CheckpointContents from the manager's current state (borrowed
+  // table versions, no copies), writes it atomically, and prunes old
+  // snapshots (keeps the newest two). Does not touch the WAL.
   Status WriteSnapshot();
 
   // Pushes the durability state /healthz watches (WAL offset + poisoned

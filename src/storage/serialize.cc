@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace gpivot::storage {
@@ -48,6 +49,13 @@ void BinaryWriter::PutU64(uint64_t v) {
   char bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   buffer_.append(bytes, 8);
+}
+
+void BinaryWriter::PatchU64(size_t offset, uint64_t v) {
+  GPIVOT_CHECK(offset + 8 <= buffer_.size()) << "PatchU64 past the end";
+  for (int i = 0; i < 8; ++i) {
+    buffer_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
 }
 
 void BinaryWriter::PutDouble(double v) {

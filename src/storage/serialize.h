@@ -27,7 +27,8 @@ namespace gpivot::storage {
 // are bounds-checked and return InvalidArgument on any malformed input —
 // they never abort, because the input may be a torn or corrupted file.
 
-// Append-only encoder over a std::string buffer.
+// Append-only encoder over a std::string buffer. PatchU64 overwrites a
+// u64 already written, for a length that precedes what it measures.
 class BinaryWriter {
  public:
   void PutU8(uint8_t v);
@@ -35,7 +36,9 @@ class BinaryWriter {
   void PutU64(uint64_t v);
   void PutDouble(double v);
   void PutString(std::string_view s);
+  void PatchU64(size_t offset, uint64_t v);
 
+  size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }
 

@@ -354,10 +354,11 @@ TEST(KeyedInsertCollisionTest, RejectionKeepsWalAndEpochLogAligned) {
   ASSERT_OK(manager.Audit());
 }
 
-// The regression guard for delta-proportional advance: keyed-update epochs
-// on the paper's three views build lineitem's index once, never clone a
-// base table, and read no base rows; an edit through GetMutableTable drops
-// the index, and the next epoch rebuilds it.
+// The regression guard for delta-proportional advance: the paper's three
+// views build one key index per scanned keyed table (lineitem, orders,
+// customer) when they are defined, keyed-update epochs never clone a base
+// table and read no base rows; an edit through GetMutableTable drops the
+// index, and the next epoch rebuilds it.
 TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
   tpch::Config config;
   config.scale_factor = 0.001;
@@ -381,12 +382,16 @@ TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
       manager.DefineView("v2", v2, ivm::RefreshStrategy::kCombinedSelect));
   ASSERT_OK(
       manager.DefineView("v3", v3, ivm::RefreshStrategy::kCombinedGroupBy));
+  EXPECT_EQ(metrics.Snapshot().counters["ivm.base.index_builds"], 3u);
+  for (const char* table : {"lineitem", "orders", "customer"}) {
+    EXPECT_TRUE(StoreOf(manager, table).has_index()) << table;
+  }
   for (size_t i = 0; i < kEpochs; ++i) {
     ASSERT_OK(manager.ApplyUpdate(batches[i]));
   }
   std::map<std::string, uint64_t> counters = metrics.Snapshot().counters;
   EXPECT_EQ(counters["ivm.advance.tables"], kEpochs);
-  EXPECT_EQ(counters["ivm.advance.index_builds"], 1u);
+  EXPECT_EQ(counters["ivm.base.index_builds"], 3u);
   EXPECT_EQ(counters["ivm.advance.table_clones"], 0u);
   EXPECT_EQ(counters["ivm.advance.base_rows_read"], 0u);
   ASSERT_OK(manager.Audit());
@@ -395,8 +400,130 @@ TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
   EXPECT_FALSE(StoreOf(manager, "lineitem").has_index());
   ASSERT_OK(manager.ApplyUpdate(batches[kEpochs]));
   counters = metrics.Snapshot().counters;
-  EXPECT_EQ(counters["ivm.advance.index_builds"], 2u);
+  EXPECT_EQ(counters["ivm.base.index_builds"], 4u);
   EXPECT_EQ(counters["ivm.advance.table_clones"], 0u);
+  ASSERT_OK(manager.Audit());
+}
+
+// A checkpoint borrows the catalog's tables instead of copying them and
+// drops the handles before it returns, so with a checkpoint after every
+// epoch each base table still advances in place; the checkpoints recover
+// the live state.
+TEST(BaseAdvanceCountersTest, CheckpointsBorrowBaseTablesAndCloneNothing) {
+  tpch::Config config;
+  config.scale_factor = 0.001;
+  config.seed = 11;
+  Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
+  const std::vector<storage::ViewDefinition> defs = {
+      {"v1", tpch::View1(catalog, config.max_line_numbers).value(),
+       ivm::RefreshStrategy::kUpdate},
+      {"v2", tpch::View2(catalog, config.max_line_numbers, 30000.0).value(),
+       ivm::RefreshStrategy::kCombinedSelect},
+      {"v3", tpch::View3(catalog, config.first_year, config.num_years).value(),
+       ivm::RefreshStrategy::kCombinedGroupBy}};
+  const size_t kEpochs = 6;
+  std::vector<SourceDeltas> batches =
+      tpch::MakeLineitemZipfChurn(catalog, kEpochs, 16, 1.2, 5).value();
+  std::string dir = ::testing::TempDir() + "/base_advance_checkpoint";
+  std::filesystem::remove_all(dir);
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  storage::StorageOptions options;
+  options.dir = dir;
+  options.checkpoint_every_n_epochs = 1;
+  options.exec_context.metrics = &metrics;
+
+  std::map<std::string, Table> expected;
+  {
+    auto dvm = storage::DurableViewManager::Open(std::move(catalog), defs,
+                                                 options);
+    ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+    for (const SourceDeltas& batch : batches) {
+      ASSERT_OK((*dvm)->ApplyUpdate(batch));
+    }
+    std::map<std::string, uint64_t> counters = metrics.Snapshot().counters;
+    EXPECT_EQ(counters["storage.checkpoint.writes"], kEpochs + 1);
+    EXPECT_EQ(counters["ivm.advance.tables"], kEpochs);
+    EXPECT_EQ(counters["ivm.advance.table_clones"], 0u);
+    const ViewManager& manager = *(*dvm)->manager();
+    expected.emplace("lineitem", TableOf(manager, "lineitem"));
+    for (const storage::ViewDefinition& def : defs) {
+      expected.emplace(def.name, manager.GetView(def.name).value()->table());
+    }
+  }
+  // A fresh bootstrap: a copy of `catalog` would share its tables, and the
+  // first advance would then clone them.
+  auto recovered = storage::DurableViewManager::Open(
+      tpch::MakeCatalog(tpch::Generate(config)).value(), defs, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE((*recovered)->recovery_report().used_checkpoint);
+  EXPECT_EQ((*recovered)->recovery_report().wal_entries_replayed, 0u);
+  const ViewManager& manager = *(*recovered)->manager();
+  EXPECT_TRUE(TableOf(manager, "lineitem").BagEquals(expected.at("lineitem")));
+  for (const storage::ViewDefinition& def : defs) {
+    EXPECT_TRUE(manager.GetView(def.name).value()->table().BagEquals(
+        expected.at(def.name)))
+        << def.name;
+  }
+  ASSERT_OK(manager.Audit());
+}
+
+// A scanned base table that repeats its declared key is refused when the
+// view is defined, naming the table, rather than when the table is first
+// advanced; no view is registered.
+TEST(BaseIndexLifecycleTest, DuplicateKeyRejectsDefineView) {
+  Table dim = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kString}},
+                        {{I(1), S("a")}, {I(2), S("b")}});
+  ASSERT_OK(dim.SetKey({"k"}));
+  dim.AddRow({I(1), S("again")});
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable("D", std::move(dim)));
+  PlanPtr scan = MakeScan(catalog, "D").value();
+  ViewManager manager(std::move(catalog));
+  manager.set_event_log(nullptr);
+  Status st =
+      manager.DefineView("v", scan, ivm::RefreshStrategy::kInsertDelete);
+  EXPECT_TRUE(st.IsConstraintViolation()) << st.ToString();
+  EXPECT_NE(st.message().find("'D'"), std::string::npos) << st.ToString();
+  EXPECT_TRUE(manager.ViewNames().empty());
+  EXPECT_FALSE(manager.GetView("v").ok());
+}
+
+// An edit through mutable_catalog() between epochs drops the edited table's
+// index; the next epoch rebuilds it before staging, so its probes of orders
+// see the edit. Reversing orders keeps every view valid (bags) but moves
+// every row, so probing through the stale index would lose matches.
+TEST(BaseIndexLifecycleTest, OrdersEditIsSeenByTheNextEpochsProbes) {
+  tpch::Config config;
+  config.scale_factor = 0.001;
+  config.seed = 5;
+  Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
+  PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
+  PlanPtr v2 = tpch::View2(catalog, config.max_line_numbers, 30000.0).value();
+  PlanPtr v3 =
+      tpch::View3(catalog, config.first_year, config.num_years).value();
+  std::vector<SourceDeltas> batches =
+      tpch::MakeLineitemZipfChurn(catalog, 2, 16, 0.0, 9).value();
+  ViewManager manager(std::move(catalog));
+  manager.set_event_log(nullptr);
+  ASSERT_OK(manager.DefineView("v1", v1, ivm::RefreshStrategy::kUpdate));
+  ASSERT_OK(
+      manager.DefineView("v2", v2, ivm::RefreshStrategy::kCombinedSelect));
+  ASSERT_OK(
+      manager.DefineView("v3", v3, ivm::RefreshStrategy::kCombinedGroupBy));
+  ASSERT_OK(manager.ApplyUpdate(batches[0]));
+
+  std::vector<Row>& rows =
+      manager.mutable_catalog()->GetMutableTable("orders")->mutable_rows();
+  std::reverse(rows.begin(), rows.end());
+  EXPECT_FALSE(StoreOf(manager, "orders").has_index());
+  ASSERT_OK(manager.ApplyUpdate(batches[1]));
+  EXPECT_TRUE(StoreOf(manager, "orders").has_index());
+  for (const char* view : {"v1", "v2", "v3"}) {
+    EXPECT_TRUE(manager.GetView(view).value()->table().BagEquals(
+        manager.RecomputeFromScratch(view).value()))
+        << view;
+  }
   ASSERT_OK(manager.Audit());
 }
 

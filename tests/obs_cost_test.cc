@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +181,52 @@ TEST(ExplainAnalyzeTest, View2DeleteIncrementalReadsNoBaseLineitemRows) {
   EXPECT_EQ(full_scan->stats.base_rows_read, lineitem_rows)
       << recompute.ToText();
   EXPECT_GE(full_scan->stats.base_accesses, 1u);
+}
+
+// Key-probed base access: a View-2 insert epoch under the combined-select
+// strategy fetches lineitem rows only through its primary key (affected
+// keys × combos for the Fig. 29 re-pivot) and orders rows one per lookup
+// (one per Δ row for the Δ ⋈ orders term, plus at most one per affected
+// key for the re-pivot), while the recompute baseline reads every row.
+TEST(ExplainAnalyzeTest, View2InsertProbesOnlyAffectedBaseRows) {
+  tpch::Config config = TinyConfig();
+  ViewManager manager =
+      MakeView2Manager(config, RefreshStrategy::kCombinedSelect);
+  SourceDeltas deltas = tpch::MakeLineitemInsertsMixed(manager.catalog(),
+                                                       config, 0.05, 42)
+                            .value();
+  const Table& inserts = deltas.at("lineitem").inserts;
+  const size_t orderkey = inserts.schema().ColumnIndexOrDie("orderkey");
+  const size_t linenumber = inserts.schema().ColumnIndexOrDie("linenumber");
+  // The σ references line 1's price, so only Δ rows of line 1 make keys
+  // newly qualify (σ_c' in Fig. 29).
+  std::set<int64_t> affected;
+  for (const Row& row : inserts.rows()) {
+    if (row[linenumber].AsInt() == 1) affected.insert(row[orderkey].AsInt());
+  }
+  ASSERT_FALSE(affected.empty());
+  ASSERT_OK(manager.ApplyUpdate(deltas));
+  const size_t combos = static_cast<size_t>(config.max_line_numbers);
+
+  CostReport incremental = manager.ExplainAnalyze("v2_inc").value();
+  const CostReportNode* lineitem = incremental.FindScan("lineitem");
+  ASSERT_NE(lineitem, nullptr);
+  EXPECT_EQ(lineitem->stats.base_accesses, 1u) << incremental.ToText();
+  EXPECT_LE(lineitem->stats.base_rows_read, affected.size() * combos)
+      << incremental.ToText();
+  const CostReportNode* orders = incremental.FindScan("orders");
+  ASSERT_NE(orders, nullptr);
+  EXPECT_LE(orders->stats.base_rows_read,
+            inserts.num_rows() + affected.size())
+      << incremental.ToText();
+  EXPECT_EQ(incremental.nodes[0].stats.build_rows, 0u)
+      << incremental.ToText();
+
+  CostReport recompute = manager.ExplainAnalyze("v2_full").value();
+  EXPECT_EQ(recompute.FindScan("lineitem")->stats.base_rows_read,
+            manager.catalog().GetTable("lineitem").value()->num_rows());
+  EXPECT_EQ(recompute.FindScan("orders")->stats.base_rows_read,
+            manager.catalog().GetTable("orders").value()->num_rows());
 }
 
 TEST(ExplainAnalyzeTest, AllZeroBeforeFirstEpochAndResetPerEpoch) {

@@ -193,6 +193,21 @@ TEST(SerializeRoundTripTest, EmptyShapes) {
   EXPECT_EQ(table->schema().num_columns(), 0u);
 }
 
+TEST(SerializeRoundTripTest, PatchU64RewritesOnlyItsSlot) {
+  BinaryWriter patched;
+  patched.PutU32(7);
+  const size_t slot = patched.size();
+  patched.PutU64(0);
+  patched.PutString("tail");
+  patched.PatchU64(slot, 0x0102030405060708ull);
+
+  BinaryWriter direct;
+  direct.PutU32(7);
+  direct.PutU64(0x0102030405060708ull);
+  direct.PutString("tail");
+  EXPECT_EQ(patched.buffer(), direct.buffer());
+}
+
 TEST(SerializeDecodeTest, MalformedInputsErrorNotAbort) {
   // Hostile length field: claims 2^32-1 rows in a few bytes.
   BinaryWriter writer;
@@ -291,7 +306,8 @@ TEST(CorruptionFuzzTest, EveryCheckpointBitFlipCaught) {
                            {"Attribute", DataType::kString}},
                           {{I(1), S("Manu")}, {I(2), S("Type")}});
   ASSERT_TRUE(items.SetKey({"ID", "Attribute"}).ok());
-  contents.base_tables.emplace("Items", std::move(items));
+  contents.base_tables.emplace(
+      "Items", std::make_shared<const Table>(std::move(items)));
   contents.view_tables.emplace(
       "v", std::make_shared<const Table>(
                MakeTable({{"ID", DataType::kInt64}}, {{I(1)}})));

@@ -197,7 +197,8 @@ CheckpointContents FixtureCheckpoint(uint64_t seq) {
                            {"Attribute", DataType::kString}},
                           {{I(1), S("Manu")}, {I(seq), S("Type")}});
   EXPECT_TRUE(items.SetKey({"ID", "Attribute"}).ok());
-  contents.base_tables.emplace("Items", std::move(items));
+  contents.base_tables.emplace(
+      "Items", std::make_shared<const Table>(std::move(items)));
   contents.view_tables.emplace(
       "v", std::make_shared<const Table>(
                MakeTable({{"ID", DataType::kInt64}}, {{I(seq)}})));
@@ -229,7 +230,7 @@ TEST_F(WalTest, CheckpointRoundTripAndDiscovery) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->epoch_seq, 10u);
   ASSERT_EQ(loaded->base_tables.count("Items"), 1u);
-  EXPECT_EQ(loaded->base_tables.at("Items").key(),
+  EXPECT_EQ(loaded->base_tables.at("Items")->key(),
             (std::vector<std::string>{"ID", "Attribute"}));
   EXPECT_EQ(loaded->view_tables.at("v")->rows()[0][0], I(10));
 }
