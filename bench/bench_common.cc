@@ -13,7 +13,6 @@
 
 #include <unistd.h>  // environ
 
-#include "exec/vector_ops.h"
 #include "ivm/batcher.h"
 #include "ivm/view_manager.h"
 #include "obs/admin.h"
@@ -47,7 +46,7 @@ constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
     "GPIVOT_BATCH_MAX_BATCHES", "GPIVOT_BATCH_MAX_NET_ROWS",
     "GPIVOT_WAL_DIR",       "GPIVOT_CHECKPOINT_EVERY_N_EPOCHS",
-    "GPIVOT_VECTOR_CHUNK_SIZE", "GPIVOT_SERVE_READERS",
+    "GPIVOT_SERVE_READERS",
     "GPIVOT_SERVE_MAX_PINNED_EPOCHS", "GPIVOT_SERVE_MIX",
     "GPIVOT_SERVE_EPOCHS",  "GPIVOT_SERVE_OPS",
     "GPIVOT_ADMIN_PORT",    "GPIVOT_ADMIN_STUCK_EPOCH_MS",
@@ -90,9 +89,6 @@ void ValidateBenchEnv() {
                  event_log->error().c_str());
     std::exit(2);
   }
-  // Force the strict GPIVOT_VECTOR_CHUNK_SIZE parse now (exit 2 on garbage)
-  // rather than on first operator call mid-run.
-  (void)exec::VectorChunkSizeFromEnv();
   // Batcher knobs are strict-parsed by the library, but a bench run should
   // reject them before generating data, not mid-sweep.
   Result<ivm::BatcherOptions> batcher = ivm::BatcherOptions::FromEnv();
@@ -212,8 +208,6 @@ class BenchJsonRegistry {
       out << "  \"seed\": " << context.config.seed << ",\n";
       out << "  \"num_threads\": " << exec.num_threads << ",\n";
       out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-          << ",\n";
-      out << "  \"vector_chunk_size\": " << exec::EffectiveVectorChunkSize(exec)
           << ",\n";
       out << "  \"results\": [\n";
       for (size_t i = 0; i < records.size(); ++i) {

@@ -19,8 +19,7 @@ namespace gpivot {
 namespace {
 
 // The actual pivot; the public GPivot wraps it with instrumentation.
-Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec,
-                         const ExecContext& ctx) {
+Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec) {
   GPIVOT_RETURN_NOT_OK(spec.Validate(input.schema()));
   GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
                           spec.KeyColumns(input.schema()));
@@ -33,168 +32,102 @@ Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec,
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> on_idx,
                           input.schema().ColumnIndices(spec.pivot_on));
 
-  // combo row -> combo index
-  std::unordered_map<Row, size_t, RowHash, RowEq> combo_index;
-  combo_index.reserve(spec.combos.size());
-  for (size_t c = 0; c < spec.combos.size(); ++c) {
-    combo_index.emplace(spec.combos[c], c);
-  }
-
   const size_t num_key = key_idx.size();
   const size_t num_measures = spec.pivot_on.size();
   const size_t num_cells = spec.num_combos() * num_measures;
 
-  // Vectorized cell routing: typed dimension/key columns, chunked batch
-  // hashing of both key sets, and hash -> id buckets replacing the two
-  // Row-keyed maps. The scan stays sequential (output slot order and the
-  // first-duplicate error must match the row path exactly); only the hash
-  // and comparison work is batched. Combo buckets keep ascending ids and
-  // take the first equal match, reproducing combo_index's emplace-keeps-
-  // first behavior. Mixed-type columns or chunk size 0 use the row shim.
-  const size_t vec_chunk = exec::EffectiveVectorChunkSize(ctx);
-  std::optional<exec::KeyColumns> by_cols;
-  std::optional<exec::KeyColumns> key_cols;
-  if (vec_chunk > 0 && input.num_rows() > 0 &&
-      input.num_rows() <= UINT32_MAX) {
-    by_cols = exec::KeyColumns::Make(input, by_idx);
-    key_cols = exec::KeyColumns::Make(input, key_idx);
+  // Cell routing: typed dimension/key columns, chunked batch hashing of
+  // both key sets, and hash -> id buckets for the combos and the output
+  // slots. The scan itself is sequential, so output slot order and the
+  // first duplicate reported follow input order. Combo buckets keep
+  // ascending ids and take the first equal match, so a combo listed twice
+  // routes to its first position.
+  GPIVOT_ASSIGN_OR_RETURN(exec::KeyColumns by_cols,
+                          exec::KeyColumns::Make(input, by_idx));
+  GPIVOT_ASSIGN_OR_RETURN(exec::KeyColumns key_cols,
+                          exec::KeyColumns::Make(input, key_idx));
+  std::unordered_map<size_t, SmallVector<uint32_t, 2>> combo_buckets;
+  combo_buckets.reserve(spec.combos.size());
+  for (size_t c = 0; c < spec.combos.size(); ++c) {
+    combo_buckets[HashRow(spec.combos[c])].push_back(static_cast<uint32_t>(c));
   }
-  if (by_cols.has_value() && key_cols.has_value()) {
-    std::unordered_map<size_t, SmallVector<uint32_t, 2>> combo_buckets;
-    combo_buckets.reserve(spec.combos.size());
-    for (size_t c = 0; c < spec.combos.size(); ++c) {
-      combo_buckets[HashRow(spec.combos[c])].push_back(
-          static_cast<uint32_t>(c));
-    }
 
-    struct VSlot {
-      uint32_t row_position = 0;     // index into out_rows
-      uint32_t first_input_row = 0;  // input row that created this slot
-      std::vector<bool> combo_filled;
-    };
-    std::vector<VSlot> slots;
-    std::unordered_map<size_t, SmallVector<uint32_t, 2>> key_buckets;
-    key_buckets.reserve(input.num_rows());
-    std::vector<Row> out_rows;
+  struct Slot {
+    uint32_t row_position = 0;     // index into out_rows
+    uint32_t first_input_row = 0;  // input row that created this slot
+    std::vector<bool> combo_filled;
+  };
+  std::vector<Slot> slots;
+  std::unordered_map<size_t, SmallVector<uint32_t, 2>> key_buckets;
+  key_buckets.reserve(input.num_rows());
+  std::vector<Row> out_rows;
 
-    const size_t n = input.num_rows();
-    std::vector<size_t> by_hashes(std::min(vec_chunk, n));
-    std::vector<size_t> key_hashes(std::min(vec_chunk, n));
-    for (size_t cb = 0; cb < n; cb += vec_chunk) {
-      const size_t ce = std::min(n, cb + vec_chunk);
-      by_cols->BatchHash(cb, ce, by_hashes.data());
-      key_cols->BatchHash(cb, ce, key_hashes.data());
-      for (size_t r = cb; r < ce; ++r) {
-        const Row& row = input.RowAt(r);
-        std::optional<size_t> combo_id;
-        auto cit = combo_buckets.find(by_hashes[r - cb]);
-        if (cit != combo_buckets.end()) {
-          for (uint32_t c : cit->second) {
-            if (by_cols->RowEqualsValues(r, spec.combos[c])) {
-              combo_id = c;
-              break;
-            }
-          }
-        }
-        if (!combo_id.has_value() && !spec.keep_all_null_rows) {
-          continue;  // unlisted dimension value (Eq. 3 semantics)
-        }
-
-        VSlot* slot = nullptr;
-        SmallVector<uint32_t, 2>& ids = key_buckets[key_hashes[r - cb]];
-        for (uint32_t sid : ids) {
-          if (key_cols->RowsEqual(r, *key_cols, slots[sid].first_input_row)) {
-            slot = &slots[sid];
+  const size_t n = input.num_rows();
+  std::vector<size_t> by_hashes(std::min(exec::kVectorChunkSize, n));
+  std::vector<size_t> key_hashes(std::min(exec::kVectorChunkSize, n));
+  for (size_t cb = 0; cb < n; cb += exec::kVectorChunkSize) {
+    const size_t ce = std::min(n, cb + exec::kVectorChunkSize);
+    by_cols.BatchHash(cb, ce, by_hashes.data());
+    key_cols.BatchHash(cb, ce, key_hashes.data());
+    for (size_t r = cb; r < ce; ++r) {
+      const Row& row = input.RowAt(r);
+      std::optional<size_t> combo_id;
+      auto cit = combo_buckets.find(by_hashes[r - cb]);
+      if (cit != combo_buckets.end()) {
+        for (uint32_t c : cit->second) {
+          if (by_cols.RowEqualsValues(r, spec.combos[c])) {
+            combo_id = c;
             break;
           }
         }
-        if (slot == nullptr) {
-          ids.push_back(static_cast<uint32_t>(slots.size()));
-          VSlot fresh;
-          fresh.row_position = static_cast<uint32_t>(out_rows.size());
-          fresh.first_input_row = static_cast<uint32_t>(r);
-          fresh.combo_filled.assign(spec.num_combos(), false);
-          Row out;
-          out.reserve(num_key + num_cells);
-          for (size_t k : key_idx) out.push_back(row[k]);
-          out.resize(num_key + num_cells, Value::Null());
-          out_rows.push_back(std::move(out));
-          slots.push_back(std::move(fresh));
-          slot = &slots.back();
-        }
-        if (!combo_id.has_value()) {
-          continue;  // keep_all_null_rows: the key row exists, no cell
-        }
-        const size_t c = *combo_id;
-        if (slot->combo_filled[c]) {
-          // Reconstruct both rows the row path would print: the stored key
-          // (projected from the slot-creating input row) and this row's
-          // dimension values.
-          return Status::ConstraintViolation(StrCat(
-              "GPIVOT input violates key: duplicate (",
-              RowToString(
-                  ProjectRow(input.RowAt(slot->first_input_row), key_idx)),
-              ", ", RowToString(ProjectRow(row, by_idx)), ")"));
-        }
-        slot->combo_filled[c] = true;
-        Row& out = out_rows[slot->row_position];
-        for (size_t b = 0; b < num_measures; ++b) {
-          out[num_key + c * num_measures + b] = row[on_idx[b]];
+      }
+      if (!combo_id.has_value() && !spec.keep_all_null_rows) {
+        continue;  // unlisted dimension value (Eq. 3 semantics)
+      }
+
+      Slot* slot = nullptr;
+      SmallVector<uint32_t, 2>& ids = key_buckets[key_hashes[r - cb]];
+      for (uint32_t sid : ids) {
+        if (key_cols.RowsEqual(r, key_cols, slots[sid].first_input_row)) {
+          slot = &slots[sid];
+          break;
         }
       }
-    }
-    Table result(output_schema, std::move(out_rows));
-    GPIVOT_RETURN_NOT_OK(result.SetKey(key_names));
-    return result;
-  }
-
-  struct OutputSlot {
-    size_t row_position;
-    std::vector<bool> combo_filled;  // one bit per combo, for key checking
-  };
-  std::unordered_map<Row, OutputSlot, RowHash, RowEq> by_key;
-  by_key.reserve(input.num_rows());
-
-  Table result(output_schema);
-  // One mutable-rows borrow for the whole scan (each call re-checks the
-  // columnar-cache flag); the vector reference survives AddRow growth.
-  std::vector<Row>& shim_rows = result.mutable_rows();
-  for (const Row& row : input.rows()) {
-    Row combo = ProjectRow(row, by_idx);
-    auto combo_it = combo_index.find(combo);
-    if (combo_it == combo_index.end() && !spec.keep_all_null_rows) {
-      continue;  // unlisted dimension value (Eq. 3 semantics)
-    }
-
-    Row key = ProjectRow(row, key_idx);
-    auto it = by_key.find(key);
-    if (it == by_key.end()) {
-      Row out;
-      out.reserve(num_key + num_cells);
-      out.insert(out.end(), key.begin(), key.end());
-      out.resize(num_key + num_cells, Value::Null());
-      result.AddRow(std::move(out));
-      OutputSlot slot{result.num_rows() - 1,
-                      std::vector<bool>(spec.num_combos(), false)};
-      it = by_key.emplace(std::move(key), std::move(slot)).first;
-    }
-    if (combo_it == combo_index.end()) {
-      continue;  // keep_all_null_rows: the key row exists, no cell to fill
-    }
-    size_t c = combo_it->second;
-    OutputSlot& slot = it->second;
-    if (slot.combo_filled[c]) {
-      return Status::ConstraintViolation(
-          StrCat("GPIVOT input violates key: duplicate (",
-                 RowToString(it->first), ", ", RowToString(combo), ")"));
-    }
-    slot.combo_filled[c] = true;
-    Row& out = shim_rows[slot.row_position];
-    for (size_t b = 0; b < num_measures; ++b) {
-      out[num_key + c * num_measures + b] = row[on_idx[b]];
+      if (slot == nullptr) {
+        ids.push_back(static_cast<uint32_t>(slots.size()));
+        Slot fresh;
+        fresh.row_position = static_cast<uint32_t>(out_rows.size());
+        fresh.first_input_row = static_cast<uint32_t>(r);
+        fresh.combo_filled.assign(spec.num_combos(), false);
+        Row out;
+        out.reserve(num_key + num_cells);
+        for (size_t k : key_idx) out.push_back(row[k]);
+        out.resize(num_key + num_cells, Value::Null());
+        out_rows.push_back(std::move(out));
+        slots.push_back(std::move(fresh));
+        slot = &slots.back();
+      }
+      if (!combo_id.has_value()) {
+        continue;  // keep_all_null_rows: the key row exists, no cell
+      }
+      const size_t c = *combo_id;
+      if (slot->combo_filled[c]) {
+        // The stored key (projected from the slot-creating input row) and
+        // this row's dimension values.
+        return Status::ConstraintViolation(StrCat(
+            "GPIVOT input violates key: duplicate (",
+            RowToString(
+                ProjectRow(input.RowAt(slot->first_input_row), key_idx)),
+            ", ", RowToString(ProjectRow(row, by_idx)), ")"));
+      }
+      slot->combo_filled[c] = true;
+      Row& out = out_rows[slot->row_position];
+      for (size_t b = 0; b < num_measures; ++b) {
+        out[num_key + c * num_measures + b] = row[on_idx[b]];
+      }
     }
   }
-
+  Table result(output_schema, std::move(out_rows));
   GPIVOT_RETURN_NOT_OK(result.SetKey(key_names));
   return result;
 }
@@ -207,7 +140,7 @@ Result<Table> GPivot(const Table& input, const PivotSpec& spec,
                              ? obs::ScopedSpan(ctx.tracer, "GPivot")
                              : obs::ScopedSpan();
   obs::ScopedLatency latency(ctx.metrics, "core.gpivot.ms");
-  GPIVOT_ASSIGN_OR_RETURN(Table result, GPivotImpl(input, spec, ctx));
+  GPIVOT_ASSIGN_OR_RETURN(Table result, GPivotImpl(input, spec));
   if (ctx.cost != nullptr && ctx.cost_node >= 0) {
     obs::NodeStats stats;
     stats.invocations = 1;

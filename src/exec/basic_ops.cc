@@ -35,22 +35,22 @@ void RecordOp(const ExecContext& ctx, const char* op, size_t rows_in,
 
 Result<Table> Select(const Table& input, const ExprPtr& predicate,
                      const ExecContext& ctx) {
-  // Validate against the schema first (both paths must reject unknown
-  // columns identically), then filter through the vectorized predicate
-  // kernels when the expression shape supports them.
+  if (predicate == nullptr) {
+    return Status::InvalidArgument("select: predicate is null");
+  }
+  // Validate against the schema first (unknown columns fail whichever loop
+  // runs), then filter through the vectorized predicate kernels when the
+  // predicate compiles to them, else through the compiled expression.
   GPIVOT_ASSIGN_OR_RETURN(CompiledExpr compiled,
                           CompileExpr(predicate, input.schema()));
   Table result(input.schema());
-  const size_t chunk_size = EffectiveVectorChunkSize(ctx);
   const size_t num_rows = input.num_rows();
-  std::optional<VectorPredicate> vectorized;
-  if (chunk_size > 0 && num_rows > 0) {
-    vectorized = VectorPredicate::Compile(predicate, input);
-  }
+  std::optional<VectorPredicate> vectorized =
+      VectorPredicate::Compile(predicate, input);
   if (vectorized.has_value()) {
-    std::vector<uint8_t> mask(std::min(chunk_size, num_rows));
-    for (size_t begin = 0; begin < num_rows; begin += chunk_size) {
-      size_t end = std::min(num_rows, begin + chunk_size);
+    std::vector<uint8_t> mask(std::min(kVectorChunkSize, num_rows));
+    for (size_t begin = 0; begin < num_rows; begin += kVectorChunkSize) {
+      size_t end = std::min(num_rows, begin + kVectorChunkSize);
       vectorized->EvalChunk(begin, end, mask.data());
       for (size_t r = begin; r < end; ++r) {
         if (mask[r - begin]) result.AddRow(input.RowAt(r));
@@ -71,27 +71,13 @@ Result<Table> Project(const Table& input,
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
                           input.schema().ColumnIndices(columns));
   Table result(input.schema().Select(indices));
-  const size_t chunk_size = EffectiveVectorChunkSize(ctx);
-  const size_t num_rows = input.num_rows();
-  if (chunk_size > 0 && num_rows > 0 && !indices.empty()) {
-    // Column-at-a-time gather: pre-size every output row once, then fill
-    // one source column per pass (sequential reads of the typed storage)
-    // instead of per-row ProjectRow allocations with per-cell bounds
-    // checks.
-    std::vector<Row>& out_rows = result.mutable_rows();
-    out_rows.assign(num_rows, Row(indices.size()));
-    for (size_t j = 0; j < indices.size(); ++j) {
-      std::shared_ptr<const ColumnVector> col = input.ColumnData(indices[j]);
-      for (size_t begin = 0; begin < num_rows; begin += chunk_size) {
-        size_t end = std::min(num_rows, begin + chunk_size);
-        for (size_t r = begin; r < end; ++r) out_rows[r][j] = col->At(r);
-      }
-    }
-  } else {
-    result.mutable_rows().reserve(input.num_rows());
-    for (const Row& row : input.rows()) {
-      result.AddRow(ProjectRow(row, indices));
-    }
+  // Column-at-a-time gather: pre-size every output row once, then fill one
+  // source column per pass (sequential reads of the typed storage).
+  std::vector<Row>& out_rows = result.mutable_rows();
+  out_rows.assign(input.num_rows(), Row(indices.size()));
+  for (size_t j = 0; j < indices.size(); ++j) {
+    std::shared_ptr<const ColumnVector> col = input.ColumnData(indices[j]);
+    for (size_t r = 0; r < out_rows.size(); ++r) out_rows[r][j] = col->At(r);
   }
   RecordOp(ctx, "project", input.num_rows(), result.num_rows());
   return result;

@@ -19,8 +19,7 @@ namespace {
 // The actual aggregation; the public GroupBy wraps it with instrumentation.
 Result<Table> GroupByImpl(const Table& input,
                           const std::vector<std::string>& group_columns,
-                          const std::vector<AggSpec>& aggregates,
-                          const ExecContext& ctx) {
+                          const std::vector<AggSpec>& aggregates) {
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
                           input.schema().ColumnIndices(group_columns));
 
@@ -45,105 +44,60 @@ Result<Table> GroupByImpl(const Table& input,
     }
   }
 
+  // Typed group-key columns, batch hashing, and hash -> group-id buckets.
+  // Groups are created in first-appearance order and accumulate their rows
+  // in input order, so float sums are the left fold over each group.
   const size_t num_rows = input.num_rows();
-
-  // Vectorized fast path: typed group-key columns, batch hashing, and
-  // hash -> group-id buckets instead of Row-keyed map nodes. Groups are
-  // created and accumulated in row order exactly as in the row path below,
-  // so group contents, accumulator addition order (hence float sums), and
-  // output row order are byte-identical. Mixed-type key columns or a zero
-  // chunk knob fall through to the row shim.
-  const size_t chunk_size = EffectiveVectorChunkSize(ctx);
-  std::optional<KeyColumns> key_cols;
-  if (chunk_size > 0 && num_rows > 0 && num_rows <= UINT32_MAX) {
-    key_cols = KeyColumns::Make(input, group_idx);
-  }
-  if (key_cols.has_value()) {
-    std::vector<size_t> row_hashes(num_rows);
-    for (size_t cb = 0; cb < num_rows; cb += chunk_size) {
-      key_cols->BatchHash(cb, std::min(num_rows, cb + chunk_size),
-                          row_hashes.data() + cb);
-    }
-
-    struct VGroup {
-      uint32_t first_row = 0;
-      std::vector<Accumulator> accumulators;
-    };
-    // hash -> ids of groups with that key hash, in creation order.
-    std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
-    buckets.reserve(num_rows + 1);
-    std::vector<VGroup> groups;  // creation order == first appearance
-    for (size_t r = 0; r < num_rows; ++r) {
-      SmallVector<uint32_t, 2>& ids = buckets[row_hashes[r]];
-      VGroup* group = nullptr;
-      for (uint32_t gid : ids) {
-        if (key_cols->RowsEqual(r, *key_cols, groups[gid].first_row)) {
-          group = &groups[gid];
-          break;
-        }
-      }
-      if (group == nullptr) {
-        ids.push_back(static_cast<uint32_t>(groups.size()));
-        VGroup fresh;
-        fresh.first_row = static_cast<uint32_t>(r);
-        fresh.accumulators.reserve(aggregates.size());
-        for (const AggSpec& spec : aggregates) {
-          fresh.accumulators.emplace_back(spec.func);
-        }
-        groups.push_back(std::move(fresh));
-        group = &groups.back();
-      }
-      for (size_t a = 0; a < aggregates.size(); ++a) {
-        const auto& input_idx = agg_input_idx[a];
-        group->accumulators[a].Add(input_idx.has_value()
-                                       ? input.rows()[r][*input_idx]
-                                       : Value::Int(1));
-      }
-    }
-
-    Table result{Schema(std::move(out_columns))};
-    result.mutable_rows().reserve(groups.size());
-    for (const VGroup& group : groups) {
-      Row out = ProjectRow(input.rows()[group.first_row], group_idx);
-      out.reserve(group_idx.size() + aggregates.size());
-      for (const Accumulator& acc : group.accumulators) {
-        out.push_back(acc.Finish());
-      }
-      result.AddRow(std::move(out));
-    }
-    GPIVOT_RETURN_NOT_OK(result.SetKey(group_columns));
-    return result;
+  GPIVOT_ASSIGN_OR_RETURN(KeyColumns key_cols,
+                          KeyColumns::Make(input, group_idx));
+  std::vector<size_t> row_hashes(num_rows);
+  for (size_t cb = 0; cb < num_rows; cb += kVectorChunkSize) {
+    key_cols.BatchHash(cb, std::min(num_rows, cb + kVectorChunkSize),
+                       row_hashes.data() + cb);
   }
 
-  std::unordered_map<Row, std::vector<Accumulator>, RowHash, RowEq> groups;
-  groups.reserve(num_rows + 1);
-  // Group keys in first-appearance order (map nodes are stable, so the
-  // pointers survive rehashing).
-  std::vector<const Row*> order;
+  struct Group {
+    uint32_t first_row = 0;
+    std::vector<Accumulator> accumulators;
+  };
+  // hash -> ids of groups with that key hash, in creation order.
+  std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
+  buckets.reserve(num_rows + 1);
+  std::vector<Group> groups;  // creation order == first appearance
   for (size_t r = 0; r < num_rows; ++r) {
-    Row key = ProjectRow(input.rows()[r], group_idx);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      std::vector<Accumulator> accumulators;
-      accumulators.reserve(aggregates.size());
-      for (const AggSpec& spec : aggregates) {
-        accumulators.emplace_back(spec.func);
+    SmallVector<uint32_t, 2>& ids = buckets[row_hashes[r]];
+    Group* group = nullptr;
+    for (uint32_t gid : ids) {
+      if (key_cols.RowsEqual(r, key_cols, groups[gid].first_row)) {
+        group = &groups[gid];
+        break;
       }
-      it = groups.emplace(std::move(key), std::move(accumulators)).first;
-      order.push_back(&it->first);
+    }
+    if (group == nullptr) {
+      ids.push_back(static_cast<uint32_t>(groups.size()));
+      Group fresh;
+      fresh.first_row = static_cast<uint32_t>(r);
+      fresh.accumulators.reserve(aggregates.size());
+      for (const AggSpec& spec : aggregates) {
+        fresh.accumulators.emplace_back(spec.func);
+      }
+      groups.push_back(std::move(fresh));
+      group = &groups.back();
     }
     for (size_t a = 0; a < aggregates.size(); ++a) {
       const auto& input_idx = agg_input_idx[a];
-      it->second[a].Add(input_idx.has_value() ? input.rows()[r][*input_idx]
-                                              : Value::Int(1));
+      group->accumulators[a].Add(input_idx.has_value()
+                                     ? input.rows()[r][*input_idx]
+                                     : Value::Int(1));
     }
   }
 
   Table result{Schema(std::move(out_columns))};
-  result.mutable_rows().reserve(order.size());
-  for (const Row* key : order) {
-    Row out = *key;
-    for (const Accumulator& acc : groups.at(*key)) {
+  result.mutable_rows().reserve(groups.size());
+  for (const Group& group : groups) {
+    Row out = ProjectRow(input.rows()[group.first_row], group_idx);
+    out.reserve(group_idx.size() + aggregates.size());
+    for (const Accumulator& acc : group.accumulators) {
       out.push_back(acc.Finish());
     }
     result.AddRow(std::move(out));
@@ -164,7 +118,7 @@ Result<Table> GroupBy(const Table& input,
                              : obs::ScopedSpan();
   obs::ScopedLatency latency(ctx.metrics, "exec.group_by.ms");
   GPIVOT_ASSIGN_OR_RETURN(Table result,
-                          GroupByImpl(input, group_columns, aggregates, ctx));
+                          GroupByImpl(input, group_columns, aggregates));
   if (ctx.cost != nullptr && ctx.cost_node >= 0) {
     obs::NodeStats stats;
     stats.invocations = 1;

@@ -32,15 +32,6 @@ const char* JoinTypeToString(JoinType type) {
 
 namespace {
 
-// Row-key wrapper with NULL poisoning: SQL equi-joins never match NULL keys,
-// so NULL-containing keys are excluded from the hash table / probes.
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
 // Column bookkeeping shared by HashJoin and IndexJoin: the key positions on
 // each side, the right payload (right columns minus its join keys), the
 // output schema, and the compiled residual.
@@ -105,7 +96,7 @@ void RecordJoin(const ExecContext& ctx, obs::ScopedSpan* span, JoinType type,
     ctx.metrics->AddCounter("exec.join.rows_out", result.num_rows());
     // Logical output footprint (rows x columns x cell size). A data-derived
     // quantity rather than an allocator probe, so it is byte-identical
-    // across thread counts, chunk sizes, and row/vectorized paths; scratch
+    // across thread counts and between HashJoin and IndexJoin; scratch
     // buffers are deliberately excluded.
     ctx.metrics->AddCounter(
         "exec.join.bytes_allocated",
@@ -132,8 +123,18 @@ Row CombinedRow(const Row& l, const Row& r,
 }
 
 // The actual join; the public HashJoin wraps it with instrumentation.
+//
+// One build/probe loop serves every join type: typed key columns on both
+// sides, a hash -> build-row bucket table, and column-major batch hashing of
+// the probe side. Inner joins build on the smaller side (delta-sized inputs,
+// the common IVM case, then avoid hashing the large table); every other type
+// builds on the right and probes with the left, whose rows drive the
+// outer/semi/anti emission. Buckets hold ascending build-row indices and are
+// verified with typed key equality, so matches come out in ascending
+// build-row order, followed for FULL OUTER by the unmatched right rows in
+// right order.
 Result<Table> HashJoinImpl(const Table& left, const Table& right,
-                           const JoinSpec& spec, const ExecContext& ctx) {
+                           const JoinSpec& spec) {
   GPIVOT_ASSIGN_OR_RETURN(
       JoinLayout layout,
       MakeJoinLayout(left.schema(), right.schema(), spec));
@@ -142,156 +143,73 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
   const std::vector<size_t>& right_payload_idx = layout.right_payload_idx;
   const Schema& output_schema = layout.output_schema;
   const CompiledExpr& residual = layout.residual;
-  bool semi_or_anti =
+  const bool semi_or_anti =
       spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
-
-  auto combined_row_of = [&](const Row& l, const Row& r) {
-    return CombinedRow(l, r, right_payload_idx);
-  };
 
   if (spec.type == JoinType::kInner &&
       (left.empty() || right.empty())) {
     return Table(output_schema);
   }
 
-  // Vectorized inner-join fast path: typed key columns on both sides, one
-  // hash -> candidate-row bucket table instead of Row-keyed map nodes, and
-  // column-major batch hashing of the probe side. Candidates carry ascending
-  // build-row indices and are verified with typed key equality, so the match
-  // set and emission order are exactly the row path's (which iterates the
-  // ascending per-key index list). Falls back below on mixed-type key
-  // columns or when the chunk knob disables batching.
-  if (spec.type == JoinType::kInner) {
-    const size_t chunk_size = EffectiveVectorChunkSize(ctx);
-    const bool build_left = left.num_rows() < right.num_rows();
-    const Table& build_table = build_left ? left : right;
-    const Table& probe_table = build_left ? right : left;
-    const std::vector<size_t>& build_key_idx =
-        build_left ? left_key_idx : right_key_idx;
-    const std::vector<size_t>& probe_key_idx =
-        build_left ? right_key_idx : left_key_idx;
-    std::optional<KeyColumns> build_keys;
-    std::optional<KeyColumns> probe_keys;
-    if (chunk_size > 0 && build_table.num_rows() <= UINT32_MAX) {
-      build_keys = KeyColumns::Make(build_table, build_key_idx);
-      probe_keys = KeyColumns::Make(probe_table, probe_key_idx);
-    }
-    if (build_keys.has_value() && probe_keys.has_value()) {
-      std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
-      buckets.reserve(build_table.num_rows());
-      for (size_t i = 0; i < build_table.num_rows(); ++i) {
-        if (build_keys->HasNull(i)) continue;
-        buckets[build_keys->Hash(i)].push_back(static_cast<uint32_t>(i));
-      }
-      const size_t num_probe = probe_table.num_rows();
-      // Hash and null-test the probe side one column-major batch at a time.
-      std::vector<size_t> probe_hashes(num_probe);
-      std::vector<uint8_t> probe_nulls(num_probe);
-      for (size_t cb = 0; cb < num_probe; cb += chunk_size) {
-        const size_t ce = std::min(num_probe, cb + chunk_size);
-        probe_keys->BatchHash(cb, ce, probe_hashes.data() + cb);
-        probe_keys->BatchHasNull(cb, ce, probe_nulls.data() + cb);
-      }
-      Table result(output_schema);
-      for (size_t r = 0; r < num_probe; ++r) {
-        if (probe_nulls[r]) continue;
-        auto it = buckets.find(probe_hashes[r]);
-        if (it == buckets.end()) continue;
-        for (uint32_t bi : it->second) {
-          if (!probe_keys->RowsEqual(r, *build_keys, bi)) continue;
-          const Row& lrow =
-              build_left ? build_table.RowAt(bi) : probe_table.RowAt(r);
-          const Row& rrow =
-              build_left ? probe_table.RowAt(r) : build_table.RowAt(bi);
-          Row out = combined_row_of(lrow, rrow);
-          if (residual && !ValueIsTrue(residual(out))) continue;
-          result.AddRow(std::move(out));
-        }
-      }
-      return result;
-    }
+  const bool build_left =
+      spec.type == JoinType::kInner && left.num_rows() < right.num_rows();
+  const Table& build_table = build_left ? left : right;
+  const Table& probe_table = build_left ? right : left;
+  GPIVOT_ASSIGN_OR_RETURN(
+      KeyColumns build_keys,
+      KeyColumns::Make(build_table, build_left ? left_key_idx : right_key_idx));
+  GPIVOT_ASSIGN_OR_RETURN(
+      KeyColumns probe_keys,
+      KeyColumns::Make(probe_table, build_left ? right_key_idx : left_key_idx));
+
+  // SQL equi-joins never match NULL keys, so those rows are never bucketed.
+  std::unordered_map<size_t, SmallVector<uint32_t, 2>> buckets;
+  buckets.reserve(build_table.num_rows());
+  for (size_t i = 0; i < build_table.num_rows(); ++i) {
+    if (build_keys.HasNull(i)) continue;
+    buckets[build_keys.Hash(i)].push_back(static_cast<uint32_t>(i));
+  }
+  const size_t num_probe = probe_table.num_rows();
+  // Hash and null-test the probe side one column-major batch at a time.
+  std::vector<size_t> probe_hashes(num_probe);
+  std::vector<uint8_t> probe_nulls(num_probe);
+  for (size_t cb = 0; cb < num_probe; cb += kVectorChunkSize) {
+    const size_t ce = std::min(num_probe, cb + kVectorChunkSize);
+    probe_keys.BatchHash(cb, ce, probe_hashes.data() + cb);
+    probe_keys.BatchHasNull(cb, ce, probe_nulls.data() + cb);
   }
 
-  // Inner joins build the hash table on the smaller side; delta-sized
-  // inputs (the common IVM case) then avoid hashing the large table.
-  if (spec.type == JoinType::kInner && left.num_rows() < right.num_rows()) {
-    std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> build;
-    build.reserve(left.num_rows());
-    for (size_t i = 0; i < left.num_rows(); ++i) {
-      Row key = ProjectRow(left.rows()[i], left_key_idx);
-      if (KeyHasNull(key)) continue;
-      build[std::move(key)].push_back(i);
-    }
-    Table result(output_schema);
-    // Reuse one scratch key row across probes to avoid per-row allocs.
-    Row key(right_key_idx.size());
-    for (const Row& rrow : right.rows()) {
-      for (size_t i = 0; i < right_key_idx.size(); ++i) {
-        key[i] = rrow[right_key_idx[i]];
-      }
-      if (KeyHasNull(key)) continue;
-      auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (size_t li : it->second) {
-        Row out = combined_row_of(left.rows()[li], rrow);
-        if (residual && !ValueIsTrue(residual(out))) continue;
-        result.AddRow(std::move(out));
-      }
-    }
-    return result;
-  }
-
-  // Build side: right.
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> build;
-  build.reserve(right.num_rows());
-  for (size_t i = 0; i < right.num_rows(); ++i) {
-    Row key = ProjectRow(right.rows()[i], right_key_idx);
-    if (KeyHasNull(key)) continue;
-    build[std::move(key)].push_back(i);
-  }
-
-  std::vector<uint8_t> right_matched(right.num_rows(), 0);
+  std::vector<uint8_t> right_matched(
+      spec.type == JoinType::kFullOuter ? right.num_rows() : 0, 0);
   Table result(output_schema);
-  // Reuse one scratch key row across probes to avoid per-row allocs.
-  Row key(left_key_idx.size());
-  for (const Row& lrow : left.rows()) {
-    for (size_t i = 0; i < left_key_idx.size(); ++i) {
-      key[i] = lrow[left_key_idx[i]];
-    }
+  for (size_t r = 0; r < num_probe; ++r) {
+    const Row& prow = probe_table.RowAt(r);
     bool matched = false;
-    if (!KeyHasNull(key)) {
-      auto it = build.find(key);
-      if (it != build.end()) {
-        for (size_t ri : it->second) {
-          Row out = combined_row_of(lrow, right.rows()[ri]);
-          if (residual && !ValueIsTrue(residual(out))) continue;
-          matched = true;
-          right_matched[ri] = 1;
-          switch (spec.type) {
-            case JoinType::kInner:
-            case JoinType::kLeftOuter:
-            case JoinType::kFullOuter:
-              result.AddRow(std::move(out));
-              break;
-            case JoinType::kLeftSemi:
-            case JoinType::kLeftAnti:
-              break;  // handled below
-          }
-          if (semi_or_anti) break;  // one match decides
-        }
+    auto it = probe_nulls[r] ? buckets.end() : buckets.find(probe_hashes[r]);
+    if (it != buckets.end()) {
+      for (uint32_t bi : it->second) {
+        if (!probe_keys.RowsEqual(r, build_keys, bi)) continue;
+        const Row& brow = build_table.RowAt(bi);
+        Row out = build_left ? CombinedRow(brow, prow, right_payload_idx)
+                             : CombinedRow(prow, brow, right_payload_idx);
+        if (residual && !ValueIsTrue(residual(out))) continue;
+        matched = true;
+        if (semi_or_anti) break;  // one match decides
+        if (!right_matched.empty()) right_matched[bi] = 1;
+        result.AddRow(std::move(out));
       }
     }
     switch (spec.type) {
       case JoinType::kLeftSemi:
-        if (matched) result.AddRow(lrow);
+        if (matched) result.AddRow(prow);
         break;
       case JoinType::kLeftAnti:
-        if (!matched) result.AddRow(lrow);
+        if (!matched) result.AddRow(prow);
         break;
       case JoinType::kLeftOuter:
       case JoinType::kFullOuter:
         if (!matched) {
-          Row out = lrow;
+          Row out = prow;
           out.resize(output_schema.num_columns(), Value::Null());
           result.AddRow(std::move(out));
         }
@@ -328,7 +246,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                              ? obs::ScopedSpan(ctx.tracer, "HashJoin")
                              : obs::ScopedSpan();
   obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
-  GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec, ctx));
+  GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec));
   // Build/probe sizes mirror HashJoinImpl's side choice: inner joins build
   // on the smaller side, every other type builds on the right.
   bool inner_build_left = spec.type == JoinType::kInner &&

@@ -1,7 +1,5 @@
 #include "exec/vector_ops.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string_view>
@@ -9,53 +7,24 @@
 
 #include "util/check.h"
 #include "util/hash_util.h"
+#include "util/string_util.h"
 
 namespace gpivot::exec {
 
-std::optional<uint64_t> ParseVectorChunkSize(const char* text) {
-  if (text == nullptr || text[0] < '0' || text[0] > '9') {
-    return std::nullopt;  // also rejects strtoull's whitespace/sign skipping
-  }
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(parsed);
-}
-
-size_t VectorChunkSizeFromEnv() {
-  static const size_t kChunk = [] {
-    const char* value = std::getenv("GPIVOT_VECTOR_CHUNK_SIZE");
-    if (value == nullptr || value[0] == '\0') return size_t{1024};
-    std::optional<uint64_t> parsed = ParseVectorChunkSize(value);
-    if (!parsed.has_value()) {
-      std::fprintf(
-          stderr,
-          "gpivot: GPIVOT_VECTOR_CHUNK_SIZE='%s' is not a non-negative "
-          "integer\n",
-          value);
-      std::exit(2);
-    }
-    return static_cast<size_t>(*parsed);
-  }();
-  return kChunk;
-}
-
-size_t EffectiveVectorChunkSize(const ExecContext& ctx) {
-  return ctx.vector_chunk_size == kVectorChunkAuto ? VectorChunkSizeFromEnv()
-                                                   : ctx.vector_chunk_size;
-}
-
 // ---- KeyColumns ----------------------------------------------------------
 
-std::optional<KeyColumns> KeyColumns::Make(const Table& table,
-                                           const std::vector<size_t>& indices) {
+Result<KeyColumns> KeyColumns::Make(const Table& table,
+                                    const std::vector<size_t>& indices) {
+  if (table.num_rows() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        StrCat("key columns: ", table.num_rows(),
+               " rows exceed the 32-bit row ids of the hash operators"));
+  }
   KeyColumns keys;
   keys.num_rows_ = table.num_rows();
   keys.cols_.reserve(indices.size());
   for (size_t i : indices) {
-    std::shared_ptr<const ColumnVector> col = table.ColumnData(i);
-    if (col->kind() == ColumnKind::kMixed) return std::nullopt;
-    keys.cols_.push_back(std::move(col));
+    keys.cols_.push_back(table.ColumnData(i));
   }
   return keys;
 }
@@ -272,7 +241,6 @@ CompareOp MirrorOp(CompareOp op) {
 
 std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
                                                         const Table& table) {
-  GPIVOT_CHECK(expr != nullptr) << "VectorPredicate::Compile on null expr";
   std::function<std::shared_ptr<const Node>(const ExprPtr&)> build =
       [&](const ExprPtr& e) -> std::shared_ptr<const Node> {
     switch (e->kind()) {
@@ -300,14 +268,14 @@ std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
         node->col = col;
         if (lit.is_null() || col->kind() == ColumnKind::kAllNull) {
           // A NULL operand makes the comparison NULL on every row: never
-          // TRUE, exactly like the row-path EvalCompare.
+          // TRUE, exactly like the compiled EvalCompare.
           node->kind = Node::Kind::kNever;
           return node;
         }
         bool col_string = col->kind() == ColumnKind::kString;
         if (col_string != lit.is_string()) {
           // Rank-mixed comparison: Value ordering ranks numerics below
-          // strings, a case the typed kernels do not model. Row shim.
+          // strings, a case the typed kernels do not model.
           return nullptr;
         }
         if (col_string) {

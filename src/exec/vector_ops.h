@@ -9,42 +9,29 @@
 #include "expr/expr.h"
 #include "relation/columnar.h"
 #include "relation/table.h"
-#include "util/thread_pool.h"
+#include "util/result.h"
 
 namespace gpivot::exec {
 
-// Shared kernels of the vectorized batch executor. Every fast path built on
-// these is an *alternative inner loop*, not an alternative semantics: given
-// the same inputs it produces byte-identical tables, counters, and plan
-// stats as the row-at-a-time shim it replaces, for every chunk size.
-// Operators fall back to the row shim whenever a kernel reports the input
-// shape unsupported (mixed-type columns, unsupported predicate forms), so
-// coverage gaps cost performance, never correctness.
+// Shared kernels of the batch executor. HashJoin, GroupBy and GPivot key
+// their hash tables through KeyColumns, whatever the column kinds; Select
+// filters through VectorPredicate when the predicate compiles to it and
+// through the compiled row expression otherwise.
 
-// Strict parse of a chunk-size string: a fully-consumed non-negative
-// decimal integer, else nullopt. Exposed for tests.
-std::optional<uint64_t> ParseVectorChunkSize(const char* text);
-
-// The process-wide default batch width from GPIVOT_VECTOR_CHUNK_SIZE, read
-// once. Unset/empty = 1024; 0 = row shim everywhere; a garbled value exits
-// the process with code 2 (same fail-fast contract as the bench knobs — a
-// silently mis-parsed width would publish wrong perf numbers).
-size_t VectorChunkSizeFromEnv();
-
-// The batch width `ctx` asks for: its explicit value, or the env default
-// when ctx.vector_chunk_size == kVectorChunkAuto. 0 disables the fast
-// paths.
-size_t EffectiveVectorChunkSize(const ExecContext& ctx);
+// The number of rows each typed inner loop processes per batch.
+inline constexpr size_t kVectorChunkSize = 1024;
 
 // A typed, null-aware view of one table's key columns (join keys, group-by
 // keys, pivot dimension/key columns). Hashes and equality reproduce the
-// row-path HashRowAt / Value::operator== results exactly, so hash-keyed
-// structures built from either path agree.
+// row-layer HashRowAt / Value::operator== results exactly for every column
+// kind (kMixed columns hash and compare their Value cells), so hash-keyed
+// structures built from either layer agree.
 class KeyColumns {
  public:
-  // nullopt when any referenced column is mixed-type (row shim territory).
-  static std::optional<KeyColumns> Make(const Table& table,
-                                        const std::vector<size_t>& indices);
+  // Fails only when the table has more rows than a uint32_t row id holds
+  // (the operators' buckets store 32-bit row ids).
+  static Result<KeyColumns> Make(const Table& table,
+                                 const std::vector<size_t>& indices);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return cols_.size(); }
@@ -77,12 +64,13 @@ class KeyColumns {
 // path actually uses: comparisons between a column and a literal (either
 // side), IS [NOT] NULL of a column, and AND/OR over supported children.
 // EvalChunk computes "is TRUE" under three-valued logic — exactly the
-// ValueIsTrue(compiled(row)) the row shim filters on. Unsupported shapes
-// (NOT, arithmetic, CASE, column-to-column comparisons, mixed-type
+// ValueIsTrue(compiled(row)) Select filters on otherwise. Unsupported
+// shapes (NOT, arithmetic, CASE, column-to-column comparisons, mixed-type
 // columns, comparisons across the numeric/string rank) return nullopt from
-// Compile and stay on the row shim.
+// Compile, and Select evaluates the compiled expression row by row.
 class VectorPredicate {
  public:
+  // `expr` must not be null.
   static std::optional<VectorPredicate> Compile(const ExprPtr& expr,
                                                 const Table& table);
 

@@ -21,7 +21,7 @@ enum class ColumnKind {
   kDouble,   // every non-null cell is a double
   kString,   // every non-null cell is a string (pooled bytes)
   kAllNull,  // no non-null cells (includes the empty column)
-  kMixed,    // anything else; falls back to per-cell Values
+  kMixed,    // anything else; stored as per-cell Values
 };
 
 const char* ColumnKindToString(ColumnKind kind);
@@ -32,13 +32,13 @@ const char* ColumnKindToString(ColumnKind kind);
 // the column has no NULLs) plus a kind-specific payload — a flat int64 or
 // double vector with zero placeholders in null positions, or a string pool
 // (one concatenated byte buffer + row-count+1 offsets, cells borrowed as
-// string_views). Mixed-type columns keep plain Values; the vectorized
-// operators treat kMixed as "use the row shim".
+// string_views). Mixed-type columns keep plain Values, which the accessors
+// below hash and compare cell by cell.
 //
 // Every accessor reproduces the source rows exactly: At(i) rebuilds the
 // original Value, CellHash matches Value::Hash, and the equality helpers
 // match Value::operator== (NULL equals NULL, int64 3 equals double 3.0) —
-// the fast paths built on top inherit byte-identical results from this.
+// the operators built on top inherit row-layer semantics from this.
 class ColumnVector {
  public:
   // Builds the view of column `col` over `rows`. Never fails: columns that

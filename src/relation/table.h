@@ -21,12 +21,13 @@ namespace gpivot {
 //
 // Row storage is authoritative: rows() / RowAt() are the row-view adapter
 // every cold path keeps using. On top of it the table lazily materializes
-// immutable per-column typed views (ColumnVector) for the vectorized
-// operator fast paths. The cache is built on first ColumnData() call,
-// shared by copies (the views are immutable), safe to build from multiple
-// reader threads, and invalidated by any mutation entry point (AddRow,
-// mutable_rows, the sort in Sorted). Since the views reproduce the rows
-// exactly, warm/cold cache state is never observable in results.
+// immutable per-column typed views (ColumnVector) that the hash operators
+// key on and that Select and Project read. The cache is built on first
+// ColumnData() call, shared by copies (the views are immutable), safe to
+// build from multiple reader threads, and invalidated by any mutation entry
+// point (AddRow, mutable_rows, the sort in Sorted). Since the views
+// reproduce the rows exactly, warm/cold cache state is never observable in
+// results.
 class Table {
  public:
   Table() = default;

@@ -21,12 +21,12 @@ namespace gpivot::serve {
 //
 // The ExecContext given at construction is used for every query: its
 // metrics registry receives the serve.query.* counters and latency
-// histograms, and its vector_chunk_size routes Scan through the columnar
-// fast path (snapshots share the view's warm column cache, so repeated
-// scans of the same version never rebuild it). Point the context at a
-// per-reader local registry when counters must stay deterministic — query
-// counts per reader are workload-determined, but which global shard they
-// land in is not.
+// histograms. Scan filters through exec::Select, whose vectorized
+// predicate kernels read the snapshot's column cache (snapshots share the
+// view's warm cache, so repeated scans of the same version never rebuild
+// it). Point the context at a per-reader local registry when counters must
+// stay deterministic — query counts per reader are workload-determined, but
+// which global shard they land in is not.
 class QueryService {
  public:
   explicit QueryService(const SnapshotStore* store,
@@ -40,8 +40,8 @@ class QueryService {
                                          const Row& key,
                                          ReaderHandle* handle) const;
 
-  // σ over the snapshot table (exec::Select, vectorized when the chunk
-  // size allows).
+  // σ over the snapshot table (exec::Select). A null predicate is an
+  // InvalidArgument error.
   Result<Table> Scan(const std::string& view, const ExprPtr& predicate,
                      ReaderHandle* handle) const;
 

@@ -15,9 +15,9 @@ namespace gpivot {
 //
 // The columnar layer holds per-column typed payloads in these: delta tables
 // in the IVM hot path are routinely a handful of rows, and per-column heap
-// allocations would dominate the cost of building their column views. Join
-// and group-by fast paths also use SmallVector for hash-bucket candidate
-// lists, which are almost always a single entry (unique keys).
+// allocations would dominate the cost of building their column views. The
+// join, group-by and pivot hash tables also use SmallVector for bucket
+// candidate lists, which are almost always a single entry (unique keys).
 template <typename T, size_t N>
 class SmallVector {
   static_assert(std::is_trivially_copyable_v<T>,

@@ -19,11 +19,6 @@ namespace gpivot {
 
 struct PlanNodeIds;
 
-// Sentinel for ExecContext::vector_chunk_size: resolve the batch width from
-// the GPIVOT_VECTOR_CHUNK_SIZE environment variable (default 1024) on first
-// use — see exec::EffectiveVectorChunkSize.
-inline constexpr size_t kVectorChunkAuto = static_cast<size_t>(-1);
-
 // Execution settings threaded through the operator APIs (HashJoin, GroupBy,
 // GPivotParallel, Evaluate, the maintenance planner, ViewManager). Set
 // fields by name: positional initialisation would silently shift when a
@@ -57,15 +52,6 @@ struct ExecContext {
   obs::CostCollector* cost = nullptr;
   const PlanNodeIds* plan_ids = nullptr;
   int cost_node = -1;
-
-  // Vectorized-executor batch width: the number of rows each columnar fast
-  // path (Select / Project / HashJoin / GroupBy / GPivot) processes per
-  // typed inner loop. 0 forces the row-at-a-time shim everywhere;
-  // kVectorChunkAuto (the default) resolves GPIVOT_VECTOR_CHUNK_SIZE.
-  // Results are byte-identical for every setting — the knob changes only
-  // which inner loop produces them — so it shares the determinism guarantee
-  // num_threads has.
-  size_t vector_chunk_size = kVectorChunkAuto;
 };
 
 // A fixed set of worker threads draining a FIFO task queue. ParallelFor is

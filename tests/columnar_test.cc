@@ -1,9 +1,9 @@
 // Columnar storage and vectorized execution: the typed column views must
 // reproduce row-layer hashing/equality bit-for-bit, the Table column cache
-// must invalidate on every mutation edge, and each operator fast path must
-// return byte-identical tables to the row shim at any chunk size. These
-// tests are the unit-level contract; columnar_property_test drives the same
-// equivalence end-to-end through the view pipeline.
+// must invalidate on every mutation edge, and each operator must match an
+// independent reference (a nested-loop join, a linear-scan group-by, the
+// literal Eq. 3 pivot, row-at-a-time expression evaluation), including on
+// key columns that mix value types.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -235,30 +235,6 @@ TEST(TableColumnCacheTest, CopySharesWarmCacheAndSortedStartsCold) {
   EXPECT_EQ(t.CachedColumnData(2).get(), warm.get());
 }
 
-// ---- chunk-size knob ------------------------------------------------------
-
-TEST(VectorChunkSizeTest, StrictParse) {
-  EXPECT_EQ(exec::ParseVectorChunkSize("1024"), 1024u);
-  EXPECT_EQ(exec::ParseVectorChunkSize("0"), 0u);
-  EXPECT_EQ(exec::ParseVectorChunkSize("1"), 1u);
-  EXPECT_FALSE(exec::ParseVectorChunkSize(nullptr).has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize("").has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize("-1").has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize("12x").has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize("x12").has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize(" 12").has_value());
-  EXPECT_FALSE(exec::ParseVectorChunkSize("1.5").has_value());
-}
-
-TEST(VectorChunkSizeTest, ContextOverridesEnvDefault) {
-  ExecContext ctx;
-  EXPECT_EQ(ctx.vector_chunk_size, kVectorChunkAuto);
-  ctx.vector_chunk_size = 0;
-  EXPECT_EQ(exec::EffectiveVectorChunkSize(ctx), 0u);
-  ctx.vector_chunk_size = 7;
-  EXPECT_EQ(exec::EffectiveVectorChunkSize(ctx), 7u);
-}
-
 // ---- KeyColumns -----------------------------------------------------------
 
 Table RandomMixedTable(Rng* rng, size_t rows, double null_fraction) {
@@ -285,7 +261,7 @@ TEST(KeyColumnsTest, MatchesRowLayerHashingAndEquality) {
   Table t = RandomMixedTable(&rng, 64, 0.15);
   std::vector<size_t> idx = {0, 1, 2};
   auto keys = exec::KeyColumns::Make(t, idx);
-  ASSERT_TRUE(keys.has_value());
+  ASSERT_TRUE(keys.ok());
   ASSERT_EQ(keys->num_rows(), t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(keys->Hash(r), HashRowAt(t.RowAt(r), idx)) << "row " << r;
@@ -307,7 +283,7 @@ TEST(KeyColumnsTest, BatchKernelsMatchScalarKernels) {
   Table t = RandomMixedTable(&rng, 100, 0.2);
   std::vector<size_t> idx = {0, 1};
   auto keys = exec::KeyColumns::Make(t, idx);
-  ASSERT_TRUE(keys.has_value());
+  ASSERT_TRUE(keys.ok());
   for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
            {0, 100}, {0, 1}, {37, 64}, {99, 100}, {50, 50}}) {
     std::vector<size_t> hashes(end - begin);
@@ -321,16 +297,43 @@ TEST(KeyColumnsTest, BatchKernelsMatchScalarKernels) {
   }
 }
 
-TEST(KeyColumnsTest, RejectsMixedTypeColumns) {
-  Table t{Schema({{"m", DataType::kInt64}})};
-  t.AddRow({I(1)});
-  t.AddRow({S("oops")});
-  EXPECT_FALSE(exec::KeyColumns::Make(t, {0}).has_value());
+TEST(KeyColumnsTest, MixedTypeColumnsMatchRowLayer) {
+  // kMixed columns hash and compare their Value cells: 3 equals 3.0, the
+  // int 1 never equals the string "1", and NULL equals NULL.
+  Table t{Schema({{"m", DataType::kInt64}, {"n", DataType::kInt64}})};
+  for (const Row& row : std::vector<Row>{{I(3), I(1)},
+                                         {D(3.0), S("1")},
+                                         {D(2.5), I(1)},
+                                         {N(), S("a")},
+                                         {I(3), S("1")},
+                                         {N(), S("a")}}) {
+    t.AddRow(row);
+  }
+  ASSERT_EQ(t.ColumnData(0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(t.ColumnData(1)->kind(), ColumnKind::kMixed);
+  std::vector<size_t> idx = {0, 1};
+  ASSERT_OK_AND_ASSIGN(exec::KeyColumns keys,
+                       exec::KeyColumns::Make(t, idx));
+  std::vector<size_t> hashes(t.num_rows());
+  keys.BatchHash(0, t.num_rows(), hashes.data());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(keys.Hash(r), HashRowAt(t.RowAt(r), idx)) << "row " << r;
+    EXPECT_EQ(hashes[r], keys.Hash(r)) << "row " << r;
+    EXPECT_TRUE(keys.RowEqualsValues(r, ProjectRow(t.RowAt(r), idx)));
+    for (size_t s = 0; s < t.num_rows(); ++s) {
+      EXPECT_EQ(keys.RowsEqual(r, keys, s),
+                RowsEqualAt(t.RowAt(r), idx, t.RowAt(s), idx))
+          << r << " vs " << s;
+    }
+  }
+  EXPECT_TRUE(keys.RowsEqual(1, keys, 4));   // (3.0, "1") == (3, "1")
+  EXPECT_FALSE(keys.RowsEqual(0, keys, 4));  // int 1 != string "1"
+  EXPECT_TRUE(keys.RowsEqual(3, keys, 5));   // NULL groups with NULL
 }
 
 // ---- VectorPredicate ------------------------------------------------------
 
-void ExpectPredicateMatchesRowShim(const Table& t, const ExprPtr& pred,
+void ExpectPredicateMatchesCompiledExpr(const Table& t, const ExprPtr& pred,
                                    bool expect_compiled) {
   auto vectorized = exec::VectorPredicate::Compile(pred, t);
   ASSERT_EQ(vectorized.has_value(), expect_compiled) << pred->ToString();
@@ -366,11 +369,11 @@ TEST(VectorPredicateTest, SupportedShapesMatchThreeValuedLogic) {
       Eq(Col("k"), Lit(Value::Null())),  // NULL literal: never TRUE
   };
   for (const ExprPtr& pred : supported) {
-    ExpectPredicateMatchesRowShim(t, pred, /*expect_compiled=*/true);
+    ExpectPredicateMatchesCompiledExpr(t, pred, /*expect_compiled=*/true);
   }
 }
 
-TEST(VectorPredicateTest, UnsupportedShapesFallBackToRowShim) {
+TEST(VectorPredicateTest, UnsupportedShapesDoNotCompile) {
   Rng rng(778);
   Table t = RandomMixedTable(&rng, 10, 0.1);
   std::vector<ExprPtr> unsupported = {
@@ -382,55 +385,58 @@ TEST(VectorPredicateTest, UnsupportedShapesFallBackToRowShim) {
           Not(IsNull(Col("k")))),           // one unsupported child poisons
   };
   for (const ExprPtr& pred : unsupported) {
-    ExpectPredicateMatchesRowShim(t, pred, /*expect_compiled=*/false);
+    ExpectPredicateMatchesCompiledExpr(t, pred, /*expect_compiled=*/false);
   }
   Table mixed{Schema({{"m", DataType::kInt64}})};
   mixed.AddRow({I(1)});
   mixed.AddRow({S("oops")});
-  ExpectPredicateMatchesRowShim(mixed, Eq(Col("m"), Lit(int64_t{1})),
+  ExpectPredicateMatchesCompiledExpr(mixed, Eq(Col("m"), Lit(int64_t{1})),
                                 /*expect_compiled=*/false);
 }
 
-// ---- operator fast paths vs row shim --------------------------------------
+// ---- operators vs independent references -------------------------------
 
-// Strict equality including row order and declared key — the fast paths
-// promise byte-identical tables, not just equal bags.
-void ExpectIdenticalTables(const Table& expected, const Table& actual,
-                           const char* what) {
-  ASSERT_EQ(expected.schema(), actual.schema()) << what;
-  ASSERT_EQ(expected.key(), actual.key()) << what;
-  ASSERT_EQ(expected.rows(), actual.rows()) << what;
+// Each cell with its storage type, so 3 and 3.0 (equal as Values) differ.
+std::vector<std::string> TypedRows(const Table& t) {
+  std::vector<std::string> rows;
+  for (const Row& row : t.rows()) {
+    std::string text;
+    for (const Value& v : row) {
+      text += v.is_null() ? "null" : v.is_int() ? "i:" : v.is_double() ? "d:"
+                                                                       : "s:";
+      if (!v.is_null()) text += v.ToString();
+      text += "|";
+    }
+    rows.push_back(std::move(text));
+  }
+  return rows;
 }
 
-ExecContext ChunkContext(size_t chunk) {
-  ExecContext ctx;
-  ctx.vector_chunk_size = chunk;
-  return ctx;
-}
-
-const size_t kChunkSweep[] = {1, 3, 1024};
-
-TEST(RowVsVectorTest, SelectAndProject) {
+TEST(OperatorOracleTest, SelectAndProject) {
   Rng rng(4242);
   Table t = RandomMixedTable(&rng, 120, 0.2);
-  ExprPtr pred = And(Gt(Col("v"), Lit(int64_t{25})),
-                     Or(IsNull(Col("g")), Lt(Col("k"), Lit(int64_t{6}))));
-  ASSERT_OK_AND_ASSIGN(Table sel_row,
-                       exec::Select(t, pred, ChunkContext(0)));
-  ASSERT_OK_AND_ASSIGN(
-      Table proj_row,
-      exec::Project(t, {"x", "k"}, ChunkContext(0)));
-  for (size_t chunk : kChunkSweep) {
-    ASSERT_OK_AND_ASSIGN(Table sel_vec,
-                         exec::Select(t, pred, ChunkContext(chunk)));
-    ExpectIdenticalTables(sel_row, sel_vec, "Select");
-    ASSERT_OK_AND_ASSIGN(Table proj_vec,
-                         exec::Project(t, {"x", "k"}, ChunkContext(chunk)));
-    ExpectIdenticalTables(proj_row, proj_vec, "Project");
+  // One predicate the vector kernels compile, one they do not (NOT).
+  for (const ExprPtr& pred :
+       {And(Gt(Col("v"), Lit(int64_t{25})),
+            Or(IsNull(Col("g")), Lt(Col("k"), Lit(int64_t{6})))),
+        Not(Gt(Col("v"), Lit(int64_t{25})))}) {
+    ASSERT_OK_AND_ASSIGN(CompiledExpr compiled, CompileExpr(pred, t.schema()));
+    Table expected(t.schema());
+    for (const Row& row : t.rows()) {
+      if (ValueIsTrue(compiled(row))) expected.AddRow(row);
+    }
+    ASSERT_OK_AND_ASSIGN(Table selected, exec::Select(t, pred));
+    EXPECT_EQ(TypedRows(expected), TypedRows(selected)) << pred->ToString();
   }
+  std::vector<size_t> idx = {2, 0};
+  Table expected(t.schema().Select(idx));
+  for (const Row& row : t.rows()) expected.AddRow(ProjectRow(row, idx));
+  ASSERT_OK_AND_ASSIGN(Table projected, exec::Project(t, {"x", "k"}));
+  EXPECT_EQ(expected.schema(), projected.schema());
+  EXPECT_EQ(TypedRows(expected), TypedRows(projected));
 }
 
-TEST(RowVsVectorTest, InnerHashJoinBothBuildSides) {
+TEST(OperatorOracleTest, InnerHashJoinBothBuildSides) {
   Rng rng(555);
   Table small = RandomMixedTable(&rng, 30, 0.15);
   Table large = RandomMixedTable(&rng, 90, 0.15);
@@ -447,18 +453,14 @@ TEST(RowVsVectorTest, InnerHashJoinBothBuildSides) {
     for (const ExprPtr& residual :
          {ExprPtr(nullptr), Gt(Col("v2"), Lit(int64_t{30}))}) {
       spec.residual = residual;
-      ASSERT_OK_AND_ASSIGN(Table row_path,
-                           exec::HashJoin(l, r, spec, ChunkContext(0)));
-      for (size_t chunk : kChunkSweep) {
-        ASSERT_OK_AND_ASSIGN(Table vec_path,
-                             exec::HashJoin(l, r, spec, ChunkContext(chunk)));
-        ExpectIdenticalTables(row_path, vec_path, "HashJoin");
-      }
+      ASSERT_OK_AND_ASSIGN(Table joined, exec::HashJoin(l, r, spec));
+      EXPECT_TRUE(testing::BagEqual(testing::NestedLoopOracle(l, r, spec),
+                                    joined));
     }
   }
 }
 
-TEST(RowVsVectorTest, GroupByAccumulation) {
+TEST(OperatorOracleTest, GroupByAccumulation) {
   Rng rng(808);
   Table t = RandomMixedTable(&rng, 150, 0.2);
   std::vector<AggSpec> aggs = {
@@ -468,17 +470,14 @@ TEST(RowVsVectorTest, GroupByAccumulation) {
       AggSpec{AggFunc::kMin, "v", "min_v"},
       AggSpec{AggFunc::kAvg, "x", "avg_x"},
   };
-  ASSERT_OK_AND_ASSIGN(Table row_path,
-                       exec::GroupBy(t, {"k", "g"}, aggs, ChunkContext(0)));
-  for (size_t chunk : kChunkSweep) {
-    ASSERT_OK_AND_ASSIGN(
-        Table vec_path,
-        exec::GroupBy(t, {"k", "g"}, aggs, ChunkContext(chunk)));
-    ExpectIdenticalTables(row_path, vec_path, "GroupBy");
-  }
+  Table expected = testing::GroupByOracle(t, {"k", "g"}, aggs);
+  ASSERT_OK_AND_ASSIGN(Table grouped, exec::GroupBy(t, {"k", "g"}, aggs));
+  EXPECT_EQ(expected.schema(), grouped.schema());
+  EXPECT_EQ(expected.key(), grouped.key());
+  EXPECT_EQ(TypedRows(expected), TypedRows(grouped));
 }
 
-TEST(RowVsVectorTest, GPivotCellRouting) {
+TEST(OperatorOracleTest, GPivotCellRouting) {
   Rng rng(31337);
   testing::RandomVerticalSpec vspec;
   vspec.num_rows = 90;
@@ -497,16 +496,14 @@ TEST(RowVsVectorTest, GPivotCellRouting) {
   }
   for (bool keep : {false, true}) {
     spec.keep_all_null_rows = keep;
-    ASSERT_OK_AND_ASSIGN(Table row_path, GPivot(t, spec, ChunkContext(0)));
-    for (size_t chunk : kChunkSweep) {
-      ASSERT_OK_AND_ASSIGN(Table vec_path,
-                           GPivot(t, spec, ChunkContext(chunk)));
-      ExpectIdenticalTables(row_path, vec_path, "GPivot");
-    }
+    ASSERT_OK_AND_ASSIGN(Table expected, GPivotReference(t, spec));
+    ASSERT_OK_AND_ASSIGN(Table pivoted, GPivot(t, spec));
+    EXPECT_EQ(expected.key(), pivoted.key());
+    EXPECT_TRUE(testing::BagEqual(expected, pivoted)) << "keep=" << keep;
   }
 }
 
-TEST(RowVsVectorTest, GPivotDuplicateKeyErrorMessageIdentical) {
+TEST(OperatorOracleTest, GPivotDuplicateKeyErrorMessagePinned) {
   Table t{Schema({{"k", DataType::kInt64},
                   {"a", DataType::kString},
                   {"b", DataType::kInt64}})};
@@ -516,12 +513,121 @@ TEST(RowVsVectorTest, GPivotDuplicateKeyErrorMessageIdentical) {
   spec.pivot_by = {"a"};
   spec.pivot_on = {"b"};
   spec.combos = {{S("x")}};
-  Result<Table> row_path = GPivot(t, spec, ChunkContext(0));
-  ASSERT_FALSE(row_path.ok());
-  for (size_t chunk : kChunkSweep) {
-    Result<Table> vec_path = GPivot(t, spec, ChunkContext(chunk));
-    ASSERT_FALSE(vec_path.ok());
-    EXPECT_EQ(vec_path.status().ToString(), row_path.status().ToString());
+  Result<Table> pivoted = GPivot(t, spec);
+  ASSERT_FALSE(pivoted.ok());
+  EXPECT_EQ(pivoted.status().ToString(),
+            "Constraint violation: GPIVOT input violates key: duplicate "
+            "((1), (x))");
+}
+
+// ---- mixed-type key columns ----------------------------------------------
+
+// Key column k mixes int64 and double (3 beside 3.0), key column t mixes
+// ints and strings (1 beside "1"); both also hold NULLs.
+Table MixedLeft() {
+  Table t{Schema({{"k", DataType::kInt64},
+                  {"t", DataType::kInt64},
+                  {"lv", DataType::kInt64}})};
+  for (const Row& row : std::vector<Row>{{I(3), I(1), I(0)},
+                                         {D(3.0), I(1), I(1)},
+                                         {I(3), S("a"), I(2)},
+                                         {D(2.5), S("a"), I(3)},
+                                         {N(), I(1), I(4)},
+                                         {I(7), I(2), I(5)},
+                                         {D(3.0), S("1"), I(6)},
+                                         {I(5), N(), I(7)}}) {
+    t.AddRow(row);
+  }
+  return t;
+}
+
+Table MixedRight(size_t extra_rows) {
+  Table t{Schema({{"k", DataType::kInt64},
+                  {"t", DataType::kInt64},
+                  {"rv", DataType::kInt64}})};
+  for (const Row& row : std::vector<Row>{{D(3.0), I(1), I(100)},
+                                         {I(3), S("a"), I(101)},
+                                         {I(3), I(1), I(102)},
+                                         {D(2.5), S("a"), I(103)},
+                                         {I(9), S("z"), I(104)},
+                                         {N(), I(1), I(105)},
+                                         {I(3), S("1"), I(106)}}) {
+    t.AddRow(row);
+  }
+  for (size_t i = 0; i < extra_rows; ++i) {
+    t.AddRow({D(7.0), I(2), I(static_cast<int64_t>(200 + i))});
+  }
+  return t;
+}
+
+class MixedKeyJoinTest : public ::testing::TestWithParam<exec::JoinType> {};
+
+TEST_P(MixedKeyJoinTest, HashJoinMatchesNestedLoopOracle) {
+  Table left = MixedLeft();
+  ASSERT_EQ(left.ColumnData(0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(left.ColumnData(1)->kind(), ColumnKind::kMixed);
+  exec::JoinSpec spec;
+  spec.left_keys = {"k", "t"};
+  spec.right_keys = {"k", "t"};
+  spec.type = GetParam();
+  // 8 x 7 builds an inner join on the right, 8 x 9 on the left.
+  for (size_t extra : {size_t{0}, size_t{2}}) {
+    Table right = MixedRight(extra);
+    ASSERT_EQ(right.ColumnData(0)->kind(), ColumnKind::kMixed);
+    Table expected = testing::NestedLoopOracle(left, right, spec);
+    ASSERT_OK_AND_ASSIGN(Table joined, exec::HashJoin(left, right, spec));
+    EXPECT_TRUE(testing::BagEqual(expected, joined)) << "extra=" << extra;
+    if (spec.type != exec::JoinType::kInner) {
+      EXPECT_EQ(TypedRows(expected), TypedRows(joined)) << "extra=" << extra;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, MixedKeyJoinTest,
+    ::testing::ValuesIn(testing::AllJoinTypes()), testing::JoinTypeParamName);
+
+TEST(MixedKeyTest, GroupByMatchesOracle) {
+  Table input = MixedLeft();
+  std::vector<AggSpec> aggs = {AggSpec::Sum("lv", "s"),
+                               AggSpec::CountStar("n"),
+                               AggSpec::Min("lv", "lo")};
+  for (const std::vector<std::string>& keys :
+       {std::vector<std::string>{"k"}, std::vector<std::string>{"t"},
+        std::vector<std::string>{"k", "t"}}) {
+    Table expected = testing::GroupByOracle(input, keys, aggs);
+    ASSERT_OK_AND_ASSIGN(Table grouped, exec::GroupBy(input, keys, aggs));
+    // Each group's key is its first row's cells, types included.
+    EXPECT_EQ(TypedRows(expected), TypedRows(grouped)) << keys.size();
+  }
+}
+
+TEST(MixedKeyTest, GPivotMatchesReference) {
+  Table input{Schema({{"k", DataType::kInt64},
+                      {"t", DataType::kInt64},
+                      {"lv", DataType::kInt64}})};
+  for (const Row& row : std::vector<Row>{{I(3), I(1), I(10)},
+                                         {D(3.0), S("a"), I(11)},
+                                         {I(5), I(2), I(12)},
+                                         {D(6.0), S("1"), I(13)},
+                                         {D(2.5), I(1), I(14)},
+                                         {I(8), S("a"), N()},
+                                         {I(8), I(2), I(16)}}) {
+    input.AddRow(row);
+  }
+  ASSERT_EQ(input.ColumnData(0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(input.ColumnData(1)->kind(), ColumnKind::kMixed);
+  PivotSpec spec;
+  spec.pivot_by = {"t"};
+  spec.pivot_on = {"lv"};
+  spec.combos = {{I(1)}, {S("a")}, {D(2.0)}};  // 2.0 routes the int 2 rows
+  for (bool keep : {false, true}) {
+    spec.keep_all_null_rows = keep;
+    ASSERT_OK_AND_ASSIGN(Table expected, GPivotReference(input, spec));
+    ASSERT_OK_AND_ASSIGN(Table pivoted, GPivot(input, spec));
+    EXPECT_TRUE(testing::BagEqual(expected, pivoted)) << "keep=" << keep;
+    // 3 and 3.0 are one key; 6.0 lists no combo ("1" is not 1).
+    EXPECT_EQ(pivoted.num_rows(), keep ? 5u : 4u);
   }
 }
 

@@ -43,6 +43,12 @@ TEST(SelectTest, UnknownColumnErrors) {
   EXPECT_FALSE(exec::Select(People(), Eq(Col("zz"), Lit(int64_t{1}))).ok());
 }
 
+TEST(SelectTest, NullPredicateIsInvalidArgument) {
+  Result<Table> result = exec::Select(People(), nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ProjectTest, ReordersColumns) {
   ASSERT_OK_AND_ASSIGN(Table result,
                        exec::Project(People(), {"salary", "id"}));
@@ -280,96 +286,38 @@ Table OracleRight(size_t rows) {
   return t;
 }
 
-// Nested-loop reference for HashJoin on OracleLeft/OracleRight (key column
-// 0 on both sides), written out per join type from the operator contract.
-Table NestedLoopOracle(const Table& left, const Table& right,
-                       exec::JoinType type) {
-  const bool keeps_right_columns = type == exec::JoinType::kInner ||
-                                   type == exec::JoinType::kLeftOuter ||
-                                   type == exec::JoinType::kFullOuter;
-  std::vector<Column> columns = left.schema().columns();
-  if (keeps_right_columns) columns.push_back(right.schema().columns()[1]);
-  Table out{Schema(columns)};
-  auto matches = [](const Row& l, const Row& r) {
-    return !l[0].is_null() && !r[0].is_null() && l[0] == r[0];
-  };
-  std::vector<bool> right_matched(right.num_rows(), false);
-  for (const Row& l : left.rows()) {
-    bool matched = false;
-    for (size_t j = 0; j < right.num_rows(); ++j) {
-      const Row& r = right.rows()[j];
-      if (!matches(l, r)) continue;
-      matched = true;
-      right_matched[j] = true;
-      if (keeps_right_columns) out.AddRow({l[0], l[1], l[2], r[1]});
-    }
-    if (type == exec::JoinType::kLeftSemi && matched) out.AddRow(l);
-    if (type == exec::JoinType::kLeftAnti && !matched) out.AddRow(l);
-    if (!matched && (type == exec::JoinType::kLeftOuter ||
-                     type == exec::JoinType::kFullOuter)) {
-      out.AddRow({l[0], l[1], l[2], N()});
-    }
-  }
-  if (type == exec::JoinType::kFullOuter) {
-    for (size_t j = 0; j < right.num_rows(); ++j) {
-      const Row& r = right.rows()[j];
-      if (!right_matched[j]) out.AddRow({r[0], N(), N(), r[1]});
-    }
-  }
-  return out;
-}
-
-ExecContext ChunkContext(size_t chunk) {
-  ExecContext ctx;
-  ctx.vector_chunk_size = chunk;
-  return ctx;
-}
-
 class HashJoinOracleTest : public ::testing::TestWithParam<exec::JoinType> {};
 
-TEST_P(HashJoinOracleTest, MatchesNestedLoopOracleOnRowAndVectorPaths) {
+TEST_P(HashJoinOracleTest, MatchesNestedLoopOracle) {
   exec::JoinSpec spec;
   spec.left_keys = {"k"};
   spec.right_keys = {"k"};
   spec.type = GetParam();
   // Both build sides: left smaller (inner's build-left branch) and left
-  // larger (the general build-right branch).
+  // larger (the build-right branch every other type takes).
   for (auto [left_rows, right_rows] : {std::pair<size_t, size_t>{80, 200},
                                        std::pair<size_t, size_t>{200, 80}}) {
     SCOPED_TRACE(std::to_string(left_rows) + "x" + std::to_string(right_rows));
     Table left = OracleLeft(left_rows);
     Table right = OracleRight(right_rows);
-    Table expected = NestedLoopOracle(left, right, GetParam());
-    ASSERT_OK_AND_ASSIGN(Table row_path,
-                         exec::HashJoin(left, right, spec, ChunkContext(0)));
-    EXPECT_TRUE(BagEqual(expected, row_path));
-    // The vectorized path must reproduce the row path exactly, order
-    // included, at every batch width.
-    for (size_t chunk : {size_t{1}, size_t{7}, size_t{1024}}) {
-      ASSERT_OK_AND_ASSIGN(
-          Table vector_path,
-          exec::HashJoin(left, right, spec, ChunkContext(chunk)));
-      EXPECT_EQ(row_path.schema(), vector_path.schema());
-      EXPECT_EQ(row_path.rows(), vector_path.rows()) << "chunk " << chunk;
+    for (const ExprPtr& residual :
+         {ExprPtr(nullptr), Gt(Col("rv"), Lit(int64_t{1040}))}) {
+      spec.residual = residual;
+      Table expected = testing::NestedLoopOracle(left, right, spec);
+      ASSERT_OK_AND_ASSIGN(Table actual, exec::HashJoin(left, right, spec));
+      EXPECT_TRUE(BagEqual(expected, actual));
+      // Every type but INNER builds on the right and emits in the
+      // oracle's order: left rows in order, matches in right order.
+      if (spec.type != exec::JoinType::kInner) {
+        EXPECT_EQ(expected.rows(), actual.rows());
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, HashJoinOracleTest,
-    ::testing::Values(exec::JoinType::kInner, exec::JoinType::kLeftOuter,
-                      exec::JoinType::kFullOuter, exec::JoinType::kLeftSemi,
-                      exec::JoinType::kLeftAnti),
-    [](const ::testing::TestParamInfo<exec::JoinType>& info) {
-      switch (info.param) {
-        case exec::JoinType::kInner: return "Inner";
-        case exec::JoinType::kLeftOuter: return "LeftOuter";
-        case exec::JoinType::kFullOuter: return "FullOuter";
-        case exec::JoinType::kLeftSemi: return "LeftSemi";
-        case exec::JoinType::kLeftAnti: return "LeftAnti";
-      }
-      return "?";
-    });
+    ::testing::ValuesIn(testing::AllJoinTypes()), testing::JoinTypeParamName);
 
 // ---- GroupBy -------------------------------------------------------------------
 
@@ -407,7 +355,7 @@ TEST(GroupByTest, FloatSumsFoldInInputOrderBitExactly) {
   // Doubles whose sum depends on addition order, and NULL group keys that
   // form a group of their own. Groups come out in first-appearance order
   // and each SUM is the left fold over the group's rows in input order,
-  // bit for bit, on the row path and at every vector batch width.
+  // bit for bit.
   Table input(Schema({{"g", DataType::kInt64},
                       {"x", DataType::kDouble},
                       {"n", DataType::kInt64}}));
@@ -444,11 +392,8 @@ TEST(GroupByTest, FloatSumsFoldInInputOrderBitExactly) {
   std::vector<AggSpec> aggs = {AggSpec::Sum("x", "sx"),
                                AggSpec::Count("n", "cn"),
                                AggSpec::CountStar("all")};
-  for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-    ASSERT_OK_AND_ASSIGN(Table result,
-                         exec::GroupBy(input, {"g"}, aggs, ChunkContext(chunk)));
-    EXPECT_EQ(expected.rows(), result.rows()) << "chunk " << chunk;
-  }
+  ASSERT_OK_AND_ASSIGN(Table result, exec::GroupBy(input, {"g"}, aggs));
+  EXPECT_EQ(expected.rows(), result.rows());
 }
 
 TEST(GroupByTest, EmptyInputYieldsNoGroups) {

@@ -21,9 +21,11 @@
 #include "obs/trace.h"
 #include "serve/query.h"
 #include "serve/snapshot.h"
+#include "storage/serialize.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/views.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace gpivot {
@@ -64,15 +66,13 @@ struct ObservedEpoch {
   std::string span_tree;
 };
 
-ObservedEpoch RunObservedEpoch(size_t threads,
-                               size_t vector_chunk = kVectorChunkAuto) {
+ObservedEpoch RunObservedEpoch(size_t threads) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   obs::Tracer tracer;
   tracer.set_enabled(true);
   ExecContext ctx;
   ctx.num_threads = threads;
-  ctx.vector_chunk_size = vector_chunk;
   ctx.metrics = &registry;
   ctx.tracer = &tracer;
   tpch::Config config = SmallConfig();
@@ -98,25 +98,6 @@ TEST(ObsDeterminismTest, EpochCountersIdenticalAcrossThreadCounts) {
   ObservedEpoch parallel = RunObservedEpoch(4);
   EXPECT_EQ(sequential.counters, parallel.counters)
       << "operator counters leaked scheduling dependence";
-}
-
-TEST(ObsDeterminismTest, EpochArtifactsIdenticalAcrossVectorChunkSizes) {
-  // The vectorized batch executor must be invisible to every observable:
-  // chunk width 1 vs 1024 vs the row shim (0), at both thread counts.
-  ObservedEpoch reference = RunObservedEpoch(1, 1024);
-  ASSERT_FALSE(reference.counters.empty());
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t chunk : {size_t{0}, size_t{1}, size_t{1024}}) {
-      if (threads == 1 && chunk == 1024) continue;  // the reference itself
-      ObservedEpoch other = RunObservedEpoch(threads, chunk);
-      EXPECT_EQ(reference.counters, other.counters)
-          << "counters depend on chunk size (threads=" << threads
-          << ", chunk=" << chunk << ")";
-      EXPECT_EQ(reference.span_tree, other.span_tree)
-          << "span tree depends on chunk size (threads=" << threads
-          << ", chunk=" << chunk << ")";
-    }
-  }
 }
 
 TEST(ObsDeterminismTest, EpochSpanTreeIdenticalAcrossThreadCounts) {
@@ -319,7 +300,7 @@ TEST(ObsDeterminismTest, ZipfChurnFlushArtifactsIdenticalAcrossThreadCounts) {
   ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload::kZipfChurn);
 }
 
-// A serving scenario's observable artifacts at (threads, vector_chunk):
+// A serving scenario's observable artifacts at `threads`:
 // epochs churn the views through the batcher while a registered reader runs
 // the same fixed query script between epochs. Everything below must be a
 // pure function of the workload — reader-side query results and counters,
@@ -332,17 +313,14 @@ struct ServingArtifacts {
   std::string event_log_bytes;
 };
 
-ServingArtifacts RunServingScenario(size_t threads,
-                                    size_t vector_chunk = kVectorChunkAuto) {
+ServingArtifacts RunServingScenario(size_t threads) {
   std::string log_path = ::testing::TempDir() + "/gpivot_serve_det_" +
-                         std::to_string(threads) + "_" +
-                         std::to_string(vector_chunk) + ".jsonl";
+                         std::to_string(threads) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
   EXPECT_TRUE(log.ok()) << log.error();
   ExecContext maintain_ctx;
   maintain_ctx.num_threads = threads;
-  maintain_ctx.vector_chunk_size = vector_chunk;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, maintain_ctx);
   manager.set_event_log(&log);
@@ -358,7 +336,6 @@ ServingArtifacts RunServingScenario(size_t threads,
   reader_registry.set_enabled(true);
   ExecContext reader_ctx;
   reader_ctx.metrics = &reader_registry;
-  reader_ctx.vector_chunk_size = vector_chunk;
   serve::QueryService service(&store, reader_ctx);
 
   // Fixed query script: one snapshot-tagged lookup, scan, and top-k per
@@ -406,8 +383,8 @@ ServingArtifacts RunServingScenario(size_t threads,
   return artifacts;
 }
 
-TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossThreadsAndChunks) {
-  ServingArtifacts reference = RunServingScenario(1, 1024);
+TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossThreadCounts) {
+  ServingArtifacts reference = RunServingScenario(1);
   // The scenario exercised the whole serving surface…
   EXPECT_EQ(reference.store_counters.at("serve.snapshot.installs"), 3u);
   // Two post-attach epochs retire one superseded version per view.
@@ -426,21 +403,110 @@ TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossThreadsAndChunks) {
   ASSERT_NE(reference.event_log_bytes.find("\"outcome\": \"committed\""),
             std::string::npos);
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t chunk : {size_t{0}, size_t{1024}}) {
-      if (threads == 1 && chunk == 1024) continue;  // the reference itself
-      ServingArtifacts other = RunServingScenario(threads, chunk);
-      EXPECT_EQ(reference.query_rows, other.query_rows)
-          << "query results depend on the schedule (threads=" << threads
-          << ", chunk=" << chunk << ")";
-      EXPECT_EQ(reference.store_counters, other.store_counters);
-      EXPECT_EQ(reference.reader_counters, other.reader_counters);
-      EXPECT_EQ(reference.event_log_bytes, other.event_log_bytes)
-          << "serving event-log bytes depend on the schedule (threads="
-          << threads << ", chunk=" << chunk << ")";
-    }
-  }
+  ServingArtifacts other = RunServingScenario(4);
+  EXPECT_EQ(reference.query_rows, other.query_rows)
+      << "query results depend on the schedule";
+  EXPECT_EQ(reference.store_counters, other.store_counters);
+  EXPECT_EQ(reference.reader_counters, other.reader_counters);
+  EXPECT_EQ(reference.event_log_bytes, other.event_log_bytes)
+      << "serving event-log bytes depend on the schedule";
 }
+
+// Every observable artifact of a random epoch sequence: the canonical
+// serialized bytes of every (sorted) view, the raw view rows, EXPLAIN
+// ANALYZE JSON, the epoch event-log JSONL, and the full counter snapshot.
+struct SequenceArtifacts {
+  std::map<std::string, std::string> sorted_view_bytes;
+  std::map<std::string, std::vector<Row>> view_rows;
+  std::string explain_json;
+  std::string event_log_bytes;
+  std::map<std::string, uint64_t> counters;
+};
+
+// Applies a `workload_seed`-determined sequence of four insert / delete /
+// mixed epochs to a fresh three-view manager at `threads`.
+SequenceArtifacts RunEpochSequence(size_t threads, uint64_t workload_seed) {
+  std::string log_path = ::testing::TempDir() + "/gpivot_seq_det_" +
+                         std::to_string(threads) + "_" +
+                         std::to_string(workload_seed) + ".jsonl";
+  std::remove(log_path.c_str());
+  obs::EventLog log(log_path);
+  EXPECT_TRUE(log.ok()) << log.error();
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.num_threads = threads;
+  ctx.metrics = &registry;
+  tpch::Config config = SmallConfig();
+  ViewManager manager = MakeThreeViewManager(config, ctx);
+  manager.set_event_log(&log);
+  registry.Reset();
+
+  // The draws depend only on workload_seed, so every thread count replays
+  // the same deltas.
+  Rng rng(workload_seed * 7919 + 3);
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    uint64_t seed = static_cast<uint64_t>(rng.Int(1, 1 << 20));
+    SourceDeltas deltas;
+    switch (rng.Int(0, 2)) {
+      case 0:
+        deltas = tpch::MakeLineitemInsertsNewKeys(manager.catalog(), config,
+                                                  0.03, seed)
+                     .value();
+        break;
+      case 1:
+        deltas = tpch::MakeLineitemDeletes(manager.catalog(), 0.03, seed)
+                     .value();
+        break;
+      default:
+        deltas = tpch::MakeLineitemInsertsMixed(manager.catalog(), config,
+                                                0.03, seed)
+                     .value();
+        break;
+    }
+    EXPECT_TRUE(manager.ApplyUpdate(deltas).ok());
+  }
+
+  SequenceArtifacts artifacts;
+  artifacts.counters = registry.Snapshot().counters;
+  for (const char* name : {"v1", "v2", "v3"}) {
+    const Table& view = manager.GetView(name).value()->table();
+    artifacts.view_rows[name] = view.rows();
+    artifacts.sorted_view_bytes[name] =
+        storage::EncodeTableToString(view.Sorted());
+    CostReport report = manager.ExplainAnalyze(name).value();
+    artifacts.explain_json += report.ToJsonLine() + "\n";
+  }
+  std::ifstream in(log_path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  artifacts.event_log_bytes = buffer.str();
+  std::remove(log_path.c_str());
+  return artifacts;
+}
+
+class EpochSequenceDeterminismTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(EpochSequenceDeterminismTest, ArtifactsIdenticalAcrossThreadCounts) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  SequenceArtifacts sequential = RunEpochSequence(1, seed);
+  ASSERT_FALSE(sequential.sorted_view_bytes.empty());
+  ASSERT_GT(sequential.counters["ivm.propagate.calls"], 0u);
+  SequenceArtifacts parallel = RunEpochSequence(4, seed);
+  EXPECT_EQ(sequential.sorted_view_bytes, parallel.sorted_view_bytes)
+      << "canonical view bytes diverged";
+  EXPECT_EQ(sequential.view_rows, parallel.view_rows)
+      << "view rows (or their order) diverged";
+  EXPECT_EQ(sequential.explain_json, parallel.explain_json)
+      << "EXPLAIN ANALYZE (plan shape / counters) diverged";
+  EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes)
+      << "epoch JSONL diverged";
+  EXPECT_EQ(sequential.counters, parallel.counters)
+      << "metrics counters diverged";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EpochSequenceDeterminismTest,
+                         ::testing::Values(1, 2, 3));
 
 TEST(ObsDeterminismTest, UnobservedEpochMatchesObservedResults) {
   // Observability must be read-only: the refreshed views are identical

@@ -397,6 +397,25 @@ TEST(QueryServiceTest, ScanFiltersAgainstOneSnapshot) {
   EXPECT_EQ(all.num_rows(), 2u);
 }
 
+TEST(QueryServiceTest, ScanWithNullPredicateIsInvalidArgument) {
+  // A caller's null predicate comes back as a status; the process lives on
+  // and keeps serving.
+  ViewManager manager = MakePivotManager();
+  SnapshotStore store(&manager);
+  ASSERT_OK(store.Attach());
+  ScopedReader reader(&store);
+  QueryService service(&store);
+
+  Result<Table> scanned = service.Scan("v", nullptr, reader.get());
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_TRUE(scanned.status().IsInvalidArgument())
+      << scanned.status().ToString();
+  ASSERT_OK_AND_ASSIGN(
+      Table all,
+      service.Scan("v", Gt(Col("Price"), Lit(int64_t{0})), reader.get()));
+  EXPECT_EQ(all.num_rows(), 2u);
+}
+
 TEST(QueryServiceTest, TopKOrdersDescendingAndSkipsNulls) {
   ViewManager manager = MakePivotManager();
   SnapshotStore store(&manager);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/join.h"
+#include "expr/aggregate.h"
 #include "relation/table.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -49,6 +51,34 @@ Table MakeTable(std::vector<Column> columns, std::vector<Row> rows);
 // readable diff.
 ::testing::AssertionResult BagEqual(const Table& expected,
                                     const Table& actual);
+
+// Nested-loop reference for exec::HashJoin, written from the operator
+// contract rather than from its hash tables: for each left row in order,
+// every right row in order whose join keys are all non-NULL and equal and
+// that passes the residual. INNER/OUTER rows are left ++ right-minus-keys;
+// LEFT OUTER / FULL OUTER pad an unmatched left row with NULLs; SEMI/ANTI
+// emit the left row when it has / has no match; FULL OUTER then appends the
+// unmatched right rows in right order, their left key columns taken from
+// the right keys. HashJoin must equal this row for row for every type but
+// INNER (whose order depends on the build side), and as a bag for INNER.
+Table NestedLoopOracle(const Table& left, const Table& right,
+                       const exec::JoinSpec& spec);
+
+// The five join types, and their test-name spelling ("LeftOuter"), for
+// join tests parameterized over the type.
+std::vector<exec::JoinType> AllJoinTypes();
+std::string JoinTypeParamName(
+    const ::testing::TestParamInfo<exec::JoinType>& info);
+
+// Reference GROUP BY: groups found by linear search under Value equality
+// and emitted in first-appearance order, each group's key taken from its
+// first row; every aggregate folded by hand over the group's rows in input
+// order (NULL inputs skipped except by COUNT(*); SUM stays integral while
+// every input is; any aggregate but COUNT(*) over no non-NULL input is
+// NULL, COUNT included).
+Table GroupByOracle(const Table& input,
+                    const std::vector<std::string>& group_columns,
+                    const std::vector<AggSpec>& aggregates);
 
 // Random keyed "vertical" table for pivot property tests: columns
 // (k INT, a1.. STR dims, b1.. measures), with (k, dims) forming a key. Dims

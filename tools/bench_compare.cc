@@ -229,17 +229,6 @@ int DiffBenchFiles(const std::string& baseline_path,
         Fmt("%s: num_threads differ (%.0f vs %.0f); wall-time gate skipped",
             figure.c_str(), base_threads, cand_threads));
   }
-  // Batch width changes timings the same way thread count does; rows and
-  // counters must still match exactly. Files predating the field read as
-  // -1 on both sides and stay comparable.
-  double base_chunk = NumberOr(base->Find("vector_chunk_size"), -1.0);
-  double cand_chunk = NumberOr(cand->Find("vector_chunk_size"), -1.0);
-  if (gate_wall_time && base_chunk != cand_chunk) {
-    gate_wall_time = false;
-    report->notes.push_back(Fmt(
-        "%s: vector_chunk_size differ (%.0f vs %.0f); wall-time gate skipped",
-        figure.c_str(), base_chunk, cand_chunk));
-  }
 
   const JsonValue* base_rows = base->Find("results");
   const JsonValue* cand_rows = cand->Find("results");
