@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -31,9 +32,23 @@ namespace {
 
 constexpr double kView2PriceThreshold = 30000.0;
 
-double EnvDouble(const char* name, double fallback) {
+// The scale factor is parsed as strictly as the integer knobs
+// (BenchEnvUint64): atof-style parsing reads "abc" as 0 — which dbgen
+// clamps to its minimum table sizes under a run labelled scale 0 — and
+// "0.01x" as 0.01. Anything but a fully-consumed, finite value > 0 is
+// fatal (exit 2).
+double BenchEnvScaleFactor(const char* name, double fallback) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atof(value);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  char* end = nullptr;
+  double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(parsed) ||
+      !(parsed > 0)) {
+    std::fprintf(stderr, "bench: %s='%s' is not a finite number > 0\n", name,
+                 value);
+    std::exit(2);
+  }
+  return parsed;
 }
 
 // The environment variables the harness and the libraries it links read.
@@ -426,7 +441,8 @@ void AddFigureRecord(const std::string& figure, FigureRecord record) {
 const BenchContext& SharedContext() {
   static const BenchContext* const kContext = [] {
     auto* context = new BenchContext();
-    context->config.scale_factor = EnvDouble("GPIVOT_BENCH_SF", 0.02);
+    context->config.scale_factor =
+        BenchEnvScaleFactor("GPIVOT_BENCH_SF", 0.02);
     context->config.seed = BenchEnvUint64("GPIVOT_BENCH_SEED", 20050405);
     context->data = tpch::Generate(context->config);
     return context;

@@ -26,8 +26,9 @@ enum class WorkloadKind {
 };
 
 // Shared generated database. Scale factor comes from the environment
-// variable GPIVOT_BENCH_SF (default 0.01 ≈ 1.5k customers / 15k orders /
-// ~50k lineitems); seed from GPIVOT_BENCH_SEED.
+// variable GPIVOT_BENCH_SF (default 0.02 ≈ 3k customers / 30k orders; a
+// value that is not a finite number > 0 exits 2); seed from
+// GPIVOT_BENCH_SEED.
 struct BenchContext {
   tpch::Config config;
   tpch::Data data;

@@ -4,33 +4,26 @@
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
-#include "obs/cost.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace gpivot {
 
 namespace {
 
-// The recursive evaluator; the public Evaluate wraps each node with a span
-// and per-kind counters.
+// The recursive evaluator; the public Evaluate wraps each node in `span`,
+// which also carries the node's cost attribution.
 Result<Table> EvaluateNode(const PlanPtr& plan, const Catalog& catalog,
-                           const ExecContext& ctx) {
+                           const ExecContext& ctx, obs::ScopedSpan& span) {
   switch (plan->kind()) {
     case PlanKind::kScan: {
       const auto* scan = static_cast<const ScanNode*>(plan.get());
       GPIVOT_ASSIGN_OR_RETURN(const Table* table,
                               catalog.GetTable(scan->table_name()));
-      if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-        obs::NodeStats stats;
-        stats.invocations = 1;
-        stats.rows_out = table->num_rows();
-        stats.base_accesses = 1;
-        stats.base_rows_read = table->num_rows();
-        ctx.cost->Record(ctx.cost_node, stats);
-      }
+      span.Charge(&obs::NodeStats::invocations, 1);
+      span.Charge(&obs::NodeStats::rows_out, table->num_rows());
+      span.Charge(&obs::NodeStats::base_accesses, 1);
+      span.Charge(&obs::NodeStats::base_rows_read, table->num_rows());
       return *table;
     }
     case PlanKind::kSelect: {
@@ -92,13 +85,9 @@ Result<Table> EvaluateNode(const PlanPtr& plan, const Catalog& catalog,
       const auto* node = static_cast<const GUnpivotNode*>(plan.get());
       GPIVOT_ASSIGN_OR_RETURN(Table child, Evaluate(node->child(), catalog, ctx));
       GPIVOT_ASSIGN_OR_RETURN(Table result, GUnpivot(child, node->spec()));
-      if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-        obs::NodeStats stats;
-        stats.invocations = 1;
-        stats.rows_in = child.num_rows();
-        stats.rows_out = result.num_rows();
-        ctx.cost->Record(ctx.cost_node, stats);
-      }
+      span.Charge(&obs::NodeStats::invocations, 1);
+      span.Charge(&obs::NodeStats::rows_in, child.num_rows());
+      span.Charge(&obs::NodeStats::rows_out, result.num_rows());
       GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key,
                               node->OutputKey());
       GPIVOT_RETURN_NOT_OK(result.SetKey(key));
@@ -117,26 +106,13 @@ Result<Table> Evaluate(const PlanPtr& plan, const Catalog& catalog,
   // outside the map (e.g. restriction plans synthesized at refresh time)
   // inherit the caller's attribution target.
   ExecContext node_ctx = ctx;
-  if (ctx.cost != nullptr && ctx.plan_ids != nullptr) {
-    int id = ctx.plan_ids->IdOf(plan.get());
-    if (id >= 0) node_ctx.cost_node = id;
-  }
-  obs::ScopedSpan span =
-      obs::TraceEnabled(ctx.tracer)
-          ? obs::ScopedSpan(ctx.tracer,
-                            StrCat("eval:", PlanKindToString(plan->kind())))
-          : obs::ScopedSpan();
-  GPIVOT_ASSIGN_OR_RETURN(Table result, EvaluateNode(plan, catalog, node_ctx));
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter(
-        StrCat("algebra.eval.", PlanKindToString(plan->kind()), ".calls"));
-    ctx.metrics->AddCounter(
-        StrCat("algebra.eval.", PlanKindToString(plan->kind()), ".rows_out"),
-        result.num_rows());
-  }
-  if (span.active()) {
-    span.AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
-  }
+  if (int id = CostNodeOf(ctx, plan.get()); id >= 0) node_ctx.cost_node = id;
+  const char* kind = PlanKindToString(plan->kind());
+  obs::ScopedSpan span(node_ctx, {"eval:", kind}, {"algebra.eval.", kind});
+  GPIVOT_ASSIGN_OR_RETURN(Table result,
+                          EvaluateNode(plan, catalog, node_ctx, span));
+  span.Count("calls", 1);
+  span.Record("rows_out", result.num_rows());
   return result;
 }
 

@@ -414,4 +414,9 @@ PlanNodeIds AssignNodeIds(const PlanPtr& plan) {
   return ids;
 }
 
+int CostNodeOf(const ExecContext& ctx, const PlanNode* node) {
+  if (ctx.cost == nullptr || ctx.plan_ids == nullptr) return -1;
+  return ctx.plan_ids->IdOf(node);
+}
+
 }  // namespace gpivot

@@ -327,6 +327,10 @@ struct PlanNodeIds {
 
 PlanNodeIds AssignNodeIds(const PlanPtr& plan);
 
+// The id `ctx` attributes `node`'s work to: its number in ctx.plan_ids, or
+// -1 when ctx collects no cost or the node is outside the numbered plan.
+int CostNodeOf(const ExecContext& ctx, const PlanNode* node);
+
 // Evaluates `plan` against current catalog contents (full computation).
 // Output is byte-identical for every ctx.
 Result<Table> Evaluate(const PlanPtr& plan, const Catalog& catalog,

@@ -7,8 +7,6 @@
 #include "exec/basic_ops.h"
 #include "exec/join.h"
 #include "exec/vector_ops.h"
-#include "obs/cost.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/small_vector.h"
@@ -136,27 +134,11 @@ Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec) {
 
 Result<Table> GPivot(const Table& input, const PivotSpec& spec,
                      const ExecContext& ctx) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "GPivot")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "core.gpivot.ms");
+  obs::ScopedSpan span(ctx, "GPivot", "core.gpivot", "core.gpivot.ms");
   GPIVOT_ASSIGN_OR_RETURN(Table result, GPivotImpl(input, spec));
-  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.invocations = 1;
-    stats.rows_in = input.num_rows();
-    stats.rows_out = result.num_rows();
-    ctx.cost->Record(ctx.cost_node, stats);
-  }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("core.gpivot.calls");
-    ctx.metrics->AddCounter("core.gpivot.rows_in", input.num_rows());
-    ctx.metrics->AddCounter("core.gpivot.rows_out", result.num_rows());
-  }
-  if (span.active()) {
-    span.AddAttr("rows_in", static_cast<uint64_t>(input.num_rows()));
-    span.AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
-  }
+  span.Count("calls", 1, &obs::NodeStats::invocations);
+  span.Record("rows_in", input.num_rows(), &obs::NodeStats::rows_in);
+  span.Record("rows_out", result.num_rows(), &obs::NodeStats::rows_out);
   return result;
 }
 

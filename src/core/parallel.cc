@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "core/gpivot.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -83,19 +82,12 @@ Result<Table> MergePivotedPartials(const std::vector<Table>& partials,
 
 Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
                              size_t num_partitions, const ExecContext& ctx) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "GPivotParallel")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "core.gpivot_parallel.ms");
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("core.gpivot_parallel.calls");
-    ctx.metrics->AddCounter("core.gpivot_parallel.rows_in", input.num_rows());
-    ctx.metrics->AddCounter("core.gpivot_parallel.partitions", num_partitions);
-  }
-  if (span.active()) {
-    span.AddAttr("rows_in", static_cast<uint64_t>(input.num_rows()));
-    span.AddAttr("partitions", static_cast<uint64_t>(num_partitions));
-  }
+  // No cost fields: the per-partition GPivot calls charge the node.
+  obs::ScopedSpan span(ctx, "GPivotParallel", "core.gpivot_parallel",
+                       "core.gpivot_parallel.ms");
+  span.Count("calls", 1);
+  span.Record("rows_in", input.num_rows());
+  span.Record("partitions", num_partitions);
   GPIVOT_RETURN_NOT_OK(spec.Validate(input.schema()));
   GPIVOT_ASSIGN_OR_RETURN(Schema output_schema,
                           spec.OutputSchema(input.schema()));

@@ -4,8 +4,7 @@
 #include <unordered_map>
 
 #include "exec/vector_ops.h"
-#include "obs/cost.h"
-#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -13,22 +12,17 @@ namespace gpivot::exec {
 
 namespace {
 
-// Shared per-op accounting: exec.<op>.{calls,rows_in,rows_out}. Counter
-// values depend only on the data, never on scheduling. The same numbers
-// feed per-plan-node cost attribution when the caller attached a collector.
-void RecordOp(const ExecContext& ctx, const char* op, size_t rows_in,
+// Every basic operator reports exec.<op>.{calls,rows_in,rows_out}, and
+// the same numbers as its attributed plan node's invocations / rows_in /
+// rows_out. Counter values depend only on the data, never on scheduling.
+// Basic operators open no span and time nothing.
+void ReportOp(const ExecContext& ctx, const char* counters, size_t rows_in,
               size_t rows_out) {
-  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.invocations = 1;
-    stats.rows_in = rows_in;
-    stats.rows_out = rows_out;
-    ctx.cost->Record(ctx.cost_node, stats);
-  }
-  if (ctx.metrics == nullptr || !ctx.metrics->enabled()) return;
-  ctx.metrics->AddCounter(StrCat("exec.", op, ".calls"));
-  ctx.metrics->AddCounter(StrCat("exec.", op, ".rows_in"), rows_in);
-  ctx.metrics->AddCounter(StrCat("exec.", op, ".rows_out"), rows_out);
+  using obs::NodeStats;
+  obs::ScopedSpan op(ctx, /*span=*/{}, counters);
+  op.Count("calls", 1, &NodeStats::invocations);
+  op.Count("rows_in", rows_in, &NodeStats::rows_in);
+  op.Count("rows_out", rows_out, &NodeStats::rows_out);
 }
 
 }  // namespace
@@ -61,7 +55,7 @@ Result<Table> Select(const Table& input, const ExprPtr& predicate,
       if (ValueIsTrue(compiled(row))) result.AddRow(row);
     }
   }
-  RecordOp(ctx, "select", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.select", input.num_rows(), result.num_rows());
   return result;
 }
 
@@ -79,7 +73,7 @@ Result<Table> Project(const Table& input,
     std::shared_ptr<const ColumnVector> col = input.ColumnData(indices[j]);
     for (size_t r = 0; r < out_rows.size(); ++r) out_rows[r][j] = col->At(r);
   }
-  RecordOp(ctx, "project", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.project", input.num_rows(), result.num_rows());
   return result;
 }
 
@@ -130,7 +124,7 @@ Result<Table> ProjectExprs(
     for (const CompiledExpr& c : compiled) out.push_back(c(row));
     result.AddRow(std::move(out));
   }
-  RecordOp(ctx, "project_exprs", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.project_exprs", input.num_rows(), result.num_rows());
   return result;
 }
 
@@ -155,7 +149,7 @@ Result<Table> UnionAll(const Table& left, const Table& right,
   Table result = left;
   result.mutable_rows().insert(result.mutable_rows().end(),
                                right.rows().begin(), right.rows().end());
-  RecordOp(ctx, "union_all", left.num_rows() + right.num_rows(),
+  ReportOp(ctx, "exec.union_all", left.num_rows() + right.num_rows(),
            result.num_rows());
   return result;
 }
@@ -178,7 +172,7 @@ Result<Table> BagDifference(const Table& left, const Table& right,
     }
     result.AddRow(row);
   }
-  RecordOp(ctx, "bag_difference", left.num_rows() + right.num_rows(),
+  ReportOp(ctx, "exec.bag_difference", left.num_rows() + right.num_rows(),
            result.num_rows());
   return result;
 }
@@ -189,7 +183,7 @@ Result<Table> Distinct(const Table& input, const ExecContext& ctx) {
   for (const Row& row : input.rows()) {
     if (seen.insert(row).second) result.AddRow(row);
   }
-  RecordOp(ctx, "distinct", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.distinct", input.num_rows(), result.num_rows());
   return result;
 }
 
@@ -203,7 +197,7 @@ Result<Table> SemiJoinKeySet(
   for (const Row& row : input.rows()) {
     if (keys.count(ProjectRow(row, indices)) > 0) result.AddRow(row);
   }
-  RecordOp(ctx, "semi_join_key_set", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.semi_join_key_set", input.num_rows(), result.num_rows());
   return result;
 }
 
@@ -217,7 +211,7 @@ Result<Table> AntiJoinKeySet(
   for (const Row& row : input.rows()) {
     if (keys.count(ProjectRow(row, indices)) == 0) result.AddRow(row);
   }
-  RecordOp(ctx, "anti_join_key_set", input.num_rows(), result.num_rows());
+  ReportOp(ctx, "exec.anti_join_key_set", input.num_rows(), result.num_rows());
   return result;
 }
 

@@ -5,8 +5,6 @@
 #include <unordered_map>
 
 #include "exec/vector_ops.h"
-#include "obs/cost.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/small_vector.h"
@@ -113,28 +111,12 @@ Result<Table> GroupBy(const Table& input,
                       const std::vector<std::string>& group_columns,
                       const std::vector<AggSpec>& aggregates,
                       const ExecContext& ctx) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "GroupBy")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "exec.group_by.ms");
+  obs::ScopedSpan span(ctx, "GroupBy", "exec.group_by", "exec.group_by.ms");
   GPIVOT_ASSIGN_OR_RETURN(Table result,
                           GroupByImpl(input, group_columns, aggregates));
-  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.invocations = 1;
-    stats.rows_in = input.num_rows();
-    stats.rows_out = result.num_rows();
-    ctx.cost->Record(ctx.cost_node, stats);
-  }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("exec.group_by.calls");
-    ctx.metrics->AddCounter("exec.group_by.rows_in", input.num_rows());
-    ctx.metrics->AddCounter("exec.group_by.groups_out", result.num_rows());
-  }
-  if (span.active()) {
-    span.AddAttr("rows_in", static_cast<uint64_t>(input.num_rows()));
-    span.AddAttr("groups_out", static_cast<uint64_t>(result.num_rows()));
-  }
+  span.Count("calls", 1, &obs::NodeStats::invocations);
+  span.Record("rows_in", input.num_rows(), &obs::NodeStats::rows_in);
+  span.Record("groups_out", result.num_rows(), &obs::NodeStats::rows_out);
   return result;
 }
 

@@ -5,8 +5,6 @@
 #include <unordered_set>
 
 #include "exec/vector_ops.h"
-#include "obs/cost.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/small_vector.h"
@@ -75,39 +73,24 @@ Result<JoinLayout> MakeJoinLayout(const Schema& left, const Schema& right,
   return layout;
 }
 
-// Instrumentation shared by both joins: per-node cost stats, the
-// exec.join.* counters and the span attributes.
-void RecordJoin(const ExecContext& ctx, obs::ScopedSpan* span, JoinType type,
-                size_t rows_in, size_t build_rows, size_t probe_rows,
-                const Table& result) {
-  if (ctx.cost != nullptr && ctx.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.invocations = 1;
-    stats.rows_in = rows_in;
-    stats.rows_out = result.num_rows();
-    stats.build_rows = build_rows;
-    stats.probe_rows = probe_rows;
-    ctx.cost->Record(ctx.cost_node, stats);
-  }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("exec.join.calls");
-    ctx.metrics->AddCounter("exec.join.build_rows", build_rows);
-    ctx.metrics->AddCounter("exec.join.probe_rows", probe_rows);
-    ctx.metrics->AddCounter("exec.join.rows_out", result.num_rows());
-    // Logical output footprint (rows x columns x cell size). A data-derived
-    // quantity rather than an allocator probe, so it is byte-identical
-    // across thread counts and between HashJoin and IndexJoin; scratch
-    // buffers are deliberately excluded.
-    ctx.metrics->AddCounter(
-        "exec.join.bytes_allocated",
-        result.num_rows() * result.schema().num_columns() * sizeof(Value));
-  }
-  if (span->active()) {
-    span->AddAttr("type", JoinTypeToString(type));
-    span->AddAttr("build_rows", static_cast<uint64_t>(build_rows));
-    span->AddAttr("probe_rows", static_cast<uint64_t>(probe_rows));
-    span->AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
-  }
+// What both joins report, each number written once to every sink through
+// the join's instrument: the cost node's fields, the exec.join.* counters
+// and the span attributes. `bytes_allocated` is the logical output
+// footprint (rows x columns x cell size) — a data-derived quantity rather
+// than an allocator probe, so it is byte-identical across thread counts and
+// between HashJoin and IndexJoin; scratch buffers are deliberately
+// excluded.
+void ReportJoin(obs::ScopedSpan& span, JoinType type, size_t rows_in,
+                size_t build_rows, size_t probe_rows, const Table& result) {
+  using obs::NodeStats;
+  span.AddAttr("type", JoinTypeToString(type));
+  span.Count("calls", 1, &NodeStats::invocations);
+  span.Charge(&NodeStats::rows_in, rows_in);
+  span.Record("build_rows", build_rows, &NodeStats::build_rows);
+  span.Record("probe_rows", probe_rows, &NodeStats::probe_rows);
+  span.Record("rows_out", result.num_rows(), &NodeStats::rows_out);
+  span.Count("bytes_allocated",
+             result.num_rows() * result.schema().num_columns() * sizeof(Value));
 }
 
 // One exact-capacity allocation per output row. (Copy-then-reserve
@@ -242,10 +225,7 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
 
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec, const ExecContext& ctx) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "HashJoin")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
+  obs::ScopedSpan span(ctx, "HashJoin", "exec.join", "exec.join.ms");
   GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec));
   // Build/probe sizes mirror HashJoinImpl's side choice: inner joins build
   // on the smaller side, every other type builds on the right.
@@ -253,8 +233,8 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                           left.num_rows() < right.num_rows();
   size_t build_rows = inner_build_left ? left.num_rows() : right.num_rows();
   size_t probe_rows = inner_build_left ? right.num_rows() : left.num_rows();
-  RecordJoin(ctx, &span, spec.type, left.num_rows() + right.num_rows(),
-             build_rows, probe_rows, result);
+  ReportJoin(span, spec.type, left.num_rows() + right.num_rows(), build_rows,
+             probe_rows, result);
   return result;
 }
 
@@ -311,10 +291,7 @@ bool KeyIndexCovers(const KeyedTable& table,
 Result<Table> IndexJoin(const Table& probe, const KeyedTable& table,
                         JoinSide table_side, const JoinSpec& spec,
                         const ExecContext& ctx, uint64_t* rows_fetched) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "IndexJoin")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
+  obs::ScopedSpan span(ctx, "IndexJoin", "exec.join", "exec.join.ms");
   if (spec.type != JoinType::kInner) {
     return Status::InvalidArgument("IndexJoin supports only INNER");
   }
@@ -354,8 +331,8 @@ Result<Table> IndexJoin(const Table& probe, const KeyedTable& table,
   if (rows_fetched != nullptr) *rows_fetched += fetched;
   // The probe builds nothing; its input is the probe side plus the rows
   // the lookups fetched, never the whole table.
-  RecordJoin(ctx, &span, spec.type, probe.num_rows() + fetched,
-             /*build_rows=*/0, probe.num_rows(), result);
+  ReportJoin(span, spec.type, probe.num_rows() + fetched, /*build_rows=*/0,
+             probe.num_rows(), result);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rewrite/rewriter.h"
 #include "rewrite/rules.h"
 #include "util/check.h"
@@ -418,7 +419,7 @@ Result<StagedRefresh> MaintenancePlan::Stage(const Catalog& pre_catalog,
                                              const MaterializedView& view,
                                              const ExecContext& ctx) const {
   GPIVOT_FAULT_POINT("MaintenancePlan::Stage");
-  obs::ScopedLatency latency(ctx.metrics, "ivm.stage.ms");
+  obs::ScopedSpan timer(ctx, /*span=*/{}, /*counters=*/{}, "ivm.stage.ms");
   // Collect per-node actuals for this refresh unless the caller already
   // attached a collector of their own. "Last stage wins": the collector is
   // reset here, so ExplainAnalyze always describes the most recent refresh.

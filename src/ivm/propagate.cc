@@ -6,13 +6,11 @@
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
-#include "obs/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewrite/rules.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/string_util.h"
 
 namespace gpivot::ivm {
 
@@ -66,16 +64,9 @@ Result<std::shared_ptr<const Table>> DeltaPropagator::EvaluateRef(
     // A scan alias is one base-table access per database state, however many
     // rules consume it — mirror the memoization below so the cost report
     // counts the work once.
-    if (ctx_.cost != nullptr && ctx_.plan_ids != nullptr) {
-      int id = ctx_.plan_ids->IdOf(plan.get());
-      if (id >= 0 && scan_reads_.insert({memo, plan.get()}).second) {
-        obs::NodeStats stats;
-        stats.invocations = 1;
-        stats.rows_out = table->num_rows();
-        stats.base_accesses = 1;
-        stats.base_rows_read = table->num_rows();
-        ctx_.cost->Record(id, stats);
-      }
+    if (CostNodeOf(ctx_, plan.get()) >= 0 &&
+        scan_reads_.insert({memo, plan.get()}).second) {
+      RecordBaseRead(plan, table->num_rows());
     }
     return table;
   }
@@ -107,16 +98,14 @@ Result<const KeyedTable*> DeltaPropagator::ProbeTarget(
   return exec::KeyIndexCovers(*store, columns) ? store : nullptr;
 }
 
-void DeltaPropagator::RecordProbe(const PlanPtr& plan, uint64_t rows_fetched) {
-  if (ctx_.cost == nullptr || ctx_.plan_ids == nullptr) return;
-  int id = ctx_.plan_ids->IdOf(plan.get());
-  if (id < 0) return;
-  obs::NodeStats stats;
-  stats.invocations = 1;
-  stats.rows_out = rows_fetched;
-  stats.base_accesses = 1;
-  stats.base_rows_read = rows_fetched;
-  ctx_.cost->Record(id, stats);
+void DeltaPropagator::RecordBaseRead(const PlanPtr& plan, uint64_t rows) {
+  ExecContext at = ctx_;
+  at.cost_node = CostNodeOf(ctx_, plan.get());
+  obs::ScopedSpan read(at, /*span=*/{});
+  read.Charge(&obs::NodeStats::invocations, 1);
+  read.Charge(&obs::NodeStats::rows_out, rows);
+  read.Charge(&obs::NodeStats::base_accesses, 1);
+  read.Charge(&obs::NodeStats::base_rows_read, rows);
 }
 
 Result<Table> DeltaPropagator::RestrictPre(
@@ -128,7 +117,7 @@ Result<Table> DeltaPropagator::RestrictPre(
     GPIVOT_ASSIGN_OR_RETURN(
         Table restricted,
         exec::IndexSemiJoinKeySet(*keyed, columns, keys, &fetched));
-    RecordProbe(plan, fetched);
+    RecordBaseRead(plan, fetched);
     return restricted;
   }
   GPIVOT_ASSIGN_OR_RETURN(auto pre, EvaluatePreRef(plan));
@@ -148,7 +137,7 @@ Result<Table> DeltaPropagator::JoinUnchanged(const Table& delta,
     GPIVOT_ASSIGN_OR_RETURN(
         Table joined,
         exec::IndexJoin(delta, *keyed, side, spec, ctx_, &fetched));
-    RecordProbe(unchanged, fetched);
+    RecordBaseRead(unchanged, fetched);
     return joined;
   }
   GPIVOT_ASSIGN_OR_RETURN(auto table, EvaluatePreRef(unchanged));
@@ -176,40 +165,20 @@ Result<Delta> DeltaPropagator::Propagate(const PlanPtr& plan) {
     GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
     return Delta::Empty(schema);
   }
-  obs::ScopedSpan span =
-      obs::TraceEnabled(ctx_.tracer)
-          ? obs::ScopedSpan(
-                ctx_.tracer,
-                StrCat("propagate:", PlanKindToString(plan->kind())))
-          : obs::ScopedSpan();
   // Attribute the exec work of this node's propagation rule to its plan-node
   // id; recursive Propagate calls re-target on entry and restore on exit.
   const int saved_node = ctx_.cost_node;
-  if (ctx_.cost != nullptr && ctx_.plan_ids != nullptr) {
-    int id = ctx_.plan_ids->IdOf(plan.get());
-    if (id >= 0) ctx_.cost_node = id;
-  }
+  if (int id = CostNodeOf(ctx_, plan.get()); id >= 0) ctx_.cost_node = id;
+  const char* kind = PlanKindToString(plan->kind());
+  obs::ScopedSpan span(ctx_, {"propagate:", kind}, "ivm.propagate");
   Result<Delta> delta_or = PropagateImpl(plan);
-  if (delta_or.ok() && ctx_.cost != nullptr && ctx_.cost_node >= 0) {
-    obs::NodeStats stats;
-    stats.delta_insert_rows = delta_or->inserts.num_rows();
-    stats.delta_delete_rows = delta_or->deletes.num_rows();
-    ctx_.cost->Record(ctx_.cost_node, stats);
-  }
   ctx_.cost_node = saved_node;
-  if (!delta_or.ok()) return delta_or.status();
-  Delta delta = std::move(delta_or).value();
-  if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
-    ctx_.metrics->AddCounter("ivm.propagate.calls");
-    ctx_.metrics->AddCounter("ivm.propagate.insert_rows",
-                             delta.inserts.num_rows());
-    ctx_.metrics->AddCounter("ivm.propagate.delete_rows",
-                             delta.deletes.num_rows());
-  }
-  if (span.active()) {
-    span.AddAttr("insert_rows", static_cast<uint64_t>(delta.inserts.num_rows()));
-    span.AddAttr("delete_rows", static_cast<uint64_t>(delta.deletes.num_rows()));
-  }
+  GPIVOT_ASSIGN_OR_RETURN(Delta delta, std::move(delta_or));
+  span.Count("calls", 1);
+  span.Record("insert_rows", delta.inserts.num_rows(),
+              &obs::NodeStats::delta_insert_rows);
+  span.Record("delete_rows", delta.deletes.num_rows(),
+              &obs::NodeStats::delta_delete_rows);
   return delta;
 }
 

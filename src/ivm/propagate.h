@@ -69,9 +69,10 @@ class DeltaPropagator {
   // index `columns` cover (exec::KeyIndexCovers); nullptr otherwise.
   Result<const KeyedTable*> ProbeTarget(
       const PlanPtr& plan, const std::vector<std::string>& columns) const;
-  // Charges one index probe of scan `plan` that fetched `rows_fetched` rows
-  // to its cost node.
-  void RecordProbe(const PlanPtr& plan, uint64_t rows_fetched);
+  // Charges one base-table read of scan `plan` — a full scan or an index
+  // probe — that returned `rows` rows to its cost node (none when the node
+  // is outside the numbered plan).
+  void RecordBaseRead(const PlanPtr& plan, uint64_t rows);
   Result<std::shared_ptr<const Table>> EvaluateRef(
       const PlanPtr& plan, const Catalog& catalog,
       std::unordered_map<const PlanNode*, std::shared_ptr<const Table>>* memo);

@@ -219,16 +219,28 @@ Status ViewManager::EnsureScanIndexes(const PlanPtr& plan) {
 }
 
 Status ViewManager::ApplyUpdate(const SourceDeltas& deltas) {
-  return ApplyUpdateInternal("apply_update", deltas);
+  return RunEpoch("apply_update", deltas, EpochWork::kApply);
 }
 
 Status ViewManager::BatchedApplyUpdate(const SourceDeltas& deltas) {
-  return ApplyUpdateInternal("batched_apply_update", deltas);
+  return RunEpoch("batched_apply_update", deltas, EpochWork::kApply);
 }
 
-Status ViewManager::ApplyUpdateInternal(const char* entry,
-                                        const SourceDeltas& deltas) {
-  if (Status st = ValidateEpoch(deltas); !st.ok()) {
+Status ViewManager::RefreshViews(const SourceDeltas& deltas) {
+  return RunEpoch("refresh_views", deltas, EpochWork::kRefresh);
+}
+
+Status ViewManager::AdvanceBase(const SourceDeltas& deltas) {
+  return RunEpoch("advance_base", deltas, EpochWork::kAdvance);
+}
+
+Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
+                             EpochWork work) {
+  const bool refresh = work != EpochWork::kAdvance;
+  const bool advance = work != EpochWork::kRefresh;
+  // RefreshViews leaves the base-state checks to AdvanceBase.
+  if (Status st = advance ? ValidateEpoch(deltas) : ValidateDeltas(deltas);
+      !st.ok()) {
     RecordEpoch(entry, deltas, /*staged=*/false, st, /*rejected=*/true);
     return st;
   }
@@ -239,100 +251,45 @@ Status ViewManager::ApplyUpdateInternal(const char* entry,
     RecordNoOpEpoch(entry, deltas);
     return Status::OK();
   }
-  if (durability_hook_ != nullptr) {
+  // Only whole epochs are durable; the two halves are benchmark entry
+  // points.
+  EpochDurabilityHook* durability =
+      work == EpochWork::kApply ? durability_hook_ : nullptr;
+  if (durability != nullptr) {
     // Write-ahead point: the batch becomes durable before anything
     // mutates. Failure rejects the epoch — but still consumes its seq via
     // RecordEpoch, so the WAL (which may or may not hold a torn entry for
     // it) and the epoch log stay aligned on numbering.
-    if (Status st = durability_hook_->OnEpochAccepted(epoch_seq_ + 1, entry,
-                                                      deltas);
+    if (Status st = durability->OnEpochAccepted(epoch_seq_ + 1, entry, deltas);
         !st.ok()) {
       RecordEpoch(entry, deltas, /*staged=*/false, st, /*rejected=*/true);
       return st;
     }
   }
-  obs::ScopedSpan epoch_span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "epoch")
-          : obs::ScopedSpan();
-  obs::ScopedLatency latency(exec_context_.metrics, "ivm.epoch.ms");
+  obs::ScopedSpan epoch_span(exec_context_, "epoch", /*counters=*/{},
+                             "ivm.epoch.ms");
   // Runtime heartbeat for the stuck-epoch watchdog (no-op unless the admin
   // surface enabled the runtime registry). EndEpoch runs inside
-  // RecordEpoch, whatever the outcome.
-  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1, "stage");
+  // RecordEpoch, whatever the outcome. AdvanceBase has no separate stage
+  // pass: the base advance is itself the mutating (commit-like) phase.
+  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1,
+                                                 refresh ? "stage" : "commit");
   EpochUndo undo;
-  Status st = RefreshViewsInternal(deltas, &undo);
-  if (st.ok()) st = AdvanceBaseInternal(deltas, &undo);
+  Status st = refresh ? RefreshViewsInternal(deltas, &undo) : Status::OK();
+  if (st.ok() && advance) st = AdvanceBaseInternal(deltas, &undo);
   if (!st.ok()) RollbackEpoch(&undo);
-  RecordEpoch(entry, deltas, /*staged=*/true, st, /*rejected=*/false);
+  RecordEpoch(entry, deltas, /*staged=*/refresh, st, /*rejected=*/false);
   // Committed state serves before the durability hook's checkpoint cadence
   // runs: a slow checkpoint must not delay read visibility.
   if (st.ok() && commit_hook_ != nullptr) {
     commit_hook_->OnEpochCommitted(*last_epoch_);
   }
-  if (durability_hook_ != nullptr) {
-    Status hook_st =
-        durability_hook_->OnEpochResolved(last_epoch_->seq, st.ok());
+  if (durability != nullptr) {
+    Status hook_st = durability->OnEpochResolved(last_epoch_->seq, st.ok());
     // A durability failure after a committed epoch surfaces to the caller
     // (the checkpoint cadence slipped); after a rollback the epoch's own
     // error takes precedence.
     if (st.ok() && !hook_st.ok()) return hook_st;
-  }
-  return st;
-}
-
-Status ViewManager::RefreshViews(const SourceDeltas& deltas) {
-  if (Status st = ValidateDeltas(deltas); !st.ok()) {
-    RecordEpoch("refresh_views", deltas, /*staged=*/false, st,
-                /*rejected=*/true);
-    return st;
-  }
-  if (AllDeltasEmpty(deltas)) {
-    RecordNoOpEpoch("refresh_views", deltas);
-    return Status::OK();
-  }
-  obs::ScopedSpan epoch_span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "epoch")
-          : obs::ScopedSpan();
-  obs::ScopedLatency latency(exec_context_.metrics, "ivm.epoch.ms");
-  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1, "stage");
-  EpochUndo undo;
-  Status st = RefreshViewsInternal(deltas, &undo);
-  if (!st.ok()) RollbackEpoch(&undo);
-  RecordEpoch("refresh_views", deltas, /*staged=*/true, st,
-              /*rejected=*/false);
-  if (st.ok() && commit_hook_ != nullptr) {
-    commit_hook_->OnEpochCommitted(*last_epoch_);
-  }
-  return st;
-}
-
-Status ViewManager::AdvanceBase(const SourceDeltas& deltas) {
-  if (Status st = ValidateEpoch(deltas); !st.ok()) {
-    RecordEpoch("advance_base", deltas, /*staged=*/false, st,
-                /*rejected=*/true);
-    return st;
-  }
-  if (AllDeltasEmpty(deltas)) {
-    RecordNoOpEpoch("advance_base", deltas);
-    return Status::OK();
-  }
-  obs::ScopedSpan epoch_span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "epoch")
-          : obs::ScopedSpan();
-  obs::ScopedLatency latency(exec_context_.metrics, "ivm.epoch.ms");
-  // No separate stage pass here: the base advance is itself the mutating
-  // (commit-like) phase.
-  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1, "commit");
-  EpochUndo undo;
-  Status st = AdvanceBaseInternal(deltas, &undo);
-  if (!st.ok()) RollbackEpoch(&undo);
-  RecordEpoch("advance_base", deltas, /*staged=*/false, st,
-              /*rejected=*/false);
-  if (st.ok() && commit_hook_ != nullptr) {
-    commit_hook_->OnEpochCommitted(*last_epoch_);
   }
   return st;
 }
@@ -359,20 +316,13 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   }
   std::vector<std::optional<Result<StagedRefresh>>> slots(states.size());
   {
-    obs::ScopedSpan stage_span =
-        obs::TraceEnabled(exec_context_.tracer)
-            ? obs::ScopedSpan(exec_context_.tracer, "stage")
-            : obs::ScopedSpan();
+    obs::ScopedSpan stage_span(exec_context_, "stage");
     ParallelFor(exec_context_, states.size(), [&](size_t i) {
       // Worker threads carry no thread-local span context, so the per-view
       // span names its parent and position explicitly — the exported tree is
       // identical for every thread count.
-      obs::ScopedSpan view_span =
-          obs::TraceEnabled(exec_context_.tracer)
-              ? obs::ScopedSpan(exec_context_.tracer,
-                                StrCat("stage:", *states[i].first),
-                                stage_span.id(), static_cast<int64_t>(i))
-              : obs::ScopedSpan();
+      obs::ScopedSpan view_span(exec_context_, {"stage:", *states[i].first},
+                                stage_span.id(), static_cast<int64_t>(i));
       slots[i].emplace(states[i].second->plan.Stage(
           catalog_, deltas, states[i].second->view, exec_context_));
     });
@@ -388,16 +338,10 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   // failure here (or later in the epoch) rolls everything back. Stays
   // serial — the undo log's "reverse commit order" rollback depends on it.
   obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1, "commit");
-  obs::ScopedSpan commit_span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "commit")
-          : obs::ScopedSpan();
+  obs::ScopedSpan commit_span(exec_context_, "commit");
   for (auto& [name, state, refresh] : staged) {
     GPIVOT_FAULT_POINT("ViewManager::CommitView");
-    obs::ScopedSpan view_span =
-        obs::TraceEnabled(exec_context_.tracer)
-            ? obs::ScopedSpan(exec_context_.tracer, StrCat("commit:", *name))
-            : obs::ScopedSpan();
+    obs::ScopedSpan view_span(exec_context_, {"commit:", *name});
     undo->views.emplace_back(state, UndoLog());
     GPIVOT_RETURN_NOT_OK(MaintenancePlan::CommitStaged(
         std::move(refresh), &state->view, &undo->views.back().second,
@@ -408,10 +352,7 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
 
 Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
                                         EpochUndo* undo) {
-  obs::ScopedSpan span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "advance")
-          : obs::ScopedSpan();
+  obs::ScopedSpan span(exec_context_, "advance", "ivm.advance");
   size_t tables = 0, insert_rows = 0, delete_rows = 0, table_clones = 0;
   uint64_t base_rows_read = 0;
   for (const auto& [table_name, delta] : deltas) {
@@ -433,26 +374,17 @@ Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
   GPIVOT_FAULT_POINT("ViewManager::EpochEnd");
   // Counted only once everything advanced: a rolled-back epoch contributes
   // nothing, so counter values match the state the caller observes.
-  if (exec_context_.metrics != nullptr && exec_context_.metrics->enabled()) {
-    exec_context_.metrics->AddCounter("ivm.advance.tables", tables);
-    exec_context_.metrics->AddCounter("ivm.advance.insert_rows", insert_rows);
-    exec_context_.metrics->AddCounter("ivm.advance.delete_rows", delete_rows);
-    exec_context_.metrics->AddCounter("ivm.advance.base_rows_read",
-                                      base_rows_read);
-    exec_context_.metrics->AddCounter("ivm.advance.table_clones",
-                                      table_clones);
-  }
+  span.Count("tables", tables);
+  span.Count("insert_rows", insert_rows);
+  span.Count("delete_rows", delete_rows);
+  span.Count("base_rows_read", base_rows_read);
+  span.Count("table_clones", table_clones);
   return Status::OK();
 }
 
 void ViewManager::RollbackEpoch(EpochUndo* undo) {
-  obs::ScopedSpan span =
-      obs::TraceEnabled(exec_context_.tracer)
-          ? obs::ScopedSpan(exec_context_.tracer, "rollback")
-          : obs::ScopedSpan();
-  if (exec_context_.metrics != nullptr && exec_context_.metrics->enabled()) {
-    exec_context_.metrics->AddCounter("ivm.epoch.rollbacks");
-  }
+  obs::ScopedSpan span(exec_context_, "rollback", "ivm.epoch");
+  span.Count("rollbacks", 1);
   // Undo in reverse commit order: base tables first, then views.
   for (auto it = undo->tables.rbegin(); it != undo->tables.rend(); ++it) {
     it->second.Rollback(it->first);

@@ -278,9 +278,15 @@ class ViewManager {
   // so no timed epoch pays for the build.
   Status EnsureScanIndexes(const PlanPtr& plan);
 
-  // Shared body of ApplyUpdate / BatchedApplyUpdate; `entry` tags the
-  // epoch record.
-  Status ApplyUpdateInternal(const char* entry, const SourceDeltas& deltas);
+  // What an epoch entry point runs: both halves (ApplyUpdate,
+  // BatchedApplyUpdate), or one.
+  enum class EpochWork { kApply, kRefresh, kAdvance };
+  // The one epoch driver behind the four entry points: validation, the
+  // no-op and write-ahead paths, the epoch span and heartbeat, the undo log
+  // and rollback, the record and the commit hook. `entry` tags the epoch
+  // record; only kApply epochs reach the durability hook.
+  Status RunEpoch(const char* entry, const SourceDeltas& deltas,
+                  EpochWork work);
   Status RefreshViewsInternal(const SourceDeltas& deltas, EpochUndo* undo);
   Status AdvanceBaseInternal(const SourceDeltas& deltas, EpochUndo* undo);
   void RollbackEpoch(EpochUndo* undo);

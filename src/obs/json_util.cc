@@ -45,160 +45,8 @@ std::string JsonQuote(std::string_view s) {
 
 namespace {
 
-// Cursor-based recursive-descent JSON parser that only validates.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-
-  bool CheckDocument() {
-    SkipWs();
-    if (!CheckValue()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool CheckLiteral(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool CheckString() {
-    if (!Eat('"')) return false;
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        char e = s_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= s_.size() || !std::isxdigit(
-                    static_cast<unsigned char>(s_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool CheckNumber() {
-    Eat('-');
-    // Integer part: "0" or a nonzero digit followed by more digits — a
-    // leading zero ("01") is not JSON.
-    if (pos_ >= s_.size() ||
-        !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      return false;
-    }
-    if (s_[pos_] == '0') {
-      ++pos_;
-    } else {
-      EatDigits();
-    }
-    if (Eat('.') && !EatDigits()) return false;
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (!EatDigits()) return false;
-    }
-    return true;
-  }
-
-  bool EatDigits() {
-    size_t start = pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool CheckValue() {
-    if (++depth_ > kMaxDepth) return false;
-    SkipWs();
-    bool ok = false;
-    if (pos_ >= s_.size()) {
-      ok = false;
-    } else if (s_[pos_] == '{') {
-      ok = CheckObject();
-    } else if (s_[pos_] == '[') {
-      ok = CheckArray();
-    } else if (s_[pos_] == '"') {
-      ok = CheckString();
-    } else if (s_[pos_] == 't') {
-      ok = CheckLiteral("true");
-    } else if (s_[pos_] == 'f') {
-      ok = CheckLiteral("false");
-    } else if (s_[pos_] == 'n') {
-      ok = CheckLiteral("null");
-    } else {
-      ok = CheckNumber();
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool CheckObject() {
-    if (!Eat('{')) return false;
-    SkipWs();
-    if (Eat('}')) return true;
-    for (;;) {
-      SkipWs();
-      if (!CheckString()) return false;
-      SkipWs();
-      if (!Eat(':')) return false;
-      if (!CheckValue()) return false;
-      SkipWs();
-      if (Eat('}')) return true;
-      if (!Eat(',')) return false;
-    }
-  }
-
-  bool CheckArray() {
-    if (!Eat('[')) return false;
-    SkipWs();
-    if (Eat(']')) return true;
-    for (;;) {
-      if (!CheckValue()) return false;
-      SkipWs();
-      if (Eat(']')) return true;
-      if (!Eat(',')) return false;
-    }
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-// Builds the JsonValue DOM; same grammar as JsonChecker plus escape
-// decoding, duplicate-key rejection, and byte-offset diagnostics.
+// Cursor-based recursive-descent parser building the JsonValue DOM, with
+// escape decoding, duplicate-key rejection, and byte-offset diagnostics.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view s) : s_(s) {}
@@ -347,7 +195,8 @@ class JsonParser {
 
   std::optional<JsonValue> ParseNumber() {
     size_t start = pos_;
-    // Reuse the checker's grammar for the span, then convert.
+    // Match the number's span — no leading zeros, digits after '.' and
+    // after an exponent — then convert it.
     Eat('-');
     if (pos_ >= s_.size() ||
         !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
@@ -478,9 +327,7 @@ class JsonParser {
 
 }  // namespace
 
-bool IsValidJson(std::string_view s) {
-  return JsonChecker(s).CheckDocument();
-}
+bool IsValidJson(std::string_view s) { return ParseJson(s).has_value(); }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;

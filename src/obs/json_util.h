@@ -13,9 +13,8 @@ namespace gpivot::obs {
 // with ", \, and control characters escaped.
 std::string JsonQuote(std::string_view s);
 
-// Strict validity check for a complete JSON document (one value spanning
-// the whole input, modulo whitespace). A minimal recursive-descent parser —
-// enough for tests and CI to assert that exported trace/metrics files are
+// Strict validity check for a complete JSON document: ParseJson succeeds.
+// Enough for tests and CI to assert that exported trace/metrics files are
 // well-formed without pulling in a JSON library.
 bool IsValidJson(std::string_view s);
 
@@ -44,10 +43,11 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
-// Parses a complete JSON document with the same strictness as IsValidJson
-// (whole input, duplicate object keys rejected, escapes decoded — \uXXXX
-// outside ASCII is kept as UTF-8). Returns nullopt on malformed input and,
-// when `error` is non-null, stores a byte-offset diagnostic there.
+// Parses a complete JSON document: one value spanning the whole input,
+// modulo whitespace; duplicate object keys and unpaired surrogate escapes
+// rejected; escapes decoded — \uXXXX outside ASCII is kept as UTF-8.
+// Returns nullopt on malformed input and, when `error` is non-null, stores
+// a byte-offset diagnostic there.
 std::optional<JsonValue> ParseJson(std::string_view s,
                                    std::string* error = nullptr);
 

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -138,33 +137,6 @@ class MetricsRegistry {
 
   mutable std::mutex gauges_mu_;
   std::map<std::string, MetricsSnapshot::GaugeSamples> gauges_;
-};
-
-// RAII latency timer: records elapsed wall time into `registry` under
-// `name` on destruction. Null/disabled registry makes it a no-op (the
-// clock is not even read).
-class ScopedLatency {
- public:
-  ScopedLatency(MetricsRegistry* registry, std::string_view name)
-      : registry_(registry != nullptr && registry->enabled() ? registry
-                                                             : nullptr),
-        name_(registry_ != nullptr ? std::string(name) : std::string()) {
-    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedLatency() {
-    if (registry_ == nullptr) return;
-    std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start_;
-    registry_->RecordLatency(name_, elapsed.count());
-  }
-
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  MetricsRegistry* registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 // Returns &MetricsRegistry::Global() with the registry enabled when the

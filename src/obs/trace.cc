@@ -9,6 +9,17 @@
 
 namespace gpivot::obs {
 
+std::string Name::Join(std::string_view key) const {
+  std::string out;
+  out.reserve(head_.size() + tail_.size() + (key.empty() ? 0 : key.size() + 1));
+  out.append(head_).append(tail_);
+  if (!key.empty()) {
+    if (!out.empty()) out.push_back('.');
+    out.append(key);
+  }
+  return out;
+}
+
 namespace {
 
 // (tracer id -> innermost open span) for the calling thread. Keyed by a
@@ -34,16 +45,15 @@ Tracer& Tracer::Global() {
   return *kTracer;
 }
 
-SpanId Tracer::BeginSpan(std::string name, SpanId parent, int64_t order) {
+SpanId Tracer::BeginSpan(std::string name, SpanId parent, int64_t order,
+                         std::chrono::steady_clock::time_point start) {
   if (parent == 0) parent = CurrentSpan();
-  std::chrono::duration<double, std::micro> start =
-      std::chrono::steady_clock::now() - epoch_;
   std::lock_guard<std::mutex> lock(mu_);
   SpanRecord record;
   record.id = spans_.size() + 1;
   record.parent = parent;
   record.name = std::move(name);
-  record.start_us = start.count();
+  record.start = start;
   record.order = order;
   record.tid =
       thread_numbers_.emplace(std::this_thread::get_id(), thread_numbers_.size())
@@ -52,13 +62,11 @@ SpanId Tracer::BeginSpan(std::string name, SpanId parent, int64_t order) {
   return spans_.back().id;
 }
 
-void Tracer::EndSpan(SpanId id) {
-  std::chrono::duration<double, std::micro> now =
-      std::chrono::steady_clock::now() - epoch_;
+void Tracer::EndSpan(SpanId id, std::chrono::steady_clock::time_point end) {
   std::lock_guard<std::mutex> lock(mu_);
   if (id == 0 || id > spans_.size()) return;  // cleared mid-span
   SpanRecord& record = spans_[id - 1];
-  record.dur_us = now.count() - record.start_us;
+  record.dur_us = DurationUs(record.start, end);
 }
 
 void Tracer::AddAttr(SpanId id, std::string_view key, std::string_view value) {
@@ -83,7 +91,8 @@ std::string Tracer::ToChromeTraceJson() const {
     out << (first ? "\n" : ",\n");
     first = false;
     out << " {\"name\": " << JsonQuote(span.name)
-        << ", \"cat\": \"gpivot\", \"ph\": \"X\", \"ts\": " << span.start_us
+        << ", \"cat\": \"gpivot\", \"ph\": \"X\", \"ts\": "
+        << DurationUs(epoch_, span.start)
         << ", \"dur\": " << (span.dur_us < 0 ? 0.0 : span.dur_us)
         << ", \"pid\": 0, \"tid\": " << span.tid;
     if (!span.attrs.empty()) {
@@ -145,6 +154,11 @@ std::string Tracer::ToSpanTree() const {
     push_children(id, depth + 1);
   }
   return out.str();
+}
+
+std::vector<SpanRecord> Tracer::Spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return spans_;
 }
 
 bool Tracer::WriteChromeTrace(const std::string& path) const {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -12,10 +13,21 @@
 #include <utility>
 #include <vector>
 
+#include "obs/cost.h"
+#include "obs/metrics.h"
+#include "util/thread_pool.h"
+
 namespace gpivot::obs {
 
 // Span handle. 0 means "no span".
 using SpanId = uint64_t;
+
+// Microseconds from `start` to `end`: the one duration formula, so a span's
+// dur_us and the histogram sample of the same region are the same number.
+inline double DurationUs(std::chrono::steady_clock::time_point start,
+                         std::chrono::steady_clock::time_point end) {
+  return std::chrono::duration<double, std::micro>(end - start).count();
+}
 
 // One recorded span: a named, timed region with key/value attributes,
 // nested under a parent span.
@@ -23,7 +35,7 @@ struct SpanRecord {
   SpanId id = 0;
   SpanId parent = 0;  // 0 = root
   std::string name;
-  double start_us = 0.0;
+  std::chrono::steady_clock::time_point start;
   double dur_us = -1.0;  // -1 until EndSpan
   // Explicit sibling sort key for spans created by parallel fan-out, where
   // creation order is scheduling-dependent; -1 = order by creation (id).
@@ -64,9 +76,14 @@ class Tracer {
   }
 
   // Low-level span API; prefer ScopedSpan. `parent` 0 means "the calling
-  // thread's innermost open span" (root if none).
-  SpanId BeginSpan(std::string name, SpanId parent = 0, int64_t order = -1);
-  void EndSpan(SpanId id);
+  // thread's innermost open span" (root if none). `start` and `end` are
+  // the caller's clock reads, so one pair can time several sinks.
+  SpanId BeginSpan(
+      std::string name, SpanId parent = 0, int64_t order = -1,
+      std::chrono::steady_clock::time_point start =
+          std::chrono::steady_clock::now());
+  void EndSpan(SpanId id, std::chrono::steady_clock::time_point end =
+                              std::chrono::steady_clock::now());
   void AddAttr(SpanId id, std::string_view key, std::string_view value);
 
   // The calling thread's innermost open span (maintained by ScopedSpan).
@@ -78,6 +95,8 @@ class Tracer {
   // Indented name/attr tree; timing excluded, sibling order deterministic.
   // The determinism tests compare these strings across thread counts.
   std::string ToSpanTree() const;
+  // A copy of every recorded span, in creation order.
+  std::vector<SpanRecord> Spans() const;
   // Writes ToChromeTraceJson() to `path`; false on I/O failure.
   bool WriteChromeTrace(const std::string& path) const;
 
@@ -94,33 +113,97 @@ class Tracer {
   std::chrono::steady_clock::time_point epoch_;
 };
 
-// RAII span: opens on construction, closes (and restores the thread's
-// previous current span) on destruction. Inactive — all methods no-ops —
-// when the tracer is null or disabled; build span names inside a
-// `TraceEnabled(t) ? ScopedSpan(t, ...) : ScopedSpan()` conditional to
-// skip the name construction too on the disabled path.
+// A name given as up to two parts ("eval:" + kind) that are joined only
+// when a live sink needs the string, so a region whose sinks are all off
+// never builds it. The parts are views: they must outlive the ScopedSpan
+// they name.
+class Name {
+ public:
+  Name() = default;
+  Name(const char* name) : head_(name) {}
+  Name(const std::string& name) : head_(name) {}
+  Name(std::string_view head, std::string_view tail)
+      : head_(head), tail_(tail) {}
+
+  bool empty() const { return head_.empty() && tail_.empty(); }
+  // The joined name, then "." + `key` when a key is given.
+  std::string Join(std::string_view key = {}) const;
+
+ private:
+  std::string_view head_;
+  std::string_view tail_;
+};
+
+// The one instrument of a timed region. Construction takes the context's
+// sinks — tracer, metrics registry, cost collector and attributed plan
+// node — and opens the span; destruction closes it. The clock is read once
+// at open and once at close, and that one duration goes to the span and to
+// every named histogram. Record, Count and Charge write each number once to
+// every sink that wants it.
+//
+// When every sink is null or disabled the instrument reads no clock,
+// allocates nothing and builds no name: construction is a few pointer
+// checks.
 class ScopedSpan {
  public:
-  ScopedSpan() = default;
-  // `parent` 0 = nest under the thread's current span; pass an explicit
-  // parent (plus an `order` key for deterministic sibling sorting) when
-  // this span starts on a different thread than its logical parent.
-  ScopedSpan(Tracer* tracer, std::string name, SpanId parent = 0,
-             int64_t order = -1) {
-    if (tracer == nullptr || !tracer->enabled()) return;
-    tracer_ = tracer;
-    saved_current_ = tracer->CurrentSpan();
-    id_ = tracer->BeginSpan(std::move(name), parent, order);
-    tracer->SetCurrentSpan(id_);
-  }
+  using Clock = std::chrono::steady_clock;
+
+  // `span` names the span (empty = the region opens none); `counters`
+  // prefixes the counters Record and Count write ("<counters>.<key>");
+  // `histogram` names the ctx.metrics histogram fed the region's duration
+  // (empty = none). Names are views and must outlive the instrument.
+  ScopedSpan(const ExecContext& ctx, Name span, Name counters = {},
+             std::string_view histogram = {})
+      : ScopedSpan(ctx, span, counters, histogram, nullptr, {}, 0, -1) {}
+  // A span that starts on a different thread than its logical parent:
+  // nests under `parent` and sorts among its siblings by `order`.
+  ScopedSpan(const ExecContext& ctx, Name span, SpanId parent, int64_t order)
+      : ScopedSpan(ctx, span, {}, {}, nullptr, {}, parent, order) {}
+  // A spanless region whose one duration also feeds `also_histogram` in a
+  // second registry (the serving layer's live runtime registry).
+  ScopedSpan(const ExecContext& ctx, Name counters, std::string_view histogram,
+             MetricsRegistry* also_metrics, std::string_view also_histogram)
+      : ScopedSpan(ctx, {}, counters, histogram, also_metrics, also_histogram,
+                   0, -1) {}
+
   ~ScopedSpan() {
-    if (tracer_ == nullptr) return;
-    tracer_->EndSpan(id_);
-    tracer_->SetCurrentSpan(saved_current_);
+    if (stats_.has_value()) cost_->Record(cost_node_, *stats_);
+    if (!timed_) return;
+    const Clock::time_point end = Clock::now();
+    const double ms = DurationUs(start_, end) / 1000;
+    if (tracer_ != nullptr) {
+      tracer_->EndSpan(id_, end);
+      tracer_->SetCurrentSpan(saved_current_);
+    }
+    if (!histogram_.empty()) metrics_->RecordLatency(histogram_, ms);
+    if (also_metrics_ != nullptr) {
+      also_metrics_->RecordLatency(also_histogram_, ms);
+    }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  // Writes `value` to counter "<counters>.<key>" and span attribute `key`,
+  // and adds it to the attributed cost node's `field` when one is given.
+  void Record(std::string_view key, uint64_t value,
+              uint64_t NodeStats::*field = nullptr) {
+    Count(key, value, field);
+    AddAttr(key, value);
+  }
+  // Record without the span attribute.
+  void Count(std::string_view key, uint64_t value,
+             uint64_t NodeStats::*field = nullptr) {
+    if (metrics_ != nullptr) metrics_->AddCounter(counters_.Join(key), value);
+    Charge(field, value);
+  }
+  // Adds `value` to the attributed cost node's `field` only. The node's
+  // stats are written once, when the region closes.
+  void Charge(uint64_t NodeStats::*field, uint64_t value) {
+    if (cost_ == nullptr || field == nullptr) return;
+    if (!stats_.has_value()) stats_.emplace();
+    (*stats_).*field += value;
+  }
 
   void AddAttr(std::string_view key, std::string_view value) {
     if (tracer_ != nullptr) tracer_->AddAttr(id_, key, value);
@@ -133,14 +216,52 @@ class ScopedSpan {
   SpanId id() const { return id_; }
 
  private:
+  ScopedSpan(const ExecContext& ctx, Name span, Name counters,
+             std::string_view histogram, MetricsRegistry* also_metrics,
+             std::string_view also_histogram, SpanId parent, int64_t order)
+      : metrics_(LiveOrNull(ctx.metrics)),
+        cost_(ctx.cost_node >= 0 ? ctx.cost : nullptr),
+        cost_node_(ctx.cost_node),
+        counters_(counters) {
+    if (metrics_ != nullptr) histogram_ = histogram;
+    if (!also_histogram.empty()) {
+      also_metrics_ = LiveOrNull(also_metrics);
+      also_histogram_ = also_histogram;
+    }
+    if (!span.empty() && ctx.tracer != nullptr && ctx.tracer->enabled()) {
+      tracer_ = ctx.tracer;
+    }
+    if (tracer_ == nullptr && histogram_.empty() && also_metrics_ == nullptr) {
+      return;
+    }
+    timed_ = true;
+    start_ = Clock::now();
+    if (tracer_ != nullptr) {
+      saved_current_ = tracer_->CurrentSpan();
+      id_ = tracer_->BeginSpan(span.Join(), parent, order, start_);
+      tracer_->SetCurrentSpan(id_);
+    }
+  }
+
+  static MetricsRegistry* LiveOrNull(MetricsRegistry* registry) {
+    return registry != nullptr && registry->enabled() ? registry : nullptr;
+  }
+
   Tracer* tracer_ = nullptr;
+  MetricsRegistry* metrics_;
+  CostCollector* cost_;
+  int cost_node_;
+  Name counters_;
+  std::string_view histogram_;
+  MetricsRegistry* also_metrics_ = nullptr;
+  std::string_view also_histogram_;
   SpanId id_ = 0;
   SpanId saved_current_ = 0;
+  bool timed_ = false;
+  Clock::time_point start_;
+  // Set by the first Charge; a region that charges nothing writes no stats.
+  std::optional<NodeStats> stats_;
 };
-
-inline bool TraceEnabled(const Tracer* tracer) {
-  return tracer != nullptr && tracer->enabled();
-}
 
 // The GPIVOT_TRACE_DIR environment variable (empty when unset); read once.
 const std::string& TraceDirFromEnv();

@@ -6,6 +6,7 @@
 
 #include "exec/basic_ops.h"
 #include "obs/runtime.h"
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace gpivot::serve {
@@ -34,12 +35,10 @@ Result<std::shared_ptr<const Snapshot>> QueryService::AcquireChecked(
 
 Result<std::optional<Row>> QueryService::PointLookup(
     const std::string& view, const Row& key, ReaderHandle* handle) const {
-  obs::ScopedLatency timer(ctx_.metrics, "serve.query.lookup.ms");
-  if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
-    ctx_.metrics->AddCounter("serve.query.lookup");
-  }
   obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedLatency runtime_timer(runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.lookup.ms",
+                        runtime, "serve.query.ms");
+  query.Count("lookup", 1);
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
@@ -51,12 +50,10 @@ Result<std::optional<Row>> QueryService::PointLookup(
 Result<Table> QueryService::Scan(const std::string& view,
                                  const ExprPtr& predicate,
                                  ReaderHandle* handle) const {
-  obs::ScopedLatency timer(ctx_.metrics, "serve.query.scan.ms");
-  if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
-    ctx_.metrics->AddCounter("serve.query.scan");
-  }
   obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedLatency runtime_timer(runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.scan.ms",
+                        runtime, "serve.query.ms");
+  query.Count("scan", 1);
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
@@ -66,12 +63,10 @@ Result<Table> QueryService::Scan(const std::string& view,
 Result<Table> QueryService::TopK(const std::string& view,
                                  const std::string& measure, size_t k,
                                  ReaderHandle* handle) const {
-  obs::ScopedLatency timer(ctx_.metrics, "serve.query.topk.ms");
-  if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
-    ctx_.metrics->AddCounter("serve.query.topk");
-  }
   obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedLatency runtime_timer(runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.topk.ms",
+                        runtime, "serve.query.ms");
+  query.Count("topk", 1);
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "algebra/explain.h"
 #include "ivm/view_manager.h"
@@ -87,10 +88,25 @@ TEST(ParseJsonTest, RejectsMalformedInputWithDiagnostics) {
 }
 
 TEST(ParseJsonTest, AgreesWithIsValidJson) {
-  for (const char* doc :
-       {"{}", "[]", "3", "\"x\"", R"({"k": [true, false, null]})", "{",
-        "nul", "[1 2]", "\"\\q\"", "01"}) {
-    EXPECT_EQ(ParseJson(doc).has_value(), IsValidJson(doc)) << doc;
+  const std::pair<const char*, bool> cases[] = {
+      {"{}", true},
+      {"[]", true},
+      {"3", true},
+      {"\"x\"", true},
+      {R"({"k": [true, false, null]})", true},
+      {"{", false},
+      {"nul", false},
+      {"[1 2]", false},
+      {"\"\\q\"", false},
+      {"01", false},
+      // IsValidJson is ParseJson, so it rejects what only the DOM checks:
+      // repeated keys and a high surrogate escape paired with a non-low one.
+      {R"({"a": 1, "a": 2})", false},
+      {R"("\ud800\u0041")", false},
+  };
+  for (const auto& [doc, valid] : cases) {
+    EXPECT_EQ(IsValidJson(doc), valid) << doc;
+    EXPECT_EQ(ParseJson(doc).has_value(), valid) << doc;
   }
 }
 
@@ -112,8 +128,10 @@ TEST(ArtifactJsonTest, ChromeTraceJson) {
   obs::Tracer tracer;
   tracer.set_enabled(true);
   {
-    obs::ScopedSpan outer(&tracer, "epoch \"quoted\"");
-    obs::ScopedSpan inner(&tracer, "stage:v\n1");
+    ExecContext ctx;
+    ctx.tracer = &tracer;
+    obs::ScopedSpan outer(ctx, "epoch \"quoted\"");
+    obs::ScopedSpan inner(ctx, "stage:v\n1");
     inner.AddAttr("rows", uint64_t{7});
   }
   std::string json = tracer.ToChromeTraceJson();

@@ -8,6 +8,7 @@
 
 #include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace gpivot {
@@ -17,7 +18,7 @@ using obs::HistogramData;
 using obs::IsValidJson;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-using obs::ScopedLatency;
+using obs::ScopedSpan;
 
 TEST(MetricsRegistryTest, CountersSumExactly) {
   MetricsRegistry registry;
@@ -52,8 +53,10 @@ TEST(MetricsRegistryTest, DisabledRegistryRecordsNothing) {
   ASSERT_FALSE(registry.enabled());
   registry.AddCounter("a");
   registry.RecordLatency("h", 1.0);
-  { ScopedLatency latency(&registry, "h"); }
-  { ScopedLatency latency(nullptr, "h"); }
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  { ScopedSpan timer(ctx, /*span=*/{}, /*counters=*/{}, "h"); }
+  { ScopedSpan timer(ExecContext{}, /*span=*/{}, /*counters=*/{}, "h"); }
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_TRUE(snapshot.counters.empty());
   EXPECT_TRUE(snapshot.histograms.empty());
@@ -114,10 +117,12 @@ TEST(MetricsRegistryTest, HistogramBucketIndexClampsAndOrders) {
             HistogramData::kNumBuckets - 1);
 }
 
-TEST(MetricsRegistryTest, ScopedLatencyRecordsOneSample) {
+TEST(MetricsRegistryTest, ScopedSpanRecordsOneHistogramSample) {
   MetricsRegistry registry;
   registry.set_enabled(true);
-  { ScopedLatency latency(&registry, "scoped.ms"); }
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  { ScopedSpan timer(ctx, /*span=*/{}, /*counters=*/{}, "scoped.ms"); }
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.histograms.at("scoped.ms").count, 1u);
   EXPECT_GE(snapshot.histograms.at("scoped.ms").total_ms, 0.0);

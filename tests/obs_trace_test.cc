@@ -1,37 +1,55 @@
 // Tracer contract tests: thread-local span nesting, deterministic sibling
 // ordering via explicit parent/order keys, and well-formed Chrome-trace
-// JSON (the file-writing test doubles as CI's trace-validity check).
+// JSON (the file-writing test doubles as CI's trace-validity check). Then
+// ScopedSpan as a region's one instrument: one clock pair feeding span and
+// histogram, one Record per number, and an inert disabled path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/cost.h"
 #include "obs/json_util.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace gpivot {
 namespace {
 
+using obs::CostCollector;
 using obs::IsValidJson;
+using obs::MetricsRegistry;
+using obs::MetricsSnapshot;
+using obs::NodeStats;
 using obs::ScopedSpan;
 using obs::SpanId;
-using obs::TraceEnabled;
 using obs::Tracer;
+
+// A context whose only sink is `tracer`.
+ExecContext Traced(Tracer* tracer) {
+  ExecContext ctx;
+  ctx.tracer = tracer;
+  return ctx;
+}
 
 TEST(TracerTest, ScopedSpansNestViaThreadLocalCurrent) {
   Tracer tracer;
   tracer.set_enabled(true);
   {
-    ScopedSpan outer(&tracer, "outer");
+    ScopedSpan outer(Traced(&tracer), "outer");
     {
-      ScopedSpan inner(&tracer, "inner");
-      ScopedSpan grandchild(&tracer, "leaf");
+      ScopedSpan inner(Traced(&tracer), "inner");
+      ScopedSpan grandchild(Traced(&tracer), "leaf");
     }
-    ScopedSpan sibling(&tracer, "sibling");
+    ScopedSpan sibling(Traced(&tracer), "sibling");
   }
-  ScopedSpan root2(&tracer, "root2");
+  ScopedSpan root2(Traced(&tracer), "root2");
   EXPECT_EQ(tracer.ToSpanTree(),
             "outer\n"
             "  inner\n"
@@ -44,7 +62,7 @@ TEST(TracerTest, AttrsAppearInTree) {
   Tracer tracer;
   tracer.set_enabled(true);
   {
-    ScopedSpan span(&tracer, "HashJoin");
+    ScopedSpan span(Traced(&tracer), "HashJoin");
     span.AddAttr("build_rows", uint64_t{80});
     span.AddAttr("type", "Inner");
   }
@@ -77,14 +95,13 @@ TEST(TracerTest, ExplicitParentAndOrderSortSiblings) {
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
-  ASSERT_FALSE(TraceEnabled(&tracer));
-  EXPECT_FALSE(TraceEnabled(nullptr));
+  ASSERT_FALSE(tracer.enabled());
   {
-    ScopedSpan span(&tracer, "ignored");
+    ScopedSpan span(Traced(&tracer), "ignored");
     EXPECT_FALSE(span.active());
     span.AddAttr("k", "v");
   }
-  { ScopedSpan null_span(nullptr, "ignored"); }
+  { ScopedSpan null_span(ExecContext{}, "ignored"); }
   EXPECT_EQ(tracer.num_spans(), 0u);
   EXPECT_EQ(tracer.ToSpanTree(), "");
 }
@@ -92,10 +109,10 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
 TEST(TracerTest, ScopedSpanRestoresPreviousCurrent) {
   Tracer tracer;
   tracer.set_enabled(true);
-  ScopedSpan outer(&tracer, "outer");
+  ScopedSpan outer(Traced(&tracer), "outer");
   EXPECT_EQ(tracer.CurrentSpan(), outer.id());
   {
-    ScopedSpan inner(&tracer, "inner");
+    ScopedSpan inner(Traced(&tracer), "inner");
     EXPECT_EQ(tracer.CurrentSpan(), inner.id());
   }
   EXPECT_EQ(tracer.CurrentSpan(), outer.id());
@@ -116,9 +133,9 @@ TEST(TracerTest, ChromeTraceJsonIsValidAndEscaped) {
   Tracer tracer;
   tracer.set_enabled(true);
   {
-    ScopedSpan span(&tracer, "tricky \"name\"\nwith\\escapes");
+    ScopedSpan span(Traced(&tracer), "tricky \"name\"\nwith\\escapes");
     span.AddAttr("key \"q\"", "value\twith\ttabs");
-    ScopedSpan child(&tracer, "child");
+    ScopedSpan child(Traced(&tracer), "child");
   }
   std::string json = tracer.ToChromeTraceJson();
   EXPECT_TRUE(IsValidJson(json)) << json;
@@ -138,9 +155,9 @@ TEST(TracerTest, WrittenTraceFileIsValidJson) {
   Tracer tracer;
   tracer.set_enabled(true);
   {
-    ScopedSpan epoch(&tracer, "epoch");
-    ScopedSpan stage(&tracer, "stage");
-    ScopedSpan view(&tracer, "stage:v1");
+    ScopedSpan epoch(Traced(&tracer), "epoch");
+    ScopedSpan stage(Traced(&tracer), "stage");
+    ScopedSpan view(Traced(&tracer), "stage:v1");
     view.AddAttr("rows_out", uint64_t{7});
   }
   std::string path = ::testing::TempDir() + "/gpivot_trace_test.json";
@@ -156,6 +173,97 @@ TEST(TracerTest, WrittenTraceFileIsValidJson) {
 TEST(TracerTest, WriteChromeTraceFailsOnBadPath) {
   Tracer tracer;
   EXPECT_FALSE(tracer.WriteChromeTrace("/nonexistent-dir/trace.json"));
+}
+
+TEST(ScopedSpanTest, OneClockPairFeedsSpanAndHistogram) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ctx.metrics = &registry;
+  {
+    ScopedSpan span(ctx, "region", /*counters=*/{}, "region.ms");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<obs::SpanRecord> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  const obs::HistogramData& histogram = snapshot.histograms.at("region.ms");
+  ASSERT_EQ(histogram.count, 1u);
+  EXPECT_GT(spans[0].dur_us, 0.0);
+  EXPECT_EQ(spans[0].dur_us / 1000, histogram.total_ms);
+}
+
+TEST(ScopedSpanTest, RecordWritesEachNumberToEverySink) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  CostCollector cost;
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ctx.metrics = &registry;
+  ctx.cost = &cost;
+  ctx.cost_node = 3;
+  {
+    ScopedSpan span(ctx, {"op:", "Join"}, {"exec.", "op"});
+    span.AddAttr("type", "INNER");
+    span.Count("calls", 1, &NodeStats::invocations);
+    span.Charge(&NodeStats::rows_in, 10);
+    span.Record("rows_out", 4, &NodeStats::rows_out);
+    span.Record("partitions", 2);
+    // The node's stats are written once, at close.
+    EXPECT_TRUE(cost.Snapshot().empty());
+  }
+  EXPECT_EQ(tracer.ToSpanTree(),
+            "op:Join type=INNER rows_out=4 partitions=2\n");
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.counters,
+            (std::map<std::string, uint64_t>{{"exec.op.calls", 1},
+                                             {"exec.op.partitions", 2},
+                                             {"exec.op.rows_out", 4}}));
+  EXPECT_TRUE(snapshot.histograms.empty());
+  std::map<int, NodeStats> stats = cost.Snapshot();
+  ASSERT_EQ(stats.size(), 1u);
+  NodeStats got = stats.at(3);
+  EXPECT_EQ(got.invocations, 1u);
+  EXPECT_EQ(got.rows_in, 10u);
+  EXPECT_EQ(got.rows_out, 4u);
+  got.invocations = got.rows_in = got.rows_out = 0;
+  EXPECT_TRUE(got.IsZero());
+}
+
+TEST(ScopedSpanTest, NullOrDisabledSinksStayEmpty) {
+  Tracer tracer;
+  MetricsRegistry registry;
+  CostCollector cost;
+  // Every sink present but off: tracer and registry disabled, and no plan
+  // node attributed (cost_node -1).
+  ExecContext disabled;
+  disabled.tracer = &tracer;
+  disabled.metrics = &registry;
+  disabled.cost = &cost;
+  for (const ExecContext& ctx : {ExecContext{}, disabled}) {
+    ScopedSpan span(ctx, {"eval:", "Join"}, "exec.join", "exec.join.ms");
+    EXPECT_FALSE(span.active());
+    EXPECT_EQ(span.id(), 0u);
+    span.AddAttr("type", "INNER");
+    span.Count("calls", 1, &NodeStats::invocations);
+    span.Charge(&NodeStats::rows_in, 7);
+    span.Record("rows_out", 5, &NodeStats::rows_out);
+  }
+  {
+    ScopedSpan query(disabled, "serve.query", "serve.query.lookup.ms",
+                     &registry, "serve.query.ms");
+    query.Count("lookup", 1);
+  }
+  EXPECT_EQ(tracer.num_spans(), 0u);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_TRUE(snapshot.counters.empty());
+  EXPECT_TRUE(snapshot.histograms.empty());
+  EXPECT_TRUE(cost.Snapshot().empty());
 }
 
 }  // namespace
