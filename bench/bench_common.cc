@@ -14,13 +14,11 @@
 
 #include <unistd.h>  // environ
 
-#include "ivm/batcher.h"
 #include "ivm/view_manager.h"
 #include "obs/admin.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/recovery.h"
 #include "tpch/views.h"
 #include "util/check.h"
 #include "util/file_io.h"
@@ -59,11 +57,7 @@ constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_BENCH_REPS",    "GPIVOT_BENCH_VERIFY", "GPIVOT_BENCH_AUDIT",
     "GPIVOT_BENCH_JSON_DIR", "GPIVOT_METRICS",     "GPIVOT_TRACE_DIR",
     "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
-    "GPIVOT_BATCH_MAX_BATCHES", "GPIVOT_BATCH_MAX_NET_ROWS",
-    "GPIVOT_WAL_DIR",       "GPIVOT_CHECKPOINT_EVERY_N_EPOCHS",
-    "GPIVOT_SERVE_READERS",
-    "GPIVOT_SERVE_MAX_PINNED_EPOCHS", "GPIVOT_SERVE_MIX",
-    "GPIVOT_SERVE_EPOCHS",  "GPIVOT_SERVE_OPS",
+    "GPIVOT_WAL_DIR",
     "GPIVOT_ADMIN_PORT",    "GPIVOT_ADMIN_STUCK_EPOCH_MS",
     "GPIVOT_ADMIN_SAMPLE_MS",
 };
@@ -104,29 +98,18 @@ void ValidateBenchEnv() {
                  event_log->error().c_str());
     std::exit(2);
   }
-  // Batcher knobs are strict-parsed by the library, but a bench run should
-  // reject them before generating data, not mid-sweep.
-  Result<ivm::BatcherOptions> batcher = ivm::BatcherOptions::FromEnv();
-  if (!batcher.ok()) {
-    std::fprintf(stderr, "bench: %s\n", batcher.status().ToString().c_str());
-    std::exit(2);
-  }
-  // Durability knobs fail fast the same way: a garbled cadence or an
-  // unwritable WAL dir must not silently run the benchmark undurably.
-  Result<storage::StorageOptions> storage = storage::StorageOptions::FromEnv();
-  if (!storage.ok()) {
-    std::fprintf(stderr, "bench: %s\n", storage.status().ToString().c_str());
-    std::exit(2);
-  }
-  if (!storage->dir.empty()) {
-    std::string probe = StrCat(storage->dir, "/.gpivot_probe");
+  // An unwritable WAL dir must not silently run the durable benchmark
+  // without its storage artifacts.
+  const std::string wal_dir = BenchWalDir();
+  if (!wal_dir.empty()) {
+    std::string probe = StrCat(wal_dir, "/.gpivot_probe");
     bool writable =
-        EnsureDir(storage->dir).ok() && static_cast<bool>(std::ofstream(probe));
+        EnsureDir(wal_dir).ok() && static_cast<bool>(std::ofstream(probe));
     if (writable) {
       std::remove(probe.c_str());
     } else {
       std::fprintf(stderr, "bench: GPIVOT_WAL_DIR=%s is not writable\n",
-                   storage->dir.c_str());
+                   wal_dir.c_str());
       std::exit(2);
     }
   }
@@ -424,6 +407,11 @@ size_t BenchReps() {
     return reps == 0 ? size_t{1} : static_cast<size_t>(reps);
   }();
   return kReps;
+}
+
+std::string BenchWalDir() {
+  const char* value = std::getenv("GPIVOT_WAL_DIR");
+  return value == nullptr ? "" : value;
 }
 
 void ValidateBenchEnvOnce() {

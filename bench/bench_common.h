@@ -87,6 +87,11 @@ uint64_t BenchEnvUint64(const char* name, uint64_t fallback);
 // default 3; 0 is clamped to 1).
 size_t BenchReps();
 
+// GPIVOT_WAL_DIR: where durable benchmarks keep their storage
+// directories; empty when unset. ValidateBenchEnvOnce exits 2 when it is
+// set but not writable.
+std::string BenchWalDir();
+
 // Runs the GPIVOT_* environment validation (unknown-var warnings, sink
 // writability, exit 2 on unusable sinks) exactly once per process. Every
 // figure registration path must call it.

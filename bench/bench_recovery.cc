@@ -78,9 +78,7 @@ std::vector<ivm::SourceDeltas> MakeChurnBatches(const Catalog& catalog,
 }
 
 std::string StorageRoot() {
-  auto env = storage::StorageOptions::FromEnv();
-  GPIVOT_CHECK(env.ok()) << env.status().ToString();
-  if (!env->dir.empty()) return env->dir;
+  if (std::string dir = BenchWalDir(); !dir.empty()) return dir;
   return (std::filesystem::temp_directory_path() / "gpivot_bench_recovery")
       .string();
 }

@@ -430,15 +430,4 @@ Status ApplyPivotGroupByUpdate(MaterializedView* view,
                     StagePivotGroupByUpdate(*view, layout, aggs, pivoted_delta));
 }
 
-Status ApplySelectPivotUpdate(MaterializedView* view,
-                              const PivotLayout& layout,
-                              const CompiledExpr& condition,
-                              const Delta& pivoted_delta,
-                              const Table& recompute_candidates) {
-  return CommitPlan(view,
-                    StageSelectPivotUpdate(*view, layout, condition,
-                                           pivoted_delta,
-                                           recompute_candidates));
-}
-
 }  // namespace gpivot::ivm

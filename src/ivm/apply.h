@@ -130,11 +130,6 @@ Status ApplyPivotGroupByUpdate(MaterializedView* view,
                                const PivotLayout& layout,
                                const AggregateLayout& aggs,
                                const Delta& pivoted_delta);
-Status ApplySelectPivotUpdate(MaterializedView* view,
-                              const PivotLayout& layout,
-                              const CompiledExpr& condition,
-                              const Delta& pivoted_delta,
-                              const Table& recompute_candidates);
 
 }  // namespace gpivot::ivm
 

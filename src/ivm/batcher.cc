@@ -1,7 +1,6 @@
 #include "ivm/batcher.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -141,27 +140,6 @@ struct DeltaBatcher::NetState {
     return net;
   }
 };
-
-Result<BatcherOptions> BatcherOptions::FromEnv() {
-  auto parse = [](const char* name, size_t* out) -> Status {
-    const char* value = std::getenv(name);
-    if (value == nullptr || value[0] == '\0') return Status::OK();
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (value[0] == '-' || end == value || *end != '\0') {
-      return Status::InvalidArgument(
-          StrCat(name, " is not a non-negative integer: '", value, "'"));
-    }
-    *out = static_cast<size_t>(parsed);
-    return Status::OK();
-  };
-  BatcherOptions options;
-  GPIVOT_RETURN_NOT_OK(parse("GPIVOT_BATCH_MAX_BATCHES",
-                             &options.max_batches));
-  GPIVOT_RETURN_NOT_OK(parse("GPIVOT_BATCH_MAX_NET_ROWS",
-                             &options.max_net_rows));
-  return options;
-}
 
 DeltaBatcher::DeltaBatcher(ViewManager* manager, BatcherOptions options)
     : manager_(manager),

@@ -22,11 +22,6 @@ struct BatcherOptions {
   // Auto-flush when the pending *net* delta (post-compaction Δ + ∇ rows
   // across all tables) reaches this many rows.
   size_t max_net_rows = 0;
-
-  // Reads GPIVOT_BATCH_MAX_BATCHES / GPIVOT_BATCH_MAX_NET_ROWS (unset or
-  // empty = 0 = disabled; malformed values are InvalidArgument, not
-  // silently ignored).
-  static Result<BatcherOptions> FromEnv();
 };
 
 // Lifetime totals of one batcher, all pure functions of the ingested

@@ -483,18 +483,6 @@ Status MaintenancePlan::CommitStaged(StagedRefresh staged,
   return ExecuteMergePlan(view, *staged.merge, undo, ctx);
 }
 
-Status MaintenancePlan::Refresh(const Catalog& pre_catalog,
-                                const SourceDeltas& deltas,
-                                MaterializedView* view,
-                                const ExecContext& ctx) const {
-  GPIVOT_ASSIGN_OR_RETURN(StagedRefresh staged,
-                          Stage(pre_catalog, deltas, *view, ctx));
-  UndoLog undo;
-  Status st = CommitStaged(std::move(staged), view, &undo, ctx);
-  if (!st.ok()) undo.Rollback(view);
-  return st;
-}
-
 Result<MaterializedView> MaintenancePlan::StageFullRecompute(
     DeltaPropagator* propagator) const {
   GPIVOT_ASSIGN_OR_RETURN(Table recomputed,

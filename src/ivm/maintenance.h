@@ -53,8 +53,8 @@ struct StagedRefresh {
 
 // A compiled maintenance plan: the (possibly rewritten) query whose output
 // the materialized view stores, plus everything the propagate and apply
-// phases need. Compile once per view definition; Stage+Commit (or Refresh)
-// per delta batch.
+// phases need. Compile once per view definition; Stage+CommitStaged per
+// delta batch.
 class MaintenancePlan {
  public:
   static Result<MaintenancePlan> Compile(PlanPtr view_query,
@@ -91,11 +91,6 @@ class MaintenancePlan {
   // `ctx` only feeds observability (ivm.merge.* counters).
   static Status CommitStaged(StagedRefresh staged, MaterializedView* view,
                              UndoLog* undo, const ExecContext& ctx = {});
-
-  // Stage + commit in one step (single-view, no cross-view atomicity). On
-  // failure the view is unchanged.
-  Status Refresh(const Catalog& pre_catalog, const SourceDeltas& deltas,
-                 MaterializedView* view, const ExecContext& ctx = {}) const;
 
   std::string ToString() const;
 

@@ -238,6 +238,15 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
                              EpochWork work) {
   const bool refresh = work != EpochWork::kAdvance;
   const bool advance = work != EpochWork::kRefresh;
+  // Only whole epochs reach the WAL, so a durable manager refuses the two
+  // benchmark halves outright: a half committed past the hook would be
+  // lost on the next crash. The refusal is not an epoch — no seq, no
+  // record, nothing mutated.
+  if (work != EpochWork::kApply && durability_hook_ != nullptr) {
+    return Status::FailedPrecondition(
+        StrCat(entry, ": split epochs bypass the WAL; a durable manager "
+                      "accepts only ApplyUpdate and BatchedApplyUpdate"));
+  }
   // RefreshViews leaves the base-state checks to AdvanceBase.
   if (Status st = advance ? ValidateEpoch(deltas) : ValidateDeltas(deltas);
       !st.ok()) {
@@ -251,10 +260,7 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
     RecordNoOpEpoch(entry, deltas);
     return Status::OK();
   }
-  // Only whole epochs are durable; the two halves are benchmark entry
-  // points.
-  EpochDurabilityHook* durability =
-      work == EpochWork::kApply ? durability_hook_ : nullptr;
+  EpochDurabilityHook* durability = durability_hook_;
   if (durability != nullptr) {
     // Write-ahead point: the batch becomes durable before anything
     // mutates. Failure rejects the epoch — but still consumes its seq via

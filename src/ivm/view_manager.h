@@ -175,7 +175,9 @@ class ViewManager {
   // identically). RefreshViews must run before AdvanceBase. Each half is
   // atomic on its own: a failure rolls back whatever that half applied.
   // Only AdvanceBase checks the batch against the stored keys, so a batch
-  // it rejects may already have refreshed the views.
+  // it rejects may already have refreshed the views. Neither half reaches
+  // the durability hook, so both fail with FailedPrecondition, before
+  // anything mutates, while a hook is set.
   Status RefreshViews(const SourceDeltas& deltas);
   Status AdvanceBase(const SourceDeltas& deltas);
 
@@ -219,9 +221,10 @@ class ViewManager {
   void set_event_log(obs::EventLog* log) { event_log_ = log; }
 
   // Durability observer for ApplyUpdate / BatchedApplyUpdate epochs
-  // (nullptr = none, the default). Must outlive this manager or be unset
-  // first. Recovery detaches the hook while replaying so replayed epochs
-  // are not re-logged.
+  // (nullptr = none, the default); while set, RefreshViews and AdvanceBase
+  // are refused. Must outlive this manager or be unset first. Recovery
+  // detaches the hook while replaying so replayed epochs are not
+  // re-logged.
   void set_durability_hook(EpochDurabilityHook* hook) {
     durability_hook_ = hook;
   }

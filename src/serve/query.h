@@ -51,13 +51,6 @@ class QueryService {
   Result<Table> TopK(const std::string& view, const std::string& measure,
                      size_t k, ReaderHandle* handle) const;
 
-  // The snapshot a query starting now would run against (for callers that
-  // want to tag results with the epoch they saw).
-  std::shared_ptr<const Snapshot> AcquireSnapshot(const std::string& view,
-                                                  ReaderHandle* handle) const {
-    return store_->Acquire(view, handle);
-  }
-
  private:
   Result<std::shared_ptr<const Snapshot>> AcquireChecked(
       const std::string& view, ReaderHandle* handle) const;

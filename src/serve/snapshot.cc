@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/json_util.h"
@@ -9,39 +8,6 @@
 #include "util/string_util.h"
 
 namespace gpivot::serve {
-
-namespace {
-
-// Strict uint64 parse: digits only, no sign/space/suffix, nonzero.
-bool ParseStrictUint64(const char* raw, uint64_t* out) {
-  if (raw == nullptr || *raw == '\0') return false;
-  uint64_t value = 0;
-  for (const char* p = raw; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(*p - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
-Result<ServeOptions> ServeOptions::FromEnv() {
-  ServeOptions options;
-  const char* raw = std::getenv("GPIVOT_SERVE_MAX_PINNED_EPOCHS");
-  if (raw != nullptr) {
-    uint64_t value = 0;
-    if (!ParseStrictUint64(raw, &value) || value == 0) {
-      return Status::InvalidArgument(
-          StrCat("GPIVOT_SERVE_MAX_PINNED_EPOCHS='", raw,
-                 "' is not a positive integer"));
-    }
-    options.max_pinned_epochs = static_cast<size_t>(value);
-  }
-  return options;
-}
 
 SnapshotStore::SnapshotStore(ivm::ViewManager* manager, ServeOptions options,
                              obs::MetricsRegistry* metrics,
@@ -123,7 +89,7 @@ Result<ReaderHandle*> SnapshotStore::RegisterReader() {
   }
   return Status::InvalidArgument(
       StrCat("serve: all ", readers_.size(),
-             " reader slots in use (GPIVOT_SERVE_MAX_PINNED_EPOCHS)"));
+             " reader slots in use (ServeOptions::max_pinned_epochs)"));
 }
 
 void SnapshotStore::UnregisterReader(ReaderHandle* handle) {

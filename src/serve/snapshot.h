@@ -23,13 +23,9 @@ namespace gpivot::serve {
 // array: each registered reader holds one hazard slot and can pin at most
 // one retired version per view at a time, so it doubles as the bound on how
 // many superseded epoch versions can stay live after the store has moved
-// on. GPIVOT_SERVE_MAX_PINNED_EPOCHS overrides the default; the parse is
-// strict (digits only, nonzero) so a typo'd knob fails loudly instead of
-// silently serving with a default.
+// on.
 struct ServeOptions {
   size_t max_pinned_epochs = 8;
-
-  static Result<ServeOptions> FromEnv();
 };
 
 // One immutable version of one view: the epoch sequence number it was
@@ -135,7 +131,8 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // unknown view. With a registered handle this is the lock-free fast
   // path described above. With handle == nullptr it falls back to
   // serializing against the writer's retire scan on a mutex and counts
-  // serve.read.locks — the bench asserts that counter stays zero.
+  // serve.read.locks — obs_determinism_test asserts a registered reader
+  // leaves that counter at zero.
   std::shared_ptr<const Snapshot> Acquire(const std::string& view,
                                           ReaderHandle* handle) const;
 
@@ -172,12 +169,13 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // `initial` marks the Attach-time install, which always runs (fresh
   // slots need heads even when the manager's seq was already seen by a
   // previous attach). Commit-hook installs pass false and are dropped when
-  // `seq` does not advance past installed_seq_: with a pool-threaded
-  // commit pipeline, OnEpochCommitted calls can arrive out of epoch order,
-  // and installing an older epoch over a newer head would publish stale
-  // data to readers *and* regress last_committed_seq. A dropped install
-  // skips everything — heads, gauges, event-log lines — and counts
-  // serve.snapshot.stale_skips.
+  // `seq` does not advance past installed_seq_: the EpochCommitHook
+  // contract lets OnEpochCommitted calls arrive from several threads out of
+  // epoch order (pinned by ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone
+  // in serve_stress_test), and installing an older epoch over a newer head
+  // would publish stale data to readers *and* regress last_committed_seq.
+  // A dropped install skips everything — heads, gauges, event-log lines —
+  // and counts serve.snapshot.stale_skips.
   void InstallAll(uint64_t seq, bool initial);
   void FlushRetiredLocked();
   std::string RuntimeSectionJson() const;

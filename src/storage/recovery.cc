@@ -1,6 +1,5 @@
 #include "storage/recovery.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "ivm/batcher.h"
@@ -27,27 +26,6 @@ uint64_t TotalDeltaRows(const ivm::SourceDeltas& deltas) {
 
 std::string WalPath(const std::string& dir) {
   return StrCat(dir, "/", kWalFileName);
-}
-
-Result<StorageOptions> StorageOptions::FromEnv() {
-  StorageOptions options;
-  if (const char* dir = std::getenv("GPIVOT_WAL_DIR");
-      dir != nullptr && dir[0] != '\0') {
-    options.dir = dir;
-  }
-  if (const char* value = std::getenv("GPIVOT_CHECKPOINT_EVERY_N_EPOCHS");
-      value != nullptr && value[0] != '\0') {
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (value[0] == '-' || end == value || *end != '\0') {
-      return Status::InvalidArgument(
-          StrCat("GPIVOT_CHECKPOINT_EVERY_N_EPOCHS is not a non-negative "
-                 "integer: '",
-                 value, "'"));
-    }
-    options.checkpoint_every_n_epochs = parsed;
-  }
-  return options;
 }
 
 std::string RecoveryReport::ToJsonLine() const {

@@ -68,11 +68,6 @@ struct StorageOptions {
   obs::EventLog* event_log = nullptr;
   // Execution context for replay epochs and subsequent live epochs.
   ExecContext exec_context;
-
-  // Reads GPIVOT_WAL_DIR and GPIVOT_CHECKPOINT_EVERY_N_EPOCHS. Unset vars
-  // leave the defaults (empty dir = durability not requested); a set-but-
-  // malformed cadence is InvalidArgument, never silently ignored.
-  static Result<StorageOptions> FromEnv();
 };
 
 // One view to (re)establish at Open: compiled fresh, contents restored
@@ -122,9 +117,11 @@ class DurableViewManager : public ivm::EpochDurabilityHook {
   DurableViewManager(const DurableViewManager&) = delete;
   DurableViewManager& operator=(const DurableViewManager&) = delete;
 
-  // The underlying manager: reads, audits, and epoch entry points (which
-  // all flow through the armed hook). Hand this to a DeltaBatcher to get
-  // durable batched ingest.
+  // The underlying manager: reads, audits, and the whole-epoch entry points
+  // ApplyUpdate / BatchedApplyUpdate, which flow through the armed hook.
+  // The split halves RefreshViews / AdvanceBase would bypass the WAL, so
+  // the manager refuses them with FailedPrecondition while the hook is
+  // armed. Hand this to a DeltaBatcher to get durable batched ingest.
   ivm::ViewManager* manager() { return manager_.get(); }
   const ivm::ViewManager* manager() const { return manager_.get(); }
 

@@ -23,6 +23,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kConstraintViolation:
       return "Constraint violation";
+    case StatusCode::kFailedPrecondition:
+      return "Failed precondition";
   }
   return "Unknown";
 }

@@ -21,6 +21,9 @@ enum class StatusCode {
   kInternal,
   // Data violates a declared constraint (duplicate key, type mismatch).
   kConstraintViolation,
+  // The object is in a state that forbids the call, e.g. a split epoch
+  // entry point on a manager whose epochs must be durable.
+  kFailedPrecondition,
 };
 
 // Returns a stable human-readable name, e.g. "Invalid argument".
@@ -55,6 +58,9 @@ class Status {
   static Status ConstraintViolation(std::string message) {
     return Status(StatusCode::kConstraintViolation, std::move(message));
   }
+  static Status FailedPrecondition(std::string message) {
+    return Status(StatusCode::kFailedPrecondition, std::move(message));
+  }
 
   bool ok() const { return state_ == nullptr; }
   StatusCode code() const {
@@ -70,6 +76,9 @@ class Status {
   bool IsInternal() const { return code() == StatusCode::kInternal; }
   bool IsConstraintViolation() const {
     return code() == StatusCode::kConstraintViolation;
+  }
+  bool IsFailedPrecondition() const {
+    return code() == StatusCode::kFailedPrecondition;
   }
 
   // "OK" or "<code name>: <message>".

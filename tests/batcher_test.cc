@@ -4,7 +4,6 @@
 // the batched-vs-one-by-one cost win the micro-batch bench measures.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -400,25 +399,6 @@ TEST(DeltaBatcherTest, FailedFlushRollsBackAndKeepsQueue) {
   EXPECT_EQ(manager.LastEpochReport()->outcome, "committed");
   EXPECT_EQ(batcher.pending_batches(), 0u);
   ASSERT_OK(manager.Audit());
-}
-
-TEST(DeltaBatcherTest, OptionsFromEnvStrictParse) {
-  ::setenv("GPIVOT_BATCH_MAX_BATCHES", "16", 1);
-  ::setenv("GPIVOT_BATCH_MAX_NET_ROWS", "4096", 1);
-  auto options = BatcherOptions::FromEnv();
-  ASSERT_OK(options.status());
-  EXPECT_EQ(options->max_batches, 16u);
-  EXPECT_EQ(options->max_net_rows, 4096u);
-  ::setenv("GPIVOT_BATCH_MAX_BATCHES", "16x", 1);
-  EXPECT_TRUE(BatcherOptions::FromEnv().status().IsInvalidArgument());
-  ::setenv("GPIVOT_BATCH_MAX_BATCHES", "-1", 1);
-  EXPECT_TRUE(BatcherOptions::FromEnv().status().IsInvalidArgument());
-  ::unsetenv("GPIVOT_BATCH_MAX_BATCHES");
-  ::unsetenv("GPIVOT_BATCH_MAX_NET_ROWS");
-  auto defaults = BatcherOptions::FromEnv();
-  ASSERT_OK(defaults.status());
-  EXPECT_EQ(defaults->max_batches, 0u);
-  EXPECT_EQ(defaults->max_net_rows, 0u);
 }
 
 TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountTowardMaxNetRows) {

@@ -2,7 +2,8 @@
 // socketless Handle() core for every endpoint, /healthz flipping to 503
 // under injected faults (stuck epoch, poisoned WAL, over-bound batcher
 // queue), the exact /viewz staleness contract against a live
-// ViewManager+SnapshotStore after a rolled-back epoch, and one real
+// ViewManager+SnapshotStore after a rolled-back epoch, every endpoint over
+// a live DeltaBatcher → ViewManager → SnapshotStore pipeline, and one real
 // loopback-socket round trip on an ephemeral port.
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <utility>
 
 #include "core/gpivot.h"
+#include "ivm/batcher.h"
 #include "ivm/view_manager.h"
 #include "obs/admin.h"
 #include "obs/json_util.h"
@@ -328,6 +330,57 @@ TEST(AdminServerTest, ViewzStalenessIsManagerSeqMinusSnapshotSeq) {
   std::optional<JsonValue> reparsed = ParseJson(after.body);
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_TRUE(reparsed->Find("stores")->array.empty());
+}
+
+// Every endpoint over a live ingest → epoch → serve pipeline: a ViewManager
+// fed by a DeltaBatcher through a few flushes, with a SnapshotStore
+// attached. The live series must be present and gauge-typed, the health
+// check green, and all four JSON endpoints parseable.
+TEST(AdminServerTest, EndpointsReportALiveBatcherManagerAndStore) {
+  ScopedRuntime runtime;
+  ViewManager manager = MakePivotManager();
+  SnapshotStore store(&manager);
+  ASSERT_OK(store.Attach());
+  ivm::DeltaBatcher batcher(&manager);
+  AdminServer server(AdminOptions{});
+
+  server.SampleTick(100.0);
+  ASSERT_OK(batcher.Ingest(ItemsInsert(manager, 2, "Type", "DVD")));
+  ASSERT_OK(batcher.Flush());
+  ASSERT_OK(batcher.Ingest(ItemsInsert(manager, 3, "Manu", "JVC")));
+  ASSERT_OK(batcher.Ingest(ItemsInsert(manager, 3, "Type", "VCR")));
+  ASSERT_OK(batcher.Flush());
+  ASSERT_OK(batcher.Ingest(ItemsInsert(manager, 4, "Manu", "Sharp")));
+  ASSERT_OK(batcher.Flush());
+  server.SampleTick(110.0);
+  ASSERT_EQ(manager.epoch_seq(), 3u);
+  ASSERT_EQ(store.last_committed_seq(), 3u);
+
+  AdminServer::Response metrics = server.Handle("/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  for (const char* line : {"# TYPE gpivot_ivm_manager_epoch_seq gauge",
+                           "# TYPE gpivot_serve_store_last_committed_seq gauge",
+                           "# TYPE gpivot_ivm_batcher_pending_net_rows gauge",
+                           "gpivot_serve_view_installed_seq{view=",
+                           "gpivot_rate_window_seconds"}) {
+    EXPECT_NE(metrics.body.find(line), std::string::npos)
+        << line << "\n" << metrics.body;
+  }
+
+  AdminServer::Response healthz = server.Handle("/healthz");
+  EXPECT_EQ(healthz.status, 200);
+  EXPECT_NE(healthz.body.find("\"status\": \"ok\""), std::string::npos)
+      << healthz.body;
+  AdminServer::Response viewz = server.Handle("/viewz");
+  EXPECT_NE(viewz.body.find("\"manager_epoch_seq\""), std::string::npos)
+      << viewz.body;
+  for (const char* path : {"/healthz", "/viewz", "/statusz", "/epochz"}) {
+    AdminServer::Response response = server.Handle(path);
+    EXPECT_EQ(response.status, 200) << path;
+    std::string error;
+    EXPECT_TRUE(ParseJson(response.body, &error).has_value())
+        << path << ": " << error << "\n" << response.body;
+  }
 }
 
 TEST(AdminServerTest, ServesOneGetOverARealLoopbackSocket) {

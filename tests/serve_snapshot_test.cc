@@ -1,12 +1,11 @@
-// Unit tests for the serving layer (src/serve/): ServeOptions strict env
-// parsing, snapshot install on Attach and on every committed epoch, the
-// no-install guarantee for no-op/rejected/rolled-back epochs, O(1)
-// pointer-sharing installs over copy-on-write views, reader slot
-// registration bounds, hazard-deferred retirement, the locked slow path's
-// serve.read.locks counter, and the QueryService lookup/scan/top-k surface.
+// Unit tests for the serving layer (src/serve/): snapshot install on Attach
+// and on every committed epoch, the no-install guarantee for no-op/rejected/
+// rolled-back epochs, O(1) pointer-sharing installs over copy-on-write
+// views, reader slot registration bounds, hazard-deferred retirement, the
+// locked slow path's serve.read.locks counter, and the QueryService
+// lookup/scan/top-k surface.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -96,25 +95,6 @@ class ScopedReader {
   SnapshotStore* store_;
   ReaderHandle* handle_ = nullptr;
 };
-
-TEST(ServeOptionsTest, FromEnvDefaultsAndStrictParse) {
-  unsetenv("GPIVOT_SERVE_MAX_PINNED_EPOCHS");
-  auto defaults = ServeOptions::FromEnv();
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_EQ(defaults->max_pinned_epochs, 8u);
-
-  setenv("GPIVOT_SERVE_MAX_PINNED_EPOCHS", "3", 1);
-  auto three = ServeOptions::FromEnv();
-  ASSERT_TRUE(three.ok());
-  EXPECT_EQ(three->max_pinned_epochs, 3u);
-
-  for (const char* bad : {"", "abc", "0", "-1", "3x", " 3", "3 "}) {
-    setenv("GPIVOT_SERVE_MAX_PINNED_EPOCHS", bad, 1);
-    EXPECT_FALSE(ServeOptions::FromEnv().ok())
-        << "accepted '" << bad << "'";
-  }
-  unsetenv("GPIVOT_SERVE_MAX_PINNED_EPOCHS");
-}
 
 TEST(SnapshotStoreTest, AttachInstallsCurrentEpochForEveryView) {
   ViewManager manager = MakePivotManager();
@@ -220,12 +200,28 @@ TEST(SnapshotStoreTest, ReaderSlotsAreBounded) {
   ASSERT_OK_AND_ASSIGN(ReaderHandle* first, store.RegisterReader());
   ASSERT_OK_AND_ASSIGN(ReaderHandle* second, store.RegisterReader());
   EXPECT_NE(first, second);
-  EXPECT_FALSE(store.RegisterReader().ok());
+  Result<ReaderHandle*> third = store.RegisterReader();
+  ASSERT_FALSE(third.ok());
+  EXPECT_NE(third.status().message().find("max_pinned_epochs"),
+            std::string::npos)
+      << third.status().ToString();
   store.UnregisterReader(first);
   ASSERT_OK_AND_ASSIGN(ReaderHandle* reused, store.RegisterReader());
   EXPECT_EQ(reused, first);
   store.UnregisterReader(second);
   store.UnregisterReader(reused);
+
+  // Default options: eight slots.
+  ViewManager other = MakePivotManager();
+  SnapshotStore defaults(&other);
+  ASSERT_OK(defaults.Attach());
+  std::vector<ReaderHandle*> handles;
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_OK_AND_ASSIGN(ReaderHandle * handle, defaults.RegisterReader());
+    handles.push_back(handle);
+  }
+  EXPECT_FALSE(defaults.RegisterReader().ok());
+  for (ReaderHandle* handle : handles) defaults.UnregisterReader(handle);
 }
 
 TEST(SnapshotStoreTest, HazardProtectedVersionRetiresOnlyAfterRelease) {

@@ -5,8 +5,9 @@
 // recover and resume — base catalog, all three views, and the epoch
 // sequence must be byte-identical to an uninterrupted run. Plus the
 // satellites: epoch-seq continuity across restarts (no reset, no duplicate
-// JSONL seqs), no-op epochs staying out of the WAL, checkpoint cadence,
-// and compacted replay matching sequential replay with fewer rows applied.
+// JSONL seqs), no-op epochs staying out of the WAL, split epochs refused
+// on a durable manager, checkpoint cadence, and compacted replay matching
+// sequential replay with fewer rows applied.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -312,6 +313,48 @@ TEST(RecoveryTest, NoOpEpochsEmitNoWalEntries) {
   auto wal = ReadWal(WalPath(dir));
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ(wal->entries.size(), 0u);
+}
+
+// Regression: the split halves RefreshViews / AdvanceBase never reached the
+// durability hook, so on a durable manager they committed state the WAL did
+// not record, and a crash lost it. Both are now refused before anything
+// mutates: views, base tables, seq and WAL bytes stay as they were, and a
+// reopen matches a run that never made the calls.
+TEST(RecoveryTest, SplitEpochsRefusedWhileDurable) {
+  std::string dir = FreshDir("split");
+  std::vector<SourceDeltas> batches = WorkloadBatches(PivotCatalog(), 21, 4);
+  std::string expected = UndurableFingerprint(batches);
+  {
+    auto dvm = DurableViewManager::Open(PivotCatalog(),
+                                        Definitions(PivotCatalog()),
+                                        Options(dir, 0));
+    ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+    ViewManager* manager = (*dvm)->manager();
+    for (size_t i = 0; i < 2; ++i) ASSERT_OK((*dvm)->ApplyUpdate(batches[i]));
+    const std::string state_before = Fingerprint(*manager);
+    auto wal_before = ReadFileToString(WalPath(dir));
+    ASSERT_TRUE(wal_before.ok());
+
+    for (bool refresh_half : {true, false}) {
+      Status st = refresh_half ? manager->RefreshViews(batches[2])
+                               : manager->AdvanceBase(batches[2]);
+      EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+      EXPECT_EQ(Fingerprint(*manager), state_before);
+      auto wal_after = ReadFileToString(WalPath(dir));
+      ASSERT_TRUE(wal_after.ok());
+      EXPECT_EQ(*wal_after, *wal_before);
+    }
+
+    for (size_t i = 2; i < batches.size(); ++i) {
+      ASSERT_OK((*dvm)->ApplyUpdate(batches[i]));
+    }
+  }
+  auto dvm = DurableViewManager::Open(PivotCatalog(),
+                                      Definitions(PivotCatalog()),
+                                      Options(dir, 0));
+  ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+  ASSERT_OK((*dvm)->manager()->Audit());
+  EXPECT_EQ(Fingerprint(*(*dvm)->manager()), expected);
 }
 
 TEST(RecoveryTest, CheckpointCadenceResetsWalAndPrunes) {

@@ -33,6 +33,7 @@ TEST(StatusTest, AllConstructorsMapToPredicates) {
   EXPECT_TRUE(Status::NotApplicable("x").IsNotApplicable());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::ConstraintViolation("x").IsConstraintViolation());
+  EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
 }
 
 TEST(StatusTest, CopyAndMove) {
