@@ -97,31 +97,57 @@ class MergeStager {
   std::unordered_map<Row, size_t, RowHash, RowEq> overlay_;
 };
 
-// Charges the copy-on-write clones one merge made to the process-wide
-// ivm.view.cow_{table,index}_clones counters: a changed version pointer
-// means the store had to clone because a handle was still outstanding.
-class CowCloneCounter {
- public:
-  explicit CowCloneCounter(const MaterializedView& view)
-      : view_(view),
-        table_(&view.table()),
-        index_(view.shared_index().get()) {}
-  ~CowCloneCounter() {
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    if (!global.enabled()) return;
-    if (&view_.table() != table_) {
-      global.AddCounter("ivm.view.cow_table_clones");
+// Charges the versions the store's copy-on-write gate made during one merge
+// to the process-wide ivm.view.cow_{table,index}_clones (whole copies of a
+// version a handle still pinned) and ivm.view.cow_recycles (O(delta) spare
+// replays) counters.
+void ChargeVersionCounts(const KeyedTable::VersionCounts& before,
+                         const KeyedTable::VersionCounts& after) {
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  if (!global.enabled()) return;
+  auto charge = [&](const char* name, uint64_t from, uint64_t to) {
+    if (to != from) global.AddCounter(name, to - from);
+  };
+  charge("ivm.view.cow_table_clones", before.table_clones, after.table_clones);
+  charge("ivm.view.cow_index_clones", before.index_clones, after.index_clones);
+  charge("ivm.view.cow_recycles", before.recycles, after.recycles);
+}
+
+// The MERGE pass proper: one keyed insert, update or delete per record.
+Status MergeRecords(MaterializedView* view, const MergePlan& plan,
+                    UndoLog* undo, const ExecContext& ctx) {
+  uint64_t inserts = 0, updates = 0, deletes = 0;
+  const size_t mid = (plan.records.size() + 1) / 2;
+  for (size_t i = 0; i < plan.records.size(); ++i) {
+    if (i == mid) GPIVOT_FAULT_POINT("ExecuteMergePlan::mid-commit");
+    const MergeRecord& record = plan.records[i];
+    if (!record.before.has_value() && !record.after.has_value()) continue;
+    std::optional<size_t> position = view->LookupKey(record.key);
+    if (record.before.has_value() != position.has_value()) {
+      return Status::Internal(
+          StrCat("merge plan out of sync with view at key ",
+                 RowToString(record.key)));
     }
-    if (view_.shared_index().get() != index_) {
-      global.AddCounter("ivm.view.cow_index_clones");
+    if (!record.before.has_value()) {
+      GPIVOT_RETURN_NOT_OK(view->Insert(*record.after));
+      undo->RecordInsert();
+      ++inserts;
+    } else if (record.after.has_value()) {
+      undo->RecordUpdate(*position, view->RowAt(*position));
+      view->Update(*position, *record.after);
+      ++updates;
+    } else {
+      undo->RecordDelete(*position, view->Delete(*position));
+      ++deletes;
     }
   }
-
- private:
-  const MaterializedView& view_;
-  const Table* table_;
-  const KeyIndex* index_;
-};
+  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
+    ctx.metrics->AddCounter("ivm.merge.inserts", inserts);
+    ctx.metrics->AddCounter("ivm.merge.updates", updates);
+    ctx.metrics->AddCounter("ivm.merge.deletes", deletes);
+  }
+  return Status::OK();
+}
 
 // Stage-and-commit for the single-view Apply* entry points. Execution after
 // a successful staging can only fail via fault injection; roll back so even
@@ -183,38 +209,10 @@ Result<PivotLayout> PivotLayout::FromSchema(const Schema& view_schema,
 
 Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
                         UndoLog* undo, const ExecContext& ctx) {
-  CowCloneCounter clones(*view);
-  uint64_t inserts = 0, updates = 0, deletes = 0;
-  const size_t mid = (plan.records.size() + 1) / 2;
-  for (size_t i = 0; i < plan.records.size(); ++i) {
-    if (i == mid) GPIVOT_FAULT_POINT("ExecuteMergePlan::mid-commit");
-    const MergeRecord& record = plan.records[i];
-    if (!record.before.has_value() && !record.after.has_value()) continue;
-    std::optional<size_t> position = view->LookupKey(record.key);
-    if (record.before.has_value() != position.has_value()) {
-      return Status::Internal(
-          StrCat("merge plan out of sync with view at key ",
-                 RowToString(record.key)));
-    }
-    if (!record.before.has_value()) {
-      GPIVOT_RETURN_NOT_OK(view->Insert(*record.after));
-      undo->RecordInsert();
-      ++inserts;
-    } else if (record.after.has_value()) {
-      undo->RecordUpdate(*position, view->RowAt(*position));
-      view->Update(*position, *record.after);
-      ++updates;
-    } else {
-      undo->RecordDelete(*position, view->Delete(*position));
-      ++deletes;
-    }
-  }
-  if (ctx.metrics != nullptr && ctx.metrics->enabled()) {
-    ctx.metrics->AddCounter("ivm.merge.inserts", inserts);
-    ctx.metrics->AddCounter("ivm.merge.updates", updates);
-    ctx.metrics->AddCounter("ivm.merge.deletes", deletes);
-  }
-  return Status::OK();
+  const KeyedTable::VersionCounts before = view->version_counts();
+  Status st = MergeRecords(view, plan, undo, ctx);
+  ChargeVersionCounts(before, view->version_counts());
+  return st;
 }
 
 Result<MergePlan> StageInsertDelete(const MaterializedView& view,

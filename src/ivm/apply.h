@@ -74,7 +74,9 @@ struct MergePlan {
 // Applies a staged plan, appending each performed mutation to `undo`. Fails
 // only on an injected fault or when the view no longer matches the plan's
 // `before` snapshots (Internal); the caller rolls back via `undo`.
-// ctx.metrics (when enabled) receives ivm.merge.{inserts,updates,deletes}.
+// ctx.metrics (when enabled) receives ivm.merge.{inserts,updates,deletes};
+// MetricsRegistry::Global() (when enabled) receives the view store's
+// ivm.view.cow_{table_clones,index_clones,recycles} for this merge.
 Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
                         UndoLog* undo, const ExecContext& ctx = {});
 

@@ -30,12 +30,14 @@ Result<const Catalog*> DeltaPropagator::PostCatalog() {
     for (const auto& [name, delta] : *deltas_) {
       if (delta.empty()) continue;
       GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post_.GetKeyedTable(name));
-      const Table* shared = &table->table();
+      const uint64_t clones_before = table->version_counts().table_clones;
       const size_t shared_rows = table->num_rows();
       // The post state is scratch: its undo log is never replayed.
       UndoLog undo;
       GPIVOT_RETURN_NOT_OK(AdvanceInPlace(table, delta, &undo));
-      if (&table->table() != shared) rows_copied += shared_rows;
+      if (table->version_counts().table_clones != clones_before) {
+        rows_copied += shared_rows;
+      }
     }
     if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
       ctx_.metrics->AddCounter("ivm.post_state.rows_copied", rows_copied);

@@ -368,14 +368,14 @@ Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
     insert_rows += delta.inserts.num_rows();
     delete_rows += delta.deletes.num_rows();
     if (delta.empty()) continue;
-    // In place, O(delta) for keyed tables. A changed table pointer means the
-    // store had to clone the table because a catalog copy still shared it.
-    const Table* before = &store->table();
+    // In place, O(delta) for keyed tables. The store counts a clone when a
+    // handle (a catalog copy, a checkpoint borrow) still pinned the table.
+    const uint64_t clones_before = store->version_counts().table_clones;
     undo->tables.emplace_back(store, UndoLog());
     GPIVOT_RETURN_NOT_OK(AdvanceInPlace(store, delta,
                                         &undo->tables.back().second,
                                         &base_rows_read));
-    if (&store->table() != before) ++table_clones;
+    table_clones += store->version_counts().table_clones - clones_before;
   }
   GPIVOT_FAULT_POINT("ViewManager::EpochEnd");
   // Counted only once everything advanced: a rolled-back epoch contributes

@@ -23,27 +23,139 @@ Result<bool> KeyedTable::EnsureIndex() {
   GPIVOT_ASSIGN_OR_RETURN(KeyIndex index,
                           KeyIndex::Build(*table_, std::move(key_indices)));
   index_ = std::make_shared<KeyIndex>(std::move(index));
+  // The spare has no index to patch, so a replay could not catch it up.
+  DropSpare();
   return true;
 }
 
-Table& KeyedTable::EditUnindexed() {
-  index_.reset();
-  return MutableTable();
+namespace {
+
+// Whether `version` has no holder besides this one reference. The count is
+// probed through a copy: copying is an acq_rel RMW on the count, so it
+// synchronizes with the release in every other holder's last drop, and the
+// gate's writes into the version happen after their reads. (use_count()
+// alone is a relaxed load, and a standalone fence is invisible to TSan.) A
+// count only falls while the store is the sole holder, since no one else
+// can reach the version to copy it.
+template <typename T>
+bool SoleHolder(const std::shared_ptr<T>& version) {
+  if (version.use_count() != 1) return false;
+  std::shared_ptr<T> probe = version;
+  return probe.use_count() == 2;
 }
 
-Table& KeyedTable::MutableTable() {
-  // The clone shares the warm column cache (Table's copy ctor) until
-  // mutable_rows() invalidates the clone's; the handle holder's cache stays
-  // intact either way.
-  if (table_.use_count() > 1) table_ = std::make_shared<Table>(*table_);
+}  // namespace
+
+Table& KeyedTable::EditUnindexed() {
+  index_.reset();
+  DropSpare();
+  PrepareWrite();
   return *table_;
 }
 
-KeyIndex* KeyedTable::MutableIndex() {
-  if (index_ != nullptr && index_.use_count() > 1) {
-    index_ = std::make_shared<KeyIndex>(*index_);
+Table KeyedTable::TakeTable() && {
+  PrepareWrite();
+  return std::move(*table_);
+}
+
+void KeyedTable::PrepareWrite() {
+  const bool table_pinned = !SoleHolder(table_);
+  const bool index_pinned = index_ != nullptr && !SoleHolder(index_);
+  if (!table_pinned && !index_pinned) return;
+  if (TryRecycle()) return;
+  // Clone. The version given up becomes the spare when it is whole (its
+  // table and index both left behind); the log restarts from it.
+  log_.clear();
+  if (table_pinned && (index_ == nullptr || index_pinned)) {
+    spare_table_ = table_;
+    spare_index_ = index_;
+  } else {
+    DropSpare();
   }
-  return index_.get();
+  if (table_pinned) {
+    // The clone shares the warm column cache (Table's copy ctor) until
+    // mutable_rows() invalidates the clone's; the pinned version's cache
+    // stays intact either way.
+    table_ = std::make_shared<Table>(*table_);
+    ++counts_.table_clones;
+  }
+  if (index_pinned) {
+    index_ = std::make_shared<KeyIndex>(*index_);
+    ++counts_.index_clones;
+  }
+}
+
+bool KeyedTable::TryRecycle() {
+  if (spare_table_ == nullptr || !SoleHolder(spare_table_) ||
+      (spare_index_ != nullptr && !SoleHolder(spare_index_))) {
+    return false;
+  }
+  for (Op& op : log_) Apply(*spare_table_, spare_index_.get(), std::move(op));
+  log_.clear();
+  table_.swap(spare_table_);
+  index_.swap(spare_index_);
+  ++counts_.recycles;
+  return true;
+}
+
+void KeyedTable::DropSpare() {
+  spare_table_.reset();
+  spare_index_.reset();
+  log_.clear();
+}
+
+Row KeyedTable::Mutate(Op op) {
+  PrepareWrite();
+  if (spare_table_ != nullptr) {
+    log_.push_back(op);
+    // Past one op per row, a clone is cheaper than the replay.
+    if (log_.size() > table_->num_rows()) DropSpare();
+  }
+  return Apply(*table_, index_.get(), std::move(op));
+}
+
+Row KeyedTable::Apply(Table& table, KeyIndex* index, Op op) {
+  switch (op.kind) {
+    case Op::kInsert:
+      table.AddRow(std::move(op.row));
+      if (index != nullptr) index->Insert(table, table.num_rows() - 1);
+      break;
+    case Op::kUpdate:
+      table.mutable_rows()[op.position] = std::move(op.row);
+      break;
+    case Op::kDelete: {
+      std::vector<Row>& rows = table.mutable_rows();
+      if (index != nullptr) index->Erase(table, op.position);
+      Row removed = std::move(rows[op.position]);
+      size_t last = rows.size() - 1;
+      if (op.position != last) {
+        rows[op.position] = std::move(rows[last]);
+        if (index != nullptr) index->Move(table, last, op.position);
+      }
+      rows.pop_back();
+      return removed;
+    }
+    case Op::kUndoInsert:
+      if (index != nullptr) index->Erase(table, table.num_rows() - 1);
+      table.mutable_rows().pop_back();
+      break;
+    case Op::kUndoDelete: {
+      std::vector<Row>& rows = table.mutable_rows();
+      if (op.position < rows.size()) {
+        // Delete moved the then-last row into `position`; move it back to
+        // the end before re-seating the deleted row where it was.
+        rows.push_back(std::move(rows[op.position]));
+        if (index != nullptr) index->Move(table, op.position, rows.size() - 1);
+        rows[op.position] = std::move(op.row);
+      } else {
+        // The deleted row was the last one; no swap happened.
+        rows.push_back(std::move(op.row));
+      }
+      if (index != nullptr) index->Insert(table, op.position);
+      break;
+    }
+  }
+  return Row();
 }
 
 Status KeyedTable::Insert(Row row) {
@@ -53,11 +165,7 @@ Status KeyedTable::Insert(Row row) {
         StrCat("insert of duplicate key ",
                RowToString(ProjectRow(row, index_->key_indices()))));
   }
-  Table& table = MutableTable();
-  table.AddRow(std::move(row));
-  if (KeyIndex* index = MutableIndex()) {
-    index->Insert(table, table.num_rows() - 1);
-  }
+  Mutate({Op::kInsert, 0, std::move(row)});
   return Status::OK();
 }
 
@@ -67,50 +175,22 @@ void KeyedTable::Update(size_t position, Row row) {
                RowsEqualAt(table_->rows()[position], index_->key_indices(),
                            row, index_->key_indices()))
       << "Update must not change the key";
-  MutableTable().mutable_rows()[position] = std::move(row);
+  Mutate({Op::kUpdate, position, std::move(row)});
 }
 
 Row KeyedTable::Delete(size_t position) {
   GPIVOT_CHECK(position < table_->num_rows()) << "Delete out of range";
-  Table& table = MutableTable();
-  KeyIndex* index = MutableIndex();
-  std::vector<Row>& rows = table.mutable_rows();
-  if (index != nullptr) index->Erase(table, position);
-  Row removed = std::move(rows[position]);
-  size_t last = rows.size() - 1;
-  if (position != last) {
-    rows[position] = std::move(rows[last]);
-    if (index != nullptr) index->Move(table, last, position);
-  }
-  rows.pop_back();
-  return removed;
+  return Mutate({Op::kDelete, position, Row()});
 }
 
 void KeyedTable::UndoInsert() {
   GPIVOT_CHECK(!table_->empty()) << "UndoInsert on empty store";
-  Table& table = MutableTable();
-  if (KeyIndex* index = MutableIndex()) {
-    index->Erase(table, table.num_rows() - 1);
-  }
-  table.mutable_rows().pop_back();
+  Mutate({Op::kUndoInsert, 0, Row()});
 }
 
 void KeyedTable::UndoDelete(size_t position, Row row) {
-  Table& table = MutableTable();
-  KeyIndex* index = MutableIndex();
-  std::vector<Row>& rows = table.mutable_rows();
-  GPIVOT_CHECK(position <= rows.size()) << "UndoDelete out of range";
-  if (position < rows.size()) {
-    // Delete moved the then-last row into `position`; move it back to the
-    // end before re-seating the deleted row where it was.
-    rows.push_back(std::move(rows[position]));
-    if (index != nullptr) index->Move(table, position, rows.size() - 1);
-    rows[position] = std::move(row);
-  } else {
-    // The deleted row was the last one; no swap happened.
-    rows.push_back(std::move(row));
-  }
-  if (index != nullptr) index->Insert(table, position);
+  GPIVOT_CHECK(position <= table_->num_rows()) << "UndoDelete out of range";
+  Mutate({Op::kUndoDelete, position, std::move(row)});
 }
 
 Status KeyedTable::ValidateIntegrity() const {

@@ -1,6 +1,7 @@
 #ifndef GPIVOT_RELATION_KEYED_TABLE_H_
 #define GPIVOT_RELATION_KEYED_TABLE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -17,15 +18,36 @@ namespace gpivot {
 // and the base advance cost O(delta), not O(table). A store over a table
 // without a declared key has no index; its mutators then only move rows.
 //
-// The table and index live behind shared_ptrs with copy-on-write mutation:
-// shared_table()/shared_index() hand out O(1) immutable version handles (the
-// serving layer's snapshots, the checkpoint writer, catalog copies), and the
-// first mutator call clones the table/index only when such a handle is still
-// outstanding (use_count > 1). With no handles outstanding every mutation is
-// in place. Mutators must only run on the maintenance thread; handle holders
-// on other threads read the *old* version objects, which the clone step
-// never touches, so no mutation is ever visible through a previously
-// returned handle.
+// Versions. The table and index live behind shared_ptrs: shared_table() /
+// shared_index() hand out O(1) immutable handles to the current version (the
+// serving layer's snapshots, the checkpoint writer, catalog copies), and no
+// mutation is ever visible through a handle returned before it. Every
+// mutator first passes one copy-on-write gate. When no handle pins the
+// current version the mutation runs in place. When one does, the store needs
+// a fresh writable version, and it keeps up to two (the Left-Right
+// double-instance technique, applied to the MERGE):
+//
+//   - Clone (the fallback): copy the pinned table and/or index. The version
+//     given up is kept as the *spare*, and from then on every mutator call
+//     on the new current version is logged (the same swap-with-last ops
+//     UndoLog records).
+//   - Recycle: when the store is the spare's only holder again (its pinner,
+//     typically a superseded serving snapshot, is gone), replay the log onto
+//     the spare in O(logged ops), make it the current version, and keep the
+//     pinned version as the new spare. The replay repeats the same
+//     deterministic ops from the same starting state, so the recycled
+//     version equals the clone in rows, row order and index.
+//
+// So a store that a serving snapshot pins at every epoch publishes each
+// epoch in O(delta), and releasing the superseded snapshot frees nothing.
+// A store that is never pinned across a mutation never creates a spare and
+// never logs. The spare and its log are dropped once the log holds more ops
+// than the table has rows (a clone is then cheaper than the replay), when
+// the index is built or dropped, and when the store is replaced; a copied
+// store carries neither.
+//
+// Mutators must only run on the maintenance thread; handle holders on other
+// threads only read versions the gate never writes to until they let go.
 class KeyedTable {
  public:
   // An unindexed store over `table`; EnsureIndex builds the index on demand.
@@ -36,10 +58,20 @@ class KeyedTable {
   // keyed); duplicate keys are a ConstraintViolation.
   static Result<KeyedTable> Create(Table initial);
 
+  // A copy shares the current version (O(1)) and starts without a spare,
+  // log or counts: the spare belongs to the store that gave it up.
+  KeyedTable(const KeyedTable& other)
+      : table_(other.table_), index_(other.index_) {}
+  KeyedTable& operator=(const KeyedTable& other) {
+    return *this = KeyedTable(other);
+  }
+  KeyedTable(KeyedTable&&) noexcept = default;
+  KeyedTable& operator=(KeyedTable&&) noexcept = default;
+
   const Table& table() const { return *table_; }
   // The current table/index version as immutable shared handles. O(1): no
   // rows are copied, and the column cache stays warm and shared. After a
-  // mutation the handles keep their pre-mutation contents (copy-on-write).
+  // mutation the handles keep their pre-mutation contents.
   std::shared_ptr<const Table> shared_table() const { return table_; }
   std::shared_ptr<const KeyIndex> shared_index() const { return index_; }
   size_t num_rows() const { return table_->num_rows(); }
@@ -65,8 +97,8 @@ class KeyedTable {
   // contents repeat a key.
   Result<bool> EnsureIndex();
 
-  // The table for arbitrary edits (copy-on-write cloned if shared). Drops
-  // the index first, since such edits would leave it stale.
+  // The table for arbitrary edits (a private writable version). Drops the
+  // index first, since such edits would leave it stale.
   Table& EditUnindexed();
 
   // Appends a full row; returns ConstraintViolation when its key is already
@@ -89,22 +121,57 @@ class KeyedTable {
   Status ValidateIntegrity() const;
 
   // Moves the table out, consuming the store.
-  Table TakeTable() && { return std::move(MutableTable()); }
+  Table TakeTable() &&;
+
+  // How the gate produced writable versions over this store's life: whole
+  // copies of a pinned table or index, and O(delta) spare recycles. The
+  // maintenance layer charges the differences to its counters.
+  struct VersionCounts {
+    uint64_t table_clones = 0;
+    uint64_t index_clones = 0;
+    uint64_t recycles = 0;
+  };
+  const VersionCounts& version_counts() const { return counts_; }
+  // Whether a spare version is kept, and how many logged ops it trails the
+  // current version by.
+  bool has_spare() const { return spare_table_ != nullptr; }
+  size_t spare_lag() const { return log_.size(); }
 
  private:
-  KeyedTable(std::shared_ptr<Table> table, std::shared_ptr<KeyIndex> index)
-      : table_(std::move(table)), index_(std::move(index)) {}
+  // One swap-with-last mutator call; the log replays these onto the spare.
+  struct Op {
+    enum Kind : uint8_t {
+      kInsert,
+      kUpdate,
+      kDelete,
+      kUndoInsert,
+      kUndoDelete
+    } kind;
+    size_t position;
+    Row row;  // kInsert / kUpdate / kUndoDelete only
+  };
 
-  // The copy-on-write gates every mutator funnels through: clone the
-  // current version iff an immutable handle still references it. The
-  // use_count probe is safe even while handle holders copy/drop their own
-  // shared_ptrs concurrently — an overshoot only clones unnecessarily, and
-  // an observed count of 1 proves this store holds the sole reference.
-  Table& MutableTable();
-  KeyIndex* MutableIndex();  // nullptr when no index is built
+  // Runs `op` on one version; returns the row a kDelete removed. The live
+  // mutators and the replay share it, so both leave the same rows, row
+  // order and index entries.
+  static Row Apply(Table& table, KeyIndex* index, Op op);
+  // Gate, log, apply: the body of every mutator.
+  Row Mutate(Op op);
+  // The copy-on-write gate: returns at once when the store is the sole
+  // holder of the current table and index; otherwise recycles the spare if
+  // it can, and clones if not.
+  void PrepareWrite();
+  bool TryRecycle();
+  void DropSpare();
 
   std::shared_ptr<Table> table_;
   std::shared_ptr<KeyIndex> index_;  // null: unkeyed, or not built yet
+  // The spare version and the ops that turn it into the current one. The
+  // spare has an index exactly when the current version has one.
+  std::shared_ptr<Table> spare_table_;
+  std::shared_ptr<KeyIndex> spare_index_;
+  std::vector<Op> log_;
+  VersionCounts counts_;
 };
 
 // Records the exact mutations applied to a KeyedTable so a failed epoch can

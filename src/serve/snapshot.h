@@ -31,8 +31,10 @@ struct ServeOptions {
 // One immutable version of one view: the epoch sequence number it was
 // committed at plus shared handles to the view's table and key index at
 // that epoch. The handles alias the MaterializedView's current storage —
-// installing a snapshot never copies the table — and stay valid after the
-// view moves on because view mutation is copy-on-write (ivm/apply.h).
+// installing a snapshot never copies the table — and stay valid and
+// unchanged after the view moves on: while they pin the version, the
+// store's next mutation writes to a recycled spare or a clone instead
+// (relation/keyed_table.h).
 //
 // enable_shared_from_this powers the lock-free Acquire: a reader that
 // validated a raw head pointer against its hazard slot upgrades it to an
@@ -71,9 +73,10 @@ struct alignas(64) ReaderHandle {
 // Attach() registers the store as the manager's EpochCommitHook, so every
 // committed epoch lands here (on the epoch thread, after the epoch record
 // is written) and installs a fresh immutable Snapshot per view with one
-// atomic pointer swap. Because MaterializedView mutation is copy-on-write,
-// building a snapshot costs two shared_ptr copies per view — O(1)
-// regardless of view size.
+// atomic pointer swap. Building a snapshot costs two shared_ptr copies per
+// view — O(1) regardless of view size — and releasing a superseded one
+// only drops a reference: the view store keeps that version as its spare
+// and recycles it at the next epoch in O(delta) (relation/keyed_table.h).
 //
 // Readers never take a lock on the path the writer also walks. Acquire
 // runs the classic hazard-pointer handshake against the view's head
@@ -177,7 +180,10 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // A dropped install skips everything — heads, gauges, event-log lines —
   // and counts serve.snapshot.stale_skips.
   void InstallAll(uint64_t seq, bool initial);
-  void FlushRetiredLocked();
+  // The hazard scan: moves every retired version no reader's hazard
+  // protects off the list and returns them, so the caller drops the
+  // store's references outside retire_mu_.
+  std::vector<Retired> ReleaseUnprotectedLocked();
   std::string RuntimeSectionJson() const;
   std::shared_ptr<const Snapshot> AcquireSlow(const ViewSlot& slot) const;
 

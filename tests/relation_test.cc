@@ -1,13 +1,22 @@
 // Unit tests for the relational substrate: Value, Schema, Table, KeyIndex.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algebra/plan.h"
 #include "relation/key_index.h"
+#include "relation/keyed_table.h"
 #include "relation/row.h"
 #include "relation/schema.h"
 #include "relation/table.h"
 #include "relation/value.h"
 #include "test_util.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace gpivot {
 namespace {
@@ -212,6 +221,271 @@ TEST(KeyIndexTest, DuplicateKeysRejected) {
   Result<KeyIndex> index = KeyIndex::Build(t, {0});
   EXPECT_TRUE(index.status().IsConstraintViolation());
   EXPECT_NE(index.status().message().find("duplicate key"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// KeyedTable versions: the spare recycle against the clone it stands in for.
+// ---------------------------------------------------------------------------
+
+Table KeyedRows(int64_t n) {
+  Table table = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kString}},
+                          {});
+  for (int64_t k = 0; k < n; ++k) table.AddRow({I(k), S("v0")});
+  EXPECT_TRUE(table.SetKey({"k"}).ok());
+  return table;
+}
+
+// One immutable version as a serving snapshot holds it, plus the rows it
+// held when pinned.
+struct Pin {
+  std::shared_ptr<const Table> table;
+  std::shared_ptr<const KeyIndex> index;
+  std::vector<Row> rows;
+};
+
+Pin PinCurrent(const KeyedTable& store) {
+  return {store.shared_table(), store.shared_index(), store.table().rows()};
+}
+
+// Same rows in the same order, both indexes intact, and every key at the
+// same position in both.
+void ExpectSameStore(const KeyedTable& recycled, const KeyedTable& cloned) {
+  ASSERT_EQ(recycled.table().rows(), cloned.table().rows());
+  ASSERT_OK(recycled.ValidateIntegrity());
+  ASSERT_OK(cloned.ValidateIntegrity());
+  for (const Row& row : cloned.table().rows()) {
+    Row key = ProjectRow(row, cloned.key_indices());
+    EXPECT_EQ(recycled.LookupKey(key), cloned.LookupKey(key));
+  }
+}
+
+// A keyed mutation: insert a fresh key, or update / delete the first, a
+// middle or the last row. Drawn once, applied to both stores.
+struct Mutation {
+  enum Kind { kInsert, kUpdate, kDelete } kind;
+  size_t position;
+  Row row;
+};
+
+Mutation DrawMutation(Rng& rng, const KeyedTable& store, int64_t* next_key) {
+  const size_t n = store.num_rows();
+  int64_t kind = n == 0 ? 0 : rng.Int(0, 2);
+  if (kind == 0) return {Mutation::kInsert, 0, {I((*next_key)++), S("new")}};
+  size_t position = 0;
+  switch (rng.Int(0, 2)) {
+    case 0: position = 0; break;
+    case 1: position = n / 2; break;
+    default: position = n - 1; break;
+  }
+  if (kind == 1) {
+    Row row = store.RowAt(position);
+    row[1] = Value::Str(rng.String(3));
+    return {Mutation::kUpdate, position, std::move(row)};
+  }
+  return {Mutation::kDelete, position, {}};
+}
+
+void ApplyMutation(const Mutation& m, KeyedTable* store, UndoLog* undo) {
+  switch (m.kind) {
+    case Mutation::kInsert:
+      ASSERT_OK(store->Insert(m.row));
+      undo->RecordInsert();
+      break;
+    case Mutation::kUpdate:
+      undo->RecordUpdate(m.position, store->RowAt(m.position));
+      store->Update(m.position, m.row);
+      break;
+    case Mutation::kDelete:
+      undo->RecordDelete(m.position, store->Delete(m.position));
+      break;
+  }
+}
+
+// Seeded random epochs on two stores whose current version a handle pins
+// before every step. `recycled` drops each pin a step later, so its spare is
+// free again at the next step's first mutation; `cloned` keeps every pin, so
+// its gate always falls back to the whole clone. Every step must leave the
+// two identical, and no pinned version may change under its handle.
+TEST(KeyedTableRecycleTest, RandomEpochsMatchTheClonePath) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    ASSERT_OK_AND_ASSIGN(KeyedTable recycled,
+                         KeyedTable::Create(KeyedRows(40)));
+    ASSERT_OK_AND_ASSIGN(KeyedTable cloned, KeyedTable::Create(KeyedRows(40)));
+    int64_t next_key = 1000;
+    std::optional<Pin> recycled_pin;
+    std::vector<Pin> cloned_pins;
+    uint64_t recycles = 0;
+
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE(StrCat("step ", step));
+      Pin pin = PinCurrent(recycled);
+      if (recycled_pin.has_value()) {
+        EXPECT_EQ(recycled_pin->table->rows(), recycled_pin->rows);
+      }
+      recycled_pin = std::move(pin);
+      cloned_pins.push_back(PinCurrent(cloned));
+      const uint64_t recycles_before = recycled.version_counts().recycles;
+
+      UndoLog recycled_undo, cloned_undo;
+      const int64_t kind = rng.Int(0, 9);
+      if (kind == 9) {
+        // A full-recompute commit: the whole store is replaced (one fresh
+        // key added), then kept or rolled back.
+        Table rebuilt = cloned.table();
+        rebuilt.AddRow({I(next_key++), S("rebuilt")});
+        for (auto [store, undo] : {std::pair{&recycled, &recycled_undo},
+                                   std::pair{&cloned, &cloned_undo}}) {
+          KeyedTable old = std::move(*store);
+          ASSERT_OK_AND_ASSIGN(*store, KeyedTable::Create(rebuilt));
+          undo->RecordRebuild(std::move(old));
+        }
+      } else {
+        const int64_t ops = rng.Int(1, 4);
+        for (int64_t i = 0; i < ops; ++i) {
+          Mutation m = DrawMutation(rng, cloned, &next_key);
+          ApplyMutation(m, &recycled, &recycled_undo);
+          ApplyMutation(m, &cloned, &cloned_undo);
+        }
+        recycles += recycled.version_counts().recycles - recycles_before;
+      }
+      if (rng.Chance(0.3)) {  // a failed epoch rolls back
+        recycled_undo.Rollback(&recycled);
+        cloned_undo.Rollback(&cloned);
+      }
+      ExpectSameStore(recycled, cloned);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    for (const Pin& pin : cloned_pins) EXPECT_EQ(pin.table->rows(), pin.rows);
+    EXPECT_GT(recycles, 100u);
+    EXPECT_EQ(cloned.version_counts().recycles, 0u);
+    EXPECT_GT(cloned.version_counts().table_clones, 0u);
+  }
+}
+
+TEST(KeyedTableRecycleTest, NeverPinnedStoreKeepsNoSpareAndLogsNothing) {
+  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(8)));
+  {
+    // A handle dropped before the mutation pins nothing.
+    Pin dropped = PinCurrent(store);
+  }
+  for (int64_t k = 100; k < 150; ++k) ASSERT_OK(store.Insert({I(k), S("x")}));
+  for (int i = 0; i < 20; ++i) store.Delete(0);
+  store.Update(0, {store.RowAt(0)[0], S("y")});
+  EXPECT_FALSE(store.has_spare());
+  EXPECT_EQ(store.spare_lag(), 0u);
+  EXPECT_EQ(store.version_counts().table_clones, 0u);
+  EXPECT_EQ(store.version_counts().index_clones, 0u);
+  EXPECT_EQ(store.version_counts().recycles, 0u);
+}
+
+TEST(KeyedTableRecycleTest, PinnedSpareFallsBackToTheClone) {
+  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(8)));
+  Pin v0 = PinCurrent(store);
+  ASSERT_OK(store.Insert({I(100), S("a")}));  // clone; v0 becomes the spare
+  EXPECT_TRUE(store.has_spare());
+  EXPECT_EQ(store.spare_lag(), 1u);
+  EXPECT_EQ(store.version_counts().table_clones, 1u);
+  EXPECT_EQ(store.version_counts().index_clones, 1u);
+
+  // A reader still pins v0: the store must clone again, not recycle, and
+  // v0's rows stay as they were.
+  Pin v1 = PinCurrent(store);
+  ASSERT_OK(store.Insert({I(101), S("b")}));
+  EXPECT_EQ(store.version_counts().table_clones, 2u);
+  EXPECT_EQ(store.version_counts().recycles, 0u);
+  EXPECT_EQ(v0.table->rows(), v0.rows);
+  EXPECT_EQ(v1.table->rows(), v1.rows);
+
+  // Once the spare (now v1) is free, the next pinned mutation recycles it:
+  // no new clone, and the recycled version carries both inserts.
+  v0 = Pin{};
+  v1 = Pin{};
+  Pin v2 = PinCurrent(store);
+  ASSERT_OK(store.Insert({I(102), S("c")}));
+  EXPECT_EQ(store.version_counts().table_clones, 2u);
+  EXPECT_EQ(store.version_counts().recycles, 1u);
+  EXPECT_NE(store.shared_table().get(), v2.table.get());
+  EXPECT_EQ(store.num_rows(), 11u);
+  ASSERT_OK(store.ValidateIntegrity());
+  EXPECT_EQ(v2.table->rows(), v2.rows);
+}
+
+TEST(KeyedTableRecycleTest, LogLongerThanTheTableDropsTheSpare) {
+  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(4)));
+  {
+    Pin v0 = PinCurrent(store);
+    store.Update(0, {I(0), S("a")});  // clone; v0 becomes the spare
+  }
+  // The current version is unpinned: these run in place, logged.
+  store.Update(1, {I(1), S("b")});
+  store.Update(2, {I(2), S("c")});
+  store.Update(3, {I(3), S("d")});
+  EXPECT_TRUE(store.has_spare());
+  EXPECT_EQ(store.spare_lag(), 4u);
+  store.Update(0, {I(0), S("e")});  // 5 ops for 4 rows: replay not worth it
+  EXPECT_FALSE(store.has_spare());
+  EXPECT_EQ(store.spare_lag(), 0u);
+
+  Pin v1 = PinCurrent(store);
+  store.Update(1, {I(1), S("f")});
+  EXPECT_EQ(store.version_counts().recycles, 0u);
+  EXPECT_EQ(store.version_counts().table_clones, 2u);
+}
+
+TEST(KeyedTableRecycleTest, IndexChangesAndReplacementDropTheSpare) {
+  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(8)));
+  Pin v0 = PinCurrent(store);
+  store.Update(0, {I(0), S("a")});
+  ASSERT_TRUE(store.has_spare());
+  store.EditUnindexed();
+  EXPECT_FALSE(store.has_spare());
+
+  // Building the index leaves an index-less spare behind: dropped too.
+  Pin v1 = PinCurrent(store);
+  store.Delete(0);
+  ASSERT_TRUE(store.has_spare());
+  ASSERT_OK_AND_ASSIGN(bool built, store.EnsureIndex());
+  EXPECT_TRUE(built);
+  EXPECT_FALSE(store.has_spare());
+
+  Pin v2 = PinCurrent(store);
+  store.Delete(0);
+  ASSERT_TRUE(store.has_spare());
+  ASSERT_OK_AND_ASSIGN(store, KeyedTable::Create(KeyedRows(3)));
+  EXPECT_FALSE(store.has_spare());
+  EXPECT_EQ(store.spare_lag(), 0u);
+}
+
+TEST(KeyedTableRecycleTest, CopiesCarryNoSpareAndNoLog) {
+  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(8)));
+  Pin v0 = PinCurrent(store);
+  store.Update(0, {I(0), S("a")});
+  ASSERT_TRUE(store.has_spare());
+  ASSERT_EQ(store.spare_lag(), 1u);
+
+  KeyedTable copy = store;
+  EXPECT_FALSE(copy.has_spare());
+  EXPECT_EQ(copy.spare_lag(), 0u);
+  EXPECT_EQ(copy.shared_table().get(), store.shared_table().get());
+  KeyedTable assigned = KeyedTable(Table(Schema{}));
+  assigned = store;
+  EXPECT_FALSE(assigned.has_spare());
+
+  // Catalog copies (and so the post-state catalog) copy their stores.
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable("t", KeyedRows(8)));
+  ASSERT_OK_AND_ASSIGN(KeyedTable * base, catalog.GetKeyedTable("t"));
+  ASSERT_OK(base->EnsureIndex().status());
+  Pin pinned = PinCurrent(*base);
+  base->Delete(0);
+  ASSERT_TRUE(base->has_spare());
+  Catalog copied = catalog;
+  ASSERT_OK_AND_ASSIGN(const KeyedTable* copied_store,
+                       std::as_const(copied).GetKeyedTable("t"));
+  EXPECT_FALSE(copied_store->has_spare());
+  EXPECT_EQ(copied_store->spare_lag(), 0u);
 }
 
 TEST(CatalogTest, CopyOnWriteIsolation) {

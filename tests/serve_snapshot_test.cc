@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -344,6 +345,95 @@ TEST(SnapshotStoreTest, ReAttachInstallsEvenAtAnAlreadySeenSeq) {
 }
 
 // ---- QueryService ---------------------------------------------------------
+
+// Epoch `i` of a churn loop: retracts item 2's previous Type row (if any)
+// and sets a new one, so every epoch merges into the view.
+SourceDeltas TypeChurn(const ViewManager& manager, int i) {
+  ivm::Delta delta = ivm::Delta::Empty(
+      manager.catalog().GetTable("Items").value()->schema());
+  if (i > 0) {
+    delta.deletes.AddRow(
+        {I(2), S("Type"), Value::Str("t" + std::to_string(i - 1))});
+  }
+  delta.inserts.AddRow({I(2), S("Type"), Value::Str("t" + std::to_string(i))});
+  SourceDeltas deltas;
+  deltas.emplace("Items", std::move(delta));
+  return deltas;
+}
+
+// The process-wide registry ExecuteMergePlan charges version counts to,
+// enabled and zeroed for one test.
+class ScopedGlobalMetrics {
+ public:
+  ScopedGlobalMetrics() : was_enabled_(Global().enabled()) {
+    Global().Reset();
+    Global().set_enabled(true);
+  }
+  ~ScopedGlobalMetrics() {
+    Global().Reset();
+    Global().set_enabled(was_enabled_);
+  }
+  uint64_t Counter(const std::string& name) const {
+    auto counters = Global().Snapshot().counters;
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
+
+ private:
+  static obs::MetricsRegistry& Global() {
+    return obs::MetricsRegistry::Global();
+  }
+  bool was_enabled_;
+};
+
+TEST(SnapshotStoreTest, WithoutAStoreEpochsCloneAndRecycleNothing) {
+  ScopedGlobalMetrics metrics;
+  ViewManager manager = MakePivotManager();
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, i)));
+  }
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_table_clones"), 0u);
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_index_clones"), 0u);
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_recycles"), 0u);
+  ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
+                       manager.GetView("v"));
+  EXPECT_FALSE(view->has_spare());
+  EXPECT_EQ(view->spare_lag(), 0u);
+}
+
+TEST(SnapshotStoreTest, AttachedStoreRecyclesTheRetiredVersion) {
+  // The head pins the current version at every epoch. Only the first
+  // epoch clones; each later one replays the previous epoch's ops onto
+  // the version the last install retired, and publishes that.
+  ScopedGlobalMetrics metrics;
+  ViewManager manager = MakePivotManager();
+  SnapshotStore store(&manager);
+  ASSERT_OK(store.Attach());
+  ScopedReader reader(&store);
+  constexpr int kEpochs = 12;
+  for (int i = 0; i < kEpochs; ++i) {
+    ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, i)));
+    std::shared_ptr<const Snapshot> head = store.Acquire("v", reader.get());
+    ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
+                         manager.GetView("v"));
+    EXPECT_EQ(head->shared_table().get(), view->shared_table().get());
+    EXPECT_EQ(head->table().rows(), view->table().rows());
+  }
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_table_clones"), 1u);
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_index_clones"), 1u);
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_recycles"), kEpochs - 1u);
+
+  // A reader that keeps a snapshot across an epoch blocks the recycle of
+  // its version: that epoch clones, and the pinned rows do not change.
+  std::shared_ptr<const Snapshot> held = store.Acquire("v", reader.get());
+  std::vector<Row> held_rows = held->table().rows();
+  ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, kEpochs)));
+  ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, kEpochs + 1)));
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_table_clones"), 2u);
+  EXPECT_EQ(metrics.Counter("ivm.view.cow_recycles"), kEpochs);
+  EXPECT_EQ(held->table().rows(), held_rows);
+  EXPECT_EQ(held->epoch_seq(), static_cast<uint64_t>(kEpochs));
+}
 
 TEST(QueryServiceTest, PointLookupFindsAndMisses) {
   ViewManager manager = MakePivotManager();

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +26,7 @@
 #include "serve/snapshot.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
+#include "util/random.h"
 
 namespace gpivot {
 namespace {
@@ -382,6 +384,184 @@ TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
   // Attach + the real epoch + the fabricated stream.
   EXPECT_EQ(installs + skips, 2u + kMaxSeq);
   EXPECT_GT(skips, 0u) << "interleaving never produced a stale delivery";
+
+  for (ReaderHandle* handle : handles) store.UnregisterReader(handle);
+  store.FlushRetired();
+  EXPECT_EQ(store.retired_count(), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Snapshots held across epochs while the writer recycles retired versions.
+// ---------------------------------------------------------------------------
+
+constexpr int kLongSchedule = 240;
+
+// Epoch `i` of the long schedule: item 2's Type churns (a view update), and
+// item 3 with its payment joins on odd epochs and leaves on even ones (a
+// view insert, then a swap-with-last delete).
+SourceDeltas LongChurnDelta(const ViewManager& manager, int i) {
+  const Catalog& catalog = manager.catalog();
+  ivm::Delta items =
+      ivm::Delta::Empty(catalog.GetTable("Items").value()->schema());
+  ivm::Delta payment =
+      ivm::Delta::Empty(catalog.GetTable("Payment").value()->schema());
+  if (i > 0) {
+    items.deletes.AddRow(
+        {I(2), S("Type"), Value::Str("t" + std::to_string(i - 1))});
+  }
+  items.inserts.AddRow({I(2), S("Type"), Value::Str("t" + std::to_string(i))});
+  if (i % 2 == 1) {
+    items.inserts.AddRow({I(3), S("Manu"), S("Acme")});
+    payment.inserts.AddRow({I(3), I(100 + i)});
+  } else if (i > 0) {
+    items.deletes.AddRow({I(3), S("Manu"), S("Acme")});
+    payment.deletes.AddRow({I(3), I(100 + i - 1)});
+  }
+  SourceDeltas deltas;
+  deltas.emplace("Items", std::move(items));
+  deltas.emplace("Payment", std::move(payment));
+  return deltas;
+}
+
+// Runs the long schedule. Every fifth epoch is first attempted under an
+// armed fault whose trigger walks through the epoch's fault points, so
+// some attempts roll back after the commit has already recycled a
+// version; a failed attempt is then committed for real.
+void RunLongSchedule(ViewManager* manager,
+                     const std::function<void()>& after_epoch) {
+  for (int i = 0; i < kLongSchedule; ++i) {
+    SourceDeltas deltas = LongChurnDelta(*manager, i);
+    bool committed = false;
+    if (i % 5 == 2) {
+      FaultInjector::Global().Arm(1 + (i / 5) % 8);
+      committed = manager->ApplyUpdate(deltas).ok();
+      FaultInjector::Global().Disarm();
+    }
+    if (!committed) ASSERT_OK(manager->ApplyUpdate(deltas));
+    after_epoch();
+  }
+}
+
+uint64_t Fingerprint(const Table& table) {
+  uint64_t h = table.num_rows();
+  for (const Row& row : table.rows()) h = h * 1000003 ^ RowHash()(row);
+  return h;
+}
+
+// A reader that keeps each new snapshot for 1-3 epochs and re-checks every
+// snapshot it holds on every pass: a version the writer recycled while a
+// reader still held it would change its fingerprint.
+void HoldingReaderLoop(const SnapshotStore* store,
+                       const std::map<uint64_t, uint64_t>* expected,
+                       ReaderHandle* handle, const std::atomic<bool>* done,
+                       uint64_t seed, ReaderResult* result) {
+  struct Held {
+    std::shared_ptr<const Snapshot> snapshot;
+    uint64_t release_at_seq;
+  };
+  std::vector<Held> held;
+  Rng rng(seed);
+  auto fail = [&](std::string why) {
+    if (result->failures.fetch_add(1) == 0) {
+      result->first_failure = std::move(why);
+    }
+  };
+  auto check = [&](const Snapshot& snapshot) {
+    auto it = expected->find(snapshot.epoch_seq());
+    if (it == expected->end()) {
+      fail("observed non-committed epoch seq " +
+           std::to_string(snapshot.epoch_seq()));
+    } else if (Fingerprint(snapshot.table()) != it->second) {
+      fail("snapshot at seq " + std::to_string(snapshot.epoch_seq()) +
+           " diverges from its committed state");
+    }
+  };
+
+  while (!done->load(std::memory_order_acquire) ||
+         result->iterations.load(std::memory_order_relaxed) == 0) {
+    std::shared_ptr<const Snapshot> snapshot = store->Acquire("v", handle);
+    if (snapshot == nullptr) {
+      fail("Acquire returned null");
+      break;
+    }
+    const uint64_t seq = snapshot->epoch_seq();
+    if (held.empty() || held.back().snapshot->epoch_seq() != seq) {
+      held.push_back({snapshot, seq + static_cast<uint64_t>(rng.Int(1, 3))});
+      result->distinct_seqs.fetch_add(1, std::memory_order_relaxed);
+    }
+    for (const Held& h : held) check(*h.snapshot);
+    const uint64_t now = store->last_committed_seq();
+    held.erase(std::remove_if(held.begin(), held.end(),
+                              [now](const Held& h) {
+                                return h.release_at_seq <= now;
+                              }),
+               held.end());
+    result->iterations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+TEST(ServeStressTest, SnapshotsHeldAcrossEpochsSurviveRecycling) {
+  std::map<uint64_t, uint64_t> expected;
+  {
+    ViewManager scratch = MakePivotManager();
+    auto record = [&]() {
+      expected[scratch.epoch_seq()] =
+          Fingerprint(scratch.GetView("v").value()->table());
+    };
+    record();
+    RunLongSchedule(&scratch, record);
+  }
+  ASSERT_GE(expected.size(), 200u);
+
+  ViewManager manager = MakePivotManager();
+  ServeOptions options;
+  options.max_pinned_epochs = kReaders + 1;
+  SnapshotStore store(&manager, options);
+  ASSERT_OK(store.Attach());
+  std::vector<ReaderHandle*> handles;
+  for (size_t r = 0; r < kReaders; ++r) {
+    ASSERT_OK_AND_ASSIGN(ReaderHandle * handle, store.RegisterReader());
+    handles.push_back(handle);
+  }
+
+  std::atomic<bool> done{false};
+  std::vector<ReaderResult> results(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back(HoldingReaderLoop, &store, &expected, handles[r],
+                         &done, /*seed=*/r + 1, &results[r]);
+  }
+  // Pace the writer: every reader passes at least once per epoch, so the
+  // snapshots they hold really span epochs. The loads are relaxed on
+  // purpose: an acquire here would order the readers' drops before the
+  // writer's next commit and hide a recycle that lacks its own acquire
+  // edge from TSan.
+  RunLongSchedule(&manager, [&]() {
+    for (size_t r = 0; r < kReaders; ++r) {
+      std::atomic<uint64_t>& iterations = results[r].iterations;
+      const uint64_t mark = iterations.load(std::memory_order_relaxed);
+      while (iterations.load(std::memory_order_relaxed) < mark + 1) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(results[r].failures.load(), 0u)
+        << "reader " << r << ": " << results[r].first_failure;
+    EXPECT_GE(results[r].distinct_seqs.load(), 100u) << "reader " << r;
+  }
+  // Both gate paths ran: recycles while the retired version was free,
+  // clones while a reader still held it.
+  ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
+                       manager.GetView("v"));
+  EXPECT_GT(view->version_counts().recycles, 0u);
+  EXPECT_GT(view->version_counts().table_clones, 0u);
+  EXPECT_EQ(view->table().rows(),
+            store.Acquire("v", handles[0])->table().rows());
 
   for (ReaderHandle* handle : handles) store.UnregisterReader(handle);
   store.FlushRetired();
