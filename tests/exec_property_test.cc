@@ -140,7 +140,7 @@ TEST_P(ExecPropertyTest, GroupBySumsMatchManualComputation) {
   std::unordered_map<std::string, int64_t> sum, cnt, rows;
   std::unordered_map<std::string, bool> any;
   for (const Row& row : t.rows()) {
-    const std::string& g = row[1].AsString();
+    const std::string g(row[1].AsString());
     ++rows[g];
     if (!row[2].is_null()) {
       sum[g] += row[2].AsInt();
@@ -150,7 +150,7 @@ TEST_P(ExecPropertyTest, GroupBySumsMatchManualComputation) {
   }
   EXPECT_EQ(grouped.num_rows(), rows.size());
   for (const Row& row : grouped.rows()) {
-    const std::string& g = row[0].AsString();
+    const std::string g(row[0].AsString());
     if (any[g]) {
       EXPECT_EQ(row[1], I(sum[g])) << g;
       EXPECT_EQ(row[2], I(cnt[g])) << g;
