@@ -54,7 +54,7 @@ double BenchEnvScaleFactor(const char* name, double fallback) {
 // ignored GPIVOT_BENCH_THREDS would publish wrong numbers), so warn.
 constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_BENCH_SF",      "GPIVOT_BENCH_SEED",  "GPIVOT_BENCH_THREADS",
-    "GPIVOT_BENCH_REPS",    "GPIVOT_BENCH_VERIFY", "GPIVOT_BENCH_AUDIT",
+    "GPIVOT_BENCH_REPS",    "GPIVOT_BENCH_AUDIT",
     "GPIVOT_BENCH_JSON_DIR", "GPIVOT_METRICS",     "GPIVOT_TRACE_DIR",
     "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
     "GPIVOT_WAL_DIR",
@@ -286,7 +286,6 @@ void RunRefresh(benchmark::State& state, const char* figure_name, ViewId view,
                 double fraction) {
   const BenchContext& context = SharedContext();
   const ExecContext exec = BenchExecContext();
-  const bool verify = std::getenv("GPIVOT_BENCH_VERIFY") != nullptr;
   const bool audit = std::getenv("GPIVOT_BENCH_AUDIT") != nullptr;
   const size_t reps = BenchReps();
   size_t view_rows = 0;
@@ -343,14 +342,6 @@ void RunRefresh(benchmark::State& state, const char* figure_name, ViewId view,
       Status advanced = manager.AdvanceBase(*deltas);
       GPIVOT_CHECK(advanced.ok()) << advanced.ToString();
       view_rows = manager.GetView("v").value()->num_rows();
-      if (verify) {
-        auto recomputed = manager.RecomputeFromScratch("v");
-        GPIVOT_CHECK(recomputed.ok()) << recomputed.status().ToString();
-        GPIVOT_CHECK(recomputed->BagEquals(
-            manager.GetView("v").value()->table()))
-            << "verification failed for "
-            << ivm::RefreshStrategyToString(strategy);
-      }
       if (audit) {
         Status audited = manager.Audit();
         GPIVOT_CHECK(audited.ok())

@@ -43,11 +43,10 @@ ExecContext BenchExecContext();
 // Registers one google-benchmark per (strategy, fraction): each run builds
 // a fresh view under `strategy`, generates the workload delta at that
 // fraction of lineitem, and times ViewManager::ApplyUpdate (propagate +
-// apply + base-table advance). Set GPIVOT_BENCH_VERIFY=1 to additionally
-// compare the refreshed view against full recomputation (unmeasured);
-// GPIVOT_BENCH_AUDIT=1 runs the full consistency auditor
-// (ViewManager::Audit — integrity check plus recompute comparison) after
-// each epoch, also outside the timed region.
+// apply + base-table advance). Set GPIVOT_BENCH_AUDIT=1 to run the full
+// consistency auditor (ViewManager::Audit — integrity checks plus a
+// recompute comparison of every view) after each epoch, outside the timed
+// region and after the metrics snapshot.
 //
 // Each (strategy, fraction) point runs GPIVOT_BENCH_REPS identical epochs
 // (default 3; same data, same delta batch) and reports the min as the

@@ -76,7 +76,6 @@ std::vector<ivm::SourceDeltas> MakeChurnBatches(const Catalog& catalog,
 void RunMicroBatch(benchmark::State& state, bool batched) {
   const BenchContext& context = SharedContext();
   const ExecContext exec = BenchExecContext();
-  const bool verify = std::getenv("GPIVOT_BENCH_VERIFY") != nullptr;
   const bool audit = std::getenv("GPIVOT_BENCH_AUDIT") != nullptr;
   const size_t reps = BenchReps();
   const size_t num_batches = NumMicroBatches();
@@ -143,17 +142,11 @@ void RunMicroBatch(benchmark::State& state, bool batched) {
         }
       }
       view_rows = manager.GetView("v").value()->num_rows();
-      if (verify) {
-        auto recomputed = manager.RecomputeFromScratch("v");
-        GPIVOT_CHECK(recomputed.ok()) << recomputed.status().ToString();
-        GPIVOT_CHECK(
-            recomputed->BagEquals(manager.GetView("v").value()->table()))
-            << "verification failed for "
-            << (batched ? "batched" : "one_by_one");
-      }
       if (audit) {
         Status audited = manager.Audit();
-        GPIVOT_CHECK(audited.ok()) << audited.ToString();
+        GPIVOT_CHECK(audited.ok())
+            << "audit failed for " << (batched ? "batched" : "one_by_one")
+            << ": " << audited.ToString();
       }
     }
     std::sort(rep_ms.begin(), rep_ms.end());

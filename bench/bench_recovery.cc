@@ -86,7 +86,6 @@ std::string StorageRoot() {
 void RunRecovery(benchmark::State& state, bool compacted) {
   const BenchContext& context = SharedContext();
   const ExecContext exec = BenchExecContext();
-  const bool verify = std::getenv("GPIVOT_BENCH_VERIFY") != nullptr;
   const bool audit = std::getenv("GPIVOT_BENCH_AUDIT") != nullptr;
   const size_t reps = BenchReps();
   const size_t num_batches = NumMicroBatches();
@@ -168,16 +167,11 @@ void RunRecovery(benchmark::State& state, bool compacted) {
         }
       }
       view_rows = manager->GetView("v").value()->num_rows();
-      if (verify) {
-        auto recomputed = manager->RecomputeFromScratch("v");
-        GPIVOT_CHECK(recomputed.ok()) << recomputed.status().ToString();
-        GPIVOT_CHECK(
-            recomputed->BagEquals(manager->GetView("v").value()->table()))
-            << "recovered view diverges under " << strategy;
-      }
       if (audit) {
         Status audited = manager->Audit();
-        GPIVOT_CHECK(audited.ok()) << audited.ToString();
+        GPIVOT_CHECK(audited.ok())
+            << "audit failed under " << strategy << ": "
+            << audited.ToString();
       }
     }
     std::sort(rep_ms.begin(), rep_ms.end());

@@ -3,7 +3,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "util/check.h"
 #include "util/string_util.h"
 
 namespace gpivot {
@@ -27,12 +26,6 @@ Result<std::shared_ptr<const Table>> Catalog::GetSharedTable(
     const std::string& name) const {
   GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* store, GetKeyedTable(name));
   return store->shared_table();
-}
-
-Table* Catalog::GetMutableTable(const std::string& name) {
-  auto it = tables_.find(name);
-  GPIVOT_CHECK(it != tables_.end()) << "table '" << name << "' not in catalog";
-  return &it->second.EditUnindexed();
 }
 
 Result<KeyedTable*> Catalog::GetKeyedTable(const std::string& name) {

@@ -34,10 +34,6 @@ class Catalog {
   // Shared handle to a table (no copy); used by evaluation fast paths.
   Result<std::shared_ptr<const Table>> GetSharedTable(
       const std::string& name) const;
-  // The table for arbitrary edits. Drops its key index, which such edits
-  // would leave stale; the next epoch that stages a view scanning the
-  // table, or advances it, rebuilds it.
-  Table* GetMutableTable(const std::string& name);
   // The table's store, for in-place advance through its key index.
   Result<KeyedTable*> GetKeyedTable(const std::string& name);
   Result<const KeyedTable*> GetKeyedTable(const std::string& name) const;

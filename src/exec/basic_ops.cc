@@ -77,12 +77,6 @@ Result<Table> Project(const Table& input,
   return result;
 }
 
-Result<Table> DropColumns(const Table& input,
-                          const std::vector<std::string>& columns) {
-  GPIVOT_ASSIGN_OR_RETURN(Schema schema, input.schema().Drop(columns));
-  return Project(input, schema.ColumnNames());
-}
-
 Result<Table> ProjectExprs(
     const Table& input,
     const std::vector<std::pair<std::string, ExprPtr>>& outputs,
@@ -201,20 +195,6 @@ Result<Table> SemiJoinKeySet(
   return result;
 }
 
-Result<Table> AntiJoinKeySet(
-    const Table& input, const std::vector<std::string>& key_columns,
-    const std::unordered_set<Row, RowHash, RowEq>& keys,
-    const ExecContext& ctx) {
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                          input.schema().ColumnIndices(key_columns));
-  Table result(input.schema());
-  for (const Row& row : input.rows()) {
-    if (keys.count(ProjectRow(row, indices)) == 0) result.AddRow(row);
-  }
-  ReportOp(ctx, "exec.anti_join_key_set", input.num_rows(), result.num_rows());
-  return result;
-}
-
 Result<std::unordered_set<Row, RowHash, RowEq>> CollectKeySet(
     const Table& input, const std::vector<std::string>& key_columns) {
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
@@ -225,22 +205,6 @@ Result<std::unordered_set<Row, RowHash, RowEq>> CollectKeySet(
     keys.insert(ProjectRow(row, indices));
   }
   return keys;
-}
-
-Result<Table> SortBy(const Table& input,
-                     const std::vector<std::string>& columns) {
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                          input.schema().ColumnIndices(columns));
-  Table result = input;
-  std::stable_sort(result.mutable_rows().begin(), result.mutable_rows().end(),
-                   [&indices](const Row& a, const Row& b) {
-                     for (size_t i : indices) {
-                       if (a[i] < b[i]) return true;
-                       if (b[i] < a[i]) return false;
-                     }
-                     return false;
-                   });
-  return result;
 }
 
 }  // namespace gpivot::exec

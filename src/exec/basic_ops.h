@@ -28,10 +28,6 @@ Result<Table> Project(const Table& input,
                       const std::vector<std::string>& columns,
                       const ExecContext& ctx = {});
 
-// π¬ (negative project, the paper's column removal): drops `columns`.
-Result<Table> DropColumns(const Table& input,
-                          const std::vector<std::string>& columns);
-
 // Computed projection: each output column is an expression over the input.
 Result<Table> ProjectExprs(
     const Table& input,
@@ -62,19 +58,9 @@ Result<Table> SemiJoinKeySet(const Table& input,
                              const std::unordered_set<Row, RowHash, RowEq>& keys,
                              const ExecContext& ctx = {});
 
-// The complement of SemiJoinKeySet.
-Result<Table> AntiJoinKeySet(const Table& input,
-                             const std::vector<std::string>& key_columns,
-                             const std::unordered_set<Row, RowHash, RowEq>& keys,
-                             const ExecContext& ctx = {});
-
 // Distinct projected key rows of `input` at `key_columns`.
 Result<std::unordered_set<Row, RowHash, RowEq>> CollectKeySet(
     const Table& input, const std::vector<std::string>& key_columns);
-
-// Stable sort by the named columns (ascending, NULL first).
-Result<Table> SortBy(const Table& input,
-                     const std::vector<std::string>& columns);
 
 }  // namespace gpivot::exec
 

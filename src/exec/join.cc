@@ -16,14 +16,8 @@ const char* JoinTypeToString(JoinType type) {
   switch (type) {
     case JoinType::kInner:
       return "INNER";
-    case JoinType::kLeftOuter:
-      return "LEFT OUTER";
     case JoinType::kFullOuter:
       return "FULL OUTER";
-    case JoinType::kLeftSemi:
-      return "LEFT SEMI";
-    case JoinType::kLeftAnti:
-      return "LEFT ANTI";
   }
   return "?";
 }
@@ -56,19 +50,12 @@ Result<JoinLayout> MakeJoinLayout(const Schema& left, const Schema& right,
   for (size_t i = 0; i < right.num_columns(); ++i) {
     if (right_key_set.count(i) == 0) layout.right_payload_idx.push_back(i);
   }
-  bool semi_or_anti =
-      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
-  // Semi/anti joins output the left schema; their residual still sees the
-  // combined one, built for evaluation only.
-  layout.output_schema = left;
-  if (!semi_or_anti || spec.residual != nullptr) {
-    GPIVOT_ASSIGN_OR_RETURN(
-        Schema combined, left.Concat(right.Select(layout.right_payload_idx)));
-    if (spec.residual != nullptr) {
-      GPIVOT_ASSIGN_OR_RETURN(layout.residual,
-                              CompileExpr(spec.residual, combined));
-    }
-    if (!semi_or_anti) layout.output_schema = std::move(combined);
+  GPIVOT_ASSIGN_OR_RETURN(
+      layout.output_schema,
+      left.Concat(right.Select(layout.right_payload_idx)));
+  if (spec.residual != nullptr) {
+    GPIVOT_ASSIGN_OR_RETURN(layout.residual,
+                            CompileExpr(spec.residual, layout.output_schema));
   }
   return layout;
 }
@@ -107,12 +94,12 @@ Row CombinedRow(const Row& l, const Row& r,
 
 // The actual join; the public HashJoin wraps it with instrumentation.
 //
-// One build/probe loop serves every join type: typed key columns on both
+// One build/probe loop serves both join types: typed key columns on both
 // sides, a hash -> build-row bucket table, and column-major batch hashing of
 // the probe side. Inner joins build on the smaller side (delta-sized inputs,
-// the common IVM case, then avoid hashing the large table); every other type
+// the common IVM case, then avoid hashing the large table); FULL OUTER
 // builds on the right and probes with the left, whose rows drive the
-// outer/semi/anti emission. Buckets hold ascending build-row indices and are
+// unmatched-left emission. Buckets hold ascending build-row indices and are
 // verified with typed key equality, so matches come out in ascending
 // build-row order, followed for FULL OUTER by the unmatched right rows in
 // right order.
@@ -126,8 +113,6 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
   const std::vector<size_t>& right_payload_idx = layout.right_payload_idx;
   const Schema& output_schema = layout.output_schema;
   const CompiledExpr& residual = layout.residual;
-  const bool semi_or_anti =
-      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
 
   if (spec.type == JoinType::kInner &&
       (left.empty() || right.empty())) {
@@ -177,28 +162,14 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
                              : CombinedRow(prow, brow, right_payload_idx);
         if (residual && !ValueIsTrue(residual(out))) continue;
         matched = true;
-        if (semi_or_anti) break;  // one match decides
         if (!right_matched.empty()) right_matched[bi] = 1;
         result.AddRow(std::move(out));
       }
     }
-    switch (spec.type) {
-      case JoinType::kLeftSemi:
-        if (matched) result.AddRow(prow);
-        break;
-      case JoinType::kLeftAnti:
-        if (!matched) result.AddRow(prow);
-        break;
-      case JoinType::kLeftOuter:
-      case JoinType::kFullOuter:
-        if (!matched) {
-          Row out = prow;
-          out.resize(output_schema.num_columns(), Value::Null());
-          result.AddRow(std::move(out));
-        }
-        break;
-      case JoinType::kInner:
-        break;
+    if (!matched && spec.type == JoinType::kFullOuter) {
+      Row out = prow;
+      out.resize(output_schema.num_columns(), Value::Null());
+      result.AddRow(std::move(out));
     }
   }
 
@@ -228,7 +199,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   obs::ScopedSpan span(ctx, "HashJoin", "exec.join", "exec.join.ms");
   GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec));
   // Build/probe sizes mirror HashJoinImpl's side choice: inner joins build
-  // on the smaller side, every other type builds on the right.
+  // on the smaller side, FULL OUTER builds on the right.
   bool inner_build_left = spec.type == JoinType::kInner &&
                           left.num_rows() < right.num_rows();
   size_t build_rows = inner_build_left ? left.num_rows() : right.num_rows();
@@ -364,45 +335,6 @@ Result<Table> IndexSemiJoinKeySet(
   std::sort(positions.begin(), positions.end());
   Table result(base.schema());
   for (size_t at : positions) result.AddRow(base.rows()[at]);
-  return result;
-}
-
-Result<Table> EquiJoin(const Table& left, const Table& right,
-                       const std::vector<std::string>& keys,
-                       const ExecContext& ctx) {
-  JoinSpec spec;
-  spec.left_keys = keys;
-  spec.right_keys = keys;
-  spec.type = JoinType::kInner;
-  return HashJoin(left, right, spec, ctx);
-}
-
-Result<Table> NestedLoopJoin(const Table& left, const Table& right,
-                             const ExprPtr& condition, JoinType type) {
-  if (type != JoinType::kInner && type != JoinType::kLeftOuter) {
-    return Status::InvalidArgument(
-        "NestedLoopJoin supports only INNER and LEFT OUTER");
-  }
-  GPIVOT_ASSIGN_OR_RETURN(Schema output_schema,
-                          left.schema().Concat(right.schema()));
-  GPIVOT_ASSIGN_OR_RETURN(CompiledExpr predicate,
-                          CompileExpr(condition, output_schema));
-  Table result(output_schema);
-  for (const Row& lrow : left.rows()) {
-    bool matched = false;
-    for (const Row& rrow : right.rows()) {
-      Row out = lrow;
-      out.insert(out.end(), rrow.begin(), rrow.end());
-      if (!ValueIsTrue(predicate(out))) continue;
-      matched = true;
-      result.AddRow(std::move(out));
-    }
-    if (!matched && type == JoinType::kLeftOuter) {
-      Row out = lrow;
-      out.resize(output_schema.num_columns(), Value::Null());
-      result.AddRow(std::move(out));
-    }
-  }
   return result;
 }
 

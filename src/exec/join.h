@@ -14,12 +14,11 @@
 
 namespace gpivot::exec {
 
+// The two joins the maintenance plans need: every JoinNode and delta rule
+// is an inner equi-join, and the Eq. 3 GPIVOT reference is a full outer one.
 enum class JoinType {
   kInner,
-  kLeftOuter,
   kFullOuter,
-  kLeftSemi,
-  kLeftAnti,
 };
 
 const char* JoinTypeToString(JoinType type);
@@ -38,7 +37,7 @@ struct JoinSpec {
 // columns minus the right join keys (natural-join style; the key values are
 // available via the left columns). For kFullOuter, right-only rows populate
 // the left key columns from the right key values (coalesce), everything
-// else ⊥. For kLeftSemi/kLeftAnti the output schema is the left schema.
+// else ⊥.
 //
 // Non-key right columns whose names collide with left columns are an error:
 // rename before joining.
@@ -76,17 +75,6 @@ Result<Table> IndexSemiJoinKeySet(
     const KeyedTable& table, const std::vector<std::string>& key_columns,
     const std::unordered_set<Row, RowHash, RowEq>& keys,
     uint64_t* rows_fetched = nullptr);
-
-// Convenience: natural inner equi-join on identically named `keys`.
-Result<Table> EquiJoin(const Table& left, const Table& right,
-                       const std::vector<std::string>& keys,
-                       const ExecContext& ctx = {});
-
-// Nested-loop join with an arbitrary predicate over the concatenated
-// (left ++ right) schema; right columns keep their names, so callers must
-// resolve collisions via renaming first. Supports kInner and kLeftOuter.
-Result<Table> NestedLoopJoin(const Table& left, const Table& right,
-                             const ExprPtr& condition, JoinType type);
 
 }  // namespace gpivot::exec
 

@@ -149,17 +149,6 @@ Status MergeRecords(MaterializedView* view, const MergePlan& plan,
   return Status::OK();
 }
 
-// Stage-and-commit for the single-view Apply* entry points. Execution after
-// a successful staging can only fail via fault injection; roll back so even
-// that path leaves no trace.
-Status CommitPlan(MaterializedView* view, Result<MergePlan> plan) {
-  if (!plan.ok()) return plan.status();
-  UndoLog undo;
-  Status st = ExecuteMergePlan(view, *plan, &undo);
-  if (!st.ok()) undo.Rollback(view);
-  return st;
-}
-
 }  // namespace
 
 bool PivotLayout::GroupPresent(const Row& row, size_t combo) const {
@@ -409,23 +398,6 @@ Result<MergePlan> StageSelectPivotUpdate(const MaterializedView& view,
     GPIVOT_RETURN_NOT_OK(stager.Insert(std::move(key), candidate));
   }
   return std::move(stager).TakePlan();
-}
-
-Status ApplyInsertDelete(MaterializedView* view, const Delta& view_delta) {
-  return CommitPlan(view, StageInsertDelete(*view, view_delta));
-}
-
-Status ApplyPivotUpdate(MaterializedView* view, const PivotLayout& layout,
-                        const Delta& pivoted_delta) {
-  return CommitPlan(view, StagePivotUpdate(*view, layout, pivoted_delta));
-}
-
-Status ApplyPivotGroupByUpdate(MaterializedView* view,
-                               const PivotLayout& layout,
-                               const AggregateLayout& aggs,
-                               const Delta& pivoted_delta) {
-  return CommitPlan(view,
-                    StagePivotGroupByUpdate(*view, layout, aggs, pivoted_delta));
 }
 
 }  // namespace gpivot::ivm

@@ -123,16 +123,6 @@ Result<MergePlan> StageSelectPivotUpdate(const MaterializedView& view,
                                          const Delta& pivoted_delta,
                                          const Table& recompute_candidates);
 
-// Stage-and-commit conveniences: the pre-epoch single-view apply entry
-// points, kept for tests and direct callers. On failure nothing is mutated.
-Status ApplyInsertDelete(MaterializedView* view, const Delta& view_delta);
-Status ApplyPivotUpdate(MaterializedView* view, const PivotLayout& layout,
-                        const Delta& pivoted_delta);
-Status ApplyPivotGroupByUpdate(MaterializedView* view,
-                               const PivotLayout& layout,
-                               const AggregateLayout& aggs,
-                               const Delta& pivoted_delta);
-
 }  // namespace gpivot::ivm
 
 #endif  // GPIVOT_IVM_APPLY_H_

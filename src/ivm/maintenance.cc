@@ -221,6 +221,11 @@ Result<PlanPtr> EnsureCountStar(const PlanPtr& plan) {
 
 Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
                                                  RefreshStrategy strategy) {
+  if (view_query == nullptr) {
+    return Status::InvalidArgument(
+        StrCat("view query is null (strategy ",
+               RefreshStrategyToString(strategy), ")"));
+  }
   GPIVOT_ASSIGN_OR_RETURN(
       MaintenancePlan plan, CompileInternal(std::move(view_query), strategy));
   plan.node_ids_ =

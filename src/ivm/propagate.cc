@@ -47,10 +47,6 @@ Result<const Catalog*> DeltaPropagator::PostCatalog() {
   return &post_;
 }
 
-Result<Table> DeltaPropagator::EvaluatePre(const PlanPtr& plan) {
-  return Evaluate(plan, *pre_, ctx_);
-}
-
 Result<Table> DeltaPropagator::EvaluatePost(const PlanPtr& plan) {
   GPIVOT_ASSIGN_OR_RETURN(const Catalog* post, PostCatalog());
   return Evaluate(plan, *post, ctx_);

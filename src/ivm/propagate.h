@@ -34,8 +34,8 @@ class DeltaPropagator {
   // (Δ, ∇) of `plan`'s output.
   Result<Delta> Propagate(const PlanPtr& plan);
 
-  // Evaluates `plan` against the pre-update / post-update database.
-  Result<Table> EvaluatePre(const PlanPtr& plan);
+  // Evaluates `plan` against the post-update database. (The pre-update
+  // database is the caller's catalog: Evaluate it directly.)
   Result<Table> EvaluatePost(const PlanPtr& plan);
 
   // Reference-returning variants: scans alias the catalog's table (no copy)

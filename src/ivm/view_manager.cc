@@ -263,9 +263,9 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
   EpochDurabilityHook* durability = durability_hook_;
   if (durability != nullptr) {
     // Write-ahead point: the batch becomes durable before anything
-    // mutates. Failure rejects the epoch — but still consumes its seq via
-    // RecordEpoch, so the WAL (which may or may not hold a torn entry for
-    // it) and the epoch log stay aligned on numbering.
+    // mutates. Failure rejects the epoch, which consumes no seq: the hook
+    // clears the entry it could not make durable, and the next epoch
+    // appends under the same seq.
     if (Status st = durability->OnEpochAccepted(epoch_seq_ + 1, entry, deltas);
         !st.ok()) {
       RecordEpoch(entry, deltas, /*staged=*/false, st, /*rejected=*/true);
@@ -314,11 +314,6 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   states.reserve(view_order_.size());
   for (const std::string& name : view_order_) {
     states.emplace_back(&name, &views_.at(name));
-    // Serially, before the parallel stage reads the indexes: rebuilds any
-    // that an edit through mutable_catalog() dropped (a no-op otherwise),
-    // so no stage probes a stale index.
-    GPIVOT_RETURN_NOT_OK(
-        EnsureScanIndexes(states.back().second->plan.effective_query()));
   }
   std::vector<std::optional<Result<StagedRefresh>>> slots(states.size());
   {
@@ -443,7 +438,10 @@ void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
                               bool staged, const Status& status,
                               bool rejected) {
   EpochRecord record;
-  record.seq = ++epoch_seq_;
+  // Only a committed epoch consumes its seq. A rejected or rolled-back one
+  // records the seq it attempted, and the next epoch attempts it again.
+  record.seq = epoch_seq_ + 1;
+  if (!rejected && status.ok()) epoch_seq_ = record.seq;
   record.entry = entry;
   record.outcome =
       rejected ? "rejected" : (status.ok() ? "committed" : "rolled_back");
@@ -480,7 +478,7 @@ void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
   if (runtime.enabled()) {
     runtime.EndEpoch(last_epoch_->seq);
     runtime.metrics().SetGauge("ivm.manager.epoch_seq",
-                               static_cast<double>(last_epoch_->seq));
+                               static_cast<double>(epoch_seq_));
     runtime.metrics().AddCounter("ivm.epoch.resolved");
     runtime.RecordEpochJson(last_epoch_->ToJsonLine());
   }
@@ -492,7 +490,7 @@ void ViewManager::RecordNoOpEpoch(const char* entry,
     exec_context_.metrics->AddCounter("ivm.epoch.no_ops");
   }
   EpochRecord record;
-  record.seq = epoch_seq_;  // not consumed: seq counts epochs that did work
+  record.seq = epoch_seq_;  // not consumed: seq counts committed epochs
   record.entry = entry;
   record.outcome = "no_op";
   // The batch may still name tables (all with zero rows); keep them so the

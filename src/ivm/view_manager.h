@@ -33,10 +33,13 @@ struct EpochRecord {
     CostReport cost;
   };
 
-  // 1-based per-manager epoch counter. "no_op" records do not consume a
-  // sequence number — they carry the seq of the most recent real epoch
-  // (0 before any) — so timer-driven empty flushes never fragment the
-  // numbering of epochs that did work.
+  // 1-based per-manager epoch number. Only committed epochs consume one,
+  // so the committed epochs are numbered 1, 2, 3, ... without gaps, before
+  // and after a DurableViewManager reopen alike. A "rejected" or
+  // "rolled_back" record carries the seq it attempted (the last committed
+  // seq + 1), which the next epoch attempts again. A "no_op" record
+  // carries the last committed seq (0 before any), so timer-driven empty
+  // flushes never fragment the numbering either.
   uint64_t seq = 0;
   // "apply_update" | "batched_apply_update" | "refresh_views" |
   // "advance_base"
@@ -62,10 +65,10 @@ class EpochDurabilityHook {
 
   // Called by ApplyUpdate / BatchedApplyUpdate after the batch validated
   // and proved non-empty, *before anything mutates*: the write-ahead point.
-  // `seq` is the sequence number this epoch will consume. A non-OK return
-  // rejects the epoch — nothing was staged yet, so the manager is
-  // untouched and the epoch records as "rejected" (a batch that cannot be
-  // made durable must not be applied).
+  // `seq` is the sequence number this epoch consumes if it commits. A
+  // non-OK return rejects the epoch — nothing was staged yet, so the
+  // manager is untouched and the epoch records as "rejected" (a batch that
+  // cannot be made durable must not be applied).
   virtual Status OnEpochAccepted(uint64_t seq, const std::string& entry,
                                  const SourceDeltas& deltas) = 0;
 
@@ -115,7 +118,6 @@ class ViewManager {
       : catalog_(std::move(base)), event_log_(obs::EventLogFromEnv()) {}
 
   const Catalog& catalog() const { return catalog_; }
-  Catalog* mutable_catalog() { return &catalog_; }
 
   // Maintenance-executor concurrency. Staging (the propagate phase, which
   // only reads the pre-epoch catalog) runs one task per view on up to
@@ -236,15 +238,15 @@ class ViewManager {
   // runs.
   void set_commit_hook(EpochCommitHook* hook) { commit_hook_ = hook; }
 
-  // The sequence number of the most recent seq-consuming epoch (0 before
-  // any). The next committed/rolled-back/rejected epoch records as
-  // epoch_seq() + 1.
+  // The seq of the most recent committed epoch (0 before any). The next
+  // epoch that does work records as epoch_seq() + 1, whatever its outcome,
+  // and consumes that seq only if it commits (see EpochRecord::seq).
   uint64_t epoch_seq() const { return epoch_seq_; }
 
   // Continues the epoch numbering of a previous incarnation: recovery
-  // replays a WAL whose entries already consumed seqs 1..n, so the
-  // recovered manager must hand out n+1 next — a reset to 0 would emit
-  // duplicate seqs into the epoch log.
+  // replays a WAL whose entries committed seqs 1..n, so the recovered
+  // manager must hand out n+1 next — a reset to 0 would emit duplicate
+  // seqs into the epoch log.
   void RestoreEpochSeq(uint64_t seq) { epoch_seq_ = seq; }
 
  private:

@@ -443,8 +443,8 @@ AdminServer::Response AdminServer::Viewz() {
         const JsonValue* seq = view.Find("snapshot_seq");
         double snapshot_seq = seq != nullptr ? seq->number_value : 0.0;
         // The exact staleness contract: manager epoch seq minus the seq of
-        // the installed snapshot. Rolled-back epochs consume a seq without
-        // installing, so a store can lag the manager even when healthy.
+        // the installed snapshot. Only committed epochs consume a seq, and
+        // each installs, so a healthy attached store reads 0.
         double staleness =
             manager_seq > snapshot_seq ? manager_seq - snapshot_seq : 0.0;
         if (i > 0) out << ", ";

@@ -46,13 +46,6 @@ bool SoleHolder(const std::shared_ptr<T>& version) {
 
 }  // namespace
 
-Table& KeyedTable::EditUnindexed() {
-  index_.reset();
-  DropSpare();
-  PrepareWrite();
-  return *table_;
-}
-
 Table KeyedTable::TakeTable() && {
   PrepareWrite();
   return std::move(*table_);

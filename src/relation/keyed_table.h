@@ -43,8 +43,9 @@ namespace gpivot {
 // A store that is never pinned across a mutation never creates a spare and
 // never logs. The spare and its log are dropped once the log holds more ops
 // than the table has rows (a clone is then cheaper than the replay), when
-// the index is built or dropped, and when the store is replaced; a copied
-// store carries neither.
+// the index is built, and when the store is replaced; a copied store
+// carries neither. A built index is never dropped: it lives as long as its
+// store, and every mutator keeps it exact.
 //
 // Mutators must only run on the maintenance thread; handle holders on other
 // threads only read versions the gate never writes to until they let go.
@@ -96,10 +97,6 @@ class KeyedTable {
   // yet; returns whether it built one. ConstraintViolation when the
   // contents repeat a key.
   Result<bool> EnsureIndex();
-
-  // The table for arbitrary edits (a private writable version). Drops the
-  // index first, since such edits would leave it stale.
-  Table& EditUnindexed();
 
   // Appends a full row; returns ConstraintViolation when its key is already
   // present (delta contents come from callers, so this must not abort).

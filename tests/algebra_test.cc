@@ -138,7 +138,8 @@ TEST_F(AlgebraTest, PlanPrintingShowsTree) {
 TEST_F(AlgebraTest, EvaluateSeesCurrentCatalogContents) {
   ASSERT_OK_AND_ASSIGN(PlanPtr scan, MakeScan(catalog_, "fact"));
   ASSERT_OK_AND_ASSIGN(Table before, Evaluate(scan, catalog_));
-  catalog_.GetMutableTable("fact")->AddRow({I(3), S("z"), I(40)});
+  ASSERT_OK_AND_ASSIGN(KeyedTable * fact, catalog_.GetKeyedTable("fact"));
+  ASSERT_OK(fact->Insert({I(3), S("z"), I(40)}));
   ASSERT_OK_AND_ASSIGN(Table after, Evaluate(scan, catalog_));
   EXPECT_EQ(after.num_rows(), before.num_rows() + 1);
 }

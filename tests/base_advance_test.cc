@@ -316,8 +316,9 @@ TEST(KeyedInsertCollisionTest, KeyedUpdatesStillAccepted) {
 }
 
 // The rejection happens before the write-ahead point, so the WAL holds no
-// entry for it; the rejected epoch still consumes its seq, exactly like any
-// other validation failure, and recovery lands on the live state and seq.
+// entry for it; the rejected epoch records the seq it attempted without
+// consuming it, exactly like any other validation failure, and recovery
+// lands on the live state and seq.
 TEST(KeyedInsertCollisionTest, RejectionKeepsWalAndEpochLogAligned) {
   std::string dir = ::testing::TempDir() + "/base_advance_collision";
   std::filesystem::remove_all(dir);
@@ -338,27 +339,26 @@ TEST(KeyedInsertCollisionTest, RejectionKeepsWalAndEpochLogAligned) {
     EXPECT_EQ(manager.LastEpochReport()->outcome, "rejected");
     ASSERT_OK((*dvm)->ApplyUpdate(
         KeyedBatch(manager, {{I(7), I(70)}}, {{I(7), I(71)}})));
-    EXPECT_EQ(manager.LastEpochReport()->seq, 3u);
+    EXPECT_EQ(manager.LastEpochReport()->seq, 2u);
     auto wal = storage::ReadWal(storage::WalPath(dir));
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     ASSERT_EQ(wal->entries.size(), 2u);
     EXPECT_EQ(wal->entries[0].seq, 1u);
-    EXPECT_EQ(wal->entries[1].seq, 3u);
+    EXPECT_EQ(wal->entries[1].seq, 2u);
     expected = TableOf(manager, "K").Sorted().rows();
   }
   auto recovered = storage::DurableViewManager::Open(bootstrap, {}, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const ViewManager& manager = *(*recovered)->manager();
-  EXPECT_EQ(manager.epoch_seq(), 3u);
+  EXPECT_EQ(manager.epoch_seq(), 2u);
   EXPECT_EQ(TableOf(manager, "K").Sorted().rows(), expected);
   ASSERT_OK(manager.Audit());
 }
 
 // The regression guard for delta-proportional advance: the paper's three
 // views build one key index per scanned keyed table (lineitem, orders,
-// customer) when they are defined, keyed-update epochs never clone a base
-// table and read no base rows; an edit through GetMutableTable drops the
-// index, and the next epoch rebuilds it.
+// customer) when they are defined, and keyed-update epochs build no other,
+// never clone a base table and read no base rows.
 TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
   tpch::Config config;
   config.scale_factor = 0.001;
@@ -370,7 +370,7 @@ TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
       tpch::View3(catalog, config.first_year, config.num_years).value();
   const size_t kEpochs = 12;
   std::vector<SourceDeltas> batches =
-      tpch::MakeLineitemZipfChurn(catalog, kEpochs + 1, 16, 1.2, 3).value();
+      tpch::MakeLineitemZipfChurn(catalog, kEpochs, 16, 1.2, 3).value();
   obs::MetricsRegistry metrics;
   metrics.set_enabled(true);
   ExecContext ctx;
@@ -394,14 +394,6 @@ TEST(BaseAdvanceCountersTest, KeyedUpdatesBuildOneIndexAndCloneNothing) {
   EXPECT_EQ(counters["ivm.base.index_builds"], 3u);
   EXPECT_EQ(counters["ivm.advance.table_clones"], 0u);
   EXPECT_EQ(counters["ivm.advance.base_rows_read"], 0u);
-  ASSERT_OK(manager.Audit());
-
-  manager.mutable_catalog()->GetMutableTable("lineitem");
-  EXPECT_FALSE(StoreOf(manager, "lineitem").has_index());
-  ASSERT_OK(manager.ApplyUpdate(batches[kEpochs]));
-  counters = metrics.Snapshot().counters;
-  EXPECT_EQ(counters["ivm.base.index_builds"], 4u);
-  EXPECT_EQ(counters["ivm.advance.table_clones"], 0u);
   ASSERT_OK(manager.Audit());
 }
 
@@ -487,44 +479,6 @@ TEST(BaseIndexLifecycleTest, DuplicateKeyRejectsDefineView) {
   EXPECT_NE(st.message().find("'D'"), std::string::npos) << st.ToString();
   EXPECT_TRUE(manager.ViewNames().empty());
   EXPECT_FALSE(manager.GetView("v").ok());
-}
-
-// An edit through mutable_catalog() between epochs drops the edited table's
-// index; the next epoch rebuilds it before staging, so its probes of orders
-// see the edit. Reversing orders keeps every view valid (bags) but moves
-// every row, so probing through the stale index would lose matches.
-TEST(BaseIndexLifecycleTest, OrdersEditIsSeenByTheNextEpochsProbes) {
-  tpch::Config config;
-  config.scale_factor = 0.001;
-  config.seed = 5;
-  Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
-  PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
-  PlanPtr v2 = tpch::View2(catalog, config.max_line_numbers, 30000.0).value();
-  PlanPtr v3 =
-      tpch::View3(catalog, config.first_year, config.num_years).value();
-  std::vector<SourceDeltas> batches =
-      tpch::MakeLineitemZipfChurn(catalog, 2, 16, 0.0, 9).value();
-  ViewManager manager(std::move(catalog));
-  manager.set_event_log(nullptr);
-  ASSERT_OK(manager.DefineView("v1", v1, ivm::RefreshStrategy::kUpdate));
-  ASSERT_OK(
-      manager.DefineView("v2", v2, ivm::RefreshStrategy::kCombinedSelect));
-  ASSERT_OK(
-      manager.DefineView("v3", v3, ivm::RefreshStrategy::kCombinedGroupBy));
-  ASSERT_OK(manager.ApplyUpdate(batches[0]));
-
-  std::vector<Row>& rows =
-      manager.mutable_catalog()->GetMutableTable("orders")->mutable_rows();
-  std::reverse(rows.begin(), rows.end());
-  EXPECT_FALSE(StoreOf(manager, "orders").has_index());
-  ASSERT_OK(manager.ApplyUpdate(batches[1]));
-  EXPECT_TRUE(StoreOf(manager, "orders").has_index());
-  for (const char* view : {"v1", "v2", "v3"}) {
-    EXPECT_TRUE(manager.GetView(view).value()->table().BagEquals(
-        manager.RecomputeFromScratch(view).value()))
-        << view;
-  }
-  ASSERT_OK(manager.Audit());
 }
 
 // An unkeyed table is located by one scan that stops at the last match, and

@@ -202,7 +202,7 @@ TEST(IndexProbeTest, CoverageNeedsABuiltIndexOverNamedKeyColumns) {
   spec.left_keys = {"a"};
   spec.right_keys = {"a"};
   EXPECT_FALSE(exec::IndexJoin(t, store, exec::JoinSide::kRight, spec).ok());
-  spec.type = exec::JoinType::kLeftOuter;
+  spec.type = exec::JoinType::kFullOuter;
   spec.left_keys = {"a", "b"};
   spec.right_keys = {"a", "b"};
   EXPECT_FALSE(exec::IndexJoin(t, store, exec::JoinSide::kRight, spec).ok());

@@ -294,12 +294,27 @@ TEST(AdminServerTest, ViewzStalenessIsManagerSeqMinusSnapshotSeq) {
   ASSERT_OK(manager.ApplyUpdate(ItemsInsert(manager, 2, "Type", "DVD")));
   ASSERT_EQ(store.last_committed_seq(), 1u);
 
-  // A rolled-back epoch consumes seq 2 without installing a snapshot, so
-  // the store now deterministically lags the manager by exactly one.
+  // A rolled-back epoch consumes no seq and installs nothing: still no lag.
   FaultInjector::Global().Arm(1);
   EXPECT_FALSE(
       manager.ApplyUpdate(ItemsInsert(manager, 3, "Manu", "Sharp")).ok());
   FaultInjector::Global().Disarm();
+  ASSERT_EQ(manager.epoch_seq(), 1u);
+  AdminServer::Response healthy = server.Handle("/viewz");
+  std::optional<JsonValue> healthy_parsed = ParseJson(healthy.body);
+  ASSERT_TRUE(healthy_parsed.has_value()) << healthy.body;
+  EXPECT_EQ(healthy_parsed->Find("stores")
+                ->array[0]
+                .Find("views")
+                ->array[0]
+                .Find("staleness")
+                ->number_value,
+            0.0);
+
+  // An epoch the store does not see (its commit hook unset) commits seq 2,
+  // so the store now deterministically lags the manager by exactly one.
+  manager.set_commit_hook(nullptr);
+  ASSERT_OK(manager.ApplyUpdate(ItemsInsert(manager, 3, "Manu", "Sharp")));
   ASSERT_EQ(manager.epoch_seq(), 2u);
   ASSERT_EQ(store.last_committed_seq(), 1u);
 

@@ -435,14 +435,9 @@ TEST(KeyedTableRecycleTest, LogLongerThanTheTableDropsTheSpare) {
 }
 
 TEST(KeyedTableRecycleTest, IndexChangesAndReplacementDropTheSpare) {
-  ASSERT_OK_AND_ASSIGN(KeyedTable store, KeyedTable::Create(KeyedRows(8)));
-  Pin v0 = PinCurrent(store);
-  store.Update(0, {I(0), S("a")});
-  ASSERT_TRUE(store.has_spare());
-  store.EditUnindexed();
-  EXPECT_FALSE(store.has_spare());
-
-  // Building the index leaves an index-less spare behind: dropped too.
+  // Building the index leaves an index-less spare behind: dropped.
+  KeyedTable store(KeyedRows(8));
+  ASSERT_FALSE(store.has_index());
   Pin v1 = PinCurrent(store);
   store.Delete(0);
   ASSERT_TRUE(store.has_spare());
@@ -493,7 +488,8 @@ TEST(CatalogTest, CopyOnWriteIsolation) {
   ASSERT_OK(original.AddTable(
       "t", MakeTable({{"x", DataType::kInt64}}, {{I(1)}})));
   Catalog snapshot = original;
-  original.GetMutableTable("t")->AddRow({I(2)});
+  ASSERT_OK_AND_ASSIGN(KeyedTable * store, original.GetKeyedTable("t"));
+  ASSERT_OK(store->Insert({I(2)}));
   ASSERT_OK_AND_ASSIGN(const Table* changed, original.GetTable("t"));
   ASSERT_OK_AND_ASSIGN(const Table* unchanged, snapshot.GetTable("t"));
   EXPECT_EQ(changed->num_rows(), 2u);

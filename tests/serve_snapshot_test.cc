@@ -170,12 +170,13 @@ TEST(SnapshotStoreTest, NoOpRejectedAndRolledBackEpochsDoNotInstall) {
   ASSERT_OK(manager.ApplyUpdate(SourceDeltas{}));
   EXPECT_EQ(store.last_committed_seq(), 0u);
 
-  // rejected: unknown table. The epoch consumes a seq but commits nothing.
+  // rejected: unknown table. The epoch commits nothing and consumes no seq.
   SourceDeltas unknown;
   unknown.emplace("nope", ivm::Delta::Empty(Schema({{"x", DataType::kInt64}})));
   unknown.at("nope").inserts.AddRow({I(1)});
   EXPECT_FALSE(manager.ApplyUpdate(unknown).ok());
-  EXPECT_EQ(manager.epoch_seq(), 1u);
+  EXPECT_EQ(manager.LastEpochReport()->seq, 1u);
+  EXPECT_EQ(manager.epoch_seq(), 0u);
   EXPECT_EQ(store.last_committed_seq(), 0u);
 
   // rolled_back: injected fault mid-commit. State rolls back, so the

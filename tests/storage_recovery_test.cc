@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -22,11 +23,13 @@
 #include "ivm/delta.h"
 #include "ivm/view_manager.h"
 #include "obs/event_log.h"
+#include "obs/json_util.h"
 #include "storage/checkpoint.h"
 #include "storage/recovery.h"
 #include "storage/serialize.h"
 #include "storage/wal.h"
 #include "test_util.h"
+#include "tools/eventlog_check.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
 
@@ -295,6 +298,98 @@ TEST(RecoveryTest, EpochSeqContinuesAcrossRestartInJsonl) {
   }
 }
 
+// The numbering rule (only committed epochs consume a seq) across a
+// reopen: after a trailing rejected or rolled-back epoch, the next epoch
+// carries the seq the failed one attempted, whether or not the manager was
+// reopened in between, so both runs log identical seqs and the log passes
+// tools/eventlog_check.
+TEST(RecoveryTest, TrailingFailedEpochSeqIsTheSameWithAndWithoutReopen) {
+  std::vector<SourceDeltas> batches = WorkloadBatches(PivotCatalog(), 31, 2);
+  SourceDeltas unknown;
+  unknown.emplace("nope", Delta::Empty(Schema({{"x", DataType::kInt64}})));
+  unknown.at("nope").inserts.AddRow({I(1)});
+  FaultInjector& injector = FaultInjector::Global();
+  // The fault points the second epoch passes; arming the last one rolls
+  // the epoch back at its end (ViewManager::EpochEnd).
+  size_t epoch_points = 0;
+  {
+    auto dvm = DurableViewManager::Open(PivotCatalog(),
+                                        Definitions(PivotCatalog()),
+                                        Options(FreshDir("seqrule_count"), 0));
+    ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+    ASSERT_OK((*dvm)->ApplyUpdate(batches[0]));
+    injector.StartCounting();
+    ASSERT_OK((*dvm)->ApplyUpdate(batches[1]));
+    epoch_points = injector.Disarm();
+  }
+  ASSERT_GT(epoch_points, 0u);
+
+  for (const std::string failure : {"rejected", "rolled_back"}) {
+    std::vector<std::string> runs;
+    for (bool reopen : {false, true}) {
+      SCOPED_TRACE(failure + (reopen ? " with reopen" : " without reopen"));
+      std::string dir = FreshDir("seqrule_" + failure + std::to_string(reopen));
+      std::string log_path = dir + "_events.jsonl";
+      std::filesystem::remove(log_path);
+      {
+        obs::EventLog log(log_path);
+        ASSERT_TRUE(log.ok()) << log.error();
+        StorageOptions options = Options(dir, 0);
+        options.event_log = &log;
+        auto open = [&]() {
+          return DurableViewManager::Open(PivotCatalog(),
+                                          Definitions(PivotCatalog()),
+                                          options);
+        };
+        auto dvm = open();
+        ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+        ASSERT_OK((*dvm)->ApplyUpdate(batches[0]));
+        if (failure == "rejected") {
+          EXPECT_FALSE((*dvm)->ApplyUpdate(unknown).ok());
+        } else {
+          injector.Arm(epoch_points);
+          EXPECT_FALSE((*dvm)->ApplyUpdate(batches[1]).ok());
+          injector.Disarm();
+          EXPECT_EQ(injector.fired_site(), "ViewManager::EpochEnd");
+        }
+        EXPECT_EQ((*dvm)->manager()->LastEpochReport()->outcome, failure);
+        if (reopen) {
+          dvm->reset();
+          dvm = open();
+          ASSERT_TRUE(dvm.ok()) << dvm.status().ToString();
+        }
+        ASSERT_OK((*dvm)->ApplyUpdate(batches[1]));
+        EXPECT_EQ((*dvm)->manager()->epoch_seq(), 2u);
+      }
+      auto contents = ReadFileToString(log_path);
+      ASSERT_TRUE(contents.ok());
+      tools::EventLogCheckResult checked =
+          tools::CheckEventLog(*contents, /*require_committed=*/false);
+      EXPECT_TRUE(checked.ok) << checked.error << "\n" << *contents;
+      // The epoch records' seqs and outcomes, in log order.
+      std::string epochs;
+      size_t start = 0;
+      while (start < contents->size()) {
+        size_t end = contents->find('\n', start);
+        if (end == std::string::npos) end = contents->size();
+        std::optional<obs::JsonValue> record =
+            obs::ParseJson(contents->substr(start, end - start));
+        start = end + 1;
+        if (!record.has_value() || record->Find("outcome") == nullptr) {
+          continue;
+        }
+        epochs += std::to_string(static_cast<uint64_t>(
+                      record->Find("seq")->number_value)) +
+                  ":" + record->Find("outcome")->string_value + " ";
+      }
+      runs.push_back(epochs);
+    }
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0], "1:committed 2:" + failure + " 2:committed ");
+    EXPECT_EQ(runs[0], runs[1]);
+  }
+}
+
 TEST(RecoveryTest, NoOpEpochsEmitNoWalEntries) {
   std::string dir = FreshDir("noop");
   auto dvm = DurableViewManager::Open(PivotCatalog(),
@@ -413,21 +508,19 @@ TEST(RecoveryTest, LiveFaultSweepKeepsWalAndManagerConsistent) {
     ++faults_hit;
     ASSERT_OK((*dvm)->manager()->Audit());
     // One WAL entry per committed epoch, nothing for the failed attempt.
-    // Failed epochs still consume seqs (RecordEpoch numbers rejections
-    // too), so committed seqs are strictly increasing but sparse.
+    // Failed epochs consume no seq, so the committed seqs run 1, 2, 3, ...
     auto wal = ReadWal(WalPath(dir));
     ASSERT_TRUE(wal.ok());
     EXPECT_EQ(wal->entries.size(), applied);
-    for (size_t e = 1; e < wal->entries.size(); ++e) {
-      EXPECT_LT(wal->entries[e - 1].seq, wal->entries[e].seq);
+    for (size_t e = 0; e < wal->entries.size(); ++e) {
+      EXPECT_EQ(wal->entries[e].seq, e + 1);
     }
   }
   EXPECT_GT(faults_hit, batches.size());  // several points per epoch
-  // Same logical state as the undurable run; only the epoch counter
-  // differs (it also ticked for every injected failure).
-  EXPECT_EQ(Fingerprint(*(*dvm)->manager(), /*include_seq=*/false),
-            UndurableFingerprint(batches, /*include_seq=*/false));
-  EXPECT_GE((*dvm)->manager()->epoch_seq(), batches.size() + faults_hit);
+  // Same state and the same epoch counter as the undurable run: the
+  // injected failures consumed no seq.
+  EXPECT_EQ(Fingerprint(*(*dvm)->manager()), UndurableFingerprint(batches));
+  EXPECT_EQ((*dvm)->manager()->epoch_seq(), batches.size());
 }
 
 // The headline invariant. Arm the n-th fault point across an entire
