@@ -59,7 +59,6 @@ constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
     "GPIVOT_WAL_DIR",
     "GPIVOT_ADMIN_PORT",    "GPIVOT_ADMIN_STUCK_EPOCH_MS",
-    "GPIVOT_ADMIN_SAMPLE_MS",
 };
 
 using BenchRecord = FigureRecord;

@@ -101,7 +101,9 @@ Result<Table> EvaluateNode(const PlanPtr& plan, const Catalog& catalog,
 
 Result<Table> Evaluate(const PlanPtr& plan, const Catalog& catalog,
                        const ExecContext& ctx) {
-  GPIVOT_CHECK(plan != nullptr) << "Evaluate on null plan";
+  if (plan == nullptr) {
+    return Status::InvalidArgument("Evaluate on a null plan");
+  }
   // Re-target cost attribution at this node when the id map knows it; nodes
   // outside the map (e.g. restriction plans synthesized at refresh time)
   // inherit the caller's attribution target.

@@ -328,7 +328,8 @@ PlanNodeIds AssignNodeIds(const PlanPtr& plan);
 int CostNodeOf(const ExecContext& ctx, const PlanNode* node);
 
 // Evaluates `plan` against current catalog contents (full computation).
-// Output is byte-identical for every ctx.
+// Output is byte-identical for every ctx. A null plan is an InvalidArgument
+// error.
 Result<Table> Evaluate(const PlanPtr& plan, const Catalog& catalog,
                        const ExecContext& ctx = {});
 

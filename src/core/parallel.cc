@@ -82,6 +82,10 @@ Result<Table> MergePivotedPartials(const std::vector<Table>& partials,
 
 Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
                              size_t num_partitions, const ExecContext& ctx) {
+  if (num_partitions == 0) {
+    return Status::InvalidArgument(
+        "GPivotParallel needs at least one partition");
+  }
   // No cost fields: the per-partition GPivot calls charge the node.
   obs::ScopedSpan span(ctx, "GPivotParallel", "core.gpivot_parallel",
                        "core.gpivot_parallel.ms");

@@ -35,7 +35,8 @@ Result<Table> MergePivotedPartials(const std::vector<Table>& partials,
 // Equivalent to GPivot(input, spec) for every ctx: the per-partition pivots
 // run on up to ctx.num_threads pool workers (sequentially by default), and
 // the merge consumes the partials in partition order, so the result is
-// byte-identical regardless of thread count.
+// byte-identical regardless of thread count. Zero partitions is an
+// InvalidArgument error.
 Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
                              size_t num_partitions,
                              const ExecContext& ctx = {});

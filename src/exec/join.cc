@@ -62,11 +62,7 @@ Result<JoinLayout> MakeJoinLayout(const Schema& left, const Schema& right,
 
 // What both joins report, each number written once to every sink through
 // the join's instrument: the cost node's fields, the exec.join.* counters
-// and the span attributes. `bytes_allocated` is the logical output
-// footprint (rows x columns x cell size) — a data-derived quantity rather
-// than an allocator probe, so it is byte-identical across thread counts and
-// between HashJoin and IndexJoin; scratch buffers are deliberately
-// excluded.
+// and the span attributes.
 void ReportJoin(obs::ScopedSpan& span, JoinType type, size_t rows_in,
                 size_t build_rows, size_t probe_rows, const Table& result) {
   using obs::NodeStats;
@@ -76,8 +72,6 @@ void ReportJoin(obs::ScopedSpan& span, JoinType type, size_t rows_in,
   span.Record("build_rows", build_rows, &NodeStats::build_rows);
   span.Record("probe_rows", probe_rows, &NodeStats::probe_rows);
   span.Record("rows_out", result.num_rows(), &NodeStats::rows_out);
-  span.Count("bytes_allocated",
-             result.num_rows() * result.schema().num_columns() * sizeof(Value));
 }
 
 // One exact-capacity allocation per output row. (Copy-then-reserve

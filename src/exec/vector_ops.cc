@@ -219,24 +219,6 @@ std::shared_ptr<const ColumnVector> ResolveColumn(const Expr* expr,
   return col;
 }
 
-// Flips a comparison for the Lit-op-Col orientation (5 < x  ==  x > 5).
-CompareOp MirrorOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    case CompareOp::kEq:
-    case CompareOp::kNe:
-      return op;
-  }
-  return op;
-}
-
 }  // namespace
 
 std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
@@ -252,7 +234,7 @@ std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
         if (col_side->kind() == ExprKind::kLiteral &&
             lit_side->kind() == ExprKind::kColumnRef) {
           std::swap(col_side, lit_side);
-          op = MirrorOp(op);
+          op = MirrorCompareOp(op);
         }
         if (col_side->kind() != ExprKind::kColumnRef ||
             lit_side->kind() != ExprKind::kLiteral) {

@@ -148,9 +148,6 @@ ExprPtr Case(ExprPtr condition, ExprPtr then_value, ExprPtr else_value) {
                                     std::move(else_value));
 }
 
-namespace {
-
-// Three-valued comparison: NULL operands yield NULL.
 Value EvalCompare(CompareOp op, const Value& left, const Value& right) {
   if (left.is_null() || right.is_null()) return Value::Null();
   bool result = false;
@@ -176,6 +173,25 @@ Value EvalCompare(CompareOp op, const Value& left, const Value& right) {
   }
   return Value::Int(result ? 1 : 0);
 }
+
+CompareOp MirrorCompareOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    case CompareOp::kEq:
+    case CompareOp::kNe:
+      return op;
+  }
+  return op;
+}
+
+namespace {
 
 Value EvalArith(ArithOp op, const Value& left, const Value& right) {
   if (left.is_null() || right.is_null()) return Value::Null();

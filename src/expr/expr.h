@@ -262,6 +262,14 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& expr, const Schema& schema);
 // SQL truthiness: NULL and FALSE(0) are not true.
 bool ValueIsTrue(const Value& value);
 
+// Three-valued `left op right`, as a compiled ComparisonExpr evaluates it:
+// NULL when either operand is NULL, else Int 1 / Int 0.
+Value EvalCompare(CompareOp op, const Value& left, const Value& right);
+
+// Flips a comparison for the literal-op-column orientation
+// (5 < x  ==  x > 5).
+CompareOp MirrorCompareOp(CompareOp op);
+
 // Distinct referenced column names, in first-appearance order.
 std::vector<std::string> ReferencedColumns(const ExprPtr& expr);
 

@@ -13,8 +13,7 @@ namespace gpivot::ivm {
 namespace {
 
 // Publishes the batcher's live queue depth to the runtime (admin-only)
-// registry; /healthz compares pending_net_rows against max_net_rows. A
-// single relaxed load when the admin surface is off.
+// registry. A single relaxed load when the admin surface is off.
 void PublishQueueGauges(size_t pending_net_rows, size_t pending_batches) {
   obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
   if (!runtime.enabled()) return;
@@ -144,13 +143,7 @@ struct DeltaBatcher::NetState {
 DeltaBatcher::DeltaBatcher(ViewManager* manager, BatcherOptions options)
     : manager_(manager),
       options_(options),
-      net_(std::make_unique<NetState>()) {
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (runtime.enabled()) {
-    runtime.metrics().SetGauge("ivm.batcher.max_net_rows",
-                               static_cast<double>(options_.max_net_rows));
-  }
-}
+      net_(std::make_unique<NetState>()) {}
 
 DeltaBatcher::~DeltaBatcher() = default;
 
@@ -174,11 +167,9 @@ Status DeltaBatcher::Ingest(const SourceDeltas& deltas) {
     metrics->AddCounter("ivm.batcher.rows_cancelled", cancelled);
   }
   PublishQueueGauges(net_->net_rows, pending_batches_);
-  bool batch_limit =
-      options_.max_batches > 0 && pending_batches_ >= options_.max_batches;
-  bool row_limit =
-      options_.max_net_rows > 0 && net_->net_rows >= options_.max_net_rows;
-  if (batch_limit || row_limit) return Flush();
+  if (options_.max_batches > 0 && pending_batches_ >= options_.max_batches) {
+    return Flush();
+  }
   return Status::OK();
 }
 

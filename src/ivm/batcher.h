@@ -12,16 +12,12 @@
 
 namespace gpivot::ivm {
 
-// When the batcher flushes on its own. Zero disables a trigger; with both
-// zero the batcher only flushes when Flush() is called (a serving layer
-// would drive that on a timer — flushing an empty queue is a cheap no_op
-// epoch, see ViewManager).
+// When the batcher flushes on its own. With max_batches zero it only
+// flushes when Flush() is called (a serving layer would drive that on a
+// timer — flushing an empty queue is a cheap no_op epoch, see ViewManager).
 struct BatcherOptions {
   // Auto-flush after this many ingested batches.
   size_t max_batches = 0;
-  // Auto-flush when the pending *net* delta (post-compaction Δ + ∇ rows
-  // across all tables) reaches this many rows.
-  size_t max_net_rows = 0;
 };
 
 // Lifetime totals of one batcher, all pure functions of the ingested

@@ -25,34 +25,6 @@ bool AllDeltasEmpty(const SourceDeltas& deltas) {
 
 }  // namespace
 
-std::string EpochRecord::ToText() const {
-  std::string out = StrCat("epoch ", seq, " ", entry, ": ", outcome);
-  if (!error.empty()) out += StrCat(" (", error, ")");
-  out += "\n";
-  for (const TableDelta& delta : deltas) {
-    out += StrCat("  delta ", delta.table, ": +", delta.insert_rows, " -",
-                  delta.delete_rows, "\n");
-  }
-  for (const ViewReport& view : views) {
-    out += StrCat("  view ", view.name, " [", view.strategy,
-                  "] rows_after=", view.rows_after, "\n");
-    // Indent the cost tree under its view (strategy already printed above).
-    std::string cost = view.cost.ToText();
-    size_t start = 0;
-    if (cost.rfind("strategy: ", 0) == 0) {
-      start = cost.find('\n');
-      start = start == std::string::npos ? cost.size() : start + 1;
-    }
-    while (start < cost.size()) {
-      size_t end = cost.find('\n', start);
-      if (end == std::string::npos) end = cost.size();
-      out += StrCat("    ", cost.substr(start, end - start), "\n");
-      start = end + 1;
-    }
-  }
-  return out;
-}
-
 std::string EpochRecord::ToJsonLine() const {
   std::string out =
       StrCat("{\"seq\": ", seq, ", \"entry\": ", obs::JsonQuote(entry),

@@ -50,8 +50,6 @@ struct EpochRecord {
   std::vector<TableDelta> deltas;  // sorted by table name
   std::vector<ViewReport> views;   // definition order; empty when rejected
 
-  // Indented human-readable rendering (delta summary + per-view cost trees).
-  std::string ToText() const;
   // The single-line JSON document appended to the epoch event log.
   std::string ToJsonLine() const;
 };

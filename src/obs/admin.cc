@@ -37,12 +37,6 @@ bool ParseStrictUint64(const char* raw, uint64_t* out) {
   return true;
 }
 
-double UnixSecondsNow() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 const char* StatusText(int status) {
   switch (status) {
     case 200:
@@ -70,13 +64,6 @@ std::optional<double> GaugeValue(const MetricsSnapshot& snapshot,
   return sample->second;
 }
 
-void AppendRateGauge(std::ostringstream& out, const std::string& prom_name,
-                     const std::string& help, double value) {
-  out << "# HELP " << prom_name << " " << PrometheusEscape(help) << "\n"
-      << "# TYPE " << prom_name << " gauge\n"
-      << prom_name << " " << value << "\n";
-}
-
 }  // namespace
 
 Result<AdminOptions> AdminOptions::FromEnv() {
@@ -101,22 +88,11 @@ Result<AdminOptions> AdminOptions::FromEnv() {
     }
     options.stuck_epoch_ms = value;
   }
-  raw = std::getenv("GPIVOT_ADMIN_SAMPLE_MS");
-  if (raw != nullptr) {
-    uint64_t value = 0;
-    if (!ParseStrictUint64(raw, &value) || value == 0) {
-      return Status::InvalidArgument(StrCat(
-          "GPIVOT_ADMIN_SAMPLE_MS='", raw, "' is not a positive integer"));
-    }
-    options.sample_ms = value;
-  }
   return options;
 }
 
 AdminServer::AdminServer(AdminOptions options)
-    : options_(options),
-      rates_(/*capacity=*/16),
-      started_at_(std::chrono::steady_clock::now()) {}
+    : options_(options), started_at_(std::chrono::steady_clock::now()) {}
 
 AdminServer::~AdminServer() { Stop(); }
 
@@ -170,11 +146,9 @@ void AdminServer::Stop() {
 }
 
 void AdminServer::Serve() {
-  // Poll with a short timeout so the same thread doubles as the sampler /
-  // watchdog driver and notices Stop() promptly.
+  // Poll with a short timeout so the same thread doubles as the watchdog
+  // driver and notices Stop() promptly.
   const int poll_ms = 100;
-  auto last_tick = std::chrono::steady_clock::now();
-  SampleTick(UnixSecondsNow());
   while (running_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, poll_ms);
@@ -185,21 +159,10 @@ void AdminServer::Serve() {
         ::close(fd);
       }
     }
-    auto now = std::chrono::steady_clock::now();
-    std::chrono::duration<double, std::milli> since = now - last_tick;
-    if (since.count() >= static_cast<double>(options_.sample_ms)) {
-      last_tick = now;
-      SampleTick(UnixSecondsNow());
-    }
+    // Keep the watchdog counter live even when nobody scrapes /healthz.
+    RuntimeRegistry::Global().CheckStuck(
+        static_cast<double>(options_.stuck_epoch_ms));
   }
-}
-
-void AdminServer::SampleTick(double unix_seconds) {
-  RuntimeRegistry& runtime = RuntimeRegistry::Global();
-  rates_.Push(unix_seconds, runtime.metrics().Snapshot());
-  last_sample_unix_seconds_ = unix_seconds;
-  // Keep the watchdog counter live even when nobody scrapes /healthz.
-  runtime.CheckStuck(static_cast<double>(options_.stuck_epoch_ms));
 }
 
 void AdminServer::HandleConnection(int fd) {
@@ -263,25 +226,8 @@ AdminServer::Response AdminServer::Handle(std::string_view path) {
 }
 
 AdminServer::Response AdminServer::Metrics() {
-  MetricsSnapshot snapshot = RuntimeRegistry::Global().metrics().Snapshot();
-  std::ostringstream out;
-  out << snapshot.ToPrometheusText();
-  // Derived rates over the sampling window (WindowedRates), exposed as
-  // gauges: unlike the raw counters above they are already per-second.
-  AppendRateGauge(out, "gpivot_rate_serve_query_ops_per_sec",
-                  "Serving-layer query ops per second over the sampling "
-                  "window",
-                  rates_.CounterRate("serve.query.ops"));
-  AppendRateGauge(out, "gpivot_rate_ivm_epochs_per_sec",
-                  "Maintenance epochs resolved per second over the sampling "
-                  "window",
-                  rates_.CounterRate("ivm.epoch.resolved"));
-  AppendRateGauge(out, "gpivot_rate_serve_query_p99_ms",
-                  "p99 serving query latency (ms) over the sampling window",
-                  rates_.WindowQuantileMs("serve.query.ms", 0.99));
-  AppendRateGauge(out, "gpivot_rate_window_seconds",
-                  "Seconds spanned by the rate window", rates_.WindowSeconds());
-  return {200, "text/plain; version=0.0.4; charset=utf-8", out.str()};
+  return {200, "text/plain; version=0.0.4; charset=utf-8",
+          RuntimeRegistry::Global().metrics().Snapshot().ToPrometheusText()};
 }
 
 AdminServer::Response AdminServer::Healthz() {
@@ -316,22 +262,6 @@ AdminServer::Response AdminServer::Healthz() {
                " epochs old (cadence ", static_cast<uint64_t>(*cadence), ")");
   }
   checks.push_back({"checkpoint_fresh", checkpoint_ok, checkpoint_detail});
-
-  std::optional<double> pending =
-      GaugeValue(snapshot, "ivm.batcher.pending_net_rows");
-  std::optional<double> bound =
-      GaugeValue(snapshot, "ivm.batcher.max_net_rows");
-  bool batcher_ok = true;
-  std::string batcher_detail = "ok";
-  if (pending.has_value() && bound.has_value() && *bound > 0.0 &&
-      *pending > *bound) {
-    batcher_ok = false;
-    batcher_detail =
-        StrCat("batcher holds ", static_cast<uint64_t>(*pending),
-               " net rows, over the auto-flush bound of ",
-               static_cast<uint64_t>(*bound));
-  }
-  checks.push_back({"batcher_queue_bounded", batcher_ok, batcher_detail});
 
   StuckEpochInfo stuck =
       runtime.CheckStuck(static_cast<double>(options_.stuck_epoch_ms));
@@ -371,7 +301,7 @@ AdminServer::Response AdminServer::Statusz() {
       << "}, \"uptime_seconds\": " << uptime.count()
       << ", \"options\": {\"port\": " << port_
       << ", \"stuck_epoch_ms\": " << options_.stuck_epoch_ms
-      << ", \"sample_ms\": " << options_.sample_ms << "}, \"env\": {";
+      << "}, \"env\": {";
   bool first = true;
   for (char** env = environ; env != nullptr && *env != nullptr; ++env) {
     std::string_view entry(*env);

@@ -22,13 +22,10 @@ namespace gpivot::obs {
 //   GPIVOT_ADMIN_STUCK_EPOCH_MS  watchdog bound: an epoch sitting in one
 //                                stage/commit phase longer than this is
 //                                "stuck" (healthz 503). Default 10000.
-//   GPIVOT_ADMIN_SAMPLE_MS       WindowedRates sampling period. Default
-//                                1000.
 struct AdminOptions {
   bool enabled = false;
   int port = 0;
   uint64_t stuck_epoch_ms = 10000;
-  uint64_t sample_ms = 1000;
 
   static Result<AdminOptions> FromEnv();
 };
@@ -36,11 +33,12 @@ struct AdminOptions {
 // A dependency-free HTTP/1.1 admin server over a POSIX socket, bound to
 // 127.0.0.1 only. One background thread accepts connections and answers
 // one GET per connection (Connection: close); between connections the same
-// thread drives the WindowedRates sampler and the stuck-epoch watchdog, so
-// enabling the admin surface costs the process exactly one extra thread.
+// thread drives the stuck-epoch watchdog, so enabling the admin surface
+// costs the process exactly one extra thread.
 //
 // Endpoints:
-//   /metrics   live Prometheus text (runtime registry + derived rates)
+//   /metrics   live Prometheus text of the runtime registry (counters,
+//              gauges, summaries; a scraper derives rates, e.g. rate())
 //   /healthz   200 "ok" / 503 with the failing checks as JSON
 //   /statusz   build info, GPIVOT_* environment, uptime (JSON)
 //   /epochz    ring of the most recent EpochRecord JSON lines
@@ -75,10 +73,6 @@ class AdminServer {
   // Routes one request path (query strings are ignored) to its endpoint.
   Response Handle(std::string_view path);
 
-  // The sampler/watchdog tick Serve() runs between connections; public so
-  // tests can drive it deterministically.
-  void SampleTick(double unix_seconds);
-
  private:
   void Serve();
   void HandleConnection(int fd);
@@ -90,9 +84,7 @@ class AdminServer {
   Response Viewz();
 
   AdminOptions options_;
-  WindowedRates rates_;
   std::chrono::steady_clock::time_point started_at_;
-  double last_sample_unix_seconds_ = 0.0;
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -75,14 +75,6 @@ double HistogramData::QuantileMs(double q) const {
   return max_ms;
 }
 
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, samples] : other.gauges) {
-    for (const auto& [label, value] : samples) gauges[name][label] = value;
-  }
-  for (const auto& [name, h] : other.histograms) histograms[name].Merge(h);
-}
-
 std::string MetricsSnapshot::ToString() const {
   std::ostringstream out;
   for (const auto& [name, value] : counters) {
@@ -280,12 +272,6 @@ void MetricsRegistry::SetGauge(std::string_view name,
   std::lock_guard<std::mutex> lock(gauges_mu_);
   gauges_[std::string(name)][{std::string(label_key),
                               std::string(label_value)}] = value;
-}
-
-void MetricsRegistry::AddGauge(std::string_view name, double delta) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(gauges_mu_);
-  gauges_[std::string(name)][{std::string(), std::string()}] += delta;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

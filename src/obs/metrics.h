@@ -65,10 +65,6 @@ struct MetricsSnapshot {
   // [a-zA-Z0-9_] in metric names become '_'; label values are escaped per
   // the text format (backslash, double quote, newline).
   std::string ToPrometheusText() const;
-
-  // Merges `other` into this snapshot: counters/buckets add, gauges from
-  // `other` win on key collisions (last-write-wins, like the registry).
-  void MergeFrom(const MetricsSnapshot& other);
 };
 
 // Escapes '\' -> "\\", '"' -> "\"", and newline -> "\n" for use inside
@@ -118,8 +114,6 @@ class MetricsRegistry {
   // 3): exposed as gpivot_serve_view_staleness{view="v1"} 3.
   void SetGauge(std::string_view name, std::string_view label_key,
                 std::string_view label_value, double value);
-  // Adds `delta` to the unlabeled sample of `name` (0 when unset).
-  void AddGauge(std::string_view name, double delta);
 
   MetricsSnapshot Snapshot() const;
   void Reset();

@@ -4,90 +4,6 @@
 
 namespace gpivot::obs {
 
-WindowedRates::WindowedRates(size_t capacity)
-    : capacity_(capacity < 2 ? 2 : capacity) {}
-
-void WindowedRates::Push(double unix_seconds, MetricsSnapshot snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.emplace_back(unix_seconds, std::move(snapshot));
-  while (ring_.size() > capacity_) ring_.pop_front();
-}
-
-size_t WindowedRates::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-double WindowedRates::WindowSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < 2) return 0.0;
-  return ring_.back().first - ring_.front().first;
-}
-
-double WindowedRates::CounterRate(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < 2) return 0.0;
-  double dt = ring_.back().first - ring_.front().first;
-  if (!(dt > 0.0)) return 0.0;
-  const std::string key(name);
-  auto value_of = [&key](const MetricsSnapshot& s) -> uint64_t {
-    auto it = s.counters.find(key);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t newest = value_of(ring_.back().second);
-  uint64_t oldest = value_of(ring_.front().second);
-  // Counters are monotonic per registry, but a Reset between samples can
-  // make the newest smaller; report 0 rather than a negative rate.
-  if (newest < oldest) return 0.0;
-  return static_cast<double>(newest - oldest) / dt;
-}
-
-double WindowedRates::HistogramCountRate(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < 2) return 0.0;
-  double dt = ring_.back().first - ring_.front().first;
-  if (!(dt > 0.0)) return 0.0;
-  const std::string key(name);
-  auto count_of = [&key](const MetricsSnapshot& s) -> uint64_t {
-    auto it = s.histograms.find(key);
-    return it == s.histograms.end() ? 0 : it->second.count;
-  };
-  uint64_t newest = count_of(ring_.back().second);
-  uint64_t oldest = count_of(ring_.front().second);
-  if (newest < oldest) return 0.0;
-  return static_cast<double>(newest - oldest) / dt;
-}
-
-double WindowedRates::WindowQuantileMs(std::string_view name,
-                                       double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return 0.0;
-  const std::string key(name);
-  auto newest_it = ring_.back().second.histograms.find(key);
-  if (newest_it == ring_.back().second.histograms.end()) return 0.0;
-  HistogramData window = newest_it->second;
-  if (ring_.size() >= 2) {
-    auto oldest_it = ring_.front().second.histograms.find(key);
-    if (oldest_it != ring_.front().second.histograms.end()) {
-      const HistogramData& oldest = oldest_it->second;
-      if (window.count >= oldest.count) {
-        window.count -= oldest.count;
-        window.total_ms -= oldest.total_ms;
-        for (size_t i = 0; i < HistogramData::kNumBuckets; ++i) {
-          window.buckets[i] -= std::min(window.buckets[i], oldest.buckets[i]);
-        }
-        // min/max describe the whole series, not the window; keep them as
-        // wide clamp bounds (QuantileMs clamps into [min, max]).
-      } else {
-        // Registry reset between samples: the newest snapshot alone IS the
-        // window.
-      }
-    }
-  }
-  if (window.count == 0) return 0.0;
-  return window.QuantileMs(q);
-}
-
 RuntimeRegistry& RuntimeRegistry::Global() {
   static RuntimeRegistry* const kRegistry = new RuntimeRegistry();
   return *kRegistry;

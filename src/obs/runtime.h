@@ -16,51 +16,6 @@
 
 namespace gpivot::obs {
 
-// Ring buffer of periodic MetricsSnapshot samples, each stamped with the
-// wall-clock second it was taken at, from which the admin surface derives
-// rates over the retained window: queries/sec, epochs/sec, and "p99 over
-// the last window" (by subtracting the oldest histogram buckets from the
-// newest). The clock is supplied by the caller — the admin thread's sampler
-// in production, a plain counter in tests — so this class itself is
-// deterministic and clock-free.
-//
-// All methods are thread-safe; rate queries see the ring as of the last
-// Push.
-class WindowedRates {
- public:
-  // `capacity` samples are retained (>= 2 required to form any rate);
-  // pushing past capacity evicts the oldest.
-  explicit WindowedRates(size_t capacity = 16);
-
-  void Push(double unix_seconds, MetricsSnapshot snapshot);
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-
-  // Seconds spanned by the retained window: newest stamp minus oldest.
-  // 0 with fewer than two samples.
-  double WindowSeconds() const;
-
-  // (newest counter value - oldest) / WindowSeconds(). 0 when the window
-  // is empty, spans no time, or the counter is absent from both ends
-  // (a counter absent from the oldest sample counts as 0 there, so a
-  // series that appears mid-window still yields its rate).
-  double CounterRate(std::string_view name) const;
-
-  // Same, for a histogram's sample count: events/sec for `name`.
-  double HistogramCountRate(std::string_view name) const;
-
-  // q-quantile of `name` over just the window: the newest histogram minus
-  // the oldest (bucket-wise), i.e. only events recorded inside the window
-  // contribute. 0 when the difference is empty or the histogram is absent.
-  double WindowQuantileMs(std::string_view name, double q) const;
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::deque<std::pair<double, MetricsSnapshot>> ring_;
-};
-
 // What the stuck-epoch watchdog saw: whether some epoch has been inside
 // one phase (stage/commit) longer than the bound, and which.
 struct StuckEpochInfo {

@@ -1,4 +1,5 @@
 #include <unordered_set>
+#include <utility>
 
 #include "rewrite/rules.h"
 #include "util/check.h"
@@ -36,6 +37,43 @@ ExprPtr NotAllNull(const std::vector<std::string>& columns) {
     disjuncts.push_back(IsNotNull(Col(name)));
   }
   return Or(std::move(disjuncts));
+}
+
+std::optional<std::vector<ComparisonAtom>> DecomposeConjunction(
+    const ExprPtr& expr) {
+  std::vector<ComparisonAtom> atoms;
+  std::vector<ExprPtr> pending = {expr};
+  while (!pending.empty()) {
+    ExprPtr e = pending.back();
+    pending.pop_back();
+    if (e->kind() == ExprKind::kBoolOp) {
+      const auto* b = static_cast<const BoolOpExpr*>(e.get());
+      if (b->op() != BoolOpKind::kAnd) return std::nullopt;
+      for (const ExprPtr& op : b->operands()) pending.push_back(op);
+      continue;
+    }
+    if (e->kind() != ExprKind::kComparison) return std::nullopt;
+    const auto* c = static_cast<const ComparisonExpr*>(e.get());
+    const Expr* column = c->left().get();
+    const Expr* literal = c->right().get();
+    CompareOp op = c->op();
+    if (column->kind() == ExprKind::kLiteral &&
+        literal->kind() == ExprKind::kColumnRef) {
+      std::swap(column, literal);
+      op = MirrorCompareOp(op);
+    }
+    if (column->kind() != ExprKind::kColumnRef ||
+        literal->kind() != ExprKind::kLiteral) {
+      return std::nullopt;
+    }
+    atoms.push_back({static_cast<const ColumnRefExpr*>(column)->name(), op,
+                     static_cast<const LiteralExpr*>(literal)->value()});
+  }
+  return atoms;
+}
+
+std::unordered_set<std::string> ToSet(const std::vector<std::string>& names) {
+  return std::unordered_set<std::string>(names.begin(), names.end());
 }
 
 namespace {

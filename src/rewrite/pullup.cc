@@ -7,14 +7,6 @@
 
 namespace gpivot::rewrite {
 
-namespace {
-
-std::unordered_set<std::string> ToSet(const std::vector<std::string>& names) {
-  return std::unordered_set<std::string>(names.begin(), names.end());
-}
-
-}  // namespace
-
 Result<PlanPtr> PullPivotThroughSelect(const PlanPtr& plan) {
   if (plan == nullptr || plan->kind() != PlanKind::kSelect) {
     return Status::NotApplicable("needs σ(GPIVOT(V))");

@@ -1,4 +1,3 @@
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -7,87 +6,6 @@
 #include "util/string_util.h"
 
 namespace gpivot::rewrite {
-
-namespace {
-
-// One atom of a conjunctive condition: column op literal.
-struct Atom {
-  std::string column;
-  CompareOp op;
-  Value literal;
-};
-
-// Decomposes `expr` into a conjunction of (column op literal) atoms.
-// Returns nullopt for any other shape.
-std::optional<std::vector<Atom>> DecomposeConjunction(const ExprPtr& expr) {
-  std::vector<Atom> atoms;
-  std::vector<ExprPtr> pending = {expr};
-  while (!pending.empty()) {
-    ExprPtr e = pending.back();
-    pending.pop_back();
-    if (e->kind() == ExprKind::kBoolOp) {
-      const auto* b = static_cast<const BoolOpExpr*>(e.get());
-      if (b->op() != BoolOpKind::kAnd) return std::nullopt;
-      for (const ExprPtr& op : b->operands()) pending.push_back(op);
-      continue;
-    }
-    if (e->kind() != ExprKind::kComparison) return std::nullopt;
-    const auto* c = static_cast<const ComparisonExpr*>(e.get());
-    const ExprPtr* column = &c->left();
-    const ExprPtr* literal = &c->right();
-    CompareOp op = c->op();
-    if ((*column)->kind() == ExprKind::kLiteral &&
-        (*literal)->kind() == ExprKind::kColumnRef) {
-      std::swap(column, literal);
-      switch (op) {
-        case CompareOp::kLt:
-          op = CompareOp::kGt;
-          break;
-        case CompareOp::kLe:
-          op = CompareOp::kGe;
-          break;
-        case CompareOp::kGt:
-          op = CompareOp::kLt;
-          break;
-        case CompareOp::kGe:
-          op = CompareOp::kLe;
-          break;
-        default:
-          break;
-      }
-    }
-    if ((*column)->kind() != ExprKind::kColumnRef ||
-        (*literal)->kind() != ExprKind::kLiteral) {
-      return std::nullopt;
-    }
-    atoms.push_back(
-        {static_cast<const ColumnRefExpr*>(column->get())->name(), op,
-         static_cast<const LiteralExpr*>(literal->get())->value()});
-  }
-  return atoms;
-}
-
-// Statically evaluates `value op literal` (both known constants).
-bool EvalAtomStatic(const Atom& atom, const Value& value) {
-  if (value.is_null() || atom.literal.is_null()) return false;
-  switch (atom.op) {
-    case CompareOp::kEq:
-      return value == atom.literal;
-    case CompareOp::kNe:
-      return value != atom.literal;
-    case CompareOp::kLt:
-      return value < atom.literal;
-    case CompareOp::kLe:
-      return value < atom.literal || value == atom.literal;
-    case CompareOp::kGt:
-      return atom.literal < value;
-    case CompareOp::kGe:
-      return atom.literal < value || value == atom.literal;
-  }
-  return false;
-}
-
-}  // namespace
 
 Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
   if (!IsGPivot(plan)) {
@@ -109,7 +27,7 @@ Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
   GPIVOT_ASSIGN_OR_RETURN(Schema base_schema, base->OutputSchema());
   GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
                           spec.KeyColumns(base_schema));
-  std::unordered_set<std::string> key_set(key_names.begin(), key_names.end());
+  std::unordered_set<std::string> key_set = ToSet(key_names);
 
   // Trivial case: condition on key columns only — GPIVOT commutes unchanged.
   if (ExprOnlyReferences(select->predicate(), key_names)) {
@@ -131,10 +49,10 @@ Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
     measure_index[spec.pivot_on[b]] = b;
   }
 
-  std::vector<Atom> key_atoms;
-  std::vector<Atom> dim_atoms;
-  std::vector<Atom> measure_atoms;
-  for (const Atom& atom : *atoms_opt) {
+  std::vector<ComparisonAtom> key_atoms;
+  std::vector<ComparisonAtom> dim_atoms;
+  std::vector<ComparisonAtom> measure_atoms;
+  for (const ComparisonAtom& atom : *atoms_opt) {
     if (key_set.count(atom.column) > 0) {
       key_atoms.push_back(atom);
     } else if (dim_index.count(atom.column) > 0) {
@@ -154,9 +72,10 @@ Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
   std::vector<std::string> cell_names;
   for (size_t c = 0; c < spec.num_combos(); ++c) {
     bool dims_pass = true;
-    for (const Atom& atom : dim_atoms) {
+    for (const ComparisonAtom& atom : dim_atoms) {
       size_t d = dim_index.at(atom.column);
-      if (!EvalAtomStatic(atom, spec.combos[c][d])) {
+      if (!ValueIsTrue(
+              EvalCompare(atom.op, spec.combos[c][d], atom.literal))) {
         dims_pass = false;
         break;
       }
@@ -168,7 +87,7 @@ Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
       guard = nullptr;  // statically true: pass cells through
     } else {
       std::vector<ExprPtr> conjuncts;
-      for (const Atom& atom : measure_atoms) {
+      for (const ComparisonAtom& atom : measure_atoms) {
         size_t b = measure_index.at(atom.column);
         conjuncts.push_back(
             Cmp(atom.op, Col(spec.OutputColumnName(c, b)), Lit(atom.literal)));
@@ -190,7 +109,7 @@ Result<PlanPtr> PushPivotBelowSelect(const PlanPtr& plan) {
   PlanPtr result = MakeMap(MakeGPivot(base, spec), std::move(outputs));
   std::vector<ExprPtr> top_conjuncts;
   top_conjuncts.push_back(NotAllNull(cell_names));
-  for (const Atom& atom : key_atoms) {
+  for (const ComparisonAtom& atom : key_atoms) {
     top_conjuncts.push_back(Cmp(atom.op, Col(atom.column), Lit(atom.literal)));
   }
   return MakeSelect(std::move(result), And(std::move(top_conjuncts)));

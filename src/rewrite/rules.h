@@ -1,7 +1,9 @@
 #ifndef GPIVOT_REWRITE_RULES_H_
 #define GPIVOT_REWRITE_RULES_H_
 
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -154,6 +156,23 @@ ExprPtr ComboDisjunction(const PivotSpec& spec);
 
 // (IS NOT NULL c1) ∨ (IS NOT NULL c2) ∨ ... — the paper's "not all ⊥".
 ExprPtr NotAllNull(const std::vector<std::string>& columns);
+
+// One atom of a conjunctive condition: `column op literal`.
+struct ComparisonAtom {
+  std::string column;
+  CompareOp op;
+  Value literal;
+};
+
+// Decomposes `expr` into a conjunction of column-literal atoms (Eqs. 11
+// and 13); `literal op column` is mirrored into `column op' literal`.
+// nullopt for any other shape. Decide an atom on a known value with
+// EvalCompare(atom.op, value, atom.literal).
+std::optional<std::vector<ComparisonAtom>> DecomposeConjunction(
+    const ExprPtr& expr);
+
+// `names` as a hash set, for membership tests.
+std::unordered_set<std::string> ToSet(const std::vector<std::string>& names);
 
 }  // namespace gpivot::rewrite
 

@@ -9,67 +9,6 @@
 
 namespace gpivot::rewrite {
 
-namespace {
-
-std::unordered_set<std::string> ToSet(const std::vector<std::string>& names) {
-  return std::unordered_set<std::string>(names.begin(), names.end());
-}
-
-// Splits a conjunctive predicate into (column op literal) atoms, exactly as
-// in pushdown.cc but local to the GUNPIVOT rules.
-struct UnpivotAtom {
-  std::string column;
-  CompareOp op;
-  Value literal;
-};
-
-std::optional<std::vector<UnpivotAtom>> DecomposeConjunction(
-    const ExprPtr& expr) {
-  std::vector<UnpivotAtom> atoms;
-  std::vector<ExprPtr> pending = {expr};
-  while (!pending.empty()) {
-    ExprPtr e = pending.back();
-    pending.pop_back();
-    if (e->kind() == ExprKind::kBoolOp) {
-      const auto* b = static_cast<const BoolOpExpr*>(e.get());
-      if (b->op() != BoolOpKind::kAnd) return std::nullopt;
-      for (const ExprPtr& op : b->operands()) pending.push_back(op);
-      continue;
-    }
-    if (e->kind() != ExprKind::kComparison) return std::nullopt;
-    const auto* c = static_cast<const ComparisonExpr*>(e.get());
-    if (c->left()->kind() != ExprKind::kColumnRef ||
-        c->right()->kind() != ExprKind::kLiteral) {
-      return std::nullopt;
-    }
-    atoms.push_back(
-        {static_cast<const ColumnRefExpr*>(c->left().get())->name(), c->op(),
-         static_cast<const LiteralExpr*>(c->right().get())->value()});
-  }
-  return atoms;
-}
-
-bool EvalAtomStatic(const UnpivotAtom& atom, const Value& value) {
-  if (value.is_null() || atom.literal.is_null()) return false;
-  switch (atom.op) {
-    case CompareOp::kEq:
-      return value == atom.literal;
-    case CompareOp::kNe:
-      return value != atom.literal;
-    case CompareOp::kLt:
-      return value < atom.literal;
-    case CompareOp::kLe:
-      return value < atom.literal || value == atom.literal;
-    case CompareOp::kGt:
-      return atom.literal < value;
-    case CompareOp::kGe:
-      return atom.literal < value || value == atom.literal;
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<PlanPtr> PushSelectBelowUnpivot(const PlanPtr& plan) {
   if (plan == nullptr || plan->kind() != PlanKind::kSelect) {
     return Status::NotApplicable("needs σ(GUNPIVOT(H))");
@@ -111,10 +50,10 @@ Result<PlanPtr> PushSelectBelowUnpivot(const PlanPtr& plan) {
   }
   std::unordered_set<std::string> key_set = ToSet(key_names);
 
-  std::vector<UnpivotAtom> key_atoms;
-  std::vector<UnpivotAtom> name_atoms;
-  std::vector<UnpivotAtom> value_atoms;
-  for (const UnpivotAtom& atom : *atoms_opt) {
+  std::vector<ComparisonAtom> key_atoms;
+  std::vector<ComparisonAtom> name_atoms;
+  std::vector<ComparisonAtom> value_atoms;
+  for (const ComparisonAtom& atom : *atoms_opt) {
     if (key_set.count(atom.column) > 0) {
       key_atoms.push_back(atom);
     } else if (name_index.count(atom.column) > 0) {
@@ -135,8 +74,10 @@ Result<PlanPtr> PushSelectBelowUnpivot(const PlanPtr& plan) {
   std::vector<std::string> dropped_sources;
   for (const UnpivotGroup& group : spec.groups) {
     bool pass = true;
-    for (const UnpivotAtom& atom : name_atoms) {
-      if (!EvalAtomStatic(atom, group.combo[name_index.at(atom.column)])) {
+    for (const ComparisonAtom& atom : name_atoms) {
+      if (!ValueIsTrue(EvalCompare(
+              atom.op, group.combo[name_index.at(atom.column)],
+              atom.literal))) {
         pass = false;
         break;
       }
@@ -161,7 +102,7 @@ Result<PlanPtr> PushSelectBelowUnpivot(const PlanPtr& plan) {
   }
   if (!key_atoms.empty()) {
     std::vector<ExprPtr> conjuncts;
-    for (const UnpivotAtom& atom : key_atoms) {
+    for (const ComparisonAtom& atom : key_atoms) {
       conjuncts.push_back(
           Cmp(atom.op, Col(atom.column), Lit(atom.literal)));
     }
@@ -175,7 +116,7 @@ Result<PlanPtr> PushSelectBelowUnpivot(const PlanPtr& plan) {
     std::unordered_map<std::string, ExprPtr> replaced;
     for (const UnpivotGroup& group : new_spec.groups) {
       std::vector<ExprPtr> guard_conjuncts;
-      for (const UnpivotAtom& atom : value_atoms) {
+      for (const ComparisonAtom& atom : value_atoms) {
         size_t q = value_index.at(atom.column);
         guard_conjuncts.push_back(
             Cmp(atom.op, Col(group.source_columns[q]), Lit(atom.literal)));

@@ -25,6 +25,10 @@ obs::MetricsRegistry* RuntimeMetrics() {
 
 Result<std::shared_ptr<const Snapshot>> QueryService::AcquireChecked(
     const std::string& view, ReaderHandle* handle) const {
+  if (handle == nullptr) {
+    return Status::InvalidArgument(
+        "serve: queries need a registered ReaderHandle");
+  }
   std::shared_ptr<const Snapshot> snapshot = store_->Acquire(view, handle);
   if (snapshot == nullptr) {
     return Status::NotFound(StrCat("serve: no snapshot for view '", view,

@@ -27,6 +27,10 @@ namespace gpivot::serve {
 // it). Point the context at a per-reader local registry when counters must
 // stay deterministic — query counts per reader are workload-determined, but
 // which global shard they land in is not.
+//
+// Every query takes the caller's registered ReaderHandle
+// (SnapshotStore::RegisterReader); a null handle is an InvalidArgument
+// error.
 class QueryService {
  public:
   explicit QueryService(const SnapshotStore* store,

@@ -9,15 +9,10 @@
 
 namespace gpivot::serve {
 
-SnapshotStore::SnapshotStore(ivm::ViewManager* manager, ServeOptions options,
+SnapshotStore::SnapshotStore(ivm::ViewManager* manager,
                              obs::MetricsRegistry* metrics,
                              obs::EventLog* event_log)
-    : manager_(manager),
-      options_(options),
-      metrics_(metrics),
-      event_log_(event_log),
-      readers_(options.max_pinned_epochs == 0 ? 1 : options.max_pinned_epochs) {
-}
+    : manager_(manager), metrics_(metrics), event_log_(event_log) {}
 
 SnapshotStore::~SnapshotStore() { Detach(); }
 
@@ -88,8 +83,7 @@ Result<ReaderHandle*> SnapshotStore::RegisterReader() {
     }
   }
   return Status::InvalidArgument(
-      StrCat("serve: all ", readers_.size(),
-             " reader slots in use (ServeOptions::max_pinned_epochs)"));
+      StrCat("serve: all ", readers_.size(), " reader slots in use"));
 }
 
 void SnapshotStore::UnregisterReader(ReaderHandle* handle) {
@@ -101,10 +95,10 @@ void SnapshotStore::UnregisterReader(ReaderHandle* handle) {
 
 std::shared_ptr<const Snapshot> SnapshotStore::Acquire(
     const std::string& view, ReaderHandle* handle) const {
+  if (handle == nullptr) return nullptr;
   auto it = slots_.find(view);
   if (it == slots_.end()) return nullptr;
   const ViewSlot& slot = it->second;
-  if (handle == nullptr) return AcquireSlow(slot);
 
   const Snapshot* p = nullptr;
   do {
@@ -120,20 +114,6 @@ std::shared_ptr<const Snapshot> SnapshotStore::Acquire(
     metrics_->AddCounter("serve.acquire.fast");
   }
   return owned;
-}
-
-std::shared_ptr<const Snapshot> SnapshotStore::AcquireSlow(
-    const ViewSlot& slot) const {
-  // Holding retire_mu_ excludes the writer's strong-reference drops, so
-  // the head's control block cannot die mid-upgrade. Correct but lock-ful;
-  // serve.read.locks existing is how the bench proves its readers never
-  // came through here.
-  std::lock_guard<std::mutex> lock(retire_mu_);
-  if (metrics_ != nullptr && metrics_->enabled()) {
-    metrics_->AddCounter("serve.read.locks");
-  }
-  const Snapshot* p = slot.head.load(std::memory_order_seq_cst);
-  return p == nullptr ? nullptr : p->shared_from_this();
 }
 
 void SnapshotStore::OnEpochCommitted(const ivm::EpochRecord& record) {
@@ -240,13 +220,6 @@ std::vector<SnapshotStore::Retired> SnapshotStore::ReleaseUnprotectedLocked() {
 size_t SnapshotStore::retired_count() const {
   std::lock_guard<std::mutex> lock(retire_mu_);
   return retired_.size();
-}
-
-std::vector<std::string> SnapshotStore::view_names() const {
-  std::vector<std::string> names;
-  names.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) names.push_back(name);
-  return names;
 }
 
 }  // namespace gpivot::serve

@@ -1,6 +1,7 @@
 #ifndef GPIVOT_SERVE_SNAPSHOT_H_
 #define GPIVOT_SERVE_SNAPSHOT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -18,15 +19,6 @@
 #include "util/result.h"
 
 namespace gpivot::serve {
-
-// Serving-layer configuration. max_pinned_epochs sizes the reader slot
-// array: each registered reader holds one hazard slot and can pin at most
-// one retired version per view at a time, so it doubles as the bound on how
-// many superseded epoch versions can stay live after the store has moved
-// on.
-struct ServeOptions {
-  size_t max_pinned_epochs = 8;
-};
 
 // One immutable version of one view: the epoch sequence number it was
 // committed at plus shared handles to the view's table and key index at
@@ -104,10 +96,16 @@ struct alignas(64) ReaderHandle {
 // keep the version alive past that point, bounded by the slot count.
 class SnapshotStore : public ivm::EpochCommitHook {
  public:
+  // Reader slots: each registered reader holds one hazard slot and can pin
+  // at most one retired version per view at a time, so this is also the
+  // bound on how many superseded epoch versions can stay live after the
+  // store has moved on.
+  static constexpr size_t kReaderSlots = 8;
+
   // `manager`, `metrics`, and `event_log` must outlive the store.
   // Pass the same event log the manager writes epoch records to and the
   // serve install/retire lines interleave with them in commit order.
-  explicit SnapshotStore(ivm::ViewManager* manager, ServeOptions options = {},
+  explicit SnapshotStore(ivm::ViewManager* manager,
                          obs::MetricsRegistry* metrics = nullptr,
                          obs::EventLog* event_log = nullptr);
   ~SnapshotStore() override;
@@ -125,17 +123,14 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // destructor.
   void Detach();
 
-  // Claims a free reader slot. Fails when all slots are in use
-  // (max_pinned_epochs readers are already registered).
+  // Claims a free reader slot. Fails when all kReaderSlots slots are in
+  // use.
   Result<ReaderHandle*> RegisterReader();
   void UnregisterReader(ReaderHandle* handle);
 
-  // Returns the last committed snapshot of `view`, or nullptr for an
-  // unknown view. With a registered handle this is the lock-free fast
-  // path described above. With handle == nullptr it falls back to
-  // serializing against the writer's retire scan on a mutex and counts
-  // serve.read.locks — obs_determinism_test asserts a registered reader
-  // leaves that counter at zero.
+  // Returns the last committed snapshot of `view` through the lock-free
+  // handshake described above, or nullptr for an unknown view or a null
+  // `handle` (every read goes through a registered reader slot).
   std::shared_ptr<const Snapshot> Acquire(const std::string& view,
                                           ReaderHandle* handle) const;
 
@@ -156,8 +151,6 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // Number of superseded versions the store still holds a reference to
   // (hazard-protected at the last scan).
   size_t retired_count() const;
-
-  std::vector<std::string> view_names() const;
 
  private:
   struct ViewSlot {
@@ -185,10 +178,8 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // store's references outside retire_mu_.
   std::vector<Retired> ReleaseUnprotectedLocked();
   std::string RuntimeSectionJson() const;
-  std::shared_ptr<const Snapshot> AcquireSlow(const ViewSlot& slot) const;
 
   ivm::ViewManager* manager_;
-  ServeOptions options_;
   obs::MetricsRegistry* metrics_;
   obs::EventLog* event_log_;
 
@@ -199,11 +190,10 @@ class SnapshotStore : public ivm::EpochCommitHook {
 
   // Guards slot registration only — never touched by Acquire.
   mutable std::mutex readers_mu_;
-  std::vector<ReaderHandle> readers_;
+  std::array<ReaderHandle, kReaderSlots> readers_;
 
-  // Guards strong_head swaps and the retired list. Writer-side (install /
-  // retire scan) plus the handle-less Acquire slow path; the fast path
-  // never takes it.
+  // Guards strong_head swaps and the retired list. Writer-side only
+  // (install / retire scan); Acquire never takes it.
   mutable std::mutex retire_mu_;
   std::vector<Retired> retired_;
   // Monotonicity guard for out-of-order commit notifications (under

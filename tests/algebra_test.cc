@@ -34,6 +34,13 @@ class AlgebraTest : public ::testing::Test {
   Catalog catalog_;
 };
 
+TEST_F(AlgebraTest, EvaluateNullPlanIsInvalidArgument) {
+  Result<Table> result = Evaluate(nullptr, catalog_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
 TEST_F(AlgebraTest, ScanCapturesSchemaAndKey) {
   ASSERT_OK_AND_ASSIGN(PlanPtr scan, MakeScan(catalog_, "fact"));
   ASSERT_OK_AND_ASSIGN(Schema schema, scan->OutputSchema());

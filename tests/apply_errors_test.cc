@@ -336,10 +336,11 @@ TEST_P(EpochFaultSweepTest, AnyFailureAfterARecycleRollsBackExactly) {
   };
   EXPECT_EQ(recycles(), 0u);
 
+  ASSERT_OK_AND_ASSIGN(serve::ReaderHandle * reader, store.RegisterReader());
   auto expect_heads_match_views = [&]() {
     for (const char* name : {"v1", "v2", "v3"}) {
       std::shared_ptr<const serve::Snapshot> head =
-          store.Acquire(name, nullptr);
+          store.Acquire(name, reader);
       ASSERT_NE(head, nullptr);
       EXPECT_EQ(head->table().rows(),
                 manager.GetView(name).value()->table().rows())
@@ -359,6 +360,7 @@ TEST_P(EpochFaultSweepTest, AnyFailureAfterARecycleRollsBackExactly) {
       tpch::MakeLineitemDeletes(manager.catalog(), 0.02, 9).value()));
   ASSERT_OK(manager.Audit());
   expect_heads_match_views();
+  store.UnregisterReader(reader);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, EpochFaultSweepTest,

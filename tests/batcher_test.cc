@@ -358,20 +358,6 @@ TEST(DeltaBatcherTest, AutoFlushOnMaxBatches) {
   ASSERT_OK(manager.Audit());
 }
 
-TEST(DeltaBatcherTest, AutoFlushOnMaxNetRows) {
-  ViewManager manager = MakePivotManager();
-  BatcherOptions options;
-  options.max_net_rows = 2;
-  DeltaBatcher batcher(&manager, options);
-  Delta b1 = ItemsDelta(manager);
-  b1.inserts.AddRow({I(2), S("Type"), S("DVD")});
-  b1.inserts.AddRow({I(3), S("Manu"), S("JVC")});
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b1))));  // 2 net rows: flush
-  EXPECT_EQ(batcher.pending_net_rows(), 0u);
-  EXPECT_EQ(batcher.stats().flushes, 1u);
-  ASSERT_OK(manager.Audit());
-}
-
 TEST(DeltaBatcherTest, FailedFlushRollsBackAndKeepsQueue) {
   ViewManager manager = MakePivotManager();
   DeltaBatcher batcher(&manager);
@@ -401,25 +387,21 @@ TEST(DeltaBatcherTest, FailedFlushRollsBackAndKeepsQueue) {
   ASSERT_OK(manager.Audit());
 }
 
-TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountTowardMaxNetRows) {
-  // Pin the net-row accounting: the max_net_rows auto-flush trigger
-  // compares against the *net* pending delta, so rows that fully cancel
-  // inside the queue must not count — a hot key churning under the
-  // threshold never forces a flush.
+TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountAsPendingNetRows) {
+  // Pin the net-row accounting: pending_net_rows() (and the
+  // ivm.batcher.pending_net_rows gauge it feeds) counts the *net* pending
+  // delta, so rows that fully cancel inside the queue must not count.
   ViewManager manager = MakePivotManager();
-  BatcherOptions options;
-  options.max_net_rows = 3;
-  DeltaBatcher batcher(&manager, options);
+  DeltaBatcher batcher(&manager);
   Delta b1 = ItemsDelta(manager);
   b1.inserts.AddRow({I(2), S("Type"), S("DVD")});
-  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b1))));  // net 1: no flush
-  EXPECT_EQ(batcher.stats().flushes, 0u);
+  ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b1))));
+  EXPECT_EQ(batcher.pending_net_rows(), 1u);
   Delta b2 = ItemsDelta(manager);
   b2.deletes.AddRow({I(2), S("Type"), S("DVD")});
   b2.inserts.AddRow({I(2), S("Type"), S("VCR")});
   ASSERT_OK(batcher.Ingest(ItemsBatch(std::move(b2))));
-  // Gross ingest is 3 rows — at the trigger if the accounting were gross —
-  // but the DVD pair cancelled, so the net is 1 and nothing flushes.
+  // Gross ingest is 3 rows, but the DVD pair cancelled, so the net is 1.
   EXPECT_EQ(batcher.pending_net_rows(), 1u);
   EXPECT_EQ(batcher.stats().flushes, 0u);
   ASSERT_OK(batcher.Flush());

@@ -137,8 +137,6 @@ TEST_P(IndexProbePropertyTest, IndexJoinMatchesHashJoin) {
           EXPECT_EQ(p["exec.join.build_rows"], 0u);
           EXPECT_EQ(p["exec.join.probe_rows"], probe.num_rows());
           EXPECT_EQ(p["exec.join.rows_out"], h["exec.join.rows_out"]);
-          EXPECT_EQ(p["exec.join.bytes_allocated"],
-                    h["exec.join.bytes_allocated"]);
         }
       }
     }

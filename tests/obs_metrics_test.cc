@@ -219,18 +219,15 @@ TEST(MetricsSnapshotTest, PrometheusExposition) {
   EXPECT_EQ(registry.Snapshot().counters.count("exec.join.calls"), 1u);
 }
 
-TEST(MetricsRegistryTest, GaugesSetAddAndLastWriteWins) {
+TEST(MetricsRegistryTest, GaugesLastWriteWins) {
   MetricsRegistry registry;
   registry.set_enabled(true);
   registry.SetGauge("queue.depth", 5.0);
   registry.SetGauge("queue.depth", 3.0);  // last write wins
-  registry.AddGauge("water.level", 2.0);
-  registry.AddGauge("water.level", -0.5);
   registry.SetGauge("view.seq", "view", "v1", 7.0);
   registry.SetGauge("view.seq", "view", "v2", 9.0);
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.gauges.at("queue.depth").at({"", ""}), 3.0);
-  EXPECT_EQ(snapshot.gauges.at("water.level").at({"", ""}), 1.5);
   EXPECT_EQ(snapshot.gauges.at("view.seq").at({"view", "v1"}), 7.0);
   EXPECT_EQ(snapshot.gauges.at("view.seq").at({"view", "v2"}), 9.0);
 
@@ -241,7 +238,6 @@ TEST(MetricsRegistryTest, GaugesSetAddAndLastWriteWins) {
 TEST(MetricsRegistryTest, DisabledRegistryIgnoresGauges) {
   MetricsRegistry registry;
   registry.SetGauge("g", 1.0);
-  registry.AddGauge("g", 1.0);
   registry.SetGauge("g", "k", "v", 1.0);
   EXPECT_TRUE(registry.Snapshot().gauges.empty());
 }
@@ -301,22 +297,6 @@ TEST(MetricsSnapshotTest, GaugesSectionOnlyRendersWhenPresent) {
             std::string::npos);
 }
 
-TEST(MetricsSnapshotTest, MergeFromAddsCountersAndOverwritesGauges) {
-  MetricsSnapshot a;
-  a.counters["c"] = 3;
-  a.gauges["g"][{"", ""}] = 1.0;
-  a.histograms["h"].Record(2.0);
-  MetricsSnapshot b;
-  b.counters["c"] = 4;
-  b.counters["d"] = 1;
-  b.gauges["g"][{"", ""}] = 9.0;
-  b.histograms["h"].Record(8.0);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.counters.at("c"), 7u);
-  EXPECT_EQ(a.counters.at("d"), 1u);
-  EXPECT_EQ(a.gauges.at("g").at({"", ""}), 9.0);  // last write wins
-  EXPECT_EQ(a.histograms.at("h").count, 2u);
-}
 
 TEST(HistogramQuantileTest, EdgeCounts) {
   // count == 0: every quantile is 0.

@@ -1,8 +1,6 @@
-// RuntimeRegistry / WindowedRates contract tests: sliding-window rate math
-// (including ring wraparound and the empty-window cases), the stuck-epoch
-// watchdog's once-per-episode counter, the epoch record ring's capacity,
-// and JSON section registration. WindowedRates takes caller-supplied
-// timestamps, so everything here is deterministic.
+// RuntimeRegistry contract tests: the stuck-epoch watchdog's
+// once-per-episode counter, the epoch record ring's capacity, and JSON
+// section registration.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,99 +14,8 @@ namespace gpivot {
 namespace {
 
 using obs::IsValidJson;
-using obs::MetricsSnapshot;
 using obs::RuntimeRegistry;
 using obs::StuckEpochInfo;
-using obs::WindowedRates;
-
-MetricsSnapshot SnapshotWith(uint64_t ops, uint64_t epochs) {
-  MetricsSnapshot s;
-  s.counters["serve.query.ops"] = ops;
-  s.counters["ivm.epoch.resolved"] = epochs;
-  return s;
-}
-
-TEST(WindowedRatesTest, EmptyAndSingleSampleYieldZeroRates) {
-  WindowedRates rates(4);
-  EXPECT_EQ(rates.size(), 0u);
-  EXPECT_EQ(rates.WindowSeconds(), 0.0);
-  EXPECT_EQ(rates.CounterRate("serve.query.ops"), 0.0);
-  EXPECT_EQ(rates.WindowQuantileMs("serve.query.ms", 0.99), 0.0);
-
-  rates.Push(100.0, SnapshotWith(10, 1));
-  EXPECT_EQ(rates.size(), 1u);
-  EXPECT_EQ(rates.WindowSeconds(), 0.0);
-  EXPECT_EQ(rates.CounterRate("serve.query.ops"), 0.0);
-}
-
-TEST(WindowedRatesTest, BasicCounterRate) {
-  WindowedRates rates(4);
-  rates.Push(100.0, SnapshotWith(10, 2));
-  rates.Push(110.0, SnapshotWith(60, 7));
-  EXPECT_EQ(rates.WindowSeconds(), 10.0);
-  EXPECT_DOUBLE_EQ(rates.CounterRate("serve.query.ops"), 5.0);
-  EXPECT_DOUBLE_EQ(rates.CounterRate("ivm.epoch.resolved"), 0.5);
-  // A counter absent from both ends rates as 0.
-  EXPECT_EQ(rates.CounterRate("no.such.counter"), 0.0);
-}
-
-TEST(WindowedRatesTest, CounterAppearingMidWindowCountsFromZero) {
-  WindowedRates rates(4);
-  rates.Push(0.0, MetricsSnapshot{});
-  MetricsSnapshot later;
-  later.counters["serve.query.ops"] = 20;
-  rates.Push(4.0, later);
-  EXPECT_DOUBLE_EQ(rates.CounterRate("serve.query.ops"), 5.0);
-}
-
-TEST(WindowedRatesTest, WraparoundEvictsOldestSamples) {
-  WindowedRates rates(3);
-  rates.Push(0.0, SnapshotWith(0, 0));
-  rates.Push(10.0, SnapshotWith(100, 0));
-  rates.Push(20.0, SnapshotWith(200, 0));
-  EXPECT_EQ(rates.size(), 3u);
-  // Push a 4th: the t=0 sample falls out, window becomes [10, 30].
-  rates.Push(30.0, SnapshotWith(500, 0));
-  EXPECT_EQ(rates.size(), 3u);
-  EXPECT_EQ(rates.WindowSeconds(), 20.0);
-  EXPECT_DOUBLE_EQ(rates.CounterRate("serve.query.ops"), (500.0 - 100.0) / 20.0);
-  // Keep pushing well past capacity: still exactly `capacity` retained.
-  for (int i = 0; i < 10; ++i) {
-    rates.Push(40.0 + i, SnapshotWith(500 + 10 * i, 0));
-  }
-  EXPECT_EQ(rates.size(), 3u);
-  EXPECT_EQ(rates.capacity(), 3u);
-  EXPECT_EQ(rates.WindowSeconds(), 2.0);
-}
-
-TEST(WindowedRatesTest, CounterResetYieldsZeroNotNegative) {
-  WindowedRates rates(4);
-  rates.Push(0.0, SnapshotWith(100, 0));
-  rates.Push(10.0, SnapshotWith(5, 0));  // process restarted mid-window
-  EXPECT_EQ(rates.CounterRate("serve.query.ops"), 0.0);
-}
-
-TEST(WindowedRatesTest, HistogramCountRateAndWindowQuantile) {
-  MetricsSnapshot oldest;
-  oldest.histograms["serve.query.ms"].Record(1.0);
-  oldest.histograms["serve.query.ms"].Record(1.0);
-
-  MetricsSnapshot newest = oldest;
-  // 8 more events land inside the window, all ~16ms.
-  for (int i = 0; i < 8; ++i) newest.histograms["serve.query.ms"].Record(16.0);
-
-  WindowedRates rates(4);
-  rates.Push(100.0, oldest);
-  rates.Push(104.0, newest);
-  EXPECT_DOUBLE_EQ(rates.HistogramCountRate("serve.query.ms"), 2.0);
-
-  // The two 1ms events predate the window; the window-p50 must sit in the
-  // 16ms bucket, not get dragged down toward 1ms.
-  double p50 = rates.WindowQuantileMs("serve.query.ms", 0.5);
-  EXPECT_GE(p50, 16.0);
-  EXPECT_LE(p50, 32.0);
-  EXPECT_EQ(rates.WindowQuantileMs("absent", 0.5), 0.0);
-}
 
 TEST(RuntimeRegistryTest, DisabledByDefaultAndResettable) {
   RuntimeRegistry& runtime = RuntimeRegistry::Global();

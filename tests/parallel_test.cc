@@ -84,6 +84,21 @@ TEST(GPivotParallelTest, MorePartitionsThanRows) {
   EXPECT_EQ(result.num_rows(), 1u);
 }
 
+TEST(GPivotParallelTest, ZeroPartitionsIsInvalidArgument) {
+  Table t = MakeTable({{"k", DataType::kInt64},
+                       {"a", DataType::kString},
+                       {"b", DataType::kInt64}},
+                      {{I(1), S("x"), I(10)}});
+  PivotSpec spec;
+  spec.pivot_by = {"a"};
+  spec.pivot_on = {"b"};
+  spec.combos = {{S("x")}};
+  Result<Table> result = GPivotParallel(t, spec, 0);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
 TEST(MergeTest, DetectsDuplicateGroupAcrossPartitions) {
   PivotSpec spec;
   spec.pivot_by = {"a"};

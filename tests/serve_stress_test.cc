@@ -36,7 +36,6 @@ using ivm::SourceDeltas;
 using ivm::ViewManager;
 using serve::QueryService;
 using serve::ReaderHandle;
-using serve::ServeOptions;
 using serve::Snapshot;
 using serve::SnapshotStore;
 using testing::I;
@@ -201,9 +200,7 @@ TEST(ServeStressTest, ReadersSeeOnlyCommittedEpochsUnderChurn) {
   ASSERT_GE(expected.by_seq.size(), 4u);
 
   ViewManager manager = MakePivotManager();
-  ServeOptions options;
-  options.max_pinned_epochs = kReaders + 1;
-  SnapshotStore store(&manager, options);
+  SnapshotStore store(&manager);
   ASSERT_OK(store.Attach());
 
   std::atomic<bool> done{false};
@@ -270,44 +267,6 @@ TEST(ServeStressTest, ReadersSeeOnlyCommittedEpochsUnderChurn) {
   EXPECT_EQ(store.retired_count(), 0u);
 }
 
-TEST(ServeStressTest, HandleLessReadersShareLockedPathWithWriter) {
-  // The slow path serializes on the writer's retire mutex; run it
-  // concurrently with installs to give TSan a look at that pairing too.
-  ViewManager manager = MakePivotManager();
-  obs::MetricsRegistry metrics;
-  metrics.set_enabled(true);
-  SnapshotStore store(&manager, ServeOptions{}, &metrics);
-  ASSERT_OK(store.Attach());
-
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> bad{0};
-  std::atomic<uint64_t> reads{0};
-  std::thread reader([&]() {
-    while (!done.load(std::memory_order_acquire)) {
-      std::shared_ptr<const Snapshot> snapshot = store.Acquire("v", nullptr);
-      if (snapshot == nullptr || snapshot->table().empty()) {
-        bad.fetch_add(1);
-      }
-      reads.fetch_add(1, std::memory_order_release);
-    }
-  });
-
-  for (size_t i = 0; i < kEpochSchedule; ++i) {
-    if (StepAt(i) != StepKind::kCommit) continue;
-    // Pace so each install overlaps live slow-path reads.
-    uint64_t mark = reads.load(std::memory_order_acquire);
-    ASSERT_OK(manager.ApplyUpdate(ChurnDelta(manager, i)));
-    while (reads.load(std::memory_order_acquire) < mark + 2) {
-      std::this_thread::yield();
-    }
-  }
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(metrics.Snapshot().counters.at("serve.read.locks"), 0u);
-}
-
 TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
   // The hook contract allows OnEpochCommitted to arrive from several
   // threads in any order. Hammer the hook concurrently with interleaved
@@ -318,9 +277,7 @@ TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
   ViewManager manager = MakePivotManager();
   obs::MetricsRegistry metrics;
   metrics.set_enabled(true);
-  ServeOptions options;
-  options.max_pinned_epochs = kReaders + 1;
-  SnapshotStore store(&manager, options, &metrics);
+  SnapshotStore store(&manager, &metrics);
   ASSERT_OK(store.Attach());
 
   // Advance the manager once so installed snapshots carry real state; the
@@ -515,9 +472,7 @@ TEST(ServeStressTest, SnapshotsHeldAcrossEpochsSurviveRecycling) {
   ASSERT_GE(expected.size(), 200u);
 
   ViewManager manager = MakePivotManager();
-  ServeOptions options;
-  options.max_pinned_epochs = kReaders + 1;
-  SnapshotStore store(&manager, options);
+  SnapshotStore store(&manager);
   ASSERT_OK(store.Attach());
   std::vector<ReaderHandle*> handles;
   for (size_t r = 0; r < kReaders; ++r) {

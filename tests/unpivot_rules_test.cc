@@ -129,6 +129,34 @@ TEST_F(UnpivotRuleTest, Eq13CombinedNameAndValueCondition) {
   }
 }
 
+TEST_F(UnpivotRuleTest, Eq13MirroredLiteralFirstAtomsArePushed) {
+  // `literal op column` is the same atom as `column op' literal`: 400 < b1
+  // reads as b1 > 400 and "v1" = a1 as a1 = "v1", so σ(400 < b1) pushes
+  // below GUNPIVOT exactly like σ(b1 > 400).
+  Rng rng(1306);
+  for (int trial = 0; trial < 5; ++trial) {
+    PlanPtr h = FreshPivotedScan(1, 2, &rng);
+    PlanPtr unpivot = MakeGUnpivot(h, Inverse());
+    PlanPtr value_select =
+        MakeSelect(unpivot, Lt(Lit(int64_t{400}), Col("b1")));
+    ASSERT_OK_AND_ASSIGN(PlanPtr value_pushed,
+                         rewrite::PushSelectBelowUnpivot(value_select));
+    EXPECT_EQ(value_pushed->kind(), PlanKind::kGUnpivot);
+    ExpectEquivalent(value_select, value_pushed);
+
+    PlanPtr combined_select = MakeSelect(
+        unpivot, And(Eq(Lit("v1"), Col("a1")),
+                     Ge(Lit(int64_t{600}), Col("b2"))));
+    ASSERT_OK_AND_ASSIGN(PlanPtr combined_pushed,
+                         rewrite::PushSelectBelowUnpivot(combined_select));
+    EXPECT_EQ(static_cast<const GUnpivotNode*>(combined_pushed.get())
+                  ->spec()
+                  .groups.size(),
+              1u);
+    ExpectEquivalent(combined_select, combined_pushed);
+  }
+}
+
 TEST_F(UnpivotRuleTest, Eq13UnsatisfiableNameConditionIsEmpty) {
   Rng rng(1305);
   PlanPtr h = FreshPivotedScan(1, 1, &rng);
