@@ -43,6 +43,72 @@ TEST_F(ExprTest, NullComparisonsYieldNull) {
   EXPECT_FALSE(ValueIsTrue(Value::Null()));
 }
 
+constexpr CompareOp kAllCompareOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                        CompareOp::kLt, CompareOp::kLe,
+                                        CompareOp::kGt, CompareOp::kGe};
+
+// Same-kind operands (plus NULL) for each comparable value kind.
+struct ComparableGroup {
+  DataType type;
+  std::vector<Value> values;
+};
+
+const std::vector<ComparableGroup>& ComparableGroups() {
+  static const std::vector<ComparableGroup> groups = {
+      {DataType::kInt64, {I(-3), I(1), I(2), N()}},
+      {DataType::kDouble, {D(-0.5), D(1.5), D(2.5), N()}},
+      {DataType::kString, {S(""), S("a"), S("ab"), S("b"), N()}}};
+  return groups;
+}
+
+void ExpectSameThreeValued(const Value& expected, const Value& actual) {
+  if (expected.is_null()) {
+    EXPECT_TRUE(actual.is_null()) << actual.ToString();
+  } else {
+    EXPECT_EQ(expected, actual);
+  }
+}
+
+TEST_F(ExprTest, MirrorCompareOpSwapsOperandOrder) {
+  // `x op y` and `y mirror(op) x` are the same three-valued predicate, and
+  // mirroring twice is the identity: the rewrite rules rely on both when
+  // they normalize `literal op column` atoms.
+  EXPECT_EQ(MirrorCompareOp(CompareOp::kLt), CompareOp::kGt);
+  EXPECT_EQ(MirrorCompareOp(CompareOp::kLe), CompareOp::kGe);
+  EXPECT_EQ(MirrorCompareOp(CompareOp::kEq), CompareOp::kEq);
+  EXPECT_EQ(MirrorCompareOp(CompareOp::kNe), CompareOp::kNe);
+  for (CompareOp op : kAllCompareOps) {
+    EXPECT_EQ(MirrorCompareOp(MirrorCompareOp(op)), op);
+    for (const ComparableGroup& group : ComparableGroups()) {
+      for (const Value& x : group.values) {
+        for (const Value& y : group.values) {
+          SCOPED_TRACE(x.ToString() + " vs " + y.ToString());
+          ExpectSameThreeValued(EvalCompare(op, x, y),
+                                EvalCompare(MirrorCompareOp(op), y, x));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ExprTest, EvalCompareMatchesCompiledComparison) {
+  // The rewrite rules decide atoms statically with EvalCompare; that is
+  // only sound if it agrees with what the compiled plan computes per row.
+  for (const ComparableGroup& group : ComparableGroups()) {
+    Schema schema{{"x", group.type}, {"y", group.type}};
+    for (CompareOp op : kAllCompareOps) {
+      ASSERT_OK_AND_ASSIGN(CompiledExpr compiled,
+                           CompileExpr(Cmp(op, Col("x"), Col("y")), schema));
+      for (const Value& x : group.values) {
+        for (const Value& y : group.values) {
+          SCOPED_TRACE(x.ToString() + " vs " + y.ToString());
+          ExpectSameThreeValued(compiled({x, y}), EvalCompare(op, x, y));
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ExprTest, ThreeValuedAnd) {
   ExprPtr e = And(Eq(Col("a"), Lit(int64_t{1})), Eq(Col("b"), Lit(int64_t{2})));
   EXPECT_EQ(Eval(e, {I(1), I(2), S("")}), I(1));

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "algebra/plan.h"
 #include "core/gpivot.h"
 #include "test_util.h"
@@ -598,6 +601,71 @@ TEST_F(RuleTest, Eq11KeyConditionCommutesUnchanged) {
   EXPECT_EQ(static_cast<const SelectNode*>(pushed.get())->child()->kind(),
             PlanKind::kGPivot);
   ExpectEquivalent(pivot, pushed);
+}
+
+TEST_F(RuleTest, Eq11MirroredLiteralFirstAtomsArePushed) {
+  // `literal op column` is the same atom as `column op' literal`: "v1" = a1
+  // is decided per combo like a1 = "v1", and 200 < b2 guards the cells
+  // like b2 > 200.
+  Rng rng(1105);
+  for (int trial = 0; trial < 5; ++trial) {
+    PlanPtr scan = FreshScan(1, 2, &rng);
+    PlanPtr select = MakeSelect(
+        scan, And(Eq(Lit("v1"), Col("a1")), Lt(Lit(int64_t{200}), Col("b2"))));
+    PlanPtr pivot = MakeGPivot(select, MakePivot(1, 2));
+    ASSERT_OK_AND_ASSIGN(PlanPtr pushed,
+                         rewrite::PushPivotBelowSelect(pivot));
+    EXPECT_EQ(pushed->kind(), PlanKind::kSelect);
+    ExpectEquivalent(pivot, pushed);
+
+    PlanPtr key_select = MakeSelect(scan, Ge(Lit(int64_t{6}), Col("k")));
+    PlanPtr key_pivot = MakeGPivot(key_select, MakePivot(1, 2));
+    ASSERT_OK_AND_ASSIGN(PlanPtr key_pushed,
+                         rewrite::PushPivotBelowSelect(key_pivot));
+    ExpectEquivalent(key_pivot, key_pushed);
+  }
+}
+
+TEST_F(RuleTest, DecomposeConjunctionMirrorsLiteralFirstAtoms) {
+  ExprPtr predicate = And({Lt(Lit(int64_t{5}), Col("x")),
+                           Eq(Col("y"), Lit("a")),
+                           Ge(Lit(2.5), Col("z"))});
+  auto atoms = rewrite::DecomposeConjunction(predicate);
+  ASSERT_TRUE(atoms.has_value());
+  ASSERT_EQ(atoms->size(), 3u);
+  std::map<std::string, const rewrite::ComparisonAtom*> by_column;
+  for (const rewrite::ComparisonAtom& atom : *atoms) {
+    by_column[atom.column] = &atom;
+  }
+  ASSERT_EQ(by_column.size(), 3u);
+  EXPECT_EQ(by_column.at("x")->op, CompareOp::kGt);  // 5 < x  ==  x > 5
+  EXPECT_EQ(by_column.at("x")->literal, I(5));
+  EXPECT_EQ(by_column.at("y")->op, CompareOp::kEq);
+  EXPECT_EQ(by_column.at("y")->literal, S("a"));
+  EXPECT_EQ(by_column.at("z")->op, CompareOp::kLe);  // 2.5 >= z  ==  z <= 2.5
+  EXPECT_EQ(by_column.at("z")->literal, Value::Real(2.5));
+
+  // A single atom needs no AND around it.
+  auto single = rewrite::DecomposeConjunction(Ne(Lit("b"), Col("y")));
+  ASSERT_TRUE(single.has_value());
+  ASSERT_EQ(single->size(), 1u);
+  EXPECT_EQ((*single)[0].column, "y");
+  EXPECT_EQ((*single)[0].op, CompareOp::kNe);
+}
+
+TEST_F(RuleTest, DecomposeConjunctionRejectsOtherShapes) {
+  // Anything but an AND of column-literal comparisons is out of Eqs. 11
+  // and 13's reach, even when only one conjunct is off.
+  ExprPtr atom = Gt(Col("x"), Lit(int64_t{5}));
+  for (const ExprPtr& predicate :
+       {Or(atom, Eq(Col("y"), Lit("a"))), Lt(Col("x"), Col("y")),
+        Eq(Lit(int64_t{1}), Lit(int64_t{1})), Not(atom), IsNull(Col("x")),
+        Gt(Add(Col("x"), Lit(int64_t{1})), Lit(int64_t{5})),
+        And(atom, Lt(Col("x"), Col("y"))),
+        And(atom, Or(atom, Eq(Col("y"), Lit("a"))))}) {
+    EXPECT_FALSE(rewrite::DecomposeConjunction(predicate).has_value())
+        << predicate->ToString();
+  }
 }
 
 // ---- Eq. 12: pivot-of-unpivot cancels ---------------------------------------
