@@ -15,7 +15,6 @@
 #include <unistd.h>  // environ
 
 #include "ivm/view_manager.h"
-#include "obs/admin.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -58,7 +57,6 @@ constexpr const char* kKnownEnvVars[] = {
     "GPIVOT_BENCH_JSON_DIR", "GPIVOT_METRICS",     "GPIVOT_TRACE_DIR",
     "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
     "GPIVOT_WAL_DIR",
-    "GPIVOT_ADMIN_PORT",    "GPIVOT_ADMIN_STUCK_EPOCH_MS",
 };
 
 using BenchRecord = FigureRecord;
@@ -111,18 +109,6 @@ void ValidateBenchEnv() {
                    wal_dir.c_str());
       std::exit(2);
     }
-  }
-  // Start the admin endpoint (GPIVOT_ADMIN_PORT) before any workload runs
-  // so /healthz answers during data generation too. Same strictness: a
-  // garbled port or a failed bind is exit 2, not a silent no-admin run.
-  Result<obs::AdminServer*> admin = obs::AdminServerFromEnv();
-  if (!admin.ok()) {
-    std::fprintf(stderr, "bench: %s\n", admin.status().ToString().c_str());
-    std::exit(2);
-  }
-  if (*admin != nullptr) {
-    std::fprintf(stderr, "bench: admin endpoint on 127.0.0.1:%d\n",
-                 (*admin)->port());
   }
 }
 

@@ -5,18 +5,20 @@
 
 #include "core/gpivot.h"
 #include "obs/trace.h"
-#include "util/check.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace gpivot {
 
-std::vector<Table> PartitionRows(const Table& input, size_t num_partitions) {
-  GPIVOT_CHECK(num_partitions > 0) << "need at least one partition";
+Result<std::vector<Table>> PartitionRows(const Table& input,
+                                         size_t num_partitions) {
+  if (num_partitions == 0) {
+    return Status::InvalidArgument(
+        "PartitionRows needs at least one partition");
+  }
   std::vector<Table> partitions(num_partitions, Table(input.schema()));
   for (Table& p : partitions) {
-    Status st = p.SetKey(input.key());
-    GPIVOT_CHECK(st.ok()) << st.ToString();
+    GPIVOT_RETURN_NOT_OK(p.SetKey(input.key()));
     p.mutable_rows().reserve(input.num_rows() / num_partitions + 1);
   }
   for (size_t i = 0; i < input.num_rows(); ++i) {
@@ -82,10 +84,8 @@ Result<Table> MergePivotedPartials(const std::vector<Table>& partials,
 
 Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
                              size_t num_partitions, const ExecContext& ctx) {
-  if (num_partitions == 0) {
-    return Status::InvalidArgument(
-        "GPivotParallel needs at least one partition");
-  }
+  GPIVOT_ASSIGN_OR_RETURN(std::vector<Table> partitions,
+                          PartitionRows(input, num_partitions));
   // No cost fields: the per-partition GPivot calls charge the node.
   obs::ScopedSpan span(ctx, "GPivotParallel", "core.gpivot_parallel",
                        "core.gpivot_parallel.ms");
@@ -95,7 +95,6 @@ Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
   GPIVOT_RETURN_NOT_OK(spec.Validate(input.schema()));
   GPIVOT_ASSIGN_OR_RETURN(Schema output_schema,
                           spec.OutputSchema(input.schema()));
-  std::vector<Table> partitions = PartitionRows(input, num_partitions);
   // Local pivots are independent; run them on the pool. Result<Table> has
   // no default state, so slots are optionals filled exactly once each.
   // The per-partition calls keep ctx's metrics (partition contents — and so

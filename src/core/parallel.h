@@ -20,8 +20,10 @@ namespace gpivot {
 // partition carries any given (K, combo)).
 
 // Splits `input` into `num_partitions` row-wise partitions (round-robin, so
-// keys deliberately straddle partitions — the hard case).
-std::vector<Table> PartitionRows(const Table& input, size_t num_partitions);
+// keys deliberately straddle partitions — the hard case). Zero partitions is
+// an InvalidArgument error.
+Result<std::vector<Table>> PartitionRows(const Table& input,
+                                         size_t num_partitions);
 
 // Merges per-partition GPIVOT outputs into the global result. Every partial
 // must have the schema GPivot(spec) produces. Fails with

@@ -5,23 +5,11 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/runtime.h"
 #include "util/string_util.h"
 
 namespace gpivot::ivm {
 
 namespace {
-
-// Publishes the batcher's live queue depth to the runtime (admin-only)
-// registry. A single relaxed load when the admin surface is off.
-void PublishQueueGauges(size_t pending_net_rows, size_t pending_batches) {
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (!runtime.enabled()) return;
-  runtime.metrics().SetGauge("ivm.batcher.pending_net_rows",
-                             static_cast<double>(pending_net_rows));
-  runtime.metrics().SetGauge("ivm.batcher.pending_batches",
-                             static_cast<double>(pending_batches));
-}
 
 // One table's signed row bag. Entries keep first-touch order; a row whose
 // multiplicity returns to zero stays in the vector (dead weight until the
@@ -166,7 +154,6 @@ Status DeltaBatcher::Ingest(const SourceDeltas& deltas) {
     metrics->AddCounter("ivm.batcher.rows_ingested", ingested);
     metrics->AddCounter("ivm.batcher.rows_cancelled", cancelled);
   }
-  PublishQueueGauges(net_->net_rows, pending_batches_);
   if (options_.max_batches > 0 && pending_batches_ >= options_.max_batches) {
     return Flush();
   }
@@ -192,7 +179,6 @@ Status DeltaBatcher::Flush() {
   }
   *net_ = NetState();
   pending_batches_ = 0;
-  PublishQueueGauges(0, 0);
   return Status::OK();
 }
 

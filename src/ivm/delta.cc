@@ -11,18 +11,6 @@ namespace gpivot::ivm {
 
 namespace {
 
-// Hashes and compares rows through pointers, on `key` columns or (when
-// null) the whole row, so delta-sized sets copy no Row.
-struct RowRef {
-  const std::vector<size_t>* key = nullptr;
-  size_t operator()(const Row* row) const {
-    return key != nullptr ? HashRowAt(*row, *key) : HashRow(*row);
-  }
-  bool operator()(const Row* a, const Row* b) const {
-    return key != nullptr ? RowsEqualAt(*a, *key, *b, *key) : *a == *b;
-  }
-};
-
 Status Unmatched(const Row& row) {
   return Status::ConstraintViolation(
       StrCat("delete-delta row ", RowToString(row),

@@ -5,7 +5,6 @@
 
 #include "obs/json_util.h"
 #include "obs/metrics.h"
-#include "obs/runtime.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -246,12 +245,6 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
   }
   obs::ScopedSpan epoch_span(exec_context_, "epoch", /*counters=*/{},
                              "ivm.epoch.ms");
-  // Runtime heartbeat for the stuck-epoch watchdog (no-op unless the admin
-  // surface enabled the runtime registry). EndEpoch runs inside
-  // RecordEpoch, whatever the outcome. AdvanceBase has no separate stage
-  // pass: the base advance is itself the mutating (commit-like) phase.
-  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1,
-                                                 refresh ? "stage" : "commit");
   EpochUndo undo;
   Status st = refresh ? RefreshViewsInternal(deltas, &undo) : Status::OK();
   if (st.ok() && advance) st = AdvanceBaseInternal(deltas, &undo);
@@ -310,7 +303,6 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   // Commit phase: apply each view's merge, logging every mutation so a
   // failure here (or later in the epoch) rolls everything back. Stays
   // serial — the undo log's "reverse commit order" rollback depends on it.
-  obs::RuntimeRegistry::Global().BeginEpochPhase(epoch_seq_ + 1, "commit");
   obs::ScopedSpan commit_span(exec_context_, "commit");
   for (auto& [name, state, refresh] : staged) {
     GPIVOT_FAULT_POINT("ViewManager::CommitView");
@@ -443,17 +435,6 @@ void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
   if (event_log_ != nullptr && event_log_->ok()) {
     event_log_->Append(last_epoch_->ToJsonLine());
   }
-  // Runtime (admin-only) surface: heartbeat off, logical clock forward,
-  // record into the /epochz ring. Never touches exec_context_.metrics, so
-  // deterministic artifacts cannot see any of it.
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (runtime.enabled()) {
-    runtime.EndEpoch(last_epoch_->seq);
-    runtime.metrics().SetGauge("ivm.manager.epoch_seq",
-                               static_cast<double>(epoch_seq_));
-    runtime.metrics().AddCounter("ivm.epoch.resolved");
-    runtime.RecordEpochJson(last_epoch_->ToJsonLine());
-  }
 }
 
 void ViewManager::RecordNoOpEpoch(const char* entry,
@@ -479,12 +460,6 @@ void ViewManager::RecordNoOpEpoch(const char* entry,
   last_epoch_ = std::move(record);
   if (event_log_ != nullptr && event_log_->ok()) {
     event_log_->Append(last_epoch_->ToJsonLine());
-  }
-  // No-ops consume no seq and never began a heartbeat phase, but they are
-  // still interesting in /epochz (a live timer flushing empty batches).
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (runtime.enabled()) {
-    runtime.RecordEpochJson(last_epoch_->ToJsonLine());
   }
 }
 

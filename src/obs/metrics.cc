@@ -80,15 +80,6 @@ std::string MetricsSnapshot::ToString() const {
   for (const auto& [name, value] : counters) {
     out << name << " " << value << "\n";
   }
-  for (const auto& [name, samples] : gauges) {
-    for (const auto& [label, value] : samples) {
-      out << name;
-      if (!label.first.empty()) {
-        out << "{" << label.first << "=" << label.second << "}";
-      }
-      out << " " << value << "\n";
-    }
-  }
   for (const auto& [name, h] : histograms) {
     out << name << " count=" << h.count << " total_ms=" << h.total_ms
         << " mean_ms=" << h.mean_ms() << " min_ms=" << h.min_ms
@@ -110,26 +101,7 @@ std::string MetricsSnapshot::ToJson(int indent) const {
     first = false;
   }
   if (!first) out << "\n" << pad << "  ";
-  out << "}";
-  // Rendered only when present: pre-gauge artifacts stay byte-identical.
-  if (!gauges.empty()) {
-    out << ",\n" << pad << "  \"gauges\": {";
-    first = true;
-    for (const auto& [name, samples] : gauges) {
-      for (const auto& [label, value] : samples) {
-        std::string key = name;
-        if (!label.first.empty()) {
-          key += "{" + label.first + "=" + label.second + "}";
-        }
-        out << (first ? "\n" : ",\n") << pad << "    " << JsonQuote(key)
-            << ": " << value;
-        first = false;
-      }
-    }
-    if (!first) out << "\n" << pad << "  ";
-    out << "}";
-  }
-  out << ",\n" << pad << "  \"histograms\": {";
+  out << "},\n" << pad << "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
     out << (first ? "\n" : ",\n") << pad << "    " << JsonQuote(name)
@@ -163,47 +135,11 @@ std::string PrometheusName(const std::string& name) {
 
 }  // namespace
 
-std::string PrometheusEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string MetricsSnapshot::ToPrometheusText() const {
   std::ostringstream out;
   for (const auto& [name, value] : counters) {
     std::string prom = PrometheusName(name);
     out << "# TYPE " << prom << " counter\n" << prom << " " << value << "\n";
-  }
-  for (const auto& [name, samples] : gauges) {
-    std::string prom = PrometheusName(name);
-    out << "# TYPE " << prom << " gauge\n";
-    for (const auto& [label, value] : samples) {
-      out << prom;
-      if (!label.first.empty()) {
-        // Label values are free-form strings (view names today, anything
-        // tomorrow); the escape keeps one sample on one line no matter
-        // what they contain.
-        out << "{" << PrometheusName(label.first).substr(7)  // drop prefix
-            << "=\"" << PrometheusEscape(label.second) << "\"}";
-      }
-      out << " " << value << "\n";
-    }
   }
   for (const auto& [name, h] : histograms) {
     std::string prom = PrometheusName(name);
@@ -261,51 +197,28 @@ void MetricsRegistry::RecordLatency(std::string_view name, double ms) {
   shard->histograms[std::string(name)].Record(ms);
 }
 
-void MetricsRegistry::SetGauge(std::string_view name, double value) {
-  SetGauge(name, std::string_view(), std::string_view(), value);
-}
-
-void MetricsRegistry::SetGauge(std::string_view name,
-                               std::string_view label_key,
-                               std::string_view label_value, double value) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(gauges_mu_);
-  gauges_[std::string(name)][{std::string(label_key),
-                              std::string(label_value)}] = value;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      for (const auto& [name, value] : shard->counters) {
-        snapshot.counters[name] += value;
-      }
-      for (const auto& [name, h] : shard->histograms) {
-        snapshot.histograms[name].Merge(h);
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    for (const auto& [name, value] : shard->counters) {
+      snapshot.counters[name] += value;
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(gauges_mu_);
-    snapshot.gauges = gauges_;
+    for (const auto& [name, h] : shard->histograms) {
+      snapshot.histograms[name].Merge(h);
+    }
   }
   return snapshot;
 }
 
 void MetricsRegistry::Reset() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      shard->counters.clear();
-      shard->histograms.clear();
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    shard->counters.clear();
+    shard->histograms.clear();
   }
-  std::lock_guard<std::mutex> lock(gauges_mu_);
-  gauges_.clear();
 }
 
 MetricsRegistry* MetricsFromEnv() {

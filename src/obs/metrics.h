@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace gpivot::obs {
@@ -42,36 +41,20 @@ struct HistogramData {
 // A merged, sorted view of a registry's state. std::map keys make every
 // rendering deterministic regardless of which threads recorded what.
 struct MetricsSnapshot {
-  // Gauge samples of one name, keyed by an optional (label key, label
-  // value) pair; ("", "") is the unlabeled sample. Per-view series
-  // (staleness, installed seq) use one label so Prometheus groups them.
-  using GaugeSamples = std::map<std::pair<std::string, std::string>, double>;
-
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, GaugeSamples> gauges;
   std::map<std::string, HistogramData> histograms;
 
   // One "name value" / "name count=.. total_ms=.." line per entry.
   std::string ToString() const;
   // A JSON object {"counters": {...}, "histograms": {...}}; `indent` spaces
   // of leading indentation per line, for embedding in a larger document.
-  // A "gauges" member appears only when gauges exist, so registries that
-  // never set one (every pre-gauge artifact producer) render byte-
-  // identically to before gauges existed.
   std::string ToJson(int indent = 0) const;
   // Prometheus text exposition: counters as `gpivot_<name>` counter
-  // samples, gauges as `# TYPE ... gauge` samples, histograms as summaries
-  // (p50/p95/p99 quantile labels plus _sum/_count). Characters outside
-  // [a-zA-Z0-9_] in metric names become '_'; label values are escaped per
-  // the text format (backslash, double quote, newline).
+  // samples, histograms as summaries (p50/p95/p99 quantile labels plus
+  // _sum/_count). Characters outside [a-zA-Z0-9_] in metric names become
+  // '_'.
   std::string ToPrometheusText() const;
 };
-
-// Escapes '\' -> "\\", '"' -> "\"", and newline -> "\n" for use inside
-// Prometheus HELP text and quoted label values (the text exposition format
-// is line-oriented, so an unescaped newline in either corrupts the whole
-// scrape).
-std::string PrometheusEscape(std::string_view s);
 
 // A registry of named monotonic counters and latency histograms.
 //
@@ -104,17 +87,6 @@ class MetricsRegistry {
   void AddCounter(std::string_view name, uint64_t delta = 1);
   void RecordLatency(std::string_view name, double ms);
 
-  // Gauges: last-write-wins point-in-time values (queue depth, installed
-  // epoch seq, staleness). Unlike counters they cannot live in per-thread
-  // shards — two shards each holding "the" last value would merge into
-  // nonsense — so they sit under one mutex; gauge writes happen per epoch
-  // or per install, never per row, so contention is irrelevant.
-  void SetGauge(std::string_view name, double value);
-  // One labeled sample, e.g. SetGauge("serve.view.staleness", "view", "v1",
-  // 3): exposed as gpivot_serve_view_staleness{view="v1"} 3.
-  void SetGauge(std::string_view name, std::string_view label_key,
-                std::string_view label_value, double value);
-
   MetricsSnapshot Snapshot() const;
   void Reset();
 
@@ -128,9 +100,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;  // guards shards_ (the vector, not shard contents)
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex gauges_mu_;
-  std::map<std::string, MetricsSnapshot::GaugeSamples> gauges_;
 };
 
 // Returns &MetricsRegistry::Global() with the registry enabled when the

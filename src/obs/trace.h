@@ -138,7 +138,7 @@ class Name {
 // sinks — tracer, metrics registry, cost collector and attributed plan
 // node — and opens the span; destruction closes it. The clock is read once
 // at open and once at close, and that one duration goes to the span and to
-// every named histogram. Record, Count and Charge write each number once to
+// the named histogram. Record, Count and Charge write each number once to
 // every sink that wants it.
 //
 // When every sink is null or disabled the instrument reads no clock,
@@ -154,17 +154,11 @@ class ScopedSpan {
   // (empty = none). Names are views and must outlive the instrument.
   ScopedSpan(const ExecContext& ctx, Name span, Name counters = {},
              std::string_view histogram = {})
-      : ScopedSpan(ctx, span, counters, histogram, nullptr, {}, 0, -1) {}
+      : ScopedSpan(ctx, span, counters, histogram, 0, -1) {}
   // A span that starts on a different thread than its logical parent:
   // nests under `parent` and sorts among its siblings by `order`.
   ScopedSpan(const ExecContext& ctx, Name span, SpanId parent, int64_t order)
-      : ScopedSpan(ctx, span, {}, {}, nullptr, {}, parent, order) {}
-  // A spanless region whose one duration also feeds `also_histogram` in a
-  // second registry (the serving layer's live runtime registry).
-  ScopedSpan(const ExecContext& ctx, Name counters, std::string_view histogram,
-             MetricsRegistry* also_metrics, std::string_view also_histogram)
-      : ScopedSpan(ctx, {}, counters, histogram, also_metrics, also_histogram,
-                   0, -1) {}
+      : ScopedSpan(ctx, span, {}, {}, parent, order) {}
 
   ~ScopedSpan() {
     if (stats_.has_value()) cost_->Record(cost_node_, *stats_);
@@ -176,9 +170,6 @@ class ScopedSpan {
       tracer_->SetCurrentSpan(saved_current_);
     }
     if (!histogram_.empty()) metrics_->RecordLatency(histogram_, ms);
-    if (also_metrics_ != nullptr) {
-      also_metrics_->RecordLatency(also_histogram_, ms);
-    }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -217,23 +208,16 @@ class ScopedSpan {
 
  private:
   ScopedSpan(const ExecContext& ctx, Name span, Name counters,
-             std::string_view histogram, MetricsRegistry* also_metrics,
-             std::string_view also_histogram, SpanId parent, int64_t order)
+             std::string_view histogram, SpanId parent, int64_t order)
       : metrics_(LiveOrNull(ctx.metrics)),
         cost_(ctx.cost_node >= 0 ? ctx.cost : nullptr),
         cost_node_(ctx.cost_node),
         counters_(counters) {
     if (metrics_ != nullptr) histogram_ = histogram;
-    if (!also_histogram.empty()) {
-      also_metrics_ = LiveOrNull(also_metrics);
-      also_histogram_ = also_histogram;
-    }
     if (!span.empty() && ctx.tracer != nullptr && ctx.tracer->enabled()) {
       tracer_ = ctx.tracer;
     }
-    if (tracer_ == nullptr && histogram_.empty() && also_metrics_ == nullptr) {
-      return;
-    }
+    if (tracer_ == nullptr && histogram_.empty()) return;
     timed_ = true;
     start_ = Clock::now();
     if (tracer_ != nullptr) {
@@ -253,8 +237,6 @@ class ScopedSpan {
   int cost_node_;
   Name counters_;
   std::string_view histogram_;
-  MetricsRegistry* also_metrics_ = nullptr;
-  std::string_view also_histogram_;
   SpanId id_ = 0;
   SpanId saved_current_ = 0;
   bool timed_ = false;

@@ -36,6 +36,19 @@ struct RowEq {
   bool operator()(const Row& a, const Row& b) const { return a == b; }
 };
 
+// Hashes and compares rows through pointers, on `key` columns or (when
+// null) the whole row as RowHash/RowEq do, so sets and count maps over
+// rows that outlive them copy no Row.
+struct RowRef {
+  const std::vector<size_t>* key = nullptr;
+  size_t operator()(const Row* row) const {
+    return key != nullptr ? HashRowAt(*row, *key) : HashRow(*row);
+  }
+  bool operator()(const Row* a, const Row* b) const {
+    return key != nullptr ? RowsEqualAt(*a, *key, *b, *key) : *a == *b;
+  }
+};
+
 }  // namespace gpivot
 
 #endif  // GPIVOT_RELATION_ROW_H_

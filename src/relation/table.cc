@@ -138,11 +138,11 @@ Status Table::ValidateKey() const {
 bool Table::BagEquals(const Table& other) const {
   if (schema_ != other.schema_) return false;
   if (rows_.size() != other.rows_.size()) return false;
-  std::unordered_map<Row, int64_t, RowHash, RowEq> counts;
+  std::unordered_map<const Row*, int64_t, RowRef, RowRef> counts;
   counts.reserve(rows_.size());
-  for (const Row& row : rows_) ++counts[row];
+  for (const Row& row : rows_) ++counts[&row];
   for (const Row& row : other.rows_) {
-    auto it = counts.find(row);
+    auto it = counts.find(&row);
     if (it == counts.end() || it->second == 0) return false;
     --it->second;
   }

@@ -5,23 +5,10 @@
 #include <vector>
 
 #include "exec/basic_ops.h"
-#include "obs/runtime.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace gpivot::serve {
-
-namespace {
-
-// The live (admin-only) registry, or nullptr when the admin surface is
-// off. Counters there are thread-shard sharded, so per-query publishing
-// from many reader threads stays contention-free.
-obs::MetricsRegistry* RuntimeMetrics() {
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  return runtime.enabled() ? &runtime.metrics() : nullptr;
-}
-
-}  // namespace
 
 Result<std::shared_ptr<const Snapshot>> QueryService::AcquireChecked(
     const std::string& view, ReaderHandle* handle) const {
@@ -39,11 +26,9 @@ Result<std::shared_ptr<const Snapshot>> QueryService::AcquireChecked(
 
 Result<std::optional<Row>> QueryService::PointLookup(
     const std::string& view, const Row& key, ReaderHandle* handle) const {
-  obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.lookup.ms",
-                        runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, /*span=*/{}, "serve.query",
+                        "serve.query.lookup.ms");
   query.Count("lookup", 1);
-  if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
   std::optional<size_t> position = snapshot->index().LookupKey(snapshot->table(), key);
@@ -54,11 +39,9 @@ Result<std::optional<Row>> QueryService::PointLookup(
 Result<Table> QueryService::Scan(const std::string& view,
                                  const ExprPtr& predicate,
                                  ReaderHandle* handle) const {
-  obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.scan.ms",
-                        runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, /*span=*/{}, "serve.query",
+                        "serve.query.scan.ms");
   query.Count("scan", 1);
-  if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
   return exec::Select(snapshot->table(), predicate, ctx_);
@@ -67,11 +50,9 @@ Result<Table> QueryService::Scan(const std::string& view,
 Result<Table> QueryService::TopK(const std::string& view,
                                  const std::string& measure, size_t k,
                                  ReaderHandle* handle) const {
-  obs::MetricsRegistry* runtime = RuntimeMetrics();
-  obs::ScopedSpan query(ctx_, "serve.query", "serve.query.topk.ms",
-                        runtime, "serve.query.ms");
+  obs::ScopedSpan query(ctx_, /*span=*/{}, "serve.query",
+                        "serve.query.topk.ms");
   query.Count("topk", 1);
-  if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
   const Table& table = snapshot->table();

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/json_util.h"
-#include "obs/runtime.h"
 #include "util/string_util.h"
 
 namespace gpivot::serve {
@@ -28,50 +27,13 @@ Status SnapshotStore::Attach() {
   InstallAll(manager_->epoch_seq(), /*initial=*/true);
   manager_->set_commit_hook(this);
   attached_ = true;
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (runtime.enabled() && runtime_section_token_ == 0) {
-    runtime_section_token_ = runtime.RegisterJsonSection(
-        "serve", [this] { return RuntimeSectionJson(); });
-  }
   return Status::OK();
 }
 
 void SnapshotStore::Detach() {
-  if (runtime_section_token_ != 0) {
-    obs::RuntimeRegistry::Global().UnregisterJsonSection(
-        runtime_section_token_);
-    runtime_section_token_ = 0;
-  }
   if (!attached_) return;
   manager_->set_commit_hook(nullptr);
   attached_ = false;
-}
-
-std::string SnapshotStore::RuntimeSectionJson() const {
-  // Runs on the admin thread. retire_mu_ serializes against InstallAll's
-  // head swaps, so seq/view values form one consistent picture; the
-  // reader-slot occupancy reads are plain atomics.
-  size_t occupied = 0;
-  for (const ReaderHandle& handle : readers_) {
-    if (handle.in_use.load(std::memory_order_relaxed)) ++occupied;
-  }
-  std::lock_guard<std::mutex> lock(retire_mu_);
-  std::string out =
-      StrCat("{\"last_committed_seq\": ",
-             last_seq_.load(std::memory_order_acquire),
-             ", \"retired_pending\": ", retired_.size(),
-             ", \"reader_slots\": {\"capacity\": ", readers_.size(),
-             ", \"occupied\": ", occupied, "}, \"views\": [");
-  bool first = true;
-  for (const auto& [name, slot] : slots_) {
-    const Snapshot* head = slot.head.load(std::memory_order_seq_cst);
-    out += StrCat(first ? "" : ", ", "{\"view\": ", obs::JsonQuote(name),
-                  ", \"snapshot_seq\": ",
-                  head == nullptr ? 0 : head->epoch_seq(), "}");
-    first = false;
-  }
-  out += "]}";
-  return out;
 }
 
 Result<ReaderHandle*> SnapshotStore::RegisterReader() {
@@ -128,7 +90,7 @@ void SnapshotStore::InstallAll(uint64_t seq, bool initial) {
     // Out-of-order commit notification: a newer epoch's snapshots are
     // already live, so installing this one would hand readers stale data
     // and walk last_committed_seq backwards. Drop it entirely — no head
-    // swaps, no gauges, no event-log lines — so the store's artifacts are
+    // swaps, no install counters, no event-log lines — so the store's artifacts are
     // identical to the in-order arrival of the same commits.
     if (!initial && has_installed_ && seq <= installed_seq_) {
       if (metrics_ != nullptr && metrics_->enabled()) {
@@ -158,15 +120,6 @@ void SnapshotStore::InstallAll(uint64_t seq, bool initial) {
     metrics_->AddCounter("serve.snapshot.installs");
     if (!released.empty()) {
       metrics_->AddCounter("serve.retire.count", released.size());
-    }
-  }
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (runtime.enabled()) {
-    runtime.metrics().SetGauge("serve.store.last_committed_seq",
-                               static_cast<double>(seq));
-    for (const std::string& name : installed) {
-      runtime.metrics().SetGauge("serve.view.installed_seq", "view", name,
-                                 static_cast<double>(seq));
     }
   }
   if (event_log_ != nullptr && event_log_->ok()) {

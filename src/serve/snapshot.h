@@ -170,14 +170,13 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // epoch order (pinned by ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone
   // in serve_stress_test), and installing an older epoch over a newer head
   // would publish stale data to readers *and* regress last_committed_seq.
-  // A dropped install skips everything — heads, gauges, event-log lines —
-  // and counts serve.snapshot.stale_skips.
+  // A dropped install skips everything — heads, install counters,
+  // event-log lines — and counts serve.snapshot.stale_skips.
   void InstallAll(uint64_t seq, bool initial);
   // The hazard scan: moves every retired version no reader's hazard
   // protects off the list and returns them, so the caller drops the
   // store's references outside retire_mu_.
   std::vector<Retired> ReleaseUnprotectedLocked();
-  std::string RuntimeSectionJson() const;
 
   ivm::ViewManager* manager_;
   obs::MetricsRegistry* metrics_;
@@ -201,12 +200,6 @@ class SnapshotStore : public ivm::EpochCommitHook {
   // happened at all (seq 0 is a legal first install at Attach).
   uint64_t installed_seq_ = 0;
   bool has_installed_ = false;
-
-  // /viewz JSON-section registration with RuntimeRegistry (0 = none).
-  // Attach registers, Detach unregisters — and because providers run under
-  // the registry's section mutex, after Detach returns no admin scrape can
-  // still be walking this store.
-  int runtime_section_token_ = 0;
 };
 
 }  // namespace gpivot::serve

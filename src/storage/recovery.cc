@@ -4,7 +4,6 @@
 
 #include "ivm/batcher.h"
 #include "obs/json_util.h"
-#include "obs/runtime.h"
 #include "util/file_io.h"
 #include "util/string_util.h"
 
@@ -208,23 +207,7 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
     metrics->AddCounter("storage.recovery.replayed_rows",
                         report.replay_rows_applied);
   }
-  dvm->PublishRuntimeGauges();
   return dvm;
-}
-
-void DurableViewManager::PublishRuntimeGauges() const {
-  obs::RuntimeRegistry& runtime = obs::RuntimeRegistry::Global();
-  if (!runtime.enabled()) return;
-  obs::MetricsRegistry& metrics = runtime.metrics();
-  if (wal_.has_value()) {
-    metrics.SetGauge("storage.wal.durable_offset",
-                     static_cast<double>(wal_->offset()));
-  }
-  metrics.SetGauge("storage.wal.poisoned", wal_poisoned_ ? 1.0 : 0.0);
-  metrics.SetGauge("storage.checkpoint.age_epochs",
-                   static_cast<double>(epochs_since_checkpoint_));
-  metrics.SetGauge("storage.checkpoint.cadence",
-                   static_cast<double>(options_.checkpoint_every_n_epochs));
 }
 
 DurableViewManager::~DurableViewManager() {
@@ -272,7 +255,6 @@ Status DurableViewManager::Checkpoint() {
   GPIVOT_RETURN_NOT_OK(wal_->Reset());
   epochs_since_checkpoint_ = 0;
   wal_poisoned_ = false;
-  PublishRuntimeGauges();
   return Status::OK();
 }
 
@@ -298,7 +280,6 @@ Status DurableViewManager::OnEpochAccepted(uint64_t seq,
     // torn-bytes repair before the next append is the backstop.
     (void)wal_->TruncateTo(offset_before_append_);
   }
-  PublishRuntimeGauges();
   return st;
 }
 
@@ -317,11 +298,9 @@ Status DurableViewManager::OnEpochResolved(uint64_t seq, bool committed) {
       Status ck = Checkpoint();
       if (!ck.ok()) {
         wal_poisoned_ = true;
-        PublishRuntimeGauges();
         return st;
       }
     }
-    PublishRuntimeGauges();
     return Status::OK();
   }
   ++epochs_since_checkpoint_;
@@ -329,7 +308,6 @@ Status DurableViewManager::OnEpochResolved(uint64_t seq, bool committed) {
       epochs_since_checkpoint_ >= options_.checkpoint_every_n_epochs) {
     return Checkpoint();
   }
-  PublishRuntimeGauges();
   return Status::OK();
 }
 

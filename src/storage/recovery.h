@@ -152,11 +152,6 @@ class DurableViewManager : public ivm::EpochDurabilityHook {
   // snapshots (keeps the newest two). Does not touch the WAL.
   Status WriteSnapshot();
 
-  // Pushes the durability state /healthz watches (WAL offset + poisoned
-  // flag, checkpoint age vs. cadence) into the runtime registry. No-op
-  // unless the admin surface enabled it.
-  void PublishRuntimeGauges() const;
-
   StorageOptions options_;
   std::unique_ptr<ivm::ViewManager> manager_;
   std::optional<WalWriter> wal_;

@@ -285,7 +285,9 @@ TEST(DeltaBatcherTest, HotKeyChurnNetsToFirstDeleteAndLastInsert) {
   size_t id = schema.ColumnIndexOrDie("ID");
   size_t manu = schema.ColumnIndexOrDie("Manu**Value");
   for (const Row& row : view.rows()) {
-    if (row[id] == I(1)) EXPECT_EQ(row[manu], S("v3"));
+    if (row[id] == I(1)) {
+      EXPECT_EQ(row[manu], S("v3"));
+    }
   }
 }
 
@@ -388,9 +390,9 @@ TEST(DeltaBatcherTest, FailedFlushRollsBackAndKeepsQueue) {
 }
 
 TEST(DeltaBatcherTest, FullyCancelledRowsDoNotCountAsPendingNetRows) {
-  // Pin the net-row accounting: pending_net_rows() (and the
-  // ivm.batcher.pending_net_rows gauge it feeds) counts the *net* pending
-  // delta, so rows that fully cancel inside the queue must not count.
+  // Pin the net-row accounting: pending_net_rows() counts the *net*
+  // pending delta, so rows that fully cancel inside the queue must not
+  // count.
   ViewManager manager = MakePivotManager();
   DeltaBatcher batcher(&manager);
   Delta b1 = ItemsDelta(manager);

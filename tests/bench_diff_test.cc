@@ -34,7 +34,7 @@ class BenchDiffTest : public ::testing::Test {
     int num_threads = 1;
     double wall_ms = 10.0;
     int view_rows = 500;
-    std::string extra_row_fields;  // appended inside the result object
+    std::string extra_row_fields = "";  // appended inside the result object
   };
 
   // One-figure BENCH document with a single FullRecompute@1% row.
