@@ -76,8 +76,11 @@ std::string NodeToJson(const CostReportNode& node) {
     out += StrCat(", \"table\": ", obs::JsonQuote(node.table));
   }
   out += StrCat(", \"depth\": ", node.depth, ", \"shared_ref\": ",
-                node.shared_ref ? "true" : "false",
-                ", \"stats\": ", StatsToJson(node.stats), "}");
+                node.shared_ref ? "true" : "false");
+  if (!node.charged_to.empty()) {
+    out += StrCat(", \"charged_to\": ", obs::JsonQuote(node.charged_to));
+  }
+  out += StrCat(", \"stats\": ", StatsToJson(node.stats), "}");
   return out;
 }
 
@@ -113,6 +116,9 @@ std::string CostReport::ToText() const {
       out += "  (shared, see first occurrence)\n";
       continue;
     }
+    if (!node.charged_to.empty()) {
+      out += StrCat("  (shared delta, charged to ", node.charged_to, ")");
+    }
     out += StrCat("  [", StatsToText(node), "]\n");
   }
   return out;
@@ -143,6 +149,15 @@ CostReport BuildCostReport(const PlanPtr& plan, const PlanNodeIds& ids,
   std::vector<bool> emitted(ids.size(), false);
   AppendNodes(plan, ids, stats, 0, &emitted, &report);
   return report;
+}
+
+CostReport FillCostReport(CostReport skeleton,
+                          const std::map<int, obs::NodeStats>& stats) {
+  for (CostReportNode& node : skeleton.nodes) {
+    auto it = stats.find(node.id);
+    if (it != stats.end()) node.stats = it->second;
+  }
+  return skeleton;
 }
 
 }  // namespace gpivot

@@ -22,6 +22,11 @@ struct CostReportNode {
   std::string table;  // scan nodes only: the base table read
   int depth = 0;
   bool shared_ref = false;
+  // Set by a ViewManager when another view's report carries this node's
+  // work: the epoch propagated its delta once for several views and charged
+  // the first of them in definition order (that view's name). The node
+  // still renders in full with this view's own stats, which exclude it.
+  std::string charged_to;
   obs::NodeStats stats;
 };
 
@@ -57,6 +62,11 @@ struct CostReport {
 // done, which is the interesting claim for base-table scans).
 CostReport BuildCostReport(const PlanPtr& plan, const PlanNodeIds& ids,
                            const std::map<int, obs::NodeStats>& stats);
+
+// `skeleton` (a BuildCostReport over no stats) with `stats` filled in: the
+// report BuildCostReport would build, without rendering the labels again.
+CostReport FillCostReport(CostReport skeleton,
+                          const std::map<int, obs::NodeStats>& stats);
 
 }  // namespace gpivot
 

@@ -17,12 +17,17 @@ namespace gpivot {
 namespace {
 
 // The actual pivot; the public GPivot wraps it with instrumentation.
-Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec) {
-  GPIVOT_RETURN_NOT_OK(spec.Validate(input.schema()));
+Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec,
+                         const Schema* given_schema) {
+  // KeyColumns validates the spec against the input.
   GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
                           spec.KeyColumns(input.schema()));
-  GPIVOT_ASSIGN_OR_RETURN(Schema output_schema,
-                          spec.OutputSchema(input.schema()));
+  Schema output_schema;
+  if (given_schema != nullptr) {
+    output_schema = *given_schema;
+  } else {
+    GPIVOT_ASSIGN_OR_RETURN(output_schema, spec.OutputSchema(input.schema()));
+  }
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,
                           input.schema().ColumnIndices(key_names));
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> by_idx,
@@ -133,9 +138,10 @@ Result<Table> GPivotImpl(const Table& input, const PivotSpec& spec) {
 }  // namespace
 
 Result<Table> GPivot(const Table& input, const PivotSpec& spec,
-                     const ExecContext& ctx) {
+                     const ExecContext& ctx, const Schema* output_schema) {
   obs::ScopedSpan span(ctx, "GPivot", "core.gpivot", "core.gpivot.ms");
-  GPIVOT_ASSIGN_OR_RETURN(Table result, GPivotImpl(input, spec));
+  GPIVOT_ASSIGN_OR_RETURN(Table result,
+                          GPivotImpl(input, spec, output_schema));
   span.Count("calls", 1, &obs::NodeStats::invocations);
   span.Record("rows_in", input.num_rows(), &obs::NodeStats::rows_in);
   span.Record("rows_out", result.num_rows(), &obs::NodeStats::rows_out);

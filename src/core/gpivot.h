@@ -20,11 +20,15 @@ namespace gpivot {
 // values match no listed combo are ignored (they join into no output row),
 // exactly as the full-outer-join formulation prescribes.
 //
-// The trailing ExecContext only feeds observability (core.gpivot.* counters
-// and a "GPivot" span); execution is single-pass sequential — use
-// GPivotParallel (core/parallel.h) for the §4.3 partitioned variant.
+// The ExecContext only feeds observability (core.gpivot.* counters and a
+// "GPivot" span); execution is single-pass sequential — use GPivotParallel
+// (core/parallel.h) for the §4.3 partitioned variant. `output_schema`, when
+// given, must be spec.OutputSchema(input.schema()): callers that pivot many
+// tables of one schema (the maintenance plans' delta pivots) build it once
+// instead of naming every pivoted cell again on each call.
 Result<Table> GPivot(const Table& input, const PivotSpec& spec,
-                     const ExecContext& ctx = {});
+                     const ExecContext& ctx = {},
+                     const Schema* output_schema = nullptr);
 
 // Executes GUNPIVOT (Eq. 4): one output row per input row and group whose
 // source cells are not all ⊥.

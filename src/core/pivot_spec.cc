@@ -153,9 +153,15 @@ std::string PivotSpec::ToString() const {
 }
 
 bool PivotSpec::operator==(const PivotSpec& other) const {
-  return pivot_by == other.pivot_by && pivot_on == other.pivot_on &&
-         combos == other.combos &&
-         keep_all_null_rows == other.keep_all_null_rows;
+  if (pivot_by != other.pivot_by || pivot_on != other.pivot_on ||
+      keep_all_null_rows != other.keep_all_null_rows ||
+      combos.size() != other.combos.size()) {
+    return false;
+  }
+  for (size_t c = 0; c < combos.size(); ++c) {
+    if (!IdenticalRows(combos[c], other.combos[c])) return false;
+  }
+  return true;
 }
 
 std::vector<std::string> UnpivotSpec::AllSourceColumns() const {

@@ -70,6 +70,8 @@ struct PivotSpec {
   static std::vector<Row> CrossProduct(const std::vector<std::vector<Value>>& dims);
 
   std::string ToString() const;
+  // Exact: combos compare with Value::Identical, so an INT64 1 and a DOUBLE
+  // 1.0 dimension value (which ToString renders alike) differ.
   bool operator==(const PivotSpec& other) const;
 };
 
@@ -80,7 +82,8 @@ struct UnpivotGroup {
   std::vector<std::string> source_columns;
 
   bool operator==(const UnpivotGroup& other) const {
-    return combo == other.combo && source_columns == other.source_columns;
+    return IdenticalRows(combo, other.combo) &&
+           source_columns == other.source_columns;
   }
 };
 

@@ -70,6 +70,58 @@ std::string CaseExpr::ToString() const {
                 then_->ToString(), " ELSE ", else_->ToString(), " END");
 }
 
+bool SameExpr(const ExprPtr& a, const ExprPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr || a->kind() != b->kind()) return false;
+  switch (a->kind()) {
+    case ExprKind::kColumnRef:
+      return static_cast<const ColumnRefExpr&>(*a).name() ==
+             static_cast<const ColumnRefExpr&>(*b).name();
+    case ExprKind::kLiteral:
+      return static_cast<const LiteralExpr&>(*a).value().Identical(
+          static_cast<const LiteralExpr&>(*b).value());
+    case ExprKind::kComparison: {
+      const auto& x = static_cast<const ComparisonExpr&>(*a);
+      const auto& y = static_cast<const ComparisonExpr&>(*b);
+      return x.op() == y.op() && SameExpr(x.left(), y.left()) &&
+             SameExpr(x.right(), y.right());
+    }
+    case ExprKind::kBoolOp: {
+      const auto& x = static_cast<const BoolOpExpr&>(*a);
+      const auto& y = static_cast<const BoolOpExpr&>(*b);
+      if (x.op() != y.op() || x.operands().size() != y.operands().size()) {
+        return false;
+      }
+      for (size_t i = 0; i < x.operands().size(); ++i) {
+        if (!SameExpr(x.operands()[i], y.operands()[i])) return false;
+      }
+      return true;
+    }
+    case ExprKind::kNot:
+      return SameExpr(static_cast<const NotExpr&>(*a).operand(),
+                      static_cast<const NotExpr&>(*b).operand());
+    case ExprKind::kIsNull: {
+      const auto& x = static_cast<const IsNullExpr&>(*a);
+      const auto& y = static_cast<const IsNullExpr&>(*b);
+      return x.negated() == y.negated() && SameExpr(x.operand(), y.operand());
+    }
+    case ExprKind::kArith: {
+      const auto& x = static_cast<const ArithExpr&>(*a);
+      const auto& y = static_cast<const ArithExpr&>(*b);
+      return x.op() == y.op() && SameExpr(x.left(), y.left()) &&
+             SameExpr(x.right(), y.right());
+    }
+    case ExprKind::kCase: {
+      const auto& x = static_cast<const CaseExpr&>(*a);
+      const auto& y = static_cast<const CaseExpr&>(*b);
+      return SameExpr(x.condition(), y.condition()) &&
+             SameExpr(x.then_value(), y.then_value()) &&
+             SameExpr(x.else_value(), y.else_value());
+    }
+  }
+  return false;
+}
+
 ExprPtr Col(std::string name) {
   return std::make_shared<ColumnRefExpr>(std::move(name));
 }

@@ -273,6 +273,10 @@ CompareOp MirrorCompareOp(CompareOp op);
 // Distinct referenced column names, in first-appearance order.
 std::vector<std::string> ReferencedColumns(const ExprPtr& expr);
 
+// Structural equality of two expression trees: same node kinds, operators,
+// column names and literals (Value::Identical). Two null pointers are equal.
+bool SameExpr(const ExprPtr& a, const ExprPtr& b);
+
 // True when every referenced column is in `allowed`.
 bool ExprOnlyReferences(const ExprPtr& expr,
                         const std::vector<std::string>& allowed);

@@ -2,6 +2,7 @@
 #define GPIVOT_IVM_DELTA_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,9 @@ struct Delta {
 
   std::string ToString() const;
 };
+
+// A propagated delta, shared read-only between the views that read it.
+using DeltaPtr = std::shared_ptr<const Delta>;
 
 // Changes per base table, keyed by catalog table name.
 using SourceDeltas = std::unordered_map<std::string, Delta>;

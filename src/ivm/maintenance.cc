@@ -1,5 +1,7 @@
 #include "ivm/maintenance.h"
 
+#include <algorithm>
+
 #include "core/gpivot.h"
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
@@ -66,29 +68,77 @@ Result<PlanPtr> TransformFirstMatch(
   return current;
 }
 
-// Evaluates `plan` against the post-update database, restricted to rows
-// whose `key_names` projection is in `keys` — with the restriction pushed
-// down toward the scans that provide those columns (the paper's "partial
-// re-evaluation by predicate pushdown", §2.3). When a subtree only exposes a
-// subset of the key columns, it is restricted on that subset, which yields a
-// *superset* of the exact restriction; the caller applies the exact
-// semijoin afterwards. The pivot's key is a superkey (every non-pivoted
-// column), so subsets commonly suffice to prune most rows.
-Result<Table> EvaluatePostRestricted(
-    DeltaPropagator* propagator, const PlanPtr& plan,
-    const std::vector<std::string>& key_names,
-    const std::unordered_set<Row, RowHash, RowEq>& keys) {
-  GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
+using RowSet = std::unordered_set<Row, RowHash, RowEq>;
 
-  // Columns of the restriction available in this subtree.
-  std::vector<std::string> available;
-  std::vector<size_t> available_positions;
-  for (size_t i = 0; i < key_names.size(); ++i) {
-    if (schema.HasColumn(key_names[i])) {
-      available.push_back(key_names[i]);
-      available_positions.push_back(i);
+// A restriction on a subtree's rows: a row qualifies when its `names`
+// projection is in `keys` and its `dims` projection is in `combos`. The
+// Fig. 29 recompute term restricts on the pivot key K crossed with the
+// listed combos; the cross product is built only at a scan, and only over
+// the columns that scan exposes.
+struct Restriction {
+  std::vector<std::string> names;
+  RowSet keys;
+  std::vector<std::string> dims;
+  RowSet combos;
+};
+
+// The columns `restriction` constrains, and the rows it admits over them.
+std::vector<std::string> RestrictedColumns(const Restriction& restriction) {
+  std::vector<std::string> columns = restriction.names;
+  columns.insert(columns.end(), restriction.dims.begin(),
+                 restriction.dims.end());
+  return columns;
+}
+
+// `keys` itself without dims; else keys × combos, built into `product`.
+const RowSet& RestrictedRows(const Restriction& restriction, RowSet* product) {
+  if (restriction.dims.empty()) return restriction.keys;
+  product->reserve(restriction.keys.size() * restriction.combos.size());
+  for (const Row& key : restriction.keys) {
+    for (const Row& combo : restriction.combos) {
+      Row row = key;
+      row.insert(row.end(), combo.begin(), combo.end());
+      product->insert(std::move(row));
     }
   }
+  return *product;
+}
+
+// The positions in `names` of the columns `schema` has.
+std::vector<size_t> PresentColumns(const Schema& schema,
+                                   const std::vector<std::string>& names) {
+  std::vector<size_t> positions;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (schema.HasColumn(names[i])) positions.push_back(i);
+  }
+  return positions;
+}
+
+// `names` and `rows` narrowed to `positions`.
+std::vector<std::string> Narrow(const std::vector<std::string>& names,
+                                const std::vector<size_t>& positions) {
+  std::vector<std::string> out;
+  for (size_t i : positions) out.push_back(names[i]);
+  return out;
+}
+RowSet Narrow(const RowSet& rows, const std::vector<size_t>& positions) {
+  RowSet out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.insert(ProjectRow(row, positions));
+  return out;
+}
+
+// Evaluates `plan` against the post-update database, restricted by
+// `restriction` — pushed down toward the scans that provide its columns
+// (the paper's "partial re-evaluation by predicate pushdown", §2.3). When a
+// subtree only exposes some of the columns, it is restricted on those,
+// which yields a *superset* of the exact restriction; the caller applies
+// the exact semijoin afterwards. The pivot's key is a superkey (every
+// non-pivoted column), so subsets commonly suffice to prune most rows.
+Result<Table> EvaluatePostRestricted(DeltaPropagator* propagator,
+                                     const PlanPtr& plan,
+                                     const Restriction& restriction) {
+  GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
 
   // For unchanged subtrees post == pre, and pre refs never force the lazy
   // post-state build.
@@ -101,18 +151,22 @@ Result<Table> EvaluatePostRestricted(
     return propagator->EvaluatePost(subtree);
   };
 
-  if (available.empty()) {
+  // The part of the restriction this subtree's columns can express.
+  const std::vector<size_t> names = PresentColumns(schema, restriction.names);
+  const std::vector<size_t> dims = PresentColumns(schema, restriction.dims);
+  if (names.empty() && dims.empty()) {
     // Nothing to restrict on in this subtree.
     return post_or_pre(plan);
   }
-  if (available.size() != key_names.size()) {
-    // Recurse with the projected key set (restriction on a subset).
-    std::unordered_set<Row, RowHash, RowEq> projected;
-    projected.reserve(keys.size());
-    for (const Row& key : keys) {
-      projected.insert(ProjectRow(key, available_positions));
-    }
-    return EvaluatePostRestricted(propagator, plan, available, projected);
+  if (names.size() != restriction.names.size() ||
+      dims.size() != restriction.dims.size()) {
+    // Recurse with the restriction on the exposed subset.
+    return EvaluatePostRestricted(
+        propagator, plan,
+        Restriction{Narrow(restriction.names, names),
+                    Narrow(restriction.keys, names),
+                    Narrow(restriction.dims, dims),
+                    Narrow(restriction.combos, dims)});
   }
 
   switch (plan->kind()) {
@@ -123,23 +177,24 @@ Result<Table> EvaluatePostRestricted(
       // σ_keys(pre) probes the table's key index when the restriction
       // columns cover its key.
       const auto* scan = static_cast<const ScanNode*>(plan.get());
+      const std::vector<std::string> columns = RestrictedColumns(restriction);
+      RowSet product;
+      const RowSet& rows = RestrictedRows(restriction, &product);
       GPIVOT_ASSIGN_OR_RETURN(Table restricted,
-                              propagator->RestrictPre(plan, key_names, keys));
+                              propagator->RestrictPre(plan, columns, rows));
       GPIVOT_RETURN_NOT_OK(restricted.SetKey({}));
       auto it = propagator->deltas().find(scan->table_name());
       if (it == propagator->deltas().end()) return restricted;
       const Delta& delta = it->second;
       if (!delta.deletes.empty()) {
         GPIVOT_ASSIGN_OR_RETURN(
-            Table deleted,
-            exec::SemiJoinKeySet(delta.deletes, key_names, keys));
+            Table deleted, exec::SemiJoinKeySet(delta.deletes, columns, rows));
         GPIVOT_ASSIGN_OR_RETURN(restricted,
                                 exec::BagDifference(restricted, deleted));
       }
       if (!delta.inserts.empty()) {
         GPIVOT_ASSIGN_OR_RETURN(
-            Table inserted,
-            exec::SemiJoinKeySet(delta.inserts, key_names, keys));
+            Table inserted, exec::SemiJoinKeySet(delta.inserts, columns, rows));
         GPIVOT_ASSIGN_OR_RETURN(restricted,
                                 exec::UnionAll(restricted, inserted));
       }
@@ -148,15 +203,15 @@ Result<Table> EvaluatePostRestricted(
     case PlanKind::kSelect: {
       const auto* node = static_cast<const SelectNode*>(plan.get());
       GPIVOT_ASSIGN_OR_RETURN(
-          Table child, EvaluatePostRestricted(propagator, node->child(),
-                                              key_names, keys));
+          Table child,
+          EvaluatePostRestricted(propagator, node->child(), restriction));
       return exec::Select(child, node->predicate());
     }
     case PlanKind::kProject: {
       const auto* node = static_cast<const ProjectNode*>(plan.get());
       GPIVOT_ASSIGN_OR_RETURN(
-          Table child, EvaluatePostRestricted(propagator, node->child(),
-                                              key_names, keys));
+          Table child,
+          EvaluatePostRestricted(propagator, node->child(), restriction));
       GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> kept,
                               node->KeptColumns());
       return exec::Project(child, kept);
@@ -168,21 +223,45 @@ Result<Table> EvaluatePostRestricted(
       spec.right_keys = node->right_keys();
       spec.type = exec::JoinType::kInner;
       spec.residual = node->residual();
-      // Each side is restricted on whatever key columns it exposes.
+      // A side that exposes none of the restriction columns would be
+      // evaluated whole. When it is unchanged (post == pre), join the other
+      // side's restricted rows to it through its key index instead.
+      const std::vector<std::string> columns = RestrictedColumns(restriction);
+      for (const exec::JoinSide side :
+           {exec::JoinSide::kRight, exec::JoinSide::kLeft}) {
+        const bool right = side == exec::JoinSide::kRight;
+        const PlanPtr& bare = right ? node->right() : node->left();
+        GPIVOT_ASSIGN_OR_RETURN(Schema bare_schema, bare->OutputSchema());
+        bool exposes = false;
+        for (const std::string& name : columns) {
+          exposes = exposes || bare_schema.HasColumn(name);
+        }
+        if (exposes) continue;
+        GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator->Unchanged(bare));
+        if (!unchanged) continue;
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table rows,
+            EvaluatePostRestricted(
+                propagator, right ? node->left() : node->right(),
+                restriction));
+        return propagator->JoinUnchanged(rows, bare, side, spec);
+      }
+      // Each side is restricted on whatever columns it exposes.
       GPIVOT_ASSIGN_OR_RETURN(
-          Table left, EvaluatePostRestricted(propagator, node->left(),
-                                             key_names, keys));
+          Table left,
+          EvaluatePostRestricted(propagator, node->left(), restriction));
       GPIVOT_ASSIGN_OR_RETURN(
-          Table right, EvaluatePostRestricted(propagator, node->right(),
-                                              key_names, keys));
-      return exec::HashJoin(left, right, spec,
-                            propagator->exec_context());
+          Table right,
+          EvaluatePostRestricted(propagator, node->right(), restriction));
+      return exec::HashJoin(left, right, spec, propagator->exec_context());
     }
     default:
       break;
   }
   GPIVOT_ASSIGN_OR_RETURN(Table full, post_or_pre(plan));
-  return exec::SemiJoinKeySet(full, key_names, keys);
+  RowSet product;
+  return exec::SemiJoinKeySet(full, RestrictedColumns(restriction),
+                              RestrictedRows(restriction, &product));
 }
 
 // Context copy that attributes subsequent operator work to plan node
@@ -220,7 +299,8 @@ Result<PlanPtr> EnsureCountStar(const PlanPtr& plan) {
 }  // namespace
 
 Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
-                                                 RefreshStrategy strategy) {
+                                                 RefreshStrategy strategy,
+                                                 PlanInterner* interner) {
   if (view_query == nullptr) {
     return Status::InvalidArgument(
         StrCat("view query is null (strategy ",
@@ -228,28 +308,45 @@ Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
   }
   GPIVOT_ASSIGN_OR_RETURN(
       MaintenancePlan plan, CompileInternal(std::move(view_query), strategy));
+  if (interner != nullptr) {
+    GPIVOT_ASSIGN_OR_RETURN(plan.effective_query_,
+                            interner->Intern(plan.effective_query_));
+  }
   plan.node_ids_ =
       std::make_shared<const PlanNodeIds>(AssignNodeIds(plan.effective_query_));
   plan.cost_ = std::make_shared<obs::CostCollector>();
+  CostReport skeleton =
+      BuildCostReport(plan.effective_query_, *plan.node_ids_, {});
+  skeleton.strategy = RefreshStrategyToString(strategy);
+  plan.cost_skeleton_ = std::make_shared<const CostReport>(std::move(skeleton));
   // The staging code applies the top pivot (and, for kCombinedGroupBy, the
   // GROUPBY under it) to delta tables directly rather than through
   // Evaluate/Propagate; resolve their ids once so that work is attributed
-  // to the right nodes.
-  const PlanNode* top = plan.effective_query_.get();
-  const PlanNode* pivot = nullptr;
+  // to the right nodes. The subtrees below them are re-read from the
+  // (possibly interned) effective query, so they are its own nodes.
+  const PlanPtr& top = plan.effective_query_;
+  PlanPtr pivot;
   if (top->kind() == PlanKind::kGPivot) {
     pivot = top;
   } else if (top->kind() == PlanKind::kSelect) {
-    const PlanNode* child =
-        static_cast<const SelectNode*>(top)->child().get();
+    const PlanPtr& child = static_cast<const SelectNode&>(*top).child();
     if (child->kind() == PlanKind::kGPivot) pivot = child;
   }
   if (pivot != nullptr) {
-    plan.pivot_node_id_ = plan.node_ids_->IdOf(pivot);
-    const PlanNode* pivot_child =
-        static_cast<const GPivotNode*>(pivot)->child().get();
-    if (pivot_child->kind() == PlanKind::kGroupBy) {
-      plan.group_node_id_ = plan.node_ids_->IdOf(pivot_child);
+    plan.pivot_node_id_ = plan.node_ids_->IdOf(pivot.get());
+    const PlanPtr& input = static_cast<const GPivotNode&>(*pivot).child();
+    if (plan.pivot_child_ != nullptr) plan.pivot_child_ = input;
+    if (input->kind() == PlanKind::kGroupBy) {
+      plan.group_node_id_ = plan.node_ids_->IdOf(input.get());
+      if (plan.group_child_ != nullptr) {
+        plan.group_child_ = static_cast<const GroupByNode&>(*input).child();
+      }
+    }
+    if (plan.layout_.has_value()) {
+      GPIVOT_ASSIGN_OR_RETURN(plan.pivot_schema_, pivot->OutputSchema());
+      if (strategy != RefreshStrategy::kCombinedGroupBy) {
+        plan.delta_pivot_ = pivot;
+      }
     }
   }
   return plan;
@@ -386,7 +483,6 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
             "Fig. 29 rules require Eq. 3 pivot semantics (§8)");
       }
       plan.pivot_child_ = pivot->child();
-      plan.select_condition_ = select->predicate();
       if (!select->predicate()->IsNullIntolerant()) {
         return Status::InvalidArgument(
             "Fig. 29 rules require a null-intolerant σ condition");
@@ -398,20 +494,38 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
           PivotLayout::FromSchema(view_schema, pivot->spec()));
       // Which combos the condition references (σ_c' in Fig. 29): only delta
       // rows with these dimension values can newly qualify a key.
+      std::unordered_set<size_t> condition_combos;
       for (const std::string& name :
            ReferencedColumns(select->predicate())) {
         for (size_t c = 0; c < layout.spec.num_combos(); ++c) {
           for (size_t b = 0; b < layout.spec.num_measures(); ++b) {
             if (layout.spec.OutputColumnName(c, b) == name) {
-              plan.condition_combos_.insert(c);
+              condition_combos.insert(c);
             }
           }
         }
       }
-      if (plan.condition_combos_.empty()) {
+      if (condition_combos.empty()) {
         return Status::InvalidArgument(
             "CombinedSelect: σ condition references no pivoted cell");
       }
+      const PivotSpec& spec = layout.spec;
+      std::vector<ExprPtr> combo_preds;
+      for (size_t c : condition_combos) {
+        std::vector<ExprPtr> conjuncts;
+        for (size_t d = 0; d < spec.pivot_by.size(); ++d) {
+          conjuncts.push_back(
+              Eq(Col(spec.pivot_by[d]), Lit(spec.combos[c][d])));
+        }
+        combo_preds.push_back(And(std::move(conjuncts)));
+      }
+      plan.combo_filter_ = Or(std::move(combo_preds));
+      GPIVOT_ASSIGN_OR_RETURN(plan.condition_,
+                              CompileExpr(select->predicate(), view_schema));
+      GPIVOT_ASSIGN_OR_RETURN(Schema child_schema,
+                              plan.pivot_child_->OutputSchema());
+      GPIVOT_ASSIGN_OR_RETURN(plan.key_names_, spec.KeyColumns(child_schema));
+      plan.combo_set_.insert(spec.combos.begin(), spec.combos.end());
       plan.layout_ = std::move(layout);
       return plan;
     }
@@ -419,22 +533,35 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
   return Status::Internal("unknown strategy");
 }
 
+ExecContext MaintenancePlan::CostContext(const ExecContext& ctx) const {
+  ExecContext out = ctx;
+  if (out.cost == nullptr && cost_ != nullptr) {
+    out.cost = cost_.get();
+    out.plan_ids = node_ids_.get();
+  }
+  return out;
+}
+
+void MaintenancePlan::ResetCost() const {
+  if (cost_ != nullptr) cost_->Reset();
+}
+
 Result<StagedRefresh> MaintenancePlan::Stage(const Catalog& pre_catalog,
                                              const SourceDeltas& deltas,
                                              const MaterializedView& view,
-                                             const ExecContext& ctx) const {
+                                             const ExecContext& ctx,
+                                             const SharedDeltas* shared) const {
   GPIVOT_FAULT_POINT("MaintenancePlan::Stage");
   obs::ScopedSpan timer(ctx, /*span=*/{}, /*counters=*/{}, "ivm.stage.ms");
   // Collect per-node actuals for this refresh unless the caller already
-  // attached a collector of their own. "Last stage wins": the collector is
-  // reset here, so ExplainAnalyze always describes the most recent refresh.
+  // attached a collector. "Last stage wins": the collector is reset here,
+  // so ExplainAnalyze always describes the most recent refresh.
   ExecContext stage_ctx = ctx;
-  if (stage_ctx.cost == nullptr && cost_ != nullptr) {
-    cost_->Reset();
-    stage_ctx.cost = cost_.get();
-    stage_ctx.plan_ids = node_ids_.get();
+  if (stage_ctx.cost == nullptr) {
+    ResetCost();
+    stage_ctx = CostContext(ctx);
   }
-  DeltaPropagator propagator(&pre_catalog, &deltas, stage_ctx);
+  DeltaPropagator propagator(&pre_catalog, &deltas, stage_ctx, shared);
   StagedRefresh staged;
   switch (strategy_) {
     case RefreshStrategy::kFullRecompute: {
@@ -497,132 +624,113 @@ Result<MaterializedView> MaintenancePlan::StageFullRecompute(
 
 Result<MergePlan> MaintenancePlan::StageInsertDeleteRefresh(
     DeltaPropagator* propagator, const MaterializedView& view) const {
-  GPIVOT_ASSIGN_OR_RETURN(Delta view_delta,
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr view_delta,
                           propagator->Propagate(effective_query_));
-  return StageInsertDelete(view, view_delta);
+  return StageInsertDelete(view, *view_delta);
+}
+
+Result<Delta> MaintenancePlan::PivotInputDelta(const Delta& input,
+                                               const ExecContext& ctx) const {
+  if (!layout_.has_value()) {
+    return Status::Internal(StrCat(RefreshStrategyToString(strategy_),
+                                   " plan has no top pivot"));
+  }
+  ExecContext pivot_ctx = Attributed(ctx, pivot_node_id_);
+  GPIVOT_ASSIGN_OR_RETURN(
+      Table ins,
+      GPivot(input.inserts, layout_->spec, pivot_ctx, &pivot_schema_));
+  GPIVOT_ASSIGN_OR_RETURN(
+      Table del,
+      GPivot(input.deletes, layout_->spec, pivot_ctx, &pivot_schema_));
+  return Delta{std::move(ins), std::move(del)};
+}
+
+Result<DeltaPtr> MaintenancePlan::PivotedDelta(DeltaPropagator* propagator,
+                                               DeltaPtr input) const {
+  if (DeltaPtr shared = propagator->SharedPivoted(delta_pivot_.get())) {
+    return shared;
+  }
+  if (input == nullptr) {
+    GPIVOT_ASSIGN_OR_RETURN(input, propagator->Propagate(pivot_child_));
+  }
+  GPIVOT_ASSIGN_OR_RETURN(Delta pivoted,
+                          PivotInputDelta(*input, propagator->exec_context()));
+  return std::make_shared<const Delta>(std::move(pivoted));
 }
 
 Result<MergePlan> MaintenancePlan::StagePivotUpdateRefresh(
     DeltaPropagator* propagator, const MaterializedView& view) const {
-  GPIVOT_CHECK(layout_.has_value()) << "missing layout";
-  GPIVOT_ASSIGN_OR_RETURN(Delta child_delta,
-                          propagator->Propagate(pivot_child_));
-  ExecContext pivot_ctx =
-      Attributed(propagator->exec_context(), pivot_node_id_);
-  GPIVOT_ASSIGN_OR_RETURN(
-      Table pivoted_ins, GPivot(child_delta.inserts, layout_->spec, pivot_ctx));
-  GPIVOT_ASSIGN_OR_RETURN(
-      Table pivoted_del, GPivot(child_delta.deletes, layout_->spec, pivot_ctx));
-  return StagePivotUpdate(view, *layout_,
-                          Delta{std::move(pivoted_ins),
-                                std::move(pivoted_del)});
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr pivoted, PivotedDelta(propagator));
+  return StagePivotUpdate(view, *layout_, *pivoted);
 }
 
 Result<MergePlan> MaintenancePlan::StageCombinedGroupByRefresh(
     DeltaPropagator* propagator, const MaterializedView& view) const {
-  GPIVOT_CHECK(layout_.has_value() && agg_layout_.has_value())
-      << "missing layouts";
+  if (!layout_.has_value() || !agg_layout_.has_value()) {
+    return Status::Internal("CombinedGroupBy plan without its layouts");
+  }
   // Propagate only to the GROUPBY *input*; the group deltas are partial
   // aggregates of the delta rows — no group recomputation (Fig. 27).
-  GPIVOT_ASSIGN_OR_RETURN(Delta child_delta,
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child_delta,
                           propagator->Propagate(group_child_));
   ExecContext group_ctx =
       Attributed(propagator->exec_context(), group_node_id_);
-  ExecContext pivot_ctx =
-      Attributed(propagator->exec_context(), pivot_node_id_);
   GPIVOT_ASSIGN_OR_RETURN(
-      Table agg_ins, exec::GroupBy(child_delta.inserts, group_columns_,
+      Table agg_ins, exec::GroupBy(child_delta->inserts, group_columns_,
                                    group_aggregates_, group_ctx));
   GPIVOT_ASSIGN_OR_RETURN(
-      Table agg_del, exec::GroupBy(child_delta.deletes, group_columns_,
+      Table agg_del, exec::GroupBy(child_delta->deletes, group_columns_,
                                    group_aggregates_, group_ctx));
-  GPIVOT_ASSIGN_OR_RETURN(Table pivoted_ins,
-                          GPivot(agg_ins, layout_->spec, pivot_ctx));
-  GPIVOT_ASSIGN_OR_RETURN(Table pivoted_del,
-                          GPivot(agg_del, layout_->spec, pivot_ctx));
-  return StagePivotGroupByUpdate(view, *layout_, *agg_layout_,
-                                 Delta{std::move(pivoted_ins),
-                                       std::move(pivoted_del)});
+  GPIVOT_ASSIGN_OR_RETURN(
+      Delta pivoted,
+      PivotInputDelta(Delta{std::move(agg_ins), std::move(agg_del)},
+                      propagator->exec_context()));
+  return StagePivotGroupByUpdate(view, *layout_, *agg_layout_, pivoted);
 }
 
 Result<MergePlan> MaintenancePlan::StageCombinedSelectRefresh(
     DeltaPropagator* propagator, const MaterializedView& view) const {
-  GPIVOT_CHECK(layout_.has_value()) << "missing layout";
-  const PivotSpec& spec = layout_->spec;
-  GPIVOT_ASSIGN_OR_RETURN(Delta child_delta,
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child_delta,
                           propagator->Propagate(pivot_child_));
-  ExecContext pivot_ctx =
-      Attributed(propagator->exec_context(), pivot_node_id_);
-  GPIVOT_ASSIGN_OR_RETURN(Table pivoted_ins,
-                          GPivot(child_delta.inserts, spec, pivot_ctx));
-  GPIVOT_ASSIGN_OR_RETURN(Table pivoted_del,
-                          GPivot(child_delta.deletes, spec, pivot_ctx));
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr pivoted,
+                          PivotedDelta(propagator, child_delta));
+  const PivotSpec& spec = layout_->spec;
 
   // Recompute term (insert case, Fig. 29): keys touched by σ-relevant
   // inserts, re-pivoted from the post-state input.
   Table recompute_candidates{Table(Schema{})};
-  GPIVOT_ASSIGN_OR_RETURN(Schema child_schema, pivot_child_->OutputSchema());
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          spec.KeyColumns(child_schema));
-  if (!child_delta.inserts.empty()) {
-    // σ_c': keep only delta rows whose dimension values belong to a combo
-    // the condition references.
-    std::vector<ExprPtr> combo_preds;
-    for (size_t c : condition_combos_) {
-      std::vector<ExprPtr> conjuncts;
-      for (size_t d = 0; d < spec.pivot_by.size(); ++d) {
-        conjuncts.push_back(Eq(Col(spec.pivot_by[d]),
-                               Lit(spec.combos[c][d])));
-      }
-      combo_preds.push_back(And(std::move(conjuncts)));
-    }
+  if (!child_delta->inserts.empty()) {
     GPIVOT_ASSIGN_OR_RETURN(
-        Table relevant,
-        exec::Select(child_delta.inserts, Or(std::move(combo_preds)),
-                     propagator->exec_context()));
+        Table relevant, exec::Select(child_delta->inserts, combo_filter_,
+                                     propagator->exec_context()));
     if (!relevant.empty()) {
       GPIVOT_ASSIGN_OR_RETURN(auto keys,
-                              exec::CollectKeySet(relevant, key_names));
+                              exec::CollectKeySet(relevant, key_names_));
       // GPIVOT reads only rows whose pivot_by value is a listed combo (the
       // update-rule strategies refuse keep_all_null_rows at compile time,
-      // DESIGN.md decision 7), so restrict on key ++ pivot_by over
-      // keys × combos. On lineitem that is exactly its primary key
+      // DESIGN.md decision 7), so restrict on K × combos over
+      // K ++ pivot_by. On lineitem that is exactly its primary key
       // (orderkey, linenumber), which the scan restriction then probes.
-      std::vector<std::string> restrict_names = key_names;
-      restrict_names.insert(restrict_names.end(), spec.pivot_by.begin(),
-                            spec.pivot_by.end());
-      std::unordered_set<Row, RowHash, RowEq> restrict_keys;
-      restrict_keys.reserve(keys.size() * spec.num_combos());
-      for (const Row& key : keys) {
-        for (const Row& combo : spec.combos) {
-          Row row = key;
-          row.insert(row.end(), combo.begin(), combo.end());
-          restrict_keys.insert(std::move(row));
-        }
-      }
+      Restriction restriction{key_names_, std::move(keys), spec.pivot_by,
+                              combo_set_};
       GPIVOT_ASSIGN_OR_RETURN(
           Table affected,
-          EvaluatePostRestricted(propagator, pivot_child_, restrict_names,
-                                 restrict_keys));
+          EvaluatePostRestricted(propagator, pivot_child_, restriction));
       // The pushed-down restriction may be on a key subset; apply the exact
-      // key filter before pivoting.
+      // key filter before pivoting (GPIVOT itself drops unlisted combos).
       GPIVOT_ASSIGN_OR_RETURN(
           affected,
-          exec::SemiJoinKeySet(affected, restrict_names, restrict_keys,
+          exec::SemiJoinKeySet(affected, key_names_, restriction.keys,
                                propagator->exec_context()));
       GPIVOT_RETURN_NOT_OK(affected.SetKey({}));
-      GPIVOT_ASSIGN_OR_RETURN(recompute_candidates,
-                              GPivot(affected, spec, pivot_ctx));
+      ExecContext pivot_ctx =
+          Attributed(propagator->exec_context(), pivot_node_id_);
+      GPIVOT_ASSIGN_OR_RETURN(
+          recompute_candidates,
+          GPivot(affected, spec, pivot_ctx, &pivot_schema_));
     }
   }
-
-  GPIVOT_ASSIGN_OR_RETURN(Schema view_schema,
-                          effective_query_->OutputSchema());
-  GPIVOT_ASSIGN_OR_RETURN(CompiledExpr condition,
-                          CompileExpr(select_condition_, view_schema));
-  return StageSelectPivotUpdate(view, *layout_, condition,
-                                Delta{std::move(pivoted_ins),
-                                      std::move(pivoted_del)},
+  return StageSelectPivotUpdate(view, *layout_, condition_, *pivoted,
                                 recompute_candidates);
 }
 
@@ -631,12 +739,153 @@ std::string MaintenancePlan::ToString() const {
                 "]\n", PlanToString(effective_query_));
 }
 
+std::vector<PlanPtr> MaintenancePlan::PropagationRoots() const {
+  switch (strategy_) {
+    case RefreshStrategy::kFullRecompute:
+      return {};
+    case RefreshStrategy::kInsertDelete:
+      return {effective_query_};
+    case RefreshStrategy::kCombinedGroupBy:
+      return {group_child_};
+    case RefreshStrategy::kUpdate:
+    case RefreshStrategy::kSelectPushdownUpdate:
+    case RefreshStrategy::kCombinedSelect:
+      return {pivot_child_};
+  }
+  return {};
+}
+
+namespace {
+
+using NodeMap = std::unordered_map<const PlanNode*, std::vector<size_t>>;
+
+// Appends `plan` to reach[node] for every node under `root` (once each).
+void MarkReach(const PlanPtr& root, size_t plan,
+               std::unordered_set<const PlanNode*>* seen, NodeMap* reach) {
+  if (!seen->insert(root.get()).second) return;
+  (*reach)[root.get()].push_back(plan);
+  for (const PlanPtr& child : root->children()) {
+    MarkReach(child, plan, seen, reach);
+  }
+}
+
+bool Shared(const NodeMap& reach, const PlanNode* node) {
+  auto it = reach.find(node);
+  return it != reach.end() && it->second.size() >= 2;
+}
+
+// Where `plan`'s staging stops descending: the first shared node on each
+// path from `root`, recorded as read by `plan`.
+void MarkReads(const PlanPtr& root, size_t plan, const NodeMap& reach,
+               std::unordered_set<const PlanNode*>* seen, NodeMap* reads) {
+  if (!seen->insert(root.get()).second) return;
+  if (Shared(reach, root.get())) {
+    (*reads)[root.get()].push_back(plan);
+    return;
+  }
+  for (const PlanPtr& child : root->children()) {
+    MarkReads(child, plan, reach, seen, reads);
+  }
+}
+
+// Post-order walk from `root` appending each frontier node not yet emitted,
+// so a subtree precedes the subtrees containing it.
+void EmitFrontier(const PlanPtr& root, const NodeMap& reach,
+                  const NodeMap& reads,
+                  std::unordered_set<const PlanNode*>* seen,
+                  SharedFrontier* frontier) {
+  if (!seen->insert(root.get()).second) return;
+  for (const PlanPtr& child : root->children()) {
+    EmitFrontier(child, reach, reads, seen, frontier);
+  }
+  auto it = reads.find(root.get());
+  if (it == reads.end()) return;
+  frontier->entries.push_back(SharedFrontier::Entry{
+      root, /*pivoted=*/false, reach.at(root.get()).front(), it->second});
+}
+
+}  // namespace
+
+SharedFrontier BuildSharedFrontier(
+    const std::vector<const MaintenancePlan*>& plans) {
+  NodeMap reach;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    std::unordered_set<const PlanNode*> seen;
+    for (const PlanPtr& root : plans[i]->PropagationRoots()) {
+      MarkReach(root, i, &seen, &reach);
+    }
+  }
+  NodeMap reads;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    std::unordered_set<const PlanNode*> seen;
+    for (const PlanPtr& root : plans[i]->PropagationRoots()) {
+      MarkReads(root, i, reach, &seen, &reads);
+    }
+  }
+  SharedFrontier frontier;
+  std::unordered_set<const PlanNode*> emitted;
+  for (const MaintenancePlan* plan : plans) {
+    for (const PlanPtr& root : plan->PropagationRoots()) {
+      EmitFrontier(root, reach, reads, &emitted, &frontier);
+    }
+  }
+  // Top pivots two plans pivot their input delta through, in the order
+  // their first reader was defined.
+  std::vector<std::pair<PlanPtr, std::vector<size_t>>> pivots;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const PlanPtr& pivot = plans[i]->delta_pivot();
+    if (pivot == nullptr) continue;
+    auto it = std::find_if(pivots.begin(), pivots.end(),
+                           [&](const auto& p) { return p.first == pivot; });
+    if (it == pivots.end()) {
+      pivots.push_back({pivot, {i}});
+    } else {
+      it->second.push_back(i);
+    }
+  }
+  for (auto& [pivot, readers] : pivots) {
+    if (readers.size() < 2) continue;
+    const size_t owner = readers.front();
+    frontier.entries.push_back(SharedFrontier::Entry{
+        std::move(pivot), /*pivoted=*/true, owner, std::move(readers)});
+  }
+  return frontier;
+}
+
+Status PropagateSharedFrontier(
+    const SharedFrontier& frontier,
+    const std::vector<const MaintenancePlan*>& plans,
+    const Catalog& pre_catalog, const SourceDeltas& deltas,
+    const ExecContext& ctx, SharedDeltas* out) {
+  // One propagator for the whole frontier: its pre/post-state memos and the
+  // deltas already in `out` serve every later entry.
+  DeltaPropagator propagator(&pre_catalog, &deltas, ctx, out);
+  for (const SharedFrontier::Entry& entry : frontier.entries) {
+    const MaintenancePlan& owner = *plans[entry.owner];
+    const ExecContext owner_ctx = owner.CostContext(ctx);
+    propagator.set_cost_target(owner_ctx.cost, owner_ctx.plan_ids);
+    if (!entry.pivoted) {
+      GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator.Unchanged(entry.node));
+      if (unchanged) continue;
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr delta, propagator.Propagate(entry.node));
+      out->propagated.emplace(entry.node.get(), std::move(delta));
+      continue;
+    }
+    const PlanPtr& input = static_cast<const GPivotNode&>(*entry.node).child();
+    auto it = out->propagated.find(input.get());
+    if (it == out->propagated.end()) continue;  // unchanged input
+    GPIVOT_ASSIGN_OR_RETURN(
+        Delta pivoted,
+        owner.PivotInputDelta(*it->second, propagator.exec_context()));
+    out->pivoted.emplace(entry.node.get(),
+                         std::make_shared<const Delta>(std::move(pivoted)));
+  }
+  return Status::OK();
+}
+
 CostReport ExplainAnalyze(const MaintenancePlan& plan) {
-  CostReport report =
-      BuildCostReport(plan.effective_query(), plan.node_ids(),
-                      plan.cost_collector()->Snapshot());
-  report.strategy = RefreshStrategyToString(plan.strategy());
-  return report;
+  return FillCostReport(plan.cost_skeleton(),
+                        plan.cost_collector()->Snapshot());
 }
 
 }  // namespace gpivot::ivm

@@ -16,8 +16,27 @@ namespace gpivot::ivm {
 
 DeltaPropagator::DeltaPropagator(const Catalog* pre_catalog,
                                  const SourceDeltas* deltas,
-                                 const ExecContext& ctx)
-    : pre_(pre_catalog), deltas_(deltas), ctx_(ctx), post_(*pre_catalog) {}
+                                 const ExecContext& ctx,
+                                 const SharedDeltas* shared)
+    : pre_(pre_catalog),
+      deltas_(deltas),
+      shared_(shared),
+      ctx_(ctx),
+      post_(*pre_catalog) {}
+
+void DeltaPropagator::CountShared() {
+  if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
+    ctx_.metrics->AddCounter("ivm.stage.shared_deltas");
+  }
+}
+
+DeltaPtr DeltaPropagator::SharedPivoted(const PlanNode* pivot) {
+  if (shared_ == nullptr) return nullptr;
+  auto it = shared_->pivoted.find(pivot);
+  if (it == shared_->pivoted.end()) return nullptr;
+  CountShared();
+  return it->second;
+}
 
 Result<const Catalog*> DeltaPropagator::PostCatalog() {
   if (!post_built_) {
@@ -122,7 +141,7 @@ Result<Table> DeltaPropagator::RestrictPre(
   return exec::SemiJoinKeySet(*pre, columns, keys);
 }
 
-Result<Table> DeltaPropagator::JoinUnchanged(const Table& delta,
+Result<Table> DeltaPropagator::JoinUnchanged(const Table& rows,
                                              const PlanPtr& unchanged,
                                              exec::JoinSide side,
                                              const exec::JoinSpec& spec) {
@@ -134,13 +153,13 @@ Result<Table> DeltaPropagator::JoinUnchanged(const Table& delta,
     uint64_t fetched = 0;
     GPIVOT_ASSIGN_OR_RETURN(
         Table joined,
-        exec::IndexJoin(delta, *keyed, side, spec, ctx_, &fetched));
+        exec::IndexJoin(rows, *keyed, side, spec, ctx_, &fetched));
     RecordBaseRead(unchanged, fetched);
     return joined;
   }
   GPIVOT_ASSIGN_OR_RETURN(auto table, EvaluatePreRef(unchanged));
-  return left ? exec::HashJoin(*table, delta, spec, ctx_)
-              : exec::HashJoin(delta, *table, spec, ctx_);
+  return left ? exec::HashJoin(*table, rows, spec, ctx_)
+              : exec::HashJoin(rows, *table, spec, ctx_);
 }
 
 Result<bool> DeltaPropagator::Unchanged(const PlanPtr& plan) {
@@ -156,12 +175,19 @@ Result<bool> DeltaPropagator::Unchanged(const PlanPtr& plan) {
   return true;
 }
 
-Result<Delta> DeltaPropagator::Propagate(const PlanPtr& plan) {
-  GPIVOT_CHECK(plan != nullptr) << "Propagate on null plan";
+Result<DeltaPtr> DeltaPropagator::Propagate(const PlanPtr& plan) {
+  if (plan == nullptr) return Status::InvalidArgument("Propagate on null plan");
   GPIVOT_ASSIGN_OR_RETURN(bool unchanged, Unchanged(plan));
   if (unchanged) {
     GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
-    return Delta::Empty(schema);
+    return std::make_shared<const Delta>(Delta::Empty(schema));
+  }
+  if (shared_ != nullptr) {
+    auto it = shared_->propagated.find(plan.get());
+    if (it != shared_->propagated.end()) {
+      CountShared();
+      return it->second;
+    }
   }
   // Attribute the exec work of this node's propagation rule to its plan-node
   // id; recursive Propagate calls re-target on entry and restore on exit.
@@ -177,7 +203,7 @@ Result<Delta> DeltaPropagator::Propagate(const PlanPtr& plan) {
               &obs::NodeStats::delta_insert_rows);
   span.Record("delete_rows", delta.deletes.num_rows(),
               &obs::NodeStats::delta_delete_rows);
-  return delta;
+  return std::make_shared<const Delta>(std::move(delta));
 }
 
 Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
@@ -196,33 +222,33 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
     case PlanKind::kSelect: {
       // σ: Δσ(V) = σ(ΔV), ∇σ(V) = σ(∇V).
       const auto* node = static_cast<const SelectNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(
-          Table ins, exec::Select(child.inserts, node->predicate(), ctx_));
+          Table ins, exec::Select(child->inserts, node->predicate(), ctx_));
       GPIVOT_ASSIGN_OR_RETURN(
-          Table del, exec::Select(child.deletes, node->predicate(), ctx_));
+          Table del, exec::Select(child->deletes, node->predicate(), ctx_));
       return Delta{std::move(ins), std::move(del)};
     }
 
     case PlanKind::kProject: {
       const auto* node = static_cast<const ProjectNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> kept,
                               node->KeptColumns());
       GPIVOT_ASSIGN_OR_RETURN(Table ins,
-                              exec::Project(child.inserts, kept, ctx_));
+                              exec::Project(child->inserts, kept, ctx_));
       GPIVOT_ASSIGN_OR_RETURN(Table del,
-                              exec::Project(child.deletes, kept, ctx_));
+                              exec::Project(child->deletes, kept, ctx_));
       return Delta{std::move(ins), std::move(del)};
     }
 
     case PlanKind::kMap: {
       const auto* node = static_cast<const MapNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(
-          Table ins, exec::ProjectExprs(child.inserts, node->outputs(), ctx_));
+          Table ins, exec::ProjectExprs(child->inserts, node->outputs(), ctx_));
       GPIVOT_ASSIGN_OR_RETURN(
-          Table del, exec::ProjectExprs(child.deletes, node->outputs(), ctx_));
+          Table del, exec::ProjectExprs(child->deletes, node->outputs(), ctx_));
       return Delta{std::move(ins), std::move(del)};
     }
 
@@ -249,16 +275,18 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
             right_unchanged ? node->right() : node->left();
         const exec::JoinSide side =
             right_unchanged ? exec::JoinSide::kRight : exec::JoinSide::kLeft;
-        GPIVOT_ASSIGN_OR_RETURN(Delta delta, Propagate(changed));
+        GPIVOT_ASSIGN_OR_RETURN(DeltaPtr delta, Propagate(changed));
         GPIVOT_ASSIGN_OR_RETURN(
-            Table ins, JoinUnchanged(delta.inserts, unchanged, side, spec));
+            Table ins, JoinUnchanged(delta->inserts, unchanged, side, spec));
         GPIVOT_ASSIGN_OR_RETURN(
-            Table del, JoinUnchanged(delta.deletes, unchanged, side, spec));
+            Table del, JoinUnchanged(delta->deletes, unchanged, side, spec));
         return Delta{std::move(ins), std::move(del)};
       }
 
-      GPIVOT_ASSIGN_OR_RETURN(Delta left, Propagate(node->left()));
-      GPIVOT_ASSIGN_OR_RETURN(Delta right, Propagate(node->right()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr left_delta, Propagate(node->left()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr right_delta, Propagate(node->right()));
+      const Delta& left = *left_delta;
+      const Delta& right = *right_delta;
       GPIVOT_ASSIGN_OR_RETURN(auto left_pre, EvaluatePreRef(node->left()));
       GPIVOT_ASSIGN_OR_RETURN(auto left_post, EvaluatePostRef(node->left()));
       GPIVOT_ASSIGN_OR_RETURN(auto right_pre, EvaluatePreRef(node->right()));
@@ -288,13 +316,13 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
       // recompute them in both states. This is the expensive baseline the
       // Fig. 27 combined update rules avoid.
       const auto* node = static_cast<const GroupByNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(
           auto affected_ins,
-          exec::CollectKeySet(child.inserts, node->group_columns()));
+          exec::CollectKeySet(child->inserts, node->group_columns()));
       GPIVOT_ASSIGN_OR_RETURN(
           auto affected_del,
-          exec::CollectKeySet(child.deletes, node->group_columns()));
+          exec::CollectKeySet(child->deletes, node->group_columns()));
       for (const Row& key : affected_del) affected_ins.insert(key);
       const auto& affected = affected_ins;
 
@@ -325,7 +353,7 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
       // states — exactly the cost §2.3 attributes to intermediate pivots.
       const auto* node = static_cast<const GPivotNode*>(plan.get());
       const PivotSpec& spec = node->spec();
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(Schema child_schema,
                               node->child()->OutputSchema());
       GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
@@ -334,14 +362,14 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
       // Only delta rows whose dimension values are listed affect the output
       // — except under the §8 keep-⊥-rows variant, where any row decides
       // key presence.
-      Table ins_listed = child.inserts;
-      Table del_listed = child.deletes;
+      Table ins_listed = child->inserts;
+      Table del_listed = child->deletes;
       if (!spec.keep_all_null_rows) {
         ExprPtr listed = rewrite::ComboDisjunction(spec);
         GPIVOT_ASSIGN_OR_RETURN(ins_listed,
-                                exec::Select(child.inserts, listed, ctx_));
+                                exec::Select(child->inserts, listed, ctx_));
         GPIVOT_ASSIGN_OR_RETURN(del_listed,
-                                exec::Select(child.deletes, listed, ctx_));
+                                exec::Select(child->deletes, listed, ctx_));
       }
       GPIVOT_ASSIGN_OR_RETURN(auto affected,
                               exec::CollectKeySet(ins_listed, key_names));
@@ -369,11 +397,11 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
       // Fig. 22: GUNPIVOT distributes over ⊎ and ∸, so deltas unpivot
       // independently.
       const auto* node = static_cast<const GUnpivotNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(Delta child, Propagate(node->child()));
+      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child, Propagate(node->child()));
       GPIVOT_ASSIGN_OR_RETURN(Table ins,
-                              GUnpivot(child.inserts, node->spec()));
+                              GUnpivot(child->inserts, node->spec()));
       GPIVOT_ASSIGN_OR_RETURN(Table del,
-                              GUnpivot(child.deletes, node->spec()));
+                              GUnpivot(child->deletes, node->spec()));
       return Delta{std::move(ins), std::move(del)};
     }
   }

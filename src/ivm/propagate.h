@@ -1,7 +1,9 @@
 #ifndef GPIVOT_IVM_PROPAGATE_H_
 #define GPIVOT_IVM_PROPAGATE_H_
 
+#include <memory>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -11,6 +13,18 @@
 #include "util/result.h"
 
 namespace gpivot::ivm {
+
+// The deltas an epoch's shared frontier computed once for several views
+// (DESIGN.md, "Maintenance DAG"), keyed by plan node. Filled serially before
+// the per-view fan-out, then only read, so concurrent stages may share it.
+struct SharedDeltas {
+  // (Δ, ∇) of a node's output: what Propagate(node) returns.
+  std::unordered_map<const PlanNode*, DeltaPtr> propagated;
+  // GPIVOT(ΔV) / GPIVOT(∇V) for a GPIVOT node over V: the pivoted input
+  // delta the Fig. 23 / Fig. 29 update rules consume (not the Fig. 22
+  // delta of the pivot's own output).
+  std::unordered_map<const PlanNode*, DeltaPtr> pivoted;
+};
 
 // Propagate phase (§3): computes the delta of any plan's output from source
 // deltas, using the classic relational propagation rules [11, 18] plus the
@@ -26,13 +40,28 @@ class DeltaPropagator {
   // Both referents must outlive the propagator. `pre_catalog` is copied to
   // build the post-state catalog. `ctx` carries the observability sinks
   // and batch width into every subtree evaluation and propagation rule.
+  // `shared` (optional, outliving the propagator too) holds deltas already
+  // propagated for this epoch: Propagate returns those instead of
+  // recomputing them, counting each as ivm.stage.shared_deltas.
   DeltaPropagator(const Catalog* pre_catalog, const SourceDeltas* deltas,
-                  const ExecContext& ctx = {});
+                  const ExecContext& ctx = {},
+                  const SharedDeltas* shared = nullptr);
 
   const ExecContext& exec_context() const { return ctx_; }
 
+  // Charges subsequent work to `cost`, numbered by `ids` (the shared
+  // frontier charges each node to the first view that reads it).
+  void set_cost_target(obs::CostCollector* cost, const PlanNodeIds* ids) {
+    ctx_.cost = cost;
+    ctx_.plan_ids = ids;
+  }
+
   // (Δ, ∇) of `plan`'s output.
-  Result<Delta> Propagate(const PlanPtr& plan);
+  Result<DeltaPtr> Propagate(const PlanPtr& plan);
+
+  // The pivoted input delta of GPIVOT node `pivot` when the shared frontier
+  // computed it (counted like a shared Propagate); nullptr otherwise.
+  DeltaPtr SharedPivoted(const PlanNode* pivot);
 
   // Evaluates `plan` against the post-update database. (The pre-update
   // database is the caller's catalog: Evaluate it directly.)
@@ -56,15 +85,18 @@ class DeltaPropagator {
       const PlanPtr& plan, const std::vector<std::string>& columns,
       const std::unordered_set<Row, RowHash, RowEq>& keys);
 
+  // `rows` joined to the unchanged subtree `unchanged` (pre == post), which
+  // is the `side` operand of `spec`: probes the subtree's key index when it
+  // is a scan the join keys cover, else hash-joins its evaluation.
+  Result<Table> JoinUnchanged(const Table& rows, const PlanPtr& unchanged,
+                              exec::JoinSide side, const exec::JoinSpec& spec);
+
   const SourceDeltas& deltas() const { return *deltas_; }
 
  private:
   Result<Delta> PropagateImpl(const PlanPtr& plan);
-  // `delta` joined to the unchanged subtree `unchanged` (pre == post), which
-  // is the `side` operand of `spec`: probes the subtree's key index when it
-  // is a scan the join keys cover, else hash-joins its evaluation.
-  Result<Table> JoinUnchanged(const Table& delta, const PlanPtr& unchanged,
-                              exec::JoinSide side, const exec::JoinSpec& spec);
+  // Counts one delta read from `shared_` rather than computed.
+  void CountShared();
   // The pre-state store behind `plan` when `plan` is a scan whose built key
   // index `columns` cover (exec::KeyIndexCovers); nullptr otherwise.
   Result<const KeyedTable*> ProbeTarget(
@@ -84,6 +116,7 @@ class DeltaPropagator {
 
   const Catalog* pre_;
   const SourceDeltas* deltas_;
+  const SharedDeltas* shared_;
   ExecContext ctx_;
   Catalog post_;
   bool post_built_ = false;

@@ -52,17 +52,29 @@ Status ViewManager::DefineView(const std::string& name, PlanPtr query,
   if (views_.count(name) > 0) {
     return Status::InvalidArgument(StrCat("view '", name, "' already exists"));
   }
-  GPIVOT_ASSIGN_OR_RETURN(MaintenancePlan plan,
-                          MaintenancePlan::Compile(query, strategy));
+  GPIVOT_ASSIGN_OR_RETURN(
+      MaintenancePlan plan,
+      MaintenancePlan::Compile(query, strategy, &interner_));
   GPIVOT_RETURN_NOT_OK(EnsureScanIndexes(plan.effective_query()));
   GPIVOT_ASSIGN_OR_RETURN(Table initial,
                           Evaluate(plan.effective_query(), catalog_,
                                    exec_context_));
   GPIVOT_ASSIGN_OR_RETURN(MaterializedView view,
                           MaterializedView::Create(std::move(initial)));
+  AddView(name, std::move(plan), std::move(view));
+  return Status::OK();
+}
+
+void ViewManager::AddView(const std::string& name, MaintenancePlan plan,
+                          MaterializedView view) {
   views_.emplace(name, ViewState{std::move(plan), std::move(view)});
   view_order_.push_back(name);
-  return Status::OK();
+  std::vector<const MaintenancePlan*> plans;
+  plans.reserve(view_order_.size());
+  for (const std::string& view_name : view_order_) {
+    plans.push_back(&views_.at(view_name).plan);
+  }
+  frontier_ = BuildSharedFrontier(plans);
 }
 
 Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
@@ -70,8 +82,9 @@ Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
   if (views_.count(name) > 0) {
     return Status::InvalidArgument(StrCat("view '", name, "' already exists"));
   }
-  GPIVOT_ASSIGN_OR_RETURN(MaintenancePlan plan,
-                          MaintenancePlan::Compile(query, strategy));
+  GPIVOT_ASSIGN_OR_RETURN(
+      MaintenancePlan plan,
+      MaintenancePlan::Compile(query, strategy, &interner_));
   GPIVOT_ASSIGN_OR_RETURN(Schema expected,
                           plan.effective_query()->OutputSchema());
   if (!(contents.schema() == expected)) {
@@ -82,8 +95,7 @@ Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
   GPIVOT_RETURN_NOT_OK(EnsureScanIndexes(plan.effective_query()));
   GPIVOT_ASSIGN_OR_RETURN(MaterializedView view,
                           MaterializedView::Create(std::move(contents)));
-  views_.emplace(name, ViewState{std::move(plan), std::move(view)});
-  view_order_.push_back(name);
+  AddView(name, std::move(plan), std::move(view));
   return Status::OK();
 }
 
@@ -276,21 +288,40 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
   // view-list order wins, so the reported error doesn't depend on
   // scheduling.
   std::vector<std::pair<const std::string*, ViewState*>> states;
+  std::vector<const MaintenancePlan*> plans;
   states.reserve(view_order_.size());
+  plans.reserve(view_order_.size());
   for (const std::string& name : view_order_) {
-    states.emplace_back(&name, &views_.at(name));
+    ViewState* state = &views_.at(name);
+    states.emplace_back(&name, state);
+    plans.push_back(&state->plan);
+    // "Last stage wins" for every view's cost report; reset here because
+    // the shared frontier charges a view's collector before its Stage.
+    state->plan.ResetCost();
   }
   std::vector<std::optional<Result<StagedRefresh>>> slots(states.size());
+  SharedDeltas shared;
   {
     obs::ScopedSpan stage_span(exec_context_, "stage");
+    if (!frontier_.empty()) {
+      // The deltas several views read are propagated once, serially, before
+      // the fan-out and at every thread count, so spans, counters and cost
+      // reports stay identical across thread counts. The per-view stages
+      // then only read `shared`.
+      obs::ScopedSpan shared_span(exec_context_, "stage:shared",
+                                  stage_span.id(), /*order=*/0);
+      GPIVOT_RETURN_NOT_OK(PropagateSharedFrontier(
+          frontier_, plans, catalog_, deltas, exec_context_, &shared));
+    }
     ParallelFor(exec_context_, states.size(), [&](size_t i) {
       // Worker threads carry no thread-local span context, so the per-view
       // span names its parent and position explicitly — the exported tree is
       // identical for every thread count.
       obs::ScopedSpan view_span(exec_context_, {"stage:", *states[i].first},
-                                stage_span.id(), static_cast<int64_t>(i));
-      slots[i].emplace(states[i].second->plan.Stage(
-          catalog_, deltas, states[i].second->view, exec_context_));
+                                stage_span.id(), static_cast<int64_t>(i + 1));
+      const MaintenancePlan& plan = states[i].second->plan;
+      slots[i].emplace(plan.Stage(catalog_, deltas, states[i].second->view,
+                                  plan.CostContext(exec_context_), &shared));
     });
   }
   std::vector<std::tuple<const std::string*, ViewState*, StagedRefresh>>
@@ -394,8 +425,31 @@ Result<Table> ViewManager::RecomputeFromScratch(
 }
 
 Result<CostReport> ViewManager::ExplainAnalyze(const std::string& name) const {
-  GPIVOT_ASSIGN_OR_RETURN(const MaintenancePlan* plan, GetPlan(name));
-  return ivm::ExplainAnalyze(*plan);
+  auto it = std::find(view_order_.begin(), view_order_.end(), name);
+  if (it == view_order_.end()) {
+    return Status::NotFound(StrCat("view '", name, "' not defined"));
+  }
+  return ViewCost(static_cast<size_t>(it - view_order_.begin()));
+}
+
+CostReport ViewManager::ViewCost(size_t index) const {
+  const MaintenancePlan& plan = views_.at(view_order_[index]).plan;
+  CostReport report = ivm::ExplainAnalyze(plan);
+  for (const SharedFrontier::Entry& entry : frontier_.entries) {
+    if (entry.owner == index ||
+        std::find(entry.readers.begin(), entry.readers.end(), index) ==
+            entry.readers.end()) {
+      continue;
+    }
+    const int id = plan.node_ids().IdOf(entry.node.get());
+    for (CostReportNode& node : report.nodes) {
+      if (node.id == id && !node.shared_ref) {
+        node.charged_to = view_order_[entry.owner];
+        break;
+      }
+    }
+  }
+  return report;
 }
 
 void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
@@ -421,13 +475,13 @@ void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
                const EpochRecord::TableDelta& b) { return a.table < b.table; });
   if (staged) {
     record.views.reserve(view_order_.size());
-    for (const std::string& name : view_order_) {
-      const ViewState& state = views_.at(name);
+    for (size_t i = 0; i < view_order_.size(); ++i) {
+      const ViewState& state = views_.at(view_order_[i]);
       EpochRecord::ViewReport report;
-      report.name = name;
+      report.name = view_order_[i];
       report.strategy = RefreshStrategyToString(state.plan.strategy());
       report.rows_after = state.view.num_rows();
-      report.cost = ivm::ExplainAnalyze(state.plan);
+      report.cost = ViewCost(i);
       record.views.push_back(std::move(report));
     }
   }

@@ -206,7 +206,10 @@ class ViewManager {
 
   // EXPLAIN ANALYZE for one view: its effective query annotated with the
   // per-node actuals of the most recent refresh (all zero before the first
-  // epoch). Render with CostReport::ToText / ToJson.
+  // epoch). Render with CostReport::ToText / ToJson. A delta the epoch's
+  // shared frontier computed for several views is charged to the first of
+  // them in definition order; the others' reports mark that node with
+  // `charged_to` (DESIGN.md, "Maintenance DAG").
   Result<CostReport> ExplainAnalyze(const std::string& name) const;
 
   // The structured report of the most recent epoch entry-point call
@@ -290,6 +293,13 @@ class ViewManager {
   // record; only kApply epochs reach the durability hook.
   Status RunEpoch(const char* entry, const SourceDeltas& deltas,
                   EpochWork work);
+  // Registers a compiled view and rebuilds the shared frontier over every
+  // registered plan.
+  void AddView(const std::string& name, MaintenancePlan plan,
+               MaterializedView view);
+  // ExplainAnalyze of the index-th view in definition order, with the
+  // shared-frontier nodes another view is charged for marked.
+  CostReport ViewCost(size_t index) const;
   Status RefreshViewsInternal(const SourceDeltas& deltas, EpochUndo* undo);
   Status AdvanceBaseInternal(const SourceDeltas& deltas, EpochUndo* undo);
   void RollbackEpoch(EpochUndo* undo);
@@ -309,6 +319,11 @@ class ViewManager {
   // this order so error precedence and trace output never depend on hash
   // iteration.
   std::vector<std::string> view_order_;
+  // Hash-conses every view's effective query (DefineView and RestoreView
+  // alike, so a recovered manager shares as a fresh one does).
+  PlanInterner interner_;
+  // The deltas several views' staging reads, propagated once per epoch.
+  SharedFrontier frontier_;
   ExecContext exec_context_;
   uint64_t epoch_seq_ = 0;
   std::optional<EpochRecord> last_epoch_;

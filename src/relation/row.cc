@@ -48,4 +48,12 @@ std::string RowToString(const Row& row) {
   return StrCat("(", Join(parts, ", "), ")");
 }
 
+bool IdenticalRows(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!a[i].Identical(b[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace gpivot

@@ -28,6 +28,9 @@ bool RowsEqualAt(const Row& left, const std::vector<size_t>& left_indices,
 // "(v1, v2, ...)".
 std::string RowToString(const Row& row);
 
+// Cell-wise Value::Identical (same arity, types and bits).
+bool IdenticalRows(const Row& a, const Row& b);
+
 struct RowHash {
   size_t operator()(const Row& row) const { return HashRow(row); }
 };

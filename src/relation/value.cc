@@ -77,6 +77,16 @@ bool Value::operator==(const Value& other) const {
   return AsNumeric() == other.AsNumeric();
 }
 
+bool Value::Identical(const Value& other) const {
+  if (type() != other.type()) return false;
+  if (is_int()) return AsInt() == other.AsInt();
+  if (is_double()) {
+    const double a = AsDouble(), b = other.AsDouble();
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  }
+  return !is_string() || AsString() == other.AsString();
+}
+
 bool Value::operator<(const Value& other) const {
   auto rank = [](const Value& v) {
     if (v.is_null()) return 0;

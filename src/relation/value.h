@@ -82,6 +82,11 @@ class Value {
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
+  // Identity: the same type and the same bits (an INT64 1 is not a DOUBLE
+  // 1.0, and -0.0 is not 0.0). Plan interning compares literals with this,
+  // never with == or ToString, which both conflate distinct values.
+  bool Identical(const Value& other) const;
+
   // Total order for deterministic sorting: NULL < ints/doubles < strings;
   // ints and doubles compare numerically.
   bool operator<(const Value& other) const;

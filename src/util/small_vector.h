@@ -100,12 +100,15 @@ class SmallVector {
   void CopyFrom(const SmallVector& other) {
     heap_ = nullptr;
     size_ = other.size_;
-    if (size_ > N) {
-      heap_capacity_ = size_;
-      heap_ = static_cast<T*>(std::malloc(heap_capacity_ * sizeof(T)));
-      if (heap_ == nullptr) throw std::bad_alloc();
+    if (size_ <= N) {
+      std::memcpy(inline_, other.data(), size_ * sizeof(T));
+      return;
     }
-    if (size_ > 0) std::memcpy(data(), other.data(), size_ * sizeof(T));
+    // More than N elements live on the heap, in `other` too.
+    heap_capacity_ = size_;
+    heap_ = static_cast<T*>(std::malloc(heap_capacity_ * sizeof(T)));
+    if (heap_ == nullptr) throw std::bad_alloc();
+    std::memcpy(heap_, other.heap_, size_ * sizeof(T));
   }
 
   void StealFrom(SmallVector* other) {

@@ -488,10 +488,14 @@ TEST(OperatorOracleTest, GPivotCellRouting) {
   PivotSpec spec;
   spec.pivot_by = {"a1", "a2"};
   spec.pivot_on = {"b1", "b2"};
+  auto label = [](int i) {
+    std::string name = "v";
+    name += std::to_string(i);
+    return Value::Str(name);
+  };
   for (int c0 = 0; c0 < 3; ++c0) {
     for (int c1 = 0; c1 < 3; ++c1) {
-      spec.combos.push_back({S(("v" + std::to_string(c0)).c_str()),
-                             S(("v" + std::to_string(c1)).c_str())});
+      spec.combos.push_back({label(c0), label(c1)});
     }
   }
   for (bool keep : {false, true}) {

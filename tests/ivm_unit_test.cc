@@ -206,14 +206,14 @@ class PropagatorTest : public ::testing::Test {
   void ExpectConsistent(const PlanPtr& plan) {
     SourceDeltas deltas = Deltas();
     DeltaPropagator propagator(&catalog_, &deltas);
-    ASSERT_OK_AND_ASSIGN(Delta out, propagator.Propagate(plan));
+    ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr out, propagator.Propagate(plan));
     ASSERT_OK_AND_ASSIGN(Table pre, Evaluate(plan, catalog_));
     ASSERT_OK_AND_ASSIGN(Table post, propagator.EvaluatePost(plan));
     Table patched = pre;
-    Status st = ivm::ApplyDeltaToTable(&patched, out);
+    Status st = ivm::ApplyDeltaToTable(&patched, *out);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(patched.BagEquals(post))
-        << "plan:\n" << PlanToString(plan) << "delta " << out.ToString();
+        << "plan:\n" << PlanToString(plan) << "delta " << out->ToString();
   }
 
   Catalog catalog_;
@@ -282,8 +282,8 @@ TEST_F(PropagatorTest, UnchangedSubtreeShortCircuits) {
   PlanPtr scan = MakeScan(catalog_, "t").value();
   ASSERT_OK_AND_ASSIGN(bool unchanged, propagator.Unchanged(scan));
   EXPECT_TRUE(unchanged);
-  ASSERT_OK_AND_ASSIGN(Delta out, propagator.Propagate(scan));
-  EXPECT_TRUE(out.empty());
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr out, propagator.Propagate(scan));
+  EXPECT_TRUE(out->empty());
 }
 
 // ---- MaterializedView / apply primitives ---------------------------------------

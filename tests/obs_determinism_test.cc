@@ -509,6 +509,83 @@ TEST_P(EpochSequenceDeterminismTest, ArtifactsIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EpochSequenceDeterminismTest,
                          ::testing::Values(1, 2, 3));
 
+// The shared frontier (DESIGN.md, "Maintenance DAG") runs serially before
+// the per-view fan-out at every thread count. One epoch per paper delta
+// kind on the three-view manager at 1 and at 3 threads: the views, the
+// counters, the span trees and the cost reports must match byte for byte,
+// and each epoch must have read shared deltas.
+struct FrontierArtifacts {
+  std::vector<std::vector<Row>> views;
+  std::vector<std::map<std::string, uint64_t>> counters;
+  std::vector<std::string> span_trees;
+  std::vector<std::string> reports;
+};
+
+FrontierArtifacts RunFrontierEpochs(size_t threads) {
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ExecContext ctx;
+  ctx.num_threads = threads;
+  ctx.metrics = &registry;
+  ctx.tracer = &tracer;
+  tpch::Config config = SmallConfig();
+  ViewManager manager = MakeThreeViewManager(config, ctx);
+  manager.set_event_log(nullptr);
+  // Each batch is drawn against the state the previous ones left.
+  auto next_batch = [&](size_t kind) {
+    const Catalog& catalog = manager.catalog();
+    switch (kind) {
+      case 0:
+        return tpch::MakeLineitemDeletes(catalog, 0.05, 42).value();
+      case 1:
+        return tpch::MakeLineitemInsertsUpdatesOnly(catalog, config, 0.05, 43)
+            .value();
+      case 2:
+        return tpch::MakeLineitemInsertsNewKeys(catalog, config, 0.05, 44)
+            .value();
+      default:
+        return tpch::MakeLineitemInsertsMixed(catalog, config, 0.05, 45)
+            .value();
+    }
+  };
+  FrontierArtifacts artifacts;
+  for (size_t kind = 0; kind < 4; ++kind) {
+    SourceDeltas batch = next_batch(kind);
+    registry.Reset();
+    tracer.Clear();
+    EXPECT_TRUE(manager.ApplyUpdate(batch).ok());
+    artifacts.counters.push_back(registry.Snapshot().counters);
+    artifacts.span_trees.push_back(tracer.ToSpanTree());
+    std::string reports;
+    for (const char* name : {"v1", "v2", "v3"}) {
+      reports += manager.ExplainAnalyze(name).value().ToText();
+      reports += manager.ExplainAnalyze(name).value().ToJsonLine() + "\n";
+      artifacts.views.push_back(manager.GetView(name).value()->table().rows());
+    }
+    artifacts.reports.push_back(std::move(reports));
+  }
+  return artifacts;
+}
+
+TEST(ObsDeterminismTest, SharedFrontierIdenticalAtOneAndThreeThreads) {
+  FrontierArtifacts sequential = RunFrontierEpochs(1);
+  ASSERT_EQ(sequential.counters.size(), 4u);
+  for (size_t e = 0; e < sequential.counters.size(); ++e) {
+    EXPECT_GT(sequential.counters[e]["ivm.stage.shared_deltas"], 0u);
+    EXPECT_NE(sequential.span_trees[e].find("    stage:shared\n"),
+              std::string::npos)
+        << sequential.span_trees[e];
+    EXPECT_NE(sequential.reports[e].find("charged to v1"), std::string::npos);
+  }
+  FrontierArtifacts parallel = RunFrontierEpochs(3);
+  EXPECT_EQ(sequential.views, parallel.views);
+  EXPECT_EQ(sequential.counters, parallel.counters);
+  EXPECT_EQ(sequential.span_trees, parallel.span_trees);
+  EXPECT_EQ(sequential.reports, parallel.reports);
+}
+
 TEST(ObsDeterminismTest, UnobservedEpochMatchesObservedResults) {
   // Observability must be read-only: the refreshed views are identical
   // whether or not metrics/tracing are attached.

@@ -81,7 +81,9 @@ Table RandomTable(Rng* rng, bool keyed) {
   size_t ncols = keyed ? 2 + rng->Index(3) : rng->Index(4);
   for (size_t c = 0; c < ncols; ++c) {
     DataType type = static_cast<DataType>(rng->Index(4));
-    columns.push_back(Column{"c" + std::to_string(c), type});
+    std::string name = "c";
+    name += std::to_string(c);
+    columns.push_back(Column{std::move(name), type});
   }
   Table table{Schema(std::move(columns))};
   size_t nrows = rng->Index(8);
@@ -153,7 +155,9 @@ TEST(SerializeRoundTripTest, SourceDeltasSortedAndByteIdentical) {
       // Δ and ∇ share the table's schema in real deltas; the codec does
       // not care, so random schemas exercise more shapes.
       Table deletes = RandomTable(&rng, false);
-      deltas.emplace("t" + std::to_string(t),
+      std::string name = "t";
+      name += std::to_string(t);
+      deltas.emplace(std::move(name),
                      ivm::Delta{std::move(inserts), std::move(deletes)});
     }
     BinaryWriter writer;
