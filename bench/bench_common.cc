@@ -50,12 +50,11 @@ double BenchEnvScaleFactor(const char* name, double fallback) {
 
 // The environment variables the harness and the libraries it links read.
 // Anything else spelled GPIVOT_* is almost certainly a typo (a silently
-// ignored GPIVOT_BENCH_THREDS would publish wrong numbers), so warn.
+// ignored GPIVOT_BENCH_REPZ would publish wrong numbers), so warn.
 constexpr const char* kKnownEnvVars[] = {
-    "GPIVOT_BENCH_SF",      "GPIVOT_BENCH_SEED",  "GPIVOT_BENCH_THREADS",
-    "GPIVOT_BENCH_REPS",    "GPIVOT_BENCH_AUDIT",
-    "GPIVOT_BENCH_JSON_DIR", "GPIVOT_METRICS",     "GPIVOT_TRACE_DIR",
-    "GPIVOT_EVENT_LOG",     "GPIVOT_BENCH_MICRO_BATCHES",
+    "GPIVOT_BENCH_SF",       "GPIVOT_BENCH_SEED", "GPIVOT_BENCH_REPS",
+    "GPIVOT_BENCH_AUDIT",    "GPIVOT_BENCH_JSON_DIR", "GPIVOT_METRICS",
+    "GPIVOT_TRACE_DIR",      "GPIVOT_EVENT_LOG",  "GPIVOT_BENCH_MICRO_BATCHES",
     "GPIVOT_WAL_DIR",
 };
 
@@ -176,7 +175,6 @@ class BenchJsonRegistry {
     const char* dir_env = std::getenv("GPIVOT_BENCH_JSON_DIR");
     std::string dir = dir_env == nullptr ? "." : dir_env;
     const BenchContext& context = SharedContext();
-    ExecContext exec = BenchExecContext();
     for (const auto& [figure, records] : by_figure_) {
       std::string path = StrCat(dir, "/BENCH_", Sanitize(figure), ".json");
       std::ofstream out(path);
@@ -189,7 +187,6 @@ class BenchJsonRegistry {
       out << "  \"scale_factor\": " << FormatDouble(context.config.scale_factor)
           << ",\n";
       out << "  \"seed\": " << context.config.seed << ",\n";
-      out << "  \"num_threads\": " << exec.num_threads << ",\n";
       out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
           << ",\n";
       out << "  \"results\": [\n";
@@ -416,12 +413,6 @@ const BenchContext& SharedContext() {
 
 ExecContext BenchExecContext() {
   ExecContext ctx;
-  uint64_t threads = BenchEnvUint64("GPIVOT_BENCH_THREADS", 1);
-  if (threads == 0) {
-    std::fprintf(stderr, "bench: GPIVOT_BENCH_THREADS must be >= 1\n");
-    std::exit(2);
-  }
-  ctx.num_threads = static_cast<size_t>(threads);
   ctx.metrics = obs::MetricsFromEnv();
   ctx.tracer = obs::TracerFromEnv();
   return ctx;

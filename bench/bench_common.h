@@ -10,7 +10,7 @@
 #include "algebra/plan.h"
 #include "ivm/maintenance.h"
 #include "tpch/dbgen.h"
-#include "util/thread_pool.h"
+#include "util/exec_context.h"
 
 namespace gpivot::bench {
 
@@ -35,9 +35,8 @@ struct BenchContext {
 };
 const BenchContext& SharedContext();
 
-// Maintenance-executor concurrency for every timed epoch, from
-// GPIVOT_BENCH_THREADS: the number of views staged concurrently (default 1
-// = the sequential baseline).
+// The observability sinks for every timed epoch: GPIVOT_METRICS and
+// GPIVOT_TRACE_DIR (see obs::MetricsFromEnv / obs::TracerFromEnv).
 ExecContext BenchExecContext();
 
 // Registers one google-benchmark per (strategy, fraction): each run builds

@@ -152,10 +152,14 @@ CostReport BuildCostReport(const PlanPtr& plan, const PlanNodeIds& ids,
 }
 
 CostReport FillCostReport(CostReport skeleton,
-                          const std::map<int, obs::NodeStats>& stats) {
+                          const std::map<int, obs::NodeStats>& stats,
+                          const std::map<int, std::string>& charged_to) {
   for (CostReportNode& node : skeleton.nodes) {
     auto it = stats.find(node.id);
     if (it != stats.end()) node.stats = it->second;
+    if (node.shared_ref) continue;
+    auto owner = charged_to.find(node.id);
+    if (owner != charged_to.end()) node.charged_to = owner->second;
   }
   return skeleton;
 }

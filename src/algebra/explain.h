@@ -22,18 +22,18 @@ struct CostReportNode {
   std::string table;  // scan nodes only: the base table read
   int depth = 0;
   bool shared_ref = false;
-  // Set by a ViewManager when another view's report carries this node's
-  // work: the epoch propagated its delta once for several views and charged
-  // the first of them in definition order (that view's name). The node
-  // still renders in full with this view's own stats, which exclude it.
+  // Set when another view's report carries this node's work: the epoch
+  // computed its delta once, charged it to the first view to reach it (that
+  // view's name), and this view read it back. The node still renders in
+  // full with this view's own stats, which exclude it.
   std::string charged_to;
   obs::NodeStats stats;
 };
 
 // A deterministic, annotated operator tree — the EXPLAIN ANALYZE of one
 // maintenance-plan refresh. Text and JSON renderings contain no timings, so
-// two refreshes doing identical work produce byte-identical reports at any
-// thread count (asserted by obs_determinism_test).
+// two refreshes doing identical work produce byte-identical reports
+// (asserted by obs_determinism_test).
 struct CostReport {
   std::string strategy;  // filled by the ivm layer; empty for bare plans
   std::vector<CostReportNode> nodes;
@@ -63,10 +63,12 @@ struct CostReport {
 CostReport BuildCostReport(const PlanPtr& plan, const PlanNodeIds& ids,
                            const std::map<int, obs::NodeStats>& stats);
 
-// `skeleton` (a BuildCostReport over no stats) with `stats` filled in: the
-// report BuildCostReport would build, without rendering the labels again.
+// `skeleton` (a BuildCostReport over no stats) with `stats` and the
+// `charged_to` marks (CostCollector::ChargedTo) filled in: the report
+// BuildCostReport would build, without rendering the labels again.
 CostReport FillCostReport(CostReport skeleton,
-                          const std::map<int, obs::NodeStats>& stats);
+                          const std::map<int, obs::NodeStats>& stats,
+                          const std::map<int, std::string>& charged_to = {});
 
 }  // namespace gpivot
 

@@ -6,8 +6,8 @@
 
 #include "core/pivot_spec.h"
 #include "relation/table.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 

@@ -1,12 +1,10 @@
 #include "core/parallel.h"
 
-#include <optional>
 #include <unordered_map>
 
 #include "core/gpivot.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 
@@ -95,22 +93,10 @@ Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
   GPIVOT_RETURN_NOT_OK(spec.Validate(input.schema()));
   GPIVOT_ASSIGN_OR_RETURN(Schema output_schema,
                           spec.OutputSchema(input.schema()));
-  // Local pivots are independent; run them on the pool. Result<Table> has
-  // no default state, so slots are optionals filled exactly once each.
-  // The per-partition calls keep ctx's metrics (partition contents — and so
-  // the counters — are scheduling-independent) but drop the tracer: a
-  // worker-thread span could not nest under this one deterministically.
-  ExecContext partition_ctx = ctx;
-  partition_ctx.tracer = nullptr;
-  std::vector<std::optional<Result<Table>>> slots(num_partitions);
-  ParallelFor(ctx, num_partitions, [&](size_t p) {
-    slots[p].emplace(GPivot(partitions[p], spec, partition_ctx));
-  });
   std::vector<Table> partials;
   partials.reserve(num_partitions);
-  for (std::optional<Result<Table>>& slot : slots) {
-    // Surface the first failure in partition order (deterministic pick).
-    GPIVOT_ASSIGN_OR_RETURN(Table partial, std::move(*slot));
+  for (const Table& partition : partitions) {
+    GPIVOT_ASSIGN_OR_RETURN(Table partial, GPivot(partition, spec, ctx));
     partials.push_back(std::move(partial));
   }
   GPIVOT_ASSIGN_OR_RETURN(Table merged,

@@ -6,8 +6,8 @@
 
 #include "core/pivot_spec.h"
 #include "relation/table.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 
@@ -34,10 +34,8 @@ Result<Table> MergePivotedPartials(const std::vector<Table>& partials,
                                    const Schema& output_schema);
 
 // GPIVOT via the split: partition → pivot locally → merge globally.
-// Equivalent to GPivot(input, spec) for every ctx: the per-partition pivots
-// run on up to ctx.num_threads pool workers (sequentially by default), and
-// the merge consumes the partials in partition order, so the result is
-// byte-identical regardless of thread count. Zero partitions is an
+// Equivalent to GPivot(input, spec): the partitions are pivoted one after
+// another and merged in partition order. Zero partitions is an
 // InvalidArgument error.
 Result<Table> GPivotParallel(const Table& input, const PivotSpec& spec,
                              size_t num_partitions,

@@ -8,8 +8,8 @@
 
 #include "expr/expr.h"
 #include "relation/table.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::exec {
 

@@ -9,8 +9,8 @@
 #include "expr/expr.h"
 #include "relation/keyed_table.h"
 #include "relation/table.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::exec {
 

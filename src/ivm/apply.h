@@ -11,8 +11,8 @@
 #include "ivm/delta.h"
 #include "relation/keyed_table.h"
 #include "relation/table.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::ivm {
 

@@ -21,8 +21,8 @@ struct BatcherOptions {
 };
 
 // Lifetime totals of one batcher, all pure functions of the ingested
-// batches (no timings): byte-identical across thread counts and mirrored
-// into the manager's metrics registry as ivm.batcher.* counters.
+// batches (no timings): byte-identical from run to run and mirrored into
+// the manager's metrics registry as ivm.batcher.* counters.
 struct BatcherStats {
   uint64_t batches_absorbed = 0;  // Ingest calls folded into the queue
   uint64_t rows_ingested = 0;     // Δ + ∇ rows across all absorbed batches

@@ -1,7 +1,5 @@
 #include "ivm/maintenance.h"
 
-#include <algorithm>
-
 #include "core/gpivot.h"
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
@@ -533,65 +531,47 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
   return Status::Internal("unknown strategy");
 }
 
-ExecContext MaintenancePlan::CostContext(const ExecContext& ctx) const {
-  ExecContext out = ctx;
-  if (out.cost == nullptr && cost_ != nullptr) {
-    out.cost = cost_.get();
-    out.plan_ids = node_ids_.get();
-  }
-  return out;
-}
-
 void MaintenancePlan::ResetCost() const {
   if (cost_ != nullptr) cost_->Reset();
 }
 
-Result<StagedRefresh> MaintenancePlan::Stage(const Catalog& pre_catalog,
-                                             const SourceDeltas& deltas,
-                                             const MaterializedView& view,
-                                             const ExecContext& ctx,
-                                             const SharedDeltas* shared) const {
+Result<StagedRefresh> MaintenancePlan::Stage(
+    DeltaPropagator* propagator, const MaterializedView& view,
+    const std::string& view_name) const {
   GPIVOT_FAULT_POINT("MaintenancePlan::Stage");
-  obs::ScopedSpan timer(ctx, /*span=*/{}, /*counters=*/{}, "ivm.stage.ms");
-  // Collect per-node actuals for this refresh unless the caller already
-  // attached a collector. "Last stage wins": the collector is reset here,
-  // so ExplainAnalyze always describes the most recent refresh.
-  ExecContext stage_ctx = ctx;
-  if (stage_ctx.cost == nullptr) {
-    ResetCost();
-    stage_ctx = CostContext(ctx);
-  }
-  DeltaPropagator propagator(&pre_catalog, &deltas, stage_ctx, shared);
+  obs::ScopedSpan timer(propagator->exec_context(), /*span=*/{},
+                        /*counters=*/{}, "ivm.stage.ms");
+  propagator->set_cost_target(cost_.get(), node_ids_.get(), view_name);
   StagedRefresh staged;
   switch (strategy_) {
     case RefreshStrategy::kFullRecompute: {
       GPIVOT_ASSIGN_OR_RETURN(MaterializedView rebuilt,
-                              StageFullRecompute(&propagator));
+                              StageFullRecompute(propagator));
       staged.rebuild = std::move(rebuilt);
       return staged;
     }
     case RefreshStrategy::kInsertDelete: {
       GPIVOT_ASSIGN_OR_RETURN(MergePlan merge,
-                              StageInsertDeleteRefresh(&propagator, view));
+                              StageInsertDeleteRefresh(propagator, view));
       staged.merge = std::move(merge);
       return staged;
     }
     case RefreshStrategy::kUpdate:
     case RefreshStrategy::kSelectPushdownUpdate: {
       GPIVOT_ASSIGN_OR_RETURN(MergePlan merge,
-                              StagePivotUpdateRefresh(&propagator, view));
+                              StagePivotUpdateRefresh(propagator, view));
       staged.merge = std::move(merge);
       return staged;
     }
     case RefreshStrategy::kCombinedGroupBy: {
       GPIVOT_ASSIGN_OR_RETURN(MergePlan merge,
-                              StageCombinedGroupByRefresh(&propagator, view));
+                              StageCombinedGroupByRefresh(propagator, view));
       staged.merge = std::move(merge);
       return staged;
     }
     case RefreshStrategy::kCombinedSelect: {
       GPIVOT_ASSIGN_OR_RETURN(MergePlan merge,
-                              StageCombinedSelectRefresh(&propagator, view));
+                              StageCombinedSelectRefresh(propagator, view));
       staged.merge = std::move(merge);
       return staged;
     }
@@ -611,7 +591,9 @@ Status MaintenancePlan::CommitStaged(StagedRefresh staged,
     }
     return Status::OK();
   }
-  GPIVOT_CHECK(staged.merge.has_value()) << "empty staged refresh";
+  if (!staged.merge.has_value()) {
+    return Status::Internal("empty staged refresh: neither merge nor rebuild");
+  }
   return ExecuteMergePlan(view, *staged.merge, undo, ctx);
 }
 
@@ -647,15 +629,13 @@ Result<Delta> MaintenancePlan::PivotInputDelta(const Delta& input,
 
 Result<DeltaPtr> MaintenancePlan::PivotedDelta(DeltaPropagator* propagator,
                                                DeltaPtr input) const {
-  if (DeltaPtr shared = propagator->SharedPivoted(delta_pivot_.get())) {
-    return shared;
-  }
+  if (DeltaPtr memo = propagator->RecallPivoted(delta_pivot_)) return memo;
   if (input == nullptr) {
     GPIVOT_ASSIGN_OR_RETURN(input, propagator->Propagate(pivot_child_));
   }
   GPIVOT_ASSIGN_OR_RETURN(Delta pivoted,
                           PivotInputDelta(*input, propagator->exec_context()));
-  return std::make_shared<const Delta>(std::move(pivoted));
+  return propagator->RememberPivoted(delta_pivot_, std::move(pivoted));
 }
 
 Result<MergePlan> MaintenancePlan::StagePivotUpdateRefresh(
@@ -739,153 +719,10 @@ std::string MaintenancePlan::ToString() const {
                 "]\n", PlanToString(effective_query_));
 }
 
-std::vector<PlanPtr> MaintenancePlan::PropagationRoots() const {
-  switch (strategy_) {
-    case RefreshStrategy::kFullRecompute:
-      return {};
-    case RefreshStrategy::kInsertDelete:
-      return {effective_query_};
-    case RefreshStrategy::kCombinedGroupBy:
-      return {group_child_};
-    case RefreshStrategy::kUpdate:
-    case RefreshStrategy::kSelectPushdownUpdate:
-    case RefreshStrategy::kCombinedSelect:
-      return {pivot_child_};
-  }
-  return {};
-}
-
-namespace {
-
-using NodeMap = std::unordered_map<const PlanNode*, std::vector<size_t>>;
-
-// Appends `plan` to reach[node] for every node under `root` (once each).
-void MarkReach(const PlanPtr& root, size_t plan,
-               std::unordered_set<const PlanNode*>* seen, NodeMap* reach) {
-  if (!seen->insert(root.get()).second) return;
-  (*reach)[root.get()].push_back(plan);
-  for (const PlanPtr& child : root->children()) {
-    MarkReach(child, plan, seen, reach);
-  }
-}
-
-bool Shared(const NodeMap& reach, const PlanNode* node) {
-  auto it = reach.find(node);
-  return it != reach.end() && it->second.size() >= 2;
-}
-
-// Where `plan`'s staging stops descending: the first shared node on each
-// path from `root`, recorded as read by `plan`.
-void MarkReads(const PlanPtr& root, size_t plan, const NodeMap& reach,
-               std::unordered_set<const PlanNode*>* seen, NodeMap* reads) {
-  if (!seen->insert(root.get()).second) return;
-  if (Shared(reach, root.get())) {
-    (*reads)[root.get()].push_back(plan);
-    return;
-  }
-  for (const PlanPtr& child : root->children()) {
-    MarkReads(child, plan, reach, seen, reads);
-  }
-}
-
-// Post-order walk from `root` appending each frontier node not yet emitted,
-// so a subtree precedes the subtrees containing it.
-void EmitFrontier(const PlanPtr& root, const NodeMap& reach,
-                  const NodeMap& reads,
-                  std::unordered_set<const PlanNode*>* seen,
-                  SharedFrontier* frontier) {
-  if (!seen->insert(root.get()).second) return;
-  for (const PlanPtr& child : root->children()) {
-    EmitFrontier(child, reach, reads, seen, frontier);
-  }
-  auto it = reads.find(root.get());
-  if (it == reads.end()) return;
-  frontier->entries.push_back(SharedFrontier::Entry{
-      root, /*pivoted=*/false, reach.at(root.get()).front(), it->second});
-}
-
-}  // namespace
-
-SharedFrontier BuildSharedFrontier(
-    const std::vector<const MaintenancePlan*>& plans) {
-  NodeMap reach;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    std::unordered_set<const PlanNode*> seen;
-    for (const PlanPtr& root : plans[i]->PropagationRoots()) {
-      MarkReach(root, i, &seen, &reach);
-    }
-  }
-  NodeMap reads;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    std::unordered_set<const PlanNode*> seen;
-    for (const PlanPtr& root : plans[i]->PropagationRoots()) {
-      MarkReads(root, i, reach, &seen, &reads);
-    }
-  }
-  SharedFrontier frontier;
-  std::unordered_set<const PlanNode*> emitted;
-  for (const MaintenancePlan* plan : plans) {
-    for (const PlanPtr& root : plan->PropagationRoots()) {
-      EmitFrontier(root, reach, reads, &emitted, &frontier);
-    }
-  }
-  // Top pivots two plans pivot their input delta through, in the order
-  // their first reader was defined.
-  std::vector<std::pair<PlanPtr, std::vector<size_t>>> pivots;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const PlanPtr& pivot = plans[i]->delta_pivot();
-    if (pivot == nullptr) continue;
-    auto it = std::find_if(pivots.begin(), pivots.end(),
-                           [&](const auto& p) { return p.first == pivot; });
-    if (it == pivots.end()) {
-      pivots.push_back({pivot, {i}});
-    } else {
-      it->second.push_back(i);
-    }
-  }
-  for (auto& [pivot, readers] : pivots) {
-    if (readers.size() < 2) continue;
-    const size_t owner = readers.front();
-    frontier.entries.push_back(SharedFrontier::Entry{
-        std::move(pivot), /*pivoted=*/true, owner, std::move(readers)});
-  }
-  return frontier;
-}
-
-Status PropagateSharedFrontier(
-    const SharedFrontier& frontier,
-    const std::vector<const MaintenancePlan*>& plans,
-    const Catalog& pre_catalog, const SourceDeltas& deltas,
-    const ExecContext& ctx, SharedDeltas* out) {
-  // One propagator for the whole frontier: its pre/post-state memos and the
-  // deltas already in `out` serve every later entry.
-  DeltaPropagator propagator(&pre_catalog, &deltas, ctx, out);
-  for (const SharedFrontier::Entry& entry : frontier.entries) {
-    const MaintenancePlan& owner = *plans[entry.owner];
-    const ExecContext owner_ctx = owner.CostContext(ctx);
-    propagator.set_cost_target(owner_ctx.cost, owner_ctx.plan_ids);
-    if (!entry.pivoted) {
-      GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator.Unchanged(entry.node));
-      if (unchanged) continue;
-      GPIVOT_ASSIGN_OR_RETURN(DeltaPtr delta, propagator.Propagate(entry.node));
-      out->propagated.emplace(entry.node.get(), std::move(delta));
-      continue;
-    }
-    const PlanPtr& input = static_cast<const GPivotNode&>(*entry.node).child();
-    auto it = out->propagated.find(input.get());
-    if (it == out->propagated.end()) continue;  // unchanged input
-    GPIVOT_ASSIGN_OR_RETURN(
-        Delta pivoted,
-        owner.PivotInputDelta(*it->second, propagator.exec_context()));
-    out->pivoted.emplace(entry.node.get(),
-                         std::make_shared<const Delta>(std::move(pivoted)));
-  }
-  return Status::OK();
-}
-
 CostReport ExplainAnalyze(const MaintenancePlan& plan) {
   return FillCostReport(plan.cost_skeleton(),
-                        plan.cost_collector()->Snapshot());
+                        plan.cost_collector()->Snapshot(),
+                        plan.cost_collector()->ChargedTo());
 }
 
 }  // namespace gpivot::ivm

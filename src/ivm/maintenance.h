@@ -80,44 +80,24 @@ class MaintenancePlan {
   // Compile (ExplainAnalyze fills in each refresh's actuals).
   const CostReport& cost_skeleton() const { return *cost_skeleton_; }
 
-  // Per-node actuals of the most recent Stage call on this plan (reset at
-  // the start of each Stage). Shared so reports can outlive the plan.
+  // Per-node actuals and charged_to marks of the most recent Stage call on
+  // this plan (ResetCost clears them before each epoch's stages). Shared so
+  // reports can outlive the plan.
   std::shared_ptr<const obs::CostCollector> cost_collector() const {
     return cost_;
   }
 
-  // Propagates `deltas` (relative to `pre_catalog`) and computes this
-  // view's final refresh without mutating `view` or the base tables.
-  // Inconsistent deltas (absent delete keys, duplicate inserts, negative
-  // counts) are detected here, before anything changes. Staging reads
-  // shared state only, so independent views can stage concurrently.
-  // `shared` holds this epoch's frontier deltas (PropagateSharedFrontier),
-  // which staging reads instead of recomputing.
-  Result<StagedRefresh> Stage(const Catalog& pre_catalog,
-                              const SourceDeltas& deltas,
+  // Computes this view's refresh for the epoch `propagator` propagates,
+  // without mutating `view` or the base tables. Inconsistent deltas (absent
+  // delete keys, duplicate inserts, negative counts) are detected here,
+  // before anything changes. The work is charged to this plan's cost
+  // collector on behalf of `view_name`; deltas an earlier view's stage
+  // already computed through `propagator` are read, not recomputed.
+  Result<StagedRefresh> Stage(DeltaPropagator* propagator,
                               const MaterializedView& view,
-                              const ExecContext& ctx = {},
-                              const SharedDeltas* shared = nullptr) const;
+                              const std::string& view_name) const;
 
-  // `ctx` with this plan's cost collector and node ids attached (unless
-  // `ctx` brings a collector of its own). Stage attaches it itself after
-  // ResetCost; a caller that charges the plan's collector before Stage (the
-  // shared frontier) resets once and passes this context to Stage.
-  ExecContext CostContext(const ExecContext& ctx) const;
   void ResetCost() const;
-
-  // The subtrees whose deltas Stage propagates: the input of the top pivot
-  // (or of the GROUPBY under it), the whole query for kInsertDelete, none
-  // for kFullRecompute.
-  std::vector<PlanPtr> PropagationRoots() const;
-  // The top GPIVOT whose pivoted input delta, GPIVOT(ΔV) / GPIVOT(∇V),
-  // Stage consumes (kUpdate, kSelectPushdownUpdate, kCombinedSelect);
-  // nullptr otherwise.
-  const PlanPtr& delta_pivot() const { return delta_pivot_; }
-  // GPIVOT(ΔV) / GPIVOT(∇V) of `input`, the delta of delta_pivot()'s input,
-  // with the work charged to the pivot's node under `ctx`.
-  Result<Delta> PivotInputDelta(const Delta& input,
-                                const ExecContext& ctx) const;
 
   // Applies a staged refresh, recording every mutation in `undo` so a
   // failure later in the same epoch can roll `view` back byte-identically.
@@ -145,9 +125,13 @@ class MaintenancePlan {
       DeltaPropagator* propagator, const MaterializedView& view) const;
   Result<MergePlan> StageCombinedSelectRefresh(
       DeltaPropagator* propagator, const MaterializedView& view) const;
-  // The pivoted input delta: the shared frontier's when it computed one,
-  // else PivotInputDelta of `input`, the pivot input's delta (propagated
-  // here when null).
+  // GPIVOT(ΔV) / GPIVOT(∇V) of `input`, the delta of the top pivot's
+  // input, with the work charged to the pivot's node under `ctx`.
+  Result<Delta> PivotInputDelta(const Delta& input,
+                                const ExecContext& ctx) const;
+  // The pivoted input delta of delta_pivot_, memoized in `propagator`:
+  // PivotInputDelta of `input`, the pivot input's delta (propagated here
+  // when null).
   Result<DeltaPtr> PivotedDelta(DeltaPropagator* propagator,
                                 DeltaPtr input = nullptr) const;
 
@@ -166,7 +150,9 @@ class MaintenancePlan {
   // kUpdate / kSelectPushdownUpdate / kCombinedSelect / kCombinedGroupBy:
   std::optional<PivotLayout> layout_;
   PlanPtr pivot_child_;  // subtree below the top pivot
-  PlanPtr delta_pivot_;  // see delta_pivot()
+  // The top GPIVOT whose pivoted input delta Stage consumes (kUpdate,
+  // kSelectPushdownUpdate, kCombinedSelect); nullptr otherwise.
+  PlanPtr delta_pivot_;
   Schema pivot_schema_;  // the top pivot's output schema, built once
 
   // kCombinedGroupBy:
@@ -182,47 +168,10 @@ class MaintenancePlan {
   std::unordered_set<Row, RowHash, RowEq> combo_set_;  // the listed combos
 };
 
-// The epoch's shared propagation frontier across a set of maintenance plans
-// (DESIGN.md, "Maintenance DAG"). A node is shared when the staging of two
-// or more plans reaches it; the frontier holds the shared nodes at which
-// some plan's staging stops descending (its maximal shared subtrees), plus
-// every top pivot two or more plans pivot their input delta through.
-struct SharedFrontier {
-  struct Entry {
-    PlanPtr node;
-    // True: GPIVOT(ΔV) / GPIVOT(∇V) of GPIVOT node `node`, keyed in
-    // SharedDeltas::pivoted; false: Propagate(node), in ::propagated.
-    bool pivoted = false;
-    // The first plan (in the given order) whose staging reaches the entry:
-    // its cost collector is charged the entry's work, once.
-    size_t owner = 0;
-    // Every plan whose Stage reads the entry, ascending.
-    std::vector<size_t> readers;
-  };
-  // Processing order: by owner, a subtree before the subtrees containing
-  // it, pivoted entries after the deltas they pivot.
-  std::vector<Entry> entries;
-
-  bool empty() const { return entries.empty(); }
-};
-
-// The frontier of `plans` (definition order). Empty unless two plans share
-// a subtree.
-SharedFrontier BuildSharedFrontier(
-    const std::vector<const MaintenancePlan*>& plans);
-
-// Computes every frontier entry once, serially, with one propagator, into
-// `out`: what each plan's Stage then reads. Entries over subtrees the
-// batch leaves unchanged are skipped (their delta is empty).
-Status PropagateSharedFrontier(
-    const SharedFrontier& frontier,
-    const std::vector<const MaintenancePlan*>& plans,
-    const Catalog& pre_catalog, const SourceDeltas& deltas,
-    const ExecContext& ctx, SharedDeltas* out);
-
 // EXPLAIN ANALYZE of the plan's most recent Stage: the effective query
-// annotated with per-node actuals, as a CostReport (render with ToText /
-// ToJson). Before the first Stage every node reports zero work.
+// annotated with per-node actuals and charged_to marks, as a CostReport
+// (render with ToText / ToJson). Before the first Stage every node reports
+// zero work.
 CostReport ExplainAnalyze(const MaintenancePlan& plan);
 
 }  // namespace gpivot::ivm

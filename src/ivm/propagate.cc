@@ -9,33 +9,53 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewrite/rules.h"
-#include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/string_util.h"
 
 namespace gpivot::ivm {
 
 DeltaPropagator::DeltaPropagator(const Catalog* pre_catalog,
                                  const SourceDeltas* deltas,
-                                 const ExecContext& ctx,
-                                 const SharedDeltas* shared)
-    : pre_(pre_catalog),
-      deltas_(deltas),
-      shared_(shared),
-      ctx_(ctx),
-      post_(*pre_catalog) {}
+                                 const ExecContext& ctx)
+    : pre_(pre_catalog), deltas_(deltas), ctx_(ctx), post_(*pre_catalog) {}
 
-void DeltaPropagator::CountShared() {
+void DeltaPropagator::set_cost_target(obs::CostCollector* cost,
+                                      const PlanNodeIds* ids,
+                                      std::string owner) {
+  ctx_.cost = cost;
+  ctx_.plan_ids = ids;
+  owner_ = std::move(owner);
+}
+
+DeltaPtr DeltaPropagator::Recall(const MemoMap& memo, const PlanNode* node) {
+  auto it = memo.find(node);
+  if (it == memo.end() || it->second.owner == owner_) return nullptr;
+  const Memo& hit = it->second;
   if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
     ctx_.metrics->AddCounter("ivm.stage.shared_deltas");
   }
+  if (int id = CostNodeOf(ctx_, node); id >= 0) {
+    ctx_.cost->MarkChargedTo(id, hit.owner);
+  }
+  return hit.delta;
 }
 
-DeltaPtr DeltaPropagator::SharedPivoted(const PlanNode* pivot) {
-  if (shared_ == nullptr) return nullptr;
-  auto it = shared_->pivoted.find(pivot);
-  if (it == shared_->pivoted.end()) return nullptr;
-  CountShared();
-  return it->second;
+DeltaPtr DeltaPropagator::Remember(MemoMap* memo, const PlanNode* node,
+                                   Delta delta) {
+  auto shared = std::make_shared<const Delta>(std::move(delta));
+  memo->insert_or_assign(node, Memo{shared, owner_});
+  return shared;
+}
+
+DeltaPtr DeltaPropagator::RecallPivoted(const PlanPtr& pivot) {
+  return Recall(pivoted_, pivot.get());
+}
+
+Result<DeltaPtr> DeltaPropagator::RememberPivoted(const PlanPtr& pivot,
+                                                  Delta delta) {
+  GPIVOT_ASSIGN_OR_RETURN(bool unchanged, Unchanged(pivot));
+  if (unchanged) return std::make_shared<const Delta>(std::move(delta));
+  return Remember(&pivoted_, pivot.get(), std::move(delta));
 }
 
 Result<const Catalog*> DeltaPropagator::PostCatalog() {
@@ -182,13 +202,7 @@ Result<DeltaPtr> DeltaPropagator::Propagate(const PlanPtr& plan) {
     GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
     return std::make_shared<const Delta>(Delta::Empty(schema));
   }
-  if (shared_ != nullptr) {
-    auto it = shared_->propagated.find(plan.get());
-    if (it != shared_->propagated.end()) {
-      CountShared();
-      return it->second;
-    }
-  }
+  if (DeltaPtr memo = Recall(propagated_, plan.get())) return memo;
   // Attribute the exec work of this node's propagation rule to its plan-node
   // id; recursive Propagate calls re-target on entry and restore on exit.
   const int saved_node = ctx_.cost_node;
@@ -203,7 +217,7 @@ Result<DeltaPtr> DeltaPropagator::Propagate(const PlanPtr& plan) {
               &obs::NodeStats::delta_insert_rows);
   span.Record("delete_rows", delta.deletes.num_rows(),
               &obs::NodeStats::delta_delete_rows);
-  return std::make_shared<const Delta>(std::move(delta));
+  return Remember(&propagated_, plan.get(), std::move(delta));
 }
 
 Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
@@ -211,7 +225,10 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
     case PlanKind::kScan: {
       const auto* scan = static_cast<const ScanNode*>(plan.get());
       auto it = deltas_->find(scan->table_name());
-      GPIVOT_CHECK(it != deltas_->end()) << "scan delta vanished";
+      if (it == deltas_->end()) {
+        return Status::Internal(
+            StrCat("no delta for changed scan '", scan->table_name(), "'"));
+      }
       Delta delta = it->second;
       // Deltas travel without declared keys.
       GPIVOT_RETURN_NOT_OK(delta.inserts.SetKey({}));

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -14,18 +15,6 @@
 
 namespace gpivot::ivm {
 
-// The deltas an epoch's shared frontier computed once for several views
-// (DESIGN.md, "Maintenance DAG"), keyed by plan node. Filled serially before
-// the per-view fan-out, then only read, so concurrent stages may share it.
-struct SharedDeltas {
-  // (Δ, ∇) of a node's output: what Propagate(node) returns.
-  std::unordered_map<const PlanNode*, DeltaPtr> propagated;
-  // GPIVOT(ΔV) / GPIVOT(∇V) for a GPIVOT node over V: the pivoted input
-  // delta the Fig. 23 / Fig. 29 update rules consume (not the Fig. 22
-  // delta of the pivot's own output).
-  std::unordered_map<const PlanNode*, DeltaPtr> pivoted;
-};
-
 // Propagate phase (§3): computes the delta of any plan's output from source
 // deltas, using the classic relational propagation rules [11, 18] plus the
 // paper's Fig. 22 insert/delete rules for intermediate GPIVOT/GUNPIVOT
@@ -35,33 +24,42 @@ struct SharedDeltas {
 // and `post` (pre with the deltas applied). Join and pivot rules evaluate
 // subtrees in whichever state the algebra requires. Subtree evaluations are
 // memoized per state so shared subplans are computed once.
+//
+// One propagator serves a whole epoch, every view staging through it in
+// definition order (DESIGN.md, "Maintenance DAG"). It memoizes each delta
+// it computes, keyed by the interned plan node, so a delta several views
+// read is computed once, by the first view to reach it, and charged to it.
+// A view never reads its own entries: within one view's stage the rules
+// run as they would for that view alone, so its work and its cost report
+// do not depend on which other views the manager holds.
 class DeltaPropagator {
  public:
   // Both referents must outlive the propagator. `pre_catalog` is copied to
   // build the post-state catalog. `ctx` carries the observability sinks
-  // and batch width into every subtree evaluation and propagation rule.
-  // `shared` (optional, outliving the propagator too) holds deltas already
-  // propagated for this epoch: Propagate returns those instead of
-  // recomputing them, counting each as ivm.stage.shared_deltas.
+  // into every subtree evaluation and propagation rule.
   DeltaPropagator(const Catalog* pre_catalog, const SourceDeltas* deltas,
-                  const ExecContext& ctx = {},
-                  const SharedDeltas* shared = nullptr);
+                  const ExecContext& ctx = {});
 
   const ExecContext& exec_context() const { return ctx_; }
 
-  // Charges subsequent work to `cost`, numbered by `ids` (the shared
-  // frontier charges each node to the first view that reads it).
-  void set_cost_target(obs::CostCollector* cost, const PlanNodeIds* ids) {
-    ctx_.cost = cost;
-    ctx_.plan_ids = ids;
-  }
+  // Charges subsequent work to `cost`, numbered by `ids`, on behalf of the
+  // view named `owner`. A delta memoized under another owner is read, not
+  // recomputed: each read counts ivm.stage.shared_deltas and marks the node
+  // charged_to that owner in `cost`.
+  void set_cost_target(obs::CostCollector* cost, const PlanNodeIds* ids,
+                       std::string owner);
 
-  // (Δ, ∇) of `plan`'s output.
+  // (Δ, ∇) of `plan`'s output, memoized per node for later owners.
   Result<DeltaPtr> Propagate(const PlanPtr& plan);
 
-  // The pivoted input delta of GPIVOT node `pivot` when the shared frontier
-  // computed it (counted like a shared Propagate); nullptr otherwise.
-  DeltaPtr SharedPivoted(const PlanNode* pivot);
+  // GPIVOT(ΔV) / GPIVOT(∇V) for GPIVOT node `pivot` over V: the pivoted
+  // input delta the Fig. 23 / Fig. 29 update rules consume (not the Fig. 22
+  // delta of the pivot's own output). RecallPivoted returns it when an
+  // earlier view's stage this epoch memoized it (nullptr otherwise);
+  // RememberPivoted memoizes `delta` under the current target and returns
+  // it. Like Propagate, neither memoizes the delta of an unchanged subtree.
+  DeltaPtr RecallPivoted(const PlanPtr& pivot);
+  Result<DeltaPtr> RememberPivoted(const PlanPtr& pivot, Delta delta);
 
   // Evaluates `plan` against the post-update database. (The pre-update
   // database is the caller's catalog: Evaluate it directly.)
@@ -94,9 +92,19 @@ class DeltaPropagator {
   const SourceDeltas& deltas() const { return *deltas_; }
 
  private:
+  // A computed delta and the view charged for it.
+  struct Memo {
+    DeltaPtr delta;
+    std::string owner;
+  };
+  using MemoMap = std::unordered_map<const PlanNode*, Memo>;
+
   Result<Delta> PropagateImpl(const PlanPtr& plan);
-  // Counts one delta read from `shared_` rather than computed.
-  void CountShared();
+  // `node`'s delta in `memo` when another owner computed it, else nullptr.
+  // A read counts one ivm.stage.shared_deltas and marks the node charged_to
+  // the memo's owner.
+  DeltaPtr Recall(const MemoMap& memo, const PlanNode* node);
+  DeltaPtr Remember(MemoMap* memo, const PlanNode* node, Delta delta);
   // The pre-state store behind `plan` when `plan` is a scan whose built key
   // index `columns` cover (exec::KeyIndexCovers); nullptr otherwise.
   Result<const KeyedTable*> ProbeTarget(
@@ -116,8 +124,10 @@ class DeltaPropagator {
 
   const Catalog* pre_;
   const SourceDeltas* deltas_;
-  const SharedDeltas* shared_;
   ExecContext ctx_;
+  std::string owner_;  // the view the current cost target charges
+  MemoMap propagated_;
+  MemoMap pivoted_;
   Catalog post_;
   bool post_built_ = false;
   std::unordered_map<const PlanNode*, std::shared_ptr<const Table>> pre_memo_;

@@ -9,7 +9,6 @@
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::ivm {
 
@@ -69,12 +68,6 @@ void ViewManager::AddView(const std::string& name, MaintenancePlan plan,
                           MaterializedView view) {
   views_.emplace(name, ViewState{std::move(plan), std::move(view)});
   view_order_.push_back(name);
-  std::vector<const MaintenancePlan*> plans;
-  plans.reserve(view_order_.size());
-  for (const std::string& view_name : view_order_) {
-    plans.push_back(&views_.at(view_name).plan);
-  }
-  frontier_ = BuildSharedFrontier(plans);
 }
 
 Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
@@ -281,66 +274,36 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
                                          EpochUndo* undo) {
   // Stage phase: every view's refresh is computed against the pre-epoch
   // catalog and validated; nothing mutates until all views staged cleanly.
-  // Views are independent (each Stage only reads the shared catalog and its
-  // own view), so they stage concurrently — one task per view, each
-  // thread claiming the next unstaged view as soon as it is free.
-  // Each slot is written by exactly one task; the first failure in
-  // view-list order wins, so the reported error doesn't depend on
-  // scheduling.
-  std::vector<std::pair<const std::string*, ViewState*>> states;
-  std::vector<const MaintenancePlan*> plans;
-  states.reserve(view_order_.size());
-  plans.reserve(view_order_.size());
-  for (const std::string& name : view_order_) {
-    ViewState* state = &views_.at(name);
-    states.emplace_back(&name, state);
-    plans.push_back(&state->plan);
-    // "Last stage wins" for every view's cost report; reset here because
-    // the shared frontier charges a view's collector before its Stage.
-    state->plan.ResetCost();
-  }
-  std::vector<std::optional<Result<StagedRefresh>>> slots(states.size());
-  SharedDeltas shared;
+  // One propagator serves the epoch and the views stage through it in
+  // definition order, so a delta several views read is computed once, by
+  // the first of them, and the first failure in that order is reported.
+  // "Last stage wins" for every view's cost report: all are reset first, so
+  // a failed epoch leaves no stale report behind the failing view.
+  for (const std::string& name : view_order_) views_.at(name).plan.ResetCost();
+  std::vector<StagedRefresh> staged;
+  staged.reserve(view_order_.size());
   {
     obs::ScopedSpan stage_span(exec_context_, "stage");
-    if (!frontier_.empty()) {
-      // The deltas several views read are propagated once, serially, before
-      // the fan-out and at every thread count, so spans, counters and cost
-      // reports stay identical across thread counts. The per-view stages
-      // then only read `shared`.
-      obs::ScopedSpan shared_span(exec_context_, "stage:shared",
-                                  stage_span.id(), /*order=*/0);
-      GPIVOT_RETURN_NOT_OK(PropagateSharedFrontier(
-          frontier_, plans, catalog_, deltas, exec_context_, &shared));
+    DeltaPropagator propagator(&catalog_, &deltas, exec_context_);
+    for (const std::string& name : view_order_) {
+      obs::ScopedSpan view_span(exec_context_, {"stage:", name});
+      const ViewState& state = views_.at(name);
+      GPIVOT_ASSIGN_OR_RETURN(StagedRefresh refresh,
+                              state.plan.Stage(&propagator, state.view, name));
+      staged.push_back(std::move(refresh));
     }
-    ParallelFor(exec_context_, states.size(), [&](size_t i) {
-      // Worker threads carry no thread-local span context, so the per-view
-      // span names its parent and position explicitly — the exported tree is
-      // identical for every thread count.
-      obs::ScopedSpan view_span(exec_context_, {"stage:", *states[i].first},
-                                stage_span.id(), static_cast<int64_t>(i + 1));
-      const MaintenancePlan& plan = states[i].second->plan;
-      slots[i].emplace(plan.Stage(catalog_, deltas, states[i].second->view,
-                                  plan.CostContext(exec_context_), &shared));
-    });
-  }
-  std::vector<std::tuple<const std::string*, ViewState*, StagedRefresh>>
-      staged;
-  staged.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    GPIVOT_ASSIGN_OR_RETURN(StagedRefresh refresh, std::move(*slots[i]));
-    staged.emplace_back(states[i].first, states[i].second, std::move(refresh));
   }
   // Commit phase: apply each view's merge, logging every mutation so a
   // failure here (or later in the epoch) rolls everything back. Stays
   // serial — the undo log's "reverse commit order" rollback depends on it.
   obs::ScopedSpan commit_span(exec_context_, "commit");
-  for (auto& [name, state, refresh] : staged) {
+  for (size_t i = 0; i < view_order_.size(); ++i) {
     GPIVOT_FAULT_POINT("ViewManager::CommitView");
-    obs::ScopedSpan view_span(exec_context_, {"commit:", *name});
+    obs::ScopedSpan view_span(exec_context_, {"commit:", view_order_[i]});
+    ViewState* state = &views_.at(view_order_[i]);
     undo->views.emplace_back(state, UndoLog());
     GPIVOT_RETURN_NOT_OK(MaintenancePlan::CommitStaged(
-        std::move(refresh), &state->view, &undo->views.back().second,
+        std::move(staged[i]), &state->view, &undo->views.back().second,
         exec_context_));
   }
   return Status::OK();
@@ -425,31 +388,8 @@ Result<Table> ViewManager::RecomputeFromScratch(
 }
 
 Result<CostReport> ViewManager::ExplainAnalyze(const std::string& name) const {
-  auto it = std::find(view_order_.begin(), view_order_.end(), name);
-  if (it == view_order_.end()) {
-    return Status::NotFound(StrCat("view '", name, "' not defined"));
-  }
-  return ViewCost(static_cast<size_t>(it - view_order_.begin()));
-}
-
-CostReport ViewManager::ViewCost(size_t index) const {
-  const MaintenancePlan& plan = views_.at(view_order_[index]).plan;
-  CostReport report = ivm::ExplainAnalyze(plan);
-  for (const SharedFrontier::Entry& entry : frontier_.entries) {
-    if (entry.owner == index ||
-        std::find(entry.readers.begin(), entry.readers.end(), index) ==
-            entry.readers.end()) {
-      continue;
-    }
-    const int id = plan.node_ids().IdOf(entry.node.get());
-    for (CostReportNode& node : report.nodes) {
-      if (node.id == id && !node.shared_ref) {
-        node.charged_to = view_order_[entry.owner];
-        break;
-      }
-    }
-  }
-  return report;
+  GPIVOT_ASSIGN_OR_RETURN(const MaintenancePlan* plan, GetPlan(name));
+  return ivm::ExplainAnalyze(*plan);
 }
 
 void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
@@ -481,7 +421,7 @@ void ViewManager::RecordEpoch(const char* entry, const SourceDeltas& deltas,
       report.name = view_order_[i];
       report.strategy = RefreshStrategyToString(state.plan.strategy());
       report.rows_after = state.view.num_rows();
-      report.cost = ViewCost(i);
+      report.cost = ivm::ExplainAnalyze(state.plan);
       record.views.push_back(std::move(report));
     }
   }

@@ -19,7 +19,7 @@ namespace gpivot::ivm {
 // ran, the per-table delta cardinalities, every view's strategy and
 // EXPLAIN ANALYZE cost report, and the outcome (committed / rolled_back /
 // rejected). Deliberately contains no timings: the record is a pure
-// function of the work, so it is byte-identical at every thread count.
+// function of the work, so it is byte-identical from run to run.
 struct EpochRecord {
   struct TableDelta {
     std::string table;
@@ -117,12 +117,8 @@ class ViewManager {
 
   const Catalog& catalog() const { return catalog_; }
 
-  // Maintenance-executor concurrency. Staging (the propagate phase, which
-  // only reads the pre-epoch catalog) runs one task per view on up to
-  // num_threads threads; the operators inside each propagation run
-  // serially. The commit phase — view merges, base advance, undo logging —
-  // stays serial, preserving the epoch's atomic rollback semantics. Results
-  // are byte-identical for every thread count. Default: sequential.
+  // The observability sinks every epoch reports to (none by default). An
+  // epoch runs on the calling thread: stage, commit and base advance.
   void set_exec_context(const ExecContext& ctx) { exec_context_ = ctx; }
   const ExecContext& exec_context() const { return exec_context_; }
 
@@ -206,10 +202,10 @@ class ViewManager {
 
   // EXPLAIN ANALYZE for one view: its effective query annotated with the
   // per-node actuals of the most recent refresh (all zero before the first
-  // epoch). Render with CostReport::ToText / ToJson. A delta the epoch's
-  // shared frontier computed for several views is charged to the first of
-  // them in definition order; the others' reports mark that node with
-  // `charged_to` (DESIGN.md, "Maintenance DAG").
+  // epoch). Render with CostReport::ToText / ToJson. A delta several views
+  // read is computed once per epoch and charged to the first of them in
+  // definition order; the others' reports mark that node with `charged_to`
+  // (DESIGN.md, "Maintenance DAG").
   Result<CostReport> ExplainAnalyze(const std::string& name) const;
 
   // The structured report of the most recent epoch entry-point call
@@ -293,13 +289,9 @@ class ViewManager {
   // record; only kApply epochs reach the durability hook.
   Status RunEpoch(const char* entry, const SourceDeltas& deltas,
                   EpochWork work);
-  // Registers a compiled view and rebuilds the shared frontier over every
-  // registered plan.
+  // Registers a compiled view after every registered one.
   void AddView(const std::string& name, MaintenancePlan plan,
                MaterializedView view);
-  // ExplainAnalyze of the index-th view in definition order, with the
-  // shared-frontier nodes another view is charged for marked.
-  CostReport ViewCost(size_t index) const;
   Status RefreshViewsInternal(const SourceDeltas& deltas, EpochUndo* undo);
   Status AdvanceBaseInternal(const SourceDeltas& deltas, EpochUndo* undo);
   void RollbackEpoch(EpochUndo* undo);
@@ -322,8 +314,6 @@ class ViewManager {
   // Hash-conses every view's effective query (DefineView and RestoreView
   // alike, so a recovered manager shares as a fresh one does).
   PlanInterner interner_;
-  // The deltas several views' staging reads, propagated once per epoch.
-  SharedFrontier frontier_;
   ExecContext exec_context_;
   uint64_t epoch_seq_ = 0;
   std::optional<EpochRecord> last_epoch_;

@@ -26,14 +26,25 @@ void CostCollector::Record(int node, const NodeStats& delta) {
   stats_[node].Merge(delta);
 }
 
+void CostCollector::MarkChargedTo(int node, std::string owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  charged_to_[node] = std::move(owner);
+}
+
 std::map<int, NodeStats> CostCollector::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
+std::map<int, std::string> CostCollector::ChargedTo() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return charged_to_;
+}
+
 void CostCollector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.clear();
+  charged_to_.clear();
 }
 
 }  // namespace gpivot::obs

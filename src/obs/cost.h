@@ -4,14 +4,15 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 
 namespace gpivot::obs {
 
 // Per-plan-node actuals accumulated while a maintenance plan stages one
 // delta batch (or evaluates from scratch). Every field is a pure function
 // of the work performed — never of the schedule — so reports built from
-// these are byte-identical across thread counts, like the counter
-// registries (see DESIGN.md, "Observability").
+// these are byte-identical from run to run, like the counter registries
+// (see DESIGN.md, "Observability").
 struct NodeStats {
   // Operator executions attributed to this node (an incremental strategy
   // may run the same node's operator several times: once per delta side,
@@ -38,18 +39,23 @@ struct NodeStats {
 
 // Accumulates NodeStats keyed by the plan-node id assigned at compile time
 // (AssignNodeIds in algebra/plan.h). One collector per maintenance plan;
-// Reset at the start of every Stage so a snapshot always describes the most
-// recent refresh. Staging runs one thread per view but operators record
-// from the staging thread only, so the mutex is effectively uncontended.
+// Reset before every stage so a snapshot always describes the most recent
+// refresh. The mutex lets a reader snapshot while an epoch records.
 class CostCollector {
  public:
   void Record(int node, const NodeStats& delta);
+  // Marks `node` as read from a delta another view computed earlier in the
+  // same epoch and was charged for; `owner` names that view.
+  void MarkChargedTo(int node, std::string owner);
   std::map<int, NodeStats> Snapshot() const;
+  // Every MarkChargedTo since the last Reset, by node.
+  std::map<int, std::string> ChargedTo() const;
   void Reset();
 
  private:
   mutable std::mutex mu_;
   std::map<int, NodeStats> stats_;
+  std::map<int, std::string> charged_to_;
 };
 
 }  // namespace gpivot::obs

@@ -14,8 +14,8 @@ namespace gpivot::obs {
 // mutex, so concurrent writers interleave at line granularity only.
 //
 // Record contents are deterministic (no timestamps), so two runs of the
-// same workload produce byte-identical logs regardless of thread count —
-// the determinism tests compare whole files.
+// same workload produce byte-identical logs — the determinism tests compare
+// whole files.
 class EventLog {
  public:
   explicit EventLog(std::string path);

@@ -164,8 +164,8 @@ MetricsRegistry::MetricsRegistry() : id_(NextRegistryId()) {}
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::Global() {
-  // Leaked: worker threads of the (also leaked) global ThreadPool may
-  // record into it during static destruction.
+  // Leaked: threads still running at exit (serving readers) may record
+  // into it during static destruction.
   static MetricsRegistry* const kRegistry = new MetricsRegistry();
   return *kRegistry;
 }

@@ -61,9 +61,9 @@ struct MetricsSnapshot {
 // Writes go to a per-thread shard (created on first touch, owned by the
 // registry), so concurrent AddCounter calls never contend and never lose
 // updates: Snapshot() merges the shards under their (otherwise uncontended)
-// mutexes, producing exact sums. Counter values are therefore a pure
-// function of the work performed — byte-identical across thread counts —
-// which the determinism tests rely on.
+// mutexes, producing exact sums. Serving readers record beside the epoch
+// thread. Counter values are a pure function of the work performed, which
+// the determinism tests rely on.
 //
 // Disabled registries (the default) cost one relaxed atomic load per call.
 class MetricsRegistry {
@@ -74,9 +74,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Process-wide registry. Used by code with no ExecContext in reach
-  // (ThreadPool internals); enabled via set_enabled or GPIVOT_METRICS=1
-  // (see MetricsFromEnv).
+  // Process-wide registry. Used by code with no ExecContext in reach (the
+  // view store's version counters); enabled via set_enabled or
+  // GPIVOT_METRICS=1 (see MetricsFromEnv).
   static MetricsRegistry& Global();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -45,16 +45,15 @@ Tracer& Tracer::Global() {
   return *kTracer;
 }
 
-SpanId Tracer::BeginSpan(std::string name, SpanId parent, int64_t order,
+SpanId Tracer::BeginSpan(std::string name,
                          std::chrono::steady_clock::time_point start) {
-  if (parent == 0) parent = CurrentSpan();
+  const SpanId parent = CurrentSpan();
   std::lock_guard<std::mutex> lock(mu_);
   SpanRecord record;
   record.id = spans_.size() + 1;
   record.parent = parent;
   record.name = std::move(name);
   record.start = start;
-  record.order = order;
   record.tid =
       thread_numbers_.emplace(std::this_thread::get_id(), thread_numbers_.size())
           .first->second;
@@ -112,24 +111,11 @@ std::string Tracer::ToChromeTraceJson() const {
 
 std::string Tracer::ToSpanTree() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // children[p] = ids of spans whose parent is p (0 = roots).
+  // children[p] = ids of spans whose parent is p (0 = roots), in creation
+  // order.
   std::unordered_map<SpanId, std::vector<SpanId>> children;
   for (const SpanRecord& span : spans_) {
     children[span.parent].push_back(span.id);
-  }
-  // Deterministic sibling order: explicit `order` keys first (ascending),
-  // then creation order. Creation order across threads is only used for
-  // same-thread sequential siblings, so it is deterministic too.
-  for (auto& [parent, ids] : children) {
-    std::sort(ids.begin(), ids.end(), [this](SpanId a, SpanId b) {
-      const SpanRecord& ra = spans_[a - 1];
-      const SpanRecord& rb = spans_[b - 1];
-      bool a_explicit = ra.order >= 0;
-      bool b_explicit = rb.order >= 0;
-      if (a_explicit != b_explicit) return a_explicit;
-      if (a_explicit && ra.order != rb.order) return ra.order < rb.order;
-      return a < b;
-    });
   }
   std::ostringstream out;
   // Iterative DFS from the roots; (id, depth) stack, children pre-reversed.

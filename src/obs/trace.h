@@ -15,7 +15,7 @@
 
 #include "obs/cost.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
+#include "util/exec_context.h"
 
 namespace gpivot::obs {
 
@@ -37,9 +37,6 @@ struct SpanRecord {
   std::string name;
   std::chrono::steady_clock::time_point start;
   double dur_us = -1.0;  // -1 until EndSpan
-  // Explicit sibling sort key for spans created by parallel fan-out, where
-  // creation order is scheduling-dependent; -1 = order by creation (id).
-  int64_t order = -1;
   uint64_t tid = 0;  // small per-tracer thread number, for Chrome tracks
   std::vector<std::pair<std::string, std::string>> attrs;
 };
@@ -48,13 +45,9 @@ struct SpanRecord {
 // (load via chrome://tracing or https://ui.perfetto.dev) or as a
 // structure-only text tree.
 //
-// Nesting: each thread tracks its innermost open span; a new span parents
-// to it unless an explicit parent is passed (used when a child span starts
-// on a different thread than its logical parent, e.g. per-view staging
-// inside ParallelFor). Sibling order in the text tree is deterministic:
-// explicit `order` keys first, then creation order — cross-thread siblings
-// always carry explicit orders, same-thread siblings are created
-// sequentially.
+// Nesting: each thread tracks its innermost open span, and a new span
+// parents to it. Siblings appear in creation order, which is deterministic
+// for the spans of one thread (an epoch runs on one).
 //
 // Disabled tracers (the default) make ScopedSpan construction a pointer
 // check; no clock reads, no allocation, no locking.
@@ -67,7 +60,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Process-wide tracer, enabled via set_enabled or GPIVOT_TRACE_DIR (see
-  // TracerFromEnv). Leaked, like ThreadPool::Global().
+  // TracerFromEnv). Leaked, like MetricsRegistry::Global().
   static Tracer& Global();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -75,13 +68,12 @@ class Tracer {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  // Low-level span API; prefer ScopedSpan. `parent` 0 means "the calling
-  // thread's innermost open span" (root if none). `start` and `end` are
-  // the caller's clock reads, so one pair can time several sinks.
-  SpanId BeginSpan(
-      std::string name, SpanId parent = 0, int64_t order = -1,
-      std::chrono::steady_clock::time_point start =
-          std::chrono::steady_clock::now());
+  // Low-level span API; prefer ScopedSpan. A span nests under the calling
+  // thread's innermost open span (root if none). `start` and `end` are the
+  // caller's clock reads, so one pair can time several sinks.
+  SpanId BeginSpan(std::string name,
+                   std::chrono::steady_clock::time_point start =
+                       std::chrono::steady_clock::now());
   void EndSpan(SpanId id, std::chrono::steady_clock::time_point end =
                               std::chrono::steady_clock::now());
   void AddAttr(SpanId id, std::string_view key, std::string_view value);
@@ -92,8 +84,8 @@ class Tracer {
 
   // {"traceEvents": [...]} with one complete ("ph":"X") event per span.
   std::string ToChromeTraceJson() const;
-  // Indented name/attr tree; timing excluded, sibling order deterministic.
-  // The determinism tests compare these strings across thread counts.
+  // Indented name/attr tree; timing excluded, siblings in creation order.
+  // The determinism tests compare these strings across runs.
   std::string ToSpanTree() const;
   // A copy of every recorded span, in creation order.
   std::vector<SpanRecord> Spans() const;
@@ -154,11 +146,23 @@ class ScopedSpan {
   // (empty = none). Names are views and must outlive the instrument.
   ScopedSpan(const ExecContext& ctx, Name span, Name counters = {},
              std::string_view histogram = {})
-      : ScopedSpan(ctx, span, counters, histogram, 0, -1) {}
-  // A span that starts on a different thread than its logical parent:
-  // nests under `parent` and sorts among its siblings by `order`.
-  ScopedSpan(const ExecContext& ctx, Name span, SpanId parent, int64_t order)
-      : ScopedSpan(ctx, span, {}, {}, parent, order) {}
+      : metrics_(LiveOrNull(ctx.metrics)),
+        cost_(ctx.cost_node >= 0 ? ctx.cost : nullptr),
+        cost_node_(ctx.cost_node),
+        counters_(counters) {
+    if (metrics_ != nullptr) histogram_ = histogram;
+    if (!span.empty() && ctx.tracer != nullptr && ctx.tracer->enabled()) {
+      tracer_ = ctx.tracer;
+    }
+    if (tracer_ == nullptr && histogram_.empty()) return;
+    timed_ = true;
+    start_ = Clock::now();
+    if (tracer_ != nullptr) {
+      saved_current_ = tracer_->CurrentSpan();
+      id_ = tracer_->BeginSpan(span.Join(), start_);
+      tracer_->SetCurrentSpan(id_);
+    }
+  }
 
   ~ScopedSpan() {
     if (stats_.has_value()) cost_->Record(cost_node_, *stats_);
@@ -207,26 +211,6 @@ class ScopedSpan {
   SpanId id() const { return id_; }
 
  private:
-  ScopedSpan(const ExecContext& ctx, Name span, Name counters,
-             std::string_view histogram, SpanId parent, int64_t order)
-      : metrics_(LiveOrNull(ctx.metrics)),
-        cost_(ctx.cost_node >= 0 ? ctx.cost : nullptr),
-        cost_node_(ctx.cost_node),
-        counters_(counters) {
-    if (metrics_ != nullptr) histogram_ = histogram;
-    if (!span.empty() && ctx.tracer != nullptr && ctx.tracer->enabled()) {
-      tracer_ = ctx.tracer;
-    }
-    if (tracer_ == nullptr && histogram_.empty()) return;
-    timed_ = true;
-    start_ = Clock::now();
-    if (tracer_ != nullptr) {
-      saved_current_ = tracer_->CurrentSpan();
-      id_ = tracer_->BeginSpan(span.Join(), parent, order, start_);
-      tracer_->SetCurrentSpan(id_);
-    }
-  }
-
   static MetricsRegistry* LiveOrNull(MetricsRegistry* registry) {
     return registry != nullptr && registry->enabled() ? registry : nullptr;
   }

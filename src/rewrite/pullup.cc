@@ -2,7 +2,6 @@
 #include <unordered_set>
 
 #include "rewrite/rules.h"
-#include "util/check.h"
 #include "util/string_util.h"
 
 namespace gpivot::rewrite {
@@ -135,46 +134,70 @@ Result<PlanPtr> PushSelectBelowPivot(const PlanPtr& plan) {
   }
 
   // Rewrite the condition over the pivot input: each cell a..**B becomes the
-  // measure column B, guarded by (A1..Am) = combo.
+  // measure column B, guarded by (A1..Am) = combo. An expression it cannot
+  // rewrite leaves the rule not applicable.
   struct Rewriter {
     const std::unordered_map<std::string, std::string>* cell_to_measure;
-    ExprPtr operator()(const ExprPtr& e) const {
+    Result<ExprPtr> operator()(const ExprPtr& e) const {
       switch (e->kind()) {
         case ExprKind::kColumnRef: {
           const auto* ref = static_cast<const ColumnRefExpr*>(e.get());
           auto it = cell_to_measure->find(ref->name());
-          GPIVOT_CHECK(it != cell_to_measure->end())
-              << "unmapped cell " << ref->name();
+          if (it == cell_to_measure->end()) {
+            return Status::NotApplicable(
+                StrCat("Eq.7: unmapped cell '", ref->name(), "'"));
+          }
           return Col(it->second);
         }
         case ExprKind::kLiteral:
           return e;
         case ExprKind::kComparison: {
           const auto* c = static_cast<const ComparisonExpr*>(e.get());
-          return Cmp(c->op(), (*this)(c->left()), (*this)(c->right()));
+          GPIVOT_ASSIGN_OR_RETURN(ExprPtr left, (*this)(c->left()));
+          GPIVOT_ASSIGN_OR_RETURN(ExprPtr right, (*this)(c->right()));
+          return Cmp(c->op(), std::move(left), std::move(right));
         }
         case ExprKind::kBoolOp: {
           const auto* b = static_cast<const BoolOpExpr*>(e.get());
           std::vector<ExprPtr> operands;
-          for (const ExprPtr& op : b->operands()) operands.push_back((*this)(op));
+          for (const ExprPtr& op : b->operands()) {
+            GPIVOT_ASSIGN_OR_RETURN(ExprPtr operand, (*this)(op));
+            operands.push_back(std::move(operand));
+          }
           return b->op() == BoolOpKind::kAnd ? And(std::move(operands))
                                              : Or(std::move(operands));
         }
-        case ExprKind::kNot:
-          return Not((*this)(static_cast<const NotExpr*>(e.get())->operand()));
+        case ExprKind::kNot: {
+          GPIVOT_ASSIGN_OR_RETURN(
+              ExprPtr operand,
+              (*this)(static_cast<const NotExpr*>(e.get())->operand()));
+          return Not(std::move(operand));
+        }
+        case ExprKind::kIsNull: {
+          // Every referenced cell shares one combo and the condition is
+          // null-intolerant, so it only holds where that combo's row
+          // exists, and there a cell is NULL exactly when its measure is.
+          const auto* n = static_cast<const IsNullExpr*>(e.get());
+          GPIVOT_ASSIGN_OR_RETURN(ExprPtr operand, (*this)(n->operand()));
+          return n->negated() ? IsNotNull(std::move(operand))
+                              : IsNull(std::move(operand));
+        }
         case ExprKind::kArith: {
           const auto* a = static_cast<const ArithExpr*>(e.get());
-          return std::make_shared<ArithExpr>(a->op(), (*this)(a->left()),
-                                             (*this)(a->right()));
+          GPIVOT_ASSIGN_OR_RETURN(ExprPtr left, (*this)(a->left()));
+          GPIVOT_ASSIGN_OR_RETURN(ExprPtr right, (*this)(a->right()));
+          return ExprPtr(std::make_shared<ArithExpr>(a->op(), std::move(left),
+                                                     std::move(right)));
         }
         default:
-          GPIVOT_CHECK(false) << "unsupported expression in Eq.7 rewrite";
-          return e;
+          return Status::NotApplicable(
+              StrCat("Eq.7 cannot rewrite ", e->ToString()));
       }
     }
   };
   Rewriter rewriter{&cell_to_measure};
-  ExprPtr base_condition = rewriter(select->predicate());
+  GPIVOT_ASSIGN_OR_RETURN(ExprPtr base_condition,
+                          rewriter(select->predicate()));
   std::vector<ExprPtr> conjuncts;
   const Row& combo = spec.combos[*shared_combo];
   for (size_t d = 0; d < spec.pivot_by.size(); ++d) {

@@ -9,8 +9,8 @@
 #include "relation/row.h"
 #include "relation/table.h"
 #include "serve/snapshot.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::serve {
 

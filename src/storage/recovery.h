@@ -13,8 +13,8 @@
 #include "obs/event_log.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
+#include "util/exec_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace gpivot::storage {
 

@@ -16,8 +16,8 @@
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/views.h"
+#include "util/exec_context.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 namespace {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "tools/bench_compare.h"
 
@@ -31,7 +32,6 @@ class BenchDiffTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(root_); }
 
   struct FileSpec {
-    int num_threads = 1;
     double wall_ms = 10.0;
     int view_rows = 500;
     std::string extra_row_fields = "";  // appended inside the result object
@@ -43,12 +43,12 @@ class BenchDiffTest : public ::testing::Test {
     std::snprintf(
         buf, sizeof(buf),
         "{\"figure\": \"Fig/Test\", \"scale_factor\": 0.0100, \"seed\": 7,\n"
-        " \"num_threads\": %d, \"hardware_threads\": 8,\n"
+        " \"hardware_threads\": 8,\n"
         " \"results\": [{\"strategy\": \"FullRecompute\", "
         "\"delta_fraction\": 0.0100, \"wall_ms\": %.4f, "
         "\"wall_ms_median\": %.4f, \"reps\": 3, \"view_rows\": %d, "
         "\"delta_rows\": 50%s}]}\n",
-        spec.num_threads, spec.wall_ms, spec.wall_ms, spec.view_rows,
+        spec.wall_ms, spec.wall_ms, spec.view_rows,
         spec.extra_row_fields.c_str());
     return buf;
   }
@@ -115,15 +115,6 @@ TEST_F(BenchDiffTest, WallRegressionBeyondToleranceFails) {
   EXPECT_EQ(Diff(shape, &shape_report), kDiffOk);
 }
 
-TEST_F(BenchDiffTest, ThreadCountMismatchSkipsWallGate) {
-  WriteSide("base", Doc({.num_threads = 1, .wall_ms = 10.0}));
-  WriteSide("cand", Doc({.num_threads = 4, .wall_ms = 100.0}));
-  BenchDiffReport report;
-  EXPECT_EQ(Diff({}, &report), kDiffOk) << report.ToString();
-  ASSERT_FALSE(report.notes.empty());
-  EXPECT_NE(report.notes[0].find("num_threads differ"), std::string::npos);
-}
-
 TEST_F(BenchDiffTest, LegacyVectorChunkSizeFieldDoesNotSkipWallGate) {
   // Files written while the batch width was settable carry
   // vector_chunk_size. The width is fixed now, so a differing value must
@@ -154,11 +145,11 @@ TEST_F(BenchDiffTest, CounterChangeFailsButIgnoredPrefixPasses) {
   FileSpec base;
   base.extra_row_fields =
       ", \"metrics\": {\"counters\": {\"exec.join.calls\": 4, "
-      "\"thread_pool.tasks\": 9}}";
+      "\"serve.acquire.fast\": 9}}";
   FileSpec cand;
   cand.extra_row_fields =
       ", \"metrics\": {\"counters\": {\"exec.join.calls\": 4, "
-      "\"thread_pool.tasks\": 77}}";
+      "\"serve.acquire.fast\": 77}}";
   WriteSide("base", Doc(base));
   WriteSide("cand", Doc(cand));
   BenchDiffReport report;
@@ -166,11 +157,29 @@ TEST_F(BenchDiffTest, CounterChangeFailsButIgnoredPrefixPasses) {
 
   cand.extra_row_fields =
       ", \"metrics\": {\"counters\": {\"exec.join.calls\": 5, "
-      "\"thread_pool.tasks\": 9}}";
+      "\"serve.acquire.fast\": 9}}";
   WriteSide("cand", Doc(cand));
   BenchDiffReport changed;
   EXPECT_EQ(Diff({}, &changed), kDiffFailed);
   EXPECT_NE(changed.ToString().find("exec.join.calls"), std::string::npos);
+}
+
+TEST_F(BenchDiffTest, OnlyServingCountersAreIgnoredByDefault) {
+  // The thread pool's counters are gone, and so is their exemption: a
+  // counter under that old prefix is compared like any other.
+  EXPECT_EQ(BenchDiffOptions().ignore_counter_prefixes,
+            (std::vector<std::string>{"serve.acquire.", "serve.retire."}));
+  FileSpec base;
+  base.extra_row_fields =
+      ", \"metrics\": {\"counters\": {\"thread_pool.tasks\": 9}}";
+  FileSpec cand;
+  cand.extra_row_fields =
+      ", \"metrics\": {\"counters\": {\"thread_pool.tasks\": 77}}";
+  WriteSide("base", Doc(base));
+  WriteSide("cand", Doc(cand));
+  BenchDiffReport report;
+  EXPECT_EQ(Diff({}, &report), kDiffFailed);
+  EXPECT_NE(report.ToString().find("thread_pool.tasks"), std::string::npos);
 }
 
 TEST_F(BenchDiffTest, MissingFigureFailsUnlessAllowed) {

@@ -1,27 +1,20 @@
-// Determinism tests for the parallel maintenance executor. The contract
-// under test: both parallel code paths — GPivotParallel partitions and
-// ViewManager's concurrent staging — produce output byte-identical
-// (position-sensitive row equality, not just bag equality) to the
-// sequential run, for every thread count. Plus: a mid-epoch fault under a
-// parallel context must roll the manager back byte-identically, exactly as
-// the sequential fault sweep guarantees.
+// End-to-end determinism of the maintenance epoch: the three experiment
+// views, refreshed twice from the same seed, leave every view and base
+// table byte-identical (position-sensitive row equality, not just bag
+// equality). Plus: a fault anywhere in an epoch, or in a batcher flush,
+// rolls the manager back byte-identically.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/gpivot.h"
-#include "core/parallel.h"
 #include "ivm/batcher.h"
 #include "ivm/view_manager.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/views.h"
 #include "util/fault_injection.h"
-#include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 namespace {
@@ -30,120 +23,6 @@ using ivm::RefreshStrategy;
 using ivm::SourceDeltas;
 using ivm::ViewManager;
 using testing::BagEqual;
-using testing::RandomVerticalSpec;
-using testing::RandomVerticalTable;
-using testing::S;
-
-ExecContext Par(size_t threads) {
-  ExecContext ctx;
-  ctx.num_threads = threads;
-  return ctx;
-}
-
-const size_t kThreadCounts[] = {2, 4, 7};
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(Par(4), hits.size(),
-              [&](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-// Range sizes around the thread count: fewer indices than threads (the
-// worker count clamps to n), exactly as many, and more (threads claim
-// several indices each). Each index must run exactly once either way.
-struct ParallelForRange {
-  size_t threads;
-  size_t n;
-};
-
-class ParallelForRangeTest
-    : public ::testing::TestWithParam<ParallelForRange> {};
-
-TEST_P(ParallelForRangeTest, EveryIndexRunsExactlyOnce) {
-  const ParallelForRange range = GetParam();
-  std::vector<std::atomic<int>> hits(range.n);
-  ParallelFor(Par(range.threads), range.n, [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < range.n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << range.n
-                                 << " at " << range.threads << " threads";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ranges, ParallelForRangeTest,
-    ::testing::Values(ParallelForRange{4, 2}, ParallelForRange{4, 4},
-                      ParallelForRange{4, 5}, ParallelForRange{7, 3}),
-    [](const ::testing::TestParamInfo<ParallelForRange>& info) {
-      return "Threads" + std::to_string(info.param.threads) + "N" +
-             std::to_string(info.param.n);
-    });
-
-TEST(ParallelForTest, NestedInvocationRunsInline) {
-  // A parallel loop whose body starts another parallel loop must not
-  // deadlock (inner loops run inline on pool workers).
-  std::atomic<size_t> total{0};
-  ParallelFor(Par(4), 8, [&](size_t) {
-    ParallelFor(Par(4), 8,
-                [&](size_t) { total.fetch_add(1, std::memory_order_relaxed); });
-  });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(GPivotParallelDeterminismTest, ByteIdenticalAcrossThreadCounts) {
-  // Round-robin partitioning scatters every key across all partitions (the
-  // hard case: each partition carries a partial row per key, and the merge
-  // must interleave them deterministically).
-  Rng rng(77);
-  for (int trial = 0; trial < 3; ++trial) {
-    RandomVerticalSpec vspec;
-    vspec.num_rows = 90;
-    vspec.num_dims = 1;
-    vspec.num_measures = 2;
-    Table input = RandomVerticalTable(vspec, &rng);
-    PivotSpec spec;
-    spec.pivot_by = {"a1"};
-    spec.pivot_on = {"b1", "b2"};
-    spec.combos = {{S("v0")}, {S("v1")}, {S("v2")}};
-    ASSERT_OK_AND_ASSIGN(Table sequential, GPivotParallel(input, spec, 5));
-    ASSERT_OK_AND_ASSIGN(Table plain, GPivot(input, spec));
-    EXPECT_TRUE(BagEqual(plain, sequential));
-    for (size_t threads : kThreadCounts) {
-      ASSERT_OK_AND_ASSIGN(Table parallel,
-                           GPivotParallel(input, spec, 5, Par(threads)));
-      EXPECT_EQ(sequential.rows(), parallel.rows())
-          << "trial " << trial << ", " << threads << " threads";
-    }
-  }
-}
-
-TEST(GPivotParallelDeterminismTest, ThreadsExceedingPartitionsStayIdentical) {
-  // Two partitions under seven threads: ParallelFor clamps to two workers,
-  // and the merge must still match the one-thread run row for row.
-  Rng rng(91);
-  RandomVerticalSpec vspec;
-  vspec.num_rows = 70;
-  vspec.num_dims = 1;
-  vspec.num_measures = 2;
-  Table input = RandomVerticalTable(vspec, &rng);
-  PivotSpec spec;
-  spec.pivot_by = {"a1"};
-  spec.pivot_on = {"b1", "b2"};
-  spec.combos = {{S("v0")}, {S("v1")}, {S("v2")}};
-  ASSERT_OK_AND_ASSIGN(Table sequential, GPivotParallel(input, spec, 2));
-  ASSERT_OK_AND_ASSIGN(Table plain, GPivot(input, spec));
-  EXPECT_TRUE(BagEqual(plain, sequential));
-  ASSERT_OK_AND_ASSIGN(Table parallel,
-                       GPivotParallel(input, spec, 2, Par(7)));
-  EXPECT_EQ(sequential.rows(), parallel.rows());
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: the three experiment views, refreshed under every thread
-// count, must leave every view and base table byte-identical to the
-// sequential manager's state.
 
 tpch::Config SmallConfig() {
   tpch::Config config;
@@ -152,15 +31,13 @@ tpch::Config SmallConfig() {
   return config;
 }
 
-ViewManager MakeThreeViewManager(const tpch::Config& config,
-                                 const ExecContext& ctx) {
+ViewManager MakeThreeViewManager(const tpch::Config& config) {
   Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
   PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
   PlanPtr v2 = tpch::View2(catalog, config.max_line_numbers, 30000.0).value();
   PlanPtr v3 =
       tpch::View3(catalog, config.first_year, config.num_years).value();
   ViewManager manager(std::move(catalog));
-  manager.set_exec_context(ctx);
   EXPECT_TRUE(manager.DefineView("v1", v1, RefreshStrategy::kUpdate).ok());
   EXPECT_TRUE(
       manager.DefineView("v2", v2, RefreshStrategy::kCombinedSelect).ok());
@@ -170,18 +47,18 @@ ViewManager MakeThreeViewManager(const tpch::Config& config,
 }
 
 // Position-sensitive comparison of every base table and view across two
-// managers: parallelism must not even reorder rows.
+// managers: a rerun must not even reorder rows.
 void ExpectManagersIdentical(const ViewManager& expected,
-                             const ViewManager& actual, size_t threads) {
+                             const ViewManager& actual) {
   for (const std::string& name : expected.catalog().TableNames()) {
     EXPECT_EQ(expected.catalog().GetTable(name).value()->rows(),
               actual.catalog().GetTable(name).value()->rows())
-        << "base table '" << name << "' differs at " << threads << " threads";
+        << "base table '" << name << "' differs";
   }
   for (const char* name : {"v1", "v2", "v3"}) {
     EXPECT_EQ(expected.GetView(name).value()->table().rows(),
               actual.GetView(name).value()->table().rows())
-        << "view '" << name << "' differs at " << threads << " threads";
+        << "view '" << name << "' differs";
   }
 }
 
@@ -223,25 +100,23 @@ std::vector<SourceDeltas> MakeEpochBatches(const ViewManager& manager,
 
 class EpochDeterminismTest : public ::testing::TestWithParam<EpochWorkload> {};
 
-TEST_P(EpochDeterminismTest, ThreeViewsByteIdenticalAcrossThreadCounts) {
+TEST_P(EpochDeterminismTest, ThreeViewsByteIdenticalAcrossRuns) {
   tpch::Config config = SmallConfig();
-  ViewManager reference = MakeThreeViewManager(config, ExecContext{});
+  ViewManager reference = MakeThreeViewManager(config);
   std::vector<SourceDeltas> batches =
       MakeEpochBatches(reference, config, GetParam());
   for (const SourceDeltas& deltas : batches) {
     ASSERT_OK(reference.ApplyUpdate(deltas));
   }
   ASSERT_OK(reference.Audit());
-  for (size_t threads : kThreadCounts) {
-    // Fresh manager from the same generator seed: identical initial state,
-    // so the deltas (computed against the reference) apply verbatim.
-    ViewManager manager = MakeThreeViewManager(config, Par(threads));
-    for (const SourceDeltas& deltas : batches) {
-      ASSERT_OK(manager.ApplyUpdate(deltas));
-    }
-    ExpectManagersIdentical(reference, manager, threads);
-    ASSERT_OK(manager.Audit());
+  // Fresh manager from the same generator seed: identical initial state,
+  // so the deltas (computed against the reference) apply verbatim.
+  ViewManager manager = MakeThreeViewManager(config);
+  for (const SourceDeltas& deltas : batches) {
+    ASSERT_OK(manager.ApplyUpdate(deltas));
   }
+  ExpectManagersIdentical(reference, manager);
+  ASSERT_OK(manager.Audit());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -273,14 +148,13 @@ std::map<std::string, std::vector<Row>> SnapshotRows(
   return rows;
 }
 
-// Fault sweep under a 4-thread executor: whichever staging task or commit
-// step the armed fault lands in (the n-th poke may fall in a different
-// stage task run-to-run once staging is concurrent), the epoch must roll
-// back byte-identically — same contract the sequential sweep in
-// apply_errors_test.cc enforces.
-TEST(ParallelEpochFaultTest, MidEpochFaultAtFourThreadsRollsBackExactly) {
+// Fault sweep over the three views: whichever stage or commit step the
+// armed fault lands in, the epoch must roll back byte-identically — the
+// contract the single-view sweep in apply_errors_test.cc enforces, here
+// with later views reading deltas an earlier view computed.
+TEST(EpochFaultTest, MidEpochFaultRollsBackExactly) {
   tpch::Config config = SmallConfig();
-  ViewManager manager = MakeThreeViewManager(config, Par(4));
+  ViewManager manager = MakeThreeViewManager(config);
   SourceDeltas deltas =
       MakeEpochBatches(manager, config, EpochWorkload::kDelete).front();
   const std::map<std::string, std::vector<Row>> before =
@@ -310,20 +184,20 @@ TEST(ParallelEpochFaultTest, MidEpochFaultAtFourThreadsRollsBackExactly) {
   ASSERT_OK(manager.Audit());
 }
 
-// The same sweep over a DeltaBatcher flush of Zipf-skewed churn at four
-// threads: each injected failure rolls the manager back byte-identically
-// and keeps the queue, and the clean retry lands on the state that
-// applying the batches one by one on one thread reaches.
-TEST(ParallelEpochFaultTest, MidFlushFaultAtFourThreadsRollsBackExactly) {
+// The same sweep over a DeltaBatcher flush of Zipf-skewed churn: each
+// injected failure rolls the manager back byte-identically and keeps the
+// queue, and the clean retry lands on the state that applying the batches
+// one by one reaches.
+TEST(EpochFaultTest, MidFlushFaultRollsBackExactly) {
   tpch::Config config = SmallConfig();
-  ViewManager sequential = MakeThreeViewManager(config, ExecContext{});
+  ViewManager sequential = MakeThreeViewManager(config);
   std::vector<SourceDeltas> batches =
       MakeEpochBatches(sequential, config, EpochWorkload::kZipfChurn);
   for (const SourceDeltas& batch : batches) {
     ASSERT_OK(sequential.ApplyUpdate(batch));
   }
 
-  ViewManager manager = MakeThreeViewManager(config, Par(4));
+  ViewManager manager = MakeThreeViewManager(config);
   ivm::DeltaBatcher batcher(&manager);
   for (const SourceDeltas& batch : batches) ASSERT_OK(batcher.Ingest(batch));
   const size_t pending_batches = batcher.pending_batches();

@@ -300,44 +300,5 @@ TEST(IndexProbeTest, RecomputeTermProbesAnUnchangedBareJoinSide) {
   EXPECT_TRUE(BagEqual(expected, manager.GetView("v").value()->table()));
 }
 
-// The three paper views stage concurrently, every stage probing the same
-// orders, customer and lineitem indexes; the result matches a serial
-// manager epoch by epoch (and the TSan job watches the shared reads).
-TEST(IndexProbeParallelTest, ConcurrentStagesShareBaseIndexes) {
-  tpch::Config config;
-  config.scale_factor = 0.002;
-  config.seed = 8;
-  Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
-  PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
-  PlanPtr v2 = tpch::View2(catalog, config.max_line_numbers, 30000.0).value();
-  PlanPtr v3 =
-      tpch::View3(catalog, config.first_year, config.num_years).value();
-  std::vector<ivm::SourceDeltas> batches =
-      tpch::MakeLineitemZipfChurn(catalog, 4, 24, 1.2, 5).value();
-  ivm::ViewManager serial(catalog);
-  ivm::ViewManager parallel(std::move(catalog));
-  ExecContext threads;
-  threads.num_threads = 3;
-  parallel.set_exec_context(threads);
-  for (ivm::ViewManager* manager : {&serial, &parallel}) {
-    manager->set_event_log(nullptr);
-    ASSERT_OK(manager->DefineView("v1", v1, ivm::RefreshStrategy::kUpdate));
-    ASSERT_OK(manager->DefineView("v2", v2,
-                                  ivm::RefreshStrategy::kCombinedSelect));
-    ASSERT_OK(manager->DefineView("v3", v3,
-                                  ivm::RefreshStrategy::kCombinedGroupBy));
-  }
-  for (const ivm::SourceDeltas& batch : batches) {
-    ASSERT_OK(serial.ApplyUpdate(batch));
-    ASSERT_OK(parallel.ApplyUpdate(batch));
-    for (const char* view : {"v1", "v2", "v3"}) {
-      EXPECT_EQ(serial.GetView(view).value()->table().rows(),
-                parallel.GetView(view).value()->table().rows())
-          << view;
-    }
-  }
-  ASSERT_OK(parallel.Audit());
-}
-
 }  // namespace
 }  // namespace gpivot

@@ -3,6 +3,9 @@
 // 29), and the paper's worked maintenance examples (Fig. 24–26, 30–31).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/gpivot.h"
 #include "exec/basic_ops.h"
 #include "ivm/apply.h"
@@ -10,6 +13,8 @@
 #include "ivm/maintenance.h"
 #include "ivm/propagate.h"
 #include "ivm/view_manager.h"
+#include "obs/cost.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace gpivot {
@@ -284,6 +289,162 @@ TEST_F(PropagatorTest, UnchangedSubtreeShortCircuits) {
   EXPECT_TRUE(unchanged);
   ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr out, propagator.Propagate(scan));
   EXPECT_TRUE(out->empty());
+}
+
+// ---- The epoch's propagation memo -------------------------------------------
+
+TEST_F(PropagatorTest, OwnMemoEntriesAreRecomputedNotRead) {
+  // A view's stage runs the rules as it would alone: reading a node again
+  // under the same owner propagates it again and is no shared delta.
+  delta_.inserts.AddRow({I(3), S("x"), I(99)});
+  SourceDeltas deltas = Deltas();
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  DeltaPropagator propagator(&catalog_, &deltas, ctx);
+  PlanPtr plan = MakeSelect(MakeScan(catalog_, "t").value(),
+                            Gt(Col("b"), Lit(int64_t{15})));
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr first, propagator.Propagate(plan));
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr second, propagator.Propagate(plan));
+  EXPECT_NE(first.get(), second.get());
+  EXPECT_TRUE(first->inserts.BagEquals(second->inserts));
+  std::map<std::string, uint64_t> counters = registry.Snapshot().counters;
+  EXPECT_EQ(counters["ivm.propagate.calls"], 4u);
+  EXPECT_EQ(counters.count("ivm.stage.shared_deltas"), 0u);
+}
+
+TEST_F(PropagatorTest, ReadUnderAnotherTargetIsChargedToTheFirst) {
+  delta_.deletes.AddRow({I(1), S("y"), I(20)});
+  SourceDeltas deltas = Deltas();
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  DeltaPropagator propagator(&catalog_, &deltas, ctx);
+  PlanPtr scan = MakeScan(catalog_, "t").value();
+  PlanPtr plan = MakeSelect(scan, Gt(Col("b"), Lit(int64_t{15})));
+  PlanPtr reader_plan = MakeProject(plan, {"k", "b"});
+  PlanNodeIds owner_ids = AssignNodeIds(plan);
+  PlanNodeIds reader_ids = AssignNodeIds(reader_plan);
+  obs::CostCollector owner, reader;
+
+  propagator.set_cost_target(&owner, &owner_ids, "first");
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr computed, propagator.Propagate(plan));
+  propagator.set_cost_target(&reader, &reader_ids, "second");
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr read, propagator.Propagate(plan));
+  EXPECT_EQ(computed.get(), read.get());
+  // The owner was charged the σ's work; the reader only carries the mark,
+  // on the σ node in its own numbering (not on the scan below it).
+  EXPECT_GT(owner.Snapshot()[owner_ids.IdOf(plan.get())].invocations, 0u);
+  EXPECT_TRUE(reader.Snapshot().empty());
+  std::map<int, std::string> marks = reader.ChargedTo();
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_EQ(marks.at(reader_ids.IdOf(plan.get())), "first");
+  EXPECT_TRUE(owner.ChargedTo().empty());
+  EXPECT_EQ(registry.Snapshot().counters["ivm.stage.shared_deltas"], 1u);
+}
+
+TEST_F(PropagatorTest, LaterViewReadsASelfJoinChildFromTheMemo) {
+  // Both join operands read one node. The owner propagates it once per
+  // side, as it would alone; a later view that reaches it reads the delta
+  // the owner left instead, once per side, each read a shared delta.
+  delta_.inserts.AddRow({I(2), S("y"), I(40)});
+  SourceDeltas deltas = Deltas();
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  DeltaPropagator propagator(&catalog_, &deltas, ctx);
+  PlanPtr side =
+      MakeProject(MakeSelect(MakeScan(catalog_, "t").value(),
+                             Eq(Col("a"), Lit("x"))),
+                  {"k"});
+  PlanPtr join = MakeJoin(side, MakeMap(side, {{"k2", Col("k")}}), {"k"},
+                          {"k2"});
+  PlanPtr other = MakeJoin(side, MakeMap(side, {{"k3", Col("k")}}), {"k"},
+                           {"k3"});
+  PlanNodeIds ids = AssignNodeIds(join);
+  PlanNodeIds other_ids = AssignNodeIds(other);
+  obs::CostCollector owner, reader;
+  propagator.set_cost_target(&owner, &ids, "first");
+  ASSERT_OK(propagator.Propagate(join).status());
+  // JOIN and MAP once, π / σ / scan once per side.
+  EXPECT_EQ(registry.Snapshot().counters["ivm.propagate.calls"], 8u);
+  registry.Reset();
+  propagator.set_cost_target(&reader, &other_ids, "second");
+  ASSERT_OK(propagator.Propagate(other).status());
+  std::map<std::string, uint64_t> counters = registry.Snapshot().counters;
+  // Only the new JOIN and MAP run; π(σ(t)) is read twice.
+  EXPECT_EQ(counters["ivm.propagate.calls"], 2u);
+  EXPECT_EQ(counters["ivm.stage.shared_deltas"], 2u);
+  EXPECT_EQ(reader.ChargedTo().at(other_ids.IdOf(side.get())), "first");
+  ExpectConsistent(join);
+}
+
+TEST_F(PropagatorTest, UnchangedSubtreeIsNotMemoizedOrMarked) {
+  SourceDeltas deltas;  // empty: every subtree is unchanged
+  DeltaPropagator propagator(&catalog_, &deltas);
+  PlanPtr scan = MakeScan(catalog_, "t").value();
+  PlanNodeIds ids = AssignNodeIds(scan);
+  obs::CostCollector owner, reader;
+  propagator.set_cost_target(&owner, &ids, "first");
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr first, propagator.Propagate(scan));
+  propagator.set_cost_target(&reader, &ids, "second");
+  ASSERT_OK_AND_ASSIGN(ivm::DeltaPtr second, propagator.Propagate(scan));
+  EXPECT_TRUE(first->empty());
+  EXPECT_TRUE(second->empty());
+  EXPECT_NE(first.get(), second.get());
+  EXPECT_TRUE(reader.ChargedTo().empty());
+}
+
+TEST_F(PropagatorTest, PivotedDeltaIsRememberedPerNode) {
+  delta_.inserts.AddRow({I(3), S("x"), I(99)});
+  SourceDeltas deltas = Deltas();
+  DeltaPropagator propagator(&catalog_, &deltas);
+  PivotSpec spec;
+  spec.pivot_by = {"a"};
+  spec.pivot_on = {"b"};
+  spec.combos = {{S("x")}, {S("y")}};
+  PlanPtr pivot = MakeGPivot(MakeScan(catalog_, "t").value(), spec);
+  PlanPtr other = MakeGPivot(MakeScan(catalog_, "t").value(), spec);
+  propagator.set_cost_target(nullptr, nullptr, "first");
+  EXPECT_EQ(propagator.RecallPivoted(pivot), nullptr);
+  ASSERT_OK_AND_ASSIGN(
+      ivm::DeltaPtr kept,
+      propagator.RememberPivoted(
+          pivot, Delta::Empty(catalog_.GetTable("t").value()->schema())));
+  // Not for the view that computed it; for the next one.
+  EXPECT_EQ(propagator.RecallPivoted(pivot), nullptr);
+  propagator.set_cost_target(nullptr, nullptr, "second");
+  EXPECT_EQ(propagator.RecallPivoted(pivot).get(), kept.get());
+  // Keyed by node identity: an equal but distinct node has no entry.
+  EXPECT_EQ(propagator.RecallPivoted(other), nullptr);
+
+  // Over an unchanged input the pivoted delta is handed back, not kept.
+  SourceDeltas none;
+  DeltaPropagator unchanged(&catalog_, &none);
+  unchanged.set_cost_target(nullptr, nullptr, "first");
+  ASSERT_OK(unchanged
+                .RememberPivoted(pivot, Delta::Empty(
+                                            catalog_.GetTable("t")
+                                                .value()
+                                                ->schema()))
+                .status());
+  unchanged.set_cost_target(nullptr, nullptr, "second");
+  EXPECT_EQ(unchanged.RecallPivoted(pivot), nullptr);
+}
+
+TEST(CommitStagedTest, EmptyStagedRefreshIsAnInternalError) {
+  Table t = MakeTable({{"x", DataType::kInt64}}, {{I(1)}});
+  ASSERT_OK(t.SetKey({"x"}));
+  ASSERT_OK_AND_ASSIGN(MaterializedView view,
+                       MaterializedView::Create(std::move(t)));
+  UndoLog undo;
+  Status st = ivm::MaintenancePlan::CommitStaged(ivm::StagedRefresh{}, &view,
+                                                 &undo);
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();
+  EXPECT_EQ(view.num_rows(), 1u);
 }
 
 // ---- MaterializedView / apply primitives ---------------------------------------

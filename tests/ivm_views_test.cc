@@ -171,5 +171,47 @@ TEST(ViewMaintenanceMixedTest, SimultaneousInsertAndDelete) {
   EXPECT_TRUE(BagEqual(recomputed, view->table()));
 }
 
+// σ_{1**quantity IS NOT NULL}(GPIVOT_{linenumber}(lineitem)), alone and
+// with AND 1**quantity > 1: Eq. 7 rewrites IS NOT NULL over the measure, so
+// kSelectPushdownUpdate compiles both and maintains them through an epoch
+// of each paper delta kind.
+TEST(SelectPushdownIsNullTest, IsNotNullCellConditionsCompileAndMaintain) {
+  tpch::Config config = SmallConfig();
+  ASSERT_OK_AND_ASSIGN(Catalog catalog,
+                       tpch::MakeCatalog(tpch::Generate(config)));
+  PivotSpec spec;
+  spec.pivot_by = {"linenumber"};
+  spec.pivot_on = {"quantity", "extendedprice"};
+  for (int l = 1; l <= config.max_line_numbers; ++l) {
+    spec.combos.push_back({Value::Int(l)});
+  }
+  const ExprPtr not_null = IsNotNull(Col("1**quantity"));
+  for (const ExprPtr& condition :
+       {not_null, And(not_null, Gt(Col("1**quantity"), Lit(int64_t{1})))}) {
+    SCOPED_TRACE(condition->ToString());
+    PlanPtr query = MakeSelect(
+        MakeGPivot(MakeScan(catalog, "lineitem").value(), spec), condition);
+    ASSERT_OK(ivm::MaintenancePlan::Compile(
+                  query, RefreshStrategy::kSelectPushdownUpdate)
+                  .status());
+    ViewManager manager(catalog);
+    manager.set_event_log(nullptr);
+    ASSERT_OK(manager.DefineView("v", query,
+                                 RefreshStrategy::kSelectPushdownUpdate));
+    ASSERT_OK(manager.ApplyUpdate(
+        tpch::MakeLineitemDeletes(manager.catalog(), 0.03, 5).value()));
+    ASSERT_OK(manager.Audit());
+    ASSERT_OK(manager.ApplyUpdate(tpch::MakeLineitemInsertsNewKeys(
+                                      manager.catalog(), config, 0.03, 6)
+                                      .value()));
+    ASSERT_OK(manager.Audit());
+    ASSERT_OK(manager.ApplyUpdate(tpch::MakeLineitemInsertsMixed(
+                                      manager.catalog(), config, 0.03, 7)
+                                      .value()));
+    ASSERT_OK(manager.Audit());
+    EXPECT_GT(manager.GetView("v").value()->num_rows(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace gpivot

@@ -1,17 +1,18 @@
 // The maintenance DAG (DESIGN.md, "Maintenance DAG"): a ViewManager
 // hash-conses its views' plans, so structurally equal subtrees become one
-// node, and each epoch propagates the deltas several views read once, in a
-// serial shared frontier ahead of the per-view stages.
+// node, and each epoch's one propagator memoizes every delta by node, so a
+// delta several views read is computed once, by the first of them.
 //
 // Covered here: interning is exact (plans that differ only in a literal's
 // type, in a double past six digits, or in a join residual stay apart, and
 // every view still equals its recomputation); equal subtrees are shared and
-// propagated once per epoch; faults after the frontier ran roll back byte
-// for byte; and a DurableViewManager reopened after a kill shares the same
-// way and recovers the same state.
+// propagated once per epoch; faults after a shared delta was computed roll
+// back byte for byte; and a DurableViewManager reopened after a kill shares
+// the same way and recovers the same state.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "expr/expr.h"
 #include "ivm/intern.h"
 #include "ivm/view_manager.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/recovery.h"
@@ -123,10 +125,26 @@ void ExpectViewsRecompute(const ViewManager& manager) {
   ASSERT_OK(manager.Audit());
 }
 
-// The subtree view `name` propagates (its pivot's input).
+// The first GPIVOT of view `name`'s effective query, in pre-order: the top
+// pivot whose pivoted input delta the update rules read.
+const PlanNode* TopPivot(const ViewManager& manager, const std::string& name) {
+  const PlanNode* node =
+      manager.GetPlan(name).value()->effective_query().get();
+  while (node->kind() != PlanKind::kGPivot) {
+    node = node->children().at(0).get();
+  }
+  return node;
+}
+
+// The subtree view `name` propagates: its top pivot's input, or the input
+// of the GROUPBY under that pivot.
 const PlanNode* PropagationRoot(const ViewManager& manager,
                                 const std::string& name) {
-  return manager.GetPlan(name).value()->PropagationRoots().at(0).get();
+  const PlanNode* input = TopPivot(manager, name)->children().at(0).get();
+  if (input->kind() == PlanKind::kGroupBy) {
+    input = input->children().at(0).get();
+  }
+  return input;
 }
 
 // Defines "a" and "b" (kUpdate) over `a` and `b`, runs SmallBatches, and
@@ -235,8 +253,73 @@ TEST(PlanInternerTest, EqualViewsShareTheirDeltas) {
       RunPair(PivotOverSelect(catalog, Gt(Col("x"), Lit(30000.41))),
               PivotOverSelect(catalog, Gt(Col("x"), Lit(30000.41))),
               /*expect_shared=*/true);
-  // Per epoch: both views read the σ delta's pivot from the frontier.
-  EXPECT_EQ(shared, 6u);
+  // Per epoch: "b" reads the pivoted σ delta "a" computed.
+  EXPECT_EQ(shared, 3u);
+}
+
+// Two equal insert/delete views: the second reads the first's delta of the
+// whole query, and its report marks the root, not the nodes below it.
+TEST(PlanInternerTest, EqualInsertDeleteViewsShareTheWholeDelta) {
+  Catalog catalog = SmallCatalog();
+  PlanPtr a = PivotOverJoin(catalog, nullptr);
+  PlanPtr b = PivotOverJoin(catalog, nullptr);
+  std::vector<SourceDeltas> batches = SmallBatches(catalog);
+  ViewManager manager(std::move(catalog));
+  manager.set_event_log(nullptr);
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  manager.set_exec_context(ctx);
+  ASSERT_OK(manager.DefineView("a", a, RefreshStrategy::kInsertDelete));
+  ASSERT_OK(manager.DefineView("b", b, RefreshStrategy::kInsertDelete));
+  for (const SourceDeltas& batch : batches) {
+    registry.Reset();
+    ASSERT_OK(manager.ApplyUpdate(batch));
+    EXPECT_EQ(registry.Snapshot().counters["ivm.stage.shared_deltas"], 1u);
+    CostReport report = manager.ExplainAnalyze("b").value();
+    ASSERT_FALSE(report.nodes.empty());
+    EXPECT_EQ(report.nodes[0].charged_to, "a");
+    for (size_t i = 1; i < report.nodes.size(); ++i) {
+      EXPECT_EQ(report.nodes[i].charged_to, "") << report.nodes[i].label;
+      EXPECT_TRUE(report.nodes[i].stats.IsZero()) << report.nodes[i].label;
+    }
+    ExpectViewsRecompute(manager);
+  }
+}
+
+// A batch that only touches a table no view reads leaves every view's
+// subtree unchanged: nothing is propagated, so nothing is shared or marked.
+// The next batch on T shares again.
+TEST(PlanInternerTest, UnchangedSubtreesAreNeitherSharedNorMarked) {
+  Catalog catalog = SmallCatalog();
+  PlanPtr a = PivotOverSelect(catalog, Gt(Col("x"), Lit(30000.41)));
+  PlanPtr b = PivotOverSelect(catalog, Gt(Col("x"), Lit(30000.41)));
+  std::vector<SourceDeltas> batches = SmallBatches(catalog);
+  ViewManager manager(std::move(catalog));
+  manager.set_event_log(nullptr);
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &registry;
+  manager.set_exec_context(ctx);
+  ASSERT_OK(manager.DefineView("a", a, RefreshStrategy::kUpdate));
+  ASSERT_OK(manager.DefineView("b", b, RefreshStrategy::kUpdate));
+  Delta u_only =
+      Delta::Empty(manager.catalog().GetTable("U").value()->schema());
+  u_only.inserts.AddRow({I(9), I(9)});
+  ASSERT_OK(manager.ApplyUpdate({{"U", u_only}}));
+  EXPECT_EQ(registry.Snapshot().counters.count("ivm.stage.shared_deltas"), 0u);
+  EXPECT_EQ(manager.ExplainAnalyze("b").value().ToJsonLine().find(
+                "charged_to"),
+            std::string::npos);
+  registry.Reset();
+  ASSERT_OK(manager.ApplyUpdate(batches[0]));
+  EXPECT_EQ(registry.Snapshot().counters["ivm.stage.shared_deltas"], 1u);
+  EXPECT_NE(manager.ExplainAnalyze("b").value().ToJsonLine().find(
+                "\"charged_to\": \"a\""),
+            std::string::npos);
+  ExpectViewsRecompute(manager);
 }
 
 // ---- The paper's three views ------------------------------------------
@@ -310,8 +393,7 @@ TEST(MaintenanceDagTest, PaperViewsShareOneJoinAndOnePivot) {
   EXPECT_EQ(PropagationRoot(*manager, "v1"), PropagationRoot(*manager, "v2"));
   EXPECT_EQ(PropagationRoot(*manager, "v1"), PropagationRoot(*manager, "v3"));
   // Views 1 and 2 pivot it through one GPIVOT node.
-  EXPECT_EQ(manager->GetPlan("v1").value()->delta_pivot(),
-            manager->GetPlan("v2").value()->delta_pivot());
+  EXPECT_EQ(TopPivot(*manager, "v1"), TopPivot(*manager, "v2"));
 
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
@@ -326,16 +408,14 @@ TEST(MaintenanceDagTest, PaperViewsShareOneJoinAndOnePivot) {
     tracer.Clear();
     ASSERT_OK(manager->ApplyUpdate(batch));
     const std::string tree = tracer.ToSpanTree();
-    // Two joins in the shared subtree, each propagated once, in the
-    // frontier, not in a view's stage.
+    // Two joins in the shared subtree, each propagated once, in v1's stage.
     EXPECT_EQ(CountLines(tree, "propagate:JOIN"), 2u) << tree;
-    EXPECT_NE(tree.find("    stage:shared\n      propagate:JOIN"),
+    EXPECT_NE(tree.find("    stage:v1\n      propagate:JOIN"),
               std::string::npos)
         << tree;
     std::map<std::string, uint64_t> counters = registry.Snapshot().counters;
-    // v1 reads the pivoted delta, v2 the join and the pivoted delta, v3 the
-    // join.
-    EXPECT_EQ(counters["ivm.stage.shared_deltas"], 4u);
+    // v1 computes the join and its pivot; v2 reads both, v3 the join.
+    EXPECT_EQ(counters["ivm.stage.shared_deltas"], 3u);
     EXPECT_EQ(counters["ivm.propagate.calls"], 3u);
     // The shared work is charged once, to v1; the others point there.
     CostReport v1 = manager->ExplainAnalyze("v1").value();
@@ -358,9 +438,73 @@ TEST(MaintenanceDagTest, PaperViewsShareOneJoinAndOnePivot) {
   }
 }
 
-// A view defined alone shares nothing: no frontier span, no counter, and no
-// report marks.
-TEST(MaintenanceDagTest, SingleViewHasNoFrontier) {
+// The epoch log carries the same reports ExplainAnalyze renders, marks
+// included: View 2's record points at v1 for the join and the pivot, View
+// 3's for the join.
+TEST(MaintenanceDagTest, EventLogCarriesChargedToMarks) {
+  tpch::Config config = SmallTpch();
+  std::unique_ptr<ViewManager> manager = PaperManager(config);
+  const std::string log_path =
+      ::testing::TempDir() + "/gpivot_dag_marks.jsonl";
+  std::filesystem::remove(log_path);
+  obs::EventLog log(log_path);
+  ASSERT_TRUE(log.ok()) << log.error();
+  manager->set_event_log(&log);
+  ASSERT_OK(manager->ApplyUpdate(
+      tpch::MakeLineitemDeletes(manager->catalog(), 0.05, 42).value()));
+  manager->set_event_log(nullptr);
+  const std::string line = manager->LastEpochReport()->ToJsonLine();
+  EXPECT_EQ(CountLines(line, "\"charged_to\": \"v1\""), 3u) << line;
+  for (const std::string& name : manager->ViewNames()) {
+    EXPECT_NE(line.find(manager->ExplainAnalyze(name).value().ToJsonLine()),
+              std::string::npos)
+        << name;
+  }
+  std::ifstream in(log_path);
+  std::string logged;
+  std::getline(in, logged);
+  EXPECT_EQ(logged, line);
+  std::filesystem::remove(log_path);
+}
+
+// A fault in View 2's stage stops the epoch there: View 1's report keeps
+// the work it did, and View 3's report, reset before staging began, is
+// empty rather than the previous epoch's.
+TEST(MaintenanceDagTest, FailedStageLeavesLaterReportsEmpty) {
+  tpch::Config config = SmallTpch();
+  std::unique_ptr<ViewManager> manager = PaperManager(config);
+  ASSERT_OK(manager->ApplyUpdate(
+      tpch::MakeLineitemDeletes(manager->catalog(), 0.05, 42).value()));
+  SourceDeltas batch =
+      tpch::MakeLineitemInsertsNewKeys(manager->catalog(), config, 0.05, 44)
+          .value();
+  FaultInjector& injector = FaultInjector::Global();
+  size_t stage_faults = 0;
+  for (size_t n = 1; stage_faults < 2; ++n) {
+    ASSERT_LT(n, 200u) << "never reached View 2's stage";
+    injector.Arm(n);
+    Status st = manager->ApplyUpdate(batch);
+    const std::string site = injector.fired_site();
+    injector.Disarm();
+    ASSERT_FALSE(st.ok()) << "epoch committed before View 2's stage fault";
+    if (site == "MaintenancePlan::Stage") ++stage_faults;
+  }
+  CostReport v1 = manager->ExplainAnalyze("v1").value();
+  CostReport v3 = manager->ExplainAnalyze("v3").value();
+  uint64_t v1_work = 0;
+  for (const CostReportNode& node : v1.nodes) {
+    v1_work += node.stats.invocations;
+  }
+  EXPECT_GT(v1_work, 0u);
+  for (const CostReportNode& node : v3.nodes) {
+    EXPECT_TRUE(node.stats.IsZero()) << node.label;
+    EXPECT_EQ(node.charged_to, "") << node.label;
+  }
+  ASSERT_OK(manager->Audit());
+}
+
+// A view defined alone shares nothing: no counter and no report marks.
+TEST(MaintenanceDagTest, SingleViewSharesNothing) {
   tpch::Config config = SmallTpch();
   Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
   PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
@@ -377,8 +521,11 @@ TEST(MaintenanceDagTest, SingleViewHasNoFrontier) {
   manager.set_exec_context(ctx);
   ASSERT_OK(manager.ApplyUpdate(
       tpch::MakeLineitemDeletes(manager.catalog(), 0.05, 42).value()));
-  EXPECT_EQ(tracer.ToSpanTree().find("stage:shared"), std::string::npos);
+  EXPECT_EQ(CountLines(tracer.ToSpanTree(), "propagate:JOIN"), 2u);
   EXPECT_EQ(registry.Snapshot().counters.count("ivm.stage.shared_deltas"), 0u);
+  EXPECT_EQ(manager.ExplainAnalyze("v1").value().ToJsonLine().find(
+                "charged_to"),
+            std::string::npos);
   ExpectViewsRecompute(manager);
 }
 
@@ -394,10 +541,10 @@ std::map<std::string, std::vector<Row>> Snapshot(const ViewManager& manager) {
   return snap;
 }
 
-// Faults in View 3's stage and at every view commit fire after the shared
-// frontier propagated the join, and still roll the manager back byte for
-// byte. The sweep arms every injection point of the epoch in turn.
-TEST(MaintenanceDagTest, FaultsAfterTheFrontierRollBackExactly) {
+// Faults in Views 2's and 3's stages and at every view commit fire after
+// View 1 propagated the shared join, and still roll the manager back byte
+// for byte. The sweep arms every injection point of the epoch in turn.
+TEST(MaintenanceDagTest, FaultsAfterASharedDeltaRollBackExactly) {
   tpch::Config config = SmallTpch();
   std::unique_ptr<ViewManager> manager = PaperManager(config);
   obs::MetricsRegistry registry;
@@ -424,14 +571,15 @@ TEST(MaintenanceDagTest, FaultsAfterTheFrontierRollBackExactly) {
       break;
     }
     ASSERT_TRUE(fired) << st.ToString();
-    const bool frontier_ran =
+    const bool join_ran =
         registry.Snapshot().counters["ivm.propagate.calls"] > 0;
     if (site == "MaintenancePlan::Stage") {
       ++stage_faults;
-      EXPECT_TRUE(frontier_ran) << "stage " << stage_faults;
+      // View 1's stage fault fires before it propagates anything.
+      EXPECT_EQ(join_ran, stage_faults > 1) << "stage " << stage_faults;
     } else if (site == "ViewManager::CommitView") {
       ++commit_faults;
-      EXPECT_TRUE(frontier_ran);
+      EXPECT_TRUE(join_ran);
     }
     EXPECT_EQ(Snapshot(*manager), before) << "after a fault at " << site;
     ASSERT_OK(manager->Audit());
@@ -511,8 +659,7 @@ TEST(MaintenanceDagTest, ReopenedDurableManagerSharesAndRecoversIdentical) {
   // RestoreView interns exactly as DefineView does.
   EXPECT_EQ(PropagationRoot(*manager, "v1"), PropagationRoot(*manager, "v2"));
   EXPECT_EQ(PropagationRoot(*manager, "v1"), PropagationRoot(*manager, "v3"));
-  EXPECT_EQ(manager->GetPlan("v1").value()->delta_pivot(),
-            manager->GetPlan("v2").value()->delta_pivot());
+  EXPECT_EQ(TopPivot(*manager, "v1"), TopPivot(*manager, "v2"));
   // Recovery replays what the WAL holds; finish the stream where it
   // stopped, then both managers hold the same state.
   for (size_t i = static_cast<size_t>(manager->epoch_seq());

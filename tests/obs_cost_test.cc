@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,8 +24,8 @@
 #include "tools/eventlog_check.h"
 #include "tpch/dbgen.h"
 #include "tpch/views.h"
+#include "util/exec_context.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 namespace {
@@ -92,6 +93,20 @@ TEST(CostCollectorTest, AccumulatesPerNodeAndResets) {
   EXPECT_TRUE(collector.Snapshot().empty());
 }
 
+TEST(CostCollectorTest, ChargedToMarksLastUntilReset) {
+  obs::CostCollector collector;
+  collector.MarkChargedTo(3, "v1");
+  collector.MarkChargedTo(5, "v2");
+  std::map<int, std::string> marks = collector.ChargedTo();
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_EQ(marks[3], "v1");
+  EXPECT_EQ(marks[5], "v2");
+  // A mark carries no stats of its own.
+  EXPECT_TRUE(collector.Snapshot().empty());
+  collector.Reset();
+  EXPECT_TRUE(collector.ChargedTo().empty());
+}
+
 tpch::Config TinyConfig() {
   tpch::Config config;
   config.scale_factor = 0.002;
@@ -122,6 +137,31 @@ TEST(PlanNodeIdsTest, PreOrderAndDagSharing) {
   EXPECT_FALSE(report.nodes[1].shared_ref);
   EXPECT_TRUE(report.nodes[2].shared_ref);
   EXPECT_EQ(report.nodes[2].id, report.nodes[1].id);
+}
+
+TEST(CostReportTest, FillMarksTheFullNodeNotItsBackReference) {
+  Catalog catalog = tpch::MakeCatalog(tpch::Generate(TinyConfig())).value();
+  PlanPtr scan = MakeScan(catalog, "orders").value();
+  PlanPtr join = MakeJoin(scan, scan, {"orderkey"});
+  PlanNodeIds ids = AssignNodeIds(join);
+  CostReport skeleton = BuildCostReport(join, ids, {});
+  obs::NodeStats one;
+  one.invocations = 1;
+  CostReport report =
+      FillCostReport(skeleton, {{1, one}}, {{1, "first_view"}});
+  ASSERT_EQ(report.nodes.size(), 3u);
+  EXPECT_EQ(report.nodes[0].charged_to, "");
+  EXPECT_EQ(report.nodes[1].charged_to, "first_view");
+  EXPECT_EQ(report.nodes[1].stats.invocations, 1u);
+  EXPECT_TRUE(report.nodes[2].shared_ref);
+  EXPECT_EQ(report.nodes[2].charged_to, "");
+  EXPECT_NE(report.ToText().find("(shared delta, charged to first_view)"),
+            std::string::npos)
+      << report.ToText();
+  // Without marks the fill leaves every node unmarked.
+  for (const CostReportNode& node : FillCostReport(skeleton, {}).nodes) {
+    EXPECT_EQ(node.charged_to, "");
+  }
 }
 
 TEST(CostReportTest, EvaluateFillsScanAndOperatorActuals) {

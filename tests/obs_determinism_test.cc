@@ -1,9 +1,9 @@
 // Observability determinism: a maintenance epoch over the three experiment
-// views must record byte-identical counter values and an identical span
-// tree no matter how many threads execute it. Operator/IVM counters travel
-// through ExecContext-carried registries (pool-level noise goes to the
-// global registry only), and cross-thread spans carry explicit parent and
-// order keys — this test is the contract's enforcement.
+// views must record byte-identical counter values, span trees, cost reports
+// and event logs every time it runs. Operator/IVM counters travel through
+// ExecContext-carried registries and spans nest in creation order on the
+// epoch's one thread — these tests run each scenario twice from the same
+// seed and compare.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,8 +25,8 @@
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/views.h"
+#include "util/exec_context.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace gpivot {
 namespace {
@@ -60,19 +60,18 @@ ViewManager MakeThreeViewManager(const tpch::Config& config,
 }
 
 // One observed epoch: counters recorded and spans traced while applying a
-// 5% mixed-insert batch to a fresh three-view manager at `threads`.
+// 5% mixed-insert batch to a fresh three-view manager.
 struct ObservedEpoch {
   std::map<std::string, uint64_t> counters;
   std::string span_tree;
 };
 
-ObservedEpoch RunObservedEpoch(size_t threads) {
+ObservedEpoch RunObservedEpoch() {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   obs::Tracer tracer;
   tracer.set_enabled(true);
   ExecContext ctx;
-  ctx.num_threads = threads;
   ctx.metrics = &registry;
   ctx.tracer = &tracer;
   tpch::Config config = SmallConfig();
@@ -88,23 +87,23 @@ ObservedEpoch RunObservedEpoch(size_t threads) {
   return ObservedEpoch{registry.Snapshot().counters, tracer.ToSpanTree()};
 }
 
-TEST(ObsDeterminismTest, EpochCountersIdenticalAcrossThreadCounts) {
-  ObservedEpoch sequential = RunObservedEpoch(1);
+TEST(ObsDeterminismTest, EpochCountersIdenticalAcrossRuns) {
+  ObservedEpoch sequential = RunObservedEpoch();
   ASSERT_FALSE(sequential.counters.empty());
   // The epoch must have exercised every instrumented layer.
   EXPECT_EQ(sequential.counters.count("ivm.propagate.calls"), 1u);
   EXPECT_EQ(sequential.counters.count("ivm.merge.updates"), 1u);
   EXPECT_EQ(sequential.counters.count("ivm.advance.tables"), 1u);
-  ObservedEpoch parallel = RunObservedEpoch(4);
-  EXPECT_EQ(sequential.counters, parallel.counters)
-      << "operator counters leaked scheduling dependence";
+  ObservedEpoch again = RunObservedEpoch();
+  EXPECT_EQ(sequential.counters, again.counters)
+      << "operator counters differ between identical runs";
 }
 
-TEST(ObsDeterminismTest, EpochSpanTreeIdenticalAcrossThreadCounts) {
-  ObservedEpoch sequential = RunObservedEpoch(1);
+TEST(ObsDeterminismTest, EpochSpanTreeIdenticalAcrossRuns) {
+  ObservedEpoch sequential = RunObservedEpoch();
   ASSERT_FALSE(sequential.span_tree.empty());
   // Epoch → stage → per-view → operator nesting, with views in definition
-  // order regardless of which worker staged them.
+  // order.
   EXPECT_NE(sequential.span_tree.find("epoch\n"), std::string::npos)
       << sequential.span_tree;
   EXPECT_NE(sequential.span_tree.find("  stage\n"), std::string::npos);
@@ -115,27 +114,27 @@ TEST(ObsDeterminismTest, EpochSpanTreeIdenticalAcrossThreadCounts) {
             sequential.span_tree.find("stage:v2"));
   EXPECT_LT(sequential.span_tree.find("stage:v2"),
             sequential.span_tree.find("stage:v3"));
-  ObservedEpoch parallel = RunObservedEpoch(4);
-  EXPECT_EQ(sequential.span_tree, parallel.span_tree)
-      << "span structure depends on the schedule";
+  ObservedEpoch again = RunObservedEpoch();
+  EXPECT_EQ(sequential.span_tree, again.span_tree)
+      << "span structure differs between identical runs";
 }
 
-// One epoch's cost-accounting artifacts at `threads`: every view's EXPLAIN
-// ANALYZE rendering plus the raw bytes of the epoch event log.
+// One epoch's cost-accounting artifacts (run `run` of the scenario): every
+// view's EXPLAIN ANALYZE rendering plus the raw bytes of the epoch event
+// log.
 struct CostArtifacts {
   std::string explain_text;  // v1+v2+v3 ToText() concatenated
   std::string explain_json;  // v1+v2+v3 ToJsonLine() concatenated
   std::string event_log_bytes;
 };
 
-CostArtifacts RunCostEpoch(size_t threads) {
+CostArtifacts RunCostEpoch(int run) {
   std::string log_path = ::testing::TempDir() + "/gpivot_det_" +
-                         std::to_string(threads) + ".jsonl";
+                         std::to_string(run) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
   EXPECT_TRUE(log.ok()) << log.error();
   ExecContext ctx;
-  ctx.num_threads = threads;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, ctx);
   manager.set_event_log(&log);
@@ -157,7 +156,7 @@ CostArtifacts RunCostEpoch(size_t threads) {
   return artifacts;
 }
 
-TEST(ObsDeterminismTest, CostReportsAndEpochLogIdenticalAcrossThreadCounts) {
+TEST(ObsDeterminismTest, CostReportsAndEpochLogIdenticalAcrossRuns) {
   CostArtifacts sequential = RunCostEpoch(1);
   // The reports carry real content: per-node actuals and an epoch record.
   ASSERT_NE(sequential.explain_text.find("SCAN lineitem"), std::string::npos)
@@ -166,14 +165,14 @@ TEST(ObsDeterminismTest, CostReportsAndEpochLogIdenticalAcrossThreadCounts) {
             std::string::npos)
       << sequential.event_log_bytes;
   // No timings anywhere: stats are pure functions of the work, so both
-  // renderings and the JSONL file are byte-identical at any thread count.
-  CostArtifacts parallel = RunCostEpoch(4);
-  EXPECT_EQ(sequential.explain_text, parallel.explain_text);
-  EXPECT_EQ(sequential.explain_json, parallel.explain_json);
-  EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes);
+  // renderings and the JSONL file are byte-identical from run to run.
+  CostArtifacts again = RunCostEpoch(2);
+  EXPECT_EQ(sequential.explain_text, again.explain_text);
+  EXPECT_EQ(sequential.explain_json, again.explain_json);
+  EXPECT_EQ(sequential.event_log_bytes, again.event_log_bytes);
 }
 
-// A batched-ingest epoch's artifacts at `threads`: the flushed views' and
+// A batched-ingest epoch's artifacts (run `run`): the flushed views' and
 // base tables' rows, the counter snapshot (ivm.batcher.* included), every
 // view's EXPLAIN ANALYZE rendering, and the raw epoch event-log bytes.
 struct BatcherArtifacts {
@@ -187,8 +186,8 @@ struct BatcherArtifacts {
 
 // Churn batches over one new-key workload (batch b inserts chunk b and
 // retracts chunk b-1), as in bench_micro_batch: most rows cancel in the
-// batcher, so the flush exercises compaction before the parallel staging
-// whose determinism is under test.
+// batcher, so the flush exercises compaction before the staging whose
+// determinism is under test.
 std::vector<SourceDeltas> ChurnBatches(const ViewManager& manager,
                                        const tpch::Config& config,
                                        size_t num_batches) {
@@ -221,9 +220,9 @@ std::vector<SourceDeltas> ChurnBatches(const ViewManager& manager,
 // keyed updates where a few hot lineitem rows churn in most batches.
 enum class BatchWorkload { kNewKeyChurn, kZipfChurn };
 
-BatcherArtifacts RunBatchedEpoch(size_t threads, BatchWorkload workload) {
+BatcherArtifacts RunBatchedEpoch(int run, BatchWorkload workload) {
   std::string log_path = ::testing::TempDir() + "/gpivot_batch_det_" +
-                         std::to_string(threads) + "_" +
+                         std::to_string(run) + "_" +
                          std::to_string(static_cast<int>(workload)) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
@@ -231,7 +230,6 @@ BatcherArtifacts RunBatchedEpoch(size_t threads, BatchWorkload workload) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   ExecContext ctx;
-  ctx.num_threads = threads;
   ctx.metrics = &registry;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, ctx);
@@ -269,9 +267,9 @@ BatcherArtifacts RunBatchedEpoch(size_t threads, BatchWorkload workload) {
   return artifacts;
 }
 
-// Flushes `workload` through DeltaBatcher at one and at four threads and
-// checks every artifact of the flushed epoch is byte-identical.
-void ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload workload) {
+// Flushes `workload` through DeltaBatcher twice and checks every artifact
+// of the flushed epoch is byte-identical.
+void ExpectBatcherFlushIdenticalAcrossRuns(BatchWorkload workload) {
   BatcherArtifacts sequential = RunBatchedEpoch(1, workload);
   // The flush really went through the batcher and landed one epoch.
   ASSERT_GT(sequential.counters["ivm.batcher.rows_cancelled"], 0u);
@@ -280,27 +278,27 @@ void ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload workload) {
   ASSERT_NE(sequential.event_log_bytes.find("\"entry\": \"batched_apply_update\""),
             std::string::npos)
       << sequential.event_log_bytes;
-  BatcherArtifacts parallel = RunBatchedEpoch(4, workload);
-  EXPECT_EQ(sequential.view_rows, parallel.view_rows)
-      << "flushed view rows depend on the schedule";
-  EXPECT_EQ(sequential.base_rows, parallel.base_rows)
-      << "base tables depend on the schedule";
-  EXPECT_EQ(sequential.counters, parallel.counters)
-      << "batcher/epoch counters leaked scheduling dependence";
-  EXPECT_EQ(sequential.explain_text, parallel.explain_text);
-  EXPECT_EQ(sequential.explain_json, parallel.explain_json);
-  EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes);
+  BatcherArtifacts again = RunBatchedEpoch(2, workload);
+  EXPECT_EQ(sequential.view_rows, again.view_rows)
+      << "flushed view rows differ between identical runs";
+  EXPECT_EQ(sequential.base_rows, again.base_rows)
+      << "base tables differ between identical runs";
+  EXPECT_EQ(sequential.counters, again.counters)
+      << "batcher/epoch counters differ between identical runs";
+  EXPECT_EQ(sequential.explain_text, again.explain_text);
+  EXPECT_EQ(sequential.explain_json, again.explain_json);
+  EXPECT_EQ(sequential.event_log_bytes, again.event_log_bytes);
 }
 
-TEST(ObsDeterminismTest, BatcherFlushArtifactsIdenticalAcrossThreadCounts) {
-  ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload::kNewKeyChurn);
+TEST(ObsDeterminismTest, BatcherFlushArtifactsIdenticalAcrossRuns) {
+  ExpectBatcherFlushIdenticalAcrossRuns(BatchWorkload::kNewKeyChurn);
 }
 
-TEST(ObsDeterminismTest, ZipfChurnFlushArtifactsIdenticalAcrossThreadCounts) {
-  ExpectBatcherFlushIdenticalAcrossThreadCounts(BatchWorkload::kZipfChurn);
+TEST(ObsDeterminismTest, ZipfChurnFlushArtifactsIdenticalAcrossRuns) {
+  ExpectBatcherFlushIdenticalAcrossRuns(BatchWorkload::kZipfChurn);
 }
 
-// A serving scenario's observable artifacts at `threads`:
+// A serving scenario's observable artifacts (run `run`):
 // epochs churn the views through the batcher while a registered reader runs
 // the same fixed query script between epochs. Everything below must be a
 // pure function of the workload — reader-side query results and counters,
@@ -313,14 +311,13 @@ struct ServingArtifacts {
   std::string event_log_bytes;
 };
 
-ServingArtifacts RunServingScenario(size_t threads) {
+ServingArtifacts RunServingScenario(int run) {
   std::string log_path = ::testing::TempDir() + "/gpivot_serve_det_" +
-                         std::to_string(threads) + ".jsonl";
+                         std::to_string(run) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
   EXPECT_TRUE(log.ok()) << log.error();
   ExecContext maintain_ctx;
-  maintain_ctx.num_threads = threads;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, maintain_ctx);
   manager.set_event_log(&log);
@@ -382,7 +379,7 @@ ServingArtifacts RunServingScenario(size_t threads) {
   return artifacts;
 }
 
-TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossThreadCounts) {
+TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossRuns) {
   ServingArtifacts reference = RunServingScenario(1);
   // The scenario exercised the whole serving surface…
   EXPECT_EQ(reference.store_counters.at("serve.snapshot.installs"), 3u);
@@ -404,13 +401,13 @@ TEST(ObsDeterminismTest, ServingArtifactsIdenticalAcrossThreadCounts) {
   ASSERT_NE(reference.event_log_bytes.find("\"outcome\": \"committed\""),
             std::string::npos);
 
-  ServingArtifacts other = RunServingScenario(4);
+  ServingArtifacts other = RunServingScenario(2);
   EXPECT_EQ(reference.query_rows, other.query_rows)
-      << "query results depend on the schedule";
+      << "query results differ between identical runs";
   EXPECT_EQ(reference.store_counters, other.store_counters);
   EXPECT_EQ(reference.reader_counters, other.reader_counters);
   EXPECT_EQ(reference.event_log_bytes, other.event_log_bytes)
-      << "serving event-log bytes depend on the schedule";
+      << "serving event-log bytes differ between identical runs";
 }
 
 // Every observable artifact of a random epoch sequence: the canonical
@@ -425,10 +422,10 @@ struct SequenceArtifacts {
 };
 
 // Applies a `workload_seed`-determined sequence of four insert / delete /
-// mixed epochs to a fresh three-view manager at `threads`.
-SequenceArtifacts RunEpochSequence(size_t threads, uint64_t workload_seed) {
+// mixed epochs to a fresh three-view manager (run `run`).
+SequenceArtifacts RunEpochSequence(int run, uint64_t workload_seed) {
   std::string log_path = ::testing::TempDir() + "/gpivot_seq_det_" +
-                         std::to_string(threads) + "_" +
+                         std::to_string(run) + "_" +
                          std::to_string(workload_seed) + ".jsonl";
   std::remove(log_path.c_str());
   obs::EventLog log(log_path);
@@ -436,15 +433,14 @@ SequenceArtifacts RunEpochSequence(size_t threads, uint64_t workload_seed) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   ExecContext ctx;
-  ctx.num_threads = threads;
   ctx.metrics = &registry;
   tpch::Config config = SmallConfig();
   ViewManager manager = MakeThreeViewManager(config, ctx);
   manager.set_event_log(&log);
   registry.Reset();
 
-  // The draws depend only on workload_seed, so every thread count replays
-  // the same deltas.
+  // The draws depend only on workload_seed, so every run replays the same
+  // deltas.
   Rng rng(workload_seed * 7919 + 3);
   for (int epoch = 0; epoch < 4; ++epoch) {
     uint64_t seed = static_cast<uint64_t>(rng.Int(1, 1 << 20));
@@ -488,110 +484,32 @@ SequenceArtifacts RunEpochSequence(size_t threads, uint64_t workload_seed) {
 
 class EpochSequenceDeterminismTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(EpochSequenceDeterminismTest, ArtifactsIdenticalAcrossThreadCounts) {
+TEST_P(EpochSequenceDeterminismTest, ArtifactsIdenticalAcrossRuns) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SequenceArtifacts sequential = RunEpochSequence(1, seed);
   ASSERT_FALSE(sequential.sorted_view_bytes.empty());
   ASSERT_GT(sequential.counters["ivm.propagate.calls"], 0u);
-  SequenceArtifacts parallel = RunEpochSequence(4, seed);
-  EXPECT_EQ(sequential.sorted_view_bytes, parallel.sorted_view_bytes)
+  SequenceArtifacts again = RunEpochSequence(2, seed);
+  EXPECT_EQ(sequential.sorted_view_bytes, again.sorted_view_bytes)
       << "canonical view bytes diverged";
-  EXPECT_EQ(sequential.view_rows, parallel.view_rows)
+  EXPECT_EQ(sequential.view_rows, again.view_rows)
       << "view rows (or their order) diverged";
-  EXPECT_EQ(sequential.explain_json, parallel.explain_json)
+  EXPECT_EQ(sequential.explain_json, again.explain_json)
       << "EXPLAIN ANALYZE (plan shape / counters) diverged";
-  EXPECT_EQ(sequential.event_log_bytes, parallel.event_log_bytes)
+  EXPECT_EQ(sequential.event_log_bytes, again.event_log_bytes)
       << "epoch JSONL diverged";
-  EXPECT_EQ(sequential.counters, parallel.counters)
+  EXPECT_EQ(sequential.counters, again.counters)
       << "metrics counters diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EpochSequenceDeterminismTest,
                          ::testing::Values(1, 2, 3));
 
-// The shared frontier (DESIGN.md, "Maintenance DAG") runs serially before
-// the per-view fan-out at every thread count. One epoch per paper delta
-// kind on the three-view manager at 1 and at 3 threads: the views, the
-// counters, the span trees and the cost reports must match byte for byte,
-// and each epoch must have read shared deltas.
-struct FrontierArtifacts {
-  std::vector<std::vector<Row>> views;
-  std::vector<std::map<std::string, uint64_t>> counters;
-  std::vector<std::string> span_trees;
-  std::vector<std::string> reports;
-};
-
-FrontierArtifacts RunFrontierEpochs(size_t threads) {
-  obs::MetricsRegistry registry;
-  registry.set_enabled(true);
-  obs::Tracer tracer;
-  tracer.set_enabled(true);
-  ExecContext ctx;
-  ctx.num_threads = threads;
-  ctx.metrics = &registry;
-  ctx.tracer = &tracer;
-  tpch::Config config = SmallConfig();
-  ViewManager manager = MakeThreeViewManager(config, ctx);
-  manager.set_event_log(nullptr);
-  // Each batch is drawn against the state the previous ones left.
-  auto next_batch = [&](size_t kind) {
-    const Catalog& catalog = manager.catalog();
-    switch (kind) {
-      case 0:
-        return tpch::MakeLineitemDeletes(catalog, 0.05, 42).value();
-      case 1:
-        return tpch::MakeLineitemInsertsUpdatesOnly(catalog, config, 0.05, 43)
-            .value();
-      case 2:
-        return tpch::MakeLineitemInsertsNewKeys(catalog, config, 0.05, 44)
-            .value();
-      default:
-        return tpch::MakeLineitemInsertsMixed(catalog, config, 0.05, 45)
-            .value();
-    }
-  };
-  FrontierArtifacts artifacts;
-  for (size_t kind = 0; kind < 4; ++kind) {
-    SourceDeltas batch = next_batch(kind);
-    registry.Reset();
-    tracer.Clear();
-    EXPECT_TRUE(manager.ApplyUpdate(batch).ok());
-    artifacts.counters.push_back(registry.Snapshot().counters);
-    artifacts.span_trees.push_back(tracer.ToSpanTree());
-    std::string reports;
-    for (const char* name : {"v1", "v2", "v3"}) {
-      reports += manager.ExplainAnalyze(name).value().ToText();
-      reports += manager.ExplainAnalyze(name).value().ToJsonLine() + "\n";
-      artifacts.views.push_back(manager.GetView(name).value()->table().rows());
-    }
-    artifacts.reports.push_back(std::move(reports));
-  }
-  return artifacts;
-}
-
-TEST(ObsDeterminismTest, SharedFrontierIdenticalAtOneAndThreeThreads) {
-  FrontierArtifacts sequential = RunFrontierEpochs(1);
-  ASSERT_EQ(sequential.counters.size(), 4u);
-  for (size_t e = 0; e < sequential.counters.size(); ++e) {
-    EXPECT_GT(sequential.counters[e]["ivm.stage.shared_deltas"], 0u);
-    EXPECT_NE(sequential.span_trees[e].find("    stage:shared\n"),
-              std::string::npos)
-        << sequential.span_trees[e];
-    EXPECT_NE(sequential.reports[e].find("charged to v1"), std::string::npos);
-  }
-  FrontierArtifacts parallel = RunFrontierEpochs(3);
-  EXPECT_EQ(sequential.views, parallel.views);
-  EXPECT_EQ(sequential.counters, parallel.counters);
-  EXPECT_EQ(sequential.span_trees, parallel.span_trees);
-  EXPECT_EQ(sequential.reports, parallel.reports);
-}
-
 TEST(ObsDeterminismTest, UnobservedEpochMatchesObservedResults) {
   // Observability must be read-only: the refreshed views are identical
   // whether or not metrics/tracing are attached.
   tpch::Config config = SmallConfig();
   ExecContext plain_ctx;
-  plain_ctx.num_threads = 4;
   ViewManager plain = MakeThreeViewManager(config, plain_ctx);
   SourceDeltas deltas =
       tpch::MakeLineitemInsertsMixed(plain.catalog(), config, 0.05, 42)

@@ -12,7 +12,7 @@
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
+#include "util/exec_context.h"
 
 namespace gpivot {
 namespace {
@@ -22,6 +22,19 @@ using obs::IsValidJson;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 using obs::ScopedSpan;
+
+// Runs fn(i) for every i in [0, n), striped over `threads` plain threads
+// (thread t takes i ≡ t mod threads).
+template <typename Fn>
+void OnThreads(size_t threads, size_t n, Fn fn) {
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([=] {
+      for (size_t i = t; i < n; i += threads) fn(i);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+}
 
 TEST(MetricsRegistryTest, CountersSumExactly) {
   MetricsRegistry registry;
@@ -35,14 +48,12 @@ TEST(MetricsRegistryTest, CountersSumExactly) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentCountersSumExactly) {
-  // Run under TSan in CI: increments from every pool worker plus the
-  // caller must merge to the exact total, with no race reports.
+  // Run under TSan in CI: increments from every thread must merge to the
+  // exact total, with no race reports.
   MetricsRegistry registry;
   registry.set_enabled(true);
   const size_t n = 10000;
-  ExecContext ctx;
-  ctx.num_threads = 7;
-  ParallelFor(ctx, n, [&](size_t i) {
+  OnThreads(7, n, [&](size_t i) {
     registry.AddCounter("hits");
     registry.AddCounter("sum", i);
   });
@@ -68,11 +79,7 @@ TEST(MetricsRegistryTest, DisabledRegistryRecordsNothing) {
 TEST(MetricsRegistryTest, ResetClearsEveryShard) {
   MetricsRegistry registry;
   registry.set_enabled(true);
-  ExecContext ctx;
-  ctx.num_threads = 4;
-  ParallelFor(ctx, 100, [&](size_t) {
-    registry.AddCounter("a");
-  });
+  OnThreads(4, 100, [&](size_t) { registry.AddCounter("a"); });
   EXPECT_EQ(registry.Snapshot().counters.at("a"), 100u);
   registry.Reset();
   EXPECT_TRUE(registry.Snapshot().counters.empty());
@@ -312,14 +319,12 @@ TEST(HistogramDataTest, MergeWithAnEmptySideKeepsTheOtherSidesExtremes) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentHistogramsMergeExactly) {
-  // Each pool worker records into its own shard; the snapshot's merged
-  // count, sum and extremes must match the sequential figures.
+  // Each thread records into its own shard; the snapshot's merged count,
+  // sum and extremes must match the sequential figures.
   MetricsRegistry registry;
   registry.set_enabled(true);
   const size_t n = 2000;
-  ExecContext ctx;
-  ctx.num_threads = 4;
-  ParallelFor(ctx, n, [&](size_t i) {
+  OnThreads(4, n, [&](size_t i) {
     registry.RecordLatency("h", static_cast<double>(i % 8 + 1));
   });
   MetricsSnapshot snapshot = registry.Snapshot();

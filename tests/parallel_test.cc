@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gpivot.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "util/string_util.h"
 
@@ -146,7 +147,9 @@ TEST(GPivotParallelTest, ZeroPartitionsIsInvalidArgument) {
       << result.status().ToString();
 }
 
-TEST(GPivotParallelTest, ThreadCountDoesNotChangeTheResult) {
+TEST(GPivotParallelTest, TracedRunNestsOnePivotPerPartition) {
+  // The partitions pivot one after another on the calling thread, so each
+  // local pivot's span nests under the split's, in partition order.
   Rng rng(9051);
   RandomVerticalSpec vspec;
   vspec.num_dims = 2;
@@ -159,18 +162,22 @@ TEST(GPivotParallelTest, ThreadCountDoesNotChangeTheResult) {
   std::vector<std::vector<Value>> dims(2, {S("v0"), S("v1"), S("v2")});
   spec.combos = PivotSpec::CrossProduct(dims);
 
-  ASSERT_OK_AND_ASSIGN(Table sequential, GPivotParallel(input, spec, 5));
-  ASSERT_GT(sequential.num_rows(), 0u);
-  for (size_t threads : {2u, 3u, 4u}) {
-    ExecContext ctx;
-    ctx.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(Table threaded,
-                         GPivotParallel(input, spec, 5, ctx));
-    // Byte-identical: same rows in the same order, same key.
-    EXPECT_EQ(threaded.schema(), sequential.schema());
-    EXPECT_EQ(threaded.key(), sequential.key());
-    EXPECT_EQ(threaded.rows(), sequential.rows()) << threads << " threads";
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ASSERT_OK_AND_ASSIGN(Table traced, GPivotParallel(input, spec, 3, ctx));
+  ASSERT_OK_AND_ASSIGN(Table plain, GPivotParallel(input, spec, 3));
+  EXPECT_EQ(traced.rows(), plain.rows());
+  EXPECT_EQ(traced.key(), plain.key());
+  const std::string tree = tracer.ToSpanTree();
+  EXPECT_EQ(tree.rfind("GPivotParallel", 0), 0u) << tree;
+  size_t nested = 0;
+  for (size_t at = tree.find("\n  GPivot "); at != std::string::npos;
+       at = tree.find("\n  GPivot ", at + 1)) {
+    ++nested;
   }
+  EXPECT_EQ(nested, 3u) << tree;
 }
 
 TEST(MergeTest, RejectsAPartialWithAnotherSchema) {

@@ -305,6 +305,67 @@ TEST_F(RuleTest, Eq7DifferentPrefixesSelfJoin) {
   }
 }
 
+TEST_F(RuleTest, Eq7IsNotNullCellIsPushed) {
+  // IS NOT NULL over a cell is null-intolerant, so it passes the rule's gate
+  // and becomes IS NOT NULL over the measure column below the pivot.
+  Rng rng(705);
+  for (int trial = 0; trial < 5; ++trial) {
+    PlanPtr scan = FreshScan(1, 2, &rng, /*null_fraction=*/0.3);
+    PivotSpec spec = MakePivot(1, 2);
+    PlanPtr pivot = MakeGPivot(scan, spec);
+    PlanPtr select =
+        MakeSelect(pivot, IsNotNull(Col(spec.OutputColumnName(0, 0))));
+    ASSERT_OK_AND_ASSIGN(PlanPtr pushed,
+                         rewrite::PushSelectBelowPivot(select));
+    EXPECT_EQ(pushed->kind(), PlanKind::kGPivot);
+    ExpectEquivalent(select, pushed);
+  }
+}
+
+TEST_F(RuleTest, Eq7IsNotNullBesideAComparisonIsPushed) {
+  // One prefix: cell1 IS NOT NULL AND cell1 > 300, both rewritten over the
+  // measure column.
+  Rng rng(706);
+  for (int trial = 0; trial < 5; ++trial) {
+    PlanPtr scan = FreshScan(1, 2, &rng, /*null_fraction=*/0.3);
+    PivotSpec spec = MakePivot(1, 2);
+    PlanPtr pivot = MakeGPivot(scan, spec);
+    const std::string cell = spec.OutputColumnName(1, 0);
+    PlanPtr select = MakeSelect(
+        pivot, And(IsNotNull(Col(cell)), Gt(Col(cell), Lit(int64_t{300}))));
+    ASSERT_OK_AND_ASSIGN(PlanPtr pushed,
+                         rewrite::PushSelectBelowPivot(select));
+    ExpectEquivalent(select, pushed);
+  }
+}
+
+TEST_F(RuleTest, Eq7IsNullAloneIsNotApplicable) {
+  // IS NULL holds on a ⊥ cell, so it is not null-intolerant: the rule's
+  // gate declines it before the rewrite runs.
+  Rng rng(708);
+  PlanPtr scan = FreshScan(1, 1, &rng);
+  PivotSpec spec = MakePivot(1, 1);
+  PlanPtr select = MakeSelect(MakeGPivot(scan, spec),
+                              IsNull(Col(spec.OutputColumnName(0, 0))));
+  EXPECT_TRUE(
+      rewrite::PushSelectBelowPivot(select).status().IsNotApplicable());
+}
+
+TEST_F(RuleTest, Eq7CaseOverACellIsNotApplicable) {
+  // A comparison passes the null-intolerance gate, but the rewrite has no
+  // CASE rule: the rule declines instead of aborting.
+  Rng rng(707);
+  PlanPtr scan = FreshScan(1, 1, &rng);
+  PivotSpec spec = MakePivot(1, 1);
+  PlanPtr pivot = MakeGPivot(scan, spec);
+  const std::string cell = spec.OutputColumnName(0, 0);
+  PlanPtr select = MakeSelect(
+      pivot, Gt(Case(IsNull(Col(cell)), Lit(int64_t{0}), Col(cell)),
+                Lit(int64_t{5})));
+  EXPECT_TRUE(
+      rewrite::PushSelectBelowPivot(select).status().IsNotApplicable());
+}
+
 TEST_F(RuleTest, Eq7ConjunctionAcrossPrefixesNotApplicable) {
   // Conjunctions across prefixes would need one self-join per prefix; the
   // maintenance framework prefers the Fig. 29 pairing instead (§6.3.2).

@@ -580,69 +580,6 @@ TEST(RecoveryTest, CrashLoopSweepRecoversIdenticalState) {
   }
 }
 
-// The same crash-loop sweep with view staging on a 4-thread executor: the
-// armed fault may land in a stage task running on a pool thread, and the
-// epoch must still roll back to a state whose WAL/checkpoint bytes recover
-// to the exact undurable reference. Recovery resumes at a rotating thread
-// count, so this also proves concurrent staging leaves nothing
-// schedule-shaped on disk.
-TEST(RecoveryTest, ParallelCrashLoopSweepRecoversIdenticalState) {
-  std::vector<SourceDeltas> batches =
-      WorkloadBatches(PivotCatalog(), 1234, 5);
-  std::string expected = UndurableFingerprint(batches);
-  FaultInjector& injector = FaultInjector::Global();
-  ExecContext ctx;
-  ctx.num_threads = 4;
-
-  bool exhausted = false;
-  for (size_t n = 1; !exhausted; ++n) {
-    ASSERT_LT(n, 400u) << "sweep did not terminate";
-    SCOPED_TRACE("fault point n=" + std::to_string(n));
-    std::string dir = FreshDir("parallel_crash_" + std::to_string(n));
-
-    injector.Arm(n);
-    Status st = [&]() -> Status {
-      GPIVOT_ASSIGN_OR_RETURN(
-          std::unique_ptr<DurableViewManager> dvm,
-          DurableViewManager::Open(PivotCatalog(),
-                                   Definitions(PivotCatalog()),
-                                   Options(dir, 2)));
-      dvm->manager()->set_exec_context(ctx);
-      for (const SourceDeltas& batch : batches) {
-        GPIVOT_RETURN_NOT_OK(dvm->ApplyUpdate(batch));
-      }
-      return Status::OK();
-    }();
-    bool fired = injector.fired();
-    injector.Disarm();
-
-    if (st.ok()) {
-      EXPECT_FALSE(fired);
-      exhausted = true;
-    } else {
-      ASSERT_TRUE(fired) << "non-injected failure: " << st.ToString();
-    }
-
-    // Recover and resume at a rotating thread count: the bytes on disk
-    // must be schedule-agnostic, so any recovery configuration converges.
-    ExecContext resume;
-    resume.num_threads = 1 + n % 4;  // 2, 3, 4, 1, 2, ...
-    auto recovered = DurableViewManager::Open(PivotCatalog(),
-                                              Definitions(PivotCatalog()),
-                                              Options(dir, 2));
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    (*recovered)->manager()->set_exec_context(resume);
-    uint64_t seq = (*recovered)->manager()->epoch_seq();
-    ASSERT_LE(seq, batches.size());
-    for (size_t i = static_cast<size_t>(seq); i < batches.size(); ++i) {
-      ASSERT_OK((*recovered)->ApplyUpdate(batches[i]));
-    }
-    ASSERT_OK((*recovered)->manager()->Audit());
-    EXPECT_EQ(Fingerprint(*(*recovered)->manager()), expected)
-        << "recovered at " << resume.num_threads << " threads";
-  }
-}
-
 // Crash *during recovery*: every fault point inside Open itself (snapshot
 // load, replay, the re-covering checkpoint, the WAL reset) is a kill
 // site; a second, clean Open over the same directory must converge to the

@@ -117,7 +117,7 @@ void DiffCounters(const std::string& where, const JsonValue& base,
 
 void DiffRow(const std::string& where, const JsonValue& base,
              const JsonValue& cand, const BenchDiffOptions& options,
-             bool gate_wall_time, BenchDiffReport* report) {
+             BenchDiffReport* report) {
   // Deterministic shape facts first: these must match exactly.
   for (const char* field : {"view_rows", "delta_rows"}) {
     double b = NumberOr(base.Find(field), -1.0);
@@ -152,7 +152,7 @@ void DiffRow(const std::string& where, const JsonValue& base,
         Fmt("%s: cost report present on only one side; check skipped",
             where.c_str()));
   }
-  if (!gate_wall_time) return;
+  if (options.shape_only) return;
   // Medians are steadier than means across reps; fall back for old files.
   double b = NumberOr(base.Find("wall_ms_median"),
                       NumberOr(base.Find("wall_ms"), 0.0));
@@ -220,16 +220,6 @@ int DiffBenchFiles(const std::string& baseline_path,
   }
   if (report->errors.size() != before) return kDiffFailed;
 
-  bool gate_wall_time = !options.shape_only;
-  double base_threads = NumberOr(base->Find("num_threads"), -1.0);
-  double cand_threads = NumberOr(cand->Find("num_threads"), -1.0);
-  if (gate_wall_time && base_threads != cand_threads) {
-    gate_wall_time = false;
-    report->notes.push_back(
-        Fmt("%s: num_threads differ (%.0f vs %.0f); wall-time gate skipped",
-            figure.c_str(), base_threads, cand_threads));
-  }
-
   const JsonValue* base_rows = base->Find("results");
   const JsonValue* cand_rows = cand->Find("results");
   if (base_rows == nullptr || !base_rows->is_array() || cand_rows == nullptr ||
@@ -253,7 +243,7 @@ int DiffBenchFiles(const std::string& baseline_path,
       continue;
     }
     DiffRow(Fmt("%s %s", figure.c_str(), key.c_str()), row, *match, options,
-            gate_wall_time, report);
+            report);
   }
   for (const JsonValue& row : cand_rows->array) {
     std::string key = RowKey(row);

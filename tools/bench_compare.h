@@ -18,9 +18,7 @@ struct BenchDiffOptions {
   // degrading to recompute-like cost) trip it.
   double time_tolerance = 1.5;
   // Skip the wall-time gate entirely and compare only deterministic facts
-  // (row counts, counters, cost reports). The gate is also skipped
-  // automatically when the two files disagree on num_threads — times from
-  // different parallelism are not comparable, the shape facts still are.
+  // (row counts, counters, cost reports).
   bool shape_only = false;
   // Directory mode: every BENCH_*.json in the baseline must exist in the
   // candidate (missing file = failure). Extra candidate files are noted.
@@ -30,8 +28,8 @@ struct BenchDiffOptions {
   // serve.acquire.* counts reader-side fast-path traffic and serve.retire.*
   // counts versions released at install time — both depend on how reader
   // hazards interleave with the maintenance thread, not on the workload.
-  std::vector<std::string> ignore_counter_prefixes = {
-      "thread_pool.", "serve.acquire.", "serve.retire."};
+  std::vector<std::string> ignore_counter_prefixes = {"serve.acquire.",
+                                                       "serve.retire."};
 };
 
 // Human-readable findings of one comparison run.

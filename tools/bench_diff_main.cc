@@ -9,8 +9,7 @@
 //
 // Options:
 //   --time-tolerance=<ratio>  allowed candidate/baseline wall-time ratio
-//                             (default 1.5; the gate auto-disables when the
-//                             two sides ran with different num_threads)
+//                             (default 1.5)
 //   --shape-only              never gate on wall time, compare only
 //                             deterministic facts
 //   --allow-missing           directory mode: tolerate baseline figures
