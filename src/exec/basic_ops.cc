@@ -29,6 +29,12 @@ void ReportOp(const ExecContext& ctx, const char* counters, size_t rows_in,
 
 Result<Table> Select(const Table& input, const ExprPtr& predicate,
                      const ExecContext& ctx) {
+  return Select(ColumnCache(input), predicate, ctx);
+}
+
+Result<Table> Select(const ColumnCache& columns, const ExprPtr& predicate,
+                     const ExecContext& ctx) {
+  const Table& input = columns.table();
   if (predicate == nullptr) {
     return Status::InvalidArgument("select: predicate is null");
   }
@@ -40,7 +46,7 @@ Result<Table> Select(const Table& input, const ExprPtr& predicate,
   Table result(input.schema());
   const size_t num_rows = input.num_rows();
   std::optional<VectorPredicate> vectorized =
-      VectorPredicate::Compile(predicate, input);
+      VectorPredicate::Compile(predicate, columns);
   if (vectorized.has_value()) {
     std::vector<uint8_t> mask(std::min(kVectorChunkSize, num_rows));
     for (size_t begin = 0; begin < num_rows; begin += kVectorChunkSize) {
@@ -65,13 +71,10 @@ Result<Table> Project(const Table& input,
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
                           input.schema().ColumnIndices(columns));
   Table result(input.schema().Select(indices));
-  // Column-at-a-time gather: pre-size every output row once, then fill one
-  // source column per pass (sequential reads of the typed storage).
   std::vector<Row>& out_rows = result.mutable_rows();
-  out_rows.assign(input.num_rows(), Row(indices.size()));
-  for (size_t j = 0; j < indices.size(); ++j) {
-    std::shared_ptr<const ColumnVector> col = input.ColumnData(indices[j]);
-    for (size_t r = 0; r < out_rows.size(); ++r) out_rows[r][j] = col->At(r);
+  out_rows.reserve(input.num_rows());
+  for (const Row& row : input.rows()) {
+    out_rows.push_back(ProjectRow(row, indices));
   }
   ReportOp(ctx, "exec.project", input.num_rows(), result.num_rows());
   return result;

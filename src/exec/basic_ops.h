@@ -13,6 +13,8 @@
 
 namespace gpivot::exec {
 
+class ColumnCache;
+
 // The trailing ExecContext parameter (defaulted, so existing call sites are
 // unaffected) only feeds observability: when ctx.metrics is enabled, each
 // op records exec.<op>.{calls,rows_in,rows_out} counters.
@@ -20,6 +22,12 @@ namespace gpivot::exec {
 // σ: rows of `input` for which `predicate` evaluates to TRUE (SQL
 // three-valued semantics: NULL filters out).
 Result<Table> Select(const Table& input, const ExprPtr& predicate,
+                     const ExecContext& ctx = {});
+
+// σ over `input.table()`, reading its column views from `input`, so that
+// repeated scans of one immutable table build each view once. The form
+// above makes a fresh cache for its call.
+Result<Table> Select(const ColumnCache& input, const ExprPtr& predicate,
                      const ExecContext& ctx = {});
 
 // π (positive): keeps `columns` in the given order. Bag semantics: no

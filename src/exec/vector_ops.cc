@@ -11,6 +11,18 @@
 
 namespace gpivot::exec {
 
+// ---- ColumnCache ---------------------------------------------------------
+
+std::shared_ptr<const ColumnVector> ColumnCache::Get(size_t col) const {
+  GPIVOT_CHECK(col < columns_.size())
+      << "ColumnCache index " << col << " out of range";
+  std::lock_guard<std::mutex> lock(mu_);
+  if (columns_[col] == nullptr) {
+    columns_[col] = ColumnVector::Build(table_.rows(), col);
+  }
+  return columns_[col];
+}
+
 // ---- KeyColumns ----------------------------------------------------------
 
 Result<KeyColumns> KeyColumns::Make(const Table& table,
@@ -24,7 +36,7 @@ Result<KeyColumns> KeyColumns::Make(const Table& table,
   keys.num_rows_ = table.num_rows();
   keys.cols_.reserve(indices.size());
   for (size_t i : indices) {
-    keys.cols_.push_back(table.ColumnData(i));
+    keys.cols_.push_back(ColumnVector::Build(table.rows(), i));
   }
   return keys;
 }
@@ -209,20 +221,20 @@ struct VectorPredicate::Node {
 namespace {
 
 std::shared_ptr<const ColumnVector> ResolveColumn(const Expr* expr,
-                                                  const Table& table) {
+                                                  const ColumnCache& columns) {
   if (expr->kind() != ExprKind::kColumnRef) return nullptr;
   const auto* ref = static_cast<const ColumnRefExpr*>(expr);
-  auto index = table.schema().ColumnIndex(ref->name());
+  auto index = columns.table().schema().ColumnIndex(ref->name());
   if (!index.ok()) return nullptr;
-  std::shared_ptr<const ColumnVector> col = table.ColumnData(*index);
+  std::shared_ptr<const ColumnVector> col = columns.Get(*index);
   if (col->kind() == ColumnKind::kMixed) return nullptr;
   return col;
 }
 
 }  // namespace
 
-std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
-                                                        const Table& table) {
+std::optional<VectorPredicate> VectorPredicate::Compile(
+    const ExprPtr& expr, const ColumnCache& columns) {
   std::function<std::shared_ptr<const Node>(const ExprPtr&)> build =
       [&](const ExprPtr& e) -> std::shared_ptr<const Node> {
     switch (e->kind()) {
@@ -241,7 +253,7 @@ std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
           return nullptr;
         }
         std::shared_ptr<const ColumnVector> col =
-            ResolveColumn(col_side, table);
+            ResolveColumn(col_side, columns);
         if (col == nullptr) return nullptr;
         const Value& lit =
             static_cast<const LiteralExpr*>(lit_side)->value();
@@ -275,7 +287,7 @@ std::optional<VectorPredicate> VectorPredicate::Compile(const ExprPtr& expr,
       case ExprKind::kIsNull: {
         const auto* isn = static_cast<const IsNullExpr*>(e.get());
         std::shared_ptr<const ColumnVector> col =
-            ResolveColumn(isn->operand().get(), table);
+            ResolveColumn(isn->operand().get(), columns);
         if (col == nullptr) return nullptr;
         auto node = std::make_shared<Node>();
         node->kind = Node::Kind::kIsNull;

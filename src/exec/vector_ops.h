@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -21,6 +22,28 @@ namespace gpivot::exec {
 // The number of rows each typed inner loop processes per batch.
 inline constexpr size_t kVectorChunkSize = 1024;
 
+// Column views of one table, each built on first use and then kept. Safe
+// to share between reader threads: one mutex guards the slots, and a
+// column is built once, under it. The table must outlive the cache and
+// must not change while the cache is alive, so a cache is either local to
+// one operator call or owned by an immutable serving version
+// (serve::Snapshot).
+class ColumnCache {
+ public:
+  explicit ColumnCache(const Table& table)
+      : table_(table), columns_(table.schema().num_columns()) {}
+
+  const Table& table() const { return table_; }
+
+  // The view of column `col`; aborts when out of range.
+  std::shared_ptr<const ColumnVector> Get(size_t col) const;
+
+ private:
+  const Table& table_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::shared_ptr<const ColumnVector>> columns_;
+};
+
 // A typed, null-aware view of one table's key columns (join keys, group-by
 // keys, pivot dimension/key columns). Hashes and equality reproduce the
 // row-layer HashRowAt / Value::operator== results exactly for every column
@@ -28,8 +51,9 @@ inline constexpr size_t kVectorChunkSize = 1024;
 // structures built from either layer agree.
 class KeyColumns {
  public:
-  // Fails only when the table has more rows than a uint32_t row id holds
-  // (the operators' buckets store 32-bit row ids).
+  // Builds the views of the columns at `indices`. Fails only when the table
+  // has more rows than a uint32_t row id holds (the operators' buckets
+  // store 32-bit row ids).
   static Result<KeyColumns> Make(const Table& table,
                                  const std::vector<size_t>& indices);
 
@@ -70,9 +94,10 @@ class KeyColumns {
 // Compile, and Select evaluates the compiled expression row by row.
 class VectorPredicate {
  public:
-  // `expr` must not be null.
+  // `expr` must not be null. Reads column views from `columns`, so a
+  // column that several atoms reference is built once.
   static std::optional<VectorPredicate> Compile(const ExprPtr& expr,
-                                                const Table& table);
+                                                const ColumnCache& columns);
 
   // out[i - begin] = 1 iff the predicate is TRUE on row i, for [begin, end).
   void EvalChunk(size_t begin, size_t end, uint8_t* out) const;

@@ -1,5 +1,7 @@
 #include "ivm/maintenance.h"
 
+#include <algorithm>
+
 #include "core/gpivot.h"
 #include "exec/basic_ops.h"
 #include "exec/group_by.h"
@@ -433,8 +435,24 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
           PivotLayout layout,
           PivotLayout::FromSchema(view_schema, pivot->spec()));
 
+      // Fig. 27 keys the view by the group columns alone. An aggregate that
+      // is not a pivot measure would land in the pivot key K, where a
+      // delta changes the key itself instead of a cell.
+      const std::vector<std::string>& measures = pivot->spec().pivot_on;
+      for (const AggSpec& agg : groupby->aggregates()) {
+        if (std::find(measures.begin(), measures.end(), agg.output) ==
+            measures.end()) {
+          return Status::NotApplicable(
+              StrCat("CombinedGroupBy: aggregate '", agg.output,
+                     "' is not a pivot measure, so it would land in the "
+                     "pivot key"));
+        }
+      }
+
+      // Every aggregate is a measure, and EnsureCountStar added a COUNT(*)
+      // aggregate if there was none, so the loop below finds one.
       AggregateLayout aggs;
-      std::optional<size_t> count_measure;
+      size_t count_measure = pivot->spec().num_measures();
       for (size_t b = 0; b < pivot->spec().num_measures(); ++b) {
         const std::string& measure = pivot->spec().pivot_on[b];
         const AggSpec* found = nullptr;
@@ -451,14 +469,13 @@ Result<MaintenancePlan> MaintenancePlan::CompileInternal(
           return Status::InvalidArgument(
               "Fig. 27 maintains SUM/COUNT aggregates");
         }
-        if (found->func == AggFunc::kCountStar && !count_measure.has_value()) {
+        if (found->func == AggFunc::kCountStar &&
+            count_measure == pivot->spec().num_measures()) {
           count_measure = b;
         }
         aggs.measure_funcs.push_back(found->func);
       }
-      GPIVOT_CHECK(count_measure.has_value())
-          << "EnsureCountStar guarantees a COUNT(*) measure";
-      aggs.count_measure = *count_measure;
+      aggs.count_measure = count_measure;
       plan.agg_layout_ = std::move(aggs);
       plan.layout_ = std::move(layout);
       return plan;

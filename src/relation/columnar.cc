@@ -148,23 +148,6 @@ std::shared_ptr<const ColumnVector> ColumnVector::Build(
   return column;
 }
 
-Value ColumnVector::At(size_t i) const {
-  if (IsNull(i)) return Value::Null();
-  switch (kind_) {
-    case ColumnKind::kInt64:
-      return Value::Int(ints_[i]);
-    case ColumnKind::kDouble:
-      return Value::Real(doubles_[i]);
-    case ColumnKind::kString:
-      return Value::Str(std::string(StringAt(i)));
-    case ColumnKind::kMixed:
-      return mixed_[i];
-    case ColumnKind::kAllNull:
-      break;
-  }
-  return Value::Null();
-}
-
 size_t ColumnVector::CellHash(size_t i) const {
   if (IsNull(i)) return kNullHash;
   switch (kind_) {

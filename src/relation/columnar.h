@@ -35,10 +35,10 @@ const char* ColumnKindToString(ColumnKind kind);
 // string_views). Mixed-type columns keep plain Values, which the accessors
 // below hash and compare cell by cell.
 //
-// Every accessor reproduces the source rows exactly: At(i) rebuilds the
-// original Value, CellHash matches Value::Hash, and the equality helpers
-// match Value::operator== (NULL equals NULL, int64 3 equals double 3.0) —
-// the operators built on top inherit row-layer semantics from this.
+// Every accessor reproduces the source rows exactly: the typed accessors
+// return the source cells, CellHash matches Value::Hash, and the equality
+// helpers match Value::operator== (NULL equals NULL, int64 3 equals double
+// 3.0) — the operators built on top inherit row-layer semantics from this.
 class ColumnVector {
  public:
   // Builds the view of column `col` over `rows`. Never fails: columns that
@@ -64,9 +64,6 @@ class ColumnVector {
     return std::string_view(pool_).substr(offsets_[i],
                                           offsets_[i + 1] - offsets_[i]);
   }
-
-  // Exact reconstruction of the source cell.
-  Value At(size_t i) const;
 
   // == rows[i][col].Hash().
   size_t CellHash(size_t i) const;

@@ -66,9 +66,6 @@ void KeyedTable::PrepareWrite() {
     DropSpare();
   }
   if (table_pinned) {
-    // The clone shares the warm column cache (Table's copy ctor) until
-    // mutable_rows() invalidates the clone's; the pinned version's cache
-    // stays intact either way.
     table_ = std::make_shared<Table>(*table_);
     ++counts_.table_clones;
   }

@@ -71,8 +71,8 @@ class KeyedTable {
 
   const Table& table() const { return *table_; }
   // The current table/index version as immutable shared handles. O(1): no
-  // rows are copied, and the column cache stays warm and shared. After a
-  // mutation the handles keep their pre-mutation contents.
+  // rows are copied. After a mutation the handles keep their pre-mutation
+  // contents.
   std::shared_ptr<const Table> shared_table() const { return table_; }
   std::shared_ptr<const KeyIndex> shared_index() const { return index_; }
   size_t num_rows() const { return table_->num_rows(); }

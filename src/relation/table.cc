@@ -18,88 +18,10 @@ Table::Table(Schema schema, std::vector<Row> rows)
   }
 }
 
-Table::Table(const Table& other)
-    : schema_(other.schema_), rows_(other.rows_), key_(other.key_) {
-  // Copies share the immutable column views: the cache stays warm across
-  // the copy-then-stage pattern in the maintenance path.
-  std::lock_guard<std::mutex> lock(other.columns_mu_);
-  columns_ = other.columns_;
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-}
-
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  rows_ = other.rows_;
-  key_ = other.key_;
-  std::lock_guard<std::mutex> lock(other.columns_mu_);
-  columns_ = other.columns_;
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-  return *this;
-}
-
-Table::Table(Table&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      rows_(std::move(other.rows_)),
-      key_(std::move(other.key_)) {
-  columns_ = std::move(other.columns_);
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-  other.columns_.clear();
-  other.has_column_cache_.store(false, std::memory_order_relaxed);
-}
-
-Table& Table::operator=(Table&& other) noexcept {
-  if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  rows_ = std::move(other.rows_);
-  key_ = std::move(other.key_);
-  columns_ = std::move(other.columns_);
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-  other.columns_.clear();
-  other.has_column_cache_.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
-std::shared_ptr<const ColumnVector> Table::ColumnData(size_t col) const {
-  GPIVOT_CHECK(col < schema_.num_columns())
-      << "ColumnData index " << col << " out of range";
-  {
-    std::lock_guard<std::mutex> lock(columns_mu_);
-    if (columns_.size() == schema_.num_columns() &&
-        columns_[col] != nullptr) {
-      return columns_[col];
-    }
-  }
-  // Build outside the lock (concurrent readers of other columns keep
-  // going), install with a double-check (first build wins; duplicates from
-  // a race are equivalent and simply dropped).
-  std::shared_ptr<const ColumnVector> built = ColumnVector::Build(rows_, col);
-  std::lock_guard<std::mutex> lock(columns_mu_);
-  if (columns_.size() != schema_.num_columns()) {
-    columns_.assign(schema_.num_columns(), nullptr);
-  }
-  if (columns_[col] == nullptr) columns_[col] = std::move(built);
-  has_column_cache_.store(true, std::memory_order_relaxed);
-  return columns_[col];
-}
-
-std::shared_ptr<const ColumnVector> Table::CachedColumnData(size_t col) const {
-  std::lock_guard<std::mutex> lock(columns_mu_);
-  if (col >= columns_.size()) return nullptr;
-  return columns_[col];
-}
-
-void Table::InvalidateColumns() {
-  std::lock_guard<std::mutex> lock(columns_mu_);
-  columns_.clear();
-  has_column_cache_.store(false, std::memory_order_relaxed);
-}
-
 void Table::AddRow(Row row) {
   GPIVOT_CHECK(row.size() == schema_.num_columns())
       << "row arity " << row.size() << " != schema arity "
       << schema_.num_columns() << " " << schema_.ToString();
-  if (has_column_cache_.load(std::memory_order_relaxed)) InvalidateColumns();
   rows_.push_back(std::move(row));
 }
 

@@ -44,7 +44,7 @@ Result<Table> QueryService::Scan(const std::string& view,
   query.Count("scan", 1);
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
-  return exec::Select(snapshot->table(), predicate, ctx_);
+  return exec::Select(snapshot->columns(), predicate, ctx_);
 }
 
 Result<Table> QueryService::TopK(const std::string& view,

@@ -22,11 +22,11 @@ namespace gpivot::serve {
 // The ExecContext given at construction is used for every query: its
 // metrics registry receives the serve.query.* counters and latency
 // histograms. Scan filters through exec::Select, whose vectorized
-// predicate kernels read the snapshot's column cache (snapshots share the
-// view's warm cache, so repeated scans of the same version never rebuild
-// it). Point the context at a per-reader local registry when counters must
-// stay deterministic — query counts per reader are workload-determined, but
-// which global shard they land in is not.
+// predicate kernels read the snapshot's column views, so repeated scans of
+// one version build each column once. Point the context at a per-reader
+// local registry when counters must stay deterministic — query counts per
+// reader are workload-determined, but which global shard they land in is
+// not.
 //
 // Every query takes the caller's registered ReaderHandle
 // (SnapshotStore::RegisterReader); a null handle is an InvalidArgument

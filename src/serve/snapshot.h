@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/vector_ops.h"
 #include "ivm/apply.h"
 #include "ivm/view_manager.h"
 #include "obs/event_log.h"
@@ -28,6 +29,11 @@ namespace gpivot::serve {
 // store's next mutation writes to a recycled spare or a clone instead
 // (relation/keyed_table.h).
 //
+// The snapshot also owns the column views that scans of this version read
+// (columns()), built on first use. They live exactly as long as the
+// version they describe, so a recycled or advanced table never meets a
+// stale view.
+//
 // enable_shared_from_this powers the lock-free Acquire: a reader that
 // validated a raw head pointer against its hazard slot upgrades it to an
 // owning reference without touching the store again.
@@ -37,17 +43,20 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
            std::shared_ptr<const KeyIndex> index)
       : epoch_seq_(epoch_seq),
         table_(std::move(table)),
-        index_(std::move(index)) {}
+        index_(std::move(index)),
+        columns_(*table_) {}
 
   uint64_t epoch_seq() const { return epoch_seq_; }
   const Table& table() const { return *table_; }
   const KeyIndex& index() const { return *index_; }
   std::shared_ptr<const Table> shared_table() const { return table_; }
+  const exec::ColumnCache& columns() const { return columns_; }
 
  private:
   uint64_t epoch_seq_;
   std::shared_ptr<const Table> table_;
   std::shared_ptr<const KeyIndex> index_;
+  exec::ColumnCache columns_;
 };
 
 // A reader's registration with the store: one hazard-pointer slot, alive

@@ -198,57 +198,6 @@ void EncodeTable(const Table& table, BinaryWriter* out) {
   out->PutU32(static_cast<uint32_t>(table.key().size()));
   for (const std::string& key_column : table.key()) out->PutString(key_column);
   out->PutU64(table.num_rows());
-  const size_t ncols = table.schema().num_columns();
-  const size_t nrows = table.num_rows();
-  // Columnar fast path: when the table's column cache is already warm (hot
-  // views right after vectorized execution), encode cells from the typed
-  // column storage — the per-column kind is hoisted out of the cell loop —
-  // instead of re-dispatching on every Value's tag. Emitted bytes are
-  // identical to the row loop: same per-row arity prefix, same value tags,
-  // same order. A cold cache never builds columns just to encode; rows
-  // whose arity disagrees with the schema also stay on the row loop so the
-  // wire bytes match exactly.
-  if (nrows > 0 && ncols > 0) {
-    std::vector<std::shared_ptr<const ColumnVector>> cols(ncols);
-    bool warm = true;
-    for (size_t c = 0; c < ncols && warm; ++c) {
-      cols[c] = table.CachedColumnData(c);
-      if (cols[c] == nullptr) warm = false;
-    }
-    for (size_t r = 0; r < nrows && warm; ++r) {
-      warm = table.RowAt(r).size() == ncols;
-    }
-    if (warm) {
-      for (size_t r = 0; r < nrows; ++r) {
-        out->PutU32(static_cast<uint32_t>(ncols));
-        for (size_t c = 0; c < ncols; ++c) {
-          const ColumnVector& col = *cols[c];
-          if (col.IsNull(r)) {
-            out->PutU8(kTagNull);
-            continue;
-          }
-          switch (col.kind()) {
-            case ColumnKind::kInt64:
-              out->PutU8(kTagInt);
-              out->PutU64(static_cast<uint64_t>(col.Int64At(r)));
-              break;
-            case ColumnKind::kDouble:
-              out->PutU8(kTagDouble);
-              out->PutDouble(col.DoubleAt(r));
-              break;
-            case ColumnKind::kString:
-              out->PutU8(kTagString);
-              out->PutString(col.StringAt(r));
-              break;
-            default:  // kMixed (kAllNull cells are caught by IsNull above)
-              EncodeValue(col.At(r), out);
-              break;
-          }
-        }
-      }
-      return;
-    }
-  }
   for (const Row& row : table.rows()) EncodeRow(row, out);
 }
 

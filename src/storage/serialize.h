@@ -80,8 +80,6 @@ Result<Schema> DecodeSchema(BinaryReader* in);
 
 // Table: [schema][u32 nkey][key column names][u64 nrows][rows]. The decoded
 // table carries the same declared key; rows keep their physical order.
-// When the table's columnar cache is warm, cells are encoded straight from
-// the typed column storage — the wire bytes are identical to the row loop.
 void EncodeTable(const Table& table, BinaryWriter* out);
 Result<Table> DecodeTable(BinaryReader* in);
 

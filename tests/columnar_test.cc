@@ -6,6 +6,7 @@
 // key columns that mix value types.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "exec/join.h"
 #include "exec/vector_ops.h"
 #include "relation/columnar.h"
-#include "storage/serialize.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/small_vector.h"
@@ -103,7 +103,7 @@ std::vector<Value> MixedBagOfCells() {
           D(0.0), D(-0.0), I(0),    S("hello"),   N(),        D(3.25)};
 }
 
-TEST(ColumnVectorTest, AtReconstructsSourceCellsExactly) {
+TEST(ColumnVectorTest, TypedAccessorsReproduceSourceCells) {
   // Every kind, including kMixed and null-bearing typed columns.
   std::vector<std::vector<Value>> columns = {
       {I(1), N(), I(3)},
@@ -116,13 +116,27 @@ TEST(ColumnVectorTest, AtReconstructsSourceCellsExactly) {
     auto col = ColumnVector::Build(t.rows(), 0);
     ASSERT_EQ(col->size(), cells.size());
     for (size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(col->IsNull(i), cells[i].is_null()) << "row " << i;
-      Value back = col->At(i);
-      EXPECT_EQ(back, cells[i]) << "row " << i;
-      // Same storage type, not just Value-equal (Int(3) == Real(3.0)).
-      EXPECT_EQ(back.is_int(), cells[i].is_int()) << "row " << i;
-      EXPECT_EQ(back.is_double(), cells[i].is_double()) << "row " << i;
-      EXPECT_EQ(back.is_string(), cells[i].is_string()) << "row " << i;
+      const Value& cell = cells[i];
+      EXPECT_EQ(col->IsNull(i), cell.is_null()) << "row " << i;
+      EXPECT_TRUE(col->CellEqualsValue(i, cell)) << "row " << i;
+      if (cell.is_null() || col->kind() == ColumnKind::kMixed) continue;
+      switch (col->kind()) {
+        case ColumnKind::kInt64:
+          EXPECT_EQ(col->Int64At(i), cell.AsInt()) << "row " << i;
+          break;
+        case ColumnKind::kDouble:
+          // Bit-exact, so -0.0 stays negative.
+          EXPECT_EQ(std::signbit(col->DoubleAt(i)),
+                    std::signbit(cell.AsDouble()))
+              << "row " << i;
+          EXPECT_EQ(col->DoubleAt(i), cell.AsDouble()) << "row " << i;
+          break;
+        case ColumnKind::kString:
+          EXPECT_EQ(col->StringAt(i), cell.AsString()) << "row " << i;
+          break;
+        default:
+          ADD_FAILURE() << "unexpected kind at row " << i;
+      }
     }
   }
 }
@@ -179,60 +193,23 @@ TEST(ColumnVectorTest, CellEqualityMatchesValueEquality) {
   }
 }
 
-// ---- Table column cache ---------------------------------------------------
+// ---- ColumnCache ----------------------------------------------------------
 
-Table SmallTyped() {
-  return testing::MakeTable({{"k", DataType::kInt64},
-                             {"s", DataType::kString},
-                             {"x", DataType::kDouble}},
-                            {{I(1), S("a"), D(1.5)},
-                             {I(2), S("b"), N()},
-                             {I(3), N(), D(3.5)}});
-}
-
-TEST(TableColumnCacheTest, LazyBuildThenCached) {
-  Table t = SmallTyped();
-  EXPECT_EQ(t.CachedColumnData(0), nullptr) << "cache must start cold";
-  auto first = t.ColumnData(0);
+TEST(ColumnCacheTest, BuildsEachColumnOnceOnFirstUse) {
+  Table t = testing::MakeTable({{"k", DataType::kInt64},
+                                {"s", DataType::kString},
+                                {"x", DataType::kDouble}},
+                               {{I(1), S("a"), D(1.5)},
+                                {I(2), S("b"), N()},
+                                {I(3), N(), D(3.5)}});
+  exec::ColumnCache columns(t);
+  EXPECT_EQ(&columns.table(), &t);
+  auto first = columns.Get(2);
   ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->kind(), ColumnKind::kInt64);
-  EXPECT_EQ(t.ColumnData(0).get(), first.get()) << "second read rebuilt";
-  EXPECT_EQ(t.CachedColumnData(0).get(), first.get());
-  EXPECT_EQ(t.CachedColumnData(1), nullptr) << "per-column laziness";
-}
-
-TEST(TableColumnCacheTest, MutationsInvalidate) {
-  Table t = SmallTyped();
-  (void)t.ColumnData(0);
-  t.AddRow({I(4), S("d"), D(4.5)});
-  EXPECT_EQ(t.CachedColumnData(0), nullptr) << "AddRow kept a stale cache";
-  auto rebuilt = t.ColumnData(0);
-  ASSERT_EQ(rebuilt->size(), 4u);
-  EXPECT_EQ(rebuilt->Int64At(3), 4);
-
-  (void)t.ColumnData(0);
-  t.mutable_rows()[0][0] = I(99);
-  EXPECT_EQ(t.CachedColumnData(0), nullptr)
-      << "mutable_rows() kept a stale cache";
-  EXPECT_EQ(t.ColumnData(0)->Int64At(0), 99);
-}
-
-TEST(TableColumnCacheTest, CopySharesWarmCacheAndSortedStartsCold) {
-  Table t = SmallTyped();
-  auto warm = t.ColumnData(2);
-  Table copy = t;
-  EXPECT_EQ(copy.CachedColumnData(2).get(), warm.get())
-      << "copying an immutable view should keep its columns warm";
-  // The copy's cache is independent: mutating the copy must not chill the
-  // original.
-  copy.AddRow({I(4), S("d"), D(4.5)});
-  EXPECT_EQ(copy.CachedColumnData(2), nullptr);
-  EXPECT_EQ(t.CachedColumnData(2).get(), warm.get());
-
-  Table sorted = t.Sorted();
-  EXPECT_EQ(sorted.CachedColumnData(2), nullptr)
-      << "Sorted() reorders rows; its cache must not be the source's";
-  EXPECT_EQ(t.CachedColumnData(2).get(), warm.get());
+  EXPECT_EQ(first->kind(), ColumnKind::kDouble);
+  EXPECT_EQ(first->size(), 3u);
+  EXPECT_EQ(columns.Get(2).get(), first.get()) << "second read rebuilt";
+  EXPECT_EQ(columns.Get(1)->kind(), ColumnKind::kString);
 }
 
 // ---- KeyColumns -----------------------------------------------------------
@@ -309,8 +286,8 @@ TEST(KeyColumnsTest, MixedTypeColumnsMatchRowLayer) {
                                          {N(), S("a")}}) {
     t.AddRow(row);
   }
-  ASSERT_EQ(t.ColumnData(0)->kind(), ColumnKind::kMixed);
-  ASSERT_EQ(t.ColumnData(1)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(t.rows(), 0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(t.rows(), 1)->kind(), ColumnKind::kMixed);
   std::vector<size_t> idx = {0, 1};
   ASSERT_OK_AND_ASSIGN(exec::KeyColumns keys,
                        exec::KeyColumns::Make(t, idx));
@@ -335,7 +312,8 @@ TEST(KeyColumnsTest, MixedTypeColumnsMatchRowLayer) {
 
 void ExpectPredicateMatchesCompiledExpr(const Table& t, const ExprPtr& pred,
                                    bool expect_compiled) {
-  auto vectorized = exec::VectorPredicate::Compile(pred, t);
+  exec::ColumnCache columns(t);
+  auto vectorized = exec::VectorPredicate::Compile(pred, columns);
   ASSERT_EQ(vectorized.has_value(), expect_compiled) << pred->ToString();
   if (!vectorized.has_value()) return;
   auto compiled = CompileExpr(pred, t.schema());
@@ -420,11 +398,7 @@ TEST(OperatorOracleTest, SelectAndProject) {
        {And(Gt(Col("v"), Lit(int64_t{25})),
             Or(IsNull(Col("g")), Lt(Col("k"), Lit(int64_t{6})))),
         Not(Gt(Col("v"), Lit(int64_t{25})))}) {
-    ASSERT_OK_AND_ASSIGN(CompiledExpr compiled, CompileExpr(pred, t.schema()));
-    Table expected(t.schema());
-    for (const Row& row : t.rows()) {
-      if (ValueIsTrue(compiled(row))) expected.AddRow(row);
-    }
+    Table expected(t.schema(), testing::SelectOracle(t, pred));
     ASSERT_OK_AND_ASSIGN(Table selected, exec::Select(t, pred));
     EXPECT_EQ(TypedRows(expected), TypedRows(selected)) << pred->ToString();
   }
@@ -568,8 +542,8 @@ class MixedKeyJoinTest : public ::testing::TestWithParam<exec::JoinType> {};
 
 TEST_P(MixedKeyJoinTest, HashJoinMatchesNestedLoopOracle) {
   Table left = MixedLeft();
-  ASSERT_EQ(left.ColumnData(0)->kind(), ColumnKind::kMixed);
-  ASSERT_EQ(left.ColumnData(1)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(left.rows(), 0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(left.rows(), 1)->kind(), ColumnKind::kMixed);
   exec::JoinSpec spec;
   spec.left_keys = {"k", "t"};
   spec.right_keys = {"k", "t"};
@@ -577,7 +551,8 @@ TEST_P(MixedKeyJoinTest, HashJoinMatchesNestedLoopOracle) {
   // 8 x 7 builds an inner join on the right, 8 x 9 on the left.
   for (size_t extra : {size_t{0}, size_t{2}}) {
     Table right = MixedRight(extra);
-    ASSERT_EQ(right.ColumnData(0)->kind(), ColumnKind::kMixed);
+    ASSERT_EQ(ColumnVector::Build(right.rows(), 0)->kind(),
+              ColumnKind::kMixed);
     Table expected = testing::NestedLoopOracle(left, right, spec);
     ASSERT_OK_AND_ASSIGN(Table joined, exec::HashJoin(left, right, spec));
     EXPECT_TRUE(testing::BagEqual(expected, joined)) << "extra=" << extra;
@@ -619,8 +594,8 @@ TEST(MixedKeyTest, GPivotMatchesReference) {
                                          {I(8), I(2), I(16)}}) {
     input.AddRow(row);
   }
-  ASSERT_EQ(input.ColumnData(0)->kind(), ColumnKind::kMixed);
-  ASSERT_EQ(input.ColumnData(1)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(input.rows(), 0)->kind(), ColumnKind::kMixed);
+  ASSERT_EQ(ColumnVector::Build(input.rows(), 1)->kind(), ColumnKind::kMixed);
   PivotSpec spec;
   spec.pivot_by = {"t"};
   spec.pivot_on = {"lv"};
@@ -633,42 +608,6 @@ TEST(MixedKeyTest, GPivotMatchesReference) {
     // 3 and 3.0 are one key; 6.0 lists no combo ("1" is not 1).
     EXPECT_EQ(pivoted.num_rows(), keep ? 5u : 4u);
   }
-}
-
-// ---- serialize fast path --------------------------------------------------
-
-TEST(SerializeColumnarTest, WarmCacheBytesIdenticalToColdEncoding) {
-  Rng rng(2025);
-  Table t = RandomMixedTable(&rng, 40, 0.25);
-  // Add a mixed-type column so the fast path's per-Value fallback runs too.
-  Table mixed{Schema({{"k", DataType::kInt64},
-                      {"g", DataType::kString},
-                      {"x", DataType::kDouble},
-                      {"v", DataType::kInt64},
-                      {"m", DataType::kInt64}})};
-  Rng cell_rng(7);
-  for (const Row& row : t.rows()) {
-    Row extended = row;
-    int pick = static_cast<int>(cell_rng.Int(0, 3));
-    extended.push_back(pick == 0   ? I(cell_rng.Int(0, 9))
-                       : pick == 1 ? D(cell_rng.Int(0, 9) / 2.0)
-                       : pick == 2 ? S("mix")
-                                   : N());
-    mixed.AddRow(std::move(extended));
-  }
-
-  std::string cold = storage::EncodeTableToString(mixed);
-  for (size_t c = 0; c < mixed.schema().num_columns(); ++c) {
-    (void)mixed.ColumnData(c);  // warm every column
-    ASSERT_NE(mixed.CachedColumnData(c), nullptr);
-  }
-  std::string warm = storage::EncodeTableToString(mixed);
-  EXPECT_EQ(cold, warm) << "columnar encoding changed the wire bytes";
-
-  // And the bytes still round-trip.
-  storage::BinaryReader reader(warm);
-  ASSERT_OK_AND_ASSIGN(Table decoded, storage::DecodeTable(&reader));
-  EXPECT_EQ(decoded.rows(), mixed.rows());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ using ivm::RefreshStrategy;
 using ivm::SourceDeltas;
 using ivm::ViewManager;
 using testing::BagEqual;
+using testing::I;
 
 tpch::Config SmallConfig() {
   tpch::Config config;
@@ -210,6 +211,96 @@ TEST(SelectPushdownIsNullTest, IsNotNullCellConditionsCompileAndMaintain) {
                                       .value()));
     ASSERT_OK(manager.Audit());
     EXPECT_GT(manager.GetView("v").value()->num_rows(), 0u);
+  }
+}
+
+// GPIVOT_{a; on pivot_on}(GROUPBY_{k, a; SUM(b) total, COUNT(*) cnt}(t))
+// over t(k, a, id, b) keyed on id. The GROUPBY aggregate that is not
+// pivoted lands in the pivot key K beside k.
+struct PartlyPivotedAggregate {
+  Catalog catalog;
+  PlanPtr query;
+};
+
+PartlyPivotedAggregate MakePartlyPivotedAggregate(const std::string& pivot_on) {
+  Table t = testing::MakeTable({{"k", DataType::kInt64},
+                                {"a", DataType::kInt64},
+                                {"id", DataType::kInt64},
+                                {"b", DataType::kInt64}},
+                               {{I(1), I(1), I(1), I(10)},
+                                {I(1), I(2), I(2), I(20)},
+                                {I(2), I(1), I(3), I(30)}});
+  EXPECT_TRUE(t.SetKey({"id"}).ok());
+  PartlyPivotedAggregate out;
+  EXPECT_TRUE(out.catalog.AddTable("t", std::move(t)).ok());
+  PlanPtr grouped =
+      MakeGroupBy(MakeScan(out.catalog, "t").value(), {"k", "a"},
+                  {AggSpec::Sum("b", "total"), AggSpec::CountStar("cnt")});
+  PivotSpec spec;
+  spec.pivot_by = {"a"};
+  spec.pivot_on = {pivot_on};
+  spec.combos = {{I(1)}, {I(2)}};
+  out.query = MakeGPivot(std::move(grouped), std::move(spec));
+  return out;
+}
+
+// One epoch that inserts a row into the existing group (k=1, a=1) and one
+// into a new group (k=2, a=2).
+SourceDeltas InsertIntoPartlyPivotedAggregate(const Catalog& catalog) {
+  ivm::Delta delta =
+      ivm::Delta::Empty(catalog.GetTable("t").value()->schema());
+  delta.inserts.AddRow({I(1), I(1), I(4), I(5)});
+  delta.inserts.AddRow({I(2), I(2), I(5), I(7)});
+  SourceDeltas deltas;
+  deltas.emplace("t", std::move(delta));
+  return deltas;
+}
+
+// A plan CombinedGroupBy accepts must be maintained exactly, so a SUM that
+// lands in the pivot key is refused: Fig. 27 updates cells under a fixed
+// key, and a delta here changes the key.
+TEST(CombinedGroupByKeyTest, UnpivotedSumInTheKeyIsNotApplicable) {
+  PartlyPivotedAggregate view = MakePartlyPivotedAggregate("cnt");
+  ViewManager manager(std::move(view.catalog));
+  manager.set_event_log(nullptr);
+  Status defined =
+      manager.DefineView("v", view.query, RefreshStrategy::kCombinedGroupBy);
+  if (defined.ok()) {
+    ASSERT_OK(manager.ApplyUpdate(
+        InsertIntoPartlyPivotedAggregate(manager.catalog())));
+    ASSERT_OK(manager.Audit());
+  }
+  EXPECT_TRUE(defined.IsNotApplicable()) << defined.ToString();
+  EXPECT_NE(defined.message().find("'total'"), std::string::npos)
+      << defined.ToString();
+}
+
+// The same shape with the COUNT(*) in the key used to abort the compiler.
+TEST(CombinedGroupByKeyTest, UnpivotedCountStarInTheKeyIsNotApplicable) {
+  PartlyPivotedAggregate view = MakePartlyPivotedAggregate("total");
+  auto plan = ivm::MaintenancePlan::Compile(view.query,
+                                            RefreshStrategy::kCombinedGroupBy);
+  EXPECT_TRUE(plan.status().IsNotApplicable()) << plan.status().ToString();
+  EXPECT_NE(plan.status().message().find("'cnt'"), std::string::npos)
+      << plan.status().ToString();
+}
+
+TEST(CombinedGroupByKeyTest, OtherStrategiesStillMaintainTheShape) {
+  for (const std::string pivot_on : {"cnt", "total"}) {
+    for (RefreshStrategy strategy :
+         {RefreshStrategy::kUpdate, RefreshStrategy::kInsertDelete}) {
+      SCOPED_TRACE(pivot_on + " " + ivm::RefreshStrategyToString(strategy));
+      PartlyPivotedAggregate view = MakePartlyPivotedAggregate(pivot_on);
+      ViewManager manager(std::move(view.catalog));
+      manager.set_event_log(nullptr);
+      ASSERT_OK(manager.DefineView("v", view.query, strategy));
+      ASSERT_OK(manager.ApplyUpdate(
+          InsertIntoPartlyPivotedAggregate(manager.catalog())));
+      ASSERT_OK(manager.Audit());
+      // K = (k, total) has four values after the epoch, K = (k, cnt) three.
+      EXPECT_EQ(manager.GetView("v").value()->num_rows(),
+                pivot_on == "cnt" ? 4u : 3u);
+    }
   }
 }
 

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/gpivot.h"
+#include "exec/basic_ops.h"
+#include "exec/vector_ops.h"
 #include "expr/expr.h"
 #include "ivm/view_manager.h"
 #include "obs/metrics.h"
@@ -34,6 +36,7 @@ using testing::BagEqual;
 using testing::I;
 using testing::MakeTable;
 using testing::S;
+using testing::SelectOracle;
 
 // Items ⋈ Payment pivot view, same shape the batcher tests use.
 Catalog PivotCatalog() {
@@ -118,9 +121,9 @@ TEST(SnapshotStoreTest, AttachFailsWithoutViews) {
 }
 
 TEST(SnapshotStoreTest, InstallSharesTableStorageWithView) {
-  // Satellite check: installing a snapshot must not copy the view table —
-  // the snapshot aliases the MaterializedView's current storage, so the
-  // warm column cache is shared too.
+  // Installing a snapshot must not copy the view table: the snapshot
+  // aliases the MaterializedView's current storage. Its column views are
+  // its own, built by the first scan of the version.
   ViewManager manager = MakePivotManager();
   SnapshotStore store(&manager);
   ASSERT_OK(store.Attach());
@@ -475,6 +478,60 @@ TEST(SnapshotStoreTest, AttachedStoreRecyclesTheRetiredVersion) {
   EXPECT_EQ(metrics.Counter("ivm.view.cow_recycles"), kEpochs);
   EXPECT_EQ(held->table().rows(), held_rows);
   EXPECT_EQ(held->epoch_seq(), static_cast<uint64_t>(kEpochs));
+}
+
+// Scans read the column views of the version they scan. Those views live
+// with the snapshot, so a version that is still pinned keeps its own, and a
+// table recycled in place for a later version starts without any.
+TEST(SnapshotStoreTest, ScansReadTheirOwnVersionAcrossARecycle) {
+  ViewManager manager = MakePivotManager();
+  SnapshotStore store(&manager);
+  ASSERT_OK(store.Attach());
+  ScopedReader reader(&store);
+  QueryService service(&store);
+  const std::string type = PivotColumnName({S("Type")}, "Value");
+  const ExprPtr predicate =
+      Or(Eq(Col(type), Lit("t0")), Eq(Col(type), Lit("t1")));
+  auto scan_head = [&]() {
+    return service.Scan("v", predicate, reader.get()).value().rows();
+  };
+  auto scan_pinned = [&](const Snapshot& pinned) {
+    EXPECT_TRUE(exec::VectorPredicate::Compile(predicate, pinned.columns())
+                    .has_value());
+    return exec::Select(pinned.columns(), predicate).value().rows();
+  };
+
+  ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, 0)));
+  std::shared_ptr<const Snapshot> n = store.Acquire("v", reader.get());
+  ASSERT_NE(n, nullptr);
+  const std::vector<Row> n_rows = SelectOracle(n->table(), predicate);
+  ASSERT_EQ(n_rows.size(), 1u);
+  EXPECT_EQ(scan_head(), n_rows);
+  EXPECT_EQ(scan_pinned(*n), n_rows);
+
+  ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, 1)));
+  std::shared_ptr<const Snapshot> n1 = store.Acquire("v", reader.get());
+  ASSERT_NE(n1, nullptr);
+  EXPECT_EQ(n1->epoch_seq(), n->epoch_seq() + 1);
+  const std::vector<Row> n1_rows = SelectOracle(n1->table(), predicate);
+  ASSERT_EQ(n1_rows.size(), 1u);
+  EXPECT_NE(n1_rows, n_rows);
+  EXPECT_EQ(scan_pinned(*n), n_rows);
+  EXPECT_EQ(scan_head(), n1_rows);
+  EXPECT_EQ(scan_pinned(*n1), n1_rows);
+
+  // Releasing N lets epoch N+2 replay onto N's table in place.
+  const Table* n_table = n->shared_table().get();
+  n.reset();
+  n1.reset();
+  ASSERT_OK(manager.ApplyUpdate(TypeChurn(manager, 2)));
+  std::shared_ptr<const Snapshot> n2 = store.Acquire("v", reader.get());
+  ASSERT_NE(n2, nullptr);
+  EXPECT_EQ(n2->shared_table().get(), n_table);
+  const std::vector<Row> n2_rows = SelectOracle(n2->table(), predicate);
+  EXPECT_TRUE(n2_rows.empty());
+  EXPECT_EQ(scan_head(), n2_rows);
+  EXPECT_EQ(scan_pinned(*n2), n2_rows);
 }
 
 TEST(QueryServiceTest, PointLookupFindsAndMisses) {

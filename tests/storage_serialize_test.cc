@@ -116,32 +116,68 @@ bool BitExactEqual(const Value& a, const Value& b) {
   return wa.buffer() == wb.buffer();
 }
 
+// A column whose cells mix every kind (ints, doubles, inline and shared
+// strings, NULLs) beside typed columns with NULLs.
+Table MixedKindTable() {
+  Table table{Schema({{"k", DataType::kInt64},
+                      {"m", DataType::kInt64},
+                      {"x", DataType::kDouble}})};
+  Rng rng(7);
+  for (int64_t r = 0; r < 40; ++r) {
+    Value m;
+    switch (rng.Index(5)) {
+      case 0:
+        m = Value::Int(rng.Int(0, 9));
+        break;
+      case 1:
+        m = Value::Real(static_cast<double>(rng.Int(0, 9)) / 2.0);
+        break;
+      case 2:
+        m = Value::Str("mix");
+        break;
+      case 3:
+        m = Value::Str("a string longer than the inline limit");
+        break;
+      default:
+        m = Value::Null();
+    }
+    Value x = rng.Chance(0.25) ? Value::Null() : Value::Real(r * 0.5);
+    table.AddRow({Value::Int(r), std::move(m), std::move(x)});
+  }
+  EXPECT_TRUE(table.SetKey({"k"}).ok());
+  return table;
+}
+
+void ExpectByteIdenticalRoundTrip(const Table& table) {
+  std::string encoded = EncodeTableToString(table);
+
+  BinaryReader reader(encoded);
+  auto decoded = DecodeTable(&reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(reader.exhausted());
+
+  // Structure round-trips...
+  ASSERT_EQ(decoded->num_rows(), table.num_rows());
+  ASSERT_TRUE(decoded->schema() == table.schema());
+  EXPECT_EQ(decoded->key(), table.key());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+      EXPECT_TRUE(BitExactEqual(table.rows()[r][c], decoded->rows()[r][c]))
+          << "row " << r << " col " << c;
+    }
+  }
+  // ...and the canonical form is a fixed point.
+  EXPECT_EQ(EncodeTableToString(*decoded), encoded);
+}
+
 TEST(SerializeRoundTripTest, RandomTablesByteIdentical) {
   Rng rng(20260807);
   for (int trial = 0; trial < 200; ++trial) {
     SCOPED_TRACE("trial=" + std::to_string(trial));
-    Table table = RandomTable(&rng, trial % 3 == 0);
-    std::string encoded = EncodeTableToString(table);
-
-    BinaryReader reader(encoded);
-    auto decoded = DecodeTable(&reader);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_TRUE(reader.exhausted());
-
-    // Structure round-trips...
-    ASSERT_EQ(decoded->num_rows(), table.num_rows());
-    ASSERT_TRUE(decoded->schema() == table.schema());
-    EXPECT_EQ(decoded->key(), table.key());
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-        EXPECT_TRUE(
-            BitExactEqual(table.rows()[r][c], decoded->rows()[r][c]))
-            << "row " << r << " col " << c;
-      }
-    }
-    // ...and the canonical form is a fixed point.
-    EXPECT_EQ(EncodeTableToString(*decoded), encoded);
+    ExpectByteIdenticalRoundTrip(RandomTable(&rng, trial % 3 == 0));
   }
+  SCOPED_TRACE("mixed-kind column");
+  ExpectByteIdenticalRoundTrip(MixedKindTable());
 }
 
 TEST(SerializeRoundTripTest, SourceDeltasSortedAndByteIdentical) {

@@ -156,6 +156,15 @@ std::string JoinTypeParamName(
   return "?";
 }
 
+std::vector<Row> SelectOracle(const Table& input, const ExprPtr& predicate) {
+  CompiledExpr compiled = CompileExpr(predicate, input.schema()).value();
+  std::vector<Row> rows;
+  for (const Row& row : input.rows()) {
+    if (ValueIsTrue(compiled(row))) rows.push_back(row);
+  }
+  return rows;
+}
+
 Table GroupByOracle(const Table& input,
                     const std::vector<std::string>& group_columns,
                     const std::vector<AggSpec>& aggregates) {

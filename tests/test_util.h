@@ -9,6 +9,7 @@
 
 #include "exec/join.h"
 #include "expr/aggregate.h"
+#include "expr/expr.h"
 #include "relation/table.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -78,6 +79,10 @@ std::string JoinTypeParamName(
 Table GroupByOracle(const Table& input,
                     const std::vector<std::string>& group_columns,
                     const std::vector<AggSpec>& aggregates);
+
+// Reference σ for exec::Select: the rows of `input`, in order, on which the
+// compiled row expression is TRUE. Never reads column views.
+std::vector<Row> SelectOracle(const Table& input, const ExprPtr& predicate);
 
 // Random keyed "vertical" table for pivot property tests: columns
 // (k INT, a1.. STR dims, b1.. measures), with (k, dims) forming a key. Dims
