@@ -32,68 +32,82 @@ Value SubValues(const Value& a, const Value& b) {
 // Builds a MergePlan against a read-only view: the planners below consult
 // and modify the pending overlay so intra-epoch sequences (delete a key,
 // then re-insert it) resolve exactly as the mutating rules would have, while
-// the view itself stays untouched.
+// the view itself stays untouched. Each key is looked up in the view once,
+// on first touch; the record keeps where it was found.
 class MergeStager {
  public:
   explicit MergeStager(const MaterializedView& view) : view_(view) {}
 
   // Current row for `key` across the view plus the overlay; nullptr when
   // absent (never in the view, or deleted earlier in this epoch).
-  const Row* Find(const Row& key) const {
-    auto it = overlay_.find(key);
-    if (it != overlay_.end()) {
-      const std::optional<Row>& after = records_[it->second].after;
-      return after.has_value() ? &*after : nullptr;
+  const Row* Find(const Row& key) {
+    const Entry& entry = EntryFor(key);
+    if (entry.staged) {
+      return entry.record.after.has_value() ? &*entry.record.after : nullptr;
     }
-    std::optional<size_t> position = view_.LookupKey(key);
-    if (!position.has_value()) return nullptr;
-    return &view_.RowAt(*position);
+    if (!entry.record.position.has_value()) return nullptr;
+    return &view_.RowAt(*entry.record.position);
   }
 
-  Status Insert(Row key, Row row) {
+  Status Insert(const Row& key, Row row) {
     if (Find(key) != nullptr) {
       return Status::ConstraintViolation(
           StrCat("insert of duplicate view key ", RowToString(key)));
     }
-    RecordFor(std::move(key)).after = std::move(row);
-    return Status::OK();
+    return Stage(key, std::move(row));
   }
 
-  Status Update(Row key, Row row) {
+  Status Update(const Row& key, Row row) {
     if (Find(key) == nullptr) {
       return Status::Internal(
           StrCat("staged update of absent view key ", RowToString(key)));
     }
-    RecordFor(std::move(key)).after = std::move(row);
-    return Status::OK();
+    return Stage(key, std::move(row));
   }
 
-  Status Delete(Row key) {
+  Status Delete(const Row& key) {
     if (Find(key) == nullptr) {
       return Status::Internal(
           StrCat("staged delete of absent view key ", RowToString(key)));
     }
-    RecordFor(std::move(key)).after = std::nullopt;
+    return Stage(key, std::nullopt);
+  }
+
+  // The records a rule staged, in first-touch order; keys only looked up
+  // are left out.
+  MergePlan TakePlan() && {
+    MergePlan plan;
+    for (Entry& entry : entries_) {
+      if (entry.staged) plan.records.push_back(std::move(entry.record));
+    }
+    return plan;
+  }
+
+ private:
+  struct Entry {
+    MergeRecord record;
+    bool staged = false;  // a rule has set record.after
+  };
+
+  Entry& EntryFor(const Row& key) {
+    auto [it, added] = overlay_.try_emplace(key, entries_.size());
+    if (!added) return entries_[it->second];
+    Entry entry;
+    entry.record.key = key;
+    entry.record.position = view_.LookupKey(key);
+    entries_.push_back(std::move(entry));
+    return entries_.back();
+  }
+
+  Status Stage(const Row& key, std::optional<Row> after) {
+    Entry& entry = EntryFor(key);
+    entry.record.after = std::move(after);
+    entry.staged = true;
     return Status::OK();
   }
 
-  MergePlan TakePlan() && { return MergePlan{std::move(records_)}; }
-
- private:
-  MergeRecord& RecordFor(Row key) {
-    auto it = overlay_.find(key);
-    if (it != overlay_.end()) return records_[it->second];
-    MergeRecord record;
-    std::optional<size_t> position = view_.LookupKey(key);
-    if (position.has_value()) record.before = view_.RowAt(*position);
-    record.key = key;
-    overlay_.emplace(std::move(key), records_.size());
-    records_.push_back(std::move(record));
-    return records_.back();
-  }
-
   const MaterializedView& view_;
-  std::vector<MergeRecord> records_;
+  std::vector<Entry> entries_;
   std::unordered_map<Row, size_t, RowHash, RowEq> overlay_;
 };
 
@@ -121,14 +135,14 @@ Status MergeRecords(MaterializedView* view, const MergePlan& plan,
   for (size_t i = 0; i < plan.records.size(); ++i) {
     if (i == mid) GPIVOT_FAULT_POINT("ExecuteMergePlan::mid-commit");
     const MergeRecord& record = plan.records[i];
-    if (!record.before.has_value() && !record.after.has_value()) continue;
+    if (!record.position.has_value() && !record.after.has_value()) continue;
     std::optional<size_t> position = view->LookupKey(record.key);
-    if (record.before.has_value() != position.has_value()) {
+    if (record.position.has_value() != position.has_value()) {
       return Status::Internal(
           StrCat("merge plan out of sync with view at key ",
                  RowToString(record.key)));
     }
-    if (!record.before.has_value()) {
+    if (!position.has_value()) {
       GPIVOT_RETURN_NOT_OK(view->Insert(*record.after));
       undo->RecordInsert();
       ++inserts;
@@ -214,7 +228,7 @@ Result<MergePlan> StageInsertDelete(const MaterializedView& view,
       return Status::ConstraintViolation(
           StrCat("delete of absent view row ", RowToString(row)));
     }
-    GPIVOT_RETURN_NOT_OK(stager.Delete(std::move(key)));
+    GPIVOT_RETURN_NOT_OK(stager.Delete(key));
   }
   for (const Row& row : view_delta.inserts.rows()) {
     GPIVOT_RETURN_NOT_OK(stager.Insert(ProjectRow(row, key_indices), row));
@@ -238,9 +252,9 @@ Result<MergePlan> StagePivotUpdate(const MaterializedView& view,
       if (layout.GroupPresent(d, c)) layout.ClearGroup(&updated, c);
     }
     if (layout.AllGroupsNull(updated)) {
-      GPIVOT_RETURN_NOT_OK(stager.Delete(std::move(key)));
+      GPIVOT_RETURN_NOT_OK(stager.Delete(key));
     } else {
-      GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+      GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
     }
   }
   // Insert case (Fig. 23 top): unmatched keys insert; matched keys take the
@@ -249,7 +263,7 @@ Result<MergePlan> StagePivotUpdate(const MaterializedView& view,
     Row key = ProjectRow(d, key_indices);
     const Row* current = stager.Find(key);
     if (current == nullptr) {
-      GPIVOT_RETURN_NOT_OK(stager.Insert(std::move(key), d));
+      GPIVOT_RETURN_NOT_OK(stager.Insert(key, d));
       continue;
     }
     Row updated = *current;
@@ -259,7 +273,7 @@ Result<MergePlan> StagePivotUpdate(const MaterializedView& view,
         updated[layout.CellIndex(c, b)] = d[layout.CellIndex(c, b)];
       }
     }
-    GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+    GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
   }
   return std::move(stager).TakePlan();
 }
@@ -313,9 +327,9 @@ Result<MergePlan> StagePivotGroupByUpdate(const MaterializedView& view,
       updated[layout.CellIndex(c, count_measure)] = Value::Int(new_cnt);
     }
     if (layout.AllGroupsNull(updated)) {
-      GPIVOT_RETURN_NOT_OK(stager.Delete(std::move(key)));
+      GPIVOT_RETURN_NOT_OK(stager.Delete(key));
     } else {
-      GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+      GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
     }
   }
 
@@ -325,7 +339,7 @@ Result<MergePlan> StagePivotGroupByUpdate(const MaterializedView& view,
     Row key = ProjectRow(d, key_indices);
     const Row* current = stager.Find(key);
     if (current == nullptr) {
-      GPIVOT_RETURN_NOT_OK(stager.Insert(std::move(key), d));
+      GPIVOT_RETURN_NOT_OK(stager.Insert(key, d));
       continue;
     }
     Row updated = *current;
@@ -343,7 +357,7 @@ Result<MergePlan> StagePivotGroupByUpdate(const MaterializedView& view,
         updated[cell] = AddValues(updated[cell], d[cell]);
       }
     }
-    GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+    GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
   }
   return std::move(stager).TakePlan();
 }
@@ -367,9 +381,9 @@ Result<MergePlan> StageSelectPivotUpdate(const MaterializedView& view,
       if (layout.GroupPresent(d, c)) layout.ClearGroup(&updated, c);
     }
     if (layout.AllGroupsNull(updated) || !ValueIsTrue(condition(updated))) {
-      GPIVOT_RETURN_NOT_OK(stager.Delete(std::move(key)));
+      GPIVOT_RETURN_NOT_OK(stager.Delete(key));
     } else {
-      GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+      GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
     }
   }
 
@@ -387,7 +401,7 @@ Result<MergePlan> StageSelectPivotUpdate(const MaterializedView& view,
         updated[layout.CellIndex(c, b)] = d[layout.CellIndex(c, b)];
       }
     }
-    GPIVOT_RETURN_NOT_OK(stager.Update(std::move(key), std::move(updated)));
+    GPIVOT_RETURN_NOT_OK(stager.Update(key, std::move(updated)));
   }
 
   // Insert case, recompute term: keys the delta may have newly qualified.
@@ -395,7 +409,7 @@ Result<MergePlan> StageSelectPivotUpdate(const MaterializedView& view,
     Row key = ProjectRow(candidate, key_indices);
     if (stager.Find(key) != nullptr) continue;
     if (!ValueIsTrue(condition(candidate))) continue;
-    GPIVOT_RETURN_NOT_OK(stager.Insert(std::move(key), candidate));
+    GPIVOT_RETURN_NOT_OK(stager.Insert(key, candidate));
   }
   return std::move(stager).TakePlan();
 }

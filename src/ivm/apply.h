@@ -58,13 +58,15 @@ struct PivotLayout {
 
 // One key's net effect within an epoch.
 struct MergeRecord {
-  Row key;                    // the view key, projected
-  std::optional<Row> before;  // row in the view when staged; absent = insert
-  std::optional<Row> after;   // row the epoch installs; absent = delete
+  Row key;  // the view key, projected
+  // Where staging found the key in the view; absent = insert.
+  std::optional<size_t> position;
+  std::optional<Row> after;  // row the epoch installs; absent = delete
 };
 
-// The staged MERGE for one view. `records` are in first-touch order; every
-// record's `before` must match the view's contents at execution time.
+// The staged MERGE for one view. `records` are in first-touch order; each
+// record's key must be present in the view at execution time exactly when
+// staging found it there.
 struct MergePlan {
   std::vector<MergeRecord> records;
 
@@ -72,8 +74,8 @@ struct MergePlan {
 };
 
 // Applies a staged plan, appending each performed mutation to `undo`. Fails
-// only on an injected fault or when the view no longer matches the plan's
-// `before` snapshots (Internal); the caller rolls back via `undo`.
+// only on an injected fault or when a key's presence in the view no longer
+// matches the plan (Internal); the caller rolls back via `undo`.
 // ctx.metrics (when enabled) receives ivm.merge.{inserts,updates,deletes};
 // MetricsRegistry::Global() (when enabled) receives the view store's
 // ivm.view.cow_{table_clones,index_clones,recycles} for this merge.

@@ -68,202 +68,6 @@ Result<PlanPtr> TransformFirstMatch(
   return current;
 }
 
-using RowSet = std::unordered_set<Row, RowHash, RowEq>;
-
-// A restriction on a subtree's rows: a row qualifies when its `names`
-// projection is in `keys` and its `dims` projection is in `combos`. The
-// Fig. 29 recompute term restricts on the pivot key K crossed with the
-// listed combos; the cross product is built only at a scan, and only over
-// the columns that scan exposes.
-struct Restriction {
-  std::vector<std::string> names;
-  RowSet keys;
-  std::vector<std::string> dims;
-  RowSet combos;
-};
-
-// The columns `restriction` constrains, and the rows it admits over them.
-std::vector<std::string> RestrictedColumns(const Restriction& restriction) {
-  std::vector<std::string> columns = restriction.names;
-  columns.insert(columns.end(), restriction.dims.begin(),
-                 restriction.dims.end());
-  return columns;
-}
-
-// `keys` itself without dims; else keys × combos, built into `product`.
-const RowSet& RestrictedRows(const Restriction& restriction, RowSet* product) {
-  if (restriction.dims.empty()) return restriction.keys;
-  product->reserve(restriction.keys.size() * restriction.combos.size());
-  for (const Row& key : restriction.keys) {
-    for (const Row& combo : restriction.combos) {
-      Row row = key;
-      row.insert(row.end(), combo.begin(), combo.end());
-      product->insert(std::move(row));
-    }
-  }
-  return *product;
-}
-
-// The positions in `names` of the columns `schema` has.
-std::vector<size_t> PresentColumns(const Schema& schema,
-                                   const std::vector<std::string>& names) {
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (schema.HasColumn(names[i])) positions.push_back(i);
-  }
-  return positions;
-}
-
-// `names` and `rows` narrowed to `positions`.
-std::vector<std::string> Narrow(const std::vector<std::string>& names,
-                                const std::vector<size_t>& positions) {
-  std::vector<std::string> out;
-  for (size_t i : positions) out.push_back(names[i]);
-  return out;
-}
-RowSet Narrow(const RowSet& rows, const std::vector<size_t>& positions) {
-  RowSet out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.insert(ProjectRow(row, positions));
-  return out;
-}
-
-// Evaluates `plan` against the post-update database, restricted by
-// `restriction` — pushed down toward the scans that provide its columns
-// (the paper's "partial re-evaluation by predicate pushdown", §2.3). When a
-// subtree only exposes some of the columns, it is restricted on those,
-// which yields a *superset* of the exact restriction; the caller applies
-// the exact semijoin afterwards. The pivot's key is a superkey (every
-// non-pivoted column), so subsets commonly suffice to prune most rows.
-Result<Table> EvaluatePostRestricted(DeltaPropagator* propagator,
-                                     const PlanPtr& plan,
-                                     const Restriction& restriction) {
-  GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
-
-  // For unchanged subtrees post == pre, and pre refs never force the lazy
-  // post-state build.
-  auto post_or_pre = [propagator](const PlanPtr& subtree) -> Result<Table> {
-    GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator->Unchanged(subtree));
-    if (unchanged) {
-      GPIVOT_ASSIGN_OR_RETURN(auto table, propagator->EvaluatePreRef(subtree));
-      return *table;
-    }
-    return propagator->EvaluatePost(subtree);
-  };
-
-  // The part of the restriction this subtree's columns can express.
-  const std::vector<size_t> names = PresentColumns(schema, restriction.names);
-  const std::vector<size_t> dims = PresentColumns(schema, restriction.dims);
-  if (names.empty() && dims.empty()) {
-    // Nothing to restrict on in this subtree.
-    return post_or_pre(plan);
-  }
-  if (names.size() != restriction.names.size() ||
-      dims.size() != restriction.dims.size()) {
-    // Recurse with the restriction on the exposed subset.
-    return EvaluatePostRestricted(
-        propagator, plan,
-        Restriction{Narrow(restriction.names, names),
-                    Narrow(restriction.keys, names),
-                    Narrow(restriction.dims, dims),
-                    Narrow(restriction.combos, dims)});
-  }
-
-  switch (plan->kind()) {
-    case PlanKind::kScan: {
-      // Post-state restriction computed from the pre state plus the delta
-      // directly, so the full post table is never materialized:
-      //   σ_keys(post) = σ_keys(pre) ∸ σ_keys(∇) ⊎ σ_keys(Δ).
-      // σ_keys(pre) probes the table's key index when the restriction
-      // columns cover its key.
-      const auto* scan = static_cast<const ScanNode*>(plan.get());
-      const std::vector<std::string> columns = RestrictedColumns(restriction);
-      RowSet product;
-      const RowSet& rows = RestrictedRows(restriction, &product);
-      GPIVOT_ASSIGN_OR_RETURN(Table restricted,
-                              propagator->RestrictPre(plan, columns, rows));
-      GPIVOT_RETURN_NOT_OK(restricted.SetKey({}));
-      auto it = propagator->deltas().find(scan->table_name());
-      if (it == propagator->deltas().end()) return restricted;
-      const Delta& delta = it->second;
-      if (!delta.deletes.empty()) {
-        GPIVOT_ASSIGN_OR_RETURN(
-            Table deleted, exec::SemiJoinKeySet(delta.deletes, columns, rows));
-        GPIVOT_ASSIGN_OR_RETURN(restricted,
-                                exec::BagDifference(restricted, deleted));
-      }
-      if (!delta.inserts.empty()) {
-        GPIVOT_ASSIGN_OR_RETURN(
-            Table inserted, exec::SemiJoinKeySet(delta.inserts, columns, rows));
-        GPIVOT_ASSIGN_OR_RETURN(restricted,
-                                exec::UnionAll(restricted, inserted));
-      }
-      return restricted;
-    }
-    case PlanKind::kSelect: {
-      const auto* node = static_cast<const SelectNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(
-          Table child,
-          EvaluatePostRestricted(propagator, node->child(), restriction));
-      return exec::Select(child, node->predicate());
-    }
-    case PlanKind::kProject: {
-      const auto* node = static_cast<const ProjectNode*>(plan.get());
-      GPIVOT_ASSIGN_OR_RETURN(
-          Table child,
-          EvaluatePostRestricted(propagator, node->child(), restriction));
-      GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> kept,
-                              node->KeptColumns());
-      return exec::Project(child, kept);
-    }
-    case PlanKind::kJoin: {
-      const auto* node = static_cast<const JoinNode*>(plan.get());
-      exec::JoinSpec spec;
-      spec.left_keys = node->left_keys();
-      spec.right_keys = node->right_keys();
-      spec.type = exec::JoinType::kInner;
-      spec.residual = node->residual();
-      // A side that exposes none of the restriction columns would be
-      // evaluated whole. When it is unchanged (post == pre), join the other
-      // side's restricted rows to it through its key index instead.
-      const std::vector<std::string> columns = RestrictedColumns(restriction);
-      for (const exec::JoinSide side :
-           {exec::JoinSide::kRight, exec::JoinSide::kLeft}) {
-        const bool right = side == exec::JoinSide::kRight;
-        const PlanPtr& bare = right ? node->right() : node->left();
-        GPIVOT_ASSIGN_OR_RETURN(Schema bare_schema, bare->OutputSchema());
-        bool exposes = false;
-        for (const std::string& name : columns) {
-          exposes = exposes || bare_schema.HasColumn(name);
-        }
-        if (exposes) continue;
-        GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator->Unchanged(bare));
-        if (!unchanged) continue;
-        GPIVOT_ASSIGN_OR_RETURN(
-            Table rows,
-            EvaluatePostRestricted(
-                propagator, right ? node->left() : node->right(),
-                restriction));
-        return propagator->JoinUnchanged(rows, bare, side, spec);
-      }
-      // Each side is restricted on whatever columns it exposes.
-      GPIVOT_ASSIGN_OR_RETURN(
-          Table left,
-          EvaluatePostRestricted(propagator, node->left(), restriction));
-      GPIVOT_ASSIGN_OR_RETURN(
-          Table right,
-          EvaluatePostRestricted(propagator, node->right(), restriction));
-      return exec::HashJoin(left, right, spec, propagator->exec_context());
-    }
-    default:
-      break;
-  }
-  GPIVOT_ASSIGN_OR_RETURN(Table full, post_or_pre(plan));
-  RowSet product;
-  return exec::SemiJoinKeySet(full, RestrictedColumns(restriction),
-                              RestrictedRows(restriction, &product));
-}
-
 // Context copy that attributes subsequent operator work to plan node
 // `node`; a no-op when no collector is attached or the node is unknown.
 ExecContext Attributed(const ExecContext& ctx, int node) {
@@ -296,6 +100,64 @@ Result<PlanPtr> EnsureCountStar(const PlanPtr& plan) {
                     std::move(spec));
 }
 
+// The strategy's rewriting of `view_query` into the query the view stores
+// (pullup, pushdown, Fig. 28 COUNT(*) injection), refused when the
+// strategy's rules do not apply to the shape it yields.
+Result<PlanPtr> RewriteForStrategy(PlanPtr view_query,
+                                   RefreshStrategy strategy) {
+  switch (strategy) {
+    case RefreshStrategy::kFullRecompute:
+    case RefreshStrategy::kInsertDelete:
+      return view_query;
+
+    case RefreshStrategy::kUpdate:
+    case RefreshStrategy::kSelectPushdownUpdate: {
+      if (strategy == RefreshStrategy::kSelectPushdownUpdate) {
+        bool applied = false;
+        GPIVOT_ASSIGN_OR_RETURN(
+            view_query,
+            TransformFirstMatch(view_query, &rewrite::PushSelectBelowPivot,
+                                &applied));
+        if (!applied) {
+          return Status::NotApplicable(
+              "SelectPushdownUpdate: no σ-over-GPIVOT to push down");
+        }
+      }
+      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
+                              rewrite::PullUpPivots(view_query));
+      if (outcome.top_shape != rewrite::TopShape::kGPivotTop &&
+          outcome.top_shape != rewrite::TopShape::kGPivotOverGroupByTop) {
+        return Status::NotApplicable(
+            StrCat("Update strategy needs a GPIVOT on top after rewriting; "
+                   "got ",
+                   rewrite::TopShapeToString(outcome.top_shape)));
+      }
+      return outcome.plan;
+    }
+
+    case RefreshStrategy::kCombinedGroupBy: {
+      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
+                              rewrite::PullUpPivots(view_query));
+      if (outcome.top_shape != rewrite::TopShape::kGPivotOverGroupByTop) {
+        return Status::NotApplicable(
+            "CombinedGroupBy needs GPIVOT over GROUPBY on top");
+      }
+      return EnsureCountStar(outcome.plan);
+    }
+
+    case RefreshStrategy::kCombinedSelect: {
+      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
+                              rewrite::PullUpPivots(view_query));
+      if (outcome.top_shape != rewrite::TopShape::kSelectOverGPivotTop) {
+        return Status::NotApplicable(
+            "CombinedSelect needs σ over GPIVOT on top after rewriting");
+      }
+      return outcome.plan;
+    }
+  }
+  return Status::Internal("unknown strategy");
+}
+
 }  // namespace
 
 Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
@@ -306,8 +168,10 @@ Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
         StrCat("view query is null (strategy ",
                RefreshStrategyToString(strategy), ")"));
   }
-  GPIVOT_ASSIGN_OR_RETURN(
-      MaintenancePlan plan, CompileInternal(std::move(view_query), strategy));
+  MaintenancePlan plan;
+  plan.strategy_ = strategy;
+  GPIVOT_ASSIGN_OR_RETURN(plan.effective_query_,
+                          RewriteForStrategy(std::move(view_query), strategy));
   if (interner != nullptr) {
     GPIVOT_ASSIGN_OR_RETURN(plan.effective_query_,
                             interner->Intern(plan.effective_query_));
@@ -319,233 +183,124 @@ Result<MaintenancePlan> MaintenancePlan::Compile(PlanPtr view_query,
       BuildCostReport(plan.effective_query_, *plan.node_ids_, {});
   skeleton.strategy = RefreshStrategyToString(strategy);
   plan.cost_skeleton_ = std::make_shared<const CostReport>(std::move(skeleton));
-  // The staging code applies the top pivot (and, for kCombinedGroupBy, the
-  // GROUPBY under it) to delta tables directly rather than through
-  // Evaluate/Propagate; resolve their ids once so that work is attributed
-  // to the right nodes. The subtrees below them are re-read from the
-  // (possibly interned) effective query, so they are its own nodes.
+  if (strategy == RefreshStrategy::kFullRecompute ||
+      strategy == RefreshStrategy::kInsertDelete) {
+    return plan;
+  }
+
+  // Everything the update rules stage with, read once from the (possibly
+  // interned) effective query, so the subtrees Stage propagates and the
+  // nodes it charges are that query's own.
   const PlanPtr& top = plan.effective_query_;
-  PlanPtr pivot;
-  if (top->kind() == PlanKind::kGPivot) {
-    pivot = top;
-  } else if (top->kind() == PlanKind::kSelect) {
-    const PlanPtr& child = static_cast<const SelectNode&>(*top).child();
-    if (child->kind() == PlanKind::kGPivot) pivot = child;
+  plan.pivot_ = top->kind() == PlanKind::kSelect
+                    ? static_cast<const SelectNode&>(*top).child()
+                    : top;
+  const GPivotNode& pivot = plan.pivot();
+  const PivotSpec& spec = pivot.spec();
+  if (spec.keep_all_null_rows) {
+    const char* rules =
+        strategy == RefreshStrategy::kCombinedGroupBy  ? "Fig. 27"
+        : strategy == RefreshStrategy::kCombinedSelect ? "Fig. 29"
+                                                       : "Fig. 23";
+    return Status::NotApplicable(
+        StrCat(rules,
+               " rules require Eq. 3 pivot semantics; §8 keep-⊥-rows views "
+               "need the insert/delete strategy"));
   }
-  if (pivot != nullptr) {
-    plan.pivot_node_id_ = plan.node_ids_->IdOf(pivot.get());
-    const PlanPtr& input = static_cast<const GPivotNode&>(*pivot).child();
-    if (plan.pivot_child_ != nullptr) plan.pivot_child_ = input;
-    if (input->kind() == PlanKind::kGroupBy) {
-      plan.group_node_id_ = plan.node_ids_->IdOf(input.get());
-      if (plan.group_child_ != nullptr) {
-        plan.group_child_ = static_cast<const GroupByNode&>(*input).child();
+  plan.pivot_node_id_ = plan.node_ids_->IdOf(plan.pivot_.get());
+  GPIVOT_ASSIGN_OR_RETURN(plan.pivot_schema_, plan.pivot_->OutputSchema());
+  GPIVOT_ASSIGN_OR_RETURN(PivotLayout layout,
+                          PivotLayout::FromSchema(plan.pivot_schema_, spec));
+
+  if (strategy == RefreshStrategy::kCombinedGroupBy) {
+    const GroupByNode& groupby = plan.group();
+    plan.group_node_id_ = plan.node_ids_->IdOf(pivot.child().get());
+    // Fig. 27 keys the view by the group columns alone, so every aggregate
+    // must be a pivot measure: one that is not would land in the pivot key
+    // K, where a delta changes the key itself instead of a cell.
+    // EnsureCountStar added a COUNT(*) aggregate if there was none.
+    AggregateLayout aggs;
+    aggs.count_measure = spec.num_measures();
+    for (const AggSpec& agg : groupby.aggregates()) {
+      if (std::find(spec.pivot_on.begin(), spec.pivot_on.end(),
+                    agg.output) == spec.pivot_on.end()) {
+        return Status::NotApplicable(
+            StrCat("CombinedGroupBy: aggregate '", agg.output,
+                   "' is not a pivot measure, so it would land in the "
+                   "pivot key"));
       }
     }
-    if (plan.layout_.has_value()) {
-      GPIVOT_ASSIGN_OR_RETURN(plan.pivot_schema_, pivot->OutputSchema());
-      if (strategy != RefreshStrategy::kCombinedGroupBy) {
-        plan.delta_pivot_ = pivot;
+    for (size_t b = 0; b < spec.num_measures(); ++b) {
+      const AggSpec* found = nullptr;
+      for (const AggSpec& agg : groupby.aggregates()) {
+        if (agg.output == spec.pivot_on[b]) found = &agg;
       }
+      if (found == nullptr) {
+        return Status::InvalidArgument(
+            StrCat("pivot measure '", spec.pivot_on[b],
+                   "' is not a GROUPBY aggregate output"));
+      }
+      if (found->func != AggFunc::kSum && found->func != AggFunc::kCount &&
+          found->func != AggFunc::kCountStar) {
+        return Status::InvalidArgument(
+            "Fig. 27 maintains SUM/COUNT aggregates");
+      }
+      if (found->func == AggFunc::kCountStar &&
+          aggs.count_measure == spec.num_measures()) {
+        aggs.count_measure = b;
+      }
+      aggs.measure_funcs.push_back(found->func);
     }
+    plan.agg_layout_ = std::move(aggs);
   }
+
+  if (strategy == RefreshStrategy::kCombinedSelect) {
+    const ExprPtr& predicate = static_cast<const SelectNode&>(*top).predicate();
+    if (!predicate->IsNullIntolerant()) {
+      return Status::InvalidArgument(
+          "Fig. 29 rules require a null-intolerant σ condition");
+    }
+    // Which combos the condition references (σ_c' in Fig. 29): only delta
+    // rows with these dimension values can newly qualify a key.
+    const std::vector<std::string> referenced_columns =
+        ReferencedColumns(predicate);
+    std::vector<ExprPtr> combo_preds;
+    for (size_t c = 0; c < spec.num_combos(); ++c) {
+      bool referenced = false;
+      for (const std::string& name : referenced_columns) {
+        for (size_t b = 0; b < spec.num_measures(); ++b) {
+          referenced = referenced || spec.OutputColumnName(c, b) == name;
+        }
+      }
+      if (!referenced) continue;
+      std::vector<ExprPtr> conjuncts;
+      for (size_t d = 0; d < spec.pivot_by.size(); ++d) {
+        conjuncts.push_back(Eq(Col(spec.pivot_by[d]), Lit(spec.combos[c][d])));
+      }
+      combo_preds.push_back(And(std::move(conjuncts)));
+    }
+    if (combo_preds.empty()) {
+      return Status::InvalidArgument(
+          "CombinedSelect: σ condition references no pivoted cell");
+    }
+    plan.combo_filter_ = Or(std::move(combo_preds));
+    GPIVOT_ASSIGN_OR_RETURN(plan.condition_,
+                            CompileExpr(predicate, plan.pivot_schema_));
+    GPIVOT_ASSIGN_OR_RETURN(Schema input_schema,
+                            pivot.child()->OutputSchema());
+    GPIVOT_ASSIGN_OR_RETURN(plan.key_names_, spec.KeyColumns(input_schema));
+    plan.combo_set_.insert(spec.combos.begin(), spec.combos.end());
+  }
+  plan.layout_ = std::move(layout);
   return plan;
 }
 
-Result<MaintenancePlan> MaintenancePlan::CompileInternal(
-    PlanPtr view_query, RefreshStrategy strategy) {
-  MaintenancePlan plan;
-  plan.strategy_ = strategy;
-  plan.original_query_ = view_query;
-  plan.effective_query_ = view_query;
+const GPivotNode& MaintenancePlan::pivot() const {
+  return static_cast<const GPivotNode&>(*pivot_);
+}
 
-  switch (strategy) {
-    case RefreshStrategy::kFullRecompute:
-    case RefreshStrategy::kInsertDelete:
-      return plan;
-
-    case RefreshStrategy::kUpdate:
-    case RefreshStrategy::kSelectPushdownUpdate: {
-      PlanPtr query = view_query;
-      if (strategy == RefreshStrategy::kSelectPushdownUpdate) {
-        bool applied = false;
-        GPIVOT_ASSIGN_OR_RETURN(
-            query,
-            TransformFirstMatch(query, &rewrite::PushSelectBelowPivot,
-                                &applied));
-        if (!applied) {
-          return Status::NotApplicable(
-              "SelectPushdownUpdate: no σ-over-GPIVOT to push down");
-        }
-      }
-      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
-                              rewrite::PullUpPivots(query));
-      if (outcome.top_shape != rewrite::TopShape::kGPivotTop &&
-          outcome.top_shape != rewrite::TopShape::kGPivotOverGroupByTop) {
-        return Status::NotApplicable(
-            StrCat("Update strategy needs a GPIVOT on top after rewriting; "
-                   "got ",
-                   rewrite::TopShapeToString(outcome.top_shape)));
-      }
-      plan.effective_query_ = outcome.plan;
-      const auto* pivot =
-          static_cast<const GPivotNode*>(outcome.plan.get());
-      if (pivot->spec().keep_all_null_rows) {
-        return Status::NotApplicable(
-            "Fig. 23 update rules require Eq. 3 pivot semantics; §8 "
-            "keep-⊥-rows views need the insert/delete strategy (or an "
-            "auxiliary per-key COUNT view)");
-      }
-      plan.pivot_child_ = pivot->child();
-      GPIVOT_ASSIGN_OR_RETURN(Schema view_schema, outcome.plan->OutputSchema());
-      GPIVOT_ASSIGN_OR_RETURN(PivotLayout layout,
-                              PivotLayout::FromSchema(view_schema,
-                                                      pivot->spec()));
-      plan.layout_ = std::move(layout);
-      return plan;
-    }
-
-    case RefreshStrategy::kCombinedGroupBy: {
-      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
-                              rewrite::PullUpPivots(view_query));
-      if (outcome.top_shape != rewrite::TopShape::kGPivotOverGroupByTop) {
-        return Status::NotApplicable(
-            "CombinedGroupBy needs GPIVOT over GROUPBY on top");
-      }
-      {
-        const auto* top = static_cast<const GPivotNode*>(outcome.plan.get());
-        if (top->spec().keep_all_null_rows) {
-          return Status::NotApplicable(
-              "Fig. 27 rules require Eq. 3 pivot semantics (§8)");
-        }
-      }
-      GPIVOT_ASSIGN_OR_RETURN(PlanPtr with_count,
-                              EnsureCountStar(outcome.plan));
-      plan.effective_query_ = with_count;
-      const auto* pivot = static_cast<const GPivotNode*>(with_count.get());
-      const auto* groupby =
-          static_cast<const GroupByNode*>(pivot->child().get());
-      plan.pivot_child_ = pivot->child();
-      plan.group_child_ = groupby->child();
-      plan.group_columns_ = groupby->group_columns();
-      plan.group_aggregates_ = groupby->aggregates();
-
-      GPIVOT_ASSIGN_OR_RETURN(Schema view_schema, with_count->OutputSchema());
-      GPIVOT_ASSIGN_OR_RETURN(
-          PivotLayout layout,
-          PivotLayout::FromSchema(view_schema, pivot->spec()));
-
-      // Fig. 27 keys the view by the group columns alone. An aggregate that
-      // is not a pivot measure would land in the pivot key K, where a
-      // delta changes the key itself instead of a cell.
-      const std::vector<std::string>& measures = pivot->spec().pivot_on;
-      for (const AggSpec& agg : groupby->aggregates()) {
-        if (std::find(measures.begin(), measures.end(), agg.output) ==
-            measures.end()) {
-          return Status::NotApplicable(
-              StrCat("CombinedGroupBy: aggregate '", agg.output,
-                     "' is not a pivot measure, so it would land in the "
-                     "pivot key"));
-        }
-      }
-
-      // Every aggregate is a measure, and EnsureCountStar added a COUNT(*)
-      // aggregate if there was none, so the loop below finds one.
-      AggregateLayout aggs;
-      size_t count_measure = pivot->spec().num_measures();
-      for (size_t b = 0; b < pivot->spec().num_measures(); ++b) {
-        const std::string& measure = pivot->spec().pivot_on[b];
-        const AggSpec* found = nullptr;
-        for (const AggSpec& agg : groupby->aggregates()) {
-          if (agg.output == measure) found = &agg;
-        }
-        if (found == nullptr) {
-          return Status::InvalidArgument(
-              StrCat("pivot measure '", measure,
-                     "' is not a GROUPBY aggregate output"));
-        }
-        if (found->func != AggFunc::kSum && found->func != AggFunc::kCount &&
-            found->func != AggFunc::kCountStar) {
-          return Status::InvalidArgument(
-              "Fig. 27 maintains SUM/COUNT aggregates");
-        }
-        if (found->func == AggFunc::kCountStar &&
-            count_measure == pivot->spec().num_measures()) {
-          count_measure = b;
-        }
-        aggs.measure_funcs.push_back(found->func);
-      }
-      aggs.count_measure = count_measure;
-      plan.agg_layout_ = std::move(aggs);
-      plan.layout_ = std::move(layout);
-      return plan;
-    }
-
-    case RefreshStrategy::kCombinedSelect: {
-      GPIVOT_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
-                              rewrite::PullUpPivots(view_query));
-      if (outcome.top_shape != rewrite::TopShape::kSelectOverGPivotTop) {
-        return Status::NotApplicable(
-            "CombinedSelect needs σ over GPIVOT on top after rewriting");
-      }
-      plan.effective_query_ = outcome.plan;
-      const auto* select =
-          static_cast<const SelectNode*>(outcome.plan.get());
-      const auto* pivot =
-          static_cast<const GPivotNode*>(select->child().get());
-      if (pivot->spec().keep_all_null_rows) {
-        return Status::NotApplicable(
-            "Fig. 29 rules require Eq. 3 pivot semantics (§8)");
-      }
-      plan.pivot_child_ = pivot->child();
-      if (!select->predicate()->IsNullIntolerant()) {
-        return Status::InvalidArgument(
-            "Fig. 29 rules require a null-intolerant σ condition");
-      }
-      GPIVOT_ASSIGN_OR_RETURN(Schema view_schema,
-                              select->child()->OutputSchema());
-      GPIVOT_ASSIGN_OR_RETURN(
-          PivotLayout layout,
-          PivotLayout::FromSchema(view_schema, pivot->spec()));
-      // Which combos the condition references (σ_c' in Fig. 29): only delta
-      // rows with these dimension values can newly qualify a key.
-      std::unordered_set<size_t> condition_combos;
-      for (const std::string& name :
-           ReferencedColumns(select->predicate())) {
-        for (size_t c = 0; c < layout.spec.num_combos(); ++c) {
-          for (size_t b = 0; b < layout.spec.num_measures(); ++b) {
-            if (layout.spec.OutputColumnName(c, b) == name) {
-              condition_combos.insert(c);
-            }
-          }
-        }
-      }
-      if (condition_combos.empty()) {
-        return Status::InvalidArgument(
-            "CombinedSelect: σ condition references no pivoted cell");
-      }
-      const PivotSpec& spec = layout.spec;
-      std::vector<ExprPtr> combo_preds;
-      for (size_t c : condition_combos) {
-        std::vector<ExprPtr> conjuncts;
-        for (size_t d = 0; d < spec.pivot_by.size(); ++d) {
-          conjuncts.push_back(
-              Eq(Col(spec.pivot_by[d]), Lit(spec.combos[c][d])));
-        }
-        combo_preds.push_back(And(std::move(conjuncts)));
-      }
-      plan.combo_filter_ = Or(std::move(combo_preds));
-      GPIVOT_ASSIGN_OR_RETURN(plan.condition_,
-                              CompileExpr(select->predicate(), view_schema));
-      GPIVOT_ASSIGN_OR_RETURN(Schema child_schema,
-                              plan.pivot_child_->OutputSchema());
-      GPIVOT_ASSIGN_OR_RETURN(plan.key_names_, spec.KeyColumns(child_schema));
-      plan.combo_set_.insert(spec.combos.begin(), spec.combos.end());
-      plan.layout_ = std::move(layout);
-      return plan;
-    }
-  }
-  return Status::Internal("unknown strategy");
+const GroupByNode& MaintenancePlan::group() const {
+  return static_cast<const GroupByNode&>(*pivot().child());
 }
 
 void MaintenancePlan::ResetCost() const {
@@ -646,13 +401,13 @@ Result<Delta> MaintenancePlan::PivotInputDelta(const Delta& input,
 
 Result<DeltaPtr> MaintenancePlan::PivotedDelta(DeltaPropagator* propagator,
                                                DeltaPtr input) const {
-  if (DeltaPtr memo = propagator->RecallPivoted(delta_pivot_)) return memo;
+  if (DeltaPtr memo = propagator->RecallPivoted(pivot_)) return memo;
   if (input == nullptr) {
-    GPIVOT_ASSIGN_OR_RETURN(input, propagator->Propagate(pivot_child_));
+    GPIVOT_ASSIGN_OR_RETURN(input, propagator->Propagate(pivot().child()));
   }
   GPIVOT_ASSIGN_OR_RETURN(Delta pivoted,
                           PivotInputDelta(*input, propagator->exec_context()));
-  return propagator->RememberPivoted(delta_pivot_, std::move(pivoted));
+  return propagator->RememberPivoted(pivot_, std::move(pivoted));
 }
 
 Result<MergePlan> MaintenancePlan::StagePivotUpdateRefresh(
@@ -668,16 +423,19 @@ Result<MergePlan> MaintenancePlan::StageCombinedGroupByRefresh(
   }
   // Propagate only to the GROUPBY *input*; the group deltas are partial
   // aggregates of the delta rows — no group recomputation (Fig. 27).
+  const GroupByNode& groupby = group();
   GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child_delta,
-                          propagator->Propagate(group_child_));
+                          propagator->Propagate(groupby.child()));
   ExecContext group_ctx =
       Attributed(propagator->exec_context(), group_node_id_);
   GPIVOT_ASSIGN_OR_RETURN(
-      Table agg_ins, exec::GroupBy(child_delta->inserts, group_columns_,
-                                   group_aggregates_, group_ctx));
+      Table agg_ins,
+      exec::GroupBy(child_delta->inserts, groupby.group_columns(),
+                    groupby.aggregates(), group_ctx));
   GPIVOT_ASSIGN_OR_RETURN(
-      Table agg_del, exec::GroupBy(child_delta->deletes, group_columns_,
-                                   group_aggregates_, group_ctx));
+      Table agg_del,
+      exec::GroupBy(child_delta->deletes, groupby.group_columns(),
+                    groupby.aggregates(), group_ctx));
   GPIVOT_ASSIGN_OR_RETURN(
       Delta pivoted,
       PivotInputDelta(Delta{std::move(agg_ins), std::move(agg_del)},
@@ -687,44 +445,52 @@ Result<MergePlan> MaintenancePlan::StageCombinedGroupByRefresh(
 
 Result<MergePlan> MaintenancePlan::StageCombinedSelectRefresh(
     DeltaPropagator* propagator, const MaterializedView& view) const {
-  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr child_delta,
-                          propagator->Propagate(pivot_child_));
+  const PlanPtr& input = pivot().child();
+  GPIVOT_ASSIGN_OR_RETURN(DeltaPtr input_delta, propagator->Propagate(input));
   GPIVOT_ASSIGN_OR_RETURN(DeltaPtr pivoted,
-                          PivotedDelta(propagator, child_delta));
-  const PivotSpec& spec = layout_->spec;
+                          PivotedDelta(propagator, input_delta));
+  const ExecContext& ctx = propagator->exec_context();
 
-  // Recompute term (insert case, Fig. 29): keys touched by σ-relevant
-  // inserts, re-pivoted from the post-state input.
+  // Recompute term (insert case, Fig. 29): GPIVOT(π_K(σ_c'(ΔV)) ⋉ (V ⊎ ΔV)),
+  // the keys σ-relevant inserts touch, re-pivoted from the post-state input
+  // read as the pre state ∸ ∇V ⊎ ΔV of the propagated delta. It is exact
+  // because the propagated ∇V is contained in V.
   Table recompute_candidates{Table(Schema{})};
-  if (!child_delta->inserts.empty()) {
+  if (!input_delta->inserts.empty()) {
     GPIVOT_ASSIGN_OR_RETURN(
-        Table relevant, exec::Select(child_delta->inserts, combo_filter_,
-                                     propagator->exec_context()));
+        Table relevant,
+        exec::Select(input_delta->inserts, combo_filter_, ctx));
     if (!relevant.empty()) {
-      GPIVOT_ASSIGN_OR_RETURN(auto keys,
+      GPIVOT_ASSIGN_OR_RETURN(RowSet keys,
                               exec::CollectKeySet(relevant, key_names_));
       // GPIVOT reads only rows whose pivot_by value is a listed combo (the
       // update-rule strategies refuse keep_all_null_rows at compile time,
       // DESIGN.md decision 7), so restrict on K × combos over
       // K ++ pivot_by. On lineitem that is exactly its primary key
       // (orderkey, linenumber), which the scan restriction then probes.
-      Restriction restriction{key_names_, std::move(keys), spec.pivot_by,
-                              combo_set_};
-      GPIVOT_ASSIGN_OR_RETURN(
-          Table affected,
-          EvaluatePostRestricted(propagator, pivot_child_, restriction));
+      Restriction restriction{key_names_, std::move(keys),
+                              layout_->spec.pivot_by, combo_set_};
+      GPIVOT_ASSIGN_OR_RETURN(Table affected,
+                              propagator->RestrictPre(input, restriction));
       // The pushed-down restriction may be on a key subset; apply the exact
       // key filter before pivoting (GPIVOT itself drops unlisted combos).
       GPIVOT_ASSIGN_OR_RETURN(
           affected,
-          exec::SemiJoinKeySet(affected, key_names_, restriction.keys,
-                               propagator->exec_context()));
-      GPIVOT_RETURN_NOT_OK(affected.SetKey({}));
-      ExecContext pivot_ctx =
-          Attributed(propagator->exec_context(), pivot_node_id_);
+          exec::SemiJoinKeySet(affected, key_names_, restriction.keys, ctx));
+      // ∸ σ_K(∇V) ⊎ σ_K(ΔV): the affected keys' rows in the post state.
+      GPIVOT_ASSIGN_OR_RETURN(
+          Table deleted, exec::SemiJoinKeySet(input_delta->deletes, key_names_,
+                                              restriction.keys));
+      GPIVOT_ASSIGN_OR_RETURN(affected,
+                              exec::BagDifference(affected, deleted));
+      GPIVOT_ASSIGN_OR_RETURN(
+          Table inserted, exec::SemiJoinKeySet(input_delta->inserts,
+                                               key_names_, restriction.keys));
+      GPIVOT_ASSIGN_OR_RETURN(affected, exec::UnionAll(affected, inserted));
       GPIVOT_ASSIGN_OR_RETURN(
           recompute_candidates,
-          GPivot(affected, spec, pivot_ctx, &pivot_schema_));
+          GPivot(affected, layout_->spec, Attributed(ctx, pivot_node_id_),
+                 &pivot_schema_));
     }
   }
   return StageSelectPivotUpdate(view, *layout_, condition_, *pivoted,

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/explain.h"
@@ -110,10 +109,10 @@ class MaintenancePlan {
  private:
   MaintenancePlan() = default;
 
-  // The strategy-specific rewriting; Compile wraps it with node-id
-  // assignment and cost-collector setup.
-  static Result<MaintenancePlan> CompileInternal(PlanPtr view_query,
-                                                 RefreshStrategy strategy);
+  // The effective query's top GPIVOT (under the σ for kCombinedSelect) and,
+  // for kCombinedGroupBy, the GROUPBY under it.
+  const GPivotNode& pivot() const;
+  const GroupByNode& group() const;
 
   Result<MaterializedView> StageFullRecompute(
       DeltaPropagator* propagator) const;
@@ -129,14 +128,13 @@ class MaintenancePlan {
   // input, with the work charged to the pivot's node under `ctx`.
   Result<Delta> PivotInputDelta(const Delta& input,
                                 const ExecContext& ctx) const;
-  // The pivoted input delta of delta_pivot_, memoized in `propagator`:
+  // The pivoted input delta of the top pivot, memoized in `propagator`:
   // PivotInputDelta of `input`, the pivot input's delta (propagated here
   // when null).
   Result<DeltaPtr> PivotedDelta(DeltaPropagator* propagator,
                                 DeltaPtr input = nullptr) const;
 
   RefreshStrategy strategy_ = RefreshStrategy::kFullRecompute;
-  PlanPtr original_query_;
   PlanPtr effective_query_;
 
   // Cost accounting (behind shared_ptr: MaintenancePlan is copyable and
@@ -144,28 +142,21 @@ class MaintenancePlan {
   std::shared_ptr<const PlanNodeIds> node_ids_;
   std::shared_ptr<obs::CostCollector> cost_;
   std::shared_ptr<const CostReport> cost_skeleton_;
-  int pivot_node_id_ = -1;  // effective query's top GPIVOT, when one exists
+  int pivot_node_id_ = -1;  // the top GPIVOT (pivot-top strategies)
   int group_node_id_ = -1;  // the GROUPBY under it (kCombinedGroupBy)
 
-  // kUpdate / kSelectPushdownUpdate / kCombinedSelect / kCombinedGroupBy:
+  // The pivot-top strategies, all derived once at Compile from the
+  // effective query:
+  PlanPtr pivot_;        // the top GPIVOT; nullptr for the other strategies
   std::optional<PivotLayout> layout_;
-  PlanPtr pivot_child_;  // subtree below the top pivot
-  // The top GPIVOT whose pivoted input delta Stage consumes (kUpdate,
-  // kSelectPushdownUpdate, kCombinedSelect); nullptr otherwise.
-  PlanPtr delta_pivot_;
-  Schema pivot_schema_;  // the top pivot's output schema, built once
+  Schema pivot_schema_;  // the top pivot's output schema
+  std::optional<AggregateLayout> agg_layout_;  // kCombinedGroupBy
 
-  // kCombinedGroupBy:
-  std::optional<AggregateLayout> agg_layout_;
-  PlanPtr group_child_;                   // subtree below the GROUPBY
-  std::vector<std::string> group_columns_;
-  std::vector<AggSpec> group_aggregates_;
-
-  // kCombinedSelect, all built once at Compile:
-  ExprPtr combo_filter_;                 // σ_c': a referenced combo's rows
-  CompiledExpr condition_;               // σ over the view schema
-  std::vector<std::string> key_names_;   // the pivot's key K
-  std::unordered_set<Row, RowHash, RowEq> combo_set_;  // the listed combos
+  // kCombinedSelect:
+  ExprPtr combo_filter_;                // σ_c': a referenced combo's rows
+  CompiledExpr condition_;              // σ over the view schema
+  std::vector<std::string> key_names_;  // the pivot's key K
+  RowSet combo_set_;                    // the listed combos
 };
 
 // EXPLAIN ANALYZE of the plan's most recent Stage: the effective query

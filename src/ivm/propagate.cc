@@ -14,10 +14,71 @@
 
 namespace gpivot::ivm {
 
+namespace {
+
+// The inner-join spec of `node`.
+exec::JoinSpec InnerJoinSpec(const JoinNode& node) {
+  exec::JoinSpec spec;
+  spec.left_keys = node.left_keys();
+  spec.right_keys = node.right_keys();
+  spec.type = exec::JoinType::kInner;
+  spec.residual = node.residual();
+  return spec;
+}
+
+// The columns `restriction` constrains.
+std::vector<std::string> RestrictedColumns(const Restriction& restriction) {
+  std::vector<std::string> columns = restriction.names;
+  columns.insert(columns.end(), restriction.dims.begin(),
+                 restriction.dims.end());
+  return columns;
+}
+
+// The rows `restriction` admits over RestrictedColumns: `keys` itself
+// without dims; else keys × combos, built into `product`.
+const RowSet& RestrictedRows(const Restriction& restriction, RowSet* product) {
+  if (restriction.dims.empty()) return restriction.keys;
+  product->reserve(restriction.keys.size() * restriction.combos.size());
+  for (const Row& key : restriction.keys) {
+    for (const Row& combo : restriction.combos) {
+      Row row = key;
+      row.insert(row.end(), combo.begin(), combo.end());
+      product->insert(std::move(row));
+    }
+  }
+  return *product;
+}
+
+// The positions in `names` of the columns `schema` has.
+std::vector<size_t> PresentColumns(const Schema& schema,
+                                   const std::vector<std::string>& names) {
+  std::vector<size_t> positions;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (schema.HasColumn(names[i])) positions.push_back(i);
+  }
+  return positions;
+}
+
+// `names` and `rows` narrowed to `positions`.
+std::vector<std::string> Narrow(const std::vector<std::string>& names,
+                                const std::vector<size_t>& positions) {
+  std::vector<std::string> out;
+  for (size_t i : positions) out.push_back(names[i]);
+  return out;
+}
+RowSet Narrow(const RowSet& rows, const std::vector<size_t>& positions) {
+  RowSet out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.insert(ProjectRow(row, positions));
+  return out;
+}
+
+}  // namespace
+
 DeltaPropagator::DeltaPropagator(const Catalog* pre_catalog,
                                  const SourceDeltas* deltas,
                                  const ExecContext& ctx)
-    : pre_(pre_catalog), deltas_(deltas), ctx_(ctx), post_(*pre_catalog) {}
+    : pre_(pre_catalog), deltas_(deltas), ctx_(ctx) {}
 
 void DeltaPropagator::set_cost_target(obs::CostCollector* cost,
                                       const PlanNodeIds* ids,
@@ -59,16 +120,17 @@ Result<DeltaPtr> DeltaPropagator::RememberPivoted(const PlanPtr& pivot,
 }
 
 Result<const Catalog*> DeltaPropagator::PostCatalog() {
-  if (!post_built_) {
+  if (!post_.has_value()) {
     GPIVOT_FAULT_POINT("DeltaPropagator::PostCatalog");
     // The post-state catalog shares every unchanged table with the pre
     // state (copy-on-write); only delta'd tables are cloned and patched.
     // The clone copies the whole pre-state table: counted, since it is the
     // one base read here that is O(base), not O(delta).
+    Catalog post = *pre_;
     uint64_t rows_copied = 0;
     for (const auto& [name, delta] : *deltas_) {
       if (delta.empty()) continue;
-      GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post_.GetKeyedTable(name));
+      GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post.GetKeyedTable(name));
       const uint64_t clones_before = table->version_counts().table_clones;
       const size_t shared_rows = table->num_rows();
       // The post state is scratch: its undo log is never replayed.
@@ -81,9 +143,9 @@ Result<const Catalog*> DeltaPropagator::PostCatalog() {
     if (ctx_.metrics != nullptr && ctx_.metrics->enabled()) {
       ctx_.metrics->AddCounter("ivm.post_state.rows_copied", rows_copied);
     }
-    post_built_ = true;
+    post_ = std::move(post);
   }
-  return &post_;
+  return &*post_;
 }
 
 Result<Table> DeltaPropagator::EvaluatePost(const PlanPtr& plan) {
@@ -145,39 +207,99 @@ void DeltaPropagator::RecordBaseRead(const PlanPtr& plan, uint64_t rows) {
   read.Charge(&obs::NodeStats::base_rows_read, rows);
 }
 
-Result<Table> DeltaPropagator::RestrictPre(
-    const PlanPtr& plan, const std::vector<std::string>& columns,
-    const std::unordered_set<Row, RowHash, RowEq>& keys) {
+Result<Table> DeltaPropagator::RestrictPre(const PlanPtr& plan,
+                                           const Restriction& restriction) {
+  GPIVOT_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema());
+  // The part of the restriction this subtree's columns can express.
+  const std::vector<size_t> names = PresentColumns(schema, restriction.names);
+  const std::vector<size_t> dims = PresentColumns(schema, restriction.dims);
+  if (names.empty() && dims.empty()) {
+    // Nothing to restrict on in this subtree.
+    GPIVOT_ASSIGN_OR_RETURN(auto pre, EvaluatePreRef(plan));
+    return *pre;
+  }
+  if (names.size() != restriction.names.size() ||
+      dims.size() != restriction.dims.size()) {
+    // Recurse with the restriction on the exposed subset.
+    return RestrictPre(plan, Restriction{Narrow(restriction.names, names),
+                                         Narrow(restriction.keys, names),
+                                         Narrow(restriction.dims, dims),
+                                         Narrow(restriction.combos, dims)});
+  }
+  const std::vector<std::string> columns = RestrictedColumns(restriction);
+
+  switch (plan->kind()) {
+    case PlanKind::kSelect: {
+      const auto* node = static_cast<const SelectNode*>(plan.get());
+      GPIVOT_ASSIGN_OR_RETURN(Table child,
+                              RestrictPre(node->child(), restriction));
+      return exec::Select(child, node->predicate());
+    }
+    case PlanKind::kProject: {
+      const auto* node = static_cast<const ProjectNode*>(plan.get());
+      GPIVOT_ASSIGN_OR_RETURN(Table child,
+                              RestrictPre(node->child(), restriction));
+      GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> kept,
+                              node->KeptColumns());
+      return exec::Project(child, kept);
+    }
+    case PlanKind::kJoin: {
+      const auto* node = static_cast<const JoinNode*>(plan.get());
+      const exec::JoinSpec spec = InnerJoinSpec(*node);
+      // A side that exposes none of the restriction columns would be read
+      // whole: join the other side's restricted rows to it instead.
+      for (const exec::JoinSide side :
+           {exec::JoinSide::kRight, exec::JoinSide::kLeft}) {
+        const bool right = side == exec::JoinSide::kRight;
+        const PlanPtr& bare = right ? node->right() : node->left();
+        GPIVOT_ASSIGN_OR_RETURN(Schema bare_schema, bare->OutputSchema());
+        if (!PresentColumns(bare_schema, columns).empty()) continue;
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table rows,
+            RestrictPre(right ? node->left() : node->right(), restriction));
+        return JoinPre(rows, bare, side, spec);
+      }
+      // Each side is restricted on whatever columns it exposes.
+      GPIVOT_ASSIGN_OR_RETURN(Table left,
+                              RestrictPre(node->left(), restriction));
+      GPIVOT_ASSIGN_OR_RETURN(Table right,
+                              RestrictPre(node->right(), restriction));
+      return exec::HashJoin(left, right, spec, ctx_);
+    }
+    default:
+      break;
+  }
+  RowSet product;
+  const RowSet& rows = RestrictedRows(restriction, &product);
   GPIVOT_ASSIGN_OR_RETURN(const KeyedTable* keyed, ProbeTarget(plan, columns));
   if (keyed != nullptr) {
     uint64_t fetched = 0;
     GPIVOT_ASSIGN_OR_RETURN(
         Table restricted,
-        exec::IndexSemiJoinKeySet(*keyed, columns, keys, &fetched));
+        exec::IndexSemiJoinKeySet(*keyed, columns, rows, &fetched));
     RecordBaseRead(plan, fetched);
     return restricted;
   }
   GPIVOT_ASSIGN_OR_RETURN(auto pre, EvaluatePreRef(plan));
-  return exec::SemiJoinKeySet(*pre, columns, keys);
+  return exec::SemiJoinKeySet(*pre, columns, rows);
 }
 
-Result<Table> DeltaPropagator::JoinUnchanged(const Table& rows,
-                                             const PlanPtr& unchanged,
-                                             exec::JoinSide side,
-                                             const exec::JoinSpec& spec) {
+Result<Table> DeltaPropagator::JoinPre(const Table& rows, const PlanPtr& plan,
+                                       exec::JoinSide side,
+                                       const exec::JoinSpec& spec) {
   const bool left = side == exec::JoinSide::kLeft;
   GPIVOT_ASSIGN_OR_RETURN(
       const KeyedTable* keyed,
-      ProbeTarget(unchanged, left ? spec.left_keys : spec.right_keys));
+      ProbeTarget(plan, left ? spec.left_keys : spec.right_keys));
   if (keyed != nullptr) {
     uint64_t fetched = 0;
     GPIVOT_ASSIGN_OR_RETURN(
         Table joined,
         exec::IndexJoin(rows, *keyed, side, spec, ctx_, &fetched));
-    RecordBaseRead(unchanged, fetched);
+    RecordBaseRead(plan, fetched);
     return joined;
   }
-  GPIVOT_ASSIGN_OR_RETURN(auto table, EvaluatePreRef(unchanged));
+  GPIVOT_ASSIGN_OR_RETURN(auto table, EvaluatePreRef(plan));
   return left ? exec::HashJoin(*table, rows, spec, ctx_)
               : exec::HashJoin(rows, *table, spec, ctx_);
 }
@@ -274,12 +396,7 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
       //   ∇(A⋈B) = ∇A ⋈ B_pre  ⊎  (A_pre ∸ ∇A) ⋈ ∇B
       //   Δ(A⋈B) = ΔA ⋈ B_post ⊎  (A_post ∸ ΔA) ⋈ ΔB
       const auto* node = static_cast<const JoinNode*>(plan.get());
-      exec::JoinSpec spec;
-      spec.left_keys = node->left_keys();
-      spec.right_keys = node->right_keys();
-      spec.type = exec::JoinType::kInner;
-      spec.residual = node->residual();
-
+      const exec::JoinSpec spec = InnerJoinSpec(*node);
       GPIVOT_ASSIGN_OR_RETURN(bool right_unchanged,
                               Unchanged(node->right()));
       GPIVOT_ASSIGN_OR_RETURN(bool left_unchanged, Unchanged(node->left()));
@@ -294,9 +411,9 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
             right_unchanged ? exec::JoinSide::kRight : exec::JoinSide::kLeft;
         GPIVOT_ASSIGN_OR_RETURN(DeltaPtr delta, Propagate(changed));
         GPIVOT_ASSIGN_OR_RETURN(
-            Table ins, JoinUnchanged(delta->inserts, unchanged, side, spec));
+            Table ins, JoinPre(delta->inserts, unchanged, side, spec));
         GPIVOT_ASSIGN_OR_RETURN(
-            Table del, JoinUnchanged(delta->deletes, unchanged, side, spec));
+            Table del, JoinPre(delta->deletes, unchanged, side, spec));
         return Delta{std::move(ins), std::move(del)};
       }
 

@@ -2,11 +2,13 @@
 #define GPIVOT_IVM_PROPAGATE_H_
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "algebra/plan.h"
 #include "exec/join.h"
@@ -14,6 +16,20 @@
 #include "util/result.h"
 
 namespace gpivot::ivm {
+
+using RowSet = std::unordered_set<Row, RowHash, RowEq>;
+
+// A restriction on a subtree's rows: a row qualifies when its `names`
+// projection is in `keys` and its `dims` projection is in `combos`. The
+// Fig. 29 recompute term restricts on the pivot key K crossed with the
+// listed combos; the cross product is built only where a subtree is read,
+// and only over the columns it exposes.
+struct Restriction {
+  std::vector<std::string> names;
+  RowSet keys;
+  std::vector<std::string> dims;
+  RowSet combos;
+};
 
 // Propagate phase (§3): computes the delta of any plan's output from source
 // deltas, using the classic relational propagation rules [11, 18] plus the
@@ -35,8 +51,8 @@ namespace gpivot::ivm {
 class DeltaPropagator {
  public:
   // Both referents must outlive the propagator. `pre_catalog` is copied to
-  // build the post-state catalog. `ctx` carries the observability sinks
-  // into every subtree evaluation and propagation rule.
+  // build the post-state catalog on first use. `ctx` carries the
+  // observability sinks into every subtree evaluation and propagation rule.
   DeltaPropagator(const Catalog* pre_catalog, const SourceDeltas* deltas,
                   const ExecContext& ctx = {});
 
@@ -65,31 +81,26 @@ class DeltaPropagator {
   // database is the caller's catalog: Evaluate it directly.)
   Result<Table> EvaluatePost(const PlanPtr& plan);
 
-  // Reference-returning variants: scans alias the catalog's table (no copy)
-  // and non-scan subtrees are evaluated once and memoized for the lifetime
-  // of this propagator.
-  Result<std::shared_ptr<const Table>> EvaluatePreRef(const PlanPtr& plan);
-  Result<std::shared_ptr<const Table>> EvaluatePostRef(const PlanPtr& plan);
-
   // True when no base table under `plan` has a delta (the subtree is
   // unchanged, so its delta is empty and pre == post).
   Result<bool> Unchanged(const PlanPtr& plan);
 
-  // The rows of `plan` in the pre state whose `columns` projection is in
-  // `keys` (key-set semantics: NULL equals NULL). A scan whose key index
-  // `columns` cover is answered by one index lookup per key; anything else
-  // is evaluated whole and filtered.
-  Result<Table> RestrictPre(
-      const PlanPtr& plan, const std::vector<std::string>& columns,
-      const std::unordered_set<Row, RowHash, RowEq>& keys);
+  // The rows of `plan` in the pre state that `restriction` admits, or a
+  // superset of them: the restriction is pushed through σ, π and ⋈ toward
+  // the scans that provide its columns (the paper's "partial re-evaluation
+  // by predicate pushdown", §2.3), and a subtree exposing only some of the
+  // columns is restricted on those. The caller applies the exact semijoin.
+  // A scan whose key index the restricted columns cover is answered by one
+  // lookup per admitted row; a join side exposing none of the columns is
+  // joined through JoinPre.
+  Result<Table> RestrictPre(const PlanPtr& plan,
+                            const Restriction& restriction);
 
-  // `rows` joined to the unchanged subtree `unchanged` (pre == post), which
-  // is the `side` operand of `spec`: probes the subtree's key index when it
-  // is a scan the join keys cover, else hash-joins its evaluation.
-  Result<Table> JoinUnchanged(const Table& rows, const PlanPtr& unchanged,
-                              exec::JoinSide side, const exec::JoinSpec& spec);
-
-  const SourceDeltas& deltas() const { return *deltas_; }
+  // `rows` joined to the pre state of `plan`, the `side` operand of
+  // `spec`: probes the subtree's key index when it is a scan the join keys
+  // cover, else hash-joins its (memoized) pre-state evaluation.
+  Result<Table> JoinPre(const Table& rows, const PlanPtr& plan,
+                        exec::JoinSide side, const exec::JoinSpec& spec);
 
  private:
   // A computed delta and the view charged for it.
@@ -113,6 +124,11 @@ class DeltaPropagator {
   // probe — that returned `rows` rows to its cost node (none when the node
   // is outside the numbered plan).
   void RecordBaseRead(const PlanPtr& plan, uint64_t rows);
+  // `plan` evaluated in the pre / post state: scans alias the catalog's
+  // table (no copy) and non-scan subtrees are evaluated once and memoized
+  // for the lifetime of this propagator.
+  Result<std::shared_ptr<const Table>> EvaluatePreRef(const PlanPtr& plan);
+  Result<std::shared_ptr<const Table>> EvaluatePostRef(const PlanPtr& plan);
   Result<std::shared_ptr<const Table>> EvaluateRef(
       const PlanPtr& plan, const Catalog& catalog,
       std::unordered_map<const PlanNode*, std::shared_ptr<const Table>>* memo);
@@ -128,8 +144,7 @@ class DeltaPropagator {
   std::string owner_;  // the view the current cost target charges
   MemoMap propagated_;
   MemoMap pivoted_;
-  Catalog post_;
-  bool post_built_ = false;
+  std::optional<Catalog> post_;  // built by PostCatalog on first use
   std::unordered_map<const PlanNode*, std::shared_ptr<const Table>> pre_memo_;
   std::unordered_map<const PlanNode*, std::shared_ptr<const Table>> post_memo_;
   // Scan aliases already counted as a base access, keyed by (memo table,

@@ -275,7 +275,7 @@ class ViewManager {
   // key is a ConstraintViolation naming the table.
   Result<KeyedTable*> BaseStore(const std::string& name);
   // BaseStore for every table `plan` scans: the key indexes the staging
-  // probes read (DeltaPropagator::JoinUnchanged / RestrictPre). DefineView
+  // probes read (DeltaPropagator::JoinPre / RestrictPre). DefineView
   // and RestoreView build them, as a DBMS keeps its primary-key indexes,
   // so no timed epoch pays for the build.
   Status EnsureScanIndexes(const PlanPtr& plan);

@@ -9,7 +9,7 @@ namespace gpivot::obs {
 
 // Append-only JSONL sink for structured epoch records: one complete JSON
 // document per line, one line per maintenance epoch (see
-// ViewManager::LastEpochReportJson for the record shape). The file is
+// ivm::EpochRecord::ToJsonLine for the record shape). The file is
 // opened once in append mode and every Append writes a single line under a
 // mutex, so concurrent writers interleave at line granularity only.
 //

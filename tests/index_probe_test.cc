@@ -6,6 +6,8 @@
 // unkeyed fact table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -251,53 +253,126 @@ TEST(IndexProbeFallbackTest, UnkeyedLineitemView2MatchesRecompute) {
   }
 }
 
-// The Fig. 29 recompute term over T ⋈ P where P exposes none of the
-// restriction columns (its columns are the join key, renamed away, and a
-// pivoted measure): P is unchanged, so the restricted T rows probe P's key
-// index instead of reading the whole table.
-TEST(IndexProbeTest, RecomputeTermProbesAnUnchangedBareJoinSide) {
-  Table t{Schema({{"k", DataType::kInt64},
-                  {"g", DataType::kInt64},
-                  {"v", DataType::kInt64}})};
-  for (int64_t k = 1; k <= 20; ++k) {
-    for (int64_t g = 1; g <= 2; ++g) t.AddRow({I(k), I(g), I(k * g)});
+// σ(GPIVOT(T ⋈ P)) under kCombinedSelect, the shape of the Fig. 29
+// recompute term's tests. T(k, g, v) holds k 1..20 × g 1..2 with v = k·g;
+// P(pk, price) holds pk 1..50 with price 100·pk. P exposes none of the
+// restriction columns: its columns are the join key, renamed away, and a
+// pivoted measure. The σ keeps the keys whose g = 1 cell v exceeds 10.
+class RecomputeTermTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Table t{Schema({{"k", DataType::kInt64},
+                    {"g", DataType::kInt64},
+                    {"v", DataType::kInt64}})};
+    for (int64_t k = 1; k <= 20; ++k) {
+      for (int64_t g = 1; g <= 2; ++g) t.AddRow({I(k), I(g), I(k * g)});
+    }
+    ASSERT_OK(t.SetKey({"k", "g"}));
+    Table p{Schema({{"pk", DataType::kInt64}, {"price", DataType::kInt64}})};
+    for (int64_t pk = 1; pk <= 50; ++pk) p.AddRow({I(pk), I(100 * pk)});
+    ASSERT_OK(p.SetKey({"pk"}));
+    t_schema_ = t.schema();
+    p_schema_ = p.schema();
+    Catalog catalog;
+    ASSERT_OK(catalog.AddTable("T", t));
+    ASSERT_OK(catalog.AddTable("P", p));
+    PivotSpec spec;
+    spec.pivot_by = {"g"};
+    spec.pivot_on = {"v", "price"};
+    spec.combos = {{I(1)}, {I(2)}};
+    PlanPtr view = MakeSelect(
+        MakeGPivot(MakeJoin(MakeScan(catalog, "T").value(),
+                            MakeScan(catalog, "P").value(), {"k"}, {"pk"}),
+                   spec),
+        Gt(Col(spec.OutputColumnName(0, 0)), Lit(int64_t{10})));
+    manager_ = std::make_unique<ivm::ViewManager>(std::move(catalog));
+    manager_->set_event_log(nullptr);
+    metrics_.set_enabled(true);
+    ExecContext ctx;
+    ctx.metrics = &metrics_;
+    manager_->set_exec_context(ctx);
+    ASSERT_OK(manager_->DefineView("v", view,
+                                   ivm::RefreshStrategy::kCombinedSelect));
   }
-  ASSERT_OK(t.SetKey({"k", "g"}));
-  Table p{Schema({{"pk", DataType::kInt64}, {"price", DataType::kInt64}})};
-  for (int64_t pk = 1; pk <= 50; ++pk) p.AddRow({I(pk), I(100 * pk)});
-  ASSERT_OK(p.SetKey({"pk"}));
-  Catalog catalog;
-  ASSERT_OK(catalog.AddTable("T", t));
-  ASSERT_OK(catalog.AddTable("P", p));
-  PivotSpec spec;
-  spec.pivot_by = {"g"};
-  spec.pivot_on = {"v", "price"};
-  spec.combos = {{I(1)}, {I(2)}};
-  PlanPtr view = MakeSelect(
-      MakeGPivot(MakeJoin(MakeScan(catalog, "T").value(),
-                          MakeScan(catalog, "P").value(), {"k"}, {"pk"}),
-                 spec),
-      Gt(Col(spec.OutputColumnName(0, 0)), Lit(int64_t{10})));
-  ivm::ViewManager manager(std::move(catalog));
-  manager.set_event_log(nullptr);
-  ASSERT_OK(
-      manager.DefineView("v", view, ivm::RefreshStrategy::kCombinedSelect));
 
-  ivm::Delta delta = ivm::Delta::Empty(t.schema());
+  // Applies `deltas`, checks the view against recomputation, and returns
+  // the rows the epoch read from P's base table.
+  uint64_t ApplyAndReadP(const ivm::SourceDeltas& deltas) {
+    metrics_.Reset();
+    Status applied = manager_->ApplyUpdate(deltas);
+    EXPECT_TRUE(applied.ok()) << applied.ToString();
+    Status audit = manager_->Audit();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+    Table expected = manager_->RecomputeFromScratch("v").value();
+    EXPECT_TRUE(BagEqual(expected, manager_->GetView("v").value()->table()));
+    CostReport cost = manager_->ExplainAnalyze("v").value();
+    const CostReportNode* dim = cost.FindScan("P");
+    EXPECT_NE(dim, nullptr);
+    return dim == nullptr ? 0 : dim->stats.base_rows_read;
+  }
+
+  bool InView(int64_t k) const {
+    return manager_->GetView("v").value()->LookupKey({I(k)}).has_value();
+  }
+
+  Schema t_schema_;
+  Schema p_schema_;
+  obs::MetricsRegistry metrics_;
+  std::unique_ptr<ivm::ViewManager> manager_;
+};
+
+// The restricted T rows probe P's key index instead of reading the whole
+// table.
+TEST_F(RecomputeTermTest, RecomputeTermProbesAnUnchangedBareJoinSide) {
+  ivm::Delta delta = ivm::Delta::Empty(t_schema_);
   delta.inserts.AddRow({I(21), I(1), I(50)});
   delta.inserts.AddRow({I(22), I(1), I(5)});
   delta.inserts.AddRow({I(3), I(3), I(7)});  // an unlisted combo
-  ASSERT_OK(manager.ApplyUpdate({{"T", delta}}));
-  ASSERT_OK(manager.Audit());
-  CostReport cost = manager.ExplainAnalyze("v").value();
-  const CostReportNode* dim = cost.FindScan("P");
-  ASSERT_NE(dim, nullptr);
-  // One probe per propagated Δ row (3) and per recomputed key (k 21 and
-  // 22, the inserts with the σ's combo g = 1): 5 rows, where reading the
-  // whole table would take 50.
-  EXPECT_EQ(dim->stats.base_rows_read, 5u) << cost.ToText();
-  ASSERT_OK_AND_ASSIGN(Table expected, manager.RecomputeFromScratch("v"));
-  EXPECT_TRUE(BagEqual(expected, manager.GetView("v").value()->table()));
+  // An update of a stored key, k 5, whose g = 1 cell now passes the σ.
+  delta.deletes.AddRow({I(5), I(1), I(5)});
+  delta.inserts.AddRow({I(5), I(1), I(50)});
+  // One probe per propagated Δ and ∇ row (5), and one per pre-state T row
+  // of the recomputed keys k 5, 21 and 22 (k 5's two rows; 21 and 22 are
+  // new): 7 rows, where reading the whole table would take 50. The Δ rows
+  // of the recomputed keys come from the propagated delta, not from P.
+  EXPECT_EQ(ApplyAndReadP({{"T", delta}}), 7u);
+  EXPECT_TRUE(InView(5));
+  EXPECT_TRUE(InView(21));
+  EXPECT_FALSE(InView(22));
+}
+
+// An update whose ∇ and Δ share a base key (k 7, g 1) newly qualifies the
+// view key: the pre-state rows of k 7 minus ∇ plus Δ re-pivot to one row.
+// Without the ∸ ∇ step GPIVOT would see (7, 1) twice.
+TEST_F(RecomputeTermTest, UpdateThatNewlySatisfiesTheSelectionIsExact) {
+  ASSERT_FALSE(InView(7));
+  ivm::Delta delta = ivm::Delta::Empty(t_schema_);
+  delta.deletes.AddRow({I(7), I(1), I(7)});
+  delta.inserts.AddRow({I(7), I(1), I(70)});
+  ApplyAndReadP({{"T", delta}});
+  ASSERT_TRUE(InView(7));
+  const Row& row = manager_->GetView("v").value()->RowAt(
+      manager_->GetView("v").value()->LookupKey({I(7)}).value());
+  EXPECT_NE(std::find(row.begin(), row.end(), I(70)), row.end())
+      << RowToString(row);
+}
+
+// A batch that changes only P, the side that exposes no restriction
+// column. The recompute term reads P's pre state through its key index and
+// takes P's changes from the propagated delta, so the epoch never builds
+// the post-state catalog and reads P in proportion to the delta.
+TEST_F(RecomputeTermTest, ChangeToTheBareSideReadsNoPostState) {
+  ivm::Delta delta = ivm::Delta::Empty(p_schema_);
+  delta.deletes.AddRow({I(15), I(1500)});
+  delta.inserts.AddRow({I(15), I(1501)});
+  delta.deletes.AddRow({I(4), I(400)});
+  delta.inserts.AddRow({I(4), I(401)});
+  // Both of the recomputed keys' pre-state T rows probe P: 2 rows each.
+  EXPECT_EQ(ApplyAndReadP({{"P", delta}}), 4u);
+  auto counters = metrics_.Snapshot().counters;
+  EXPECT_EQ(counters["ivm.post_state.rows_copied"], 0u);
+  EXPECT_TRUE(InView(15));
+  EXPECT_FALSE(InView(4));
 }
 
 }  // namespace

@@ -527,6 +527,78 @@ TEST(StageInsertDeleteTest, DeleteOfAbsentKeyFails) {
                   .IsConstraintViolation());
 }
 
+// A (k, v) view keyed on k holding (1, 10) and (2, 20).
+MaterializedView TwoRowView() {
+  Table t = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kInt64}},
+                      {{I(1), I(10)}, {I(2), I(20)}});
+  EXPECT_TRUE(t.SetKey({"k"}).ok());
+  return MaterializedView::Create(std::move(t)).value();
+}
+
+TEST(StageInsertDeleteTest, DeleteThenInsertOfOneKeyCommitsAsOneUpdate) {
+  MaterializedView view = TwoRowView();
+  Delta delta = Delta::Empty(view.table().schema());
+  delta.deletes.AddRow({I(2), I(20)});
+  delta.inserts.AddRow({I(2), I(21)});
+  ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                       ivm::StageInsertDelete(view, delta));
+  ASSERT_EQ(plan.records.size(), 1u);
+  EXPECT_EQ(plan.records[0].key, (Row{I(2)}));
+
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  ExecContext ctx;
+  ctx.metrics = &metrics;
+  UndoLog undo;
+  ASSERT_OK(ivm::ExecuteMergePlan(&view, plan, &undo, ctx));
+  auto counters = metrics.Snapshot().counters;
+  EXPECT_EQ(counters["ivm.merge.updates"], 1u);
+  EXPECT_EQ(counters["ivm.merge.inserts"], 0u);
+  EXPECT_EQ(counters["ivm.merge.deletes"], 0u);
+  EXPECT_EQ(view.table().rows(),
+            (std::vector<Row>{{I(1), I(10)}, {I(2), I(21)}}));
+}
+
+TEST(StageInsertDeleteTest, InsertOfAStoredKeyIsAConstraintViolation) {
+  MaterializedView view = TwoRowView();
+  Delta delta = Delta::Empty(view.table().schema());
+  delta.inserts.AddRow({I(1), I(11)});
+  Status st = ivm::StageInsertDelete(view, delta).status();
+  EXPECT_TRUE(st.IsConstraintViolation()) << st.ToString();
+  EXPECT_NE(st.ToString().find("insert of duplicate view key"),
+            std::string::npos)
+      << st.ToString();
+}
+
+// A plan staged against one state of the view, executed after the view has
+// lost a key the plan expects: the commit fails as Internal at that key, and
+// the undo log restores the rows and positions the view held before it.
+TEST(ExecuteMergePlanTest, PlanOutOfSyncWithTheViewIsInternal) {
+  MaterializedView view = TwoRowView();
+  Delta delta = Delta::Empty(view.table().schema());
+  delta.deletes.AddRow({I(1), I(10)});
+  delta.inserts.AddRow({I(1), I(11)});
+  delta.deletes.AddRow({I(2), I(20)});
+  delta.inserts.AddRow({I(2), I(21)});
+  delta.inserts.AddRow({I(3), I(30)});
+  ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                       ivm::StageInsertDelete(view, delta));
+  ASSERT_EQ(plan.records.size(), 3u);
+
+  view.Delete(view.LookupKey({I(2)}).value());
+  const std::vector<Row> rows = view.table().rows();
+  UndoLog undo;
+  Status st = ivm::ExecuteMergePlan(&view, plan, &undo);
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();
+  EXPECT_NE(st.ToString().find("merge plan out of sync"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(undo.empty());  // key 1 was updated before key 2 failed
+  undo.Rollback(&view);
+  EXPECT_EQ(view.table().rows(), rows);
+  ASSERT_OK(view.ValidateIntegrity());
+  EXPECT_FALSE(view.LookupKey({I(2)}).has_value());
+}
+
 // ---- ViewManager surface --------------------------------------------------------
 
 TEST(ViewManagerTest, DuplicateViewNameRejected) {
