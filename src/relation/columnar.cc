@@ -29,22 +29,6 @@ size_t HashStringCell(std::string_view v) {
 
 }  // namespace
 
-const char* ColumnKindToString(ColumnKind kind) {
-  switch (kind) {
-    case ColumnKind::kInt64:
-      return "INT64";
-    case ColumnKind::kDouble:
-      return "DOUBLE";
-    case ColumnKind::kString:
-      return "STRING";
-    case ColumnKind::kAllNull:
-      return "ALL_NULL";
-    case ColumnKind::kMixed:
-      return "MIXED";
-  }
-  return "?";
-}
-
 std::shared_ptr<const ColumnVector> ColumnVector::Build(
     const std::vector<Row>& rows, size_t col) {
   auto column = std::shared_ptr<ColumnVector>(new ColumnVector());

@@ -24,8 +24,6 @@ enum class ColumnKind {
   kMixed,    // anything else; stored as per-cell Values
 };
 
-const char* ColumnKindToString(ColumnKind kind);
-
 // An immutable, typed, column-major view of one column of a row bag.
 //
 // Layout: a validity bitmap (one bit per row, set = non-null, omitted when

@@ -13,31 +13,23 @@ namespace gpivot::storage {
 
 namespace {
 
-constexpr char kCheckpointPrefix[] = "ckpt-";
-constexpr char kCheckpointSuffix[] = ".gpck";
+constexpr std::string_view kCheckpointPrefix = "ckpt-";
+constexpr std::string_view kCheckpointSuffix = ".gpck";
 constexpr size_t kSeqDigits = 20;  // enough for any u64
 
-void EncodeTableMap(
-    const std::map<std::string, std::shared_ptr<const Table>>& tables,
-    BinaryWriter* out) {
-  out->PutU32(static_cast<uint32_t>(tables.size()));
-  for (const auto& [name, table] : tables) {
-    out->PutString(name);
-    EncodeTable(*table, out);
-  }
-}
+// The writer streams the file through one reused buffer of about this size:
+// a constant, not a knob; per-chunk calls are noise, and no part of the peak.
+constexpr size_t kChunkBytes = size_t{1} << 20;
+constexpr size_t kHeaderBytes = 16;  // magic, version, payload_len at 8
 
-Result<std::map<std::string, std::shared_ptr<const Table>>> DecodeTableMap(
-    BinaryReader* in, const char* what) {
+Result<std::map<std::string, Table>> DecodeTableMap(BinaryReader* in,
+                                                    const char* what) {
   GPIVOT_ASSIGN_OR_RETURN(uint32_t ntables, in->GetU32());
-  std::map<std::string, std::shared_ptr<const Table>> tables;
+  std::map<std::string, Table> tables;
   for (uint32_t i = 0; i < ntables; ++i) {
     GPIVOT_ASSIGN_OR_RETURN(std::string name, in->GetString());
     GPIVOT_ASSIGN_OR_RETURN(Table table, DecodeTable(in));
-    if (!tables
-             .emplace(std::move(name),
-                      std::make_shared<const Table>(std::move(table)))
-             .second) {
+    if (!tables.emplace(std::move(name), std::move(table)).second) {
       return Status::InvalidArgument(
           StrCat("checkpoint: duplicate ", what, " table name"));
     }
@@ -50,32 +42,62 @@ Result<std::map<std::string, std::shared_ptr<const Table>>> DecodeTableMap(
 Status WriteCheckpoint(const std::string& path,
                        const CheckpointContents& contents,
                        obs::MetricsRegistry* metrics) {
-  // The payload is encoded in place after the header; its length is
-  // patched in once known.
-  BinaryWriter file;
-  file.PutU32(kCheckpointMagic);
-  file.PutU32(kCheckpointVersion);
-  const size_t length_at = file.size();
-  file.PutU64(0);
-  const size_t payload_at = file.size();
-  file.PutU64(contents.epoch_seq);
-  EncodeTableMap(contents.base_tables, &file);
-  EncodeTableMap(contents.view_tables, &file);
-  const std::string_view payload =
-      std::string_view(file.buffer()).substr(payload_at);
-  file.PatchU64(length_at, payload.size());
-  file.PutU32(Crc32c(payload));
-  const std::string& bytes = file.buffer();
-
-  GPIVOT_RETURN_NOT_OK(AtomicWriteFile(path, bytes));
+  GPIVOT_ASSIGN_OR_RETURN(FdFile file, FdFile::CreateTruncated(path + ".tmp"));
+  BinaryWriter chunk;
+  uint32_t crc = 0;
+  size_t crc_from = kHeaderBytes;  // the header is outside the checksum
+  uint64_t written = 0;
+  auto fold = [&] {
+    crc = Crc32c(std::string_view(chunk.buffer()).substr(crc_from), crc);
+    crc_from = chunk.size();
+  };
+  auto write = [&]() -> Status {
+    GPIVOT_RETURN_NOT_OK(file.WriteFully(chunk.buffer()));
+    written += chunk.size();
+    chunk.Clear();
+    crc_from = 0;
+    return Status::OK();
+  };
+  chunk.PutU32(kCheckpointMagic);
+  chunk.PutU32(kCheckpointVersion);
+  chunk.PutU64(0);  // payload_len, patched in once known
+  chunk.PutU64(contents.epoch_seq);
+  for (const auto* tables : {&contents.base_tables, &contents.view_tables}) {
+    chunk.PutU32(static_cast<uint32_t>(tables->size()));
+    for (const auto& [name, table] : *tables) {
+      chunk.PutString(name);
+      EncodeTableHead(*table, &chunk);
+      for (const Row& row : table->rows()) {
+        EncodeRow(row, &chunk);
+        if (chunk.size() >= kChunkBytes) {
+          fold();
+          GPIVOT_RETURN_NOT_OK(write());
+        }
+      }
+    }
+  }
+  // One chunk: length patched in memory, one WriteFully (the fault sites
+  // the kill sweeps count on). More chunks: the length is patched on disk.
+  const uint64_t payload_len = written + chunk.size() - kHeaderBytes;
+  const bool one_chunk = written == 0;
+  if (one_chunk) chunk.PatchU64(8, payload_len);
+  fold();
+  chunk.PutU32(crc);
+  GPIVOT_RETURN_NOT_OK(write());
+  if (!one_chunk) {
+    BinaryWriter length;
+    length.PutU64(payload_len);
+    GPIVOT_RETURN_NOT_OK(file.WriteAt(8, length.buffer()));
+  }
+  GPIVOT_RETURN_NOT_OK(CommitAtomicWrite(std::move(file), path));
   if (metrics != nullptr && metrics->enabled()) {
     metrics->AddCounter("storage.checkpoint.writes");
-    metrics->AddCounter("storage.checkpoint.bytes", bytes.size());
+    metrics->AddCounter("storage.checkpoint.bytes", written);
   }
   return Status::OK();
 }
 
-Result<CheckpointContents> ReadCheckpoint(const std::string& path) {
+Result<LoadedCheckpoint> ReadCheckpoint(const std::string& path) {
   GPIVOT_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
   BinaryReader reader(bytes);
   auto bad = [&](std::string_view why) {
@@ -103,7 +125,7 @@ Result<CheckpointContents> ReadCheckpoint(const std::string& path) {
   if (Crc32c(payload) != *crc) return bad("checksum mismatch");
 
   BinaryReader body(payload);
-  CheckpointContents contents;
+  LoadedCheckpoint contents;
   GPIVOT_ASSIGN_OR_RETURN(contents.epoch_seq, body.GetU64());
   GPIVOT_ASSIGN_OR_RETURN(contents.base_tables, DecodeTableMap(&body, "base"));
   GPIVOT_ASSIGN_OR_RETURN(contents.view_tables, DecodeTableMap(&body, "view"));
@@ -122,11 +144,9 @@ Result<std::vector<std::string>> FindCheckpoints(const std::string& dir) {
   GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDirFiles(dir));
   std::vector<std::string> checkpoints;
   for (const std::string& name : names) {
-    if (name.size() > sizeof(kCheckpointPrefix) - 1 +
-                          sizeof(kCheckpointSuffix) - 1 &&
-        name.rfind(kCheckpointPrefix, 0) == 0 &&
-        name.compare(name.size() - (sizeof(kCheckpointSuffix) - 1),
-                     sizeof(kCheckpointSuffix) - 1, kCheckpointSuffix) == 0) {
+    if (name.size() > kCheckpointPrefix.size() + kCheckpointSuffix.size() &&
+        name.starts_with(kCheckpointPrefix) &&
+        name.ends_with(kCheckpointSuffix)) {
       checkpoints.push_back(name);
     }
   }

@@ -28,9 +28,9 @@ namespace gpivot::storage {
 // the crash-identity property test depends on this.
 //
 // Files are written to `<path>.tmp`, fsynced, renamed into place, and the
-// directory fsynced (AtomicWriteFile), so a crash leaves either the old
-// file set or the new one, never a half-written checkpoint under the real
-// name. A reader that finds a corrupt file (torn before the rename
+// directory fsynced (as AtomicWriteFile does), so a crash leaves either the
+// old file set or the new one, never a half-written checkpoint under the
+// real name. A reader that finds a corrupt file (torn before the rename
 // protocol existed, or bit rot) gets InvalidArgument and falls back to an
 // older checkpoint.
 
@@ -41,22 +41,29 @@ inline constexpr uint32_t kCheckpointVersion = 1;
 // *reads* them, so it borrows each base table's and each view's current
 // version (shared_table()) instead of deep-copying them — O(1) per table,
 // and safe against later epochs because both stores mutate copy-on-write.
-// ReadCheckpoint returns uniquely owned handles.
 struct CheckpointContents {
   uint64_t epoch_seq = 0;
   std::map<std::string, std::shared_ptr<const Table>> base_tables;
   std::map<std::string, std::shared_ptr<const Table>> view_tables;
 };
 
-// Serializes `contents` and writes it atomically to `path`. The file is
-// encoded into a single buffer, its only copy of the table contents.
+// What ReadCheckpoint decodes: the same fields, with each table owned by
+// value so that recovery moves it into its catalog or view store.
+struct LoadedCheckpoint {
+  uint64_t epoch_seq = 0;
+  std::map<std::string, Table> base_tables;
+  std::map<std::string, Table> view_tables;
+};
+
+// Serializes `contents` and writes it atomically to `path`, streaming it
+// through one reused fixed-size chunk: the writer never holds the file.
 Status WriteCheckpoint(const std::string& path,
                        const CheckpointContents& contents,
                        obs::MetricsRegistry* metrics = nullptr);
 
 // Reads and validates a checkpoint file. NotFound when absent;
 // InvalidArgument on any framing/checksum/decode failure.
-Result<CheckpointContents> ReadCheckpoint(const std::string& path);
+Result<LoadedCheckpoint> ReadCheckpoint(const std::string& path);
 
 // Canonical file name for the checkpoint taken at `epoch_seq`
 // (zero-padded so lexical order == numeric order).

@@ -1,6 +1,7 @@
 #include "storage/inspect.h"
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <utility>
 #include <vector>
@@ -18,10 +19,10 @@ namespace {
 
 // Reads the first four bytes to classify the file; 0 when too short.
 uint32_t FileMagic(const std::string& path) {
-  Result<std::string> bytes = ReadFileToString(path);
-  if (!bytes.ok() || bytes->size() < 4) return 0;
-  BinaryReader reader(*bytes);
-  return reader.GetU32().value();
+  char bytes[4];
+  std::ifstream in(path, std::ios::binary);
+  if (!in.read(bytes, sizeof(bytes))) return 0;
+  return BinaryReader(std::string_view(bytes, sizeof(bytes))).GetU32().value();
 }
 
 // Each helper appends human-readable lines to report->text and pushes one
@@ -84,7 +85,7 @@ void InspectWalFile(const std::string& path, InspectReport* report,
 void InspectCheckpointFile(const std::string& path, InspectReport* report,
                            std::vector<std::string>* files_json) {
   report->text += StrCat("checkpoint ", path, "\n");
-  Result<CheckpointContents> contents = ReadCheckpoint(path);
+  Result<LoadedCheckpoint> contents = ReadCheckpoint(path);
   if (!contents.ok()) {
     report->clean = false;
     report->text +=
@@ -97,21 +98,17 @@ void InspectCheckpointFile(const std::string& path, InspectReport* report,
   }
   report->text += StrCat("  epoch_seq=", contents->epoch_seq, "\n");
   std::string tables_json;
-  for (const auto& [name, table] : contents->base_tables) {
-    report->text +=
-        StrCat("  base ", name, ": ", table->num_rows(), " rows\n");
-    tables_json += StrCat(tables_json.empty() ? "" : ", ",
-                          "{\"table\": ", obs::JsonQuote(name),
-                          ", \"kind\": \"base\", \"rows\": ",
-                          table->num_rows(), "}");
-  }
-  for (const auto& [name, table] : contents->view_tables) {
-    report->text +=
-        StrCat("  view ", name, ": ", table->num_rows(), " rows\n");
-    tables_json += StrCat(tables_json.empty() ? "" : ", ",
-                          "{\"table\": ", obs::JsonQuote(name),
-                          ", \"kind\": \"view\", \"rows\": ",
-                          table->num_rows(), "}");
+  for (const auto& [kind, tables] :
+       {std::pair{"base", &contents->base_tables},
+        std::pair{"view", &contents->view_tables}}) {
+    for (const auto& [name, table] : *tables) {
+      report->text +=
+          StrCat("  ", kind, " ", name, ": ", table.num_rows(), " rows\n");
+      tables_json += StrCat(tables_json.empty() ? "" : ", ",
+                            "{\"table\": ", obs::JsonQuote(name),
+                            ", \"kind\": \"", kind, "\", \"rows\": ",
+                            table.num_rows(), "}");
+    }
   }
   files_json->push_back(StrCat(
       "{\"path\": ", obs::JsonQuote(path),
@@ -137,11 +134,7 @@ Status InspectFile(const std::string& path, InspectReport* report,
 void FinalizeJson(InspectReport* report,
                   const std::vector<std::string>& files_json) {
   report->json = StrCat("{\"clean\": ", report->clean ? "true" : "false",
-                        ", \"files\": [");
-  for (size_t i = 0; i < files_json.size(); ++i) {
-    report->json += StrCat(i == 0 ? "" : ", ", files_json[i]);
-  }
-  report->json += "]}";
+                        ", \"files\": [", Join(files_json, ", "), "]}");
 }
 
 }  // namespace

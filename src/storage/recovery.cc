@@ -13,14 +13,6 @@ namespace {
 
 constexpr char kWalFileName[] = "wal.gwal";
 
-uint64_t TotalDeltaRows(const ivm::SourceDeltas& deltas) {
-  uint64_t rows = 0;
-  for (const auto& [name, delta] : deltas) {
-    rows += delta.inserts.num_rows() + delta.deletes.num_rows();
-  }
-  return rows;
-}
-
 }  // namespace
 
 std::string WalPath(const std::string& dir) {
@@ -59,15 +51,16 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
   // Newest valid checkpoint wins; corrupt ones are passed over, not fatal
   // (a crash can tear at most the not-yet-renamed .tmp, but bit rot or a
   // pre-rename-protocol file must not strand the whole directory).
-  std::optional<CheckpointContents> snapshot;
+  LoadedCheckpoint snapshot;  // stays empty when no checkpoint loads
   {
     GPIVOT_ASSIGN_OR_RETURN(std::vector<std::string> names,
                             FindCheckpoints(options.dir));
     for (const std::string& name : names) {
-      Result<CheckpointContents> loaded =
+      Result<LoadedCheckpoint> loaded =
           ReadCheckpoint(StrCat(options.dir, "/", name));
       if (loaded.ok()) {
         snapshot = std::move(*loaded);
+        report.used_checkpoint = true;
         report.checkpoint_file = name;
         break;
       }
@@ -75,16 +68,13 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
     }
   }
 
-  if (snapshot.has_value()) {
-    report.used_checkpoint = true;
-    report.checkpoint_seq = snapshot->epoch_seq;
-    // ReadCheckpoint created these tables, so each handle is uniquely
-    // owned here: one copy re-materializes a table, and dropping the
-    // handle right after frees the decoded one.
+  if (report.used_checkpoint) {
+    report.checkpoint_seq = snapshot.epoch_seq;
+    // The decoded tables move into their stores: recovery holds one copy
+    // of the rows.
     Catalog catalog;
-    for (auto& [name, table] : snapshot->base_tables) {
-      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, Table(*table)));
-      table.reset();
+    for (auto& [name, table] : snapshot.base_tables) {
+      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, std::move(table)));
     }
     for (const std::string& name : bootstrap.TableNames()) {
       if (!catalog.HasTable(name)) {
@@ -105,27 +95,16 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
   manager->set_exec_context(options.exec_context);
 
   for (ViewDefinition& def : views) {
-    bool restored = false;
-    if (snapshot.has_value()) {
-      auto it = snapshot->view_tables.find(def.name);
-      if (it != snapshot->view_tables.end()) {
-        // As for the base tables above: one copy, then the handle goes.
-        GPIVOT_RETURN_NOT_OK(manager->RestoreView(
-            def.name, def.query, def.strategy, Table(*it->second)));
-        it->second.reset();
-        restored = true;
-      }
-    }
-    if (!restored) {
-      // Not in the snapshot (first boot, or a view added since it was
-      // taken): evaluate from the recovered base.
-      GPIVOT_RETURN_NOT_OK(
-          manager->DefineView(def.name, def.query, def.strategy));
-    }
+    // A view not in the snapshot (first boot, or a view added since it
+    // was taken) is evaluated from the recovered base.
+    auto it = snapshot.view_tables.find(def.name);
+    GPIVOT_RETURN_NOT_OK(
+        it != snapshot.view_tables.end()
+            ? manager->RestoreView(def.name, def.query, def.strategy,
+                                   std::move(it->second))
+            : manager->DefineView(def.name, def.query, def.strategy));
   }
-  if (snapshot.has_value()) {
-    manager->RestoreEpochSeq(snapshot->epoch_seq);
-  }
+  if (report.used_checkpoint) manager->RestoreEpochSeq(snapshot.epoch_seq);
 
   // Scan the WAL; keep entries past the snapshot.
   const std::string wal_path = WalPath(options.dir);
@@ -165,7 +144,7 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
       GPIVOT_ASSIGN_OR_RETURN(
           ivm::SourceDeltas net,
           ivm::CompactDeltas(manager->catalog(), batches));
-      report.replay_rows_applied = TotalDeltaRows(net);
+      report.replay_rows_applied = TotalRows(net);
       GPIVOT_RETURN_NOT_OK(manager->BatchedApplyUpdate(net));
     } else {
       for (const WalEntry& entry : pending) {

@@ -33,33 +33,60 @@ Status CheckCount(uint64_t count, size_t remaining, const char* what) {
   return Status::OK();
 }
 
+// The wire format is little-endian, as is every host this builds for, so
+// a fixed-width field is one memcpy.
+static_assert(std::endian::native == std::endian::little);
+
+template <typename T>
+char* Store(char* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
+}
+
+// Bytes EncodeValue writes for `value`.
+size_t EncodedSize(const Value& value) {
+  if (value.is_null()) return 1;
+  return value.is_string() ? 1 + 4 + value.AsString().size() : 1 + 8;
+}
+
+// Writes `value`'s EncodedSize(value) bytes at `p`; returns their end.
+char* EncodeValueTo(const Value& value, char* p) {
+  if (value.is_null()) return Store(p, kTagNull);
+  if (value.is_int()) {
+    return Store(Store(p, kTagInt), static_cast<uint64_t>(value.AsInt()));
+  }
+  if (value.is_double()) {
+    return Store(Store(p, kTagDouble),
+                 std::bit_cast<uint64_t>(value.AsDouble()));
+  }
+  const std::string_view s = value.AsString();
+  p = Store(Store(p, kTagString), static_cast<uint32_t>(s.size()));
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
 }  // namespace
 
-void BinaryWriter::PutU8(uint8_t v) {
-  buffer_.push_back(static_cast<char>(v));
-}
+void BinaryWriter::PutU8(uint8_t v) { Store(Extend(1), v); }
 
-void BinaryWriter::PutU32(uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  buffer_.append(bytes, 4);
-}
+void BinaryWriter::PutU32(uint32_t v) { Store(Extend(4), v); }
 
-void BinaryWriter::PutU64(uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  buffer_.append(bytes, 8);
+void BinaryWriter::PutU64(uint64_t v) { Store(Extend(8), v); }
+
+void BinaryWriter::PatchU32(size_t offset, uint32_t v) {
+  GPIVOT_CHECK(offset + 4 <= buffer_.size()) << "PatchU32 past the end";
+  Store(buffer_.data() + offset, v);
 }
 
 void BinaryWriter::PatchU64(size_t offset, uint64_t v) {
   GPIVOT_CHECK(offset + 8 <= buffer_.size()) << "PatchU64 past the end";
-  for (int i = 0; i < 8; ++i) {
-    buffer_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
+  Store(buffer_.data() + offset, v);
 }
 
-void BinaryWriter::PutDouble(double v) {
-  PutU64(std::bit_cast<uint64_t>(v));
+char* BinaryWriter::Extend(size_t n) {
+  const size_t at = buffer_.size();
+  buffer_.resize(at + n);
+  return buffer_.data() + at;
 }
 
 void BinaryWriter::PutString(std::string_view s) {
@@ -78,11 +105,8 @@ Result<uint32_t> BinaryReader::GetU32() {
   if (remaining() < 4) {
     return Status::InvalidArgument("decode: input exhausted reading u32");
   }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  uint32_t v;
+  std::memcpy(&v, data_.data() + pos_, 4);
   pos_ += 4;
   return v;
 }
@@ -91,18 +115,10 @@ Result<uint64_t> BinaryReader::GetU64() {
   if (remaining() < 8) {
     return Status::InvalidArgument("decode: input exhausted reading u64");
   }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  uint64_t v;
+  std::memcpy(&v, data_.data() + pos_, 8);
   pos_ += 8;
   return v;
-}
-
-Result<double> BinaryReader::GetDouble() {
-  GPIVOT_ASSIGN_OR_RETURN(uint64_t bits, GetU64());
-  return std::bit_cast<double>(bits);
 }
 
 Result<std::string> BinaryReader::GetString() {
@@ -114,18 +130,7 @@ Result<std::string> BinaryReader::GetString() {
 }
 
 void EncodeValue(const Value& value, BinaryWriter* out) {
-  if (value.is_null()) {
-    out->PutU8(kTagNull);
-  } else if (value.is_int()) {
-    out->PutU8(kTagInt);
-    out->PutU64(static_cast<uint64_t>(value.AsInt()));
-  } else if (value.is_double()) {
-    out->PutU8(kTagDouble);
-    out->PutDouble(value.AsDouble());
-  } else {
-    out->PutU8(kTagString);
-    out->PutString(value.AsString());
-  }
+  EncodeValueTo(value, out->Extend(EncodedSize(value)));
 }
 
 Result<Value> DecodeValue(BinaryReader* in) {
@@ -138,8 +143,8 @@ Result<Value> DecodeValue(BinaryReader* in) {
       return Value::Int(static_cast<int64_t>(bits));
     }
     case kTagDouble: {
-      GPIVOT_ASSIGN_OR_RETURN(double v, in->GetDouble());
-      return Value::Real(v);
+      GPIVOT_ASSIGN_OR_RETURN(uint64_t bits, in->GetU64());
+      return Value::Real(std::bit_cast<double>(bits));
     }
     case kTagString: {
       GPIVOT_ASSIGN_OR_RETURN(std::string s, in->GetString());
@@ -152,8 +157,11 @@ Result<Value> DecodeValue(BinaryReader* in) {
 }
 
 void EncodeRow(const Row& row, BinaryWriter* out) {
-  out->PutU32(static_cast<uint32_t>(row.size()));
-  for (const Value& value : row) EncodeValue(value, out);
+  // The checkpoint's hot loop: size the row once, then write it in place.
+  size_t bytes = 4;
+  for (const Value& value : row) bytes += EncodedSize(value);
+  char* p = Store(out->Extend(bytes), static_cast<uint32_t>(row.size()));
+  for (const Value& value : row) p = EncodeValueTo(value, p);
 }
 
 Result<Row> DecodeRow(BinaryReader* in) {
@@ -193,11 +201,15 @@ Result<Schema> DecodeSchema(BinaryReader* in) {
   return Schema(std::move(columns));
 }
 
-void EncodeTable(const Table& table, BinaryWriter* out) {
+void EncodeTableHead(const Table& table, BinaryWriter* out) {
   EncodeSchema(table.schema(), out);
   out->PutU32(static_cast<uint32_t>(table.key().size()));
   for (const std::string& key_column : table.key()) out->PutString(key_column);
   out->PutU64(table.num_rows());
+}
+
+void EncodeTable(const Table& table, BinaryWriter* out) {
+  EncodeTableHead(table, out);
   for (const Row& row : table.rows()) EncodeRow(row, out);
 }
 
@@ -230,17 +242,6 @@ Result<Table> DecodeTable(BinaryReader* in) {
   return table;
 }
 
-void EncodeDelta(const ivm::Delta& delta, BinaryWriter* out) {
-  EncodeTable(delta.inserts, out);
-  EncodeTable(delta.deletes, out);
-}
-
-Result<ivm::Delta> DecodeDelta(BinaryReader* in) {
-  GPIVOT_ASSIGN_OR_RETURN(Table inserts, DecodeTable(in));
-  GPIVOT_ASSIGN_OR_RETURN(Table deletes, DecodeTable(in));
-  return ivm::Delta{std::move(inserts), std::move(deletes)};
-}
-
 void EncodeSourceDeltas(const ivm::SourceDeltas& deltas, BinaryWriter* out) {
   // Canonical order: an unordered_map has none, the wire format must.
   std::map<std::string, const ivm::Delta*> sorted;
@@ -248,7 +249,8 @@ void EncodeSourceDeltas(const ivm::SourceDeltas& deltas, BinaryWriter* out) {
   out->PutU32(static_cast<uint32_t>(sorted.size()));
   for (const auto& [name, delta] : sorted) {
     out->PutString(name);
-    EncodeDelta(*delta, out);
+    EncodeTable(delta->inserts, out);
+    EncodeTable(delta->deletes, out);
   }
 }
 
@@ -259,8 +261,12 @@ Result<ivm::SourceDeltas> DecodeSourceDeltas(BinaryReader* in) {
   deltas.reserve(ntables);
   for (uint32_t i = 0; i < ntables; ++i) {
     GPIVOT_ASSIGN_OR_RETURN(std::string name, in->GetString());
-    GPIVOT_ASSIGN_OR_RETURN(ivm::Delta delta, DecodeDelta(in));
-    if (!deltas.emplace(std::move(name), std::move(delta)).second) {
+    GPIVOT_ASSIGN_OR_RETURN(Table inserts, DecodeTable(in));
+    GPIVOT_ASSIGN_OR_RETURN(Table deletes, DecodeTable(in));
+    if (!deltas
+             .emplace(std::move(name),
+                      ivm::Delta{std::move(inserts), std::move(deletes)})
+             .second) {
       return Status::InvalidArgument("decode: duplicate table in SourceDeltas");
     }
   }

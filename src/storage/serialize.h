@@ -27,20 +27,24 @@ namespace gpivot::storage {
 // are bounds-checked and return InvalidArgument on any malformed input —
 // they never abort, because the input may be a torn or corrupted file.
 
-// Append-only encoder over a std::string buffer. PatchU64 overwrites a
-// u64 already written, for a length that precedes what it measures.
+// Append-only encoder over a std::string buffer. PatchU32/PatchU64
+// overwrite a field already written, for a length or checksum that
+// precedes what it covers. Extend appends `n` bytes for the caller to fill.
 class BinaryWriter {
  public:
   void PutU8(uint8_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutDouble(double v);
   void PutString(std::string_view s);
+  void PatchU32(size_t offset, uint32_t v);
   void PatchU64(size_t offset, uint64_t v);
+  char* Extend(size_t n);
 
   size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }
+  // Keeps the capacity, for a buffer that is drained and refilled.
+  void Clear() { buffer_.clear(); }
 
  private:
   std::string buffer_;
@@ -54,7 +58,6 @@ class BinaryReader {
   Result<uint8_t> GetU8();
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
-  Result<double> GetDouble();
   Result<std::string> GetString();
 
   size_t remaining() const { return data_.size() - pos_; }
@@ -80,15 +83,15 @@ Result<Schema> DecodeSchema(BinaryReader* in);
 
 // Table: [schema][u32 nkey][key column names][u64 nrows][rows]. The decoded
 // table carries the same declared key; rows keep their physical order.
+// EncodeTableHead writes everything before the rows, for a writer that
+// streams them out a few at a time.
 void EncodeTable(const Table& table, BinaryWriter* out);
+void EncodeTableHead(const Table& table, BinaryWriter* out);
 Result<Table> DecodeTable(BinaryReader* in);
 
-// Delta: [inserts table][deletes table].
-void EncodeDelta(const ivm::Delta& delta, BinaryWriter* out);
-Result<ivm::Delta> DecodeDelta(BinaryReader* in);
-
-// SourceDeltas: [u32 ntables][(string name, Delta)...] in sorted name order
-// (the canonicalization point for the unordered map).
+// SourceDeltas: [u32 ntables][(string name, inserts table, deletes
+// table)...] in sorted name order (the canonicalization point for the
+// unordered map).
 void EncodeSourceDeltas(const ivm::SourceDeltas& deltas, BinaryWriter* out);
 Result<ivm::SourceDeltas> DecodeSourceDeltas(BinaryReader* in);
 

@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <string_view>
 #include <utility>
 
 #include "storage/serialize.h"
@@ -10,19 +11,22 @@ namespace gpivot::storage {
 
 namespace {
 
+// One buffer: the payload is encoded after the frame header, whose length
+// and CRC fields are patched in once it is complete.
 std::string EncodeFrame(uint64_t seq, const std::string& entry,
                         const ivm::SourceDeltas& deltas) {
-  BinaryWriter payload;
-  payload.PutU64(seq);
-  payload.PutString(entry);
-  EncodeSourceDeltas(deltas, &payload);
   BinaryWriter frame;
   frame.PutU32(kWalEntryMagic);
-  frame.PutU32(static_cast<uint32_t>(payload.buffer().size()));
-  frame.PutU32(Crc32c(payload.buffer()));
-  std::string out = frame.Take();
-  out += payload.buffer();
-  return out;
+  frame.PutU32(0);  // payload_len
+  frame.PutU32(0);  // crc
+  frame.PutU64(seq);
+  frame.PutString(entry);
+  EncodeSourceDeltas(deltas, &frame);
+  const std::string_view payload =
+      std::string_view(frame.buffer()).substr(kWalFrameHeaderSize);
+  frame.PatchU32(4, static_cast<uint32_t>(payload.size()));
+  frame.PatchU32(8, Crc32c(payload));
+  return frame.Take();
 }
 
 std::string FileHeader() {
@@ -34,7 +38,9 @@ std::string FileHeader() {
 
 }  // namespace
 
-uint64_t WalEntry::TotalRows() const {
+uint64_t WalEntry::TotalRows() const { return storage::TotalRows(deltas); }
+
+uint64_t TotalRows(const ivm::SourceDeltas& deltas) {
   uint64_t rows = 0;
   for (const auto& [name, delta] : deltas) {
     rows += delta.inserts.num_rows() + delta.deletes.num_rows();

@@ -38,9 +38,11 @@ struct WalEntry {
   std::string entry;  // ViewManager entry tag, e.g. "apply_update"
   ivm::SourceDeltas deltas;
 
-  // Δ + ∇ rows across all tables.
   uint64_t TotalRows() const;
 };
+
+// Δ + ∇ rows across all tables.
+uint64_t TotalRows(const ivm::SourceDeltas& deltas);
 
 // Result of scanning a WAL file.
 struct WalContents {

@@ -1,6 +1,11 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace gpivot {
 
@@ -34,9 +39,36 @@ const Crc32cTables& Tables() {
   return *kTables;
 }
 
+#if defined(__x86_64__)
+// The CRC32 instruction, one 8-byte word at a time. Compiled for SSE4.2
+// whatever the build targets; called only once the CPU is known to have it.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(
+    const unsigned char* p, size_t n, uint32_t crc) {
+  uint64_t crc64 = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc64);
+  while (n-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return ~crc32;
+}
+#endif
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t crc) {
+#if defined(__x86_64__)
+  static const bool kHasSse42 = __builtin_cpu_supports("sse4.2");
+  if (kHasSse42) {
+    return Crc32cSse42(static_cast<const unsigned char*>(data), n, crc);
+  }
+#endif
+  return Crc32cPortable(data, n, crc);
+}
+
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t crc) {
   const Crc32cTables& tables = Tables();
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;

@@ -48,10 +48,15 @@ class FdFile {
   // Truncate.
   uint64_t offset() const { return offset_; }
 
-  // Appends all of `data`. Fault sites: "file.write" (before any byte) and
+  // Appends all of `data` and, on Linux, starts its writeback without
+  // waiting. Fault sites: "file.write" (before any byte) and
   // "file.write.torn" (after the first half of a multi-byte write — the
   // injected failure leaves a real partial write on disk).
   Status WriteFully(std::string_view data);
+
+  // Overwrites bytes already written at `offset` (pwrite), leaving the
+  // write offset where it is. Fault site: "file.write".
+  Status WriteAt(uint64_t offset, std::string_view data);
 
   // Flushes file contents to stable storage. Fault site: "file.fsync"
   // (before the fsync).
@@ -72,7 +77,7 @@ class FdFile {
   uint64_t offset_ = 0;
 };
 
-// Reads the whole of `path` into a string. NotFound when absent.
+// Reads all of `path` into a string sized once by fstat. NotFound if absent.
 Result<std::string> ReadFileToString(const std::string& path);
 
 // Writes `contents` to `path` atomically: a sibling "<path>.tmp" is
@@ -83,6 +88,10 @@ Result<std::string> ReadFileToString(const std::string& path);
 // directory fsync). A failed attempt may leave the .tmp sibling behind;
 // callers ignore and eventually clean *.tmp.
 Status AtomicWriteFile(const std::string& path, std::string_view contents);
+
+// AtomicWriteFile after its write, for a writer that streams "<path>.tmp"
+// itself: fsync and close `tmp`, rename it over `path`, fsync the dir.
+Status CommitAtomicWrite(FdFile tmp, const std::string& path);
 
 // Fsyncs the directory itself (durability of rename/unlink metadata).
 // Fault site: "file.dirsync".

@@ -12,11 +12,6 @@ inline size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-template <typename T>
-size_t HashCombineValue(size_t seed, const T& value) {
-  return HashCombine(seed, std::hash<T>{}(value));
-}
-
 }  // namespace gpivot
 
 #endif  // GPIVOT_UTIL_HASH_UTIL_H_

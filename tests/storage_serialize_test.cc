@@ -48,6 +48,27 @@ TEST(Crc32cTest, ChunkedEqualsWhole) {
   }
 }
 
+// Crc32c (the CRC32 instruction where the host has it) against the
+// portable table loop, on random bytes: every length up to 300 at every
+// start offset mod 8, whole and split at every point.
+TEST(Crc32cTest, MatchesPortableAtEveryLengthOffsetAndSplit) {
+  Rng rng(32);
+  std::string bytes(300 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Index(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const char* data = bytes.data() + offset;
+      const uint32_t want = Crc32cPortable(data, len);
+      ASSERT_EQ(Crc32c(data, len), want) << "offset=" << offset
+                                         << " len=" << len;
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32c(data + split, len - split, Crc32c(data, split)), want)
+            << "offset=" << offset << " len=" << len << " split=" << split;
+      }
+    }
+  }
+}
+
 Value RandomValue(Rng* rng) {
   switch (rng->Index(6)) {
     case 0:
@@ -244,6 +265,21 @@ TEST(SerializeRoundTripTest, PatchU64RewritesOnlyItsSlot) {
   BinaryWriter direct;
   direct.PutU32(7);
   direct.PutU64(0x0102030405060708ull);
+  direct.PutString("tail");
+  EXPECT_EQ(patched.buffer(), direct.buffer());
+}
+
+TEST(SerializeRoundTripTest, PatchU32RewritesOnlyItsSlot) {
+  BinaryWriter patched;
+  patched.PutU8(7);
+  const size_t slot = patched.size();
+  patched.PutU32(0);
+  patched.PutString("tail");
+  patched.PatchU32(slot, 0x01020304u);
+
+  BinaryWriter direct;
+  direct.PutU8(7);
+  direct.PutU32(0x01020304u);
   direct.PutString("tail");
   EXPECT_EQ(patched.buffer(), direct.buffer());
 }

@@ -5,7 +5,9 @@
 // report on clean and damaged artifacts.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "storage/serialize.h"
 #include "storage/wal.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
 
@@ -230,9 +233,9 @@ TEST_F(WalTest, CheckpointRoundTripAndDiscovery) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->epoch_seq, 10u);
   ASSERT_EQ(loaded->base_tables.count("Items"), 1u);
-  EXPECT_EQ(loaded->base_tables.at("Items")->key(),
+  EXPECT_EQ(loaded->base_tables.at("Items").key(),
             (std::vector<std::string>{"ID", "Attribute"}));
-  EXPECT_EQ(loaded->view_tables.at("v")->rows()[0][0], I(10));
+  EXPECT_EQ(loaded->view_tables.at("v").rows()[0][0], I(10));
 }
 
 TEST_F(WalTest, CheckpointWriteIsAtomicUnderFaults) {
@@ -267,6 +270,159 @@ TEST_F(WalTest, CheckpointWriteIsAtomicUnderFaults) {
   auto replaced = ReadCheckpoint(path);
   ASSERT_TRUE(replaced.ok());
   EXPECT_EQ(replaced->epoch_seq, 6u);
+}
+
+// A checkpoint large enough to stream through several 1 MiB chunks: about
+// 4.4 MB over two base tables and a view, every value kind included.
+CheckpointContents MultiChunkCheckpoint(uint64_t seq) {
+  CheckpointContents contents;
+  contents.epoch_seq = seq;
+  auto table = [](int64_t rows, int64_t salt) {
+    Table t{Schema({{"k", DataType::kInt64},
+                    {"x", DataType::kDouble},
+                    {"s", DataType::kString},
+                    {"n", DataType::kInt64}})};
+    for (int64_t r = 0; r < rows; ++r) {
+      t.AddRow({I(r), Value::Real(0.25 * static_cast<double>(r + salt)),
+                Value::Str("s" + std::to_string((r * salt) % 997)),
+                r % 7 == 0 ? Value::Null() : I(r ^ salt)});
+    }
+    EXPECT_TRUE(t.SetKey({"k"}).ok());
+    return std::make_shared<const Table>(std::move(t));
+  };
+  contents.base_tables.emplace("A", table(45000, 3));
+  contents.base_tables.emplace("B", table(40000, 5));
+  contents.view_tables.emplace("v", table(15000, 7));
+  return contents;
+}
+
+// The file the one-buffer encoder wrote before checkpoints streamed: the
+// streamed writer must produce exactly these bytes.
+std::string ReferenceCheckpointBytes(const CheckpointContents& contents) {
+  BinaryWriter file;
+  file.PutU32(kCheckpointMagic);
+  file.PutU32(kCheckpointVersion);
+  file.PutU64(0);
+  file.PutU64(contents.epoch_seq);
+  for (const auto* tables : {&contents.base_tables, &contents.view_tables}) {
+    file.PutU32(static_cast<uint32_t>(tables->size()));
+    for (const auto& [name, table] : *tables) {
+      file.PutString(name);
+      EncodeTable(*table, &file);
+    }
+  }
+  const std::string_view payload = std::string_view(file.buffer()).substr(16);
+  file.PatchU64(8, payload.size());
+  file.PutU32(Crc32cPortable(payload.data(), payload.size()));
+  return file.Take();
+}
+
+// Newest checkpoint in `dir` that reads back, as recovery picks it.
+uint64_t NewestValidSeq(const std::string& dir) {
+  auto names = FindCheckpoints(dir);
+  EXPECT_TRUE(names.ok());
+  for (const std::string& name : *names) {
+    auto loaded = ReadCheckpoint(dir + "/" + name);
+    if (loaded.ok()) return loaded->epoch_seq;
+  }
+  return 0;
+}
+
+TEST_F(WalTest, MultiChunkCheckpointIsTheOneBufferEncoding) {
+  const CheckpointContents contents = MultiChunkCheckpoint(9);
+  const std::string path = dir_ + "/" + CheckpointFileName(9);
+  ASSERT_TRUE(WriteCheckpoint(path, contents).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_GE(bytes->size(), 3u << 20) << "fixture must span 3+ chunks";
+  EXPECT_TRUE(*bytes == ReferenceCheckpointBytes(contents));
+
+  auto loaded = ReadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->epoch_seq, 9u);
+  EXPECT_EQ(loaded->base_tables.at("A").num_rows(), 45000u);
+  EXPECT_EQ(loaded->view_tables.at("v").rows()[14999][2],
+            Value::Str("s" + std::to_string((14999 * 7) % 997)));
+}
+
+TEST_F(WalTest, MultiChunkCheckpointBitFlipsAreCaught) {
+  const std::string path = dir_ + "/" + CheckpointFileName(9);
+  ASSERT_TRUE(WriteCheckpoint(path, MultiChunkCheckpoint(9)).ok());
+  auto pristine = ReadFileToString(path);
+  ASSERT_TRUE(pristine.ok());
+  const size_t chunk = size_t{1} << 20;
+  // First chunk (past the header), a middle chunk, the last chunk and the
+  // CRC trailer itself.
+  for (size_t byte : {size_t{100}, 2 * chunk + 12345, pristine->size() - 40,
+                      pristine->size() - 1}) {
+    std::string corrupted = *pristine;
+    corrupted[byte] = static_cast<char>(corrupted[byte] ^ 0x10);
+    const std::string mutant = dir_ + "/mutant.gpck";
+    ASSERT_TRUE(AtomicWriteFile(mutant, corrupted).ok());
+    auto read = ReadCheckpoint(mutant);
+    ASSERT_FALSE(read.ok()) << "flip at byte " << byte << " accepted";
+    EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
+  }
+}
+
+TEST_F(WalTest, MultiChunkCheckpointWriteIsAtomicUnderFaults) {
+  ASSERT_TRUE(
+      WriteCheckpoint(dir_ + "/" + CheckpointFileName(5), FixtureCheckpoint(5))
+          .ok());
+  const std::string path = dir_ + "/" + CheckpointFileName(6);
+  ASSERT_TRUE(RemoveFileIfExists(path).ok());  // left by an earlier run
+  const CheckpointContents contents = MultiChunkCheckpoint(6);
+  FaultInjector& injector = FaultInjector::Global();
+  size_t points = 0;
+  for (size_t n = 1;; ++n) {
+    injector.Arm(n);
+    Status st = WriteCheckpoint(path, contents);
+    const std::string site = injector.fired_site();
+    injector.Disarm();
+    if (st.ok()) {
+      EXPECT_TRUE(site.empty());
+      break;
+    }
+    ASSERT_FALSE(site.empty()) << "non-injected failure: " << st.ToString();
+    points = n;
+    if (site == "file.dirsync") {
+      // The rename landed before the directory fsync failed: the new name
+      // holds the complete new checkpoint.
+      EXPECT_EQ(NewestValidSeq(dir_), 6u) << "fault at point " << n;
+    } else {
+      EXPECT_FALSE(FileExists(path))
+          << "fault at point " << n << " (" << site << ") left " << path;
+      EXPECT_EQ(NewestValidSeq(dir_), 5u) << "fault at point " << n;
+    }
+    ASSERT_TRUE(RemoveFileIfExists(path).ok());
+  }
+  // Two sites per chunk write (3+ chunks), the length patch, fsync, rename,
+  // dirsync.
+  EXPECT_GE(points, 2 * 3 + 4u);
+  EXPECT_EQ(NewestValidSeq(dir_), 6u);
+}
+
+// One frame is [magic][payload_len][crc][payload]; the writer patches the
+// length and CRC into the buffer it encoded the payload in.
+TEST_F(WalTest, FrameBytesFollowTheLayout) {
+  {
+    auto writer = WalWriter::Open(path_, 0);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(4, "apply_update", DeltasFor(4)).ok());
+  }
+  BinaryWriter payload;
+  payload.PutU64(4);
+  payload.PutString("apply_update");
+  EncodeSourceDeltas(DeltasFor(4), &payload);
+  BinaryWriter want;
+  want.PutU32(kWalFileMagic);
+  want.PutU32(kWalVersion);
+  want.PutU32(kWalEntryMagic);
+  want.PutU32(static_cast<uint32_t>(payload.size()));
+  want.PutU32(Crc32cPortable(payload.buffer().data(), payload.size()));
+  auto bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, want.buffer() + payload.buffer());
 }
 
 TEST_F(WalTest, InspectReportsCleanAndDamaged) {
