@@ -64,23 +64,27 @@ struct MergeRecord {
   std::optional<Row> after;  // row the epoch installs; absent = delete
 };
 
-// The staged MERGE for one view. `records` are in first-touch order; each
-// record's key must be present in the view at execution time exactly when
-// staging found it there.
+// The staged MERGE for one view. `records` are in first-touch order; at
+// execution time the view must be the one staging read: each staged
+// position still holds its record's key, and no appended key is present.
 struct MergePlan {
   std::vector<MergeRecord> records;
 
   bool empty() const { return records.empty(); }
 };
 
-// Applies a staged plan, appending each performed mutation to `undo`. Fails
-// only on an injected fault or when a key's presence in the view no longer
-// matches the plan (Internal); the caller rolls back via `undo`.
+// Applies a staged plan, consuming it: each record is replayed at its
+// staged position (updates in place, then deletes in descending position,
+// then appends), with no key looked up, and its `after` row is moved into
+// the view. Each performed mutation is appended to `undo`. Fails only on an
+// injected fault or when the plan is out of sync with the view (Internal):
+// a staged position past the view's end or holding another key, or an
+// append whose key is present. The caller rolls back via `undo`.
 // ctx.metrics (when enabled) receives ivm.merge.{inserts,updates,deletes};
 // MetricsRegistry::Global() (when enabled) receives the view store's
 // ivm.view.cow_{table_clones,index_clones,recycles} for this merge.
-Status ExecuteMergePlan(MaterializedView* view, const MergePlan& plan,
-                        UndoLog* undo, const ExecContext& ctx = {});
+Status ExecuteMergePlan(MaterializedView* view, MergePlan plan, UndoLog* undo,
+                        const ExecContext& ctx = {});
 
 // Staging halves of the §6/§7 apply rules. Each reads `view` without
 // mutating it and returns the epoch's MergePlan, or a descriptive error when

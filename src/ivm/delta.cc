@@ -88,6 +88,11 @@ Status AdvanceInPlace(KeyedTable* store, const Delta& delta, UndoLog* undo,
   GPIVOT_RETURN_NOT_OK(store->EnsureIndex().status());
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> positions,
                           LocateDelta(*store, delta, base_rows_read));
+  return AdvanceLocated(store, delta, positions, undo);
+}
+
+Status AdvanceLocated(KeyedTable* store, const Delta& delta,
+                      const std::vector<size_t>& positions, UndoLog* undo) {
   for (size_t at : positions) undo->RecordDelete(at, store->Delete(at));
   for (const Row& row : delta.inserts.rows()) {
     GPIVOT_RETURN_NOT_OK(store->Insert(row));

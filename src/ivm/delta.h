@@ -57,6 +57,12 @@ Result<std::vector<size_t>> LocateDelta(const KeyedTable& store,
 Status AdvanceInPlace(KeyedTable* store, const Delta& delta, UndoLog* undo,
                       uint64_t* base_rows_read = nullptr);
 
+// The mutating half of AdvanceInPlace, for a caller that already located
+// `delta` in `store` (`positions` is LocateDelta's result) and has not
+// changed the store since.
+Status AdvanceLocated(KeyedTable* store, const Delta& delta,
+                      const std::vector<size_t>& positions, UndoLog* undo);
+
 // AdvanceInPlace on a bare table (the index, when keyed, is built for the
 // call and dropped). On failure `table` is untouched.
 Status ApplyDeltaToTable(Table* table, const Delta& delta);

@@ -366,7 +366,7 @@ Status MaintenancePlan::CommitStaged(StagedRefresh staged,
   if (!staged.merge.has_value()) {
     return Status::Internal("empty staged refresh: neither merge nor rebuild");
   }
-  return ExecuteMergePlan(view, *staged.merge, undo, ctx);
+  return ExecuteMergePlan(view, std::move(*staged.merge), undo, ctx);
 }
 
 Result<MaterializedView> MaintenancePlan::StageFullRecompute(

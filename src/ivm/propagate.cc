@@ -247,7 +247,10 @@ Result<Table> DeltaPropagator::RestrictPre(const PlanPtr& plan,
       const auto* node = static_cast<const JoinNode*>(plan.get());
       const exec::JoinSpec spec = InnerJoinSpec(*node);
       // A side that exposes none of the restriction columns would be read
-      // whole: join the other side's restricted rows to it instead.
+      // whole: join the other side's restricted rows to it instead. Either
+      // way the side that exposes the restriction goes first, and when its
+      // restricted rows are empty so is the join: the other side is then
+      // neither restricted nor read.
       for (const exec::JoinSide side :
            {exec::JoinSide::kRight, exec::JoinSide::kLeft}) {
         const bool right = side == exec::JoinSide::kRight;
@@ -257,11 +260,13 @@ Result<Table> DeltaPropagator::RestrictPre(const PlanPtr& plan,
         GPIVOT_ASSIGN_OR_RETURN(
             Table rows,
             RestrictPre(right ? node->left() : node->right(), restriction));
+        if (rows.empty()) return Table(schema);
         return JoinPre(rows, bare, side, spec);
       }
       // Each side is restricted on whatever columns it exposes.
       GPIVOT_ASSIGN_OR_RETURN(Table left,
                               RestrictPre(node->left(), restriction));
+      if (left.empty()) return Table(schema);
       GPIVOT_ASSIGN_OR_RETURN(Table right,
                               RestrictPre(node->right(), restriction));
       return exec::HashJoin(left, right, spec, ctx_);

@@ -152,18 +152,21 @@ Status ViewManager::ValidateDeltas(const SourceDeltas& deltas) const {
   return Status::OK();
 }
 
-Status ViewManager::ValidateEpoch(const SourceDeltas& deltas) {
+Status ViewManager::ValidateEpoch(const SourceDeltas& deltas,
+                                  LocatedDeltas* located) {
   GPIVOT_RETURN_NOT_OK(ValidateDeltas(deltas));
   for (const auto& [table_name, delta] : deltas) {
     if (delta.empty()) continue;
     GPIVOT_ASSIGN_OR_RETURN(KeyedTable* store, BaseStore(table_name));
     if (!store->has_index()) continue;
-    Status st = LocateDelta(*store, delta).status();
-    if (!st.ok()) {
+    Result<std::vector<size_t>> positions = LocateDelta(*store, delta);
+    if (!positions.ok()) {
+      const Status& st = positions.status();
       return Status(st.code(),
                     StrCat("delta for table '", table_name, "': ",
                            st.message()));
     }
+    located->emplace(table_name, std::move(positions).value());
   }
   return Status::OK();
 }
@@ -224,7 +227,9 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
                       "accepts only ApplyUpdate and BatchedApplyUpdate"));
   }
   // RefreshViews leaves the base-state checks to AdvanceBase.
-  if (Status st = advance ? ValidateEpoch(deltas) : ValidateDeltas(deltas);
+  LocatedDeltas located;
+  if (Status st =
+          advance ? ValidateEpoch(deltas, &located) : ValidateDeltas(deltas);
       !st.ok()) {
     RecordEpoch(entry, deltas, /*staged=*/false, st, /*rejected=*/true);
     return st;
@@ -252,7 +257,7 @@ Status ViewManager::RunEpoch(const char* entry, const SourceDeltas& deltas,
                              "ivm.epoch.ms");
   EpochUndo undo;
   Status st = refresh ? RefreshViewsInternal(deltas, &undo) : Status::OK();
-  if (st.ok() && advance) st = AdvanceBaseInternal(deltas, &undo);
+  if (st.ok() && advance) st = AdvanceBaseInternal(deltas, located, &undo);
   if (!st.ok()) RollbackEpoch(&undo);
   RecordEpoch(entry, deltas, /*staged=*/refresh, st, /*rejected=*/false);
   // Committed state serves before the durability hook's checkpoint cadence
@@ -310,6 +315,7 @@ Status ViewManager::RefreshViewsInternal(const SourceDeltas& deltas,
 }
 
 Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
+                                        const LocatedDeltas& located,
                                         EpochUndo* undo) {
   obs::ScopedSpan span(exec_context_, "advance", "ivm.advance");
   size_t tables = 0, insert_rows = 0, delete_rows = 0, table_clones = 0;
@@ -325,9 +331,12 @@ Status ViewManager::AdvanceBaseInternal(const SourceDeltas& deltas,
     // handle (a catalog copy, a checkpoint borrow) still pinned the table.
     const uint64_t clones_before = store->version_counts().table_clones;
     undo->tables.emplace_back(store, UndoLog());
-    GPIVOT_RETURN_NOT_OK(AdvanceInPlace(store, delta,
-                                        &undo->tables.back().second,
-                                        &base_rows_read));
+    UndoLog* log = &undo->tables.back().second;
+    auto at = located.find(table_name);
+    GPIVOT_RETURN_NOT_OK(
+        at != located.end()
+            ? AdvanceLocated(store, delta, at->second, log)
+            : AdvanceInPlace(store, delta, log, &base_rows_read));
     table_clones += store->version_counts().table_clones - clones_before;
   }
   GPIVOT_FAULT_POINT("ViewManager::EpochEnd");

@@ -268,8 +268,11 @@ class ViewManager {
   // epoch (ConstraintViolation) before anything is logged or staged.
   // O(delta): unkeyed tables are left to the advance, whose scan is
   // O(base). RefreshViews leaves this to AdvanceBase: the paper's refresh
-  // cost excludes base-side work.
-  Status ValidateEpoch(const SourceDeltas& deltas);
+  // cost excludes base-side work. The positions found are kept in
+  // `located`, by table name, for the same epoch's advance: nothing
+  // mutates a base table between the two.
+  using LocatedDeltas = std::unordered_map<std::string, std::vector<size_t>>;
+  Status ValidateEpoch(const SourceDeltas& deltas, LocatedDeltas* located);
   // The catalog store of base table `name` with its key index built (when
   // keyed); counts ivm.base.index_builds. A table that repeats its declared
   // key is a ConstraintViolation naming the table.
@@ -293,7 +296,10 @@ class ViewManager {
   void AddView(const std::string& name, MaintenancePlan plan,
                MaterializedView view);
   Status RefreshViewsInternal(const SourceDeltas& deltas, EpochUndo* undo);
-  Status AdvanceBaseInternal(const SourceDeltas& deltas, EpochUndo* undo);
+  // Advances every base table by its delta; a table in `located` skips
+  // its LocateDelta.
+  Status AdvanceBaseInternal(const SourceDeltas& deltas,
+                             const LocatedDeltas& located, EpochUndo* undo);
   void RollbackEpoch(EpochUndo* undo);
   // Builds last_epoch_ and appends its JSONL line to the event log.
   // `staged` says whether this entry ran the stage phase (view cost reports

@@ -5,29 +5,8 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/hash_util.h"
 
 namespace gpivot {
-
-namespace {
-
-// Per-type cell hashes, bit-for-bit the Value::Hash cases: NULL hashes to a
-// fixed salt, int64s hash as the equal double so cross-type numeric
-// equality and hashing agree, and string_view hashes match std::string
-// (guaranteed equal for equal character sequences).
-constexpr size_t kNullHash = 0x9d3f;
-
-size_t HashInt64Cell(int64_t v) {
-  return std::hash<double>{}(static_cast<double>(v));
-}
-
-size_t HashDoubleCell(double v) { return std::hash<double>{}(v); }
-
-size_t HashStringCell(std::string_view v) {
-  return std::hash<std::string_view>{}(v);
-}
-
-}  // namespace
 
 std::shared_ptr<const ColumnVector> ColumnVector::Build(
     const std::vector<Row>& rows, size_t col) {
@@ -133,14 +112,16 @@ std::shared_ptr<const ColumnVector> ColumnVector::Build(
 }
 
 size_t ColumnVector::CellHash(size_t i) const {
+  // Value::Hash, case by case: int64s hash as the equal double, and
+  // string_view hashes match std::string's for equal characters.
   if (IsNull(i)) return kNullHash;
   switch (kind_) {
     case ColumnKind::kInt64:
-      return HashInt64Cell(ints_[i]);
+      return HashNumber(static_cast<double>(ints_[i]));
     case ColumnKind::kDouble:
-      return HashDoubleCell(doubles_[i]);
+      return HashNumber(doubles_[i]);
     case ColumnKind::kString:
-      return HashStringCell(StringAt(i));
+      return std::hash<std::string_view>{}(StringAt(i));
     case ColumnKind::kMixed:
       return mixed_[i].Hash();
     case ColumnKind::kAllNull:

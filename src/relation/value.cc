@@ -1,12 +1,10 @@
 #include "relation/value.h"
 
-#include <cmath>
-#include <functional>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
 #include "util/check.h"
-#include "util/hash_util.h"
 
 namespace gpivot {
 
@@ -42,38 +40,15 @@ DataType Value::type() const {
   return DataType::kString;
 }
 
-int64_t Value::AsInt() const {
-  GPIVOT_CHECK(is_int()) << "Value::AsInt on " << ToString();
-  return Load<int64_t>();
+void Value::WrongKind(const char* accessor) const {
+  GPIVOT_CHECK(false) << accessor << " on " << ToString();
+  std::abort();
 }
 
-double Value::AsDouble() const {
-  GPIVOT_CHECK(is_double()) << "Value::AsDouble on " << ToString();
-  return Load<double>();
-}
-
-std::string_view Value::AsString() const {
-  GPIVOT_CHECK(is_string()) << "Value::AsString on " << ToString();
-  if (kind_ == Kind::kInline) {
-    return std::string_view(reinterpret_cast<const char*>(bytes_),
-                            inline_size_);
-  }
-  return **shared();
-}
-
-double Value::AsNumeric() const {
-  if (is_int()) return static_cast<double>(Load<int64_t>());
-  GPIVOT_CHECK(is_double()) << "Value::AsNumeric on " << ToString();
-  return Load<double>();
-}
-
-bool Value::operator==(const Value& other) const {
-  // Cross-type numeric equality (an INT64 3 equals a DOUBLE 3.0): group-by
-  // and key matching treat numerics uniformly.
+bool Value::EqualsSlow(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
   if (is_string() != other.is_string()) return false;
   if (is_string()) return AsString() == other.AsString();
-  if (is_int() && other.is_int()) return AsInt() == other.AsInt();
   return AsNumeric() == other.AsNumeric();
 }
 
@@ -101,16 +76,6 @@ bool Value::operator<(const Value& other) const {
     return AsNumeric() < other.AsNumeric();
   }
   return AsString() < other.AsString();
-}
-
-size_t Value::Hash() const {
-  if (is_null()) return 0x9d3f;
-  if (is_string()) return std::hash<std::string_view>{}(AsString());
-  if (is_int()) {
-    // Hash integral doubles and int64s identically so that == and Hash agree.
-    return std::hash<double>{}(static_cast<double>(AsInt()));
-  }
-  return std::hash<double>{}(AsDouble());
 }
 
 std::string Value::ToString() const {

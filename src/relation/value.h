@@ -3,11 +3,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <new>
 #include <string>
 #include <string_view>
+
+#include "util/hash_util.h"
 
 namespace gpivot {
 
@@ -21,6 +24,19 @@ enum class DataType {
 };
 
 const char* DataTypeToString(DataType type);
+
+// Hash of a NULL cell, as Value::Hash and ColumnVector::CellHash give it.
+inline constexpr size_t kNullHash = 0x9d3f;
+
+// Hash of a numeric cell: murmur3's 64-bit finalizer over the double's bits.
+// Callers pass an int64 as its (nearest) double, so numerics that compare
+// equal hash equal; -0.0 is folded onto 0.0, which it equals.
+inline size_t HashNumber(double v) {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return static_cast<size_t>(Fmix64(bits));
+}
 
 // A single SQL value: NULL (the paper's '⊥'), a 64-bit integer, a double, or
 // a string. Values are ordered NULL-first only inside Sort; comparison
@@ -68,18 +84,52 @@ class Value {
 
   DataType type() const;
 
-  // Accessors abort when the value holds a different alternative.
-  int64_t AsInt() const;
-  double AsDouble() const;
+  // Accessors abort when the value holds a different alternative. They and
+  // ==/Hash are inline: every operator reads, compares and hashes cells on
+  // its hot path, and only the failure and mixed-type cases go out of line.
+  int64_t AsInt() const {
+    if (kind_ != Kind::kInt) [[unlikely]] WrongKind("Value::AsInt");
+    return Load<int64_t>();
+  }
+  double AsDouble() const {
+    if (kind_ != Kind::kDouble) [[unlikely]] WrongKind("Value::AsDouble");
+    return Load<double>();
+  }
   // Valid while this Value lives and is not assigned to.
-  std::string_view AsString() const;
+  std::string_view AsString() const {
+    if (kind_ == Kind::kInline) {
+      return std::string_view(reinterpret_cast<const char*>(bytes_),
+                              inline_size_);
+    }
+    if (kind_ != Kind::kShared) [[unlikely]] WrongKind("Value::AsString");
+    return **shared();
+  }
 
   // Numeric view: int64 and double both convert; aborts on string/NULL.
-  double AsNumeric() const;
+  double AsNumeric() const {
+    if (kind_ == Kind::kInt) return static_cast<double>(Load<int64_t>());
+    if (kind_ != Kind::kDouble) [[unlikely]] WrongKind("Value::AsNumeric");
+    return Load<double>();
+  }
 
   // Total equality: NULL == NULL is true here (used for grouping/keys and
   // bag-difference row matching, where SQL uses "IS NOT DISTINCT FROM").
-  bool operator==(const Value& other) const;
+  // Numerics compare across types (an INT64 3 equals a DOUBLE 3.0).
+  bool operator==(const Value& other) const {
+    if (kind_ == other.kind_) {
+      switch (kind_) {
+        case Kind::kNull:
+          return true;
+        case Kind::kInt:
+          return Load<int64_t>() == other.Load<int64_t>();
+        case Kind::kDouble:
+          return Load<double>() == other.Load<double>();
+        default:
+          break;
+      }
+    }
+    return EqualsSlow(other);
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   // Identity: the same type and the same bits (an INT64 1 is not a DOUBLE
@@ -91,7 +141,20 @@ class Value {
   // ints and doubles compare numerically.
   bool operator<(const Value& other) const;
 
-  size_t Hash() const;
+  // Consistent with ==: numerics hash through HashNumber, so an INT64 hashes
+  // as the equal DOUBLE and 0.0 as -0.0; strings keep std::hash.
+  size_t Hash() const {
+    switch (kind_) {
+      case Kind::kNull:
+        return kNullHash;
+      case Kind::kInt:
+        return HashNumber(static_cast<double>(Load<int64_t>()));
+      case Kind::kDouble:
+        return HashNumber(Load<double>());
+      default:
+        return std::hash<std::string_view>{}(AsString());
+    }
+  }
 
   // "⊥" for NULL; otherwise the literal text.
   std::string ToString() const;
@@ -124,6 +187,10 @@ class Value {
     return std::launder(reinterpret_cast<const SharedString*>(bytes_));
   }
   void SetString(std::string_view v);
+  // Aborts (GPIVOT_CHECK) naming `accessor` and this value.
+  [[noreturn]] void WrongKind(const char* accessor) const;
+  // == for different kinds and for strings.
+  bool EqualsSlow(const Value& other) const;
   // Copies and moves stay inline: rows are copied cell by cell on every
   // operator's hot path.
   void CopyFrom(const Value& other) {

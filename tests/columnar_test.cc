@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gpivot.h"
@@ -159,6 +160,31 @@ TEST(ColumnVectorTest, CellHashMatchesValueHash) {
       EXPECT_EQ(col->CellHash(i), slice[i].Hash()) << "row " << i;
     }
   }
+}
+
+// Every storage class hashes the equal numerics (0, -0.0, 3 and 3.0, an
+// int64 past 2^53) as Value::Hash does, so a key hashed from columns finds
+// the same hash-table slot as one hashed from rows.
+TEST(ColumnVectorTest, CellHashMatchesValueHashForEveryKind) {
+  const int64_t past53 = (int64_t{1} << 53) + 1;
+  const std::vector<std::pair<ColumnKind, std::vector<Value>>> columns = {
+      {ColumnKind::kInt64, {I(0), I(3), I(past53), N(), I(-3)}},
+      {ColumnKind::kDouble, {D(0.0), D(-0.0), D(3.0), N(), D(0x1p53)}},
+      {ColumnKind::kString, {S("3"), S(""), N(), S("a string past 22 bytes")}},
+      {ColumnKind::kAllNull, {N(), N()}},
+      {ColumnKind::kMixed,
+       {I(0), D(-0.0), I(3), D(3.0), S("x"), N(), I(past53), D(0x1p53)}}};
+  for (const auto& [kind, cells] : columns) {
+    Table t = OneColumn(cells);
+    auto col = ColumnVector::Build(t.rows(), 0);
+    ASSERT_EQ(col->kind(), kind);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(col->CellHash(i), cells[i].Hash())
+          << "kind " << static_cast<int>(kind) << " row " << i;
+    }
+  }
+  EXPECT_EQ(I(0).Hash(), D(-0.0).Hash());
+  EXPECT_EQ(I(past53).Hash(), D(0x1p53).Hash());
 }
 
 TEST(ColumnVectorTest, CellEqualityMatchesValueEquality) {

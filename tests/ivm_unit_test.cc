@@ -599,6 +599,126 @@ TEST(ExecuteMergePlanTest, PlanOutOfSyncWithTheViewIsInternal) {
   EXPECT_FALSE(view.LookupKey({I(2)}).has_value());
 }
 
+// A (k, v) view keyed on k holding (k, 10k) for k in [0, n), row k at
+// position k.
+MaterializedView CountingView(int64_t n) {
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < n; ++k) rows.push_back({I(k), I(10 * k)});
+  Table t = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kInt64}},
+                      std::move(rows));
+  EXPECT_TRUE(t.SetKey({"k"}).ok());
+  return MaterializedView::Create(std::move(t)).value();
+}
+
+// Commit replays staged positions with no lookup: updates in place, deletes
+// in descending position, appends last. A plan mixing every kind, including
+// deletes a swap-with-last would disturb if taken in record order, must
+// land exactly where a commit that looks each key up would put it.
+TEST(ExecuteMergePlanTest, StagedPositionsReplayInCommitOrder) {
+  MaterializedView view = CountingView(10);
+  const std::vector<Row> before = view.table().rows();
+  Delta delta = Delta::Empty(view.table().schema());
+  // Deletes, in record order: a row the first delete's swap would move
+  // (the last, k=9, swapped into position 3), adjacent positions 5 and 6,
+  // and the second-to-last row.
+  for (int64_t k : {3, 9, 5, 6, 8}) delta.deletes.AddRow({I(k), I(10 * k)});
+  // Updates: k=1 and k=4, each a delete and reinsert of one key.
+  for (int64_t k : {1, 4}) {
+    delta.deletes.AddRow({I(k), I(10 * k)});
+    delta.inserts.AddRow({I(k), I(10 * k + 1)});
+  }
+  // Appends, one of them a key deleted above and inserted back (an update),
+  // and a new key.
+  delta.inserts.AddRow({I(6), I(66)});
+  delta.inserts.AddRow({I(10), I(100)});
+  delta.inserts.AddRow({I(11), I(110)});
+  ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                       ivm::StageInsertDelete(view, delta));
+
+  // Reference: the same records applied in record order, each key looked
+  // up in the view as it is reached.
+  MaterializedView reference = view;
+  for (const ivm::MergeRecord& record : plan.records) {
+    std::optional<size_t> at = reference.LookupKey(record.key);
+    ASSERT_EQ(at.has_value(), record.position.has_value());
+    if (!at.has_value()) {
+      if (record.after.has_value()) ASSERT_OK(reference.Insert(*record.after));
+    } else if (record.after.has_value()) {
+      reference.Update(*at, *record.after);
+    } else {
+      reference.Delete(*at);
+    }
+  }
+
+  UndoLog undo;
+  ASSERT_OK(ivm::ExecuteMergePlan(&view, plan, &undo));
+  ASSERT_OK(view.ValidateIntegrity());
+  ASSERT_EQ(view.num_rows(), reference.num_rows());
+  for (const Row& row : reference.table().rows()) {
+    std::optional<size_t> at = view.LookupKey({row[0]});
+    ASSERT_TRUE(at.has_value()) << RowToString(row);
+    EXPECT_EQ(view.RowAt(*at), row);
+  }
+  for (int64_t k : {3, 5, 8, 9}) {
+    EXPECT_FALSE(view.LookupKey({I(k)}).has_value()) << k;
+  }
+  EXPECT_EQ(view.RowAt(view.LookupKey({I(6)}).value()), (Row{I(6), I(66)}));
+
+  undo.Rollback(&view);
+  ASSERT_EQ(view.num_rows(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(IdenticalRows(view.RowAt(i), before[i])) << "row " << i;
+  }
+  ASSERT_OK(view.ValidateIntegrity());
+}
+
+// The three ways a plan can fall out of sync with its view: each is
+// Internal at the record's key, and rollback restores the view.
+TEST(ExecuteMergePlanTest, StalePositionsAndAppendsAreInternal) {
+  auto expect_out_of_sync = [](MaterializedView view,
+                               const ivm::MergePlan& plan) {
+    const std::vector<Row> rows = view.table().rows();
+    UndoLog undo;
+    Status st = ivm::ExecuteMergePlan(&view, plan, &undo);
+    EXPECT_TRUE(st.IsInternal()) << st.ToString();
+    EXPECT_NE(st.ToString().find("merge plan out of sync"), std::string::npos)
+        << st.ToString();
+    undo.Rollback(&view);
+    EXPECT_EQ(view.table().rows(), rows);
+    EXPECT_TRUE(view.ValidateIntegrity().ok());
+  };
+
+  {  // A staged position past the end of the view.
+    MaterializedView view = TwoRowView();
+    Delta delta = Delta::Empty(view.table().schema());
+    delta.deletes.AddRow({I(2), I(20)});
+    ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                         ivm::StageInsertDelete(view, delta));
+    view.Delete(1);
+    expect_out_of_sync(std::move(view), plan);
+  }
+  {  // A staged position now holding another key: deleting key 0 swapped
+     // key 3 into its position.
+    MaterializedView view = CountingView(4);
+    Delta delta = Delta::Empty(view.table().schema());
+    delta.deletes.AddRow({I(0), I(0)});
+    delta.inserts.AddRow({I(0), I(1)});
+    ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                         ivm::StageInsertDelete(view, delta));
+    view.Delete(0);
+    expect_out_of_sync(std::move(view), plan);
+  }
+  {  // An append whose key is already present.
+    MaterializedView view = TwoRowView();
+    Delta delta = Delta::Empty(view.table().schema());
+    delta.inserts.AddRow({I(3), I(30)});
+    ASSERT_OK_AND_ASSIGN(ivm::MergePlan plan,
+                         ivm::StageInsertDelete(view, delta));
+    ASSERT_OK(view.Insert({I(3), I(31)}));
+    expect_out_of_sync(std::move(view), plan);
+  }
+}
+
 // ---- ViewManager surface --------------------------------------------------------
 
 TEST(ViewManagerTest, DuplicateViewNameRejected) {
