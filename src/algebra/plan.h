@@ -22,9 +22,9 @@ namespace gpivot {
 // always sees current contents.
 //
 // Each table is a KeyedTable store, copy-on-write behind shared_ptr:
-// copying a Catalog is cheap (the delta propagator snapshots the pre-state
-// this way), and a mutation clones a table only when another snapshot still
-// shares it. A keyed table's key index is built by the IVM layer
+// copying a Catalog is cheap (the full-recompute baseline advances such a
+// copy to stage its post state), and a mutation clones a table only when
+// another snapshot still shares it. A keyed table's key index is built by the IVM layer
 // (GetKeyedTable + EnsureIndex): when a view that scans the table is
 // defined or restored, or else when a delta first advances it.
 class Catalog {

@@ -371,8 +371,18 @@ Status MaintenancePlan::CommitStaged(StagedRefresh staged,
 
 Result<MaterializedView> MaintenancePlan::StageFullRecompute(
     DeltaPropagator* propagator) const {
-  GPIVOT_ASSIGN_OR_RETURN(Table recomputed,
-                          propagator->EvaluatePost(effective_query_));
+  // The baseline's O(base) cost by design: a copy-on-write catalog whose
+  // changed tables are cloned and advanced, then the whole query over it.
+  Catalog post = propagator->pre_catalog();
+  for (const auto& [name, delta] : propagator->deltas()) {
+    if (delta.empty()) continue;
+    GPIVOT_ASSIGN_OR_RETURN(KeyedTable* table, post.GetKeyedTable(name));
+    UndoLog undo;  // the copy is scratch: its undo log is never replayed
+    GPIVOT_RETURN_NOT_OK(AdvanceInPlace(table, delta, &undo));
+  }
+  GPIVOT_ASSIGN_OR_RETURN(
+      Table recomputed,
+      Evaluate(effective_query_, post, propagator->exec_context()));
   return MaterializedView::Create(std::move(recomputed));
 }
 

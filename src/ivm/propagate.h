@@ -2,12 +2,9 @@
 #define GPIVOT_IVM_PROPAGATE_H_
 
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -36,10 +33,11 @@ struct Restriction {
 // paper's Fig. 22 insert/delete rules for intermediate GPIVOT/GUNPIVOT
 // operators.
 //
-// The propagator sees two database states: `pre` (the catalog as passed in)
-// and `post` (pre with the deltas applied). Join and pivot rules evaluate
-// subtrees in whichever state the algebra requires. Subtree evaluations are
-// memoized per state so shared subplans are computed once.
+// The propagator sees one database state: `pre`, the catalog as passed in.
+// Every rule that needs a subtree's post state derives it from the pre
+// state and the subtree's delta, post = pre ∸ ∇ ⊎ Δ (∇ ⊆ pre), in the
+// paper's own ⊎/∸ notation. Subtree evaluations are memoized so shared
+// subplans are computed once.
 //
 // One propagator serves a whole epoch, every view staging through it in
 // definition order (DESIGN.md, "Maintenance DAG"). It memoizes each delta
@@ -50,13 +48,15 @@ struct Restriction {
 // do not depend on which other views the manager holds.
 class DeltaPropagator {
  public:
-  // Both referents must outlive the propagator. `pre_catalog` is copied to
-  // build the post-state catalog on first use. `ctx` carries the
-  // observability sinks into every subtree evaluation and propagation rule.
+  // Both referents must outlive the propagator; neither is modified. `ctx`
+  // carries the observability sinks into every subtree evaluation and
+  // propagation rule.
   DeltaPropagator(const Catalog* pre_catalog, const SourceDeltas* deltas,
                   const ExecContext& ctx = {});
 
   const ExecContext& exec_context() const { return ctx_; }
+  const Catalog& pre_catalog() const { return *pre_; }
+  const SourceDeltas& deltas() const { return *deltas_; }
 
   // Charges subsequent work to `cost`, numbered by `ids`, on behalf of the
   // view named `owner`. A delta memoized under another owner is read, not
@@ -76,10 +76,6 @@ class DeltaPropagator {
   // it. Like Propagate, neither memoizes the delta of an unchanged subtree.
   DeltaPtr RecallPivoted(const PlanPtr& pivot);
   Result<DeltaPtr> RememberPivoted(const PlanPtr& pivot, Delta delta);
-
-  // Evaluates `plan` against the post-update database. (The pre-update
-  // database is the caller's catalog: Evaluate it directly.)
-  Result<Table> EvaluatePost(const PlanPtr& plan);
 
   // True when no base table under `plan` has a delta (the subtree is
   // unchanged, so its delta is empty and pre == post).
@@ -124,19 +120,10 @@ class DeltaPropagator {
   // probe — that returned `rows` rows to its cost node (none when the node
   // is outside the numbered plan).
   void RecordBaseRead(const PlanPtr& plan, uint64_t rows);
-  // `plan` evaluated in the pre / post state: scans alias the catalog's
-  // table (no copy) and non-scan subtrees are evaluated once and memoized
-  // for the lifetime of this propagator.
+  // `plan` evaluated in the pre state: scans alias the catalog's table (no
+  // copy) and non-scan subtrees are evaluated once and memoized for the
+  // lifetime of this propagator.
   Result<std::shared_ptr<const Table>> EvaluatePreRef(const PlanPtr& plan);
-  Result<std::shared_ptr<const Table>> EvaluatePostRef(const PlanPtr& plan);
-  Result<std::shared_ptr<const Table>> EvaluateRef(
-      const PlanPtr& plan, const Catalog& catalog,
-      std::unordered_map<const PlanNode*, std::shared_ptr<const Table>>* memo);
-  // Builds the post-state catalog on first use: strategies whose rules never
-  // re-access the updated base (e.g. the Fig. 23 update rules under deletes)
-  // then never pay for patching large tables. Fails (rather than aborting)
-  // when a delta names an unknown table or mismatches its schema.
-  Result<const Catalog*> PostCatalog();
 
   const Catalog* pre_;
   const SourceDeltas* deltas_;
@@ -144,13 +131,10 @@ class DeltaPropagator {
   std::string owner_;  // the view the current cost target charges
   MemoMap propagated_;
   MemoMap pivoted_;
-  std::optional<Catalog> post_;  // built by PostCatalog on first use
   std::unordered_map<const PlanNode*, std::shared_ptr<const Table>> pre_memo_;
-  std::unordered_map<const PlanNode*, std::shared_ptr<const Table>> post_memo_;
-  // Scan aliases already counted as a base access, keyed by (memo table,
-  // node) so a scan read in the pre and post states counts twice, but many
-  // rules sharing one state's alias count once.
-  std::set<std::pair<const void*, const PlanNode*>> scan_reads_;
+  // Scan aliases already counted as a base access: many rules sharing one
+  // alias count it once.
+  std::unordered_set<const PlanNode*> scan_reads_;
 };
 
 }  // namespace gpivot::ivm
